@@ -229,6 +229,22 @@ fn validate_axis_values(key: &str, values: &[ParamValue]) {
             // (or a junk max-wait) is a sweep-level error.
             "batch_size" => serving_knob_err("serving.batch_size", &spelled),
             "max_wait_us" => serving_knob_err("serving.max_wait_us", &spelled),
+            // Cluster sizes feed u16 shard indices and u32 replica
+            // counts; reject what would not fit instead of wrapping.
+            "nodes" => match value {
+                ParamValue::U64(n) if (1..=u64::from(u16::MAX)).contains(n) => None,
+                _ => Some(format!(
+                    "node count {spelled:?} must be an integer in 1..={}",
+                    u16::MAX
+                )),
+            },
+            "replicas" => match value {
+                ParamValue::U64(n) if u32::try_from(*n).is_ok() => None,
+                _ => Some(format!(
+                    "replica count {spelled:?} must be an integer in 0..={}",
+                    u32::MAX
+                )),
+            },
             _ => None, // scenario-specific; checked by its run function
         };
         if let Some(why) = why {

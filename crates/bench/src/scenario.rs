@@ -256,6 +256,36 @@ impl ResultRow {
         });
         serde_json::to_string(&line).expect("serializable")
     }
+
+    /// The value of parameter `name`, spelled as on the command line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no such parameter.
+    pub fn param(&self, name: &str) -> String {
+        self.params
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.to_string())
+            .unwrap_or_else(|| panic!("row carries param {name}"))
+    }
+
+    /// The numeric `data` field `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no such numeric field.
+    pub fn get_f64(&self, key: &str) -> f64 {
+        self.data
+            .get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("row carries {key}"))
+    }
+
+    /// Whether the row's serving run was flagged `saturated`.
+    pub fn is_saturated(&self) -> bool {
+        self.data.get("saturated").and_then(Value::as_bool) == Some(true)
+    }
 }
 
 /// Enumerates the row-major cartesian product of `specs` (last axis

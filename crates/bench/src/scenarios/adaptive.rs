@@ -247,30 +247,13 @@ fn run_adaptive_point(p: &Point) -> Value {
     })
 }
 
-/// One row's parameter value by axis name.
-fn param(row: &ResultRow, name: &str) -> String {
-    row.params
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| panic!("row carries param {name}"))
-}
-
-/// `data` field accessor for the adaptive rows.
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
 /// Groups rows by (controller, traffic), preserving grid order (`qps`
 /// is the innermost axis, so each group is a contiguous ascending-qps
 /// chunk).
 fn curves(rows: &[ResultRow]) -> Vec<((String, String), Vec<&ResultRow>)> {
     let mut out: Vec<((String, String), Vec<&ResultRow>)> = Vec::new();
     for row in rows {
-        let key = (param(row, "controller"), param(row, "traffic"));
+        let key = (row.param("controller"), row.param("traffic"));
         match out.last_mut() {
             Some((k, group)) if *k == key => group.push(row),
             _ => out.push((key, vec![row])),
@@ -287,8 +270,8 @@ fn sla_frontier(group: &[&ResultRow]) -> Option<f64> {
     let points: Vec<stability::StabilityPoint> = group
         .iter()
         .map(|r| {
-            let offered = get_f64(r, "offered_qps");
-            let p99 = get_f64(r, "p99_ns");
+            let offered = r.get_f64("offered_qps");
+            let p99 = r.get_f64("p99_ns");
             stability::StabilityPoint {
                 stable_qps: offered,
                 offered_qps: offered,
@@ -330,9 +313,9 @@ pub static LATENCY_ADAPTIVE: GridScenario = GridScenario {
             curve_objs.insert(
                 format!("{controller}/{traffic}"),
                 json!({
-                    "offered_qps": group.iter().map(|r| get_f64(r, "offered_qps")).collect::<Vec<f64>>(),
-                    "achieved_qps": group.iter().map(|r| get_f64(r, "achieved_qps")).collect::<Vec<f64>>(),
-                    "p99_ns": group.iter().map(|r| get_f64(r, "p99_ns")).collect::<Vec<f64>>(),
+                    "offered_qps": group.iter().map(|r| r.get_f64("offered_qps")).collect::<Vec<f64>>(),
+                    "achieved_qps": group.iter().map(|r| r.get_f64("achieved_qps")).collect::<Vec<f64>>(),
+                    "p99_ns": group.iter().map(|r| r.get_f64("p99_ns")).collect::<Vec<f64>>(),
                     "knee_qps": knee,
                     "max_stable_qps": max_stable,
                     "sla_stable_qps": sla_frontier(group).map_or(Value::Null, Value::from),
@@ -363,8 +346,8 @@ pub static LATENCY_ADAPTIVE: GridScenario = GridScenario {
                                 .find(|((c, t), _)| c == controller && t == traffic)
                                 .and_then(|(_, g)| {
                                     g.iter()
-                                        .find(|r| get_f64(r, "offered_qps") == knee)
-                                        .map(|r| get_f64(r, "p99_ns"))
+                                        .find(|r| r.get_f64("offered_qps") == knee)
+                                        .map(|r| r.get_f64("p99_ns"))
                                 })
                         })
                         .map_or(Value::Null, Value::from)

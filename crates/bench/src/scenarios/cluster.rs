@@ -19,22 +19,22 @@
 //!
 //! Each point decomposes into one sub-point part per node
 //! ([`PointParts`]): the per-node open-loop sims are independent given
-//! the routed workloads, so the sweep runner work-steals them across
+//! the routed workload, so the sweep runner work-steals them across
 //! cores, and `merge` replays the deterministic router merge from the
-//! nodes' completion vectors.
+//! nodes' completion vectors. `ClusterPoint` holds both halves for
+//! this scenario and `cluster_faults`.
 //!
 //! The workload is never materialized: each part re-derives the same
 //! seeded [`QueryStreamSpec`] (a few dozen bytes) and streams it
-//! through [`route_stream`], pushing only its own shard's sub-bags
-//! into the node session — O(batch) memory per part instead of a full
-//! per-point trace clone, with the differential suite
-//! (`pifs-core/tests/streaming_equivalence.rs`) pinning byte-identity
-//! to the materialized path.
+//! through the router ([`run_node_parts`]), pushing only its own
+//! shard's sub-bags into the node session — O(batch) memory per part
+//! instead of a full per-point trace clone.
 
 use pifs_core::engine::cluster::{
-    merge_streamed, route_stream, ClusterConfig, ShardPlacement, ShardPolicy,
+    merge_node_parts, route_stream, run_node_parts, ClusterConfig, ClusterMetrics, NodePart,
+    RoutedStream, ShardPlacement, ShardPolicy,
 };
-use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig};
+use pifs_core::system::{ServingMetrics, SlsSystem, SystemConfig};
 use serde_json::{json, Value};
 use simkit::SimTime;
 use tracegen::{ArrivalProcess, QueryStreamSpec};
@@ -73,16 +73,104 @@ fn qps_axis() -> ParamSpec {
     ParamSpec::u64s("qps", [2_000_000, 8_000_000, 32_000_000, 128_000_000])
 }
 
-/// Everything a point's parts and merge share, rebuilt deterministically
-/// on both sides: the cluster config, the seeded stream spec (in place
-/// of a materialized workload), and the row→shard placement.
-struct ClusterSetup {
-    cfg: ClusterConfig,
-    spec: QueryStreamSpec,
-    placement: ShardPlacement,
+/// Everything a cluster point's parts and merge share, rebuilt
+/// deterministically on both sides: the cluster config, the seeded
+/// stream spec (in place of a materialized workload), and the
+/// row→shard placement.
+pub(super) struct ClusterPoint {
+    pub(super) cfg: ClusterConfig,
+    pub(super) spec: QueryStreamSpec,
+    pub(super) placement: ShardPlacement,
 }
 
-fn setup(p: &Point) -> ClusterSetup {
+impl ClusterPoint {
+    pub(super) fn new(cfg: ClusterConfig, spec: QueryStreamSpec) -> Self {
+        let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
+        ClusterPoint {
+            cfg,
+            spec,
+            placement,
+        }
+    }
+
+    /// Runs node `part` of the point: streams the shared workload
+    /// through the router and pushes only this shard's routed sub-bags
+    /// into a fresh node session.
+    pub(super) fn run_part(&self, part: usize) -> ServingMetrics {
+        let mut node = [SlsSystem::new(self.cfg.node.clone())];
+        let (mut met, _) = run_node_parts(
+            &self.cfg,
+            &self.placement,
+            &mut self.spec.stream(),
+            &mut node,
+            part,
+        );
+        met.pop().expect("one node, one part")
+    }
+
+    /// Merges the point's part values — each carrying `completions_ns`
+    /// (run-relative ns, local-qid order), `makespan_ns` and, when its
+    /// node sheds, `shed_qids` (local, ascending) — by re-routing the
+    /// workload for the routing record and replaying the router merge.
+    pub(super) fn merge(&self, parts: &[Value]) -> (ClusterMetrics, RoutedStream) {
+        // Every part's values decode into two flat buffers (one
+        // allocation each, whatever the node count), sliced back into
+        // per-node views below.
+        let mut completions: Vec<SimTime> =
+            Vec::with_capacity(parts.iter().map(|v| list(v, "completions_ns").len()).sum());
+        let mut sheds: Vec<u64> =
+            Vec::with_capacity(parts.iter().map(|v| list(v, "shed_qids").len()).sum());
+        for v in parts {
+            completions.extend(
+                list(v, "completions_ns")
+                    .iter()
+                    .map(|n| SimTime::from_ns(n.as_u64().expect("ns value"))),
+            );
+            sheds.extend(
+                list(v, "shed_qids")
+                    .iter()
+                    .map(|q| q.as_u64().expect("local qid")),
+            );
+        }
+        let (mut completions_left, mut sheds_left) = (&completions[..], &sheds[..]);
+        let node_parts: Vec<NodePart<'_>> = parts
+            .iter()
+            .map(|v| {
+                let (completion, rest) = completions_left.split_at(list(v, "completions_ns").len());
+                completions_left = rest;
+                let (shed_qids, rest) = sheds_left.split_at(list(v, "shed_qids").len());
+                sheds_left = rest;
+                NodePart {
+                    completion,
+                    shed_qids,
+                    makespan_ns: v
+                        .get("makespan_ns")
+                        .and_then(Value::as_u64)
+                        .expect("part carries makespan_ns"),
+                }
+            })
+            .collect();
+        let mut stream = self.spec.stream();
+        let replay = stream.clone();
+        let routed = route_stream(
+            &self.placement,
+            &self.cfg.faults,
+            &mut stream,
+            |_, _, _, _| {},
+        );
+        let met = merge_node_parts(&self.cfg, &self.placement, &replay, &routed, &node_parts);
+        (met, routed)
+    }
+}
+
+/// A part value's list field `key` (empty when absent).
+fn list<'v>(v: &'v Value, key: &str) -> &'v [Value] {
+    v.get(key)
+        .and_then(Value::as_array)
+        .map_or(&[], Vec::as_slice)
+}
+
+fn setup(p: &Point) -> ClusterPoint {
     let m = p.model();
     let qps = p.f64("qps");
     let arrival_spec = p.str("arrival");
@@ -90,7 +178,8 @@ fn setup(p: &Point) -> ClusterSetup {
         .unwrap_or_else(|e| panic!("param \"arrival\": {e}"));
     let policy =
         ShardPolicy::parse(p.str("policy")).unwrap_or_else(|e| panic!("param \"policy\": {e}"));
-    let nodes = p.u64("nodes") as u16;
+    let nodes = u16::try_from(p.u64("nodes"))
+        .unwrap_or_else(|_| panic!("param \"nodes\": more than {} shards", u16::MAX));
 
     let mut node = scale_buffers(SystemConfig::pifs_rec(m.clone()));
     node.apply_knob("serving.max_wait_us", MAX_WAIT_US)
@@ -121,36 +210,13 @@ fn setup(p: &Point) -> ClusterSetup {
         arrival: process,
         arrival_seed,
     };
-
-    let cfg = ClusterConfig::new(nodes, policy, node);
-    let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
-    ClusterSetup {
-        cfg,
-        spec,
-        placement,
-    }
+    ClusterPoint::new(ClusterConfig::new(nodes, policy, node), spec)
 }
 
-/// Runs node `part` of the point's cluster: streams the shared
-/// workload through the router and pushes only this shard's routed
-/// sub-bags into a fresh node session, returning the completion vector
-/// the merge keys on (run-relative ns, local-qid order).
-fn run_node_part(p: &Point, part: usize) -> Value {
-    let s = setup(p);
-    let mut node = SlsSystem::new(s.cfg.node.clone());
-    node.open_loop_begin(s.spec.trace.n_tables, OpenLoopOpts::default());
-    let mut stream = s.spec.stream();
-    route_stream(
-        &s.placement,
-        &s.cfg.faults,
-        &mut stream,
-        |shard, _tenant, at, sub| {
-            if shard == part {
-                node.open_loop_push(at, sub);
-            }
-        },
-    );
-    let met = node.open_loop_finish();
+/// Runs node `part` of the point's cluster, returning the completion
+/// vector the merge keys on plus the node's accounting.
+fn run_part(p: &Point, part: usize) -> Value {
+    let met = setup(p).run_part(part);
     json!({
         "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
         "queries": met.queries,
@@ -160,45 +226,11 @@ fn run_node_part(p: &Point, part: usize) -> Value {
     })
 }
 
-/// Merges the nodes' part values into the point row: replay the
-/// deterministic router merge over the completion vectors, then attach
-/// the exact functional checksum and the per-node accounting.
-fn merge_node_parts(p: &Point, parts: Vec<Value>) -> Value {
-    let s = setup(p);
-    let completions: Vec<Vec<SimTime>> = parts
-        .iter()
-        .map(|v| {
-            v.get("completions_ns")
-                .and_then(Value::as_array)
-                .expect("part carries completions_ns")
-                .iter()
-                .map(|n| SimTime::from_ns(n.as_u64().expect("ns value")))
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[SimTime]> = completions.iter().map(Vec::as_slice).collect();
-    let makespans: Vec<u64> = parts
-        .iter()
-        .map(|v| {
-            v.get("makespan_ns")
-                .and_then(Value::as_u64)
-                .expect("part carries makespan_ns")
-        })
-        .collect();
-    let mut stream = s.spec.stream();
-    let replay = stream.clone();
-    let routed = route_stream(&s.placement, &s.cfg.faults, &mut stream, |_, _, _, _| {});
-    let sheds: Vec<&[u64]> = vec![&[]; refs.len()];
-    let met = merge_streamed(
-        &s.cfg,
-        &s.placement,
-        &replay,
-        &routed,
-        &refs,
-        &sheds,
-        &makespans,
-    );
-
+/// Merges the nodes' part values into the point row: the router merge
+/// over the completion vectors, the exact functional checksum and the
+/// per-node accounting.
+fn merge_parts(p: &Point, parts: Vec<Value>) -> Value {
+    let (met, routed) = setup(p).merge(&parts);
     let qps = p.f64("qps");
     let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
     let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
@@ -237,27 +269,7 @@ fn merge_node_parts(p: &Point, parts: Vec<Value>) -> Value {
 /// the parts produce") holds by construction.
 fn run_cluster_point(p: &Point) -> Value {
     let n = p.u64("nodes") as usize;
-    merge_node_parts(p, (0..n).map(|i| run_node_part(p, i)).collect())
-}
-
-/// `data` field accessor.
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
-fn param(row: &ResultRow, name: &str) -> String {
-    row.params
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| panic!("row carries param {name}"))
-}
-
-fn is_saturated(row: &ResultRow) -> bool {
-    row.data.get("saturated").and_then(Value::as_bool) == Some(true)
+    merge_parts(p, (0..n).map(|i| run_part(p, i)).collect())
 }
 
 /// Groups rows by (policy, nodes), preserving grid order (`qps` is the
@@ -266,8 +278,8 @@ fn curves(rows: &[ResultRow]) -> Vec<((String, u64), Vec<&ResultRow>)> {
     let mut out: Vec<((String, u64), Vec<&ResultRow>)> = Vec::new();
     for row in rows {
         let key = (
-            param(row, "policy"),
-            param(row, "nodes").parse::<u64>().expect("nodes param"),
+            row.param("policy"),
+            row.param("nodes").parse::<u64>().expect("nodes param"),
         );
         match out.last_mut() {
             Some((k, group)) if *k == key => group.push(row),
@@ -286,7 +298,7 @@ fn nodes_needed(rows: &[ResultRow]) -> Value {
     let mut per_qps: Vec<Value> = Vec::new();
     let mut qps_values: Vec<u64> = Vec::new();
     for row in rows {
-        let q = param(row, "qps").parse::<u64>().expect("qps param");
+        let q = row.param("qps").parse::<u64>().expect("qps param");
         if !qps_values.contains(&q) {
             qps_values.push(q);
         }
@@ -297,12 +309,12 @@ fn nodes_needed(rows: &[ResultRow]) -> Value {
             let winner = rows
                 .iter()
                 .filter(|r| {
-                    param(r, "policy") == policy
-                        && param(r, "qps").parse::<u64>() == Ok(q)
-                        && !is_saturated(r)
-                        && get_f64(r, "p99_ns") <= P99_SLA_NS
+                    r.param("policy") == policy
+                        && r.param("qps").parse::<u64>() == Ok(q)
+                        && !r.is_saturated()
+                        && r.get_f64("p99_ns") <= P99_SLA_NS
                 })
-                .map(|r| param(r, "nodes").parse::<u64>().expect("nodes param"))
+                .map(|r| r.param("nodes").parse::<u64>().expect("nodes param"))
                 .min();
             let users_m = q as f64 / QUERIES_PER_SEC_PER_USER / 1e6;
             policies.insert(
@@ -348,15 +360,15 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
     run: run_cluster_point,
     parts: Some(PointParts {
         count: |p| p.u64("nodes") as usize,
-        run: run_node_part,
-        merge: merge_node_parts,
+        run: run_part,
+        merge: merge_parts,
     }),
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
         for ((policy, nodes), group) in curves(rows) {
-            let qps: Vec<f64> = group.iter().map(|r| get_f64(r, "offered_qps")).collect();
-            let p99: Vec<f64> = group.iter().map(|r| get_f64(r, "p99_ns")).collect();
-            let achieved: Vec<f64> = group.iter().map(|r| get_f64(r, "achieved_qps")).collect();
+            let qps: Vec<f64> = group.iter().map(|r| r.get_f64("offered_qps")).collect();
+            let p99: Vec<f64> = group.iter().map(|r| r.get_f64("p99_ns")).collect();
+            let achieved: Vec<f64> = group.iter().map(|r| r.get_f64("achieved_qps")).collect();
             let (knee, max_stable) = stability::stability_json(&stability::serving_points(&group));
             curve_objs.insert(
                 format!("{policy}/n{nodes}"),
@@ -366,7 +378,7 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
                     "p99_ns": p99,
                     "knee_qps": knee,
                     "max_stable_qps": max_stable,
-                    "mean_fanout": group.iter().map(|r| get_f64(r, "mean_fanout")).collect::<Vec<f64>>(),
+                    "mean_fanout": group.iter().map(|r| r.get_f64("mean_fanout")).collect::<Vec<f64>>(),
                 }),
             );
         }

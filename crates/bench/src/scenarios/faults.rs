@@ -22,20 +22,20 @@
 //! column is byte-identical to an un-faulted build of the same
 //! workload — the zero-overhead bar the golden suite pins.
 //!
-//! Points decompose into one sub-point part per node, exactly as
-//! `cluster_qps`: parts re-derive the seeded stream, route it with the
-//! liveness-aware router, and return completion vectors plus the
-//! local qids their shedder refused; `merge` replays the degraded
-//! router merge and the exact functional plane.
+//! Points decompose into one sub-point part per node through the same
+//! `ClusterPoint` as `cluster_qps`: parts re-derive the seeded
+//! stream, route it with the liveness-aware router, and return
+//! completion vectors plus the local qids their shedder refused;
+//! `merge` replays the degraded router merge and the exact functional
+//! plane.
 
-use pifs_core::engine::cluster::{
-    merge_streamed, route_stream, ClusterConfig, ShardPlacement, ShardPolicy,
-};
-use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig};
+use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy};
+use pifs_core::system::SystemConfig;
 use serde_json::{json, Value};
-use simkit::{FaultSchedule, FaultSpec, SimTime};
+use simkit::{FaultSchedule, FaultSpec};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
+use super::cluster::ClusterPoint;
 use super::stability;
 use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
@@ -86,15 +86,7 @@ const FAULT_AXIS: [&str; 6] = [
     "link:16000:8",
 ];
 
-/// Everything a point's parts and merge share, rebuilt
-/// deterministically on both sides.
-struct FaultSetup {
-    cfg: ClusterConfig,
-    spec: QueryStreamSpec,
-    placement: ShardPlacement,
-}
-
-fn setup(p: &Point) -> FaultSetup {
+fn setup(p: &Point) -> ClusterPoint {
     let m = p.model();
     let qps = p.f64("qps");
     let fault = FaultSpec::parse(p.str("fault")).unwrap_or_else(|e| panic!("param \"fault\": {e}"));
@@ -146,38 +138,17 @@ fn setup(p: &Point) -> FaultSetup {
     // property keeps the schedule consistent across qps cells.
     let horizon_ns = (SERVE_QUERIES as f64 / qps * 1.5e9).ceil() as u64;
     let mut cfg = ClusterConfig::new(NODES, ShardPolicy::RowHash, node);
-    cfg.hot_rows_per_table = p.u64("replicas") as u32;
+    cfg.hot_rows_per_table = u32::try_from(p.u64("replicas"))
+        .unwrap_or_else(|_| panic!("param \"replicas\": more than {} rows", u32::MAX));
     cfg.faults = FaultSchedule::generate(fault, fault_seed, NODES, horizon_ns);
     cfg.partial_timeout_ns = Some(PARTIAL_TIMEOUT_NS);
-    let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
-    FaultSetup {
-        cfg,
-        spec,
-        placement,
-    }
+    ClusterPoint::new(cfg, spec)
 }
 
-/// Runs node `part` of the point's cluster: streams the shared
-/// workload through the liveness-aware router, pushing only this
-/// shard's routed sub-bags into a fresh (slowdown-scheduled, possibly
-/// shedding) node session.
-fn run_node_part(p: &Point, part: usize) -> Value {
-    let s = setup(p);
-    let mut node = SlsSystem::new(s.cfg.node.clone());
-    node.set_slowdowns(s.cfg.faults.slow_intervals(part as u16));
-    node.open_loop_begin(s.spec.trace.n_tables, OpenLoopOpts::default());
-    let mut stream = s.spec.stream();
-    route_stream(
-        &s.placement,
-        &s.cfg.faults,
-        &mut stream,
-        |shard, _tenant, at, sub| {
-            if shard == part {
-                node.open_loop_push(at, sub);
-            }
-        },
-    );
-    let met = node.open_loop_finish();
+/// Runs node `part` of the point's cluster on its slowdown-scheduled,
+/// possibly shedding node.
+fn run_part(p: &Point, part: usize) -> Value {
+    let met = setup(p).run_part(part);
     json!({
         "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
         "shed_qids": met.shed_qids,
@@ -187,58 +158,13 @@ fn run_node_part(p: &Point, part: usize) -> Value {
     })
 }
 
-/// Merges the nodes' part values into the point row: replay the
-/// degraded router merge (failover, sheds, timeouts, hedges) over the
-/// completion vectors, then attach the exact functional checksum and
-/// the resilience accounting.
-fn merge_node_parts(p: &Point, parts: Vec<Value>) -> Value {
+/// Merges the nodes' part values into the point row: the degraded
+/// router merge (failover, sheds, timeouts, hedges) over the completion
+/// vectors, the exact functional checksum and the resilience
+/// accounting.
+fn merge_parts(p: &Point, parts: Vec<Value>) -> Value {
     let s = setup(p);
-    let completions: Vec<Vec<SimTime>> = parts
-        .iter()
-        .map(|v| {
-            v.get("completions_ns")
-                .and_then(Value::as_array)
-                .expect("part carries completions_ns")
-                .iter()
-                .map(|n| SimTime::from_ns(n.as_u64().expect("ns value")))
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[SimTime]> = completions.iter().map(Vec::as_slice).collect();
-    let makespans: Vec<u64> = parts
-        .iter()
-        .map(|v| {
-            v.get("makespan_ns")
-                .and_then(Value::as_u64)
-                .expect("part carries makespan_ns")
-        })
-        .collect();
-    let mut stream = s.spec.stream();
-    let replay = stream.clone();
-    let routed = route_stream(&s.placement, &s.cfg.faults, &mut stream, |_, _, _, _| {});
-    // Nodes shed by local qid; the merge keys on global qids.
-    let sheds: Vec<Vec<u64>> = parts
-        .iter()
-        .enumerate()
-        .map(|(n, v)| {
-            v.get("shed_qids")
-                .and_then(Value::as_array)
-                .expect("part carries shed_qids")
-                .iter()
-                .map(|lq| routed.qids[n][lq.as_u64().expect("local qid") as usize])
-                .collect()
-        })
-        .collect();
-    let shed_refs: Vec<&[u64]> = sheds.iter().map(Vec::as_slice).collect();
-    let met = merge_streamed(
-        &s.cfg,
-        &s.placement,
-        &replay,
-        &routed,
-        &refs,
-        &shed_refs,
-        &makespans,
-    );
+    let (met, routed) = s.merge(&parts);
 
     let qps = p.f64("qps");
     let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
@@ -274,26 +200,7 @@ fn merge_node_parts(p: &Point, parts: Vec<Value>) -> Value {
 /// construction.
 fn run_faults_point(p: &Point) -> Value {
     let n = NODES as usize;
-    merge_node_parts(p, (0..n).map(|i| run_node_part(p, i)).collect())
-}
-
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
-fn param(row: &ResultRow, name: &str) -> String {
-    row.params
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| panic!("row carries param {name}"))
-}
-
-fn is_saturated(row: &ResultRow) -> bool {
-    row.data.get("saturated").and_then(Value::as_bool) == Some(true)
+    merge_parts(p, (0..n).map(|i| run_part(p, i)).collect())
 }
 
 /// A resilience curve's key: (fault, shed, replicas).
@@ -306,9 +213,9 @@ fn curves(rows: &[ResultRow]) -> Vec<(CurveKey, Vec<&ResultRow>)> {
     let mut out: Vec<(CurveKey, Vec<&ResultRow>)> = Vec::new();
     for row in rows {
         let key = (
-            param(row, "fault"),
-            param(row, "shed"),
-            param(row, "replicas")
+            row.param("fault"),
+            row.param("shed"),
+            row.param("replicas")
                 .parse::<u64>()
                 .expect("replicas param"),
         );
@@ -334,16 +241,16 @@ fn stable_frontier(rows: &[ResultRow]) -> Value {
     let stable_qps = |fault: &str| -> Option<f64> {
         let points: Vec<stability::StabilityPoint> = rows
             .iter()
-            .filter(|r| param(r, "fault") == fault)
+            .filter(|r| r.param("fault") == fault)
             .map(|r| {
-                let offered = get_f64(r, "offered_qps");
+                let offered = r.get_f64("offered_qps");
                 stability::StabilityPoint {
                     stable_qps: offered,
                     offered_qps: offered,
-                    p99_ns: get_f64(r, "p99_ns"),
-                    saturated: is_saturated(r)
-                        || get_f64(r, "p99_ns") > P99_SLA_NS
-                        || get_f64(r, "availability") < AVAILABILITY_BAR,
+                    p99_ns: r.get_f64("p99_ns"),
+                    saturated: r.is_saturated()
+                        || r.get_f64("p99_ns") > P99_SLA_NS
+                        || r.get_f64("availability") < AVAILABILITY_BAR,
                 }
             })
             .collect();
@@ -392,8 +299,8 @@ pub static CLUSTER_FAULTS: GridScenario = GridScenario {
     run: run_faults_point,
     parts: Some(PointParts {
         count: |_| NODES as usize,
-        run: run_node_part,
-        merge: merge_node_parts,
+        run: run_part,
+        merge: merge_parts,
     }),
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
@@ -401,12 +308,12 @@ pub static CLUSTER_FAULTS: GridScenario = GridScenario {
             curve_objs.insert(
                 format!("{fault}/{shed}/r{replicas}"),
                 json!({
-                    "offered_qps": group.iter().map(|r| get_f64(r, "offered_qps")).collect::<Vec<f64>>(),
-                    "p99_ns": group.iter().map(|r| get_f64(r, "p99_ns")).collect::<Vec<f64>>(),
-                    "availability": group.iter().map(|r| get_f64(r, "availability")).collect::<Vec<f64>>(),
-                    "mean_coverage": group.iter().map(|r| get_f64(r, "mean_coverage")).collect::<Vec<f64>>(),
-                    "shed": group.iter().map(|r| get_f64(r, "shed")).collect::<Vec<f64>>(),
-                    "failovers": group.iter().map(|r| get_f64(r, "failovers")).collect::<Vec<f64>>(),
+                    "offered_qps": group.iter().map(|r| r.get_f64("offered_qps")).collect::<Vec<f64>>(),
+                    "p99_ns": group.iter().map(|r| r.get_f64("p99_ns")).collect::<Vec<f64>>(),
+                    "availability": group.iter().map(|r| r.get_f64("availability")).collect::<Vec<f64>>(),
+                    "mean_coverage": group.iter().map(|r| r.get_f64("mean_coverage")).collect::<Vec<f64>>(),
+                    "shed": group.iter().map(|r| r.get_f64("shed")).collect::<Vec<f64>>(),
+                    "failovers": group.iter().map(|r| r.get_f64("failovers")).collect::<Vec<f64>>(),
                 }),
             );
         }

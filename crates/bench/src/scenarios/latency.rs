@@ -152,14 +152,6 @@ fn curves(rows: &[ResultRow]) -> Vec<(String, Vec<&ResultRow>)> {
     out
 }
 
-/// `data` field accessor for the latency rows.
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
 /// Summarizes one group of rows (ascending qps) into a curve object
 /// with knee detection: the knee is the first offered rate whose row is
 /// flagged `saturated` (arrival span under [`SATURATION_FRAC`] of the
@@ -168,10 +160,10 @@ fn get_f64(row: &ResultRow, key: &str) -> f64 {
 /// (single-point or fully saturated sweeps) report honest `null`s —
 /// see [`stability`].
 fn curve_json(group: &[&ResultRow]) -> Value {
-    let qps: Vec<f64> = group.iter().map(|r| get_f64(r, "offered_qps")).collect();
-    let achieved: Vec<f64> = group.iter().map(|r| get_f64(r, "achieved_qps")).collect();
-    let p50: Vec<f64> = group.iter().map(|r| get_f64(r, "p50_ns")).collect();
-    let p99: Vec<f64> = group.iter().map(|r| get_f64(r, "p99_ns")).collect();
+    let qps: Vec<f64> = group.iter().map(|r| r.get_f64("offered_qps")).collect();
+    let achieved: Vec<f64> = group.iter().map(|r| r.get_f64("achieved_qps")).collect();
+    let p50: Vec<f64> = group.iter().map(|r| r.get_f64("p50_ns")).collect();
+    let p99: Vec<f64> = group.iter().map(|r| r.get_f64("p99_ns")).collect();
     let (knee, max_stable) = stability::stability_json(&stability::serving_points(group));
     json!({
         "offered_qps": qps,
@@ -241,10 +233,10 @@ pub static LATENCY_WAIT: GridScenario = GridScenario {
                         .map(|(_, v)| v.to_string()),
                     "max_wait_us": r.params.iter().find(|(n, _)| n == "max_wait_us")
                         .map(|(_, v)| v.to_string()),
-                    "p50_ns": get_f64(r, "p50_ns"),
-                    "p99_ns": get_f64(r, "p99_ns"),
-                    "mean_wait_ns": get_f64(r, "mean_wait_ns"),
-                    "mean_batch_fill": get_f64(r, "mean_batch_fill"),
+                    "p50_ns": r.get_f64("p50_ns"),
+                    "p99_ns": r.get_f64("p99_ns"),
+                    "mean_wait_ns": r.get_f64("mean_wait_ns"),
+                    "mean_batch_fill": r.get_f64("mean_batch_fill"),
                     "saturated": r.data.get("saturated"),
                 })
             })
@@ -253,8 +245,8 @@ pub static LATENCY_WAIT: GridScenario = GridScenario {
             .iter()
             .filter(|r| r.data.get("saturated").and_then(Value::as_bool) == Some(false))
             .min_by(|a, b| {
-                get_f64(a, "p99_ns")
-                    .partial_cmp(&get_f64(b, "p99_ns"))
+                a.get_f64("p99_ns")
+                    .partial_cmp(&b.get_f64("p99_ns"))
                     .expect("finite p99")
             })
             .map(ResultRow::params_json);

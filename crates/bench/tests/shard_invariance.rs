@@ -19,15 +19,16 @@
 //!   concurrently (the acceptance gate: "the shard-invariance suite
 //!   passes at 1 and 4 threads").
 
+use dlrm::EmbeddingTable;
 use pifs_bench::runner::SweepRunner;
 use pifs_bench::scenario::{find, workload_seed, ParamValue, Point};
 use pifs_bench::{meta_distribution, scale_buffers, SEED, STD_BATCHES, STD_BATCH_SIZE};
 use pifs_core::engine::cluster::{
-    functional_tables, merged_bag_embedding, query_checksums, ClusterConfig, ShardPlacement,
-    ShardPolicy, SlsCluster,
+    functional_tables, merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy,
+    SlsCluster, TraceArrivals,
 };
 use pifs_core::system::{SlsSystem, SystemConfig};
-use simkit::SimTime;
+use simkit::{FaultSchedule, SimTime};
 use tracegen::{ArrivalProcess, Trace};
 
 const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
@@ -64,6 +65,35 @@ fn workload(qps: u64) -> (SystemConfig, Trace, Vec<SimTime>) {
     (cfg, trace, arrivals)
 }
 
+/// The fault-free merged embedding of one bag under `placement`.
+fn merged(placement: &ShardPlacement, table: &EmbeddingTable, t: u32, bag: &[u64]) -> Vec<f64> {
+    let none = FaultSchedule::none(placement.n_shards());
+    merged_bag_embedding_at(placement, &none, SimTime::ZERO, &[], table, t, bag)
+}
+
+/// Each of the first `n` trace queries' merged embeddings summed over
+/// tables and elements: the exact per-query checksums.
+fn exact_query_checksums(
+    placement: &ShardPlacement,
+    tables: &[EmbeddingTable],
+    trace: &Trace,
+    n: usize,
+) -> Vec<f64> {
+    let bs = trace.batch_size as usize;
+    (0..n)
+        .map(|q| {
+            tables
+                .iter()
+                .enumerate()
+                .map(|(t, table)| {
+                    let bag = trace.bag(q / bs, t as u32, (q % bs) as u32);
+                    merged(placement, table, t as u32, bag).iter().sum::<f64>()
+                })
+                .sum()
+        })
+        .collect()
+}
+
 /// One pre-knee and one post-knee rate (the single-node knee sits at
 /// ≈16 M QPS on the scaled RMC1 workload).
 const RATES: [u64; 2] = [8_000_000, 32_000_000];
@@ -94,11 +124,8 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
     let (cfg, trace, arrivals) = workload(RATES[0]);
     let tables = functional_tables(&cfg.model);
     // The unsharded reference: k = 1 (== the whole-bag exact sum).
-    let reference = query_checksums(
-        &ShardPlacement::build(
-            &ClusterConfig::new(1, ShardPolicy::RowHash, cfg.clone()),
-            &trace,
-        ),
+    let reference = exact_query_checksums(
+        &ShardPlacement::from_dims(1, trace.n_tables, ShardPolicy::RowHash),
         &tables,
         &trace,
         arrivals.len(),
@@ -107,9 +134,12 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
     for policy in POLICIES {
         for k in [2u16, 4, 8] {
             let cluster_cfg = ClusterConfig::new(k, policy, cfg.clone());
-            let placement = ShardPlacement::build(&cluster_cfg, &trace);
+            let placement = ShardPlacement::build_streamed(
+                &cluster_cfg,
+                &TraceArrivals::new(&trace, &arrivals),
+            );
             // Per-query checksums, bit for bit.
-            let got = query_checksums(&placement, &tables, &trace, arrivals.len());
+            let got = exact_query_checksums(&placement, &tables, &trace, arrivals.len());
             assert_eq!(
                 bits(&got),
                 bits(&reference),
@@ -120,10 +150,10 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
             for sample in 0..trace.batch_size {
                 for (t, table) in tables.iter().enumerate() {
                     let bag = trace.bag(0, t as u32, sample);
-                    let merged = merged_bag_embedding(&placement, table, t as u32, bag);
+                    let got = merged(&placement, table, t as u32, bag);
                     let whole = dlrm::sls::sls_reference_exact(table, bag, None);
                     assert_eq!(
-                        bits(&merged),
+                        bits(&got),
                         bits(&whole),
                         "{policy:?} k={k}: embedding drifted (table {t}, sample {sample})"
                     );

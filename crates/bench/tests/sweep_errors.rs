@@ -84,6 +84,35 @@ fn degenerate_serving_knobs_die_with_the_parsers_reason() {
 }
 
 #[test]
+fn out_of_range_cluster_sizes_die_instead_of_wrapping() {
+    // Zero shards used to panic a worker; 65537 wrapped to one shard
+    // and died in the merge; 2^32 + 64 replicas silently ran as 64.
+    assert_dies(
+        &["sweep", "cluster_qps", "--param", "nodes=0"],
+        &["nodes", "1..=65535"],
+    );
+    assert_dies(
+        &["sweep", "cluster_qps", "--param", "nodes=65537"],
+        &["nodes", "1..=65535"],
+    );
+    assert_dies(
+        &[
+            "sweep",
+            "cluster_faults",
+            "--param",
+            "replicas=4294967360",
+            "--param",
+            "fault=none",
+            "--param",
+            "shed=none",
+            "--param",
+            "qps=4000000",
+        ],
+        &["replicas", "0..=4294967295"],
+    );
+}
+
+#[test]
 fn the_cli_still_answers_when_asked_politely() {
     let out = repro(&["list"]);
     assert_eq!(out.status.code(), Some(0), "repro list must succeed");

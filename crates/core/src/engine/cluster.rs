@@ -2,13 +2,16 @@
 //! router.
 //!
 //! The paper evaluates one PIFS node; serving millions of users means a
-//! fleet behind a routing tier (ROADMAP item 1). This layer instantiates
-//! `n_shards` full nodes, shards the embedding tables across them under a
-//! pluggable [`ShardPolicy`], routes each query's lookups to the owning
-//! shards as per-node *sub-traces* (variable-size bags via the CSR
-//! offsets in [`tracegen::TableLookups`]), runs the open-loop serving
-//! engine on every node against the shared arrival stream, and merges
-//! the per-node results on two planes:
+//! fleet behind a routing tier. This layer instantiates `n_shards` full
+//! nodes, shards the embedding tables across them under a pluggable
+//! [`ShardPolicy`], and serves any [`TaggedQuerySource`] — a lazy
+//! [`QueryStream`], a [`tracegen::TenantMixStream`], or a materialized
+//! `(Trace, arrivals)` pair through [`TraceArrivals`] — on one path.
+//! [`route_stream`] splits each query's bags into per-shard sub-bags
+//! (recycled buffers; no per-node trace is ever built) and
+//! [`run_node_parts`] pushes every participating shard's share into that
+//! node's open-loop session. [`merge_node_parts`] then merges the
+//! per-node results on two planes:
 //!
 //! * **Timing plane** — a sharded query completes when its last shard's
 //!   response lands at the router: the max over participating shards of
@@ -29,13 +32,14 @@
 //!   this). The fixed merge order is belt and suspenders on top of the
 //!   exactness argument, not a correctness requirement.
 //!
-//! Determinism: routing, sub-trace construction, per-node simulation and
-//! both merge planes are pure functions of `(config, trace, arrivals)`.
-//! The aggregation link drains responses in query-id order with shards
-//! ascending (the router's reorder buffer is FIFO), so the timing merge
-//! is reproducible regardless of which worker ran which node — the
-//! property that lets the bench runner fan the per-node sims out as
-//! sub-point parts.
+//! Determinism: routing, per-node simulation and both merge planes are
+//! pure functions of `(config, workload)`. The aggregation link drains
+//! responses in query-id order with shards ascending (the router's
+//! reorder buffer is FIFO), so the timing merge is reproducible
+//! regardless of which worker ran which node — the property that lets
+//! the bench runner fan the per-node sims out as sub-point parts: each
+//! part calls [`run_node_parts`] for its own shard, and the merge calls
+//! [`merge_node_parts`] on the parts' [`NodePart`] views.
 //!
 //! # Resilience
 //!
@@ -77,11 +81,11 @@ use dlrm::EmbeddingTable;
 use pagemgmt::{HotnessTracker, PageId};
 use simkit::faults::FaultSchedule;
 use simkit::{LatencyHist, SimDuration, SimTime};
-use tracegen::{Batch, QueryStream, TableLookups, Trace};
+use tracegen::{QueryStream, Trace};
 
 use super::config::SystemConfig;
-use super::serving::{OpenLoopOpts, ServingMetrics, TenantServing};
-use crate::system::SlsSystem;
+use super::serving::{OpenLoopOpts, QueryBags, ServingMetrics, TenantServing};
+use crate::system::{assert_trace_fits, SlsSystem};
 
 /// How embedding rows map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +167,7 @@ pub struct ClusterConfig {
     /// Row→shard placement policy.
     pub policy: ShardPolicy,
     /// Hottest rows per table replicated onto *every* shard (0 = off).
-    /// Hotness is ranked from the trace's access counts with
+    /// Hotness is ranked from the workload's access counts with
     /// [`pagemgmt::HotnessTracker`] (hottest first, row-id ascending on
     /// ties), so the replica set is deterministic and identical for
     /// every shard count. Replication never changes functional results
@@ -213,43 +217,10 @@ pub struct ShardPlacement {
 }
 
 impl ShardPlacement {
-    /// Builds the placement for `trace` under `cfg`, ranking the
-    /// replica set from the trace's per-table access counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.n_shards` is zero or the trace has no tables.
-    pub fn build(cfg: &ClusterConfig, trace: &Trace) -> ShardPlacement {
-        assert!(cfg.n_shards > 0, "a cluster needs at least one shard");
-        let n_tables = trace.n_tables;
-        let mut replicated = vec![Vec::new(); n_tables as usize];
-        if cfg.hot_rows_per_table > 0 {
-            let mut trackers = vec![HotnessTracker::new(); n_tables as usize];
-            for (_, table, _, row) in trace.iter_lookups() {
-                trackers[table as usize].record(PageId(row));
-            }
-            for (rows, tracker) in replicated.iter_mut().zip(&trackers) {
-                *rows = tracker
-                    .hottest(cfg.hot_rows_per_table as usize)
-                    .into_iter()
-                    .map(|p| p.0)
-                    .collect();
-                rows.sort_unstable();
-            }
-        }
-        ShardPlacement {
-            n_shards: cfg.n_shards,
-            n_tables,
-            policy: cfg.policy,
-            replicated,
-        }
-    }
-
     /// A placement with no replica set, constructible from the shard
-    /// dimensions alone — no trace scan. Identical to [`Self::build`]
-    /// whenever `hot_rows_per_table` is 0 (the common serving
-    /// configuration), which is what lets the streaming cluster path
-    /// route without ever materializing the workload.
+    /// dimensions alone — no workload scan. Identical to
+    /// [`Self::build_streamed`] whenever `hot_rows_per_table` is 0 (the
+    /// common serving configuration).
     ///
     /// # Panics
     ///
@@ -265,11 +236,13 @@ impl ShardPlacement {
         }
     }
 
-    /// Builds the placement for a lazy stream under `cfg`: identical to
-    /// [`Self::build`] on the stream's materialized trace. With
-    /// replication off this is [`Self::from_dims`] (no workload pass at
-    /// all); with replication on, one clone of the stream is walked to
-    /// rank hotness — `stream` itself is not consumed.
+    /// Builds the placement for a query source under `cfg`, ranking the
+    /// replica set from the workload's per-table access counts
+    /// ([`pagemgmt::HotnessTracker`]: hottest first, row id ascending on
+    /// ties). With replication off this is [`Self::from_dims`] (no
+    /// workload pass at all); with replication on, one clone of the
+    /// source is walked to rank hotness — `stream` itself is not
+    /// consumed.
     ///
     /// # Panics
     ///
@@ -277,8 +250,9 @@ impl ShardPlacement {
     /// whole workload) or the dimensions are degenerate.
     pub fn build_streamed<S: TaggedQuerySource>(cfg: &ClusterConfig, stream: &S) -> ShardPlacement {
         let n_tables = stream.n_tables();
+        let mut placement = ShardPlacement::from_dims(cfg.n_shards, n_tables, cfg.policy);
         if cfg.hot_rows_per_table == 0 {
-            return ShardPlacement::from_dims(cfg.n_shards, n_tables, cfg.policy);
+            return placement;
         }
         assert_eq!(
             stream.position(),
@@ -294,24 +268,15 @@ impl ShardPlacement {
                 }
             }
         }
-        let replicated = trackers
-            .iter()
-            .map(|tracker| {
-                let mut rows: Vec<u64> = tracker
-                    .hottest(cfg.hot_rows_per_table as usize)
-                    .into_iter()
-                    .map(|p| p.0)
-                    .collect();
-                rows.sort_unstable();
-                rows
-            })
-            .collect();
-        ShardPlacement {
-            n_shards: cfg.n_shards,
-            n_tables,
-            policy: cfg.policy,
-            replicated,
+        for (rows, tracker) in placement.replicated.iter_mut().zip(&trackers) {
+            *rows = tracker
+                .hottest(cfg.hot_rows_per_table as usize)
+                .into_iter()
+                .map(|p| p.0)
+                .collect();
+            rows.sort_unstable();
         }
+        placement
     }
 
     /// The routing sentinel for a lookup no live shard can serve: its
@@ -420,197 +385,6 @@ impl ShardPlacement {
     }
 }
 
-/// One node's routed share of a cluster workload: the sub-trace holding
-/// only the rows this shard serves (variable-size CSR bags), the
-/// arrival instants of its participating queries, and the global query
-/// id behind each local one.
-#[derive(Debug, Clone)]
-pub struct ShardWorkload {
-    /// The per-node trace: local query `q` is sample `q % batch_size`
-    /// of batch `q / batch_size`, exactly as
-    /// [`run_open_loop`](SlsSystem::run_open_loop) expects.
-    pub trace: Trace,
-    /// Arrival instant of each local query (a subsequence of the
-    /// cluster arrival stream, so it stays sorted).
-    pub arrivals: Vec<SimTime>,
-    /// Global qid of each local query, ascending.
-    pub qids: Vec<u64>,
-}
-
-/// Per-shard sub-trace builder: appends one query's sub-bags at a time,
-/// closing batches at `batch_size` queries.
-struct ShardTraceBuilder {
-    batch_size: u32,
-    n_tables: u32,
-    /// Per-table (indices, offsets) of the batch under construction.
-    current: Vec<(Vec<u64>, Vec<u32>)>,
-    in_batch: u32,
-    batches: Vec<Batch>,
-}
-
-impl ShardTraceBuilder {
-    fn new(n_tables: u32, batch_size: u32) -> Self {
-        ShardTraceBuilder {
-            batch_size,
-            n_tables,
-            current: (0..n_tables).map(|_| (Vec::new(), vec![0])).collect(),
-            in_batch: 0,
-            batches: Vec::new(),
-        }
-    }
-
-    /// Appends one query: `bags[t]` holds the rows this shard serves
-    /// for table `t` (possibly empty).
-    fn push_query(&mut self, bags: &[Vec<u64>]) {
-        for ((indices, offsets), bag) in self.current.iter_mut().zip(bags) {
-            indices.extend_from_slice(bag);
-            offsets.push(indices.len() as u32);
-        }
-        self.in_batch += 1;
-        if self.in_batch == self.batch_size {
-            self.close_batch();
-        }
-    }
-
-    /// Closes the batch under construction, padding trailing samples
-    /// with empty bags.
-    fn close_batch(&mut self) {
-        if self.in_batch == 0 {
-            return;
-        }
-        let tables = self
-            .current
-            .iter_mut()
-            .enumerate()
-            .map(|(t, (indices, offsets))| {
-                offsets.resize(
-                    self.batch_size as usize + 1,
-                    *offsets.last().expect("seeded"),
-                );
-                TableLookups::with_offsets(
-                    t as u32,
-                    std::mem::take(indices),
-                    std::mem::replace(offsets, vec![0]),
-                )
-            })
-            .collect();
-        self.batches.push(Batch { tables });
-        self.in_batch = 0;
-    }
-
-    fn finish(mut self, rows_per_table: u64, bag_size: u32) -> Trace {
-        self.close_batch();
-        Trace {
-            n_tables: self.n_tables,
-            rows_per_table,
-            batch_size: self.batch_size,
-            bag_size,
-            batches: self.batches,
-        }
-    }
-}
-
-/// Routes `(trace, arrivals)` across the placement's shards: query `q`
-/// is split into per-shard sub-bags (each shard receives, per table,
-/// exactly the rows it serves, in bag order), and a query is enqueued
-/// only on shards serving at least one of its rows. Routing consults
-/// `faults` at each arrival (pass the empty schedule for the
-/// historical behaviour). For a 1-shard fault-free placement the sole
-/// workload reproduces the input trace's bags and arrival stream
-/// verbatim. Returns the per-shard workloads plus the
-/// [`RoutedStream`] record the merge keys on.
-///
-/// # Panics
-///
-/// Panics as [`run_open_loop`](SlsSystem::run_open_loop) would: if
-/// `arrivals` exceeds the trace's sample capacity.
-pub fn shard_workloads(
-    placement: &ShardPlacement,
-    faults: &FaultSchedule,
-    trace: &Trace,
-    arrivals: &[SimTime],
-) -> (Vec<ShardWorkload>, RoutedStream) {
-    let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
-    assert!(
-        arrivals.len() as u64 <= capacity,
-        "arrival stream has more queries than the trace has samples"
-    );
-    let k = placement.n_shards as usize;
-    let n_tables = trace.n_tables as usize;
-    let mut builders: Vec<ShardTraceBuilder> = (0..k)
-        .map(|_| ShardTraceBuilder::new(trace.n_tables, trace.batch_size))
-        .collect();
-    let mut out: Vec<ShardWorkload> = (0..k)
-        .map(|_| ShardWorkload {
-            trace: Trace {
-                n_tables: trace.n_tables,
-                rows_per_table: trace.rows_per_table,
-                batch_size: trace.batch_size,
-                bag_size: trace.bag_size,
-                batches: Vec::new(),
-            },
-            arrivals: Vec::new(),
-            qids: Vec::new(),
-        })
-        .collect();
-    let mut routed = RoutedStream {
-        qids: vec![Vec::new(); k],
-        touched: vec![Vec::new(); k],
-        lookups: vec![Vec::new(); k],
-        hedgeable: vec![Vec::new(); k],
-        ..RoutedStream::default()
-    };
-
-    // Per-query scratch: sub-bags[shard][table] and the routing vector.
-    let mut sub: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); n_tables]; k];
-    let mut route: Vec<u16> = Vec::new();
-    let mut all_repl: Vec<bool> = vec![true; k];
-    for (qid, &at) in arrivals.iter().enumerate() {
-        let batch = qid / trace.batch_size as usize;
-        let sample = (qid % trace.batch_size as usize) as u32;
-        routed.arrivals.push(at);
-        for shard in sub.iter_mut() {
-            for bag in shard.iter_mut() {
-                bag.clear();
-            }
-        }
-        all_repl.iter_mut().for_each(|r| *r = true);
-        let mut total = 0u64;
-        let mut lost = 0u64;
-        for t in 0..trace.n_tables {
-            let bag = trace.bag(batch, t, sample);
-            routed.failovers += placement.route_bag_at(t, bag, at, faults, &mut route);
-            total += bag.len() as u64;
-            for (&row, &s) in bag.iter().zip(&route) {
-                if s == ShardPlacement::LOST {
-                    lost += 1;
-                    continue;
-                }
-                sub[s as usize][t as usize].push(row);
-                all_repl[s as usize] &= placement.is_replicated(t, row);
-            }
-        }
-        routed.total_lookups.push(total);
-        routed.lost_lookups.push(lost);
-        for (s, shard) in sub.iter().enumerate() {
-            let tables_touched = shard.iter().filter(|bag| !bag.is_empty()).count() as u64;
-            if tables_touched > 0 {
-                builders[s].push_query(shard);
-                out[s].arrivals.push(at);
-                out[s].qids.push(qid as u64);
-                routed.qids[s].push(qid as u64);
-                routed.touched[s].push(tables_touched);
-                routed.lookups[s].push(shard.iter().map(|bag| bag.len() as u64).sum());
-                routed.hedgeable[s].push(all_repl[s]);
-            }
-        }
-    }
-    for (w, b) in out.iter_mut().zip(builders) {
-        w.trace = b.finish(trace.rows_per_table, trace.bag_size);
-    }
-    (out, routed)
-}
-
 /// What one cluster run measured.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
@@ -638,10 +412,9 @@ pub struct ClusterMetrics {
     /// Per-tenant splits of the *merged* results, tenant-index order:
     /// a tenant's `queries`/`latency` cover its answered queries
     /// (enqueue → merged response), its `shed` counts queries with no
-    /// answer at all (shed everywhere or lost). Empty when the workload
-    /// was untagged ([`RoutedStream::tenants`] empty — e.g. the
-    /// materialized path); the `wait` split stays empty (queueing is a
-    /// node-local quantity, see
+    /// answer at all (shed everywhere or lost). Single-tenant sources
+    /// tag every query tenant 0, so they fill one entry. The `wait`
+    /// split stays empty (queueing is a node-local quantity, see
     /// [`ServingMetrics::per_tenant`](super::serving::ServingMetrics::per_tenant)).
     pub per_tenant: Vec<TenantServing>,
     /// Queries answered with every offered lookup (full coverage).
@@ -716,90 +489,36 @@ impl SlsCluster {
         &self.cfg
     }
 
-    /// Serves `trace` open-loop across the cluster: build the
-    /// placement, route per-shard workloads, run every node's
-    /// [`run_open_loop`](SlsSystem::run_open_loop) against the shared
-    /// arrival stream, and merge (timing plane + exact functional
-    /// plane). Equivalent to running the shards on separate workers and
-    /// calling [`merge_cluster`] — which is exactly what the bench
-    /// runner's sub-point path does.
+    /// Serves a materialized `(trace, arrivals)` pair: query `q` is
+    /// sample `q % batch_size` of trace batch `q / batch_size`, arriving
+    /// at `arrivals[q]` — [`Self::run_open_loop_streamed`] over
+    /// [`TraceArrivals`].
     ///
     /// # Panics
     ///
-    /// Panics as [`run_open_loop`](SlsSystem::run_open_loop) would (bad
-    /// arrival stream, trace exceeding the model).
+    /// Panics as [`SlsSystem::run_open_loop`] would: more arrivals than
+    /// trace samples, unsorted arrivals, or a trace exceeding the model.
     pub fn run_open_loop(&mut self, trace: &Trace, arrivals: &[SimTime]) -> ClusterMetrics {
-        let placement = ShardPlacement::build(&self.cfg, trace);
-        let (shards, routed) = shard_workloads(&placement, &self.cfg.faults, trace, arrivals);
-        let cfg = &self.cfg;
-        let per_node: Vec<ServingMetrics> = self
-            .nodes
-            .iter_mut()
-            .zip(&shards)
-            .enumerate()
-            .map(|(s, (node, w))| {
-                node.set_slowdowns(cfg.faults.slow_intervals(s as u16));
-                node.run_open_loop(&w.trace, &w.arrivals)
-            })
-            .collect();
-        let completions: Vec<&[SimTime]> = per_node.iter().map(|m| &m.completion[..]).collect();
-        let makespans: Vec<u64> = per_node.iter().map(|m| m.makespan_ns).collect();
-        // Nodes shed by *local* qid; the merge keys on global qids.
-        let sheds: Vec<Vec<u64>> = per_node
-            .iter()
-            .enumerate()
-            .map(|(s, pm)| {
-                pm.shed_qids
-                    .iter()
-                    .map(|&lq| routed.qids[s][lq as usize])
-                    .collect()
-            })
-            .collect();
-        let shed_refs: Vec<&[u64]> = sheds.iter().map(Vec::as_slice).collect();
-        let mut merged = merge_cluster(
-            &self.cfg,
-            &placement,
-            trace,
-            &routed,
-            &completions,
-            &shed_refs,
-            &makespans,
-        );
-        merged.per_node = per_node;
-        merged
+        assert_trace_fits(&self.cfg.node.model, trace);
+        self.run_open_loop_streamed(&mut TraceArrivals::new(trace, arrivals))
     }
 
-    /// Serves a lazy [`QueryStream`] across the cluster with bounded
-    /// routing memory: each query is routed incrementally
-    /// ([`route_stream`]) into recycled per-shard sub-bag buffers and
-    /// pushed straight into every participating node's streaming
-    /// open-loop session ([`SlsSystem::open_loop_push`]) — no
-    /// per-shard sub-trace is ever materialized. Byte-identical to
-    /// [`Self::run_open_loop`] on the stream's materialized trace and
-    /// arrival vector, including the exact functional checksums (the
-    /// merge replays a clone of the stream).
+    /// Serves a query source across the cluster in one routing pass:
+    /// build the placement, push every shard's routed sub-bags into its
+    /// node's open-loop session ([`run_node_parts`]), and merge (timing
+    /// plane + exact functional plane, [`merge_node_parts`] — the merge
+    /// replays a clone of the source). Tagged sources (a
+    /// [`tracegen::TenantMixStream`]) also fill the per-node and merged
+    /// per-tenant splits.
     ///
     /// # Panics
     ///
     /// Panics if `stream` is not at position 0, or as
     /// [`SlsSystem::open_loop_begin`] would for a degenerate stream.
-    pub fn run_open_loop_streamed(&mut self, stream: &mut QueryStream) -> ClusterMetrics {
-        self.run_streamed_inner(stream)
-    }
-
-    /// Serves a multi-tenant [`tracegen::TenantMixStream`] across the
-    /// cluster: the streamed path with every query carrying its tenant
-    /// tag, so both the per-node [`ServingMetrics::per_tenant`] splits
-    /// and the merged [`ClusterMetrics::per_tenant`] split are filled.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::run_open_loop_streamed`].
-    pub fn run_open_loop_mix(&mut self, mix: &mut tracegen::TenantMixStream) -> ClusterMetrics {
-        self.run_streamed_inner(mix)
-    }
-
-    fn run_streamed_inner<S: TaggedQuerySource>(&mut self, stream: &mut S) -> ClusterMetrics {
+    pub fn run_open_loop_streamed<S: TaggedQuerySource>(
+        &mut self,
+        stream: &mut S,
+    ) -> ClusterMetrics {
         assert_eq!(
             stream.position(),
             0,
@@ -807,50 +526,74 @@ impl SlsCluster {
         );
         let placement = ShardPlacement::build_streamed(&self.cfg, stream);
         let replay = stream.clone();
-        let n_tables = stream.n_tables();
-        for (s, node) in self.nodes.iter_mut().enumerate() {
-            node.set_slowdowns(self.cfg.faults.slow_intervals(s as u16));
-            node.open_loop_begin(n_tables, OpenLoopOpts::default());
-        }
-        let nodes = &mut self.nodes;
-        let routed = route_stream(
-            &placement,
-            &self.cfg.faults,
-            stream,
-            |s, tenant, at, sub| {
-                nodes[s].open_loop_push_tagged(at, tenant, sub);
-            },
-        );
-        let per_node: Vec<ServingMetrics> = self
-            .nodes
-            .iter_mut()
-            .map(|node| node.open_loop_finish())
-            .collect();
-        let completions: Vec<&[SimTime]> = per_node.iter().map(|m| &m.completion[..]).collect();
-        let makespans: Vec<u64> = per_node.iter().map(|m| m.makespan_ns).collect();
-        // Nodes shed by *local* qid; the merge keys on global qids.
-        let sheds: Vec<Vec<u64>> = per_node
-            .iter()
-            .enumerate()
-            .map(|(s, pm)| {
-                pm.shed_qids
-                    .iter()
-                    .map(|&lq| routed.qids[s][lq as usize])
-                    .collect()
-            })
-            .collect();
-        let shed_refs: Vec<&[u64]> = sheds.iter().map(Vec::as_slice).collect();
-        let mut merged = merge_streamed(
-            &self.cfg,
-            &placement,
-            &replay,
-            &routed,
-            &completions,
-            &shed_refs,
-            &makespans,
-        );
+        let (per_node, routed) = run_node_parts(&self.cfg, &placement, stream, &mut self.nodes, 0);
+        let parts: Vec<NodePart<'_>> = per_node.iter().map(NodePart::from).collect();
+        let mut merged = merge_node_parts(&self.cfg, &placement, &replay, &routed, &parts);
         merged.per_node = per_node;
         merged
+    }
+}
+
+/// Runs shards `first_shard..first_shard + nodes.len()` of a cluster
+/// workload: opens a session on each node (with its shard's slow-down
+/// windows from [`ClusterConfig::faults`]), routes `stream` once
+/// ([`route_stream`]) pushing those shards' sub-bags into their nodes,
+/// and finishes the sessions. Returns the nodes' metrics in shard order
+/// plus the routing record the merge keys on.
+///
+/// [`SlsCluster`] passes all its nodes; a sub-point part passes one
+/// fresh node and its own shard index. Either way each node sees
+/// exactly the same pushes, so the results agree bit for bit.
+///
+/// # Panics
+///
+/// Panics as [`SlsSystem::open_loop_begin`] would (a node with a
+/// session already open, a stream wider than the model).
+pub fn run_node_parts<S: TaggedQuerySource>(
+    cfg: &ClusterConfig,
+    placement: &ShardPlacement,
+    stream: &mut S,
+    nodes: &mut [SlsSystem],
+    first_shard: usize,
+) -> (Vec<ServingMetrics>, RoutedStream) {
+    let n_tables = stream.n_tables();
+    for (i, node) in nodes.iter_mut().enumerate() {
+        node.set_slowdowns(cfg.faults.slow_intervals((first_shard + i) as u16));
+        node.open_loop_begin(n_tables, OpenLoopOpts::default());
+    }
+    let routed = route_stream(placement, &cfg.faults, stream, |shard, tenant, at, sub| {
+        if let Some(node) = shard
+            .checked_sub(first_shard)
+            .and_then(|i| nodes.get_mut(i))
+        {
+            node.open_loop_push_tagged(at, tenant, sub);
+        }
+    });
+    let per_node = nodes.iter_mut().map(SlsSystem::open_loop_finish).collect();
+    (per_node, routed)
+}
+
+/// What the merge needs from one node's serving run, borrowed — from a
+/// live [`ServingMetrics`] or from a sub-point part's decoded result.
+#[derive(Debug, Clone, Copy)]
+pub struct NodePart<'a> {
+    /// Run-relative completion instant of each local query, local-qid
+    /// order, shed queries included ([`ServingMetrics::completion`]).
+    pub completion: &'a [SimTime],
+    /// Local qids the node shed, ascending
+    /// ([`ServingMetrics::shed_qids`]).
+    pub shed_qids: &'a [u64],
+    /// The node's [`ServingMetrics::makespan_ns`].
+    pub makespan_ns: u64,
+}
+
+impl<'a> From<&'a ServingMetrics> for NodePart<'a> {
+    fn from(m: &'a ServingMetrics) -> Self {
+        NodePart {
+            completion: &m.completion,
+            shed_qids: &m.shed_qids,
+            makespan_ns: m.makespan_ns,
+        }
     }
 }
 
@@ -862,37 +605,18 @@ pub fn functional_tables(model: &dlrm::ModelConfig) -> Vec<EmbeddingTable> {
         .collect()
 }
 
-/// The exact merged embedding of one bag under `placement`: per-shard
-/// f64 partial sums (each shard's rows in bag order), merged in fixed
-/// shard-index order. Bit-identical to
-/// [`dlrm::sls::sls_reference_exact`] on the whole bag for every shard
-/// count and policy — the exactness argument in the module docs.
-pub fn merged_bag_embedding(
-    placement: &ShardPlacement,
-    table: &EmbeddingTable,
-    table_idx: u32,
-    bag: &[u64],
-) -> Vec<f64> {
-    merged_bag_embedding_at(
-        placement,
-        &FaultSchedule::none(placement.n_shards),
-        SimTime::ZERO,
-        &[],
-        table,
-        table_idx,
-        bag,
-    )
-}
-
-/// Fault-aware variant of [`merged_bag_embedding`]: routes the bag at
-/// instant `at` under `faults` ([`ShardPlacement::route_bag_at`]) and
-/// merges only the surviving partials — rows routed to no live shard
-/// are skipped, as are the `excluded` shards' partial sums (the timing
-/// merge's shed and timed-out participations). With the empty schedule
-/// and no exclusions this *is* [`merged_bag_embedding`] bitwise:
-/// dropping whole partials never re-associates the surviving ones, so
-/// a full-coverage answer under faults is bit-identical to the
-/// fault-free merge.
+/// The exact merged embedding of one bag: routes the bag at instant
+/// `at` under `faults` ([`ShardPlacement::route_bag_at`]), folds each
+/// shard's f64 partial sum over its rows in bag order, and merges the
+/// partials in fixed shard-index order — skipping rows routed to no
+/// live shard and the `excluded` shards' partials (the timing merge's
+/// shed and timed-out participations). With
+/// [`FaultSchedule::none`] and no exclusions the result is bit-identical
+/// to [`dlrm::sls::sls_reference_exact`] on the whole bag for every
+/// shard count and policy — the exactness argument in the module docs.
+/// Dropping whole partials never re-associates the surviving ones, so a
+/// full-coverage answer under faults is bit-identical to the fault-free
+/// merge.
 pub fn merged_bag_embedding_at(
     placement: &ShardPlacement,
     faults: &FaultSchedule,
@@ -928,156 +652,11 @@ pub fn merged_bag_embedding_at(
     merged
 }
 
-/// The exact per-query checksums of the first `n_queries` samples:
-/// each query's merged embeddings ([`merged_bag_embedding`]) summed
-/// over tables and elements. Shard-count- and policy-invariant bitwise.
-pub fn query_checksums(
-    placement: &ShardPlacement,
-    tables: &[EmbeddingTable],
-    trace: &Trace,
-    n_queries: usize,
-) -> Vec<f64> {
-    let arrivals = vec![SimTime::ZERO; n_queries];
-    query_checksums_at(
-        placement,
-        &FaultSchedule::none(placement.n_shards),
-        &arrivals,
-        &[],
-        tables,
-        trace,
-    )
-}
-
-/// Fault-aware per-query checksums: each query's bags are routed at
-/// its arrival instant under `faults` and merged without the
-/// `excluded` participations `(qid, shard)` — the qid-ascending shed
-/// and dropped-partial record the timing merge emits. Full-coverage
-/// queries are bit-identical to the fault-free [`query_checksums`];
-/// an entirely unanswered query checksums to `0.0`.
-pub fn query_checksums_at(
-    placement: &ShardPlacement,
-    faults: &FaultSchedule,
-    arrivals: &[SimTime],
-    excluded: &[(u64, u16)],
-    tables: &[EmbeddingTable],
-    trace: &Trace,
-) -> Vec<f64> {
-    let mut cursor = 0usize;
-    let mut skip: Vec<u16> = Vec::new();
-    arrivals
-        .iter()
-        .enumerate()
-        .map(|(qid, &at)| {
-            skip.clear();
-            while cursor < excluded.len() && excluded[cursor].0 < qid as u64 {
-                cursor += 1;
-            }
-            while cursor < excluded.len() && excluded[cursor].0 == qid as u64 {
-                skip.push(excluded[cursor].1);
-                cursor += 1;
-            }
-            let batch = qid / trace.batch_size as usize;
-            let sample = (qid % trace.batch_size as usize) as u32;
-            tables
-                .iter()
-                .enumerate()
-                .map(|(t, table)| {
-                    merged_bag_embedding_at(
-                        placement,
-                        faults,
-                        at,
-                        &skip,
-                        table,
-                        t as u32,
-                        trace.bag(batch, t as u32, sample),
-                    )
-                    .iter()
-                    .sum::<f64>()
-                })
-                .sum()
-        })
-        .collect()
-}
-
-/// Merges per-node serving runs into cluster metrics. `completions[s]`
-/// is node `s`'s run-relative per-query completion vector
-/// ([`ServingMetrics::completion`]), local-qid order (shed queries
-/// included — their entry is the arrival instant), `sheds[s]` the
-/// *global* qids node `s` shed (ascending), and `node_makespans[s]`
-/// its [`ServingMetrics::makespan_ns`].
-///
-/// Timing plane: queries merge in qid order, shards ascending. The
-/// query's *home* shard (lowest participating index that did not shed
-/// it) answers directly; every other participant's partial — one
-/// response of `tables_touched × row_bytes` — serializes over the
-/// shared aggregation [`FlexBusLink`] and pays one
-/// [`inter_switch_ns`](cxlsim::CxlParams::inter_switch_ns) hop, both
-/// stretched by any active link-degradation fault. A partial landing
-/// past [`ClusterConfig::partial_timeout_ns`] is hedged to a replica
-/// (when one covers every row) or dropped, completing the query
-/// degraded. The merged completion is the max over the home completion
-/// and the landed partials. The cluster makespan is the instant the
-/// fleet goes idle: the max over the node makespans (when every host
-/// frees), raised to any cross-shard partial that lands later — so a
-/// 1-shard cluster's makespan is *exactly* its node's.
-///
-/// Functional plane: [`query_checksums_at`] under the same placement,
-/// fault schedule and exclusion record — full-coverage answers are
-/// bit-identical to the fault-free merge.
-///
-/// # Panics
-///
-/// Panics if the routed/completion/shed/makespan shapes disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn merge_cluster(
-    cfg: &ClusterConfig,
-    placement: &ShardPlacement,
-    trace: &Trace,
-    routed: &RoutedStream,
-    completions: &[&[SimTime]],
-    sheds: &[&[u64]],
-    node_makespans: &[u64],
-) -> ClusterMetrics {
-    assert_eq!(
-        routed.qids.len(),
-        completions.len(),
-        "one completion vector per shard"
-    );
-    assert_eq!(
-        routed.qids.len(),
-        node_makespans.len(),
-        "one makespan per shard"
-    );
-    assert_eq!(routed.qids.len(), sheds.len(), "one shed list per shard");
-    for (q, c) in routed.qids.iter().zip(completions) {
-        assert_eq!(
-            q.len(),
-            c.len(),
-            "completions must cover the shard's queries"
-        );
-    }
-    let mut m = ClusterMetrics {
-        queries: routed.arrivals.len() as u64,
-        ..ClusterMetrics::default()
-    };
-    let excluded = merge_timing(cfg, routed, sheds, completions, node_makespans, &mut m);
-    m.query_checksums = query_checksums_at(
-        placement,
-        &cfg.faults,
-        &routed.arrivals,
-        &excluded,
-        &functional_tables(&cfg.node.model),
-        trace,
-    );
-    m.checksum = m.query_checksums.iter().sum();
-    m
-}
-
-/// The shared timing-plane merge: queries in qid order, shards
-/// ascending, home shard (lowest participating index that did not shed
-/// the query) answering directly and every other live participant's
-/// partial serializing over the aggregation link plus one inter-node
-/// hop — link-degradation faults stretch both, and partials past the
+/// The timing-plane merge: queries in qid order, shards ascending, home
+/// shard (lowest participating index that did not shed the query)
+/// answering directly and every other live participant's partial
+/// serializing over the aggregation link plus one inter-node hop —
+/// link-degradation faults stretch both, and partials past the
 /// per-query timeout are hedged or dropped. Fills the timing and
 /// resilience counters of `m` and returns the excluded participations
 /// `(qid, shard)` — shed or dropped — qid-ascending, shards ascending
@@ -1085,9 +664,7 @@ pub fn merge_cluster(
 fn merge_timing(
     cfg: &ClusterConfig,
     routed: &RoutedStream,
-    sheds: &[&[u64]],
-    completions: &[&[SimTime]],
-    node_makespans: &[u64],
+    parts: &[NodePart<'_>],
     m: &mut ClusterMetrics,
 ) -> Vec<(u64, u16)> {
     let faulty = !cfg.faults.is_none();
@@ -1100,12 +677,12 @@ fn merge_timing(
     let mut excluded: Vec<(u64, u16)> = Vec::new();
     let mut fanout_sum = 0u64;
     let mut coverage_sum = 0.0f64;
-    let mut makespan = SimTime::from_ns(node_makespans.iter().copied().max().unwrap_or(0));
+    let mut makespan = SimTime::from_ns(parts.iter().map(|p| p.makespan_ns).max().unwrap_or(0));
     for (qid, &arrival) in routed.arrivals.iter().enumerate() {
         let mut done: Option<SimTime> = None;
         let mut participations = 0u64;
         let mut lost_rows = routed.lost_lookups[qid];
-        for s in 0..n_shards {
+        for (s, part) in parts.iter().enumerate() {
             let li = cursor[s];
             if li >= routed.qids[s].len() || routed.qids[s][li] != qid as u64 {
                 continue;
@@ -1113,17 +690,21 @@ fn merge_timing(
             cursor[s] += 1;
             participations += 1;
             fanout_sum += 1;
-            while shed_cursor[s] < sheds[s].len() && sheds[s][shed_cursor[s]] < qid as u64 {
+            // Nodes shed by *local* qid, which is this participation's
+            // index in the shard's routed record.
+            while shed_cursor[s] < part.shed_qids.len()
+                && part.shed_qids[shed_cursor[s]] < li as u64
+            {
                 shed_cursor[s] += 1;
             }
-            if shed_cursor[s] < sheds[s].len() && sheds[s][shed_cursor[s]] == qid as u64 {
+            if part.shed_qids.get(shed_cursor[s]) == Some(&(li as u64)) {
                 // The node refused this participation: its rows are
                 // forfeit and its partial never merges.
                 lost_rows += routed.lookups[s][li];
                 excluded.push((qid as u64, s as u16));
                 continue;
             }
-            let node_done = completions[s][li];
+            let node_done = part.completion[li];
             done = Some(match done {
                 // Home shard: the lowest participating index that did
                 // not shed, answering directly (no hop — a 1-shard
@@ -1176,24 +757,24 @@ fn merge_timing(
         }
         let total = routed.total_lookups[qid];
         m.total_lookups += total;
-        // Per-tenant split of the merged outcome, for tagged workloads.
-        let tenant_slot = routed.tenants.get(qid).map(|&t| {
-            let idx = t as usize;
-            if m.per_tenant.len() <= idx {
-                m.per_tenant.resize_with(idx + 1, TenantServing::default);
-            }
-            idx
-        });
+        let tenant = routed.tenants[qid] as usize;
+        if m.per_tenant.len() <= tenant {
+            m.per_tenant.resize_with(tenant + 1, TenantServing::default);
+        }
         match done {
-            None if participations == 0 => m.lost += 1,
-            None => m.shed += 1,
+            None if participations == 0 => {
+                m.lost += 1;
+                m.per_tenant[tenant].shed += 1;
+            }
+            None => {
+                m.shed += 1;
+                m.per_tenant[tenant].shed += 1;
+            }
             Some(done) => {
                 let latency = done.saturating_since(arrival);
                 m.latency.record(latency);
-                if let Some(idx) = tenant_slot {
-                    m.per_tenant[idx].queries += 1;
-                    m.per_tenant[idx].latency.record(latency);
-                }
+                m.per_tenant[tenant].queries += 1;
+                m.per_tenant[tenant].latency.record(latency);
                 let served = total - lost_rows;
                 m.served_lookups += served;
                 if lost_rows == 0 {
@@ -1204,11 +785,6 @@ fn merge_timing(
                 if total > 0 {
                     coverage_sum += served as f64 / total as f64;
                 }
-            }
-        }
-        if done.is_none() {
-            if let Some(idx) = tenant_slot {
-                m.per_tenant[idx].shed += 1;
             }
         }
     }
@@ -1231,9 +807,7 @@ fn merge_timing(
 /// The routing record of one pass over the workload: everything the
 /// timing merge needs that a lazy stream cannot replay cheaply.
 /// Per-query state is O(participations) scalars — the routed *bags*
-/// are handed to the sink and recycled, never stored. Both the
-/// materialized ([`shard_workloads`]) and streamed ([`route_stream`])
-/// paths produce one, so the merge is shared.
+/// are handed to the sink and recycled, never stored.
 #[derive(Debug, Clone, Default)]
 pub struct RoutedStream {
     /// Arrival instant of every query, qid order.
@@ -1257,22 +831,20 @@ pub struct RoutedStream {
     pub lost_lookups: Vec<u64>,
     /// Lookups that failed over from a dead owner to a replica shard.
     pub failovers: u64,
-    /// Each query's tenant tag, qid order. Empty (the default, and what
-    /// the materialized [`shard_workloads`] path produces) means the
-    /// workload is untagged and the merge skips the per-tenant split.
+    /// Each query's tenant tag, qid order (0 throughout for
+    /// single-tenant sources).
     pub tenants: Vec<u16>,
 }
 
 /// A routable tagged query source: what the cluster router and the
-/// functional-checksum replay need from a lazy stream. Single-tenant
-/// [`QueryStream`]s tag every query tenant 0; a
+/// functional-checksum replay need from a workload. The current query's
+/// bags are read through [`QueryBags`], valid until the next
+/// [`Self::next_tagged`]. Single-tenant sources ([`QueryStream`],
+/// [`TraceArrivals`]) tag every query tenant 0; a
 /// [`tracegen::TenantMixStream`] carries its own tags.
-pub trait TaggedQuerySource: Clone {
+pub trait TaggedQuerySource: Clone + QueryBags {
     /// Advances to the next query, returning `(qid, tenant, arrival)`.
     fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)>;
-    /// The current query's bag for `table` (valid until the next
-    /// [`Self::next_tagged`]).
-    fn bag(&self, table: u32) -> &[u64];
     /// Tables per query.
     fn n_tables(&self) -> u32;
     /// Queries emitted so far.
@@ -1282,9 +854,6 @@ pub trait TaggedQuerySource: Clone {
 impl TaggedQuerySource for QueryStream {
     fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
         self.next_query().map(|(qid, at)| (qid, 0, at))
-    }
-    fn bag(&self, table: u32) -> &[u64] {
-        QueryStream::bag(self, table)
     }
     fn n_tables(&self) -> u32 {
         QueryStream::n_tables(self)
@@ -1298,9 +867,6 @@ impl TaggedQuerySource for tracegen::TenantMixStream {
     fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
         self.next_query()
     }
-    fn bag(&self, table: u32) -> &[u64] {
-        tracegen::TenantMixStream::bag(self, table)
-    }
     fn n_tables(&self) -> u32 {
         tracegen::TenantMixStream::n_tables(self)
     }
@@ -1309,15 +875,84 @@ impl TaggedQuerySource for tracegen::TenantMixStream {
     }
 }
 
+/// A materialized `(trace, arrivals)` pair as a [`TaggedQuerySource`]:
+/// query `q` is sample `q % batch_size` of trace batch `q / batch_size`,
+/// arriving at `arrivals[q]`, tenant 0. Borrowing and `Copy`, so the
+/// merge's replay clone costs nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceArrivals<'a> {
+    trace: &'a Trace,
+    arrivals: &'a [SimTime],
+    /// Queries emitted so far.
+    next: usize,
+    /// Trace batch and sample of the current query.
+    batch: usize,
+    sample: u32,
+}
+
+impl<'a> TraceArrivals<'a> {
+    /// Pairs `trace` with its arrival stream, at query 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` holds more queries than the trace has
+    /// samples, or is not sorted non-decreasing.
+    pub fn new(trace: &'a Trace, arrivals: &'a [SimTime]) -> Self {
+        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
+        assert!(
+            arrivals.len() as u64 <= capacity,
+            "arrival stream has more queries than the trace has samples"
+        );
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrival timestamps must be sorted non-decreasing"
+        );
+        TraceArrivals {
+            trace,
+            arrivals,
+            next: 0,
+            batch: 0,
+            sample: 0,
+        }
+    }
+}
+
+impl QueryBags for TraceArrivals<'_> {
+    fn bag(&self, table: u32) -> &[u64] {
+        self.trace.bag(self.batch, table, self.sample)
+    }
+}
+
+impl TaggedQuerySource for TraceArrivals<'_> {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        let qid = self.next;
+        let &at = self.arrivals.get(qid)?;
+        let batch_size = self.trace.batch_size as usize;
+        self.batch = qid / batch_size;
+        self.sample = (qid % batch_size) as u32;
+        self.next += 1;
+        Some((qid as u64, 0, at))
+    }
+    fn n_tables(&self) -> u32 {
+        self.trace.n_tables
+    }
+    fn position(&self) -> u64 {
+        self.next as u64
+    }
+}
+
 /// Consumes `stream`, routing each query's bags across the placement's
-/// shards exactly as [`shard_workloads`] does, but incrementally: the
-/// per-shard sub-bags live in one recycled `shards × tables` buffer
-/// set, and each participating shard's sub-bags are handed to
-/// `sink(shard, arrival, sub_bags)` (table-indexed, empty for
-/// untouched tables) before the next query overwrites them. Routing
-/// consults `faults` at each arrival ([`ShardPlacement::route_bag_at`]
-/// — pass the empty schedule for the historical behaviour). Returns
-/// the [`RoutedStream`] record the merge keys on.
+/// shards: each shard receives, per table, exactly the rows it serves,
+/// in bag order, and a query is handed only to shards serving at least
+/// one of its rows. The per-shard sub-bags live in one recycled
+/// `shards × tables` buffer set, and each participating shard's
+/// sub-bags are handed to `sink(shard, tenant, arrival, sub_bags)`
+/// (table-indexed, empty for untouched tables) before the next query
+/// overwrites them. Routing consults `faults` at each arrival
+/// ([`ShardPlacement::route_bag_at`] — pass the empty schedule for the
+/// fault-free behaviour). For a 1-shard fault-free placement the sink
+/// sees the source's bags and arrivals verbatim. Returns the
+/// [`RoutedStream`] record the merge keys on.
 pub fn route_stream<S, F>(
     placement: &ShardPlacement,
     faults: &FaultSchedule,
@@ -1380,43 +1015,48 @@ where
     routed
 }
 
-/// Merges per-node streamed serving runs into cluster metrics — the
-/// streamed counterpart of [`merge_cluster`], byte-identical on the
-/// same workload (faults, sheds and all). `stream` must be a *fresh*
-/// (position-0) clone of the routed stream: the functional plane
-/// replays it to compute the exact per-query checksums the
-/// materialized path reads from the trace. `sheds[s]` is the global
-/// qids node `s` shed, ascending.
+/// Merges per-node serving runs into cluster metrics. `parts[s]` is
+/// node `s`'s run ([`NodePart`]); `routed` is the record of the
+/// routing pass that fed the nodes, and `stream` a *fresh* (position-0)
+/// clone of the routed source, which the functional plane replays.
+///
+/// Timing plane: queries merge in qid order, shards ascending. The
+/// query's *home* shard (lowest participating index that did not shed
+/// it) answers directly; every other participant's partial — one
+/// response of `tables_touched × row_bytes` — serializes over the
+/// shared aggregation [`FlexBusLink`] and pays one
+/// [`inter_switch_ns`](cxlsim::CxlParams::inter_switch_ns) hop, both
+/// stretched by any active link-degradation fault. A partial landing
+/// past [`ClusterConfig::partial_timeout_ns`] is hedged to a replica
+/// (when one covers every row) or dropped, completing the query
+/// degraded. The merged completion is the max over the home completion
+/// and the landed partials. The cluster makespan is the instant the
+/// fleet goes idle: the max over the node makespans (when every host
+/// frees), raised to any cross-shard partial that lands later — so a
+/// 1-shard cluster's makespan is *exactly* its node's.
+///
+/// Functional plane: each query's bags are re-routed at its arrival
+/// instant and merged with [`merged_bag_embedding_at`], skipping the
+/// shed and dropped participations — full-coverage answers are
+/// bit-identical to the fault-free merge, and an entirely unanswered
+/// query checksums to `0.0`.
 ///
 /// # Panics
 ///
-/// Panics if the routed/completion/shed/makespan shapes disagree, or
-/// if `stream` is not at position 0.
-#[allow(clippy::too_many_arguments)]
-pub fn merge_streamed<S: TaggedQuerySource>(
+/// Panics if the routed and part shapes disagree, or if `stream` is not
+/// at position 0.
+pub fn merge_node_parts<S: TaggedQuerySource>(
     cfg: &ClusterConfig,
     placement: &ShardPlacement,
     stream: &S,
     routed: &RoutedStream,
-    completions: &[&[SimTime]],
-    sheds: &[&[u64]],
-    node_makespans: &[u64],
+    parts: &[NodePart<'_>],
 ) -> ClusterMetrics {
-    assert_eq!(
-        routed.qids.len(),
-        completions.len(),
-        "one completion vector per shard"
-    );
-    assert_eq!(
-        routed.qids.len(),
-        node_makespans.len(),
-        "one makespan per shard"
-    );
-    assert_eq!(routed.qids.len(), sheds.len(), "one shed list per shard");
-    for (q, c) in routed.qids.iter().zip(completions) {
+    assert_eq!(routed.qids.len(), parts.len(), "one node part per shard");
+    for (q, p) in routed.qids.iter().zip(parts) {
         assert_eq!(
             q.len(),
-            c.len(),
+            p.completion.len(),
             "completions must cover the shard's queries"
         );
     }
@@ -1425,7 +1065,7 @@ pub fn merge_streamed<S: TaggedQuerySource>(
         queries: routed.arrivals.len() as u64,
         ..ClusterMetrics::default()
     };
-    let excluded = merge_timing(cfg, routed, sheds, completions, node_makespans, &mut m);
+    let excluded = merge_timing(cfg, routed, parts, &mut m);
     let tables = functional_tables(&cfg.node.model);
     let mut replay = stream.clone();
     let mut cursor = 0usize;
@@ -1464,17 +1104,58 @@ pub fn merge_streamed<S: TaggedQuerySource>(
     m
 }
 
+/// [`merge_node_parts`] for callers holding the parts as separate
+/// per-shard slices, with each node's shed list given as *global* qids
+/// (ascending) rather than the node's local ones.
+///
+/// # Panics
+///
+/// As [`merge_node_parts`], or if the slices disagree in length.
+#[allow(clippy::too_many_arguments)]
+pub fn merge_streamed<S: TaggedQuerySource>(
+    cfg: &ClusterConfig,
+    placement: &ShardPlacement,
+    stream: &S,
+    routed: &RoutedStream,
+    completions: &[&[SimTime]],
+    sheds: &[&[u64]],
+    node_makespans: &[u64],
+) -> ClusterMetrics {
+    assert_eq!(completions.len(), sheds.len(), "one shed list per shard");
+    assert_eq!(
+        completions.len(),
+        node_makespans.len(),
+        "one makespan per shard"
+    );
+    let local_sheds: Vec<Vec<u64>> = sheds
+        .iter()
+        .zip(&routed.qids)
+        .map(|(global, qids)| {
+            global
+                .iter()
+                .filter_map(|q| qids.binary_search(q).ok().map(|li| li as u64))
+                .collect()
+        })
+        .collect();
+    let parts: Vec<NodePart<'_>> = completions
+        .iter()
+        .zip(&local_sheds)
+        .zip(node_makespans)
+        .map(|((&completion, shed_qids), &makespan_ns)| NodePart {
+            completion,
+            shed_qids,
+            makespan_ns,
+        })
+        .collect();
+    merge_node_parts(cfg, placement, stream, routed, &parts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn placement(k: u16, policy: ShardPolicy) -> ShardPlacement {
-        ShardPlacement {
-            n_shards: k,
-            n_tables: 8,
-            policy,
-            replicated: vec![Vec::new(); 8],
-        }
+        ShardPlacement::from_dims(k, 8, policy)
     }
 
     #[test]
@@ -1510,6 +1191,27 @@ mod tests {
         assert_eq!(route, [p.owner(0, 7)]);
     }
 
+    /// One routed sub-query as the sink saw it: `(shard, arrival,
+    /// table-indexed sub-bags)`.
+    type Routed = (usize, SimTime, Vec<Vec<u64>>);
+
+    /// Routes `(trace, arrivals)` fault-free, collecting every sub-query
+    /// the sink receives.
+    fn route_collect(
+        p: &ShardPlacement,
+        trace: &Trace,
+        arrivals: &[SimTime],
+    ) -> (Vec<Routed>, RoutedStream) {
+        let mut seen = Vec::new();
+        let routed = route_stream(
+            p,
+            &FaultSchedule::none(p.n_shards()),
+            &mut TraceArrivals::new(trace, arrivals),
+            |s, _, at, sub| seen.push((s, at, sub.to_vec())),
+        );
+        (seen, routed)
+    }
+
     #[test]
     fn one_shard_workload_reproduces_the_trace_bags() {
         let trace = tracegen::TraceSpec {
@@ -1523,23 +1225,18 @@ mod tests {
         }
         .generate();
         let arrivals: Vec<SimTime> = (0..8).map(|i| SimTime::from_ns(i * 10)).collect();
-        let p = ShardPlacement {
-            n_shards: 1,
-            n_tables: 3,
-            policy: ShardPolicy::RowHash,
-            replicated: vec![Vec::new(); 3],
-        };
-        let (shards, routed) = shard_workloads(&p, &FaultSchedule::none(1), &trace, &arrivals);
-        assert_eq!(shards.len(), 1);
+        let p = ShardPlacement::from_dims(1, 3, ShardPolicy::RowHash);
+        let (seen, routed) = route_collect(&p, &trace, &arrivals);
         assert_eq!(routed.failovers, 0);
         assert_eq!(routed.lost_lookups, vec![0; 8]);
-        let w = &shards[0];
-        assert_eq!(w.arrivals, arrivals);
-        assert_eq!(w.qids, (0..8).collect::<Vec<u64>>());
-        for qid in 0..8usize {
+        assert_eq!(routed.qids, vec![(0..8).collect::<Vec<u64>>()]);
+        assert_eq!(seen.len(), 8);
+        for (qid, (shard, at, sub)) in seen.iter().enumerate() {
+            assert_eq!(*shard, 0);
+            assert_eq!(*at, arrivals[qid]);
             let (b, s) = (qid / 4, (qid % 4) as u32);
             for t in 0..3 {
-                assert_eq!(w.trace.bag(b, t, s), trace.bag(b, t, s));
+                assert_eq!(sub[t as usize], trace.bag(b, t, s));
             }
         }
     }
@@ -1558,17 +1255,17 @@ mod tests {
         .generate();
         let arrivals: Vec<SimTime> = (0..12).map(|i| SimTime::from_ns(i * 5)).collect();
         for policy in [ShardPolicy::RowHash, ShardPolicy::TablePartition] {
-            let p = ShardPlacement {
-                n_shards: 3,
-                n_tables: 4,
-                policy,
-                replicated: vec![Vec::new(); 4],
-            };
-            let (shards, routed) = shard_workloads(&p, &FaultSchedule::none(3), &trace, &arrivals);
-            let total: u64 = shards.iter().map(|w| w.trace.total_lookups()).sum();
+            let p = ShardPlacement::from_dims(3, 4, policy);
+            let (seen, routed) = route_collect(&p, &trace, &arrivals);
+            let total: u64 = seen
+                .iter()
+                .flat_map(|(_, _, sub)| sub)
+                .map(|bag| bag.len() as u64)
+                .sum();
             assert_eq!(routed.total_lookups.iter().sum::<u64>(), total);
             assert_eq!(total, 4 * 12 * 3, "lookups must partition exactly");
-            let queries: usize = shards.iter().map(|w| w.qids.len()).sum();
+            let queries: usize = routed.qids.iter().map(Vec::len).sum();
+            assert_eq!(queries, seen.len());
             assert!(queries >= 12, "every query is served somewhere");
         }
     }

@@ -28,7 +28,7 @@
 //! * `max_wait_ns` only ever moves **at or below** its configured base,
 //!   so the windowed-latency retirement bound (computed from the base
 //!   `max_wait_ns` at session start) stays conservative — see
-//!   [`LatencyWindows`](super::serving::LatencyWindows).
+//!   the session's `LatencyWindows`.
 //! * `batch_size` is bounded by [`BATCH_GROWTH_CAP`] × base, so the
 //!   session's pending-bag store stays bounded.
 

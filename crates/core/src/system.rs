@@ -23,6 +23,7 @@ use pagemgmt::{GlobalHotness, PageId, PageTable, TierCapacities};
 use simkit::{SimDuration, SimTime};
 use tracegen::{QueryStream, Trace};
 
+use crate::engine::cluster::{TaggedQuerySource, TraceArrivals};
 use crate::engine::config::page_align;
 use crate::engine::metrics::CounterOffsets;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
@@ -38,20 +39,21 @@ pub use crate::engine::serving::{
     TenantServing, WindowSummary,
 };
 
-/// One materialized trace query viewed through [`QueryBags`]: query
-/// `qid`'s bag in `table` is sample `qid % batch_size` of trace batch
-/// `qid / batch_size` — exactly [`SlsSystem::run_open_loop`]'s mapping.
-struct TraceQueryBags<'a> {
-    trace: &'a Trace,
-    qid: u64,
-}
-
-impl QueryBags for TraceQueryBags<'_> {
-    fn bag(&self, table: u32) -> &[u64] {
-        let b = (self.qid / self.trace.batch_size as u64) as usize;
-        let s = (self.qid % self.trace.batch_size as u64) as u32;
-        self.trace.bag(b, table, s)
-    }
+/// Asserts that `trace` fits `model`: no more tables, no larger row
+/// space.
+///
+/// # Panics
+///
+/// Panics with the offending dimension otherwise.
+pub(crate) fn assert_trace_fits(model: &dlrm::ModelConfig, trace: &Trace) {
+    assert!(
+        trace.n_tables <= model.n_tables,
+        "trace has more tables than the model"
+    );
+    assert!(
+        trace.rows_per_table <= model.emb_num,
+        "trace rows exceed the model's embedding count"
+    );
 }
 
 /// The composed system: the hardware `Plant`, the embedding layout and
@@ -192,14 +194,7 @@ impl SlsSystem {
     ///
     /// Panics if the trace's table count or row space exceeds the model's.
     pub fn run_trace(&mut self, trace: &Trace) -> RunMetrics {
-        assert!(
-            trace.n_tables <= self.cfg.model.n_tables,
-            "trace has more tables than the model"
-        );
-        assert!(
-            trace.rows_per_table <= self.cfg.model.emb_num,
-            "trace rows exceed the model's embedding count"
-        );
+        assert_trace_fits(&self.cfg.model, trace);
 
         self.metrics = RunMetrics::default();
         let mut bag_latency_sum = 0u128;
@@ -218,34 +213,17 @@ impl SlsSystem {
             self.cfg.threading,
         );
 
-        for (bi, _batch) in trace.batches.iter().enumerate() {
+        for bi in 0..trace.batches.len() {
             let host_idx = bi % self.cfg.n_hosts as usize;
             let batch_start = self.plant.hosts[host_idx].next_free;
-            let mut batch_done = batch_start;
-
-            for (core_idx, items) in parts.iter().enumerate() {
-                self.plant.hosts[host_idx].cores[core_idx] = batch_start;
-                for item in items {
-                    for sample in item.sample_begin..item.sample_end {
-                        let bag = trace.bag(bi, item.table, sample);
-                        let issue = self.plant.hosts[host_idx].cores[core_idx];
-                        let mut scratch = std::mem::take(&mut self.scratch.bag);
-                        let (done, core_free) = process_bag(
-                            &mut self.engine_ctx(),
-                            &mut scratch,
-                            host_idx,
-                            issue,
-                            item.table,
-                            bag,
-                        );
-                        self.scratch.bag = scratch;
-                        self.plant.hosts[host_idx].cores[core_idx] = core_free;
-                        batch_done = batch_done.max(done);
-                        bag_latency_sum += done.saturating_since(issue).as_ns() as u128;
-                        self.metrics.bags += 1;
-                    }
-                }
-            }
+            let (mut batch_done, latency_sum) = self.execute_batch(
+                host_idx,
+                batch_start,
+                &parts,
+                |sample, table| trace.bag(bi, table, sample),
+                |_, _| {},
+            );
+            bag_latency_sum += latency_sum;
 
             // Page-management epoch at the batch boundary.
             if self.cfg.page_mgmt.is_some() {
@@ -307,40 +285,13 @@ impl SlsSystem {
     /// more queries than the trace has samples, or if the trace exceeds
     /// the model (as in [`Self::run_trace`]).
     pub fn run_open_loop(&mut self, trace: &Trace, arrivals: &[SimTime]) -> ServingMetrics {
-        assert!(
-            trace.n_tables <= self.cfg.model.n_tables,
-            "trace has more tables than the model"
-        );
-        assert!(
-            trace.rows_per_table <= self.cfg.model.emb_num,
-            "trace rows exceed the model's embedding count"
-        );
-        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
-        assert!(
-            arrivals.len() as u64 <= capacity,
-            "arrival stream has more queries than the trace has samples"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrival timestamps must be sorted non-decreasing"
-        );
-
-        // The materialized path is a thin client of the streaming
-        // session: push every (arrival, bags) pair in timestamp order
-        // and finish. Batch formation depends only on the timestamps
-        // and the batcher knobs, and dispatch consumes batches in
-        // formation order with a time base fixed at `begin`, so
-        // interleaving them is observably identical to the original
-        // two-phase (form-all-then-dispatch-all) implementation.
+        assert_trace_fits(&self.cfg.model, trace);
+        // A thin client of the streaming session: push every query in
+        // timestamp order, then finish.
+        let mut queries = TraceArrivals::new(trace, arrivals);
         self.open_loop_begin(trace.n_tables, OpenLoopOpts::default());
-        for (qid, &t) in arrivals.iter().enumerate() {
-            self.open_loop_push(
-                t,
-                &TraceQueryBags {
-                    trace,
-                    qid: qid as u64,
-                },
-            );
+        while let Some((_, _, at)) = queries.next_tagged() {
+            self.open_loop_push(at, &queries);
         }
         self.open_loop_finish()
     }
@@ -620,21 +571,62 @@ impl SlsSystem {
         self.open_loop_finish()
     }
 
-    /// Dispatches one closed batch to the stage pipeline — the body of
-    /// `run_open_loop`'s original per-batch loop, fed from the
-    /// session's pending store instead of a materialized trace.
+    /// Runs one batch's bags through the stage pipeline on host
+    /// `host_idx` — the timing path both run modes share. Every core
+    /// starts at `start` and works through its share of the query
+    /// partition `parts`, each bag (`bag(sample, table)`) issuing when
+    /// its core frees; `on_bag(sample, done)` sees each bag's
+    /// completion. Returns the batch's last bag completion and the
+    /// summed per-bag latency, ns.
+    fn execute_batch<'a>(
+        &mut self,
+        host_idx: usize,
+        start: SimTime,
+        parts: &[Vec<query::WorkItem>],
+        bag: impl Fn(u32, u32) -> &'a [u64],
+        mut on_bag: impl FnMut(u32, SimTime),
+    ) -> (SimTime, u128) {
+        let mut batch_done = start;
+        let mut latency_sum = 0u128;
+        for (core_idx, items) in parts.iter().enumerate() {
+            self.plant.hosts[host_idx].cores[core_idx] = start;
+            for item in items {
+                for sample in item.sample_begin..item.sample_end {
+                    let issue = self.plant.hosts[host_idx].cores[core_idx];
+                    let mut scratch = std::mem::take(&mut self.scratch.bag);
+                    let (done, core_free) = process_bag(
+                        &mut self.engine_ctx(),
+                        &mut scratch,
+                        host_idx,
+                        issue,
+                        item.table,
+                        bag(sample, item.table),
+                    );
+                    self.scratch.bag = scratch;
+                    self.plant.hosts[host_idx].cores[core_idx] = core_free;
+                    batch_done = batch_done.max(done);
+                    on_bag(sample, done);
+                    latency_sum += done.saturating_since(issue).as_ns() as u128;
+                    self.metrics.bags += 1;
+                }
+            }
+        }
+        (batch_done, latency_sum)
+    }
+
+    /// Dispatches one closed batch, fed from the session's pending
+    /// store: [`Self::execute_batch`] plus the open-loop bookkeeping.
     /// Batches run in close order, round-robin over hosts, each
-    /// starting when both the batch has closed and its host is free;
-    /// the pipeline timing path is exactly `run_trace`'s. The pending
-    /// store is recycled (cleared, capacity kept) on return: the
-    /// batcher drains *all* pending queries into every batch it closes,
-    /// so the store and the batch always cover the same queries.
+    /// starting when both the batch has closed and its host is free.
+    /// The pending store is recycled (cleared, capacity kept) on
+    /// return: the batcher drains *all* pending queries into every
+    /// batch it closes, so the store and the batch always cover the
+    /// same queries.
     fn dispatch_batch(&mut self, s: &mut OpenLoopSession, batch: &ReadyBatch) {
         let bi = s.batches_dispatched as usize;
         s.batches_dispatched += 1;
         let host_idx = bi % self.cfg.n_hosts as usize;
         let start = (batch.close + s.shift).max(self.plant.hosts[host_idx].next_free);
-        let mut batch_done = start;
         let n = batch.queries.len() as u32;
         debug_assert_eq!(
             s.offsets.len(),
@@ -653,31 +645,19 @@ impl SlsSystem {
         let parts = &sv.parts_memo.as_ref().expect("memo just filled").1;
         sv.q_done.clear();
         sv.q_done.resize(batch.queries.len(), start);
-        for (core_idx, items) in parts.iter().enumerate() {
-            self.plant.hosts[host_idx].cores[core_idx] = start;
-            for item in items {
-                for sample in item.sample_begin..item.sample_end {
-                    let p = sample as usize * s.n_tables as usize + item.table as usize;
-                    let bag = &s.rows[s.offsets[p]..s.offsets[p + 1]];
-                    let issue = self.plant.hosts[host_idx].cores[core_idx];
-                    let mut scratch = std::mem::take(&mut self.scratch.bag);
-                    let (done, core_free) = process_bag(
-                        &mut self.engine_ctx(),
-                        &mut scratch,
-                        host_idx,
-                        issue,
-                        item.table,
-                        bag,
-                    );
-                    self.scratch.bag = scratch;
-                    self.plant.hosts[host_idx].cores[core_idx] = core_free;
-                    batch_done = batch_done.max(done);
-                    sv.q_done[sample as usize] = sv.q_done[sample as usize].max(done);
-                    s.bag_latency_sum += done.saturating_since(issue).as_ns() as u128;
-                    self.metrics.bags += 1;
-                }
-            }
-        }
+        let q_done = &mut sv.q_done;
+        let (rows, offsets, n_tables) = (&s.rows, &s.offsets, s.n_tables as usize);
+        let (mut batch_done, latency_sum) = self.execute_batch(
+            host_idx,
+            start,
+            parts,
+            |sample, table| {
+                let p = sample as usize * n_tables + table as usize;
+                &rows[offsets[p]..offsets[p + 1]]
+            },
+            |sample, done| q_done[sample as usize] = q_done[sample as usize].max(done),
+        );
+        s.bag_latency_sum += latency_sum;
         // A query completes when its last bag does; the response leaves
         // before the epoch-boundary page manager runs. Query ids are
         // push-sequential and batches dispatch in formation order, so

@@ -1,14 +1,18 @@
 //! End-to-end behavior of the cluster layer through the public façade:
 //! the 1-shard byte-identity bridge to plain serving, shard-count and
 //! policy invariance of the exact merge plane, query/lookup
-//! conservation (including under hot-row replication), determinism, and
-//! load monotonicity. Mirrors `serving_behavior.rs` one level up.
+//! conservation (including under hot-row replication), determinism,
+//! load monotonicity, and the merged per-tenant split of a multi-tenant
+//! mix. Mirrors `serving_behavior.rs` one level up.
 
 use dlrm::ModelConfig;
 use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-use pifs_core::system::{SlsSystem, SystemConfig};
+use pifs_core::system::{ShedPolicy, SlsSystem, SystemConfig};
 use simkit::SimTime;
-use tracegen::{ArrivalProcess, Distribution, Trace, TraceSpec};
+use tracegen::{
+    ArrivalProcess, Distribution, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, Trace,
+    TraceSpec,
+};
 
 fn small_model() -> ModelConfig {
     ModelConfig {
@@ -17,8 +21,8 @@ fn small_model() -> ModelConfig {
     }
 }
 
-/// A trace with enough samples for `n` open-loop queries.
-fn trace_for(model: &ModelConfig, n: u32) -> Trace {
+/// The recipe of a trace with enough samples for `n` open-loop queries.
+fn trace_spec(model: &ModelConfig, n: u32) -> TraceSpec {
     TraceSpec {
         distribution: Distribution::MetaLike {
             reuse_frac: 0.35,
@@ -31,7 +35,10 @@ fn trace_for(model: &ModelConfig, n: u32) -> Trace {
         bag_size: model.bag_size,
         seed: 5,
     }
-    .generate()
+}
+
+fn trace_for(model: &ModelConfig, n: u32) -> Trace {
+    trace_spec(model, n).generate()
 }
 
 fn cluster_cfg(k: u16, policy: ShardPolicy) -> ClusterConfig {
@@ -203,4 +210,50 @@ fn cluster_arrival_overrun_rejected() {
     let trace = trace_for(&cfg.node.model.clone(), 16);
     let arrivals = vec![SimTime::ZERO; 17];
     let _ = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
+}
+
+#[test]
+fn merged_tenant_split_accounts_for_every_query() {
+    // Two tenants through a 2-shard cluster, loaded past the shedder's
+    // queue bound: the merged per-tenant split must cover the answered
+    // and unanswered totals exactly, and each tenant exactly its own
+    // arrivals in the mix.
+    let model = small_model();
+    let tenant = |name: &str, qos, n_batches, seed| TenantSpec {
+        name: name.into(),
+        qos,
+        stream: QueryStreamSpec {
+            trace: TraceSpec {
+                n_batches,
+                seed,
+                ..trace_spec(&model, 0)
+            },
+            arrival: ArrivalProcess::Poisson { qps: 4_000_000.0 },
+            arrival_seed: seed + 100,
+        },
+    };
+    let mix = TenantMixStream::new(vec![
+        tenant("interactive", QosClass::LatencyCritical, 3, 5),
+        tenant("bulk", QosClass::Batch, 2, 6),
+    ]);
+    let mut arrivals = [0u64; 2];
+    let mut walk = mix.clone();
+    while let Some((_, t, _)) = walk.next_query() {
+        arrivals[t as usize] += 1;
+    }
+    let mut cfg = cluster_cfg(2, ShardPolicy::RowHash);
+    cfg.node.serving.shed = ShedPolicy::QueueDepth { max_pending: 2 };
+    let m = SlsCluster::new(cfg).run_open_loop_streamed(&mut mix.clone());
+
+    assert_eq!(m.per_tenant.len(), 2);
+    let answered: u64 = m.per_tenant.iter().map(|t| t.queries).sum();
+    let unanswered: u64 = m.per_tenant.iter().map(|t| t.shed).sum();
+    assert_eq!(answered, m.fully_served + m.degraded);
+    assert_eq!(unanswered, m.shed + m.lost);
+    assert!(m.shed > 0, "the queue bound must shed under this load");
+    for (i, t) in m.per_tenant.iter().enumerate() {
+        assert_eq!(t.queries + t.shed, arrivals[i], "tenant {i}");
+        assert_eq!(t.latency.count(), t.queries, "tenant {i}");
+    }
+    assert_eq!(arrivals.iter().sum::<u64>(), m.queries);
 }

@@ -3,8 +3,10 @@
 //! served/degraded/shed/lost split, byte-identity of the zero-fault
 //! paths to the historical merge, bit-identity of full-coverage
 //! answers under timing-only faults, determinism of faulty runs, and
-//! streamed-vs-materialized equivalence with faults and shedding
-//! active. Mirrors `cluster_behavior.rs` one hazard over.
+//! equivalence of a materialized `(trace, arrivals)` workload (through
+//! the `TraceArrivals` adapter) with the lazy `QueryStream` of the same
+//! recipe, with faults and shedding active. Mirrors
+//! `cluster_behavior.rs` one hazard over.
 
 use dlrm::ModelConfig;
 use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
@@ -53,6 +55,8 @@ fn faulted_cfg(fault: &str, shed: ShedPolicy, replicas: u32, fault_seed: u64) ->
     cfg
 }
 
+/// The workload materialized up front, served through the
+/// `(trace, arrivals)` adapter.
 fn run_materialized(cfg: &ClusterConfig, spec: &QueryStreamSpec) -> ClusterMetrics {
     let trace = spec.trace.generate();
     let arrivals = spec
@@ -61,6 +65,7 @@ fn run_materialized(cfg: &ClusterConfig, spec: &QueryStreamSpec) -> ClusterMetri
     SlsCluster::new(cfg.clone()).run_open_loop(&trace, &arrivals)
 }
 
+/// The same workload generated lazily.
 fn run_streamed(cfg: &ClusterConfig, spec: &QueryStreamSpec) -> ClusterMetrics {
     SlsCluster::new(cfg.clone()).run_open_loop_streamed(&mut spec.stream())
 }
@@ -235,8 +240,10 @@ fn failstop_loses_coverage_and_replication_buys_it_back() {
 
 #[test]
 fn streamed_cluster_matches_materialized_under_faults_and_shedding() {
-    // The streaming differential bar, extended to the hazard paths:
-    // same fault schedule, same shedder, byte-identical metrics.
+    // The source differential, extended to the hazard paths: the
+    // adapter over a materialized workload and the lazy stream of the
+    // same recipe, same fault schedule, same shedder — byte-identical
+    // metrics.
     let spec = spec_for(&small_model(), 64, 8_000_000.0);
     for (fault, shed) in [
         ("failstop:32000", ShedPolicy::None),

@@ -8,29 +8,31 @@
 use dlrm::sls::{sls_reference_exact, sls_reference_scalar};
 use dlrm::EmbeddingTable;
 use pifs_core::engine::cluster::{
-    merged_bag_embedding, ClusterConfig, ShardPlacement, ShardPolicy,
+    merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy, TraceArrivals,
 };
 use pifs_core::system::SystemConfig;
 use proptest::prelude::*;
+use simkit::{FaultSchedule, SimTime};
 use tracegen::{Batch, TableLookups, Trace};
 
 const POLICIES: [ShardPolicy; 2] = [ShardPolicy::RowHash, ShardPolicy::TablePartition];
 
-/// A placement over `n_tables` tables with no replication (the build
-/// only reads the trace's access stream when replication is on).
-fn placement(k: u16, policy: ShardPolicy, n_tables: u32, rows: u64) -> ShardPlacement {
-    let cfg = ClusterConfig::new(k, policy, SystemConfig::pifs_rec_default());
-    ShardPlacement::build(&cfg, &empty_trace(n_tables, rows))
+/// A placement over `n_tables` tables with no replication.
+fn placement(k: u16, policy: ShardPolicy, n_tables: u32) -> ShardPlacement {
+    ShardPlacement::from_dims(k, n_tables, policy)
 }
 
-fn empty_trace(n_tables: u32, rows: u64) -> Trace {
-    Trace {
-        n_tables,
-        rows_per_table: rows,
-        batch_size: 1,
-        bag_size: 1,
-        batches: Vec::new(),
-    }
+/// The fault-free merged embedding of `bag` in table 0.
+fn merged(p: &ShardPlacement, table: &EmbeddingTable, bag: &[u64]) -> Vec<f64> {
+    merged_bag_embedding_at(
+        p,
+        &FaultSchedule::none(p.n_shards()),
+        SimTime::ZERO,
+        &[],
+        table,
+        0,
+        bag,
+    )
 }
 
 /// A one-batch trace whose single sample's bag (every table) is `bag` —
@@ -58,7 +60,7 @@ proptest! {
         rows in proptest::collection::vec(0u64..100_000, 1..48),
     ) {
         for policy in POLICIES {
-            let p = placement(k, policy, n_tables, 100_000);
+            let p = placement(k, policy, n_tables);
             for t in 0..n_tables {
                 let mut route = Vec::new();
                 p.route_bag(t, &rows, &mut route);
@@ -125,13 +127,14 @@ proptest! {
         // the unreplicated one (replicas carry the owner's values), and
         // every bag row is still served exactly once.
         let trace = bag_trace(2, 256, &bag);
+        let queries = TraceArrivals::new(&trace, &[SimTime::ZERO]);
         let mut cfg = ClusterConfig::new(k, ShardPolicy::RowHash, SystemConfig::pifs_rec_default());
-        let plain = ShardPlacement::build(&cfg, &trace);
+        let plain = ShardPlacement::build_streamed(&cfg, &queries);
         cfg.hot_rows_per_table = hot;
-        let repl = ShardPlacement::build(&cfg, &trace);
+        let repl = ShardPlacement::build_streamed(&cfg, &queries);
         let table = EmbeddingTable::new(0, 256, 32, 0);
-        let a = merged_bag_embedding(&plain, &table, 0, &bag);
-        let b = merged_bag_embedding(&repl, &table, 0, &bag);
+        let a = merged(&plain, &table, &bag);
+        let b = merged(&repl, &table, &bag);
         prop_assert_eq!(a, b);
         let mut route = Vec::new();
         repl.route_bag(0, &bag, &mut route);
@@ -153,11 +156,11 @@ proptest! {
         // plane is exact, hence associative; see engine::cluster docs.)
         let reference = sls_reference_exact(&EmbeddingTable::new(0, 4096, dim, 0), &bag, None);
         for policy in POLICIES {
-            let p = placement(k, policy, 4, 4096);
+            let p = placement(k, policy, 4);
             let table = EmbeddingTable::new(0, 4096, dim, 0);
-            let merged = merged_bag_embedding(&p, &table, 0, &bag);
+            let got = merged(&p, &table, &bag);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            prop_assert_eq!(bits(&merged), bits(&reference));
+            prop_assert_eq!(bits(&got), bits(&reference));
         }
     }
 
@@ -172,9 +175,9 @@ proptest! {
         let table = EmbeddingTable::new(0, 4096, dim, 0);
         let scalar = sls_reference_scalar(&table, &bag, None);
         for policy in POLICIES {
-            let p = placement(k, policy, 4, 4096);
-            let merged = merged_bag_embedding(&p, &table, 0, &bag);
-            let cast: Vec<u32> = merged.iter().map(|&v| (v as f32).to_bits()).collect();
+            let p = placement(k, policy, 4);
+            let got = merged(&p, &table, &bag);
+            let cast: Vec<u32> = got.iter().map(|&v| (v as f32).to_bits()).collect();
             let want: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(cast, want);
         }

@@ -336,11 +336,12 @@ fn one_shard_streamed_cluster_is_the_streamed_node() {
 
 #[test]
 fn streamed_cluster_matches_materialized_cluster() {
-    // Multi-shard: incremental routing + streamed merge must equal the
-    // materialized shard_workloads + merge_cluster path field for
-    // field, per node, at every shard count and policy — including
-    // with hot-row replication, which exercises the streamed hotness
-    // scan in `ShardPlacement::build_streamed`.
+    // Multi-shard: the lazy stream and the materialized trace +
+    // arrival vector of the same recipe (served through the
+    // `TraceArrivals` adapter) must agree field for field, per node,
+    // at every shard count and policy — including with hot-row
+    // replication, whose hotness scan in
+    // `ShardPlacement::build_streamed` walks each source.
     let m = small_model();
     let node = SystemConfig::pifs_rec(m.clone());
     let spec = spec_for(&m, 64, ArrivalProcess::Poisson { qps: 50_000.0 });

@@ -19,7 +19,7 @@
 //! narrower tenants are not padded with fake work).
 //!
 //! Checkpointing falls out of the representation, exactly as for
-//! [`QueryStream`](crate::QueryStream): the mix is `Clone`, and a clone
+//! [`QueryStream`]: the mix is `Clone`, and a clone
 //! is a resumable snapshot.
 
 use serde::{Deserialize, Serialize};
