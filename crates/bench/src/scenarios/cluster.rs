@@ -1,8 +1,7 @@
 //! The `cluster_qps` scenario: cluster-scale sharded serving.
 //!
 //! [`CLUSTER_QPS`] sweeps node count × placement policy × offered rate
-//! through the [`SlsCluster`](pifs_core::engine::cluster::SlsCluster)
-//! router (PIFS-Rec nodes), reporting the
+//! through the [`SlsCluster`] router (PIFS-Rec nodes), reporting the
 //! per-cluster tail-latency curve and answering the capacity-planning
 //! question the single-node `latency_qps` family cannot: **how many
 //! PIFS nodes does a target QPS need to stay under a p99 SLA**, and
@@ -17,30 +16,20 @@
 //! bit-identical across every (nodes, policy) cell of a qps column —
 //! the shard-invariance suite pins this.
 //!
-//! Each point decomposes into one sub-point part per node
-//! ([`PointParts`]): the per-node open-loop sims are independent given
-//! the routed workload, so the sweep runner work-steals them across
-//! cores, and `merge` replays the deterministic router merge from the
-//! nodes' completion vectors. `ClusterPoint` holds both halves for
-//! this scenario and `cluster_faults`.
-//!
-//! The workload is never materialized: each part re-derives the same
-//! seeded [`QueryStreamSpec`] (a few dozen bytes) and streams it
-//! through the router ([`run_node_parts`]), pushing only its own
-//! shard's sub-bags into the node session — O(batch) memory per part
-//! instead of a full per-point trace clone.
+//! Each point is one task that routes its workload once
+//! ([`SlsCluster::run_open_loop_streamed`]): one placement build, one
+//! pass over the seeded [`QueryStreamSpec`] (a few dozen bytes — the
+//! workload is never materialized) pushing every shard's sub-bags into
+//! its node, and one merge. The 32-point grid keeps every core busy
+//! without splitting a point's nodes across threads.
 
-use pifs_core::engine::cluster::{
-    merge_node_parts, route_stream, run_node_parts, ClusterConfig, ClusterMetrics, NodePart,
-    RoutedStream, ShardPlacement, ShardPolicy,
-};
-use pifs_core::system::{ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
+use pifs_core::system::{ServingMetrics, SystemConfig};
 use serde_json::{json, Value};
-use simkit::SimTime;
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
 use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow};
+use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the `latency_qps` family).
@@ -73,104 +62,13 @@ fn qps_axis() -> ParamSpec {
     ParamSpec::u64s("qps", [2_000_000, 8_000_000, 32_000_000, 128_000_000])
 }
 
-/// Everything a cluster point's parts and merge share, rebuilt
-/// deterministically on both sides: the cluster config, the seeded
-/// stream spec (in place of a materialized workload), and the
-/// row→shard placement.
-pub(super) struct ClusterPoint {
-    pub(super) cfg: ClusterConfig,
-    pub(super) spec: QueryStreamSpec,
-    pub(super) placement: ShardPlacement,
+/// Whether the run fell behind its offered load: the last arrival came
+/// before [`SATURATION_FRAC`] of the makespan.
+pub(super) fn saturated(met: &ClusterMetrics) -> bool {
+    (met.last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64
 }
 
-impl ClusterPoint {
-    pub(super) fn new(cfg: ClusterConfig, spec: QueryStreamSpec) -> Self {
-        let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
-        ClusterPoint {
-            cfg,
-            spec,
-            placement,
-        }
-    }
-
-    /// Runs node `part` of the point: streams the shared workload
-    /// through the router and pushes only this shard's routed sub-bags
-    /// into a fresh node session.
-    pub(super) fn run_part(&self, part: usize) -> ServingMetrics {
-        let mut node = [SlsSystem::new(self.cfg.node.clone())];
-        let (mut met, _) = run_node_parts(
-            &self.cfg,
-            &self.placement,
-            &mut self.spec.stream(),
-            &mut node,
-            part,
-        );
-        met.pop().expect("one node, one part")
-    }
-
-    /// Merges the point's part values — each carrying `completions_ns`
-    /// (run-relative ns, local-qid order), `makespan_ns` and, when its
-    /// node sheds, `shed_qids` (local, ascending) — by re-routing the
-    /// workload for the routing record and replaying the router merge.
-    pub(super) fn merge(&self, parts: &[Value]) -> (ClusterMetrics, RoutedStream) {
-        // Every part's values decode into two flat buffers (one
-        // allocation each, whatever the node count), sliced back into
-        // per-node views below.
-        let mut completions: Vec<SimTime> =
-            Vec::with_capacity(parts.iter().map(|v| list(v, "completions_ns").len()).sum());
-        let mut sheds: Vec<u64> =
-            Vec::with_capacity(parts.iter().map(|v| list(v, "shed_qids").len()).sum());
-        for v in parts {
-            completions.extend(
-                list(v, "completions_ns")
-                    .iter()
-                    .map(|n| SimTime::from_ns(n.as_u64().expect("ns value"))),
-            );
-            sheds.extend(
-                list(v, "shed_qids")
-                    .iter()
-                    .map(|q| q.as_u64().expect("local qid")),
-            );
-        }
-        let (mut completions_left, mut sheds_left) = (&completions[..], &sheds[..]);
-        let node_parts: Vec<NodePart<'_>> = parts
-            .iter()
-            .map(|v| {
-                let (completion, rest) = completions_left.split_at(list(v, "completions_ns").len());
-                completions_left = rest;
-                let (shed_qids, rest) = sheds_left.split_at(list(v, "shed_qids").len());
-                sheds_left = rest;
-                NodePart {
-                    completion,
-                    shed_qids,
-                    makespan_ns: v
-                        .get("makespan_ns")
-                        .and_then(Value::as_u64)
-                        .expect("part carries makespan_ns"),
-                }
-            })
-            .collect();
-        let mut stream = self.spec.stream();
-        let replay = stream.clone();
-        let routed = route_stream(
-            &self.placement,
-            &self.cfg.faults,
-            &mut stream,
-            |_, _, _, _| {},
-        );
-        let met = merge_node_parts(&self.cfg, &self.placement, &replay, &routed, &node_parts);
-        (met, routed)
-    }
-}
-
-/// A part value's list field `key` (empty when absent).
-fn list<'v>(v: &'v Value, key: &str) -> &'v [Value] {
-    v.get(key)
-        .and_then(Value::as_array)
-        .map_or(&[], Vec::as_slice)
-}
-
-fn setup(p: &Point) -> ClusterPoint {
+fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     let m = p.model();
     let qps = p.f64("qps");
     let arrival_spec = p.str("arrival");
@@ -210,45 +108,25 @@ fn setup(p: &Point) -> ClusterPoint {
         arrival: process,
         arrival_seed,
     };
-    ClusterPoint::new(ClusterConfig::new(nodes, policy, node), spec)
+    (ClusterConfig::new(nodes, policy, node), spec)
 }
 
-/// Runs node `part` of the point's cluster, returning the completion
-/// vector the merge keys on plus the node's accounting.
-fn run_part(p: &Point, part: usize) -> Value {
-    let met = setup(p).run_part(part);
+/// Runs the point's cluster: the router merge of the nodes'
+/// completions, the exact functional checksum and the per-node
+/// accounting.
+fn run_cluster_point(p: &Point) -> Value {
+    let (cfg, spec) = setup(p);
+    let met = SlsCluster::new(cfg).run_open_loop_streamed(&mut spec.stream());
+    let node_u64 = |f: fn(&ServingMetrics) -> u64| met.per_node.iter().map(f).collect::<Vec<u64>>();
     json!({
-        "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
-        "queries": met.queries,
-        "lookups": met.run.lookups,
-        "makespan_ns": met.makespan_ns,
-        "service_ns": met.run.total_ns,
-    })
-}
-
-/// Merges the nodes' part values into the point row: the router merge
-/// over the completion vectors, the exact functional checksum and the
-/// per-node accounting.
-fn merge_parts(p: &Point, parts: Vec<Value>) -> Value {
-    let (met, routed) = setup(p).merge(&parts);
-    let qps = p.f64("qps");
-    let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
-    let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
-    let node_u64 = |key: &str| -> Vec<u64> {
-        parts
-            .iter()
-            .map(|v| v.get(key).and_then(Value::as_u64).expect("part field"))
-            .collect()
-    };
-    json!({
-        "offered_qps": qps,
-        "empirical_qps": if last_arrival_ns == 0 {
+        "offered_qps": p.f64("qps"),
+        "empirical_qps": if met.last_arrival_ns == 0 {
             0.0
         } else {
-            met.queries as f64 * 1e9 / last_arrival_ns as f64
+            met.queries as f64 * 1e9 / met.last_arrival_ns as f64
         },
         "achieved_qps": met.achieved_qps(),
-        "saturated": saturated,
+        "saturated": saturated(&met),
         "p50_ns": met.latency.percentile(0.50),
         "p95_ns": met.latency.percentile(0.95),
         "p99_ns": met.latency.percentile(0.99),
@@ -259,17 +137,10 @@ fn merge_parts(p: &Point, parts: Vec<Value>) -> Value {
         "mean_fanout": met.mean_fanout,
         "agg_bytes": met.agg_bytes,
         "checksum": met.checksum,
-        "node_queries": node_u64("queries"),
-        "node_lookups": node_u64("lookups"),
-        "node_service_ns": node_u64("service_ns"),
+        "node_queries": node_u64(|n| n.queries),
+        "node_lookups": node_u64(|n| n.run.lookups),
+        "node_service_ns": node_u64(|n| n.run.total_ns),
     })
-}
-
-/// Composes parts + merge so the plain `run` contract ("exactly what
-/// the parts produce") holds by construction.
-fn run_cluster_point(p: &Point) -> Value {
-    let n = p.u64("nodes") as usize;
-    merge_parts(p, (0..n).map(|i| run_part(p, i)).collect())
 }
 
 /// Groups rows by (policy, nodes), preserving grid order (`qps` is the
@@ -358,11 +229,7 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
     },
     points: None,
     run: run_cluster_point,
-    parts: Some(PointParts {
-        count: |p| p.u64("nodes") as usize,
-        run: run_part,
-        merge: merge_parts,
-    }),
+    parts: None,
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
         for ((policy, nodes), group) in curves(rows) {

@@ -22,22 +22,20 @@
 //! column is byte-identical to an un-faulted build of the same
 //! workload — the zero-overhead bar the golden suite pins.
 //!
-//! Points decompose into one sub-point part per node through the same
-//! `ClusterPoint` as `cluster_qps`: parts re-derive the seeded
-//! stream, route it with the liveness-aware router, and return
-//! completion vectors plus the local qids their shedder refused;
-//! `merge` replays the degraded router merge and the exact functional
-//! plane.
+//! Each point is one task through the same single routing pass as
+//! `cluster_qps`: the liveness-aware router pushes into all four nodes
+//! (slow-down scheduled, possibly shedding), and one merge replays the
+//! degraded router merge and the exact functional plane.
 
-use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy};
+use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy, SlsCluster};
 use pifs_core::system::SystemConfig;
 use serde_json::{json, Value};
 use simkit::{FaultSchedule, FaultSpec};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
-use super::cluster::ClusterPoint;
+use super::cluster::saturated;
 use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow};
+use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the cluster family).
@@ -62,9 +60,6 @@ const SLA_US: &str = "8";
 /// trip it.
 const PARTIAL_TIMEOUT_NS: u64 = 100_000;
 
-/// Saturation fraction (see `latency.rs`).
-const SATURATION_FRAC: f64 = 0.90;
-
 /// The p99 SLA of the stable-QPS frontier, ns (same bar as
 /// `cluster_qps`).
 const P99_SLA_NS: f64 = 25_000.0;
@@ -86,7 +81,7 @@ const FAULT_AXIS: [&str; 6] = [
     "link:16000:8",
 ];
 
-fn setup(p: &Point) -> ClusterPoint {
+fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     let m = p.model();
     let qps = p.f64("qps");
     let fault = FaultSpec::parse(p.str("fault")).unwrap_or_else(|e| panic!("param \"fault\": {e}"));
@@ -142,37 +137,20 @@ fn setup(p: &Point) -> ClusterPoint {
         .unwrap_or_else(|_| panic!("param \"replicas\": more than {} rows", u32::MAX));
     cfg.faults = FaultSchedule::generate(fault, fault_seed, NODES, horizon_ns);
     cfg.partial_timeout_ns = Some(PARTIAL_TIMEOUT_NS);
-    ClusterPoint::new(cfg, spec)
+    (cfg, spec)
 }
 
-/// Runs node `part` of the point's cluster on its slowdown-scheduled,
-/// possibly shedding node.
-fn run_part(p: &Point, part: usize) -> Value {
-    let met = setup(p).run_part(part);
+/// Runs the point's cluster: the degraded router merge (failover,
+/// sheds, timeouts, hedges), the exact functional checksum and the
+/// resilience accounting.
+fn run_faults_point(p: &Point) -> Value {
+    let (cfg, spec) = setup(p);
+    let fault_events = cfg.faults.events().len();
+    let met = SlsCluster::new(cfg).run_open_loop_streamed(&mut spec.stream());
     json!({
-        "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
-        "shed_qids": met.shed_qids,
-        "queries": met.queries,
-        "shed": met.shed,
-        "makespan_ns": met.makespan_ns,
-    })
-}
-
-/// Merges the nodes' part values into the point row: the degraded
-/// router merge (failover, sheds, timeouts, hedges) over the completion
-/// vectors, the exact functional checksum and the resilience
-/// accounting.
-fn merge_parts(p: &Point, parts: Vec<Value>) -> Value {
-    let s = setup(p);
-    let (met, routed) = s.merge(&parts);
-
-    let qps = p.f64("qps");
-    let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
-    let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
-    json!({
-        "offered_qps": qps,
+        "offered_qps": p.f64("qps"),
         "achieved_qps": met.achieved_qps(),
-        "saturated": saturated,
+        "saturated": saturated(&met),
         "p50_ns": met.latency.percentile(0.50),
         "p99_ns": met.latency.percentile(0.99),
         "mean_ns": met.latency.mean_ns(),
@@ -192,15 +170,8 @@ fn merge_parts(p: &Point, parts: Vec<Value>) -> Value {
         "mean_fanout": met.mean_fanout,
         "agg_bytes": met.agg_bytes,
         "checksum": met.checksum,
-        "fault_events": s.cfg.faults.events().len(),
+        "fault_events": fault_events,
     })
-}
-
-/// Composes parts + merge so the plain `run` contract holds by
-/// construction.
-fn run_faults_point(p: &Point) -> Value {
-    let n = NODES as usize;
-    merge_parts(p, (0..n).map(|i| run_part(p, i)).collect())
 }
 
 /// A resilience curve's key: (fault, shed, replicas).
@@ -297,11 +268,7 @@ pub static CLUSTER_FAULTS: GridScenario = GridScenario {
     },
     points: None,
     run: run_faults_point,
-    parts: Some(PointParts {
-        count: |_| NODES as usize,
-        run: run_part,
-        merge: merge_parts,
-    }),
+    parts: None,
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
         for ((fault, shed, replicas), group) in curves(rows) {

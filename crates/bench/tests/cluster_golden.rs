@@ -4,8 +4,8 @@
 //! `tests/golden/cluster_qps.jsonl` was captured when the cluster layer
 //! landed. The sweep's JSONL output must stay byte-identical to it for
 //! any runner thread count — the serving determinism bar extended
-//! through the shard router, the per-node sub-point parts, and the
-//! cross-node completion merge. If a change to the *model* legitimately
+//! through the shard router, the nodes' sessions, and the cross-node
+//! completion merge. If a change to the *model* legitimately
 //! alters the numbers, recapture with `repro -- cluster_qps` and say so
 //! in the commit.
 
@@ -62,9 +62,8 @@ fn cluster_qps_subset_rows_match_golden_snapshot() {
 }
 
 /// The cluster sweep is byte-identical across runner thread counts —
-/// rows and summary both. This is the path that exercises the per-node
-/// sub-point parts: at 4 threads different workers simulate different
-/// shards of the same point, and the merge must not care.
+/// rows and summary both: at 4 threads different workers simulate
+/// different points, and no row may depend on which.
 #[test]
 fn cluster_qps_is_thread_count_independent() {
     let scenario = find("cluster_qps").expect("cluster_qps registered");

@@ -169,9 +169,8 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
 
 #[test]
 fn cluster_scenario_rows_are_identical_at_1_and_4_threads() {
-    // The same four golden-subset points, through the sub-point runner:
-    // 4 workers split one point's shards, 1 worker runs them serially —
-    // identical bytes either way.
+    // The same four golden-subset points, through the sweep runner at 1
+    // and 4 workers — identical bytes either way.
     let scenario = find("cluster_qps").expect("cluster_qps registered");
     let all = scenario.points();
     let subset = |_: ()| {

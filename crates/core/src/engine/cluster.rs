@@ -7,11 +7,12 @@
 //! [`ShardPolicy`], and serves any [`TaggedQuerySource`] — a lazy
 //! [`QueryStream`], a [`tracegen::TenantMixStream`], or a materialized
 //! `(Trace, arrivals)` pair through [`TraceArrivals`] — on one path.
-//! [`route_stream`] splits each query's bags into per-shard sub-bags
-//! (recycled buffers; no per-node trace is ever built) and
-//! [`run_node_parts`] pushes every participating shard's share into that
-//! node's open-loop session. [`merge_node_parts`] then merges the
-//! per-node results on two planes:
+//! A run ([`SlsCluster::run_open_loop_streamed`]) builds the placement
+//! once and walks the source once: [`route_stream`] splits each query's
+//! bags into per-shard sub-bags (recycled buffers; no per-node trace is
+//! ever built) and pushes every participating shard's share straight
+//! into that node's open-loop session. [`merge_node_parts`] then merges
+//! the per-node results on two planes:
 //!
 //! * **Timing plane** — a sharded query completes when its last shard's
 //!   response lands at the router: the max over participating shards of
@@ -24,7 +25,8 @@
 //!   [`run_open_loop`](SlsSystem::run_open_loop).
 //! * **Functional plane** — per-shard partial sums are folded in f64
 //!   ([`dlrm::sls::accumulate_row_exact`]) over each shard's owned rows
-//!   in bag order and merged in **fixed shard-index order**. Because
+//!   in bag order — one pass over the bag into a reused `shards × dim`
+//!   scratch — and merged in **fixed shard-index order**. Because
 //!   procedural embedding values are exact multiples of 2⁻²², the f64
 //!   accumulation is exact and therefore associative: the merged
 //!   embeddings and query checksums are bit-identical for *every* shard
@@ -35,11 +37,10 @@
 //! Determinism: routing, per-node simulation and both merge planes are
 //! pure functions of `(config, workload)`. The aggregation link drains
 //! responses in query-id order with shards ascending (the router's
-//! reorder buffer is FIFO), so the timing merge is reproducible
-//! regardless of which worker ran which node — the property that lets
-//! the bench runner fan the per-node sims out as sub-point parts: each
-//! part calls [`run_node_parts`] for its own shard, and the merge calls
-//! [`merge_node_parts`] on the parts' [`NodePart`] views.
+//! reorder buffer is FIFO), so the timing merge depends only on each
+//! node's completions ([`NodePart`]), never on how the node runs were
+//! scheduled. A run is one task: the bench grids keep every core busy
+//! with whole points, so nodes are not split across threads.
 //!
 //! # Resilience
 //!
@@ -394,6 +395,9 @@ pub struct ClusterMetrics {
     pub latency: LatencyHist,
     /// Completion of the last merged response, ns.
     pub makespan_ns: u64,
+    /// Arrival instant of the last offered query, ns (0 when nothing was
+    /// offered): with `queries` it gives the empirical offered rate.
+    pub last_arrival_ns: u64,
     /// Bytes moved over the shared aggregation link (zero when every
     /// query was single-shard).
     pub agg_bytes: u64,
@@ -504,8 +508,10 @@ impl SlsCluster {
     }
 
     /// Serves a query source across the cluster in one routing pass:
-    /// build the placement, push every shard's routed sub-bags into its
-    /// node's open-loop session ([`run_node_parts`]), and merge (timing
+    /// build the placement once, open every node's session (with its
+    /// shard's slow-down windows from [`ClusterConfig::faults`]), walk
+    /// the source once with [`route_stream`] pushing each shard's
+    /// sub-bags into its node, finish the sessions, and merge (timing
     /// plane + exact functional plane, [`merge_node_parts`] — the merge
     /// replays a clone of the source). Tagged sources (a
     /// [`tracegen::TenantMixStream`]) also fill the per-node and merged
@@ -514,7 +520,8 @@ impl SlsCluster {
     /// # Panics
     ///
     /// Panics if `stream` is not at position 0, or as
-    /// [`SlsSystem::open_loop_begin`] would for a degenerate stream.
+    /// [`SlsSystem::open_loop_begin`] would (a degenerate stream, a node
+    /// with a session already open).
     pub fn run_open_loop_streamed<S: TaggedQuerySource>(
         &mut self,
         stream: &mut S,
@@ -526,7 +533,25 @@ impl SlsCluster {
         );
         let placement = ShardPlacement::build_streamed(&self.cfg, stream);
         let replay = stream.clone();
-        let (per_node, routed) = run_node_parts(&self.cfg, &placement, stream, &mut self.nodes, 0);
+        let n_tables = stream.n_tables();
+        for (shard, node) in (0..self.cfg.n_shards).zip(&mut self.nodes) {
+            node.set_slowdowns(self.cfg.faults.slow_intervals(shard));
+            node.open_loop_begin(n_tables, OpenLoopOpts::default());
+        }
+        let nodes = &mut self.nodes;
+        let routed = route_stream(
+            &placement,
+            &self.cfg.faults,
+            stream,
+            |shard, tenant, at, sub| {
+                nodes[shard].open_loop_push_tagged(at, tenant, sub);
+            },
+        );
+        let per_node: Vec<ServingMetrics> = self
+            .nodes
+            .iter_mut()
+            .map(SlsSystem::open_loop_finish)
+            .collect();
         let parts: Vec<NodePart<'_>> = per_node.iter().map(NodePart::from).collect();
         let mut merged = merge_node_parts(&self.cfg, &placement, &replay, &routed, &parts);
         merged.per_node = per_node;
@@ -534,47 +559,8 @@ impl SlsCluster {
     }
 }
 
-/// Runs shards `first_shard..first_shard + nodes.len()` of a cluster
-/// workload: opens a session on each node (with its shard's slow-down
-/// windows from [`ClusterConfig::faults`]), routes `stream` once
-/// ([`route_stream`]) pushing those shards' sub-bags into their nodes,
-/// and finishes the sessions. Returns the nodes' metrics in shard order
-/// plus the routing record the merge keys on.
-///
-/// [`SlsCluster`] passes all its nodes; a sub-point part passes one
-/// fresh node and its own shard index. Either way each node sees
-/// exactly the same pushes, so the results agree bit for bit.
-///
-/// # Panics
-///
-/// Panics as [`SlsSystem::open_loop_begin`] would (a node with a
-/// session already open, a stream wider than the model).
-pub fn run_node_parts<S: TaggedQuerySource>(
-    cfg: &ClusterConfig,
-    placement: &ShardPlacement,
-    stream: &mut S,
-    nodes: &mut [SlsSystem],
-    first_shard: usize,
-) -> (Vec<ServingMetrics>, RoutedStream) {
-    let n_tables = stream.n_tables();
-    for (i, node) in nodes.iter_mut().enumerate() {
-        node.set_slowdowns(cfg.faults.slow_intervals((first_shard + i) as u16));
-        node.open_loop_begin(n_tables, OpenLoopOpts::default());
-    }
-    let routed = route_stream(placement, &cfg.faults, stream, |shard, tenant, at, sub| {
-        if let Some(node) = shard
-            .checked_sub(first_shard)
-            .and_then(|i| nodes.get_mut(i))
-        {
-            node.open_loop_push_tagged(at, tenant, sub);
-        }
-    });
-    let per_node = nodes.iter_mut().map(SlsSystem::open_loop_finish).collect();
-    (per_node, routed)
-}
-
 /// What the merge needs from one node's serving run, borrowed — from a
-/// live [`ServingMetrics`] or from a sub-point part's decoded result.
+/// live [`ServingMetrics`] or from per-shard slices ([`merge_streamed`]).
 #[derive(Debug, Clone, Copy)]
 pub struct NodePart<'a> {
     /// Run-relative completion instant of each local query, local-qid
@@ -626,30 +612,95 @@ pub fn merged_bag_embedding_at(
     table_idx: u32,
     bag: &[u64],
 ) -> Vec<f64> {
-    let dim = table.dim() as usize;
-    let mut route = Vec::new();
-    placement.route_bag_at(table_idx, bag, at, faults, &mut route);
-    let mut merged = vec![0.0f64; dim];
-    let mut partial = vec![0.0f64; dim];
-    for shard in 0..placement.n_shards {
-        if excluded.contains(&shard) {
-            continue;
+    BagMerge::new(placement, faults)
+        .merge(at, excluded, table, table_idx, bag)
+        .to_vec()
+}
+
+/// The one functional-plane fold behind [`merged_bag_embedding_at`] and
+/// [`merge_node_parts`], with reusable scratch: the bag's route, one f64
+/// partial per shard (`shards × dim`, shard-major), which shards folded
+/// a row, and the merged embedding. The buffers grow to the widest bag
+/// and table seen, then never allocate again.
+struct BagMerge<'a> {
+    placement: &'a ShardPlacement,
+    faults: &'a FaultSchedule,
+    route: Vec<u16>,
+    partials: Vec<f64>,
+    folded: Vec<bool>,
+    merged: Vec<f64>,
+}
+
+impl<'a> BagMerge<'a> {
+    fn new(placement: &'a ShardPlacement, faults: &'a FaultSchedule) -> Self {
+        BagMerge {
+            placement,
+            faults,
+            route: Vec::new(),
+            partials: Vec::new(),
+            folded: Vec::new(),
+            merged: Vec::new(),
         }
-        partial.iter_mut().for_each(|v| *v = 0.0);
-        let mut any = false;
-        for (&row, &s) in bag.iter().zip(&route) {
-            if s == shard {
-                dlrm::sls::accumulate_row_exact(&mut partial, table, row, 1.0);
-                any = true;
+    }
+
+    /// The exact merged embedding of `bag` (see
+    /// [`merged_bag_embedding_at`]): one pass over the bag folds every
+    /// served row into its shard's partial, in bag order; then the
+    /// partials of the shards that folded a row merge in shard-index
+    /// order.
+    fn merge(
+        &mut self,
+        at: SimTime,
+        excluded: &[u16],
+        table: &EmbeddingTable,
+        table_idx: u32,
+        bag: &[u64],
+    ) -> &[f64] {
+        let dim = table.dim() as usize;
+        let shards = usize::from(self.placement.n_shards);
+        self.placement
+            .route_bag_at(table_idx, bag, at, self.faults, &mut self.route);
+        self.partials.clear();
+        self.partials.resize(shards * dim, 0.0);
+        self.folded.clear();
+        self.folded.resize(shards, false);
+        for (&row, &shard) in bag.iter().zip(&self.route) {
+            if shard == ShardPlacement::LOST || excluded.contains(&shard) {
+                continue;
             }
+            let s = usize::from(shard);
+            self.folded[s] = true;
+            let partial = &mut self.partials[s * dim..(s + 1) * dim];
+            dlrm::sls::accumulate_row_exact(partial, table, row, 1.0);
         }
-        if any {
-            for (m, p) in merged.iter_mut().zip(&partial) {
+        self.merged.clear();
+        self.merged.resize(dim, 0.0);
+        for (partial, _) in self
+            .partials
+            .chunks_exact(dim)
+            .zip(&self.folded)
+            .filter(|(_, &folded)| folded)
+        {
+            for (m, p) in self.merged.iter_mut().zip(partial) {
                 *m += p;
             }
         }
+        &self.merged
     }
-    merged
+}
+
+/// The latency from query `qid`'s `arrival` to an instant `at` on its
+/// answer path.
+///
+/// # Panics
+///
+/// Panics, naming the query, if `at` precedes the arrival: an answer
+/// before its query is a simulator bug, never a zero latency.
+fn since_arrival(qid: usize, arrival: SimTime, at: SimTime) -> SimDuration {
+    at.as_ns()
+        .checked_sub(arrival.as_ns())
+        .map(SimDuration::from_ns)
+        .unwrap_or_else(|| panic!("query {qid} answered at {at}, before its arrival at {arrival}"))
 }
 
 /// The timing-plane merge: queries in qid order, shards ascending, home
@@ -728,7 +779,7 @@ fn merge_timing(
                     // router still wants them).
                     makespan = makespan.max(landed);
                     match cfg.partial_timeout_ns {
-                        Some(t) if landed.saturating_since(arrival).as_ns() > t => {
+                        Some(t) if since_arrival(qid, arrival, landed).as_ns() > t => {
                             m.timeouts += 1;
                             if routed.hedgeable[s][li] {
                                 // Deterministic hedge: some replica
@@ -771,7 +822,7 @@ fn merge_timing(
                 m.per_tenant[tenant].shed += 1;
             }
             Some(done) => {
-                let latency = done.saturating_since(arrival);
+                let latency = since_arrival(qid, arrival, done);
                 m.latency.record(latency);
                 m.per_tenant[tenant].queries += 1;
                 m.per_tenant[tenant].latency.record(latency);
@@ -789,6 +840,7 @@ fn merge_timing(
         }
     }
     m.makespan_ns = makespan.as_ns();
+    m.last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
     m.agg_bytes = link.total_bytes();
     m.failovers = routed.failovers;
     m.mean_fanout = if routed.arrivals.is_empty() {
@@ -1036,15 +1088,18 @@ where
 /// 1-shard cluster's makespan is *exactly* its node's.
 ///
 /// Functional plane: each query's bags are re-routed at its arrival
-/// instant and merged with [`merged_bag_embedding_at`], skipping the
-/// shed and dropped participations — full-coverage answers are
-/// bit-identical to the fault-free merge, and an entirely unanswered
-/// query checksums to `0.0`.
+/// instant and merged exactly as [`merged_bag_embedding_at`] merges
+/// them, skipping the shed and dropped participations — full-coverage
+/// answers are bit-identical to the fault-free merge, and an entirely
+/// unanswered query checksums to `0.0`. Each bag is folded in one pass
+/// into scratch reused across the whole run, so the merge allocates a
+/// fixed number of times whatever the query count, apart from the one
+/// `query_checksums` vector.
 ///
 /// # Panics
 ///
-/// Panics if the routed and part shapes disagree, or if `stream` is not
-/// at position 0.
+/// Panics if the routed and part shapes disagree, if `stream` is not at
+/// position 0, or if a completion precedes its query's arrival.
 pub fn merge_node_parts<S: TaggedQuerySource>(
     cfg: &ClusterConfig,
     placement: &ShardPlacement,
@@ -1068,6 +1123,7 @@ pub fn merge_node_parts<S: TaggedQuerySource>(
     let excluded = merge_timing(cfg, routed, parts, &mut m);
     let tables = functional_tables(&cfg.node.model);
     let mut replay = stream.clone();
+    let mut fold = BagMerge::new(placement, &cfg.faults);
     let mut cursor = 0usize;
     let mut skip: Vec<u16> = Vec::new();
     m.query_checksums = (0..routed.arrivals.len())
@@ -1083,19 +1139,11 @@ pub fn merge_node_parts<S: TaggedQuerySource>(
             }
             tables
                 .iter()
-                .enumerate()
-                .map(|(t, table)| {
-                    merged_bag_embedding_at(
-                        placement,
-                        &cfg.faults,
-                        at,
-                        &skip,
-                        table,
-                        t as u32,
-                        replay.bag(t as u32),
-                    )
-                    .iter()
-                    .sum::<f64>()
+                .zip(0u32..)
+                .map(|(table, t)| {
+                    fold.merge(at, &skip, table, t, replay.bag(t))
+                        .iter()
+                        .sum::<f64>()
                 })
                 .sum()
         })
@@ -1189,6 +1237,34 @@ mod tests {
         // A bag of only the replicated row falls back to its owner.
         p.route_bag(0, &[7], &mut route);
         assert_eq!(route, [p.owner(0, 7)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "query 1 answered at 40 ns, before its arrival at 50 ns")]
+    fn completion_before_arrival_names_the_query() {
+        let cfg = ClusterConfig::new(
+            1,
+            ShardPolicy::RowHash,
+            SystemConfig::pifs_rec(dlrm::ModelConfig::rmc1()),
+        );
+        let routed = RoutedStream {
+            arrivals: vec![SimTime::from_ns(10), SimTime::from_ns(50)],
+            qids: vec![vec![0, 1]],
+            touched: vec![vec![1, 1]],
+            lookups: vec![vec![1, 1]],
+            hedgeable: vec![vec![false, false]],
+            total_lookups: vec![1, 1],
+            lost_lookups: vec![0, 0],
+            tenants: vec![0, 0],
+            ..RoutedStream::default()
+        };
+        let completion = [SimTime::from_ns(30), SimTime::from_ns(40)];
+        let part = NodePart {
+            completion: &completion,
+            shed_qids: &[],
+            makespan_ns: 40,
+        };
+        merge_timing(&cfg, &routed, &[part], &mut ClusterMetrics::default());
     }
 
     /// One routed sub-query as the sink saw it: `(shard, arrival,

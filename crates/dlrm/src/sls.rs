@@ -249,6 +249,12 @@ pub fn accumulate_row_scalar(acc: &mut [f32], table: &EmbeddingTable, row: u64, 
 /// the fixed shard-index merge order is belt and suspenders, not a
 /// correctness requirement.
 ///
+/// The values come from the materialized row store when the table has
+/// one, and otherwise in [`EmbeddingTable::value_block`] chunks on a
+/// stack buffer — both bit-identical to elementwise
+/// [`EmbeddingTable::value`] calls on every lane tier, so the sums are
+/// too (`tests/exact_fold.rs` asserts this under every forced tier).
+///
 /// # Panics
 ///
 /// Panics if `acc.len()` differs from the table dimension or `row` is
@@ -259,8 +265,25 @@ pub fn accumulate_row_exact(acc: &mut [f64], table: &EmbeddingTable, row: u64, w
         table.dim() as usize,
         "accumulator width must match the table dimension"
     );
-    for (e, slot) in acc.iter_mut().enumerate() {
-        *slot += f64::from(w * table.value(row, e as u32));
+    match table.row_slice(row) {
+        Some(vals) => fold_exact(acc, vals, w),
+        None => {
+            let mut buf = [0.0f32; PROC_BLOCK];
+            for (e0, chunk) in (0u32..).step_by(PROC_BLOCK).zip(acc.chunks_mut(PROC_BLOCK)) {
+                let vals = &mut buf[..chunk.len()];
+                table.value_block(row, e0, vals);
+                fold_exact(chunk, vals, w);
+            }
+        }
+    }
+}
+
+/// The exact fold step: `acc[e] += f64(w * v[e])` — one f32 rounding
+/// per product, then an exact f64 addition.
+#[inline]
+fn fold_exact(acc: &mut [f64], vals: &[f32], w: f32) {
+    for (slot, &v) in acc.iter_mut().zip(vals) {
+        *slot += f64::from(w * v);
     }
 }
 

@@ -1,0 +1,92 @@
+//! The exact f64 fold ([`accumulate_row_exact`]) against the elementwise
+//! [`EmbeddingTable::value`] reference, bit for bit.
+//!
+//! The fold reads a materialized table's row store and streams an
+//! over-cap table's values through `value_block`, whose AVX2 variant is
+//! chosen by the process-wide lane dispatch. That dispatch is fixed at
+//! first use from [`LANES_ENV`], so [`every_forced_tier_matches`] re-runs
+//! this binary's proptest in one child process per forced tier.
+
+use dlrm::embedding::MATERIALIZE_CAP_BYTES;
+use dlrm::sls::accumulate_row_exact;
+use dlrm::sls::simd::{dispatched_width, parse_lane_override, LANES_ENV};
+use dlrm::EmbeddingTable;
+use proptest::prelude::*;
+
+/// The proptest the forced-tier runs repeat.
+const PROPTEST: &str = "prop_exact_fold_matches_elementwise_values";
+
+/// The reference: one `value()` call per element.
+fn fold_elementwise(acc: &mut [f64], table: &EmbeddingTable, row: u64, w: f32) {
+    for (e, slot) in (0u32..).zip(acc.iter_mut()) {
+        *slot += f64::from(w * table.value(row, e));
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    /// Materialized and over-cap tables, dims 1..=256 (most of them not
+    /// multiples of the 8-lane or 64-element blocks), unit weights and
+    /// weights on the 2⁻¹⁰ grid in [-4, 4).
+    #[test]
+    fn prop_exact_fold_matches_elementwise_values(
+        dim in 1u32..257,
+        indices in proptest::collection::vec(0u64..64, 1..16),
+        wticks in proptest::collection::vec(0u32..8192, 16..17),
+    ) {
+        if let Ok(forced) = std::env::var(LANES_ENV) {
+            prop_assert_eq!(Ok(dispatched_width()), parse_lane_override(&forced));
+        }
+        let weights: Vec<f32> = wticks.iter().map(|&t| t as f32 / 1024.0 - 4.0).collect();
+        let over_cap_rows = MATERIALIZE_CAP_BYTES / (4 * u64::from(dim)) + 1;
+        let materialized = EmbeddingTable::new(7, 64, dim, 0);
+        let over_cap = EmbeddingTable::new(7, over_cap_rows, dim, 0);
+        prop_assert!(materialized.is_materialized());
+        prop_assert!(!over_cap.is_materialized());
+        for table in [&materialized, &over_cap] {
+            for weighted in [false, true] {
+                let mut got = vec![0.0f64; dim as usize];
+                let mut want = vec![0.0f64; dim as usize];
+                for (&row, &w) in indices.iter().zip(&weights) {
+                    let w = if weighted { w } else { 1.0 };
+                    accumulate_row_exact(&mut got, table, row, w);
+                    fold_elementwise(&mut want, table, row, w);
+                }
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "dim {}, weighted {}, materialized {}",
+                    dim,
+                    weighted,
+                    table.is_materialized()
+                );
+            }
+        }
+    }
+}
+
+/// Re-runs the proptest with each tier forced through [`LANES_ENV`].
+/// Skipped inside such a run (the variable is already set there).
+#[test]
+fn every_forced_tier_matches() {
+    if std::env::var_os(LANES_ENV).is_some() {
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    for tier in ["scalar", "4", "8"] {
+        let out = std::process::Command::new(&exe)
+            .args(["--exact", PROPTEST, "--test-threads", "1"])
+            .env(LANES_ENV, tier)
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "exact fold under {LANES_ENV}={tier} failed:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
