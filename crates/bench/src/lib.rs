@@ -49,18 +49,30 @@ pub fn meta_distribution() -> Distribution {
     }
 }
 
-/// Builds a trace for `model` with the standard dimensions.
-pub fn std_trace(model: &ModelConfig, dist: Distribution, batch_size: u32, batches: u32) -> Trace {
+/// The trace recipe for `model`: `n_batches` batches of `batch_size`
+/// samples drawn from `dist` over the model's whole row space, with the
+/// model's bag size, seeded with `seed`.
+pub(crate) fn trace_spec(
+    model: &ModelConfig,
+    dist: Distribution,
+    batch_size: u32,
+    n_batches: u32,
+    seed: u64,
+) -> TraceSpec {
     TraceSpec {
         distribution: dist,
         n_tables: model.n_tables,
         rows_per_table: model.emb_num,
         batch_size,
-        n_batches: batches,
+        n_batches,
         bag_size: model.bag_size,
-        seed: SEED,
+        seed,
     }
-    .generate()
+}
+
+/// Builds a trace for `model` with the standard dimensions.
+pub fn std_trace(model: &ModelConfig, dist: Distribution, batch_size: u32, batches: u32) -> Trace {
+    trace_spec(model, dist, batch_size, batches, SEED).generate()
 }
 
 /// Scales buffer capacities down with the model so cache-to-footprint

@@ -29,10 +29,10 @@
 
 use pifs_core::system::{OpenLoopOpts, SlsSystem};
 use serde_json::{json, Map, Value};
-use tracegen::{ArrivalProcess, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec};
+use tracegen::{ArrivalProcess, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, TraceSpec};
 
-use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
+use super::stability::{self, saturated, serving_workload, MAX_WAIT_US, P99_SLA_NS};
+use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Batches per point: 4x the family standard. The load controller
@@ -44,17 +44,6 @@ const ADAPT_BATCHES: u32 = 4 * STD_BATCHES;
 
 /// Queries per point.
 const SERVE_QUERIES: usize = (ADAPT_BATCHES * STD_BATCH_SIZE) as usize;
-
-/// Batcher max-wait, µs (the family floor — see `latency.rs`).
-const MAX_WAIT_US: &str = "10";
-
-/// Saturation rule: offered arrivals span less than this fraction of
-/// the makespan ⇒ the engine, not the arrival process, is pacing.
-const SATURATION_FRAC: f64 = 0.90;
-
-/// The p99 SLA of the under-SLA frontier, ns (the bench family's 25 µs
-/// bar, matching the cluster scenarios and the controller default).
-const P99_SLA_NS: f64 = 25_000.0;
 
 /// The latency-critical tenant's share of the `mix` traffic (the
 /// batch-class backfill tenant carries the rest).
@@ -88,30 +77,20 @@ pub fn parse_traffic(spec: &str, qps: f64) -> Result<Traffic, String> {
 
 /// The canned `mix` tenants at a total offered rate: a latency-critical
 /// Poisson rank tenant at [`RANK_FRAC`] of the rate and a bursty
-/// batch-class backfill tenant at the rest, both seeded from the
-/// point's workload seeds so the mix is identical across controllers.
-fn mix_tenants(
-    m: &dlrm::ModelConfig,
-    qps: f64,
-    trace_seed: u64,
-    arrival_seed: u64,
-) -> Vec<TenantSpec> {
-    let trace = |n_batches: u32, seed: u64| tracegen::TraceSpec {
-        distribution: crate::meta_distribution(),
-        n_tables: m.n_tables,
-        rows_per_table: m.emb_num,
-        batch_size: STD_BATCH_SIZE,
-        n_batches,
-        bag_size: m.bag_size,
-        seed,
-    };
+/// batch-class backfill tenant at the rest, both derived from the
+/// point's workload (`trace`, `ADAPT_BATCHES` long, and the arrival
+/// seed) so the mix is identical across controllers.
+fn mix_tenants(trace: TraceSpec, qps: f64, arrival_seed: u64) -> Vec<TenantSpec> {
     let rank_batches = (ADAPT_BATCHES as f64 * RANK_FRAC).round() as u32;
     vec![
         TenantSpec {
             name: "rank".to_string(),
             qos: QosClass::LatencyCritical,
             stream: QueryStreamSpec {
-                trace: trace(rank_batches, trace_seed),
+                trace: TraceSpec {
+                    n_batches: rank_batches,
+                    ..trace
+                },
                 arrival: ArrivalProcess::Poisson {
                     qps: qps * RANK_FRAC,
                 },
@@ -122,7 +101,11 @@ fn mix_tenants(
             name: "backfill".to_string(),
             qos: QosClass::Batch,
             stream: QueryStreamSpec {
-                trace: trace(ADAPT_BATCHES - rank_batches, trace_seed ^ 0x6261_636b),
+                trace: TraceSpec {
+                    n_batches: ADAPT_BATCHES - rank_batches,
+                    seed: trace.seed ^ 0x6261_636b,
+                    ..trace
+                },
                 arrival: ArrivalProcess::Bursty {
                     qps: qps * (1.0 - RANK_FRAC),
                     burst: 0.8,
@@ -152,36 +135,19 @@ fn run_adaptive_point(p: &Point) -> Value {
     // Same queries for every point of a model; same timestamps for
     // every controller at a given (traffic, qps) — the controller must
     // never leak into the workload seeds.
-    let trace_seed = workload_seed(crate::SEED, &[p.get("model").expect("model param")]);
-    let arrival_seed = workload_seed(
-        crate::SEED,
-        &[
-            p.get("model").expect("model param"),
-            p.get("traffic").expect("traffic param"),
-            p.get("qps").expect("qps param"),
-        ],
-    );
-    cfg.seed = trace_seed;
+    let (trace, arrival_seed) = serving_workload(p, &m, ADAPT_BATCHES, Some("traffic"));
+    cfg.seed = trace.seed;
 
     let (met, last_arrival_ns, per_tenant) = match traffic {
         Traffic::Single(process) => {
-            let trace = tracegen::TraceSpec {
-                distribution: crate::meta_distribution(),
-                n_tables: m.n_tables,
-                rows_per_table: m.emb_num,
-                batch_size: STD_BATCH_SIZE,
-                n_batches: ADAPT_BATCHES,
-                bag_size: m.bag_size,
-                seed: trace_seed,
-            }
-            .generate();
+            let trace = trace.generate();
             let arrivals = process.times(SERVE_QUERIES, arrival_seed);
             let last = arrivals.last().map_or(0, |t| t.as_ns());
             let met = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
             (met, last, Vec::new())
         }
         Traffic::Mix => {
-            let specs = mix_tenants(&m, qps, trace_seed, arrival_seed);
+            let specs = mix_tenants(trace, qps, arrival_seed);
             // The mix's arrival envelope, replayed cheaply (timestamps
             // only) for the saturation rule.
             let last = specs
@@ -196,7 +162,7 @@ fn run_adaptive_point(p: &Point) -> Value {
                 .max()
                 .unwrap_or(0);
             let mut mix = TenantMixStream::new(specs);
-            let met = SlsSystem::new(cfg).run_open_loop_mix(
+            let met = SlsSystem::new(cfg).run_open_loop_streamed(
                 &mut mix,
                 OpenLoopOpts {
                     record_completion: false,
@@ -224,13 +190,10 @@ fn run_adaptive_point(p: &Point) -> Value {
         }
     };
 
-    let achieved = met.achieved_qps();
-    // saturated ⇔ arrival span < SATURATION_FRAC × makespan.
-    let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
     json!({
         "offered_qps": qps,
-        "achieved_qps": achieved,
-        "saturated": saturated,
+        "achieved_qps": met.achieved_qps(),
+        "saturated": saturated(last_arrival_ns, met.makespan_ns),
         "p50_ns": met.latency.percentile(0.50),
         "p95_ns": met.latency.percentile(0.95),
         "p99_ns": met.latency.percentile(0.99),
@@ -401,10 +364,28 @@ mod tests {
             .contains("unknown arrival process"));
     }
 
+    /// A `latency_adaptive` point of the mix traffic.
+    fn mix_point(controller: &str, qps: u64) -> Point {
+        let str = |v: &str| crate::scenario::ParamValue::Str(v.to_string());
+        Point::new(
+            0,
+            0,
+            vec![
+                ("model".to_string(), str("RMC1")),
+                ("scheme".to_string(), str("PIFS-Rec")),
+                ("controller".to_string(), str(controller)),
+                ("traffic".to_string(), str("mix")),
+                ("qps".to_string(), crate::scenario::ParamValue::U64(qps)),
+            ],
+        )
+    }
+
     #[test]
     fn mix_tenants_split_the_rate_and_the_batches() {
-        let m = dlrm::ModelConfig::by_name("RMC1").expect("RMC1");
-        let specs = mix_tenants(&m, 1_000_000.0, 7, 11);
+        let p = mix_point("fixed", 1_000_000);
+        let (trace, arrival_seed) =
+            serving_workload(&p, &p.model(), ADAPT_BATCHES, Some("traffic"));
+        let specs = mix_tenants(trace, 1_000_000.0, arrival_seed);
         assert_eq!(specs.len(), 2);
         assert_eq!(specs[0].qos, QosClass::LatencyCritical);
         assert_eq!(specs[1].qos, QosClass::Batch);
@@ -422,12 +403,19 @@ mod tests {
 
     #[test]
     fn mix_workload_is_identical_across_controllers() {
-        // The controller axis must not leak into the workload: the
-        // tenants are a pure function of (model, qps, seeds).
-        let m = dlrm::ModelConfig::by_name("RMC1").expect("RMC1");
-        assert_eq!(
-            mix_tenants(&m, 2_000_000.0, 3, 5),
-            mix_tenants(&m, 2_000_000.0, 3, 5)
-        );
+        // The controller axis must not leak into the workload: every
+        // controller's point derives the same tenants, and a different
+        // rate does not.
+        let tenants = |controller: &str, qps: u64| {
+            let p = mix_point(controller, qps);
+            let (trace, arrival_seed) =
+                serving_workload(&p, &p.model(), ADAPT_BATCHES, Some("traffic"));
+            mix_tenants(trace, qps as f64, arrival_seed)
+        };
+        let fixed = tenants("fixed", 2_000_000);
+        for controller in ["load", "epoch", "adaptive"] {
+            assert_eq!(tenants(controller, 2_000_000), fixed, "{controller}");
+        }
+        assert_ne!(tenants("fixed", 4_000_000), fixed);
     }
 }

@@ -23,31 +23,17 @@
 //! its node, and one merge. The 32-point grid keeps every core busy
 //! without splitting a point's nodes across threads.
 
-use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
+use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy, SlsCluster};
 use pifs_core::system::{ServingMetrics, SystemConfig};
 use serde_json::{json, Value};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
-use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
+use super::stability::{self, empirical_qps, saturated, serving_workload, MAX_WAIT_US, P99_SLA_NS};
+use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the `latency_qps` family).
 const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
-
-/// Batcher max-wait, µs (same floor as `latency_qps`).
-const MAX_WAIT_US: &str = "10";
-
-/// Saturation fraction (see `latency.rs`): achieved below this fraction
-/// of the empirical offered rate marks the cluster as saturated.
-const SATURATION_FRAC: f64 = 0.90;
-
-/// The p99 SLA the capacity-planning summary answers against, ns. Set
-/// at 2× the scaled-RMC1 single-node batching floor (p99 ≈ 11–12 µs at
-/// light load with the 10 µs max-wait), so a cell meets the SLA only
-/// while queueing delay stays comparable to the batching delay — the
-/// pre-knee regime.
-const P99_SLA_NS: f64 = 25_000.0;
 
 /// Queries per second one active user generates (feed refreshes ×
 /// candidates ranked); used only to convert fleet TCO into the
@@ -60,12 +46,6 @@ const QUERIES_PER_SEC_PER_USER: f64 = 20.0;
 /// RMC1), and rates only multi-node fleets can absorb (32 M, 128 M).
 fn qps_axis() -> ParamSpec {
     ParamSpec::u64s("qps", [2_000_000, 8_000_000, 32_000_000, 128_000_000])
-}
-
-/// Whether the run fell behind its offered load: the last arrival came
-/// before [`SATURATION_FRAC`] of the makespan.
-pub(super) fn saturated(met: &ClusterMetrics) -> bool {
-    (met.last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64
 }
 
 fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
@@ -85,26 +65,10 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
 
     // Same queries for every point of a model; same timestamps for
     // every (nodes, policy) cell at a given (arrival, qps).
-    let trace_seed = workload_seed(crate::SEED, &[p.get("model").expect("model param")]);
-    let arrival_seed = workload_seed(
-        crate::SEED,
-        &[
-            p.get("model").expect("model param"),
-            p.get("arrival").expect("arrival param"),
-            p.get("qps").expect("qps param"),
-        ],
-    );
-    node.seed = trace_seed;
+    let (trace, arrival_seed) = serving_workload(p, &m, STD_BATCHES, Some("arrival"));
+    node.seed = trace.seed;
     let spec = QueryStreamSpec {
-        trace: tracegen::TraceSpec {
-            distribution: crate::meta_distribution(),
-            n_tables: m.n_tables,
-            rows_per_table: m.emb_num,
-            batch_size: STD_BATCH_SIZE,
-            n_batches: STD_BATCHES,
-            bag_size: m.bag_size,
-            seed: trace_seed,
-        },
+        trace,
         arrival: process,
         arrival_seed,
     };
@@ -120,13 +84,9 @@ fn run_cluster_point(p: &Point) -> Value {
     let node_u64 = |f: fn(&ServingMetrics) -> u64| met.per_node.iter().map(f).collect::<Vec<u64>>();
     json!({
         "offered_qps": p.f64("qps"),
-        "empirical_qps": if met.last_arrival_ns == 0 {
-            0.0
-        } else {
-            met.queries as f64 * 1e9 / met.last_arrival_ns as f64
-        },
+        "empirical_qps": empirical_qps(met.queries, met.last_arrival_ns),
         "achieved_qps": met.achieved_qps(),
-        "saturated": saturated(&met),
+        "saturated": saturated(met.last_arrival_ns, met.makespan_ns),
         "p50_ns": met.latency.percentile(0.50),
         "p95_ns": met.latency.percentile(0.95),
         "p99_ns": met.latency.percentile(0.99),

@@ -15,7 +15,7 @@
 //!
 //! * **Bounded memory** — the workload is never materialized. Each
 //!   point streams a seeded [`QueryStreamSpec`] through
-//!   [`run_open_loop_stream`](pifs_core::system::SlsSystem::run_open_loop_stream)-style
+//!   [`run_open_loop_streamed`](pifs_core::system::SlsSystem::run_open_loop_streamed)-style
 //!   push sessions with completion recording off, so a minute of
 //!   traffic costs O(batch) heap, not O(trace)
 //!   (`pifs-core/tests/alloc_bounded.rs` is the guard).
@@ -45,11 +45,9 @@ use pifs_core::SimCheckpoint;
 use serde_json::{json, Value};
 use tracegen::{ArrivalProcess, QueryStream, QueryStreamSpec};
 
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
+use super::stability::{serving_workload, MAX_WAIT_US};
+use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCH_SIZE};
-
-/// Batcher max-wait, µs (the family floor — see `latency.rs`).
-const MAX_WAIT_US: &str = "10";
 
 /// Arrival-window width for the per-second latency series, ns.
 const WINDOW_NS: u64 = 1_000_000_000;
@@ -99,31 +97,15 @@ fn run_diurnal_point(p: &Point) -> Value {
     cfg.apply_knob("serving.max_wait_us", MAX_WAIT_US)
         .expect("max_wait_us knob");
 
-    let trace_seed = workload_seed(crate::SEED, &[p.get("model").expect("model param")]);
-    let arrival_seed = workload_seed(
-        crate::SEED,
-        &[
-            p.get("model").expect("model param"),
-            p.get("arrival").expect("arrival param"),
-            p.get("qps").expect("qps param"),
-        ],
-    );
-    cfg.seed = trace_seed;
-
     // One stream recipe per workload, sized for the longest duration;
     // this point serves the first `n_push` queries of it.
     let max_queries = (qps as u64) * MAX_DURATION_S;
     let n_push = (qps as u64) * duration_s;
+    let n_batches = max_queries.div_ceil(STD_BATCH_SIZE as u64) as u32;
+    let (trace, arrival_seed) = serving_workload(p, &m, n_batches, Some("arrival"));
+    cfg.seed = trace.seed;
     let spec = QueryStreamSpec {
-        trace: tracegen::TraceSpec {
-            distribution: crate::meta_distribution(),
-            n_tables: m.n_tables,
-            rows_per_table: m.emb_num,
-            batch_size: STD_BATCH_SIZE,
-            n_batches: max_queries.div_ceil(STD_BATCH_SIZE as u64) as u32,
-            bag_size: m.bag_size,
-            seed: trace_seed,
-        },
+        trace,
         arrival: process,
         arrival_seed,
     };

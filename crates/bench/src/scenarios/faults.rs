@@ -33,8 +33,7 @@ use serde_json::{json, Value};
 use simkit::{FaultSchedule, FaultSpec};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
-use super::cluster::saturated;
-use super::stability;
+use super::stability::{self, saturated, serving_workload, MAX_WAIT_US, P99_SLA_NS};
 use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
@@ -44,9 +43,6 @@ const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
 /// Fleet size. Fixed: the resilience axes are the sweep, not scale-out
 /// (that is `cluster_qps`).
 const NODES: u16 = 4;
-
-/// Batcher max-wait, µs (same floor as the latency/cluster families).
-const MAX_WAIT_US: &str = "10";
 
 /// Deadline the SLA-aware shedder refuses work against, µs. Tighter
 /// than the frontier's p99 bar ([`P99_SLA_NS`]): a query is refused
@@ -59,10 +55,6 @@ const SLA_US: &str = "8";
 /// above the healthy merge tail, so only fault-stretched partials
 /// trip it.
 const PARTIAL_TIMEOUT_NS: u64 = 100_000;
-
-/// The p99 SLA of the stable-QPS frontier, ns (same bar as
-/// `cluster_qps`).
-const P99_SLA_NS: f64 = 25_000.0;
 
 /// Availability floor of the frontier: a cell must answer at least
 /// this fraction of offered queries at full coverage to count as
@@ -99,14 +91,7 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     // Same queries for every point of a model; same timestamps for
     // every (fault, shed, replicas) cell at a given qps; same fault
     // events for every (shed, replicas, qps) cell of a fault row.
-    let trace_seed = workload_seed(crate::SEED, &[p.get("model").expect("model param")]);
-    let arrival_seed = workload_seed(
-        crate::SEED,
-        &[
-            p.get("model").expect("model param"),
-            p.get("qps").expect("qps param"),
-        ],
-    );
+    let (trace, arrival_seed) = serving_workload(p, &m, STD_BATCHES, None);
     let fault_seed = workload_seed(
         crate::SEED,
         &[
@@ -114,17 +99,9 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
             p.get("fault").expect("fault param"),
         ],
     );
-    node.seed = trace_seed;
+    node.seed = trace.seed;
     let spec = QueryStreamSpec {
-        trace: tracegen::TraceSpec {
-            distribution: crate::meta_distribution(),
-            n_tables: m.n_tables,
-            rows_per_table: m.emb_num,
-            batch_size: STD_BATCH_SIZE,
-            n_batches: STD_BATCHES,
-            bag_size: m.bag_size,
-            seed: trace_seed,
-        },
+        trace,
         arrival: process,
         arrival_seed,
     };
@@ -150,7 +127,7 @@ fn run_faults_point(p: &Point) -> Value {
     json!({
         "offered_qps": p.f64("qps"),
         "achieved_qps": met.achieved_qps(),
-        "saturated": saturated(&met),
+        "saturated": saturated(met.last_arrival_ns, met.makespan_ns),
         "p50_ns": met.latency.percentile(0.50),
         "p99_ns": met.latency.percentile(0.99),
         "mean_ns": met.latency.mean_ns(),

@@ -25,27 +25,13 @@ use pifs_core::system::SlsSystem;
 use serde_json::{json, Value};
 use tracegen::ArrivalProcess;
 
-use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, ResultRow};
+use super::stability::{self, empirical_qps, saturated, serving_workload, MAX_WAIT_US};
+use crate::scenario::{GridScenario, ParamSpec, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (the standard closed-loop sample count, so
 /// runtimes match the fig12 grids).
 const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
-
-/// Default batcher max-wait for this family, µs. Far below the default
-/// 50 µs so the low-load batching floor sits well under the queueing
-/// delays the sweep exists to expose.
-const DEFAULT_MAX_WAIT_US: &str = "10";
-
-/// An achieved rate below this fraction of the *empirical* offered
-/// rate (queries over the realized arrival span, not the nominal
-/// process rate — Poisson spans vary several percent at these stream
-/// lengths) marks saturation. Equivalently: the engine needed more
-/// than `1/0.90` of the arrival span to drain everything. The 10 %
-/// slack absorbs the constant drain tail (one max-wait plus one batch
-/// service) that short streams would otherwise misreport as overload.
-const SATURATION_FRAC: f64 = 0.90;
 
 /// The offered-load axis, queries per second. Spans the batching floor
 /// (0.25 M), every scheme's saturation knee (3–15 M), and deep
@@ -72,7 +58,7 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
     cfg.apply_knob(
         "serving.max_wait_us",
         &p.get("max_wait_us")
-            .map_or_else(|| DEFAULT_MAX_WAIT_US.to_string(), |v| v.to_string()),
+            .map_or_else(|| MAX_WAIT_US.to_string(), |v| v.to_string()),
     )
     .expect("max_wait_us knob");
     if let Some(v) = p.get("batch_size") {
@@ -82,42 +68,18 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
 
     // Same queries for every point of a model; same timestamps for
     // every scheme/knob at a given (arrival, qps).
-    let trace_seed = workload_seed(crate::SEED, &[p.get("model").expect("model param")]);
-    let arrival_seed = workload_seed(
-        crate::SEED,
-        &[
-            p.get("model").expect("model param"),
-            p.get("arrival").expect("arrival param"),
-            p.get("qps").expect("qps param"),
-        ],
-    );
-    cfg.seed = trace_seed;
-    let trace = tracegen::TraceSpec {
-        distribution: crate::meta_distribution(),
-        n_tables: m.n_tables,
-        rows_per_table: m.emb_num,
-        batch_size: STD_BATCH_SIZE,
-        n_batches: STD_BATCHES,
-        bag_size: m.bag_size,
-        seed: trace_seed,
-    }
-    .generate();
+    let (trace, arrival_seed) = serving_workload(p, &m, STD_BATCHES, Some("arrival"));
+    cfg.seed = trace.seed;
+    let trace = trace.generate();
     let arrivals = process.times(SERVE_QUERIES, arrival_seed);
 
     let last_arrival_ns = arrivals.last().map_or(0, |t| t.as_ns());
     let met = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
-    let achieved = met.achieved_qps();
-    // saturated ⇔ arrival span < SATURATION_FRAC × makespan.
-    let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
     json!({
         "offered_qps": qps,
-        "empirical_qps": if last_arrival_ns == 0 {
-            0.0
-        } else {
-            met.queries as f64 * 1e9 / last_arrival_ns as f64
-        },
-        "achieved_qps": achieved,
-        "saturated": saturated,
+        "empirical_qps": empirical_qps(met.queries, last_arrival_ns),
+        "achieved_qps": met.achieved_qps(),
+        "saturated": saturated(last_arrival_ns, met.makespan_ns),
         "p50_ns": met.latency.percentile(0.50),
         "p95_ns": met.latency.percentile(0.95),
         "p99_ns": met.latency.percentile(0.99),
@@ -154,8 +116,9 @@ fn curves(rows: &[ResultRow]) -> Vec<(String, Vec<&ResultRow>)> {
 
 /// Summarizes one group of rows (ascending qps) into a curve object
 /// with knee detection: the knee is the first offered rate whose row is
-/// flagged `saturated` (arrival span under [`SATURATION_FRAC`] of the
-/// makespan — see that constant) or whose p99 exceeds twice the
+/// flagged `saturated` (arrival span under
+/// [`SATURATION_FRAC`](stability::SATURATION_FRAC) of the makespan —
+/// see that constant) or whose p99 exceeds twice the
 /// lowest-load p99, whichever the sweep hits first. Degenerate groups
 /// (single-point or fully saturated sweeps) report honest `null`s —
 /// see [`stability`].

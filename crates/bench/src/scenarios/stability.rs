@@ -1,15 +1,23 @@
-//! Shared saturation-knee / stable-throughput detection for the
-//! open-loop sweep summaries.
+//! The serving families' shared recipe and saturation-knee /
+//! stable-throughput detection.
 //!
-//! The `latency_qps`, `cluster_qps`, `cluster_faults` and
-//! `latency_adaptive` summaries all reduce an ascending-qps curve to
-//! the same two headline numbers, and each used to carry its own copy
-//! of the arithmetic — with the same blind spots: a single-point sweep
-//! (`--param qps=X`) "detected" a knee at its only point, and an
-//! all-saturated sweep reported `max_stable_qps: 0.0` as if the system
-//! had a measured zero-throughput operating point. This module is the
-//! one shared implementation, with honest `None`s for the degenerate
-//! sweeps (serialized as JSON `null` by the summaries):
+//! The `latency_qps`/`latency_wait`, `latency_adaptive`,
+//! `latency_diurnal`, `cluster_qps` and `cluster_faults` scenarios
+//! serve one workload recipe and judge it by one set of rules; this
+//! module holds both, so the families cannot drift apart:
+//!
+//! * the batcher floor `MAX_WAIT_US`, the saturation rule
+//!   (`SATURATION_FRAC`, `saturated`, `empirical_qps`) and the p99 SLA
+//!   `P99_SLA_NS`;
+//! * `serving_workload` — a point's trace recipe and arrival seed,
+//!   derived so points differing only in engine knobs serve the
+//!   identical workload.
+//!
+//! The summaries reduce an ascending-qps curve to the same two headline
+//! numbers, with honest `None`s for the degenerate sweeps (serialized
+//! as JSON `null`): a single-point sweep (`--param qps=X`) has no knee,
+//! and an all-saturated sweep has no stable operating point — not a
+//! measured zero-throughput one:
 //!
 //! * [`knee_qps`] — the first offered rate where the curve leaves the
 //!   stable regime. `None` when the sweep cannot establish one: fewer
@@ -18,8 +26,86 @@
 //! * [`max_stable_qps`] — the best rate among stable points. `None`
 //!   when no point is stable at all.
 
-use crate::scenario::ResultRow;
+use dlrm::ModelConfig;
 use serde_json::Value;
+use tracegen::TraceSpec;
+
+use crate::scenario::{workload_seed, Point, ResultRow};
+use crate::STD_BATCH_SIZE;
+
+/// Batcher max-wait of every serving family, µs. Far below the engine
+/// default of 50 µs, so the low-load batching floor sits well under the
+/// queueing delays the sweeps exist to expose.
+pub(crate) const MAX_WAIT_US: &str = "10";
+
+/// An achieved rate below this fraction of the *empirical* offered
+/// rate (queries over the realized arrival span, not the nominal
+/// process rate — Poisson spans vary several percent at these stream
+/// lengths) marks saturation. Equivalently: the engine needed more
+/// than `1/0.90` of the arrival span to drain everything. The 10 %
+/// slack absorbs the constant drain tail (one max-wait plus one batch
+/// service) that short streams would otherwise misreport as overload.
+pub(crate) const SATURATION_FRAC: f64 = 0.90;
+
+/// The p99 SLA of the under-SLA frontiers and the capacity plan, ns. Set
+/// at 2× the scaled-RMC1 single-node batching floor (p99 ≈ 11–12 µs at
+/// light load with the [`MAX_WAIT_US`] floor), so a point meets the SLA
+/// only while queueing delay stays comparable to the batching delay —
+/// the pre-knee regime. The engine's default `serving.sla_us` matches.
+pub(crate) const P99_SLA_NS: f64 = 25_000.0;
+
+/// A serving point's workload for `model` (the point's own model): the
+/// Meta-like trace recipe of `n_batches` batches of [`STD_BATCH_SIZE`]
+/// samples, seeded from the `model` parameter alone, and the arrival
+/// seed, derived from the `model`, the `process_axis` parameter (the
+/// arrival-process axis, when the family has one) and the `qps`
+/// parameter. Points differing only in scheme, batcher, controller,
+/// fleet or fault knobs therefore serve the same queries at the same
+/// instants.
+///
+/// # Panics
+///
+/// Panics if the point lacks one of those parameters.
+pub(crate) fn serving_workload(
+    p: &Point,
+    model: &ModelConfig,
+    n_batches: u32,
+    process_axis: Option<&str>,
+) -> (TraceSpec, u64) {
+    let param = |name: &str| {
+        p.get(name)
+            .unwrap_or_else(|| panic!("{name} param missing"))
+    };
+    let (name, qps) = (param("model"), param("qps"));
+    let arrival_seed = match process_axis {
+        Some(axis) => workload_seed(crate::SEED, &[name, param(axis), qps]),
+        None => workload_seed(crate::SEED, &[name, qps]),
+    };
+    let trace = crate::trace_spec(
+        model,
+        crate::meta_distribution(),
+        STD_BATCH_SIZE,
+        n_batches,
+        workload_seed(crate::SEED, &[name]),
+    );
+    (trace, arrival_seed)
+}
+
+/// Whether a run fell behind its offered load: the last arrival came
+/// before [`SATURATION_FRAC`] of the makespan.
+pub(crate) fn saturated(last_arrival_ns: u64, makespan_ns: u64) -> bool {
+    (last_arrival_ns as f64) < SATURATION_FRAC * makespan_ns as f64
+}
+
+/// The realized offered rate: `queries` over the arrival span, per
+/// second (0.0 for a zero-length span).
+pub(crate) fn empirical_qps(queries: u64, last_arrival_ns: u64) -> f64 {
+    if last_arrival_ns == 0 {
+        0.0
+    } else {
+        queries as f64 * 1e9 / last_arrival_ns as f64
+    }
+}
 
 /// One point of an ascending-rate sweep, as the stability reducers see
 /// it: the rate the point contributes if it is stable (achieved or

@@ -25,8 +25,9 @@ use pifs_bench::scenario::{find, workload_seed, ParamValue, Point};
 use pifs_bench::{meta_distribution, scale_buffers, SEED, STD_BATCHES, STD_BATCH_SIZE};
 use pifs_core::engine::cluster::{
     functional_tables, merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy,
-    SlsCluster, TraceArrivals,
+    SlsCluster,
 };
+use pifs_core::engine::serving::TraceArrivals;
 use pifs_core::system::{SlsSystem, SystemConfig};
 use simkit::{FaultSchedule, SimTime};
 use tracegen::{ArrivalProcess, Trace};

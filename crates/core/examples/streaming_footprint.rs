@@ -51,7 +51,7 @@ fn main() {
     let base = alloc_stats().live_bytes;
     reset_alloc_peak();
     let t0 = std::time::Instant::now();
-    let m = sys.run_open_loop_stream(&mut spec.stream(), opts);
+    let m = sys.run_open_loop_streamed(&mut spec.stream(), opts);
     let streamed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let streamed_peak = alloc_stats().peak_live_bytes.saturating_sub(base);
     assert_eq!(m.queries, spec.n_queries());

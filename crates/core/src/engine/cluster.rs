@@ -5,8 +5,9 @@
 //! fleet behind a routing tier. This layer instantiates `n_shards` full
 //! nodes, shards the embedding tables across them under a pluggable
 //! [`ShardPolicy`], and serves any [`TaggedQuerySource`] — a lazy
-//! [`QueryStream`], a [`tracegen::TenantMixStream`], or a materialized
-//! `(Trace, arrivals)` pair through [`TraceArrivals`] — on one path.
+//! [`tracegen::QueryStream`], a [`tracegen::TenantMixStream`], or a
+//! materialized `(Trace, arrivals)` pair through [`TraceArrivals`] — on
+//! one path.
 //! A run ([`SlsCluster::run_open_loop_streamed`]) builds the placement
 //! once and walks the source once: [`route_stream`] splits each query's
 //! bags into per-shard sub-bags (recycled buffers; no per-node trace is
@@ -82,11 +83,13 @@ use dlrm::EmbeddingTable;
 use pagemgmt::{HotnessTracker, PageId};
 use simkit::faults::FaultSchedule;
 use simkit::{LatencyHist, SimDuration, SimTime};
-use tracegen::{QueryStream, Trace};
+use tracegen::Trace;
 
 use super::config::SystemConfig;
-use super::serving::{OpenLoopOpts, QueryBags, ServingMetrics, TenantServing};
-use crate::system::{assert_trace_fits, SlsSystem};
+use super::serving::{
+    assert_rows_fit, OpenLoopOpts, ServingMetrics, TaggedQuerySource, TenantServing, TraceArrivals,
+};
+use crate::system::SlsSystem;
 
 /// How embedding rows map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -503,7 +506,6 @@ impl SlsCluster {
     /// Panics as [`SlsSystem::run_open_loop`] would: more arrivals than
     /// trace samples, unsorted arrivals, or a trace exceeding the model.
     pub fn run_open_loop(&mut self, trace: &Trace, arrivals: &[SimTime]) -> ClusterMetrics {
-        assert_trace_fits(&self.cfg.node.model, trace);
         self.run_open_loop_streamed(&mut TraceArrivals::new(trace, arrivals))
     }
 
@@ -520,12 +522,14 @@ impl SlsCluster {
     /// # Panics
     ///
     /// Panics if `stream` is not at position 0, or as
-    /// [`SlsSystem::open_loop_begin`] would (a degenerate stream, a node
-    /// with a session already open).
+    /// [`SlsSystem::run_open_loop_streamed`] would (a row space beyond
+    /// the model, a degenerate stream, a node with a session already
+    /// open).
     pub fn run_open_loop_streamed<S: TaggedQuerySource>(
         &mut self,
         stream: &mut S,
     ) -> ClusterMetrics {
+        assert_rows_fit(&self.cfg.node.model, stream);
         assert_eq!(
             stream.position(),
             0,
@@ -886,111 +890,6 @@ pub struct RoutedStream {
     /// Each query's tenant tag, qid order (0 throughout for
     /// single-tenant sources).
     pub tenants: Vec<u16>,
-}
-
-/// A routable tagged query source: what the cluster router and the
-/// functional-checksum replay need from a workload. The current query's
-/// bags are read through [`QueryBags`], valid until the next
-/// [`Self::next_tagged`]. Single-tenant sources ([`QueryStream`],
-/// [`TraceArrivals`]) tag every query tenant 0; a
-/// [`tracegen::TenantMixStream`] carries its own tags.
-pub trait TaggedQuerySource: Clone + QueryBags {
-    /// Advances to the next query, returning `(qid, tenant, arrival)`.
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)>;
-    /// Tables per query.
-    fn n_tables(&self) -> u32;
-    /// Queries emitted so far.
-    fn position(&self) -> u64;
-}
-
-impl TaggedQuerySource for QueryStream {
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
-        self.next_query().map(|(qid, at)| (qid, 0, at))
-    }
-    fn n_tables(&self) -> u32 {
-        QueryStream::n_tables(self)
-    }
-    fn position(&self) -> u64 {
-        QueryStream::position(self)
-    }
-}
-
-impl TaggedQuerySource for tracegen::TenantMixStream {
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
-        self.next_query()
-    }
-    fn n_tables(&self) -> u32 {
-        tracegen::TenantMixStream::n_tables(self)
-    }
-    fn position(&self) -> u64 {
-        tracegen::TenantMixStream::position(self)
-    }
-}
-
-/// A materialized `(trace, arrivals)` pair as a [`TaggedQuerySource`]:
-/// query `q` is sample `q % batch_size` of trace batch `q / batch_size`,
-/// arriving at `arrivals[q]`, tenant 0. Borrowing and `Copy`, so the
-/// merge's replay clone costs nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceArrivals<'a> {
-    trace: &'a Trace,
-    arrivals: &'a [SimTime],
-    /// Queries emitted so far.
-    next: usize,
-    /// Trace batch and sample of the current query.
-    batch: usize,
-    sample: u32,
-}
-
-impl<'a> TraceArrivals<'a> {
-    /// Pairs `trace` with its arrival stream, at query 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrivals` holds more queries than the trace has
-    /// samples, or is not sorted non-decreasing.
-    pub fn new(trace: &'a Trace, arrivals: &'a [SimTime]) -> Self {
-        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
-        assert!(
-            arrivals.len() as u64 <= capacity,
-            "arrival stream has more queries than the trace has samples"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrival timestamps must be sorted non-decreasing"
-        );
-        TraceArrivals {
-            trace,
-            arrivals,
-            next: 0,
-            batch: 0,
-            sample: 0,
-        }
-    }
-}
-
-impl QueryBags for TraceArrivals<'_> {
-    fn bag(&self, table: u32) -> &[u64] {
-        self.trace.bag(self.batch, table, self.sample)
-    }
-}
-
-impl TaggedQuerySource for TraceArrivals<'_> {
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
-        let qid = self.next;
-        let &at = self.arrivals.get(qid)?;
-        let batch_size = self.trace.batch_size as usize;
-        self.batch = qid / batch_size;
-        self.sample = (qid % batch_size) as u32;
-        self.next += 1;
-        Some((qid as u64, 0, at))
-    }
-    fn n_tables(&self) -> u32 {
-        self.trace.n_tables
-    }
-    fn position(&self) -> u64 {
-        self.next as u64
-    }
 }
 
 /// Consumes `stream`, routing each query's bags across the placement's

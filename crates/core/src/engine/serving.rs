@@ -27,6 +27,7 @@
 use std::collections::VecDeque;
 
 use simkit::{LatencyHist, SimDuration, SimTime};
+use tracegen::{QueryStream, TenantMixStream, Trace};
 
 use super::controller::{ControllerPolicy, ServingController};
 use super::metrics::{CounterOffsets, RunMetrics};
@@ -358,9 +359,9 @@ impl ServingMetrics {
 ///
 /// The streaming entry points ([`SlsSystem::open_loop_push`]) take the
 /// query's lookups through this trait so the same dispatch path serves
-/// a materialized [`tracegen::Trace`], a lazy
-/// [`tracegen::QueryStream`], and the cluster router's recycled
-/// per-shard sub-bag buffers.
+/// a materialized [`Trace`] (through [`TraceArrivals`]), a lazy
+/// [`QueryStream`], and the cluster router's recycled per-shard sub-bag
+/// buffers.
 ///
 /// [`SlsSystem::open_loop_push`]: crate::system::SlsSystem::open_loop_push
 pub trait QueryBags {
@@ -369,15 +370,15 @@ pub trait QueryBags {
     fn bag(&self, table: u32) -> &[u64];
 }
 
-impl QueryBags for tracegen::QueryStream {
+impl QueryBags for QueryStream {
     fn bag(&self, table: u32) -> &[u64] {
-        tracegen::QueryStream::bag(self, table)
+        QueryStream::bag(self, table)
     }
 }
 
-impl QueryBags for tracegen::TenantMixStream {
+impl QueryBags for TenantMixStream {
     fn bag(&self, table: u32) -> &[u64] {
-        tracegen::TenantMixStream::bag(self, table)
+        TenantMixStream::bag(self, table)
     }
 }
 
@@ -386,6 +387,143 @@ impl QueryBags for tracegen::TenantMixStream {
 impl QueryBags for [Vec<u64>] {
     fn bag(&self, table: u32) -> &[u64] {
         &self[table as usize]
+    }
+}
+
+/// A tagged query source: what a serving run — one node's
+/// [`SlsSystem::run_open_loop_streamed`] or a cluster's router and
+/// functional-checksum replay — needs from a workload. The current
+/// query's bags are read through [`QueryBags`], valid until the next
+/// [`Self::next_tagged`]. Single-tenant sources ([`QueryStream`],
+/// [`TraceArrivals`]) tag every query tenant 0; a [`TenantMixStream`]
+/// carries its own tags.
+///
+/// [`SlsSystem::run_open_loop_streamed`]: crate::system::SlsSystem::run_open_loop_streamed
+pub trait TaggedQuerySource: Clone + QueryBags {
+    /// Advances to the next query, returning `(qid, tenant, arrival)`.
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)>;
+    /// Tables per query.
+    fn n_tables(&self) -> u32;
+    /// Row-space size per table: every row the source emits is below
+    /// it (the maximum over tenants for a mix).
+    fn rows_per_table(&self) -> u64;
+    /// Queries emitted so far.
+    fn position(&self) -> u64;
+}
+
+/// The entry check of every serving run: `source` must not look up rows
+/// beyond `model`'s embedding tables.
+///
+/// # Panics
+///
+/// Panics if the source's row space exceeds `model.emb_num`.
+pub(crate) fn assert_rows_fit(model: &dlrm::ModelConfig, source: &impl TaggedQuerySource) {
+    assert!(
+        source.rows_per_table() <= model.emb_num,
+        "stream rows exceed the model's embedding count"
+    );
+}
+
+impl TaggedQuerySource for QueryStream {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        self.next_query().map(|(qid, at)| (qid, 0, at))
+    }
+    fn n_tables(&self) -> u32 {
+        QueryStream::n_tables(self)
+    }
+    fn rows_per_table(&self) -> u64 {
+        self.spec().trace.rows_per_table
+    }
+    fn position(&self) -> u64 {
+        QueryStream::position(self)
+    }
+}
+
+impl TaggedQuerySource for TenantMixStream {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        self.next_query()
+    }
+    fn n_tables(&self) -> u32 {
+        TenantMixStream::n_tables(self)
+    }
+    fn rows_per_table(&self) -> u64 {
+        self.specs()
+            .iter()
+            .map(|t| t.stream.trace.rows_per_table)
+            .max()
+            .unwrap_or(0)
+    }
+    fn position(&self) -> u64 {
+        TenantMixStream::position(self)
+    }
+}
+
+/// A materialized `(trace, arrivals)` pair as a [`TaggedQuerySource`]:
+/// query `q` is sample `q % batch_size` of trace batch `q / batch_size`,
+/// arriving at `arrivals[q]`, tenant 0. Borrowing and `Copy`, so the
+/// merge's replay clone costs nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceArrivals<'a> {
+    trace: &'a Trace,
+    arrivals: &'a [SimTime],
+    /// Queries emitted so far.
+    next: usize,
+    /// Trace batch and sample of the current query.
+    batch: usize,
+    sample: u32,
+}
+
+impl<'a> TraceArrivals<'a> {
+    /// Pairs `trace` with its arrival stream, at query 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` holds more queries than the trace has
+    /// samples, or is not sorted non-decreasing.
+    pub fn new(trace: &'a Trace, arrivals: &'a [SimTime]) -> Self {
+        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
+        assert!(
+            arrivals.len() as u64 <= capacity,
+            "arrival stream has more queries than the trace has samples"
+        );
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrival timestamps must be sorted non-decreasing"
+        );
+        TraceArrivals {
+            trace,
+            arrivals,
+            next: 0,
+            batch: 0,
+            sample: 0,
+        }
+    }
+}
+
+impl QueryBags for TraceArrivals<'_> {
+    fn bag(&self, table: u32) -> &[u64] {
+        self.trace.bag(self.batch, table, self.sample)
+    }
+}
+
+impl TaggedQuerySource for TraceArrivals<'_> {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        let qid = self.next;
+        let &at = self.arrivals.get(qid)?;
+        let batch_size = self.trace.batch_size as usize;
+        self.batch = qid / batch_size;
+        self.sample = (qid % batch_size) as u32;
+        self.next += 1;
+        Some((qid as u64, 0, at))
+    }
+    fn n_tables(&self) -> u32 {
+        self.trace.n_tables
+    }
+    fn rows_per_table(&self) -> u64 {
+        self.trace.rows_per_table
+    }
+    fn position(&self) -> u64 {
+        self.next as u64
     }
 }
 

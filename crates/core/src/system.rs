@@ -21,14 +21,16 @@
 use dlrm::{query, EmbeddingTable};
 use pagemgmt::{GlobalHotness, PageId, PageTable, TierCapacities};
 use simkit::{SimDuration, SimTime};
-use tracegen::{QueryStream, Trace};
+use tracegen::Trace;
 
-use crate::engine::cluster::{TaggedQuerySource, TraceArrivals};
 use crate::engine::config::page_align;
 use crate::engine::metrics::CounterOffsets;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
 use crate::engine::pipeline::{self, process_bag, EngineCtx, EngineScratch};
-use crate::engine::serving::{LatencyWindows, OpenLoopSession, QueryBatcher, ReadyBatch};
+use crate::engine::serving::{
+    assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, ReadyBatch, TaggedQuerySource,
+    TraceArrivals,
+};
 use crate::engine::topology::Plant;
 
 pub use crate::engine::config::{BufferConfig, ComputeSite, PmConfig, PmStyle, SystemConfig};
@@ -45,7 +47,7 @@ pub use crate::engine::serving::{
 /// # Panics
 ///
 /// Panics with the offending dimension otherwise.
-pub(crate) fn assert_trace_fits(model: &dlrm::ModelConfig, trace: &Trace) {
+fn assert_trace_fits(model: &dlrm::ModelConfig, trace: &Trace) {
     assert!(
         trace.n_tables <= model.n_tables,
         "trace has more tables than the model"
@@ -268,30 +270,48 @@ impl SlsSystem {
 
     /// Serves `trace`'s samples open-loop: query `q` (the `q`-th entry
     /// of `arrivals`) is sample `q % batch_size` of trace batch
-    /// `q / batch_size`, enqueued at `arrivals[q]` — timestamps are
-    /// relative to the run's start (on a warm system the stream is
-    /// shifted past everything already simulated). The configured
-    /// [`ServingConfig`] batcher closes dynamic batches (fill or
-    /// max-wait), each dispatched to the stage pipeline when its host
-    /// frees up, and per-query enqueue→completion latency streams into
-    /// [`ServingMetrics::latency`].
-    ///
-    /// Warmup is an arrival-stream concern here (closed-loop
-    /// `warmup_batches` does not apply): the whole run is measured.
+    /// `q / batch_size`, enqueued at `arrivals[q]` —
+    /// [`Self::run_open_loop_streamed`] over [`TraceArrivals`] with the
+    /// default [`OpenLoopOpts`].
     ///
     /// # Panics
     ///
     /// Panics if `arrivals` is not sorted non-decreasing, if it holds
-    /// more queries than the trace has samples, or if the trace exceeds
-    /// the model (as in [`Self::run_trace`]).
+    /// more queries than the trace has samples, or as
+    /// [`Self::run_open_loop_streamed`] does.
     pub fn run_open_loop(&mut self, trace: &Trace, arrivals: &[SimTime]) -> ServingMetrics {
-        assert_trace_fits(&self.cfg.model, trace);
-        // A thin client of the streaming session: push every query in
-        // timestamp order, then finish.
-        let mut queries = TraceArrivals::new(trace, arrivals);
-        self.open_loop_begin(trace.n_tables, OpenLoopOpts::default());
-        while let Some((_, _, at)) = queries.next_tagged() {
-            self.open_loop_push(at, &queries);
+        self.run_open_loop_streamed(
+            &mut TraceArrivals::new(trace, arrivals),
+            OpenLoopOpts::default(),
+        )
+    }
+
+    /// Serves a query source end to end through one streaming session:
+    /// every query enters in the source's arrival order, tagged with its
+    /// tenant, and the configured [`ServingConfig`] batcher closes
+    /// dynamic batches (fill or max-wait), each dispatched to the stage
+    /// pipeline when its host frees up. Per-query enqueue→completion
+    /// latency streams into [`ServingMetrics::latency`], and
+    /// [`ServingMetrics::per_tenant`] splits the run by tenant. Arrival
+    /// timestamps are relative to the run's start (on a warm system the
+    /// stream is shifted past everything already simulated), and the
+    /// whole run is measured: closed-loop `warmup_batches` does not
+    /// apply. Memory is bounded by one batch of pending bags, however
+    /// long the source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source's row space exceeds the model's embedding
+    /// count, or as [`Self::open_loop_begin`] does.
+    pub fn run_open_loop_streamed<S: TaggedQuerySource>(
+        &mut self,
+        source: &mut S,
+        opts: OpenLoopOpts,
+    ) -> ServingMetrics {
+        assert_rows_fit(&self.cfg.model, source);
+        self.open_loop_begin(source.n_tables(), opts);
+        while let Some((_, tenant, at)) = source.next_tagged() {
+            self.open_loop_push_tagged(at, tenant, &*source);
         }
         self.open_loop_finish()
     }
@@ -515,60 +535,6 @@ impl SlsSystem {
         };
         serving.run = self.metrics.clone();
         serving
-    }
-
-    /// Serves a lazy [`QueryStream`] end to end: the streaming
-    /// equivalent of [`Self::run_open_loop`] on the stream's
-    /// materialized trace and arrival vector, byte-identical in every
-    /// metric, with memory bounded by one batch of pending bags instead
-    /// of the whole trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Self::open_loop_begin`] does, or if the stream's row
-    /// space exceeds the model's.
-    pub fn run_open_loop_stream(
-        &mut self,
-        stream: &mut QueryStream,
-        opts: OpenLoopOpts,
-    ) -> ServingMetrics {
-        assert!(
-            stream.spec().trace.rows_per_table <= self.cfg.model.emb_num,
-            "stream rows exceed the model's embedding count"
-        );
-        self.open_loop_begin(stream.n_tables(), opts);
-        while let Some((_, at)) = stream.next_query() {
-            self.open_loop_push(at, &*stream);
-        }
-        self.open_loop_finish()
-    }
-
-    /// Serves a multi-tenant [`tracegen::TenantMixStream`] end to end:
-    /// queries enter in the mix's global arrival order, each tagged with
-    /// its tenant, so [`ServingMetrics::per_tenant`] splits the run by
-    /// tenant while the aggregates cover the whole mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Self::open_loop_begin`] does, or if any tenant's row
-    /// space exceeds the model's.
-    pub fn run_open_loop_mix(
-        &mut self,
-        mix: &mut tracegen::TenantMixStream,
-        opts: OpenLoopOpts,
-    ) -> ServingMetrics {
-        for t in mix.specs() {
-            assert!(
-                t.stream.trace.rows_per_table <= self.cfg.model.emb_num,
-                "tenant {:?} rows exceed the model's embedding count",
-                t.name
-            );
-        }
-        self.open_loop_begin(mix.n_tables(), opts);
-        while let Some((_, tenant, at)) = mix.next_query() {
-            self.open_loop_push_tagged(at, tenant, &*mix);
-        }
-        self.open_loop_finish()
     }
 
     /// Runs one batch's bags through the stage pipeline on host

@@ -213,6 +213,22 @@ fn cluster_arrival_overrun_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "stream rows exceed the model's embedding count")]
+fn cluster_stream_beyond_the_row_space_rejected() {
+    // Rejected at entry, before any node simulates an out-of-table row.
+    let cfg = cluster_cfg(2, ShardPolicy::RowHash);
+    let spec = QueryStreamSpec {
+        trace: TraceSpec {
+            rows_per_table: 4 * cfg.node.model.emb_num,
+            ..trace_spec(&cfg.node.model, 32)
+        },
+        arrival: ArrivalProcess::Poisson { qps: 100_000.0 },
+        arrival_seed: 77,
+    };
+    let _ = SlsCluster::new(cfg).run_open_loop_streamed(&mut spec.stream());
+}
+
+#[test]
 fn merged_tenant_split_accounts_for_every_query() {
     // Two tenants through a 2-shard cluster, loaded past the shedder's
     // queue bound: the merged per-tenant split must cover the answered

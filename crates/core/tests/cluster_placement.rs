@@ -8,8 +8,9 @@
 use dlrm::sls::{sls_reference_exact, sls_reference_scalar};
 use dlrm::EmbeddingTable;
 use pifs_core::engine::cluster::{
-    merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy, TraceArrivals,
+    merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy,
 };
+use pifs_core::engine::serving::TraceArrivals;
 use pifs_core::system::SystemConfig;
 use proptest::prelude::*;
 use simkit::{FaultSchedule, SimTime};

@@ -3,9 +3,12 @@
 //! knobs' observable effects.
 
 use dlrm::ModelConfig;
-use pifs_core::system::{ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::system::{OpenLoopOpts, ServingMetrics, SlsSystem, SystemConfig};
 use simkit::SimTime;
-use tracegen::{ArrivalProcess, Distribution, Trace, TraceSpec};
+use tracegen::{
+    ArrivalProcess, Distribution, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, Trace,
+    TraceSpec,
+};
 
 fn small_model() -> ModelConfig {
     ModelConfig {
@@ -14,8 +17,8 @@ fn small_model() -> ModelConfig {
     }
 }
 
-/// A trace with enough samples for `n` open-loop queries.
-fn trace_for(model: &ModelConfig, n: u32) -> Trace {
+/// The recipe of a trace with enough samples for `n` open-loop queries.
+fn trace_spec(model: &ModelConfig, n: u32) -> TraceSpec {
     TraceSpec {
         distribution: Distribution::MetaLike {
             reuse_frac: 0.35,
@@ -28,7 +31,10 @@ fn trace_for(model: &ModelConfig, n: u32) -> Trace {
         bag_size: model.bag_size,
         seed: 5,
     }
-    .generate()
+}
+
+fn trace_for(model: &ModelConfig, n: u32) -> Trace {
+    trace_spec(model, n).generate()
 }
 
 fn serve(cfg: SystemConfig, qps: f64, n: u32) -> ServingMetrics {
@@ -176,4 +182,42 @@ fn arrival_overrun_rejected() {
     let trace = trace_for(&cfg.model.clone(), 16);
     let arrivals = vec![SimTime::ZERO; 17];
     let _ = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+}
+
+/// A 32-query stream over `rows_per_table` rows per table.
+fn stream_over(model: &ModelConfig, rows_per_table: u64) -> QueryStreamSpec {
+    QueryStreamSpec {
+        trace: TraceSpec {
+            rows_per_table,
+            ..trace_spec(model, 32)
+        },
+        arrival: ArrivalProcess::Poisson { qps: 100_000.0 },
+        arrival_seed: 77,
+    }
+}
+
+#[test]
+#[should_panic(expected = "stream rows exceed the model's embedding count")]
+fn stream_beyond_the_row_space_rejected() {
+    let cfg = SystemConfig::pifs_rec(small_model());
+    let spec = stream_over(&cfg.model, 4 * cfg.model.emb_num);
+    let _ = SlsSystem::new(cfg).run_open_loop_streamed(&mut spec.stream(), OpenLoopOpts::default());
+}
+
+#[test]
+#[should_panic(expected = "stream rows exceed the model's embedding count")]
+fn tenant_beyond_the_row_space_rejected() {
+    // One tenant fits, the other does not: the mix's row space is the
+    // larger of the two.
+    let cfg = SystemConfig::pifs_rec(small_model());
+    let tenant = |name: &str, rows| TenantSpec {
+        name: name.into(),
+        qos: QosClass::Batch,
+        stream: stream_over(&cfg.model, rows),
+    };
+    let mut mix = TenantMixStream::new(vec![
+        tenant("fits", cfg.model.emb_num),
+        tenant("overflows", 4 * cfg.model.emb_num),
+    ]);
+    let _ = SlsSystem::new(cfg).run_open_loop_streamed(&mut mix, OpenLoopOpts::default());
 }

@@ -1,20 +1,25 @@
 //! Streamed-vs-materialized differential suite: the lazy query path
-//! ([`QueryStream`] → `run_open_loop_stream` / `run_open_loop_streamed`)
-//! must be byte-identical to the materialized path
-//! (`TraceSpec::generate` + `ArrivalProcess::times` → `run_open_loop`)
+//! ([`QueryStream`] → `run_open_loop_streamed`) must be byte-identical
+//! to the materialized path (`TraceSpec::generate` +
+//! `ArrivalProcess::times` → `run_open_loop`)
 //! — same histograms, same completion instants, same functional
 //! checksums to the bit — across schemes, arrival processes, and
 //! pre/post-knee rates. On top of that, a [`SimCheckpoint`] captured at
 //! *every* query boundary and resumed to completion must reproduce the
-//! straight-through run exactly, and a 1-shard streamed cluster must be
-//! the streamed node. Mirrors `cluster_behavior.rs` one axis over.
+//! straight-through run exactly, a one-tenant mix must be its tenant's
+//! stream, and a 1-shard streamed cluster must be the streamed node.
+//! Mirrors `cluster_behavior.rs` one axis over.
 
 use dlrm::ModelConfig;
 use pifs_core::engine::checkpoint;
 use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-use pifs_core::system::{OpenLoopOpts, RunMetrics, ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::system::{
+    OpenLoopOpts, RunMetrics, ServingMetrics, ShedPolicy, SlsSystem, SystemConfig,
+};
 use pifs_core::SimCheckpoint;
-use tracegen::{ArrivalProcess, Distribution, QueryStreamSpec, TraceSpec};
+use tracegen::{
+    ArrivalProcess, Distribution, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, TraceSpec,
+};
 
 fn small_model() -> ModelConfig {
     ModelConfig {
@@ -57,7 +62,7 @@ fn materialized(cfg: &SystemConfig, spec: &QueryStreamSpec) -> ServingMetrics {
 
 /// The lazy candidate: same workload, O(batch) memory.
 fn streamed(cfg: &SystemConfig, spec: &QueryStreamSpec) -> ServingMetrics {
-    SlsSystem::new(cfg.clone()).run_open_loop_stream(&mut spec.stream(), OpenLoopOpts::default())
+    SlsSystem::new(cfg.clone()).run_open_loop_streamed(&mut spec.stream(), OpenLoopOpts::default())
 }
 
 fn assert_run_eq(a: &RunMetrics, b: &RunMetrics, ctx: &str) {
@@ -106,6 +111,16 @@ fn assert_serving_eq(a: &ServingMetrics, b: &ServingMetrics, ctx: &str) {
     );
     assert_eq!(a.completion, b.completion, "{ctx}: completion instants");
     assert_eq!(a.windows, b.windows, "{ctx}: latency windows");
+    assert_eq!(a.shed, b.shed, "{ctx}: shed");
+    assert_eq!(a.shed_qids, b.shed_qids, "{ctx}: shed qids");
+    assert_eq!(a.pm_epochs, b.pm_epochs, "{ctx}: pm_epochs");
+    assert_eq!(a.per_tenant.len(), b.per_tenant.len(), "{ctx}: tenants");
+    for (i, (ta, tb)) in a.per_tenant.iter().zip(&b.per_tenant).enumerate() {
+        assert_eq!(ta.queries, tb.queries, "{ctx}: tenant {i} queries");
+        assert_eq!(ta.shed, tb.shed, "{ctx}: tenant {i} shed");
+        assert_eq!(ta.latency, tb.latency, "{ctx}: tenant {i} latency");
+        assert_eq!(ta.wait, tb.wait, "{ctx}: tenant {i} wait");
+    }
     assert_run_eq(&a.run, &b.run, ctx);
 }
 
@@ -206,7 +221,7 @@ fn windowed_summaries_match_between_paths() {
         window_ns: Some(100_000),
     };
 
-    let a = SlsSystem::new(cfg.clone()).run_open_loop_stream(&mut spec.stream(), opts);
+    let a = SlsSystem::new(cfg.clone()).run_open_loop_streamed(&mut spec.stream(), opts);
 
     // "Materialized" side: pre-generate everything, then push.
     let trace = spec.trace.generate();
@@ -228,6 +243,43 @@ fn windowed_summaries_match_between_paths() {
     assert_serving_eq(&a, &b, "windowed");
     let total: u64 = a.windows.iter().map(|w| w.count).sum();
     assert_eq!(total, a.queries, "every query lands in exactly one window");
+}
+
+/// A one-tenant [`TenantMixStream`] is the same workload as its
+/// tenant's [`QueryStream`]: served through the one node entry point,
+/// the two runs agree in every field, with and without shedding, and
+/// the tenant's split is the whole run.
+#[test]
+fn one_tenant_mix_is_its_stream() {
+    let m = small_model();
+    let spec = spec_for(&m, 160, ArrivalProcess::Poisson { qps: 2_000_000.0 });
+    let opts = OpenLoopOpts {
+        record_completion: true,
+        window_ns: Some(20_000),
+    };
+    for shed in [ShedPolicy::None, ShedPolicy::QueueDepth { max_pending: 4 }] {
+        let mut cfg = SystemConfig::pifs_rec(m.clone());
+        cfg.serving.shed = shed;
+        let ctx = format!("{shed:?}");
+        let alone = SlsSystem::new(cfg.clone()).run_open_loop_streamed(&mut spec.stream(), opts);
+        let mut mix = TenantMixStream::new(vec![TenantSpec {
+            name: "solo".into(),
+            qos: QosClass::LatencyCritical,
+            stream: spec,
+        }]);
+        let mixed = SlsSystem::new(cfg).run_open_loop_streamed(&mut mix, opts);
+        assert_serving_eq(&alone, &mixed, &ctx);
+
+        assert_eq!(mixed.per_tenant.len(), 1, "{ctx}: one tenant");
+        let t = &mixed.per_tenant[0];
+        assert_eq!(t.queries, mixed.queries, "{ctx}: tenant queries");
+        assert_eq!(t.shed, mixed.shed, "{ctx}: tenant shed");
+        assert_eq!(t.latency, mixed.latency, "{ctx}: tenant latency");
+        assert_eq!(t.wait, mixed.wait, "{ctx}: tenant wait");
+        if shed != ShedPolicy::None {
+            assert!(mixed.shed > 0, "{ctx}: the overload must shed");
+        }
+    }
 }
 
 #[test]

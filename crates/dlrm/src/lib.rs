@@ -15,7 +15,6 @@
 //!   multi-GB tables;
 //! * [`sls`] — the reference SparseLengthSum kernel every compute
 //!   placement (host, switch, DIMM) must agree with bit-for-bit;
-//! * [`mlp`] — a roofline cost model for the dense stages;
 //! * [`query`] — batch- vs table-threading work partitioning (Fig 4).
 //!
 //! # Examples
@@ -33,11 +32,9 @@
 
 pub mod config;
 pub mod embedding;
-pub mod mlp;
 pub mod query;
 pub mod sls;
 
 pub use config::{MlpShape, ModelConfig};
 pub use embedding::EmbeddingTable;
-pub use mlp::CostModel;
 pub use query::{ThreadingMode, WorkItem};

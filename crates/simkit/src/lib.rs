@@ -1,24 +1,21 @@
-//! `simkit` — discrete-event simulation foundation for the PIFS-Rec
-//! reproduction.
+//! `simkit` — simulated-time foundation for the PIFS-Rec reproduction.
 //!
 //! Every timing model in this workspace (the DDR state machines in
 //! [`memsim`](../memsim/index.html), the CXL fabric in
 //! [`cxlsim`](../cxlsim/index.html), the PIFS process core in
-//! `pifs-core`) is built on the primitives here:
+//! `pifs-core`) advances time by *reservation*: each shared resource
+//! keeps the instant it next becomes free, and a request issued at `now`
+//! starts at `max(now, free)`. The primitives here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //!   matching the paper's 1 ns/clk top-module tick (§VI-A).
-//! * [`EventQueue`] — a deterministic time-ordered event queue with FIFO
-//!   tie-breaking (a calendar queue; [`BinaryEventQueue`] is the
-//!   binary-heap reference it is differentially tested against).
+//! * [`BandwidthLink`] — a serialization-delay model for bandwidth-limited
+//!   resources (FlexBus lanes, DIMM data buses, switch ports), reserved
+//!   in call order.
 //! * [`hash`] — a fast deterministic hasher ([`hash::FastMap`]) for
 //!   simulation-internal maps on hot paths.
-//! * [`BandwidthLink`] — a serialization-delay model for bandwidth-limited
-//!   resources (FlexBus lanes, DIMM data buses, switch ports).
-//! * [`BoundedQueue`] — a capacity-limited FIFO used to model backpressure
-//!   (the Accumulate Config Register's `CapacityCounter` in §IV-A3).
-//! * [`stats`] — counters, histograms and bandwidth meters used by every
-//!   experiment harness.
+//! * [`stats`] — latency histograms, summaries, normalizers and the
+//!   event/allocation tallies used by every experiment harness.
 //! * [`rng`] — a small deterministic RNG so that every figure regenerates
 //!   bit-identically.
 //! * [`faults`] — seeded fault schedules (fail-stop, slow-down, link
@@ -28,30 +25,27 @@
 //! # Examples
 //!
 //! ```
-//! use simkit::{EventQueue, SimTime, SimDuration};
+//! use simkit::{BandwidthLink, SimDuration, SimTime};
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.push(SimTime::from_ns(10), "b");
-//! q.push(SimTime::from_ns(5), "a");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t.as_ns(), ev), (5, "a"));
+//! // A 64 GB/s link with 10 ns of propagation delay.
+//! let mut link = BandwidthLink::from_gbps(64, 10);
+//! let t = SimTime::ZERO + SimDuration::from_ns(5);
+//! let a = link.transfer(t, 640); // 10 ns on the wire, then 10 ns in flight
+//! let b = link.transfer(t, 640); // same instant: reserved behind `a`
+//! assert_eq!((a.as_ns(), b.as_ns()), (25, 35));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod faults;
 pub mod hash;
 pub mod link;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{BinaryEventQueue, EventQueue};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSpec};
 pub use link::BandwidthLink;
-pub use queue::BoundedQueue;
 pub use rng::DetRng;
-pub use stats::{BandwidthMeter, Counter, Histogram, LatencyHist, Summary};
+pub use stats::{LatencyHist, Summary};
 pub use time::{SimDuration, SimTime};
