@@ -305,38 +305,18 @@ impl ShardPlacement {
     }
 
     /// Serving shard of each row in one bag, written into `out` (one
-    /// entry per row, bag order). Non-replicated rows go to their
-    /// owner. A replicated row co-routes to the lowest-index shard
+    /// entry per row, bag order), with the fault schedule consulted at
+    /// the query's arrival instant `at`. Non-replicated rows go to their
+    /// owner. A replicated row co-routes to the lowest-index live shard
     /// already serving one of the bag's non-replicated rows — shrinking
     /// the bag's shard fan-out — and falls back to its owner when the
     /// bag holds replicated rows only. Every lookup is served exactly
-    /// once (the conservation tests assert no duplicates).
-    pub fn route_bag(&self, table: u32, rows: &[u64], out: &mut Vec<u16>) {
-        out.clear();
-        let mut pinned: Option<u16> = None;
-        for &row in rows {
-            if self.is_replicated(table, row) {
-                out.push(u16::MAX); // placeholder: resolved below
-            } else {
-                let s = self.owner(table, row);
-                pinned = Some(pinned.map_or(s, |p| p.min(s)));
-                out.push(s);
-            }
-        }
-        for (slot, &row) in out.iter_mut().zip(rows) {
-            if *slot == u16::MAX {
-                *slot = pinned.unwrap_or_else(|| self.owner(table, row));
-            }
-        }
-    }
-
-    /// Liveness-aware [`Self::route_bag`]: the fault schedule is
-    /// consulted at the query's arrival instant `at`. A dead owner's
-    /// replicated rows fail over — to the bag's pinned live shard, the
-    /// owner if it still lives, or the lowest live shard — while its
-    /// unreplicated rows route to [`Self::LOST`] (no copy exists
-    /// anywhere else). Returns the number of failed-over rows. With an
-    /// empty schedule this *is* `route_bag`, bit for bit.
+    /// once (the conservation tests assert no duplicates). A dead
+    /// owner's replicated rows fail over — to the bag's pinned live
+    /// shard, the owner if it still lives, or the lowest live shard —
+    /// while its unreplicated rows route to [`Self::LOST`] (no copy
+    /// exists anywhere else). Returns the number of failed-over rows
+    /// (always 0 under [`FaultSchedule::none`]).
     pub fn route_bag_at(
         &self,
         table: u32,
@@ -345,10 +325,6 @@ impl ShardPlacement {
         faults: &FaultSchedule,
         out: &mut Vec<u16>,
     ) -> u64 {
-        if faults.is_none() {
-            self.route_bag(table, rows, out);
-            return 0;
-        }
         // Replicated rows get a placeholder distinct from LOST; dead
         // unreplicated owners route to LOST immediately. `pinned` only
         // ever holds a live shard.
@@ -1129,12 +1105,13 @@ mod tests {
         let mut p = placement(4, ShardPolicy::RowHash);
         p.replicated[0] = vec![7];
         let bag = [3u64, 7, 11];
+        let (none, at) = (FaultSchedule::none(4), SimTime::ZERO);
         let mut route = Vec::new();
-        p.route_bag(0, &bag, &mut route);
+        p.route_bag_at(0, &bag, at, &none, &mut route);
         let pinned = p.owner(0, 3).min(p.owner(0, 11));
         assert_eq!(route, [p.owner(0, 3), pinned, p.owner(0, 11)]);
         // A bag of only the replicated row falls back to its owner.
-        p.route_bag(0, &[7], &mut route);
+        p.route_bag_at(0, &[7], at, &none, &mut route);
         assert_eq!(route, [p.owner(0, 7)]);
     }
 

@@ -118,25 +118,11 @@ impl CounterOffsets {
         hosts: &[HostCtx],
         metrics: &mut RunMetrics,
     ) {
-        for s in switches {
-            metrics.ooo_stalls += s.engine.stalls;
-            metrics.sram_spills += s.engine.sram_spills;
-            if let Some(b) = &s.buffer {
-                metrics.buffer_hits += b.hits();
-                metrics.buffer_misses += b.misses();
-            }
-        }
-        for h in hosts {
-            if let Some(b) = &h.dimm_cache {
-                metrics.buffer_hits += b.hits();
-                metrics.buffer_misses += b.misses();
-            }
-            metrics.host_link_bytes += h.req_link.total_bytes() + h.rsp_link.total_bytes();
-        }
-        metrics.ooo_stalls -= self.stalls;
-        metrics.sram_spills -= self.spills;
-        metrics.buffer_hits -= self.hits;
-        metrics.buffer_misses -= self.misses;
-        metrics.host_link_bytes -= self.link_bytes;
+        let now = Self::capture(switches, hosts);
+        metrics.ooo_stalls += now.stalls - self.stalls;
+        metrics.sram_spills += now.spills - self.spills;
+        metrics.buffer_hits += now.hits - self.hits;
+        metrics.buffer_misses += now.misses - self.misses;
+        metrics.host_link_bytes += now.link_bytes - self.link_bytes;
     }
 }

@@ -10,7 +10,8 @@
 //! * [`topology`] — the physical plant (hosts, switches, devices,
 //!   remote socket) and its construction from a config;
 //! * [`pipeline`] — the per-query request→forward→DRAM→accumulate path
-//!   as explicit stages behind a small `Stage` trait;
+//!   as five stage functions called in order, including the in-switch
+//!   accumulation fold;
 //! * [`pagemgmt_epoch`] — epoch-boundary page management (§IV-B) and
 //!   the TPP baseline;
 //! * [`serving`] — the open-loop serving layer: timestamped query

@@ -1,14 +1,15 @@
 //! The per-query timing path, decomposed into explicit stages.
 //!
-//! Each SLS bag flows request→forward→DRAM→accumulate through a fixed
-//! sequence of `Stage`s operating on a shared `EngineCtx`:
+//! Each SLS bag flows request→forward→DRAM→accumulate through five
+//! stage functions that `process_bag` calls in order over a shared
+//! `EngineCtx`:
 //!
-//! 1. `ClassifyStage` — resolve rows to tiers, record hotness;
-//! 2. `LocalGatherStage` — host-DRAM rows (DIMM-side fold for RecNMP);
-//! 3. `RemoteGatherStage` — remote-socket rows over the socket link;
-//! 4. `CxlGatherStage` — pooled-CXL rows, on the host (Pond/RecNMP
+//! 1. `classify` — resolve rows to tiers, record hotness;
+//! 2. `local_gather` — host-DRAM rows (DIMM-side fold for RecNMP);
+//! 3. `remote_gather` — remote-socket rows over the socket link;
+//! 4. `cxl_gather` — pooled-CXL rows, on the host (Pond/RecNMP
 //!    spill) or in the fabric switch (PIFS/BEACON);
-//! 5. `FinalizeStage` — fold the functional checksum into the metrics.
+//! 5. `finalize` — fold the functional checksum into the metrics.
 //!
 //! Timing is resource-based: every shared medium (host FlexBus links,
 //! switch transit, device links, DRAM banks/buses, the accumulate unit)
@@ -28,8 +29,7 @@ use simkit::{SimDuration, SimTime};
 use super::config::{ComputeSite, SystemConfig};
 use super::metrics::RunMetrics;
 use super::topology::{spread_addr, HostCtx, SwitchCtx};
-use crate::acr::ClusterId;
-use crate::forward::ForwardOutcome;
+use crate::ooo::ClusterId;
 
 /// Host-side cost of issuing one instruction (decode + queue into the
 /// CXL controller).
@@ -74,12 +74,17 @@ pub(crate) struct BagScratch {
     instr_arrivals: Vec<SimTime>,
     by_switch: Vec<SwitchGroup>,
     sub_acc: Vec<f32>,
+    merged: Vec<f32>,
     batch: BagBatch,
+    /// The debug-build DataFetch codec round trip: the burst, its
+    /// encoded slab, and the decoded burst.
+    #[cfg(debug_assertions)]
+    codec: (Vec<M2sReq>, Vec<u128>, Vec<M2sReq>),
 }
 
 /// Structure-of-arrays gather stage: one bag's (or one switch group's)
-/// row ids collected in bag order, folded in one batched pass after the
-/// timing loop. Rows of a materialized table fold straight from the
+/// rows, in bag order, folded in one batched pass after the timing
+/// loop. Rows of a materialized table fold straight from the
 /// shared contiguous row store — copying them into a local arena first
 /// would only add memory traffic (measured slower on the `end_to_end`
 /// targets). Rows of an over-cap (procedural) table batch-fill the
@@ -91,40 +96,30 @@ pub(crate) struct BagScratch {
 /// [`BagScratch`]; capacities persist across bags.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BagBatch {
-    /// Row ids gathered for the pending fold, in bag order.
-    rows: Vec<u64>,
     /// Row-major `rows × dim` value slab (procedural tables only).
     data: Vec<f32>,
-    /// Element width of each gathered row.
-    dim: usize,
 }
 
 impl BagBatch {
-    /// Starts a new gather at width `dim`, keeping buffer capacities.
-    pub(crate) fn begin(&mut self, dim: usize) {
-        self.rows.clear();
-        self.data.clear();
-        self.dim = dim;
-    }
-
-    /// Appends one row id to the gather.
-    pub(crate) fn push_row(&mut self, row: u64) {
-        self.rows.push(row);
-    }
-
-    /// Folds every gathered row of `table` into `acc` in push order —
+    /// Gathers `rows` of `table` and folds them into `acc` in order —
     /// bit-identical to per-row [`dlrm::sls::accumulate_row`] (see the
-    /// type docs for the two paths).
-    pub(crate) fn fold_into(&mut self, table: &EmbeddingTable, acc: &mut [f32]) {
-        debug_assert_eq!(self.dim, table.dim() as usize, "gather width mismatch");
+    /// type docs for the two paths). Buffer capacities persist.
+    pub(crate) fn fold(
+        &mut self,
+        table: &EmbeddingTable,
+        rows: impl ExactSizeIterator<Item = u64>,
+        acc: &mut [f32],
+    ) {
         if table.is_materialized() {
-            for &row in &self.rows {
+            for row in rows {
                 dlrm::sls::accumulate_row(acc, table, row, 1.0);
             }
             return;
         }
-        self.data.resize(self.rows.len() * self.dim, 0.0);
-        for (&row, slot) in self.rows.iter().zip(self.data.chunks_exact_mut(self.dim)) {
+        let dim = table.dim() as usize;
+        self.data.clear();
+        self.data.resize(rows.len() * dim, 0.0);
+        for (row, slot) in rows.zip(self.data.chunks_exact_mut(dim)) {
             table.value_block(row, 0, slot);
         }
         dlrm::sls::simd::fold_rows_soa(acc, &self.data, None);
@@ -141,7 +136,7 @@ pub(crate) struct EngineCtx<'a> {
     pub cfg: &'a SystemConfig,
     /// Host/switch/device adjacency.
     pub topo: &'a Topology,
-    /// All switches (process cores, buffers, ACR/IIR/FC state).
+    /// All switches (process cores, buffers, decode pipelines).
     pub switches: &'a mut [SwitchCtx],
     /// All CXL Type 3 devices.
     pub devices: &'a mut [Type3Device],
@@ -161,7 +156,7 @@ pub(crate) struct EngineCtx<'a> {
     pub epoch_dev_pages: &'a mut [simkit::hash::FastMap<PageId, u64>],
     /// Run metrics under construction.
     pub metrics: &'a mut RunMetrics,
-    /// Next ACR cluster id.
+    /// Next accumulation cluster id.
     pub next_cluster: &'a mut u64,
 }
 
@@ -200,7 +195,8 @@ pub(crate) struct BagState<'r> {
     /// In-flight fold completions for the bounded MLP window (each
     /// gather stage clears it before use).
     pub window: VecDeque<SimTime>,
-    /// Remaining scratch used only by the switch-compute path.
+    /// Remaining scratch: the SoA gather arena and the switch-compute
+    /// buffers.
     pub scratch: BagScratch,
     /// Completion time of everything observed so far.
     pub done: SimTime,
@@ -263,32 +259,7 @@ impl<'r> BagState<'r> {
     }
 }
 
-/// One step of the per-bag request→forward→DRAM→accumulate path.
-///
-/// Stages run in a fixed order over a shared [`EngineCtx`]; each advances
-/// the bag's timing (`done`, `core_busy`) and functional state (`acc`).
-pub(crate) trait Stage: Sync {
-    /// Short stage name for diagnostics.
-    fn name(&self) -> &'static str;
-    /// Advances `bag` through this stage.
-    fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>);
-}
-
-/// The standard five-stage bag pipeline, in execution order.
-pub(crate) const STAGES: &[&dyn Stage] = &[
-    &ClassifyStage,
-    &LocalGatherStage,
-    &RemoteGatherStage,
-    &CxlGatherStage,
-    &FinalizeStage,
-];
-
-/// Names of the standard stages, in execution order.
-pub(crate) fn stage_names() -> Vec<&'static str> {
-    STAGES.iter().map(|s| s.name()).collect()
-}
-
-/// Processes one bag through [`STAGES`]; returns
+/// Processes one bag through the five stages, in order; returns
 /// `(completion_time, core_free_time)`.
 pub(crate) fn process_bag(
     ctx: &mut EngineCtx<'_>,
@@ -299,9 +270,11 @@ pub(crate) fn process_bag(
     rows: &[u64],
 ) -> (SimTime, SimTime) {
     let mut bag = BagState::new(ctx.cfg, scratch, host_idx, issue, table, rows);
-    for stage in STAGES {
-        stage.run(ctx, &mut bag);
-    }
+    classify(ctx, &mut bag);
+    local_gather(ctx, &mut bag);
+    remote_gather(ctx, &mut bag);
+    cxl_gather(ctx, &mut bag);
+    finalize(ctx, &bag);
     let result = (bag.done, bag.core_busy.max(bag.issue));
     bag.release(scratch);
     result
@@ -309,186 +282,144 @@ pub(crate) fn process_bag(
 
 /// Resolves each row to its tier, records page hotness, and charges the
 /// per-tier lookup counters.
-pub(crate) struct ClassifyStage;
-
-impl Stage for ClassifyStage {
-    fn name(&self) -> &'static str {
-        "classify"
-    }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-        ctx.metrics.lookups += bag.rows.len() as u64;
-        for &row in bag.rows {
-            let addr = ctx.tables[bag.table as usize].row_addr(row);
-            let page = PageId::of_addr(addr);
-            ctx.hotness.host_mut(bag.host_idx).record(page);
-            match ctx.tier_of_addr(addr) {
-                Tier::Local => bag.local.push((row, addr)),
-                Tier::Remote => bag.remote.push((row, addr)),
-                Tier::Cxl(d) => {
-                    let d = d % ctx.cfg.n_devices;
-                    ctx.epoch_dev_pages[d as usize]
-                        .entry(page)
-                        .and_modify(|c| *c += 1)
-                        .or_insert(1);
-                    bag.cxl.push((d, row, addr));
-                }
+fn classify(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
+    ctx.metrics.lookups += bag.rows.len() as u64;
+    for &row in bag.rows {
+        let addr = ctx.tables[bag.table as usize].row_addr(row);
+        let page = PageId::of_addr(addr);
+        ctx.hotness.host_mut(bag.host_idx).record(page);
+        match ctx.tier_of_addr(addr) {
+            Tier::Local => bag.local.push((row, addr)),
+            Tier::Remote => bag.remote.push((row, addr)),
+            Tier::Cxl(d) => {
+                let d = d % ctx.cfg.n_devices;
+                ctx.epoch_dev_pages[d as usize]
+                    .entry(page)
+                    .and_modify(|c| *c += 1)
+                    .or_insert(1);
+                bag.cxl.push((d, row, addr));
             }
         }
-        ctx.metrics.local_lookups += bag.local.len() as u64;
-        ctx.metrics.remote_lookups += bag.remote.len() as u64;
-        ctx.metrics.cxl_lookups += bag.cxl.len() as u64;
     }
+    ctx.metrics.local_lookups += bag.local.len() as u64;
+    ctx.metrics.remote_lookups += bag.remote.len() as u64;
+    ctx.metrics.cxl_lookups += bag.cxl.len() as u64;
 }
 
 /// Local rows: host-compute everywhere except RecNMP, which folds in
 /// the DIMM using bank-level parallelism and its DIMM cache.
-pub(crate) struct LocalGatherStage;
-
-impl Stage for LocalGatherStage {
-    fn name(&self) -> &'static str {
-        "local-gather"
+fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
+    if bag.local.is_empty() {
+        return;
     }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-        if bag.local.is_empty() {
-            return;
+    let row_bytes = ctx.cfg.model.row_bytes();
+    let is_nmp = ctx.cfg.compute == ComputeSite::Dimm;
+    let start = bag.core_busy;
+    bag.window.clear();
+    let mut t = start;
+    let mut last = start;
+    for &(_row, addr) in &bag.local {
+        if !is_nmp && bag.window.len() >= ctx.cfg.outstanding {
+            t = t.max(bag.window.pop_front().expect("window non-empty"));
         }
-        let row_bytes = ctx.cfg.model.row_bytes();
-        let is_nmp = ctx.cfg.compute == ComputeSite::Dimm;
-        let start = bag.core_busy;
-        bag.window.clear();
-        let mut t = start;
-        let mut last = start;
-        for &(_row, addr) in &bag.local {
-            if !is_nmp && bag.window.len() >= ctx.cfg.outstanding {
-                t = t.max(bag.window.pop_front().expect("window non-empty"));
+        let host = &mut ctx.hosts[bag.host_idx];
+        let mut served_from_cache = false;
+        if is_nmp {
+            if let Some(cache) = host.dimm_cache.as_mut() {
+                served_from_cache = cache.access(addr);
             }
-            let host = &mut ctx.hosts[bag.host_idx];
-            let mut served_from_cache = false;
-            if is_nmp {
-                if let Some(cache) = host.dimm_cache.as_mut() {
-                    served_from_cache = cache.access(addr);
-                }
-            }
-            let data = if served_from_cache {
-                let lat = host
-                    .dimm_cache
-                    .as_ref()
-                    .expect("cache present")
-                    .access_latency();
-                t + lat
-            } else {
-                host.dram
-                    .access_span(t, spread_addr(addr), row_bytes, MemOp::Read)
-            };
-            // RecNMP gathers with bank-level parallelism inside the DIMM:
-            // the whole bag is issued at once and folds pipeline behind
-            // the data (§VI-C1: "the latter performs data fetch with
-            // bank-level parallelism"). Hosts fold on the core with a
-            // bounded MLP window.
-            let fold_done =
-                data + SimDuration::from_ns(if is_nmp { bag.acc_ns / 2 } else { bag.acc_ns });
-            bag.window.push_back(fold_done);
-            t += SimDuration::from_ns(if is_nmp { 1 } else { ISSUE_NS });
-            last = last.max(fold_done);
         }
-        // SoA gather + wide fold, hoisted out of the timing loop: same
-        // rows in the same order as the per-row fold it replaces, so the
-        // functional sums are bit-identical.
-        let table = &ctx.tables[bag.table as usize];
-        bag.scratch.batch.begin(table.dim() as usize);
-        for &(row, _) in &bag.local {
-            bag.scratch.batch.push_row(row);
-        }
-        bag.scratch.batch.fold_into(table, &mut bag.acc);
-        // Local gathers are software-pipelined across bags (prefetch
-        // hides local DRAM latency — the CPU optimizations of the
-        // paper's [8]); the core is free once the loads are in flight.
-        // RecNMP likewise returns asynchronously with its pooled result.
-        bag.done = bag.done.max(last);
-        bag.core_busy = t;
+        let data = if served_from_cache {
+            let lat = host
+                .dimm_cache
+                .as_ref()
+                .expect("cache present")
+                .access_latency();
+            t + lat
+        } else {
+            host.dram
+                .access_span(t, spread_addr(addr), row_bytes, MemOp::Read)
+        };
+        // RecNMP gathers with bank-level parallelism inside the DIMM:
+        // the whole bag is issued at once and folds pipeline behind
+        // the data (§VI-C1: "the latter performs data fetch with
+        // bank-level parallelism"). Hosts fold on the core with a
+        // bounded MLP window.
+        let fold_done =
+            data + SimDuration::from_ns(if is_nmp { bag.acc_ns / 2 } else { bag.acc_ns });
+        bag.window.push_back(fold_done);
+        t += SimDuration::from_ns(if is_nmp { 1 } else { ISSUE_NS });
+        last = last.max(fold_done);
     }
+    // SoA gather + wide fold, hoisted out of the timing loop: same
+    // rows in the same order as the per-row fold it replaces, so the
+    // functional sums are bit-identical.
+    bag.scratch.batch.fold(
+        &ctx.tables[bag.table as usize],
+        bag.local.iter().map(|&(row, _)| row),
+        &mut bag.acc,
+    );
+    // Local gathers are software-pipelined across bags (prefetch
+    // hides local DRAM latency — the CPU optimizations of the
+    // paper's [8]); the core is free once the loads are in flight.
+    // RecNMP likewise returns asynchronously with its pooled result.
+    bag.done = bag.done.max(last);
+    bag.core_busy = t;
 }
 
 /// Remote-socket rows: a bounded MLP window over the socket link and the
 /// partially-populated remote DRAM; synchronous on the issuing core.
-pub(crate) struct RemoteGatherStage;
-
-impl Stage for RemoteGatherStage {
-    fn name(&self) -> &'static str {
-        "remote-gather"
+fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
+    if bag.remote.is_empty() {
+        return;
     }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-        if bag.remote.is_empty() {
-            return;
+    let row_bytes = ctx.cfg.model.row_bytes();
+    bag.window.clear();
+    let mut t = bag.core_busy;
+    let mut last = bag.core_busy;
+    for &(_row, addr) in &bag.remote {
+        if bag.window.len() >= ctx.cfg.outstanding {
+            t = t.max(bag.window.pop_front().expect("window non-empty"));
         }
-        let row_bytes = ctx.cfg.model.row_bytes();
-        bag.window.clear();
-        let mut t = bag.core_busy;
-        let mut last = bag.core_busy;
-        for &(_row, addr) in &bag.remote {
-            if bag.window.len() >= ctx.cfg.outstanding {
-                t = t.max(bag.window.pop_front().expect("window non-empty"));
-            }
-            let sent = ctx.remote_link.transfer(t, 16);
-            let data = ctx
-                .remote_dram
-                .access_span(sent, spread_addr(addr), row_bytes, MemOp::Read);
-            let back = ctx.remote_link.transfer(data, row_bytes);
-            let fold_done = back + SimDuration::from_ns(bag.acc_ns);
-            bag.window.push_back(fold_done);
-            t += SimDuration::from_ns(ISSUE_NS);
-            last = last.max(fold_done);
-        }
-        // SoA gather + wide fold, hoisted out of the timing loop (order
-        // preserved, bit-identical).
-        let table = &ctx.tables[bag.table as usize];
-        bag.scratch.batch.begin(table.dim() as usize);
-        for &(row, _) in &bag.remote {
-            bag.scratch.batch.push_row(row);
-        }
-        bag.scratch.batch.fold_into(table, &mut bag.acc);
-        bag.done = bag.done.max(last);
-        bag.core_busy = bag.core_busy.max(last); // synchronous on the core
+        let sent = ctx.remote_link.transfer(t, 16);
+        let data = ctx
+            .remote_dram
+            .access_span(sent, spread_addr(addr), row_bytes, MemOp::Read);
+        let back = ctx.remote_link.transfer(data, row_bytes);
+        let fold_done = back + SimDuration::from_ns(bag.acc_ns);
+        bag.window.push_back(fold_done);
+        t += SimDuration::from_ns(ISSUE_NS);
+        last = last.max(fold_done);
     }
+    // SoA gather + wide fold, hoisted out of the timing loop (order
+    // preserved, bit-identical).
+    bag.scratch.batch.fold(
+        &ctx.tables[bag.table as usize],
+        bag.remote.iter().map(|&(row, _)| row),
+        &mut bag.acc,
+    );
+    bag.done = bag.done.max(last);
+    bag.core_busy = bag.core_busy.max(last); // synchronous on the core
 }
 
 /// Pooled-CXL rows: dispatches to host-side folding (Pond, RecNMP
 /// spill) or in-switch accumulation (PIFS, BEACON) per the configured
 /// compute site.
-pub(crate) struct CxlGatherStage;
-
-impl Stage for CxlGatherStage {
-    fn name(&self) -> &'static str {
-        "cxl-gather"
+fn cxl_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
+    if bag.cxl.is_empty() {
+        return;
     }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-        if bag.cxl.is_empty() {
-            return;
-        }
-        let (cxl_done, core_after) = match ctx.cfg.compute {
-            ComputeSite::Host | ComputeSite::Dimm => cxl_rows_host_compute(ctx, bag),
-            ComputeSite::Switch => cxl_rows_switch_compute(ctx, bag),
-        };
-        bag.done = bag.done.max(cxl_done);
-        bag.core_busy = core_after;
-    }
+    let (cxl_done, core_after) = match ctx.cfg.compute {
+        ComputeSite::Host | ComputeSite::Dimm => cxl_rows_host_compute(ctx, bag),
+        ComputeSite::Switch => cxl_rows_switch_compute(ctx, bag),
+    };
+    bag.done = bag.done.max(cxl_done);
+    bag.core_busy = core_after;
 }
 
 /// Folds the bag's functional checksum into the run metrics.
-pub(crate) struct FinalizeStage;
-
-impl Stage for FinalizeStage {
-    fn name(&self) -> &'static str {
-        "finalize"
-    }
-
-    fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-        ctx.metrics.checksum += bag.acc.iter().map(|&x| x as f64).sum::<f64>();
-    }
+fn finalize(ctx: &mut EngineCtx<'_>, bag: &BagState<'_>) {
+    ctx.metrics.checksum += bag.acc.iter().map(|&x| x as f64).sum::<f64>();
 }
 
 /// Rows of one bag homed on one switch, as indices into `BagState::cxl`.
@@ -526,12 +457,11 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
     }
     // SoA gather + wide fold, hoisted out of the timing loop (order
     // preserved, bit-identical).
-    let table = &ctx.tables[bag.table as usize];
-    bag.scratch.batch.begin(table.dim() as usize);
-    for &(_, row, _) in &bag.cxl {
-        bag.scratch.batch.push_row(row);
-    }
-    bag.scratch.batch.fold_into(table, &mut bag.acc);
+    bag.scratch.batch.fold(
+        &ctx.tables[bag.table as usize],
+        bag.cxl.iter().map(|&(_, row, _)| row),
+        &mut bag.acc,
+    );
     // The gather loop is software-pipelined across bags; the run is
     // bound by fabric bandwidth (every row crosses the host link,
     // which is Pond's structural handicap), not by one bag's RTT.
@@ -544,7 +474,7 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
 /// host.
 fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (SimTime, SimTime) {
     let row_bytes = ctx.cfg.model.row_bytes();
-    let dim = ctx.cfg.model.emb_dim;
+    let dim = ctx.cfg.model.emb_dim as usize;
     let host_idx = bag.host_idx;
     let table = bag.table;
     let host_switch = ctx.topo.host_switch(host_idx);
@@ -577,7 +507,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
 
     // Host issues Configuration + one DataFetch per row on its
     // request link, then is free (asynchronous communication).
-    let chunks = (row_bytes.div_ceil(16)).min(8) as u8;
     let config_req = M2sReq::configuration(
         0xF000_0000,
         (cluster.0 & 0x1FF) as u16,
@@ -602,33 +531,30 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         &mut bag.scratch.sent,
     );
     t += SimDuration::from_ns(ISSUE_NS * bag.cxl.len() as u64);
-    // Arrival time of each DataFetch at its switch, indexed by the row's
-    // position in `bag.cxl` (positional, so duplicate rows in one bag
-    // keep their own serialized issue/arrival times).
     // Debug builds round-trip the whole DataFetch burst through the
     // batched codec and check every instruction routes to the process
     // core; the release path models only the stream's timing.
     #[cfg(debug_assertions)]
     {
-        let stream: Vec<M2sReq> = bag
-            .cxl
-            .iter()
-            .map(|&(_, _, addr)| {
-                M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16)
-            })
-            .collect();
-        let mut slab = Vec::new();
-        M2sReq::encode_batch(&stream, &mut slab);
-        let mut decoded = Vec::new();
-        M2sReq::decode_batch(&slab, &mut decoded).expect("DataFetch burst decodes");
+        let chunks = (row_bytes.div_ceil(16)).min(8) as u8;
+        let (stream, slab, decoded) = &mut bag.scratch.codec;
+        stream.clear();
+        stream.extend(bag.cxl.iter().map(|&(_, _, addr)| {
+            M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16)
+        }));
+        M2sReq::encode_batch(stream, slab);
+        M2sReq::decode_batch(slab, decoded).expect("DataFetch burst decodes");
         assert_eq!(decoded, stream, "batched codec must round-trip the burst");
-        for req in &decoded {
+        for req in decoded.iter() {
             assert_eq!(
                 crate::instrflow::check_memopcode(req),
                 crate::InstrRoute::ProcessCore
             );
         }
     }
+    // Arrival time of each DataFetch at its switch, indexed by the row's
+    // position in `bag.cxl` (positional, so duplicate rows in one bag
+    // keep their own serialized issue/arrival times).
     bag.scratch.instr_arrivals.clear();
     for (i, &(dev, _row, _addr)) in bag.cxl.iter().enumerate() {
         let s = ctx.topo.device_switch(dev as usize);
@@ -638,19 +564,15 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     }
     let core_free = t;
 
-    // The local ACR opens the cluster when the Configuration lands.
-    let _ = config_arrival;
-    ctx.switches[local_sw_idx]
-        .acr
-        .configure(cluster, bag.cxl.len() as u32, 0xF000_0000, dim)
-        .unwrap_or_else(|_| panic!("ACR backpressure not modeled as fatal: raise ACR_CAPACITY"));
-    ctx.switches[local_sw_idx]
-        .fc
-        .open(cluster, n_groups as u32, dim);
-
-    // Each switch group accumulates its sub-cluster.
+    // The local switch opens the cluster when the Configuration lands
+    // (the ACR's `SumCandidateCount` is `bag.cxl.len()`, split into one
+    // sub-cluster per switch group). Each group accumulates its
+    // sub-cluster and the local forward controller folds the partials,
+    // in group order, into `merged`; the result is ready once the
+    // slowest partial has landed.
     let mut final_done = config_arrival;
-    let mut merged_acc: Option<Vec<f32>> = None;
+    bag.scratch.merged.clear();
+    bag.scratch.merged.resize(dim, 0.0f32);
     for (sid, group) in &bag.scratch.by_switch[..n_groups] {
         // §IV-C2 versatility: a remote switch without a process core
         // (CNV = 0) cannot accumulate — the local switch does all the
@@ -661,18 +583,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         } else {
             local_sw_idx
         };
-        bag.scratch.sub_acc.clear();
-        bag.scratch.sub_acc.resize(dim as usize, 0.0f32);
-        // Per-group SoA gather: the sub-cluster's rows stream through the
-        // arena in group order, so the wide fold below is bit-identical
-        // to the per-row fold it replaces. (`ctx.tables` is copied out so
-        // the borrow doesn't pin `ctx` across the timing loop.)
-        let tables: &[EmbeddingTable] = ctx.tables;
-        let tbl = &tables[table as usize];
-        bag.scratch.batch.begin(dim as usize);
-        for &i in group {
-            bag.scratch.batch.push_row(bag.cxl[i].1);
-        }
         let mut sub_last = SimTime::ZERO;
         for &i in group {
             let (dev, _row, addr) = bag.cxl[i];
@@ -683,10 +593,8 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             sw.decode_free = decode_start + SimDuration::from_ns(DECODE_NS);
             let decoded = sw.decode_free + SimDuration::from_ns(ctx.cfg.translation_ns);
 
-            // Register in the IIR, repack and fetch (buffer first).
-            let fetch_req =
-                M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16);
-            let _ = sw.iir.register(fetch_req);
+            // Fetch the row (buffer first); the IIR matches the return
+            // to its DataFetch by address.
             let hit = sw.buffer.as_mut().map(|b| b.access(addr)).unwrap_or(false);
             let mut data_ready = if hit {
                 let lat = sw.buffer.as_ref().expect("buffer present").access_latency();
@@ -700,12 +608,18 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
                     + ctx.topo.hop_latency(*sid, host_switch)
                     + SimDuration::from_ns(row_bytes / ctx.cfg.cxl.link_gbps.max(1) + 1);
             }
-            let sw = &mut ctx.switches[s_idx];
-            sw.iir.match_return(addr);
-            let folded = sw.engine.process_row(data_ready, cluster);
+            let folded = ctx.switches[s_idx].engine.process_row(data_ready, cluster);
             sub_last = sub_last.max(folded);
         }
-        bag.scratch.batch.fold_into(tbl, &mut bag.scratch.sub_acc);
+        // Per-group SoA gather: the sub-cluster's rows fold in group
+        // order, bit-identical to the per-row fold it replaces.
+        bag.scratch.sub_acc.clear();
+        bag.scratch.sub_acc.resize(dim, 0.0f32);
+        bag.scratch.batch.fold(
+            &ctx.tables[table as usize],
+            group.iter().map(|&i| bag.cxl[i].1),
+            &mut bag.scratch.sub_acc,
+        );
         ctx.switches[s_idx].engine.complete_cluster(cluster);
 
         // Ship the sub-result to the local switch (free when the
@@ -715,29 +629,12 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         } else {
             SimDuration::ZERO
         };
-        let sub_at_local = sub_last + hop;
-        match ctx.switches[local_sw_idx].fc.on_sub_result(
-            cluster,
-            &bag.scratch.sub_acc,
-            sub_at_local,
-        ) {
-            ForwardOutcome::Waiting => {}
-            ForwardOutcome::Complete(vec, at) => {
-                merged_acc = Some(vec);
-                final_done = final_done.max(at);
-            }
+        final_done = final_done.max(sub_last + hop);
+        for (m, &v) in bag.scratch.merged.iter_mut().zip(&bag.scratch.sub_acc) {
+            *m += v;
         }
     }
-
-    // Retire the cluster in the ACR by feeding the merged result as
-    // bookkeeping (counts were tracked per arrival by the engine; the
-    // ACR holds the canonical counter — drained counter-only, since the
-    // merged arithmetic lives in the forward controller's result).
-    let merged = merged_acc.expect("all sub-clusters reported");
-    let _ = ctx.switches[local_sw_idx]
-        .acr
-        .drain_rows(cluster, bag.cxl.len() as u32);
-    for (a, &v) in bag.acc.iter_mut().zip(&merged) {
+    for (a, &v) in bag.acc.iter_mut().zip(&bag.scratch.merged) {
         *a += v;
     }
 
@@ -769,13 +666,8 @@ mod tests {
             for &r in &rows {
                 dlrm::sls::accumulate_row(&mut want, table, r, 1.0);
             }
-            let mut batch = BagBatch::default();
-            batch.begin(dim);
-            for &r in &rows {
-                batch.push_row(r);
-            }
             let mut got = vec![0.0f32; dim];
-            batch.fold_into(table, &mut got);
+            BagBatch::default().fold(table, rows.iter().copied(), &mut got);
             assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -783,20 +675,5 @@ mod tests {
                 table.id()
             );
         }
-    }
-
-    #[test]
-    fn stages_run_in_request_to_accumulate_order() {
-        let names: Vec<&str> = STAGES.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "classify",
-                "local-gather",
-                "remote-gather",
-                "cxl-gather",
-                "finalize"
-            ]
-        );
     }
 }

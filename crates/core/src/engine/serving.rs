@@ -8,7 +8,7 @@
 //! [`QueryBatcher`] closes dynamic batches when either the batch fills
 //! ([`ServingConfig::batch_size`]) or the oldest query has waited
 //! [`ServingConfig::max_wait_ns`]. Each closed batch is dispatched to
-//! the existing `Stage` pipeline (`engine/pipeline.rs`) as soon as
+//! the per-bag stage pipeline (`engine/pipeline.rs`) as soon as
 //! its host is free, and every query's enqueue→completion latency lands
 //! in a streaming [`LatencyHist`] — the p50/p99 a latency-vs-QPS curve
 //! plots.

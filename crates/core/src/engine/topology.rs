@@ -9,16 +9,9 @@ use memsim::{DramConfig, DramDevice};
 use simkit::SimTime;
 
 use super::config::{ComputeSite, SystemConfig};
-use crate::acr::AccumulateLogic;
 use crate::buffer::OnSwitchBuffer;
-use crate::forward::ForwardController;
-use crate::iir::IngressRegistry;
 use crate::ooo::AccumEngine;
 
-/// ACR concurrent-cluster capacity.
-pub(crate) const ACR_CAPACITY: usize = 128;
-/// IIR in-flight capacity.
-pub(crate) const IIR_CAPACITY: usize = 512;
 /// Swap registers in the OoO engine.
 pub(crate) const SWAP_REGS: usize = 8;
 
@@ -50,12 +43,6 @@ pub(crate) struct SwitchCtx {
     pub engine: AccumEngine,
     /// On-switch SRAM row buffer, when configured.
     pub buffer: Option<OnSwitchBuffer>,
-    /// Instruction Ingress Registry.
-    pub iir: IngressRegistry,
-    /// Accumulate Configuration Register/Logic.
-    pub acr: AccumulateLogic,
-    /// Multi-switch forward controller.
-    pub fc: ForwardController,
     /// Instruction decode pipeline occupancy.
     pub decode_free: SimTime,
 }
@@ -126,9 +113,6 @@ impl Plant {
                     } else {
                         None
                     },
-                    iir: IngressRegistry::new(IIR_CAPACITY),
-                    acr: AccumulateLogic::new(ACR_CAPACITY),
-                    fc: ForwardController::new(),
                     decode_free: SimTime::ZERO,
                 }
             })

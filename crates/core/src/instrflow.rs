@@ -1,14 +1,15 @@
-//! MemOpcode checking and instruction repacking (§IV-A2).
+//! MemOpcode checking (§IV-A2).
 //!
 //! When a memory request reaches the fabric switch, the MemOpcode checker
 //! inspects the instruction's `memOpcode` field: standard traffic
 //! bypasses the process core and goes straight to the VCS for routing;
 //! PIFS-enhanced opcodes (`DataFetch`, `Configuration`) are diverted into
-//! the process core, which repacks row fetches into standard reads whose
-//! SPID points at the switch so retrieved data lands in switch registers
-//! instead of the host.
+//! the process core, which repacks row fetches into standard reads
+//! ([`cxlsim::M2sReq::repack_for_device`]) whose SPID points at the
+//! switch so retrieved data lands in switch registers instead of the
+//! host.
 
-use cxlsim::{M2sReq, MemOpcode};
+use cxlsim::M2sReq;
 
 /// Where the MemOpcode checker routes an incoming instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,24 +43,6 @@ pub fn check_memopcode(req: &M2sReq) -> InstrRoute {
     }
 }
 
-/// Repacks a `DataFetch` for issue to the end device: opcode becomes a
-/// standard `MemRd`, the SPID becomes the switch's, and the DPID selects
-/// the target device. The host "still acts as a monitor" — its original
-/// tag and address are preserved so the IIR can match the return.
-///
-/// # Panics
-///
-/// Panics if called on a non-`DataFetch` instruction — the checker must
-/// have routed standard traffic around the PC already.
-pub fn repack(req: &M2sReq, switch_spid: u16, device_dpid: u16) -> M2sReq {
-    assert_eq!(
-        req.opcode,
-        MemOpcode::DataFetch,
-        "only DataFetch instructions are repacked"
-    );
-    req.repack_for_device(switch_spid, device_dpid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,23 +65,5 @@ mod tests {
             check_memopcode(&M2sReq::configuration(0, 1, 4, 9)),
             InstrRoute::ProcessCore
         );
-    }
-
-    #[test]
-    fn repacked_fetch_is_a_standard_read_owned_by_the_switch() {
-        let host_req = M2sReq::data_fetch(0xAB00, 7, 2, /*host*/ 3);
-        let dev_req = repack(&host_req, /*switch*/ 100, /*device*/ 5);
-        assert_eq!(dev_req.opcode, MemOpcode::MemRd);
-        assert_eq!(dev_req.spid, 100);
-        assert_eq!(dev_req.dpid, 5);
-        assert_eq!(dev_req.address, host_req.address);
-        // The repacked request no longer routes to the PC on the device.
-        assert_eq!(check_memopcode(&dev_req), InstrRoute::BypassToVcs);
-    }
-
-    #[test]
-    #[should_panic(expected = "DataFetch")]
-    fn repacking_standard_reads_is_a_bug() {
-        let _ = repack(&M2sReq::mem_read(0, 0), 1, 2);
     }
 }

@@ -9,18 +9,21 @@
 //!
 //! Hardware blocks (§IV-A):
 //!
-//! * [`instrflow`] — the MemOpcode checker and instruction repacking that
-//!   let standard CXL traffic bypass the process core untouched;
-//! * [`iir`] — the Instruction Ingress Registry matching returning data
-//!   to its originating instruction by address;
-//! * [`acr`] — the Accumulate Configuration Register/Logic with
-//!   `SumCandidateCounter` completion tracking and capacity-based
-//!   backpressure;
+//! * [`instrflow`] — the MemOpcode checker that lets standard CXL
+//!   traffic bypass the process core untouched;
 //! * [`ooo`] — the out-of-order accumulation engine with swap registers;
 //! * [`buffer`] — the on-switch SRAM buffer with the Hottest-Recording
-//!   (HTR) replacement policy, plus LRU/FIFO for comparison;
-//! * [`forward`] — multi-layer instruction forwarding across switches
-//!   with `Sub-SumCandidateCounter` bookkeeping and CNV discovery.
+//!   (HTR) replacement policy, plus LRU/FIFO for comparison.
+//!
+//! The rest of the process core lives in one fold, the switch-compute
+//! path of [`engine::pipeline`]. Each bag opens one accumulation
+//! cluster and closes it in the same call. The ACR's
+//! `SumCandidateCounter` is the bag's CXL row count. IIR matching is
+//! the per-row fetch (buffer first) feeding the accumulate engine.
+//! Multi-layer forwarding (§IV-C) splits the rows into one sub-cluster
+//! per switch homing their devices, with the CNV = 0 fallback to the
+//! local switch. The partials are summed in group order, and the result
+//! is ready once the slowest one lands.
 //!
 //! The [`system`] module composes these with the substrate crates
 //! (`memsim`, `cxlsim`, `pagemgmt`, `dlrm`, `tracegen`) into a runnable
@@ -49,21 +52,15 @@
 
 #![warn(missing_docs)]
 
-pub mod acr;
 pub mod buffer;
 pub mod engine;
-pub mod forward;
-pub mod iir;
 pub mod instrflow;
 pub mod ooo;
 pub mod system;
 
-pub use acr::{AccumulateLogic, AcrFull, ClusterId};
 pub use buffer::{BufferPolicy, OnSwitchBuffer};
 pub use engine::checkpoint::SimCheckpoint;
 pub use engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-pub use forward::{ForwardController, ForwardOutcome};
-pub use iir::IngressRegistry;
 pub use instrflow::{check_memopcode, InstrRoute};
-pub use ooo::AccumEngine;
+pub use ooo::{AccumEngine, ClusterId};
 pub use system::{ComputeSite, RunMetrics, SlsSystem, SystemConfig};

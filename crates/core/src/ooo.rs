@@ -12,7 +12,11 @@ use simkit::hash::FastSet;
 
 use simkit::{SimDuration, SimTime};
 
-use crate::acr::ClusterId;
+/// Globally unique accumulation-cluster identity. The 9-bit wire
+/// `sumtag` indexes the switch's ACR; the simulation widens it so
+/// concurrently live clusters from many hosts and batches stay distinct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ClusterId(pub u64);
 
 // Engine state: `current` is the cluster loaded in the datapath, `parked`
 // are incomplete partials held in swap registers, `completed` marks
@@ -99,9 +103,10 @@ impl AccumEngine {
     /// still holds the cluster's state until the next row displaces it,
     /// so an in-order engine pays a drain when the *next* cluster
     /// arrives — matching the hardware, where completion does not flush
-    /// the datapath.
+    /// the datapath. Only the OoO engine remembers the completion: the
+    /// in-order engine never swaps, so it would never forget it either.
     pub fn complete_cluster(&mut self, cluster: ClusterId) {
-        if !self.parked.remove(&cluster) && self.current == Some(cluster) {
+        if !self.parked.remove(&cluster) && self.ooo && self.current == Some(cluster) {
             self.completed.insert(cluster);
         }
     }
@@ -183,6 +188,20 @@ mod tests {
         // Cluster 1 was completed, so only cluster 2 occupies the single
         // register when 3 arrives — exactly at capacity, no spill.
         assert_eq!(e.sram_spills, 0);
+    }
+
+    #[test]
+    fn completion_state_stays_bounded() {
+        // One cluster per bag, each completed after its rows: neither
+        // engine may accumulate per-cluster state across bags.
+        for ooo in [false, true] {
+            let mut e = AccumEngine::new(ooo, 16, 2);
+            for c in 0..100u64 {
+                e.process_row(t(c * 10), ClusterId(c));
+                e.complete_cluster(ClusterId(c));
+            }
+            assert!(e.completed.len() <= 1 && e.parked.is_empty(), "ooo = {ooo}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! [`SlsSystem`] composes the [`crate::engine`] layers —
 //! [`config`](crate::engine::config), [`topology`](crate::engine::topology),
-//! [`pipeline`],
+//! [`pipeline`](crate::engine::pipeline),
 //! [`pagemgmt_epoch`](crate::engine::pagemgmt_epoch) and
 //! [`metrics`](crate::engine::metrics) — and executes a
 //! [`tracegen::Trace`], producing the latency/bandwidth/occupancy metrics
@@ -26,7 +26,7 @@ use tracegen::Trace;
 use crate::engine::config::page_align;
 use crate::engine::metrics::CounterOffsets;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
-use crate::engine::pipeline::{self, process_bag, EngineCtx, EngineScratch};
+use crate::engine::pipeline::{process_bag, EngineCtx, EngineScratch};
 use crate::engine::serving::{
     assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, ReadyBatch, TaggedQuerySource,
     TraceArrivals,
@@ -173,12 +173,6 @@ impl SlsSystem {
         &self.page_table
     }
 
-    /// The per-bag pipeline stages, in execution order (introspection
-    /// for harnesses and diagnostics).
-    pub fn pipeline_stages(&self) -> Vec<&'static str> {
-        pipeline::stage_names()
-    }
-
     /// Removes the process core from switch `idx` (CNV = 0), forcing the
     /// §IV-C2 fallback where the host-local switch accumulates on its
     /// behalf.
@@ -252,19 +246,7 @@ impl SlsSystem {
             .map(|(h, &from)| h.next_free.saturating_since(from).as_ns())
             .max()
             .unwrap_or(0);
-        self.metrics.device_accesses = self
-            .plant
-            .devices
-            .iter()
-            .zip(&dev_offset)
-            .map(|(d, &off)| d.access_count() - off)
-            .collect();
-        counter_offsets.finish(&self.plant.switches, &self.plant.hosts, &mut self.metrics);
-        self.metrics.mean_bag_ns = if self.metrics.bags == 0 {
-            0.0
-        } else {
-            bag_latency_sum as f64 / self.metrics.bags as f64
-        };
+        self.close_window(&dev_offset, &counter_offsets, bag_latency_sum);
         self.metrics.clone()
     }
 
@@ -519,20 +501,7 @@ impl SlsSystem {
             .max()
             .unwrap_or(0);
         self.metrics.total_ns = serving.makespan_ns;
-        self.metrics.device_accesses = self
-            .plant
-            .devices
-            .iter()
-            .zip(&s.dev_offset)
-            .map(|(d, &off)| d.access_count() - off)
-            .collect();
-        s.counter_offsets
-            .finish(&self.plant.switches, &self.plant.hosts, &mut self.metrics);
-        self.metrics.mean_bag_ns = if self.metrics.bags == 0 {
-            0.0
-        } else {
-            s.bag_latency_sum as f64 / self.metrics.bags as f64
-        };
+        self.close_window(&s.dev_offset, &s.counter_offsets, s.bag_latency_sum);
         serving.run = self.metrics.clone();
         serving
     }
@@ -718,6 +687,30 @@ impl SlsSystem {
             *slot = d.access_count();
         }
         CounterOffsets::capture(&self.plant.switches, &self.plant.hosts)
+    }
+
+    /// Closes the measured window: per-device accesses and the switch
+    /// and host counters since the capture point, and the mean bag
+    /// latency over the window's `bag_latency_sum`.
+    fn close_window(
+        &mut self,
+        dev_offset: &[u64],
+        counter_offsets: &CounterOffsets,
+        bag_latency_sum: u128,
+    ) {
+        self.metrics.device_accesses = self
+            .plant
+            .devices
+            .iter()
+            .zip(dev_offset)
+            .map(|(d, &off)| d.access_count() - off)
+            .collect();
+        counter_offsets.finish(&self.plant.switches, &self.plant.hosts, &mut self.metrics);
+        self.metrics.mean_bag_ns = if self.metrics.bags == 0 {
+            0.0
+        } else {
+            bag_latency_sum as f64 / self.metrics.bags as f64
+        };
     }
 
     /// A split-borrow view for the per-bag pipeline stages.

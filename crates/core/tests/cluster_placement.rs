@@ -39,7 +39,6 @@ fn merged(p: &ShardPlacement, table: &EmbeddingTable, bag: &[u64]) -> Vec<f64> {
 /// A one-batch trace whose single sample's bag (every table) is `bag` —
 /// enough to drive the hotness tracker for replication builds.
 fn bag_trace(n_tables: u32, rows: u64, bag: &[u64]) -> Trace {
-    let offsets = vec![0u32, bag.len() as u32];
     Trace {
         n_tables,
         rows_per_table: rows,
@@ -47,7 +46,7 @@ fn bag_trace(n_tables: u32, rows: u64, bag: &[u64]) -> Trace {
         bag_size: bag.len() as u32,
         batches: vec![Batch {
             tables: (0..n_tables)
-                .map(|t| TableLookups::with_offsets(t, bag.to_vec(), offsets.clone()))
+                .map(|t| TableLookups::fixed(t, bag.to_vec()))
                 .collect(),
         }],
     }
@@ -63,8 +62,9 @@ proptest! {
         for policy in POLICIES {
             let p = placement(k, policy, n_tables);
             for t in 0..n_tables {
+                let none = FaultSchedule::none(k);
                 let mut route = Vec::new();
-                p.route_bag(t, &rows, &mut route);
+                p.route_bag_at(t, &rows, SimTime::ZERO, &none, &mut route);
                 prop_assert_eq!(route.len(), rows.len());
                 for (&row, &s) in rows.iter().zip(&route) {
                     // In range, equal to the owner (no replication), and
@@ -75,7 +75,7 @@ proptest! {
                 }
                 // Routing is deterministic across calls.
                 let mut again = Vec::new();
-                p.route_bag(t, &rows, &mut again);
+                p.route_bag_at(t, &rows, SimTime::ZERO, &none, &mut again);
                 prop_assert_eq!(&route, &again);
             }
         }
@@ -138,7 +138,7 @@ proptest! {
         let b = merged(&repl, &table, &bag);
         prop_assert_eq!(a, b);
         let mut route = Vec::new();
-        repl.route_bag(0, &bag, &mut route);
+        repl.route_bag_at(0, &bag, SimTime::ZERO, &FaultSchedule::none(k), &mut route);
         prop_assert_eq!(route.len(), bag.len());
         for &s in &route {
             prop_assert!(s < k);

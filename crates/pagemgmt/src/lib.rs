@@ -16,8 +16,6 @@
 //!   rebalances device load at the migrate threshold (§IV-B3);
 //! * [`MigrationCostModel`] — page-block vs cache-line-block migration
 //!   overheads (§IV-B4);
-//! * [`TppPolicy`] — the TPP baseline (promotion-on-reuse tiering) the
-//!   paper compares against in Fig 13(d);
 //! * [`InitialPlacement`] — the static interleave policies of the
 //!   characterization study (all-local, all-CXL, remote-socket, 4:1).
 //!
@@ -39,11 +37,9 @@ pub mod hotness;
 pub mod placement;
 pub mod spread;
 pub mod table;
-pub mod tpp;
 
 pub use cost::{MigrationCostModel, MigrationGranularity};
 pub use hotness::{GlobalHotness, HotnessTracker, PageClass};
 pub use placement::InitialPlacement;
 pub use spread::{access_std_dev, rebalance, DeviceLoad, Migration, SpreadConfig};
 pub use table::{PageId, PageTable, Tier, TierCapacities, PAGE_BYTES};
-pub use tpp::TppPolicy;

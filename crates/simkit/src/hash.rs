@@ -2,7 +2,7 @@
 //!
 //! The std `HashMap` defaults to SipHash-1-3, whose per-lookup cost
 //! dominates several simulator hot paths (page-hotness tracking, the
-//! IIR's address matching, per-epoch device/page counts). Those maps key
+//! OoO engine's cluster sets, per-epoch device/page counts). Those maps key
 //! on small integers the workload controls, need no DoS hardening, and —
 //! crucially — never let iteration order leak into results (every
 //! consumer sorts or folds order-independently), so swapping the hasher

@@ -1,4 +1,4 @@
-//! `tracegen` — embedding-access trace generation and analysis.
+//! `tracegen` — embedding-access trace generation.
 //!
 //! The paper evaluates on the open-source Meta DLRM traces plus four
 //! synthetic distribution families (Fig 12(b): Zipfian, Normal, Uniform,
@@ -30,14 +30,12 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod arrival;
 pub mod dist;
 pub mod stream;
 pub mod tenant;
 pub mod trace;
 
-pub use analysis::TraceProfile;
 pub use arrival::{ArrivalGen, ArrivalProcess};
 pub use dist::Distribution;
 pub use stream::{QueryStream, QueryStreamSpec};

@@ -10,57 +10,15 @@ use crate::dist::{Distribution, Sampler};
 pub struct TableLookups {
     /// Table index.
     pub table: u32,
-    /// Row indices, sample-major. In the fixed layout (`offsets ==
-    /// None`) this holds `batch_size × bag_size` entries; with offsets,
-    /// sample `s` owns `indices[offsets[s]..offsets[s + 1]]`.
+    /// Row indices, sample-major: `batch_size × bag_size` entries.
     pub indices: Vec<u64>,
-    /// CSR sample boundaries for variable-size bags: `batch_size + 1`
-    /// non-decreasing positions into `indices` (first 0, last
-    /// `indices.len()`). `None` means every sample's bag is exactly
-    /// `bag_size` rows — the layout the generator emits. The cluster
-    /// router uses offsets to express per-shard *sub-bags* (each shard
-    /// sees only the rows it owns, so bags shrink unevenly).
-    pub offsets: Option<Vec<u32>>,
 }
 
 impl TableLookups {
     /// The fixed `bag_size`-per-sample layout (what [`TraceSpec`]
     /// generates).
     pub fn fixed(table: u32, indices: Vec<u64>) -> Self {
-        TableLookups {
-            table,
-            indices,
-            offsets: None,
-        }
-    }
-
-    /// A variable-bag layout: sample `s` owns
-    /// `indices[offsets[s]..offsets[s + 1]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offsets` is empty, does not start at 0, is not
-    /// non-decreasing, or does not end at `indices.len()`.
-    pub fn with_offsets(table: u32, indices: Vec<u64>, offsets: Vec<u32>) -> Self {
-        assert!(
-            offsets.first() == Some(&0),
-            "offsets must start at 0 (got {:?})",
-            offsets.first()
-        );
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be non-decreasing"
-        );
-        assert_eq!(
-            *offsets.last().expect("non-empty offsets") as usize,
-            indices.len(),
-            "offsets must end at indices.len()"
-        );
-        TableLookups {
-            table,
-            indices,
-            offsets: Some(offsets),
-        }
+        TableLookups { table, indices }
     }
 }
 
@@ -108,9 +66,8 @@ impl Trace {
         })
     }
 
-    /// The bag (row indices) for `(table, sample)` within batch `batch`.
-    /// Fixed layouts slice `bag_size` rows; offset layouts slice the
-    /// sample's CSR range (possibly empty).
+    /// The bag (row indices) for `(table, sample)` within batch `batch`:
+    /// `bag_size` rows.
     ///
     /// # Panics
     ///
@@ -121,15 +78,8 @@ impl Trace {
 
     /// Sample `sample`'s row slice within one table's lookups.
     fn sample_slice<'a>(&self, t: &'a TableLookups, sample: u32) -> &'a [u64] {
-        match &t.offsets {
-            Some(off) => {
-                &t.indices[off[sample as usize] as usize..off[sample as usize + 1] as usize]
-            }
-            None => {
-                let start = sample as usize * self.bag_size as usize;
-                &t.indices[start..start + self.bag_size as usize]
-            }
-        }
+        let start = sample as usize * self.bag_size as usize;
+        &t.indices[start..start + self.bag_size as usize]
     }
 }
 
@@ -265,71 +215,5 @@ mod tests {
         let mut s = spec();
         s.n_batches = 0;
         let _ = s.generate();
-    }
-
-    /// A trace whose batch holds variable-size bags via CSR offsets:
-    /// sample 0 → 2 rows, sample 1 → 0 rows, sample 2 → 1 row.
-    fn offset_trace() -> Trace {
-        Trace {
-            n_tables: 1,
-            rows_per_table: 100,
-            batch_size: 3,
-            bag_size: 2, // nominal; the offsets override per sample
-            batches: vec![Batch {
-                tables: vec![TableLookups::with_offsets(
-                    0,
-                    vec![7, 8, 9],
-                    vec![0, 2, 2, 3],
-                )],
-            }],
-        }
-    }
-
-    #[test]
-    fn offset_bags_slice_their_csr_ranges() {
-        let t = offset_trace();
-        assert_eq!(t.bag(0, 0, 0), [7, 8]);
-        assert_eq!(t.bag(0, 0, 1), &[] as &[u64]);
-        assert_eq!(t.bag(0, 0, 2), [9]);
-        assert_eq!(t.total_lookups(), 3);
-    }
-
-    #[test]
-    fn offset_iteration_matches_bag_slicing() {
-        let t = offset_trace();
-        let collected: Vec<(usize, u32, u32, u64)> = t.iter_lookups().collect();
-        assert_eq!(
-            collected,
-            [(0, 0, 0, 7), (0, 0, 0, 8), (0, 0, 2, 9)],
-            "iter_lookups must honor the CSR sample boundaries"
-        );
-    }
-
-    #[test]
-    fn full_offsets_are_equivalent_to_the_fixed_layout() {
-        // A CSR layout whose every bag is exactly bag_size rows slices
-        // identically to the fixed layout — the bridge the 1-shard
-        // cluster byte-identity rests on.
-        let fixed = spec().generate();
-        let mut csr = fixed.clone();
-        for b in &mut csr.batches {
-            for t in &mut b.tables {
-                let step = fixed.bag_size;
-                t.offsets = Some((0..=fixed.batch_size).map(|s| s * step).collect());
-            }
-        }
-        for bi in 0..fixed.batches.len() {
-            for table in 0..fixed.n_tables {
-                for s in 0..fixed.batch_size {
-                    assert_eq!(fixed.bag(bi, table, s), csr.bag(bi, table, s));
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "end at indices.len()")]
-    fn truncated_offsets_rejected() {
-        let _ = TableLookups::with_offsets(0, vec![1, 2, 3], vec![0, 2]);
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! This facade re-exports the whole workspace:
 //!
-//! * [`pifs_core`] — the process core, ACR, OoO engine, HTR buffer,
-//!   multi-switch forwarding, and the full-system simulator;
+//! * [`pifs_core`] — the process core (the in-switch accumulation fold
+//!   with multi-switch forwarding, the OoO engine, the HTR buffer) and
+//!   the full-system simulator;
 //! * [`cxlsim`] / [`memsim`] — the CXL fabric and DDR timing substrates;
 //! * [`dlrm`] / [`tracegen`] — the workload;
 //! * [`pagemgmt`] — the tiered-memory software layer;
