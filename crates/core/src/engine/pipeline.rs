@@ -86,8 +86,8 @@ pub(crate) struct BagScratch {
 /// rows, in bag order, folded in one batched pass after the timing
 /// loop. Rows of a materialized table fold straight from the
 /// shared contiguous row store — copying them into a local arena first
-/// would only add memory traffic (measured slower on the `end_to_end`
-/// targets). Rows of an over-cap (procedural) table batch-fill the
+/// would only add memory traffic (measured slower on the since-retired
+/// `end_to_end` criterion targets). Rows of an over-cap (procedural) table batch-fill the
 /// arena with the vectorized hash ([`EmbeddingTable::value_block`]) in
 /// one contiguous row-major slab, which the SoA fold
 /// ([`dlrm::sls::simd::fold_rows_soa`]) then streams. Both paths fold

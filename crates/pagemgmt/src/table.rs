@@ -1,7 +1,5 @@
 //! Page identity, memory tiers, and the placement table.
 
-use simkit::hash::FastMap;
-
 use serde::{Deserialize, Serialize};
 
 /// Size of one OS page. §IV-B1 settles on 4 KB page-granular management
@@ -92,6 +90,10 @@ impl std::error::Error for CapacityError {}
 
 /// The placement table: which tier each page lives on.
 ///
+/// Page ids are dense (`0..n_pages` in every system), so the table is a
+/// flat array indexed by [`PageId`], sized by the largest placed id,
+/// and the per-tier occupancy is a small array indexed by tier.
+///
 /// # Examples
 ///
 /// ```
@@ -106,9 +108,26 @@ impl std::error::Error for CapacityError {}
 #[derive(Debug, Clone)]
 pub struct PageTable {
     caps: TierCapacities,
-    map: FastMap<PageId, Tier>,
-    occupancy: FastMap<Tier, u64>,
+    /// Tier of each page, indexed by page id; `None` if unplaced.
+    tiers: Vec<Option<Tier>>,
+    /// Pages resident per tier, indexed by [`tier_slot`].
+    occupancy: Vec<u64>,
+    placed: u64,
     migrations: u64,
+}
+
+/// `Local`, `Remote`, then one slot per CXL device.
+fn tier_slot(tier: Tier) -> usize {
+    match tier {
+        Tier::Local => 0,
+        Tier::Remote => 1,
+        Tier::Cxl(d) => 2 + d as usize,
+    }
+}
+
+/// `page`'s index into the dense table.
+fn page_slot(page: PageId) -> usize {
+    usize::try_from(page.0).expect("page id exceeds the address space")
 }
 
 impl PageTable {
@@ -116,15 +135,25 @@ impl PageTable {
     pub fn new(caps: TierCapacities) -> Self {
         PageTable {
             caps,
-            map: FastMap::default(),
-            occupancy: FastMap::default(),
+            tiers: Vec::new(),
+            occupancy: vec![0; 2 + usize::from(caps.n_cxl)],
+            placed: 0,
             migrations: 0,
+        }
+    }
+
+    /// Sizes the table for pages `0..n_pages` up front.
+    pub(crate) fn reserve_pages(&mut self, n_pages: u64) {
+        let n = usize::try_from(n_pages).expect("page count exceeds the address space");
+        if n > self.tiers.len() {
+            self.tiers.resize(n, None);
         }
     }
 
     /// Tier currently holding `page`, if placed.
     pub fn tier_of(&self, page: PageId) -> Option<Tier> {
-        self.map.get(&page).copied()
+        let i = usize::try_from(page.0).ok()?;
+        self.tiers.get(i).copied().flatten()
     }
 
     /// Places a previously unplaced page.
@@ -138,14 +167,19 @@ impl PageTable {
     /// Panics if the page is already placed (use [`PageTable::move_page`]).
     pub fn place(&mut self, page: PageId, tier: Tier) -> Result<(), CapacityError> {
         assert!(
-            !self.map.contains_key(&page),
+            self.tier_of(page).is_none(),
             "page {page:?} already placed; use move_page"
         );
         if self.occupancy(tier) >= self.caps.of(tier) {
             return Err(CapacityError { tier });
         }
-        self.map.insert(page, tier);
-        *self.occupancy.entry(tier).or_insert(0) += 1;
+        let i = page_slot(page);
+        if i >= self.tiers.len() {
+            self.tiers.resize(i + 1, None);
+        }
+        self.tiers[i] = Some(tier);
+        *self.occupancy_mut(tier) += 1;
+        self.placed += 1;
         Ok(())
     }
 
@@ -168,9 +202,9 @@ impl PageTable {
         if self.occupancy(to) >= self.caps.of(to) {
             return Err(CapacityError { tier: to });
         }
-        *self.occupancy.entry(from).or_insert(1) -= 1;
-        *self.occupancy.entry(to).or_insert(0) += 1;
-        self.map.insert(page, to);
+        *self.occupancy_mut(from) -= 1;
+        *self.occupancy_mut(to) += 1;
+        self.tiers[page_slot(page)] = Some(to);
         self.migrations += 1;
         Ok(())
     }
@@ -187,19 +221,29 @@ impl PageTable {
         if ta == tb {
             return;
         }
-        self.map.insert(a, tb);
-        self.map.insert(b, ta);
+        self.tiers[page_slot(a)] = Some(tb);
+        self.tiers[page_slot(b)] = Some(ta);
         self.migrations += 2;
     }
 
     /// Pages currently resident on `tier`.
     pub fn occupancy(&self, tier: Tier) -> u64 {
-        self.occupancy.get(&tier).copied().unwrap_or(0)
+        self.occupancy.get(tier_slot(tier)).copied().unwrap_or(0)
+    }
+
+    /// `tier`'s occupancy counter, growing the array for a device id
+    /// past the configured `n_cxl`.
+    fn occupancy_mut(&mut self, tier: Tier) -> &mut u64 {
+        let i = tier_slot(tier);
+        if i >= self.occupancy.len() {
+            self.occupancy.resize(i + 1, 0);
+        }
+        &mut self.occupancy[i]
     }
 
     /// Total pages placed.
     pub fn placed(&self) -> u64 {
-        self.map.len() as u64
+        self.placed
     }
 
     /// Total page migrations performed.
@@ -212,9 +256,11 @@ impl PageTable {
         &self.caps
     }
 
-    /// Iterates over all placements.
+    /// Iterates over all placements in ascending page order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, Tier)> + '_ {
-        self.map.iter().map(|(&p, &t)| (p, t))
+        (0u64..)
+            .zip(&self.tiers)
+            .filter_map(|(p, t)| t.map(|t| (PageId(p), t)))
     }
 }
 

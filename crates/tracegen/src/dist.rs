@@ -1,5 +1,7 @@
 //! Row-index distributions.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use simkit::DetRng;
 
@@ -94,13 +96,17 @@ impl Distribution {
 }
 
 /// A stateful index sampler for one table.
+///
+/// Cloning is cheap: the Zipf CDF is shared, not copied.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     dist: Distribution,
     rows: u64,
     rng: DetRng,
-    /// Zipf: precomputed cumulative weights for binary search.
-    zipf_cdf: Vec<f64>,
+    /// Zipf: precomputed cumulative weights for binary search, shared by
+    /// every table's sampler of one trace (empty for the other
+    /// families).
+    zipf_cdf: Arc<[f64]>,
     /// Uniform: current stride position.
     stride_pos: u64,
     /// MetaLike: recent accesses ring buffer.
@@ -118,12 +124,17 @@ impl Sampler {
     /// Panics if `rows` is zero.
     pub fn new(dist: Distribution, rows: u64, rng: DetRng) -> Self {
         assert!(rows > 0, "sampler needs at least one row");
-        let zipf_cdf = match dist {
-            Distribution::Zipfian { s }
-            | Distribution::ZipfianHead { s }
-            | Distribution::MetaLike { s, .. } => build_zipf_cdf(rows, s),
-            _ => Vec::new(),
-        };
+        Sampler::with_cdf(dist, rows, rng, zipf_cdf(dist, rows))
+    }
+
+    /// A sampler reading `zipf_cdf`, which must be `zipf_cdf(dist, rows)`
+    /// (shared between the tables of one trace).
+    pub(crate) fn with_cdf(
+        dist: Distribution,
+        rows: u64,
+        rng: DetRng,
+        zipf_cdf: Arc<[f64]>,
+    ) -> Self {
         Sampler {
             dist,
             rows,
@@ -205,20 +216,32 @@ impl Sampler {
     }
 }
 
+/// The Zipf CDF `dist` draws from over `rows` rows (empty, and not
+/// allocated, for the non-Zipf families).
+pub(crate) fn zipf_cdf(dist: Distribution, rows: u64) -> Arc<[f64]> {
+    match dist {
+        Distribution::Zipfian { s }
+        | Distribution::ZipfianHead { s }
+        | Distribution::MetaLike { s, .. } => build_zipf_cdf(rows, s),
+        _ => Arc::default(),
+    }
+}
+
 /// Cumulative Zipf weights over `min(rows, CAP)` ranks. Capping the rank
 /// table keeps memory bounded for huge tables; ranks past the cap carry
 /// negligible probability mass at the exponents used here.
-fn build_zipf_cdf(rows: u64, s: f64) -> Vec<f64> {
+fn build_zipf_cdf(rows: u64, s: f64) -> Arc<[f64]> {
     const CAP: u64 = 262_144;
     let n = rows.min(CAP) as usize;
-    let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+    let mut cdf: Arc<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+    let weights = Arc::get_mut(&mut cdf).expect("a fresh CDF is unshared");
     let total: f64 = weights.iter().sum();
     let mut acc = 0.0;
-    for w in &mut weights {
+    for w in weights {
         acc += *w / total;
         *w = acc;
     }
-    weights
+    cdf
 }
 
 /// Maps a popularity rank onto a physical row index, scattering hot ranks

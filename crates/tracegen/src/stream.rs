@@ -13,8 +13,8 @@
 //! [`QueryStreamSpec`], query `q`'s bag for table `t` is byte-identical
 //! to `trace.bag(q / batch_size, t, q % batch_size)` of the generated
 //! trace, and its timestamp equals `arrival.times(n, arrival_seed)[q]`.
-//! This holds because both paths construct the per-table samplers in
-//! the same order from the same root fork and then draw
+//! This holds because both paths take their per-table samplers from the
+//! one constructor, `TraceSpec::samplers`, and then draw
 //! `batch_size × bag_size` indices per (batch, table) in the same
 //! nesting — the stream simply defers each batch's draws until the
 //! cursor reaches it. `tests/stream_equivalence.rs` proves the contract
@@ -23,7 +23,8 @@
 //! Checkpointing falls out of the representation: `QueryStream` is
 //! `Clone`, and a clone *is* a resumable snapshot — sampler RNG
 //! cursors, the current batch's buffered lookups, and the arrival
-//! generator all travel with it.
+//! generator all travel with it, while the read-only Zipf CDF is
+//! shared rather than copied.
 
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
@@ -101,7 +102,7 @@ impl QueryStreamSpec {
 #[derive(Debug, Clone)]
 pub struct QueryStream {
     spec: QueryStreamSpec,
-    /// Per-table samplers, constructed exactly as `generate` does.
+    /// Per-table samplers, built as `generate` builds them.
     samplers: Vec<Sampler>,
     /// Current batch's lookups, one `batch_size × bag_size` buffer per
     /// table, recycled across batches.
@@ -118,20 +119,8 @@ impl QueryStream {
     /// Opens a stream for `spec` (see [`QueryStreamSpec::stream`]).
     pub fn new(spec: QueryStreamSpec) -> QueryStream {
         let t = &spec.trace;
-        assert!(
-            t.n_tables > 0
-                && t.rows_per_table > 0
-                && t.batch_size > 0
-                && t.n_batches > 0
-                && t.bag_size > 0,
-            "all trace dimensions must be positive"
-        );
-        // Identical sampler construction order to TraceSpec::generate:
-        // one fork of the root per table, in table order.
-        let mut root = simkit::DetRng::new(t.seed);
-        let samplers: Vec<Sampler> = (0..t.n_tables)
-            .map(|_| Sampler::new(t.distribution, t.rows_per_table, root.fork()))
-            .collect();
+        // The samplers TraceSpec::generate draws from.
+        let samplers = t.samplers();
         let per_table = t.batch_size as usize * t.bag_size as usize;
         let bufs = (0..t.n_tables)
             .map(|_| Vec::with_capacity(per_table))

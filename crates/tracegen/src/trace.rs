@@ -1,9 +1,11 @@
 //! The trace container and its generator.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use simkit::DetRng;
 
-use crate::dist::{Distribution, Sampler};
+use crate::dist::{zipf_cdf, Distribution, Sampler};
 
 /// Row lookups for one table within one batch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,12 +105,16 @@ pub struct TraceSpec {
 }
 
 impl TraceSpec {
-    /// Generates the trace.
+    /// One sampler per table, each on its own fork of the seed's root in
+    /// table order: tables have independent popularity structure,
+    /// matching per-table skew in production traces. They share one
+    /// Zipf CDF. Both `generate` and [`QueryStream`](crate::QueryStream)
+    /// start here, so their draws agree.
     ///
     /// # Panics
     ///
     /// Panics if any dimension is zero.
-    pub fn generate(&self) -> Trace {
+    pub(crate) fn samplers(&self) -> Vec<Sampler> {
         assert!(
             self.n_tables > 0
                 && self.rows_per_table > 0
@@ -117,12 +123,21 @@ impl TraceSpec {
                 && self.bag_size > 0,
             "all trace dimensions must be positive"
         );
+        let (dist, rows) = (self.distribution, self.rows_per_table);
+        let cdf = zipf_cdf(dist, rows);
         let mut root = DetRng::new(self.seed);
-        // One sampler per table: tables have independent popularity
-        // structure, matching per-table skew in production traces.
-        let mut samplers: Vec<Sampler> = (0..self.n_tables)
-            .map(|_| Sampler::new(self.distribution, self.rows_per_table, root.fork()))
-            .collect();
+        (0..self.n_tables)
+            .map(|_| Sampler::with_cdf(dist, rows, root.fork(), Arc::clone(&cdf)))
+            .collect()
+    }
+
+    /// Generates the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension is zero.
+    pub fn generate(&self) -> Trace {
+        let mut samplers = self.samplers();
         let mut batches = Vec::with_capacity(self.n_batches as usize);
         for _ in 0..self.n_batches {
             let tables = samplers
