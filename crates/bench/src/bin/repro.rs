@@ -11,8 +11,8 @@
 //! (`pifs_bench::scenario::registry()`), the single source of truth —
 //! run `repro -- list` to see it, together with each scenario's
 //! sweepable parameters. Every figure executes its grid points on a
-//! worker pool (one thread per core by default; `--threads`/
-//! `REPRO_THREADS` override) and emits both raw per-point rows
+//! worker pool (one thread per core by default; `--threads`
+//! overrides) and emits both raw per-point rows
 //! (`results/<id>.jsonl`) and the summarized figure JSON
 //! (`results/<id>.json`), which is bit-identical for any thread count.
 //! `sweep` reuses a scenario's machinery on a grid the paper never ran:
@@ -80,8 +80,8 @@ fn reproduce(runner: &SweepRunner, scenario: &dyn Scenario) -> pifs_bench::runne
 fn print_stats_table(table: &[(&str, pifs_bench::runner::RunStats)], threads: usize) {
     eprintln!("\n== repro -- all: runtime summary ({threads} threads) ==");
     eprintln!(
-        "{:10} {:>7} {:>7} {:>10} {:>14} {:>12}",
-        "scenario", "points", "tasks", "wall", "sim events", "events/sec"
+        "{:10} {:>7} {:>10} {:>14} {:>12}",
+        "scenario", "points", "wall", "sim events", "events/sec"
     );
     let mut wall_total = std::time::Duration::ZERO;
     let mut events_total = 0u64;
@@ -89,10 +89,9 @@ fn print_stats_table(table: &[(&str, pifs_bench::runner::RunStats)], threads: us
         wall_total += s.wall;
         events_total += s.events;
         eprintln!(
-            "{:10} {:>7} {:>7} {:>9.2?} {:>14} {:>12.3e}",
+            "{:10} {:>7} {:>9.2?} {:>14} {:>12.3e}",
             id,
             s.points,
-            s.tasks,
             s.wall,
             s.events,
             s.events_per_sec()
@@ -105,8 +104,8 @@ fn print_stats_table(table: &[(&str, pifs_bench::runner::RunStats)], threads: us
         0.0
     };
     eprintln!(
-        "{:10} {:>7} {:>7} {:>9.2?} {:>14} {:>12.3e}",
-        "total", "", "", wall_total, events_total, rate
+        "{:10} {:>7} {:>9.2?} {:>14} {:>12.3e}",
+        "total", "", wall_total, events_total, rate
     );
 }
 

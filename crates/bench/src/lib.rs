@@ -144,16 +144,6 @@ pub fn emit_jsonl(id: &str, rows: &[scenario::ResultRow]) {
     }
 }
 
-/// Min-max normalization matching the paper's Fig 12 caption.
-pub fn min_max(xs: &[f64]) -> Vec<f64> {
-    simkit::stats::min_max_normalize(xs)
-}
-
-/// Normalizes by the series maximum.
-pub fn by_max(xs: &[f64]) -> Vec<f64> {
-    simkit::stats::max_normalize(xs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,11 +165,5 @@ mod tests {
         let a = run_std(cfg());
         let b = run_std(cfg());
         assert_eq!(a.total_ns, b.total_ns);
-    }
-
-    #[test]
-    fn normalization_helpers_behave() {
-        assert_eq!(min_max(&[1.0, 3.0]), vec![0.0, 1.0]);
-        assert_eq!(by_max(&[1.0, 2.0]), vec![0.5, 1.0]);
     }
 }

@@ -1,19 +1,13 @@
 //! The parallel sweep runner: executes scenario work across a
 //! `std::thread` worker pool and collects rows back in grid order.
 //!
-//! The schedulable unit is a *task* — one part of one grid point (most
-//! points are a single part; scenarios with [`PointParts`] split each
-//! point into its independent simulations). Tasks are flattened in grid
-//! order and handed out by an atomic cursor, which makes the pool
-//! work-stealing at sub-point granularity: when a figure has fewer grid
-//! points than workers, idle workers pick up the remaining points'
-//! parts instead of idling. Each task writes its value into the slot
-//! reserved for its `(point, part)` pair, and rows are merged in part
-//! order and read out in point order — so the emitted rows, and
-//! therefore the summarized figure JSON, are bit-identical for any
-//! thread count, which `tests/runner_determinism.rs` asserts.
-//!
-//! [`PointParts`]: crate::scenario::PointParts
+//! The schedulable unit is one grid point. Points are handed out in grid
+//! order by an atomic cursor, so a worker that finishes early takes the
+//! next unclaimed point. Each point writes its row payload into the slot
+//! reserved for it, and rows are read out in point order — so the
+//! emitted rows, and therefore the summarized figure JSON, are
+//! bit-identical for any thread count, which
+//! `tests/runner_determinism.rs` asserts.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,7 +24,7 @@ pub struct SweepRunner {
     pub threads: usize,
 }
 
-/// What one sweep cost: wall time, scheduled tasks, and the number of
+/// What one sweep cost: wall time, points run, and the number of
 /// simulated events (DRAM line accesses, link transfers, switch
 /// transits — see [`simkit::stats::record_events`]) its simulations
 /// recorded. `events / wall` is the simulator-throughput figure the
@@ -41,8 +35,6 @@ pub struct RunStats {
     pub wall: Duration,
     /// Grid points executed.
     pub points: usize,
-    /// Tasks scheduled (= points unless a scenario splits parts).
-    pub tasks: usize,
     /// Simulated events recorded across all workers.
     pub events: u64,
 }
@@ -73,18 +65,13 @@ impl SweepRunner {
         }
     }
 
-    /// A runner sized to the machine: `REPRO_THREADS` if set, otherwise
-    /// the available hardware parallelism.
+    /// A runner sized to the machine's available hardware parallelism.
     pub fn with_default_threads() -> SweepRunner {
-        let threads = std::env::var("REPRO_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        SweepRunner::new(threads)
+        SweepRunner::new(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
     }
 
     /// Runs every point of `scenario`'s default grid. Rows come back in
@@ -111,20 +98,10 @@ impl SweepRunner {
         points: Vec<Point>,
     ) -> (Vec<ResultRow>, RunStats) {
         let started = std::time::Instant::now();
-        // Flatten (point, part) tasks in grid order.
-        let parts_of: Vec<usize> = points.iter().map(|p| scenario.parts(p).max(1)).collect();
-        let tasks: Vec<(usize, usize)> = parts_of
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, &n)| (0..n).map(move |part| (pi, part)))
-            .collect();
-        let slots: Vec<Vec<Mutex<Option<Value>>>> = parts_of
-            .iter()
-            .map(|&n| (0..n).map(|_| Mutex::new(None)).collect())
-            .collect();
+        let slots: Vec<Mutex<Option<Value>>> = points.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let events = AtomicU64::new(0);
-        let workers = self.threads.min(tasks.len()).max(1);
+        let workers = self.threads.min(points.len()).max(1);
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -132,12 +109,9 @@ impl SweepRunner {
                     let events_before = simkit::stats::events_recorded();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
-                        let (pi, part) = tasks[i];
-                        let value = scenario.run_part(&points[pi], part);
-                        *slots[pi][part].lock().expect("runner slot poisoned") = Some(value);
+                        let Some(point) = points.get(i) else { break };
+                        let value = scenario.run(point);
+                        *slots[i].lock().expect("runner slot poisoned") = Some(value);
                     }
                     let delta = simkit::stats::events_recorded() - events_before;
                     events.fetch_add(delta, Ordering::Relaxed);
@@ -148,26 +122,18 @@ impl SweepRunner {
         let rows: Vec<ResultRow> = slots
             .into_iter()
             .zip(&points)
-            .map(|(point_slots, point)| {
-                let values: Vec<Value> = point_slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.into_inner()
-                            .expect("runner slot poisoned")
-                            .expect("every task produced a value")
-                    })
-                    .collect();
-                ResultRow {
-                    index: point.index,
-                    params: point.params().to_vec(),
-                    data: scenario.merge_parts(point, values),
-                }
+            .map(|(slot, point)| ResultRow {
+                index: point.index,
+                params: point.params().to_vec(),
+                data: slot
+                    .into_inner()
+                    .expect("runner slot poisoned")
+                    .expect("every point produced a value"),
             })
             .collect();
         let stats = RunStats {
             wall: started.elapsed(),
             points: rows.len(),
-            tasks: tasks.len(),
             events: events.load(Ordering::Relaxed),
         };
         (rows, stats)
@@ -177,7 +143,7 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{cartesian_points, ParamSpec, PointParts};
+    use crate::scenario::{cartesian_points, ParamSpec};
     use serde_json::json;
 
     struct Doubler;
@@ -199,37 +165,6 @@ mod tests {
         }
     }
 
-    /// A scenario whose points split into three independent parts.
-    struct Tripler;
-    impl Scenario for Tripler {
-        fn id(&self) -> &'static str {
-            "tripler"
-        }
-        fn title(&self) -> &'static str {
-            "split-point test scenario"
-        }
-        fn params(&self) -> Vec<ParamSpec> {
-            vec![ParamSpec::u64s("x", 0..4)]
-        }
-        fn run(&self, point: &Point) -> Value {
-            let parts = (0..3).map(|part| self.run_part(point, part)).collect();
-            self.merge_parts(point, parts)
-        }
-        fn parts(&self, _point: &Point) -> usize {
-            3
-        }
-        fn run_part(&self, point: &Point, part: usize) -> Value {
-            json!(point.u64("x") * 10 + part as u64)
-        }
-        fn merge_parts(&self, _point: &Point, values: Vec<Value>) -> Value {
-            // Order-sensitive merge: catches any part reordering.
-            Value::Array(values)
-        }
-        fn summarize(&self, rows: &[ResultRow]) -> Value {
-            Value::Array(rows.iter().map(|r| r.data.clone()).collect())
-        }
-    }
-
     #[test]
     fn rows_come_back_in_grid_order_for_any_thread_count() {
         let serial = SweepRunner::new(1).run(&Doubler);
@@ -244,60 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn split_points_merge_identically_for_any_thread_count() {
-        let serial = SweepRunner::new(1).run(&Tripler);
-        // The merged rows equal a direct run() of each point.
-        for (row, point) in serial.iter().zip(Tripler.points()) {
-            assert_eq!(row.data, Tripler.run(&point));
-        }
-        for threads in [2, 7, 16] {
-            let parallel = SweepRunner::new(threads).run(&Tripler);
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.to_jsonl(), b.to_jsonl());
-            }
-        }
-    }
-
-    #[test]
-    fn split_points_outnumber_workers_gracefully() {
-        // 1 point × 3 parts with 8 requested threads must still complete
-        // (this is the fewer-points-than-threads shape parts exist for).
-        let mut points = cartesian_points(&[ParamSpec::u64s("x", [3])]);
-        assert_eq!(points.len(), 1);
-        let (rows, stats) =
-            SweepRunner::new(8).run_points_stats(&Tripler, std::mem::take(&mut points));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(stats.points, 1);
-        assert_eq!(stats.tasks, 3);
-        assert_eq!(rows[0].data, json!([30u64, 31u64, 32u64]));
-    }
-
-    #[test]
-    fn grid_scenario_point_parts_round_trip() {
-        // A GridScenario with PointParts: run() must equal the
-        // part-split path exactly.
-        static SPLIT: crate::scenario::GridScenario = crate::scenario::GridScenario {
-            id: "split-test",
-            title: "grid parts",
-            params: || vec![ParamSpec::u64s("x", 0..3)],
-            points: None,
-            run: |p| json!([p.u64("x"), p.u64("x") + 1]),
-            parts: Some(PointParts {
-                count: |_| 2,
-                run: |p, part| json!(p.u64("x") + part as u64),
-                merge: |_, values| Value::Array(values),
-            }),
-            summarize: |rows| Value::Array(rows.iter().map(|r| r.data.clone()).collect()),
-            free_params: false,
-            in_all: false,
-        };
-        let rows = SweepRunner::new(4).run(&SPLIT);
-        for (row, point) in rows.iter().zip(SPLIT.points()) {
-            assert_eq!(row.data, (SPLIT.run)(&point));
-        }
-    }
-
-    #[test]
     fn pool_never_spawns_more_workers_than_points() {
         // A 1-point grid with 8 requested threads must still complete.
         let mut points = cartesian_points(&[ParamSpec::u64s("x", [3])]);
@@ -308,15 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_wall_tasks_and_points() {
+    fn stats_report_points_and_events() {
         let (rows, stats) = SweepRunner::new(2).run_stats(&Doubler);
         assert_eq!(stats.points, rows.len());
-        assert_eq!(stats.tasks, rows.len()); // unsplit scenario
         assert_eq!(stats.events, 0); // no simulation behind Doubler
     }
 
     #[test]
-    fn thread_env_override_is_respected() {
+    fn thread_count_is_at_least_one() {
         assert_eq!(SweepRunner::new(0).threads, 1);
         assert!(SweepRunner::with_default_threads().threads >= 1);
     }

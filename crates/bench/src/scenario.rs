@@ -6,8 +6,9 @@
 //! and `summarize`, which folds the ordered rows into the figure-shaped
 //! JSON the paper comparison expects. Splitting the per-point work from
 //! the aggregation is what lets the [`runner`](crate::runner) execute
-//! points on a thread pool while keeping the summary bit-identical to a
-//! serial run: rows are collected back in grid order, and all
+//! points on a thread pool, one task per point, while keeping the
+//! summary bit-identical to a serial run: rows are collected back in
+//! grid order, and all
 //! cross-point arithmetic (normalization, speedup ratios, baselines)
 //! happens in `summarize` on that ordered sequence.
 //!
@@ -365,32 +366,27 @@ pub trait Scenario: Sync {
     /// regardless of which worker thread runs it.
     fn run(&self, point: &Point) -> Value;
 
-    /// Number of *independent* simulation units inside one point
-    /// (default 1 = the point is opaque). A point may only be split
-    /// where its units share no simulator state — e.g. a measured run
-    /// and the baseline run it normalizes against — because each part
-    /// may execute on a different worker. Bags inside one timing
-    /// simulation are never independent (they contend on DRAM banks,
-    /// links and caches), so a single simulation is always one part.
+    /// Parts in one point: always 1, the point itself. The runner
+    /// schedules one task per point and calls [`Scenario::run`];
+    /// `parts`, [`Scenario::run_part`] and [`Scenario::merge_parts`]
+    /// stay only as these defaults because the benchmark's `run_point`
+    /// (`perfbench/src/main.rs`) still calls them. No scenario
+    /// overrides them.
     fn parts(&self, point: &Point) -> usize {
         let _ = point;
         1
     }
 
-    /// Runs one part of a split point (`part < self.parts(point)`).
-    /// Like [`Scenario::run`], must be pure. The default forwards the
-    /// sole part to `run`.
+    /// Runs the sole part of `point`: [`Scenario::run`].
     fn run_part(&self, point: &Point, part: usize) -> Value {
-        assert_eq!(part, 0, "scenario did not declare parts");
+        assert_eq!(part, 0, "a point is one part");
         self.run(point)
     }
 
-    /// Folds the per-part values — always in part order, regardless of
-    /// which workers ran them — into the point's row payload. Must
-    /// produce exactly what [`Scenario::run`] produces for the point.
+    /// Returns the sole part's value as the point's row payload.
     fn merge_parts(&self, point: &Point, mut values: Vec<Value>) -> Value {
         let _ = point;
-        assert_eq!(values.len(), 1, "scenario did not declare parts");
+        assert_eq!(values.len(), 1, "a point is one part");
         values.pop().expect("one part")
     }
 
@@ -413,20 +409,6 @@ pub trait Scenario: Sync {
     }
 }
 
-/// A point decomposition for [`GridScenario`]s whose points contain
-/// several independent simulations: `count` parts per point, each run by
-/// `run`, folded by `merge` (in part order). The sweep runner schedules
-/// parts as individual work-stealing tasks, so figures with fewer grid
-/// points than worker threads still use every core.
-pub struct PointParts {
-    /// Parts in `point` (≥ 1).
-    pub count: fn(&Point) -> usize,
-    /// Runs part `part` of `point`.
-    pub run: fn(&Point, usize) -> Value,
-    /// Merges the part values (in part order) into the row payload.
-    pub merge: fn(&Point, Vec<Value>) -> Value,
-}
-
 /// A [`Scenario`] assembled from plain function pointers — the concrete
 /// shape every registry entry uses.
 pub struct GridScenario {
@@ -441,8 +423,6 @@ pub struct GridScenario {
     pub points: Option<fn() -> Vec<Point>>,
     /// See [`Scenario::run`].
     pub run: fn(&Point) -> Value,
-    /// Optional sub-point decomposition (see [`PointParts`]).
-    pub parts: Option<PointParts>,
     /// See [`Scenario::summarize`].
     pub summarize: fn(&[ResultRow]) -> Value,
     /// See [`Scenario::accepts_free_params`].
@@ -469,24 +449,6 @@ impl Scenario for GridScenario {
     }
     fn run(&self, point: &Point) -> Value {
         (self.run)(point)
-    }
-    fn parts(&self, point: &Point) -> usize {
-        self.parts.as_ref().map_or(1, |p| (p.count)(point).max(1))
-    }
-    fn run_part(&self, point: &Point, part: usize) -> Value {
-        match &self.parts {
-            Some(p) => (p.run)(point, part),
-            None => {
-                assert_eq!(part, 0, "scenario did not declare parts");
-                (self.run)(point)
-            }
-        }
-    }
-    fn merge_parts(&self, point: &Point, mut values: Vec<Value>) -> Value {
-        match &self.parts {
-            Some(p) => (p.merge)(point, values),
-            None => values.pop().expect("one part"),
-        }
     }
     fn summarize(&self, rows: &[ResultRow]) -> Value {
         (self.summarize)(rows)

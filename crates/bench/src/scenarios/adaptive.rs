@@ -138,37 +138,24 @@ fn run_adaptive_point(p: &Point) -> Value {
     let (trace, arrival_seed) = serving_workload(p, &m, ADAPT_BATCHES, Some("traffic"));
     cfg.seed = trace.seed;
 
-    let (met, last_arrival_ns, per_tenant) = match traffic {
-        Traffic::Single(process) => {
-            let trace = trace.generate();
-            let arrivals = process.times(SERVE_QUERIES, arrival_seed);
-            let last = arrivals.last().map_or(0, |t| t.as_ns());
-            let met = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
-            (met, last, Vec::new())
+    let opts = OpenLoopOpts {
+        record_completion: false,
+        window_ns: None,
+    };
+    let mut sys = SlsSystem::new(cfg);
+    let (met, per_tenant) = match traffic {
+        Traffic::Single(arrival) => {
+            let spec = QueryStreamSpec {
+                trace,
+                arrival,
+                arrival_seed,
+            };
+            let met = sys.run_open_loop_streamed(&mut spec.stream(), opts);
+            (met, Vec::new())
         }
         Traffic::Mix => {
-            let specs = mix_tenants(trace, qps, arrival_seed);
-            // The mix's arrival envelope, replayed cheaply (timestamps
-            // only) for the saturation rule.
-            let last = specs
-                .iter()
-                .map(|t| {
-                    t.stream
-                        .arrival
-                        .times(t.stream.n_queries() as usize, t.stream.arrival_seed)
-                        .last()
-                        .map_or(0, |x| x.as_ns())
-                })
-                .max()
-                .unwrap_or(0);
-            let mut mix = TenantMixStream::new(specs);
-            let met = SlsSystem::new(cfg).run_open_loop_streamed(
-                &mut mix,
-                OpenLoopOpts {
-                    record_completion: false,
-                    window_ns: None,
-                },
-            );
+            let mut mix = TenantMixStream::new(mix_tenants(trace, qps, arrival_seed));
+            let met = sys.run_open_loop_streamed(&mut mix, opts);
             let per_tenant: Vec<Value> = mix
                 .specs()
                 .iter()
@@ -186,14 +173,14 @@ fn run_adaptive_point(p: &Point) -> Value {
                     })
                 })
                 .collect();
-            (met, last, per_tenant)
+            (met, per_tenant)
         }
     };
 
     json!({
         "offered_qps": qps,
         "achieved_qps": met.achieved_qps(),
-        "saturated": saturated(last_arrival_ns, met.makespan_ns),
+        "saturated": saturated(met.last_arrival_ns, met.makespan_ns),
         "p50_ns": met.latency.percentile(0.50),
         "p95_ns": met.latency.percentile(0.95),
         "p99_ns": met.latency.percentile(0.99),
@@ -210,26 +197,11 @@ fn run_adaptive_point(p: &Point) -> Value {
     })
 }
 
-/// Groups rows by (controller, traffic), preserving grid order (`qps`
-/// is the innermost axis, so each group is a contiguous ascending-qps
-/// chunk).
-fn curves(rows: &[ResultRow]) -> Vec<((String, String), Vec<&ResultRow>)> {
-    let mut out: Vec<((String, String), Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = (row.param("controller"), row.param("traffic"));
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// The under-SLA stability view of a curve: a point is "stable" only if
 /// it is unsaturated *and* holds the p99 SLA; the fold is over offered
 /// rate (the frontier is an admission-control answer, not a throughput
 /// measurement).
-fn sla_frontier(group: &[&ResultRow]) -> Option<f64> {
+fn sla_frontier(group: &[ResultRow]) -> Option<f64> {
     let points: Vec<stability::StabilityPoint> = group
         .iter()
         .map(|r| {
@@ -267,9 +239,12 @@ pub static LATENCY_ADAPTIVE: GridScenario = GridScenario {
     },
     points: None,
     run: run_adaptive_point,
-    parts: None,
     summarize: |rows| {
-        let groups = curves(rows);
+        // Each curve keyed by its (controller, traffic) cell.
+        let groups: Vec<((String, String), &[ResultRow])> = stability::curves(rows)
+            .into_iter()
+            .map(|g| ((g[0].param("controller"), g[0].param("traffic")), g))
+            .collect();
         let mut curve_objs = Map::new();
         for ((controller, traffic), group) in &groups {
             let (knee, max_stable) = stability::stability_json(&stability::serving_points(group));

@@ -40,7 +40,6 @@ pub static TABLE1: GridScenario = GridScenario {
             "row_bytes": m.row_bytes(),
         })
     },
-    parts: None,
     summarize: rows_array,
     free_params: false,
     in_all: true,
@@ -83,7 +82,6 @@ pub static TABLE2: GridScenario = GridScenario {
             }),
         })
     },
-    parts: None,
     summarize: single,
     free_params: false,
     in_all: true,
@@ -121,7 +119,6 @@ pub static FIG16: GridScenario = GridScenario {
         }
         Value::Object(entry)
     },
-    parts: None,
     summarize: rows_array,
     free_params: false,
     in_all: true,
@@ -153,12 +150,11 @@ pub static FIG17: GridScenario = GridScenario {
             "model": model.name,
             "series": ["GPUX2", "GPUX3", "GPUX4", "PIFS-Rec"],
             "throughput_samples_per_us": vals,
-            "normalized": crate::by_max(&vals),
+            "normalized": simkit::stats::max_normalize(&vals),
             "pifs_over_gpux4": vals[3] / vals[2],
             "performance_per_watt": ppw,
         })
     },
-    parts: None,
     summarize: rows_array,
     free_params: false,
     in_all: true,
@@ -183,7 +179,6 @@ pub static FIG18: GridScenario = GridScenario {
             "area_ratio_vs_recnmp": hw.area_ratio_vs_recnmp(),
         })
     },
-    parts: None,
     summarize: single,
     free_params: false,
     in_all: true,
@@ -205,7 +200,6 @@ pub static ENERGY: GridScenario = GridScenario {
             "saving_frac": model.saving_frac(&m),
         })
     },
-    parts: None,
     summarize: |rows| {
         let avg: f64 = rows
             .iter()

@@ -39,36 +39,37 @@ pub(crate) fn run_small(cfg: SystemConfig) -> RunMetrics {
 
 const FIG5_SIZES: [u64; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
 
-/// One half of a Fig 5 point: part 0 is the measured placement, part 1
-/// the baseline it normalizes against.
-fn fig5_part(p: &Point, part: usize) -> Value {
+/// One Fig 5 point: the app bandwidth of the measured placement over
+/// that of the baseline it normalizes against (all-local, or all-CXL
+/// for the interleave case).
+fn run_fig5_point(p: &Point) -> Value {
     let threading = match p.str("panel") {
         "batch" => ThreadingMode::Batch,
         "table" => ThreadingMode::Table,
         other => panic!("param \"panel\": unknown panel {other:?}"),
     };
-    let (placement, norm_vs_cxl) = match p.str("case") {
-        "remote" => (InitialPlacement::RemoteFraction { remote_frac: 0.2 }, false),
-        "cxl" => (InitialPlacement::CxlFraction { cxl_frac: 0.2 }, false),
-        "interleave" => (InitialPlacement::CxlFraction { cxl_frac: 0.2 }, true),
+    let (placement, baseline) = match p.str("case") {
+        "remote" => (
+            InitialPlacement::RemoteFraction { remote_frac: 0.2 },
+            InitialPlacement::AllLocal,
+        ),
+        "cxl" => (
+            InitialPlacement::CxlFraction { cxl_frac: 0.2 },
+            InitialPlacement::AllLocal,
+        ),
+        "interleave" => (
+            InitialPlacement::CxlFraction { cxl_frac: 0.2 },
+            InitialPlacement::AllCxl,
+        ),
         other => panic!("param \"case\": unknown case {other:?}"),
     };
     let dim = p.u64("dim") as u32;
     let rows = p.u64("size");
-    let placement = match part {
-        0 => placement,
-        1 if norm_vs_cxl => InitialPlacement::AllCxl,
-        1 => InitialPlacement::AllLocal,
-        other => panic!("fig5 has two parts, got {other}"),
+    let bandwidth = |placement| {
+        let cfg = characterization_cfg(dim, rows, placement, threading);
+        run_small(cfg).app_bandwidth_gbps(4 * dim as u64)
     };
-    let cfg = characterization_cfg(dim, rows, placement, threading);
-    json!(run_small(cfg).app_bandwidth_gbps(4 * dim as u64))
-}
-
-/// Ratio of the measured bandwidth (part 0) over the baseline (part 1).
-fn fig5_merge(_p: &Point, values: Vec<Value>) -> Value {
-    let bw = values[0].as_f64().expect("fig5 part 0 is numeric");
-    let base = values[1].as_f64().expect("fig5 part 1 is numeric");
+    let (bw, base) = (bandwidth(placement), bandwidth(baseline));
     json!(if base > 0.0 { bw / base } else { 0.0 })
 }
 
@@ -85,16 +86,7 @@ pub static FIG5: GridScenario = GridScenario {
         ]
     },
     points: None,
-    run: |p| fig5_merge(p, vec![fig5_part(p, 0), fig5_part(p, 1)]),
-    // The measured run and the baseline it normalizes against are
-    // independent simulations, so they split into two runner tasks:
-    // with more workers than grid points, the two halves of each ratio
-    // compute concurrently and merge deterministically.
-    parts: Some(crate::scenario::PointParts {
-        count: |_| 2,
-        run: fig5_part,
-        merge: fig5_merge,
-    }),
+    run: run_fig5_point,
     summarize: |rows| {
         let mut out = serde_json::Map::new();
         let mut it = rows.iter();
@@ -172,7 +164,6 @@ pub static FIG6: GridScenario = GridScenario {
             "cxl_gbps": bw * cxl_frac,
         })
     },
-    parts: None,
     summarize: |rows: &[ResultRow]| Value::Array(rows.iter().map(|r| r.data.clone()).collect()),
     free_params: false,
     in_all: true,

@@ -103,23 +103,6 @@ fn run_cluster_point(p: &Point) -> Value {
     })
 }
 
-/// Groups rows by (policy, nodes), preserving grid order (`qps` is the
-/// innermost axis, so each group is a contiguous ascending-qps chunk).
-fn curves(rows: &[ResultRow]) -> Vec<((String, u64), Vec<&ResultRow>)> {
-    let mut out: Vec<((String, u64), Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = (
-            row.param("policy"),
-            row.param("nodes").parse::<u64>().expect("nodes param"),
-        );
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// The capacity-planning answer: for each offered rate, per policy, the
 /// smallest fleet whose run is unsaturated *and* meets the p99 SLA —
 /// plus what that fleet costs ([`tco::SystemBom::pifs_rec`], the
@@ -189,14 +172,14 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
     },
     points: None,
     run: run_cluster_point,
-    parts: None,
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
-        for ((policy, nodes), group) in curves(rows) {
+        for group in stability::curves(rows) {
+            let (policy, nodes) = (group[0].param("policy"), group[0].param("nodes"));
             let qps: Vec<f64> = group.iter().map(|r| r.get_f64("offered_qps")).collect();
             let p99: Vec<f64> = group.iter().map(|r| r.get_f64("p99_ns")).collect();
             let achieved: Vec<f64> = group.iter().map(|r| r.get_f64("achieved_qps")).collect();
-            let (knee, max_stable) = stability::stability_json(&stability::serving_points(&group));
+            let (knee, max_stable) = stability::stability_json(&stability::serving_points(group));
             curve_objs.insert(
                 format!("{policy}/n{nodes}"),
                 json!({

@@ -74,7 +74,6 @@ pub static CUSTOM: GridScenario = GridScenario {
             "checksum": met.checksum,
         })
     },
-    parts: None,
     summarize: |rows: &[ResultRow]| {
         Value::Array(
             rows.iter()

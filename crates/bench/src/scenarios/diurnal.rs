@@ -194,7 +194,6 @@ pub static LATENCY_DIURNAL: GridScenario = GridScenario {
     },
     points: None,
     run: run_diurnal_point,
-    parts: None,
     summarize: |rows| {
         // The headline: the longest run's per-window count series
         // traces the diurnal swing. Peak/trough over interior windows

@@ -151,30 +151,6 @@ fn run_faults_point(p: &Point) -> Value {
     })
 }
 
-/// A resilience curve's key: (fault, shed, replicas).
-type CurveKey = (String, String, u64);
-
-/// Groups rows by (fault, shed, replicas), preserving grid order
-/// (`qps` is the innermost axis, so each group is a contiguous
-/// ascending-qps chunk).
-fn curves(rows: &[ResultRow]) -> Vec<(CurveKey, Vec<&ResultRow>)> {
-    let mut out: Vec<(CurveKey, Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = (
-            row.param("fault"),
-            row.param("shed"),
-            row.param("replicas")
-                .parse::<u64>()
-                .expect("replicas param"),
-        );
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// The operator headline: per fault family, the highest offered rate
 /// any (shed, replicas) cell sustains — unsaturated, p99 under the
 /// SLA, availability above the bar — and what re-buying the headroom
@@ -245,10 +221,14 @@ pub static CLUSTER_FAULTS: GridScenario = GridScenario {
     },
     points: None,
     run: run_faults_point,
-    parts: None,
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
-        for ((fault, shed, replicas), group) in curves(rows) {
+        for group in stability::curves(rows) {
+            let (fault, shed, replicas) = (
+                group[0].param("fault"),
+                group[0].param("shed"),
+                group[0].param("replicas"),
+            );
             curve_objs.insert(
                 format!("{fault}/{shed}/r{replicas}"),
                 json!({

@@ -2,8 +2,8 @@
 //!
 //! Every other scenario is closed-loop — it reports how long a fixed
 //! bag grid takes. This family instead timestamps queries from an
-//! arrival process ([`tracegen::arrival`]) and serves them through the
-//! [`run_open_loop`](pifs_core::system::SlsSystem::run_open_loop)
+//! arrival process ([`tracegen::arrival`]) and streams them through the
+//! [`run_open_loop_streamed`](pifs_core::system::SlsSystem::run_open_loop_streamed)
 //! batcher, reporting streaming p50/p95/p99 latency:
 //!
 //! * [`LATENCY_QPS`] (`latency_qps`) — the latency-vs-QPS curve per
@@ -21,9 +21,9 @@
 //!
 //! [`tracegen::arrival`]: ../../../tracegen/arrival/index.html
 
-use pifs_core::system::SlsSystem;
+use pifs_core::system::{OpenLoopOpts, SlsSystem};
 use serde_json::{json, Value};
-use tracegen::ArrivalProcess;
+use tracegen::{ArrivalProcess, QueryStreamSpec};
 
 use super::stability::{self, empirical_qps, saturated, serving_workload, MAX_WAIT_US};
 use crate::scenario::{GridScenario, ParamSpec, ResultRow};
@@ -46,7 +46,7 @@ fn qps_axis() -> ParamSpec {
 }
 
 /// Runs one open-loop point: build the scheme config, apply batcher
-/// knobs, replay the seeded trace against the seeded arrival stream.
+/// knobs, stream the seeded queries at the seeded arrival instants.
 fn run_serving_point(p: &crate::scenario::Point) -> Value {
     let m = p.model();
     let qps = p.f64("qps");
@@ -70,16 +70,23 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
     // every scheme/knob at a given (arrival, qps).
     let (trace, arrival_seed) = serving_workload(p, &m, STD_BATCHES, Some("arrival"));
     cfg.seed = trace.seed;
-    let trace = trace.generate();
-    let arrivals = process.times(SERVE_QUERIES, arrival_seed);
-
-    let last_arrival_ns = arrivals.last().map_or(0, |t| t.as_ns());
-    let met = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    let spec = QueryStreamSpec {
+        trace,
+        arrival: process,
+        arrival_seed,
+    };
+    let met = SlsSystem::new(cfg).run_open_loop_streamed(
+        &mut spec.stream(),
+        OpenLoopOpts {
+            record_completion: false,
+            window_ns: None,
+        },
+    );
     json!({
         "offered_qps": qps,
-        "empirical_qps": empirical_qps(met.queries, last_arrival_ns),
+        "empirical_qps": empirical_qps(met.queries, met.last_arrival_ns),
         "achieved_qps": met.achieved_qps(),
-        "saturated": saturated(last_arrival_ns, met.makespan_ns),
+        "saturated": saturated(met.last_arrival_ns, met.makespan_ns),
         "p50_ns": met.latency.percentile(0.50),
         "p95_ns": met.latency.percentile(0.95),
         "p99_ns": met.latency.percentile(0.99),
@@ -94,26 +101,6 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
     })
 }
 
-/// Groups rows by every parameter except `qps`, preserving grid order
-/// (`qps` is the innermost axis, so each group is a contiguous chunk).
-fn curves(rows: &[ResultRow]) -> Vec<(String, Vec<&ResultRow>)> {
-    let mut out: Vec<(String, Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = row
-            .params
-            .iter()
-            .filter(|(n, _)| n != "qps")
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// Summarizes one group of rows (ascending qps) into a curve object
 /// with knee detection: the knee is the first offered rate whose row is
 /// flagged `saturated` (arrival span under
@@ -122,7 +109,7 @@ fn curves(rows: &[ResultRow]) -> Vec<(String, Vec<&ResultRow>)> {
 /// lowest-load p99, whichever the sweep hits first. Degenerate groups
 /// (single-point or fully saturated sweeps) report honest `null`s —
 /// see [`stability`].
-fn curve_json(group: &[&ResultRow]) -> Value {
+fn curve_json(group: &[ResultRow]) -> Value {
     let qps: Vec<f64> = group.iter().map(|r| r.get_f64("offered_qps")).collect();
     let achieved: Vec<f64> = group.iter().map(|r| r.get_f64("achieved_qps")).collect();
     let p50: Vec<f64> = group.iter().map(|r| r.get_f64("p50_ns")).collect();
@@ -152,16 +139,10 @@ pub static LATENCY_QPS: GridScenario = GridScenario {
     },
     points: None,
     run: run_serving_point,
-    parts: None,
     summarize: |rows| {
         let mut schemes = serde_json::Map::new();
-        for (key, group) in curves(rows) {
-            let label = group[0]
-                .params
-                .iter()
-                .find(|(n, _)| n == "scheme")
-                .map_or(key, |(_, v)| v.to_string());
-            schemes.insert(label, curve_json(&group));
+        for group in stability::curves(rows) {
+            schemes.insert(group[0].param("scheme"), curve_json(group));
         }
         json!({ "queries_per_point": SERVE_QUERIES, "schemes": Value::Object(schemes) })
     },
@@ -186,7 +167,6 @@ pub static LATENCY_WAIT: GridScenario = GridScenario {
     },
     points: None,
     run: run_serving_point,
-    parts: None,
     summarize: |rows| {
         let table: Vec<Value> = rows
             .iter()

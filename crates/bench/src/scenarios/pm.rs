@@ -43,7 +43,6 @@ pub static FIG13A: GridScenario = GridScenario {
             "migration_cost": met.migration_cost_frac(),
         })
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         for chunk in rows.chunks(2) {
@@ -104,7 +103,6 @@ pub static FIG13B: GridScenario = GridScenario {
         let met = run_with(cfg, &trace);
         json!({ "accesses": met.device_accesses })
     },
-    parts: None,
     summarize: |rows| {
         let accesses = |row: &ResultRow| -> Vec<u64> {
             row.data
@@ -189,7 +187,6 @@ pub static FIG13D: GridScenario = GridScenario {
             "migration_cost": met.migration_cost_frac(),
         })
     },
-    parts: None,
     summarize: |rows| {
         let out: Vec<Value> = rows
             .iter()

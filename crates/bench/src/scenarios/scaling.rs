@@ -37,7 +37,6 @@ pub static FIG13C: GridScenario = GridScenario {
         let trace = std_trace(&m, meta_distribution(), batch, 6);
         json!({ "total_ns": run_with(cfg, &trace).total_ns })
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         let switch_counts = [1u16, 2, 4, 8, 16, 32];
@@ -48,7 +47,7 @@ pub static FIG13C: GridScenario = GridScenario {
                 "batch": batch,
                 "switches": switch_counts,
                 "latency_ns": lat,
-                "normalized": crate::by_max(&lat),
+                "normalized": simkit::stats::max_normalize(&lat),
                 "improvement_1_to_32": lat[0] / lat[5],
             }));
         }
@@ -94,7 +93,6 @@ pub static FIG14: GridScenario = GridScenario {
             })
         }
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         for chunk in rows.chunks(5) {
@@ -202,7 +200,6 @@ pub static FIG15: GridScenario = GridScenario {
             json!({ "total_ns": met.total_ns, "hit_ratio": met.buffer_hit_ratio() })
         }
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         for chunk in rows.chunks(16) {

@@ -38,7 +38,6 @@ pub static FIG12A: GridScenario = GridScenario {
         let met = run_std(scale_buffers(p.scheme().config(m)));
         json!({ "total_ns": met.total_ns })
     },
-    parts: None,
     summarize: |rows| {
         let mut per_model = serde_json::Map::new();
         let mut ratios = serde_json::Map::new();
@@ -46,7 +45,7 @@ pub static FIG12A: GridScenario = GridScenario {
             let name = chunk[0].params[0].1.to_string();
             let lat: Vec<f64> = chunk.iter().map(lat_ns).collect();
             let labels = scheme_labels();
-            let norm = crate::by_max(&lat);
+            let norm = simkit::stats::max_normalize(&lat);
             let pifs = lat[4];
             ratios.insert(
                 name.clone(),
@@ -94,7 +93,6 @@ pub static FIG12B: GridScenario = GridScenario {
         let met = run_with(scale_buffers(p.scheme().config(m)), &trace);
         json!({ "total_ns": met.total_ns })
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         for chunk in rows.chunks(Scheme::all().len()) {
@@ -103,7 +101,7 @@ pub static FIG12B: GridScenario = GridScenario {
             out.push(json!({
                 "trace": label,
                 "latency_ns": lat,
-                "normalized": crate::by_max(&lat),
+                "normalized": simkit::stats::max_normalize(&lat),
                 "pifs_speedup_vs_pond": lat[0] / lat[4],
                 "pifs_speedup_vs_beacon": lat[2] / lat[4],
             }));
@@ -132,7 +130,6 @@ pub static FIG12C: GridScenario = GridScenario {
         cfg.n_devices = p.u64("devices") as u16;
         json!({ "total_ns": run_std(cfg).total_ns })
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         for chunk in rows.chunks(Scheme::all().len()) {
@@ -145,7 +142,7 @@ pub static FIG12C: GridScenario = GridScenario {
             out.push(json!({
                 "devices": devices,
                 "latency_ns": lat,
-                "normalized": crate::by_max(&lat),
+                "normalized": simkit::stats::max_normalize(&lat),
                 "pifs_speedup_vs_pond": lat[0] / lat[4],
             }));
         }
@@ -173,7 +170,6 @@ pub static FIG12D: GridScenario = GridScenario {
         cfg.local_capacity_frac = dram_frac(p.get("dram"));
         json!({ "total_ns": run_std(cfg).total_ns })
     },
-    parts: None,
     summarize: |rows| {
         let mut out = Vec::new();
         for chunk in rows.chunks(Scheme::all().len()) {
@@ -182,7 +178,7 @@ pub static FIG12D: GridScenario = GridScenario {
             out.push(json!({
                 "dram": label,
                 "latency_ns": lat,
-                "normalized": crate::by_max(&lat),
+                "normalized": simkit::stats::max_normalize(&lat),
             }));
         }
         Value::Array(out)
@@ -255,7 +251,6 @@ pub static FIG12E: GridScenario = GridScenario {
             .1;
         json!({ "total_ns": run_std(cfg).total_ns })
     },
-    parts: None,
     summarize: |rows| {
         let mut per_model = serde_json::Map::new();
         for chunk in rows.chunks(5) {
@@ -267,7 +262,7 @@ pub static FIG12E: GridScenario = GridScenario {
                 json!({
                     "stages": stages,
                     "latency_ns": lat,
-                    "normalized": crate::by_max(&lat),
+                    "normalized": simkit::stats::max_normalize(&lat),
                 }),
             );
         }

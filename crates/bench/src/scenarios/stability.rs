@@ -11,7 +11,9 @@
 //!   `P99_SLA_NS`;
 //! * `serving_workload` — a point's trace recipe and arrival seed,
 //!   derived so points differing only in engine knobs serve the
-//!   identical workload.
+//!   identical workload;
+//! * [`curves`] — the grouping of a summary's rows into ascending-qps
+//!   curves.
 //!
 //! The summaries reduce an ascending-qps curve to the same two headline
 //! numbers, with honest `None`s for the degenerate sweeps (serialized
@@ -30,7 +32,7 @@ use dlrm::ModelConfig;
 use serde_json::Value;
 use tracegen::TraceSpec;
 
-use crate::scenario::{workload_seed, Point, ResultRow};
+use crate::scenario::{workload_seed, ParamValue, Point, ResultRow};
 use crate::STD_BATCH_SIZE;
 
 /// Batcher max-wait of every serving family, µs. Far below the engine
@@ -107,6 +109,17 @@ pub(crate) fn empirical_qps(queries: u64, last_arrival_ns: u64) -> f64 {
     }
 }
 
+/// Splits rows into curves: the maximal contiguous runs whose
+/// parameters other than `qps` agree, in grid order. `qps` is the
+/// innermost axis of every serving family, so each curve ascends in
+/// offered rate.
+pub fn curves(rows: &[ResultRow]) -> Vec<&[ResultRow]> {
+    fn off_qps(r: &ResultRow) -> impl Iterator<Item = &(String, ParamValue)> {
+        r.params.iter().filter(|(n, _)| n != "qps")
+    }
+    rows.chunk_by(|a, b| off_qps(a).eq(off_qps(b))).collect()
+}
+
 /// One point of an ascending-rate sweep, as the stability reducers see
 /// it: the rate the point contributes if it is stable (achieved or
 /// offered QPS — the caller's convention), its tail latency, and
@@ -174,7 +187,7 @@ pub fn stability_json(points: &[StabilityPoint]) -> (Value, Value) {
 /// `latency`, `cluster` and `adaptive` scenario families. `stable_qps`
 /// is the *achieved* rate (what the system actually served while
 /// stable), `offered_qps` the knee's reporting axis.
-pub fn serving_points(group: &[&ResultRow]) -> Vec<StabilityPoint> {
+pub fn serving_points(group: &[ResultRow]) -> Vec<StabilityPoint> {
     group
         .iter()
         .map(|r| {

@@ -56,12 +56,6 @@ impl SimCheckpoint {
     pub fn resume(&self) -> (SlsSystem, QueryStream) {
         (self.system.clone(), self.stream.clone())
     }
-
-    /// Consumes the checkpoint into its parts (the last resume, without
-    /// the extra copy).
-    pub fn into_parts(self) -> (SlsSystem, QueryStream) {
-        (self.system, self.stream)
-    }
 }
 
 /// Pushes up to `n` queries from `stream` into `system`'s active

@@ -267,6 +267,10 @@ pub struct ServingMetrics {
     /// End of the last batch (including exposed migration overhead) —
     /// the run's makespan, ns.
     pub makespan_ns: u64,
+    /// Arrival instant of the last query pushed, served or shed, ns (0
+    /// when nothing was pushed): with `queries` it gives the empirical
+    /// offered rate.
+    pub last_arrival_ns: u64,
     /// Per-query enqueue→completion latency.
     pub latency: LatencyHist,
     /// Per-query enqueue→dispatch wait (queueing + batching delay; the

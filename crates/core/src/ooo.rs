@@ -116,11 +116,6 @@ impl AccumEngine {
         self.rows_processed
     }
 
-    /// Whether the engine runs out of order.
-    pub fn is_ooo(&self) -> bool {
-        self.ooo
-    }
-
     /// Time the unit frees up.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until

@@ -243,7 +243,7 @@ impl SlsSystem {
             .hosts
             .iter()
             .zip(&measure_from)
-            .map(|(h, &from)| h.next_free.saturating_since(from).as_ns())
+            .map(|(h, &from)| h.next_free.since(from).as_ns())
             .max()
             .unwrap_or(0);
         self.close_window(&dev_offset, &counter_offsets, bag_latency_sum);
@@ -345,7 +345,7 @@ impl SlsSystem {
             dev_offset,
             counter_offsets,
             t0,
-            shift: t0.saturating_since(SimTime::ZERO),
+            shift: t0.since(SimTime::ZERO),
             batches_dispatched: 0,
             record_completion: opts.record_completion,
             n_tables,
@@ -455,6 +455,8 @@ impl SlsSystem {
                     .map(|h| h.next_free)
                     .min()
                     .unwrap_or(SimTime::ZERO);
+                // A host already free at the arrival is zero wait, not
+                // a negative one: the clamp is the answer, not a mask.
                 soonest.saturating_since(arrival + s.shift).as_ns() > self.cfg.serving.sla_ns
             }
         }
@@ -482,6 +484,7 @@ impl SlsSystem {
             s.serving.completion.push(at);
         }
         let mut serving = s.serving;
+        serving.last_arrival_ns = s.last_arrival.as_ns();
         serving.batches = s.batches_dispatched;
         serving.pm_epochs = s.controller.epochs_run();
         serving.mean_batch_fill = if s.batches_dispatched == 0 {
@@ -493,13 +496,17 @@ impl SlsSystem {
         if let Some(w) = s.windows {
             serving.windows = w.finish();
         }
+        // A host no batch reached may still sit before `t0`; the
+        // busiest one never does.
         serving.makespan_ns = self
             .plant
             .hosts
             .iter()
-            .map(|h| h.next_free.saturating_since(s.t0).as_ns())
+            .map(|h| h.next_free)
             .max()
-            .unwrap_or(0);
+            .unwrap_or(s.t0)
+            .since(s.t0)
+            .as_ns();
         self.metrics.total_ns = serving.makespan_ns;
         self.close_window(&s.dev_offset, &s.counter_offsets, s.bag_latency_sum);
         serving.run = self.metrics.clone();
@@ -541,7 +548,7 @@ impl SlsSystem {
                     self.plant.hosts[host_idx].cores[core_idx] = core_free;
                     batch_done = batch_done.max(done);
                     on_bag(sample, done);
-                    latency_sum += done.saturating_since(issue).as_ns() as u128;
+                    latency_sum += done.since(issue).as_ns() as u128;
                     self.metrics.bags += 1;
                 }
             }
@@ -611,7 +618,7 @@ impl SlsSystem {
                 .fold(1.0f64, f64::max);
             if mult > 1.0 {
                 let stretch = |done: SimTime| {
-                    let span = done.saturating_since(start).as_ns();
+                    let span = done.since(start).as_ns();
                     start + SimDuration::from_ns((span as f64 * mult).round() as u64)
                 };
                 batch_done = stretch(batch_done);
@@ -621,8 +628,8 @@ impl SlsSystem {
             }
         }
         for (i, (q, &done)) in batch.queries.iter().zip(&sv.q_done).enumerate() {
-            let latency = done.saturating_since(q.arrival + s.shift);
-            let wait = start.saturating_since(q.arrival + s.shift);
+            let latency = done.since(q.arrival + s.shift);
+            let wait = start.since(q.arrival + s.shift);
             s.serving.latency.record(latency);
             s.serving.wait.record(wait);
             s.controller.record_latency(latency);
@@ -645,7 +652,7 @@ impl SlsSystem {
                 debug_assert_eq!(s.serving.completion.len() as u64, q.qid);
                 s.serving
                     .completion
-                    .push(SimTime::from_ns(done.saturating_since(s.t0).as_ns()));
+                    .push(SimTime::from_ns(done.since(s.t0).as_ns()));
             }
             if let Some(w) = &mut s.windows {
                 w.record(q.arrival, latency);
@@ -669,7 +676,7 @@ impl SlsSystem {
         // Controller load tick: the dispatch backlog (close → service
         // start) is the open-loop queue-depth signal, the fill says
         // whether growing the batch could even absorb it.
-        let backlog_ns = start.saturating_since(batch.close + s.shift).as_ns();
+        let backlog_ns = start.since(batch.close + s.shift).as_ns();
         if let Some((batch_size, max_wait_ns)) = s.controller.on_batch(n, backlog_ns) {
             s.batcher.set_knobs(batch_size, max_wait_ns);
         }

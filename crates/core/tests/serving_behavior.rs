@@ -3,7 +3,8 @@
 //! knobs' observable effects.
 
 use dlrm::ModelConfig;
-use pifs_core::system::{OpenLoopOpts, ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy, SlsCluster};
+use pifs_core::system::{OpenLoopOpts, ServingMetrics, ShedPolicy, SlsSystem, SystemConfig};
 use simkit::SimTime;
 use tracegen::{
     ArrivalProcess, Distribution, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, Trace,
@@ -220,4 +221,55 @@ fn tenant_beyond_the_row_space_rejected() {
         tenant("overflows", 4 * cfg.model.emb_num),
     ]);
     let _ = SlsSystem::new(cfg).run_open_loop_streamed(&mut mix, OpenLoopOpts::default());
+}
+
+#[test]
+fn last_arrival_is_the_last_pushed_arrival() {
+    let n = 48u32;
+    let cfg = SystemConfig::pifs_rec(small_model());
+    let trace = trace_for(&cfg.model.clone(), n);
+    let arrivals = ArrivalProcess::Poisson { qps: 50_000.0 }.times(n as usize, 77);
+    let m = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    assert_eq!(m.shed, 0);
+    assert_eq!(m.last_arrival_ns, arrivals[n as usize - 1].as_ns());
+}
+
+#[test]
+fn last_arrival_counts_a_shed_final_arrival() {
+    // Two queries fill the queue bound at t = 0; every later arrival
+    // inside the max-wait window is shed, the final one included.
+    let mut cfg = SystemConfig::pifs_rec(small_model());
+    cfg.serving.shed = ShedPolicy::QueueDepth { max_pending: 2 };
+    let trace = trace_for(&cfg.model.clone(), 16);
+    let arrivals = [0, 0, 0, 0, 1_000].map(SimTime::from_ns);
+    let m = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    assert_eq!(m.queries, 2);
+    assert_eq!(m.shed_qids, vec![2, 3, 4]);
+    assert_eq!(m.last_arrival_ns, 1_000);
+}
+
+#[test]
+fn empty_session_has_no_last_arrival() {
+    let mut sys = SlsSystem::new(SystemConfig::pifs_rec(small_model()));
+    sys.open_loop_begin(small_model().n_tables, OpenLoopOpts::default());
+    let m = sys.open_loop_finish();
+    assert_eq!(m.queries, 0);
+    assert_eq!(m.last_arrival_ns, 0);
+}
+
+#[test]
+fn last_arrival_matches_a_one_shard_cluster() {
+    let cfg = SystemConfig::pifs_rec(small_model());
+    let spec = QueryStreamSpec {
+        trace: trace_spec(&cfg.model, 64),
+        arrival: ArrivalProcess::Poisson { qps: 200_000.0 },
+        arrival_seed: 77,
+    };
+    let node = SlsSystem::new(cfg.clone())
+        .run_open_loop_streamed(&mut spec.stream(), OpenLoopOpts::default());
+    let cluster = SlsCluster::new(ClusterConfig::new(1, ShardPolicy::RowHash, cfg))
+        .run_open_loop_streamed(&mut spec.stream());
+    assert!(node.last_arrival_ns > 0);
+    assert_eq!(cluster.last_arrival_ns, node.last_arrival_ns);
+    assert_eq!(cluster.per_node[0].last_arrival_ns, node.last_arrival_ns);
 }

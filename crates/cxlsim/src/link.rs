@@ -96,11 +96,6 @@ impl FlexBusLink {
         self.inner.transfer_batch_into(first, gap, bytes, n, out);
     }
 
-    /// Earliest time the medium frees up.
-    pub fn free_at(&self) -> SimTime {
-        self.inner.free_at()
-    }
-
     /// Total bytes pushed through the link.
     pub fn total_bytes(&self) -> u64 {
         self.inner.total_bytes()

@@ -115,11 +115,6 @@ impl FabricSwitch {
         self.has_process_core
     }
 
-    /// Upstream link utilization for port `port` over `[0, horizon]`.
-    pub fn upstream_utilization(&self, port: usize, horizon: SimDuration) -> f64 {
-        self.upstream[port].utilization(horizon)
-    }
-
     /// Total bytes through upstream port `port`.
     pub fn upstream_bytes(&self, port: usize) -> u64 {
         self.upstream[port].total_bytes()

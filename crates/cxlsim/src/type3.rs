@@ -91,14 +91,6 @@ impl Type3Device {
     pub fn capacity_bytes(&self) -> u64 {
         self.dram.config().org.capacity_bytes
     }
-
-    /// Earliest time the device and both its links are idle.
-    pub fn quiet_at(&self) -> SimTime {
-        self.dram
-            .all_quiet_at()
-            .max(self.req_link.free_at())
-            .max(self.rsp_link.free_at())
-    }
 }
 
 #[cfg(test)]

@@ -44,11 +44,6 @@ impl MlpShape {
         }
         bytes
     }
-
-    /// Output width of the stack.
-    pub fn output_width(&self) -> u32 {
-        *self.0.last().expect("MLP shape cannot be empty")
-    }
 }
 
 /// One DLRM configuration from Table I.

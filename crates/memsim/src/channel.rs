@@ -273,11 +273,6 @@ impl Channel {
         self.stats.bytes += 64;
         data_start + burst
     }
-
-    /// Time the data bus next frees up.
-    pub fn bus_free_at(&self) -> SimTime {
-        self.bus_free
-    }
 }
 
 #[cfg(test)]

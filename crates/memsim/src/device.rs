@@ -121,15 +121,6 @@ impl DramDevice {
         s
     }
 
-    /// Earliest instant at which every channel's data bus is free.
-    pub fn all_quiet_at(&self) -> SimTime {
-        self.channels
-            .iter()
-            .map(|c| c.bus_free_at())
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Peak aggregate bandwidth in GB/s.
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         self.cfg.peak_bandwidth_gbps()

@@ -128,11 +128,6 @@ impl TenantMixStream {
         &self.specs
     }
 
-    /// Number of tenants in the mix.
-    pub fn n_tenants(&self) -> u16 {
-        self.specs.len() as u16
-    }
-
     /// Tables per query: the maximum across tenants (narrower tenants
     /// read empty bags for the excess tables).
     pub fn n_tables(&self) -> u32 {
