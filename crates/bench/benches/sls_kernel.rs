@@ -26,26 +26,6 @@ fn bench_sls(c: &mut Criterion) {
             b.iter(|| sls_reference(black_box(&table), black_box(&indices), None))
         });
     }
-    // The pipeline's SoA shape: gather the bag's rows into one contiguous
-    // arena (memcpy from a materialized table), then stream the slab
-    // through the wide fold — what `BagBatch` does per bag.
-    {
-        let table = EmbeddingTable::new(1, 4096, 128, 0);
-        assert!(table.is_materialized(), "4096x128 must sit under the cap");
-        let indices: Vec<u64> = (0..8).map(|i| (i * 7919) % 4096).collect();
-        g.bench_function("soa_bag8_dim128", |b| {
-            let mut arena = vec![0.0f32; indices.len() * 128];
-            let mut acc = vec![0.0f32; 128];
-            b.iter(|| {
-                for (slot, &r) in arena.chunks_exact_mut(128).zip(&indices) {
-                    slot.copy_from_slice(table.row_slice(r).expect("materialized"));
-                }
-                acc.iter_mut().for_each(|v| *v = 0.0);
-                dlrm::sls::simd::fold_rows_soa(black_box(&mut acc), black_box(&arena), None);
-                black_box(&acc);
-            })
-        });
-    }
     g.finish();
 }
 

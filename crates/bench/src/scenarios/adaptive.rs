@@ -65,11 +65,8 @@ pub enum Traffic {
 /// before any simulation starts).
 pub fn parse_traffic(spec: &str, qps: f64) -> Result<Traffic, String> {
     if spec.eq_ignore_ascii_case("mix") {
-        if !(qps > 0.0 && qps.is_finite()) {
-            return Err(format!(
-                "arrival rate must be positive and finite, got {qps}"
-            ));
-        }
+        // The mix's tenants are rate splits of `qps`: one rate check.
+        ArrivalProcess::Poisson { qps }.validate()?;
         return Ok(Traffic::Mix);
     }
     ArrivalProcess::parse(spec, qps).map(Traffic::Single)

@@ -84,6 +84,37 @@ fn degenerate_serving_knobs_die_with_the_parsers_reason() {
 }
 
 #[test]
+fn degenerate_topology_knobs_die_before_the_grid_launches() {
+    // Each of these used to panic inside a worker (an empty MLP window,
+    // a plant with no hosts, devices or switches, no cores to partition
+    // work over, a buffer that holds no row); a negative or NaN local
+    // capacity was accepted silently.
+    for knob in [
+        "outstanding=0",
+        "n_hosts=0",
+        "n_devices=0",
+        "n_switches=0",
+        "cores_per_host=0",
+        "buffer.capacity_kb=0",
+        "local_capacity_frac=-1",
+        "local_capacity_frac=nan",
+    ] {
+        let name = knob.split_once('=').expect("k=v").0;
+        assert_dies(
+            &[
+                "sweep",
+                "custom",
+                "--param",
+                "scheme=PIFS-Rec",
+                "--param",
+                knob,
+            ],
+            &[name],
+        );
+    }
+}
+
+#[test]
 fn out_of_range_cluster_sizes_die_instead_of_wrapping() {
     // Zero shards used to panic a worker; 65537 wrapped to one shard
     // and died in the merge; 2^32 + 64 replicas silently ran as 64.

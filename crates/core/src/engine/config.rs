@@ -240,21 +240,43 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem for unknown keys or
-    /// unparseable values; the config is left unchanged in that case.
+    /// Returns a description of the problem for unknown keys,
+    /// unparseable values, or values that would make a degenerate system:
+    /// a zero count (`n_devices`, `n_hosts`, `n_switches`,
+    /// `cores_per_host`, `outstanding`), a negative or non-finite
+    /// `local_capacity_frac`, or a `buffer.capacity_kb` smaller than one
+    /// row. The config is left unchanged in that case.
     pub fn apply_knob(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("knob {key}: cannot parse {value:?}"))
         }
+        fn positive<T: std::str::FromStr + Default + PartialEq>(
+            key: &str,
+            value: &str,
+        ) -> Result<T, String> {
+            let v: T = parse(key, value)?;
+            if v == T::default() {
+                return Err(format!("knob {key}: must be positive"));
+            }
+            Ok(v)
+        }
         match key {
-            "n_devices" => self.n_devices = parse(key, value)?,
-            "n_hosts" => self.n_hosts = parse(key, value)?,
-            "n_switches" => self.n_switches = parse(key, value)?,
-            "cores_per_host" => self.cores_per_host = parse(key, value)?,
-            "outstanding" => self.outstanding = parse(key, value)?,
-            "local_capacity_frac" => self.local_capacity_frac = parse(key, value)?,
+            "n_devices" => self.n_devices = positive(key, value)?,
+            "n_hosts" => self.n_hosts = positive(key, value)?,
+            "n_switches" => self.n_switches = positive(key, value)?,
+            "cores_per_host" => self.cores_per_host = positive(key, value)?,
+            "outstanding" => self.outstanding = positive(key, value)?,
+            "local_capacity_frac" => {
+                let frac: f64 = parse(key, value)?;
+                if !(frac >= 0.0 && frac.is_finite()) {
+                    return Err(format!(
+                        "knob {key}: must be a finite fraction >= 0, got {value:?}"
+                    ));
+                }
+                self.local_capacity_frac = frac;
+            }
             "ooo" => self.ooo = parse(key, value)?,
             "translation_ns" => self.translation_ns = parse(key, value)?,
             "warmup_batches" => self.warmup_batches = parse(key, value)?,
@@ -331,17 +353,20 @@ impl SystemConfig {
                 self.buffer.get_or_insert_with(BufferConfig::default).policy = policy;
             }
             "buffer.capacity_kb" => {
+                let row_bytes = self.model.row_bytes();
+                let bytes = parse::<u64>(key, value)?
+                    .checked_mul(1024)
+                    .filter(|&b| b >= row_bytes)
+                    .ok_or_else(|| {
+                        format!(
+                            "knob {key}: must hold at least one {row_bytes} B row, got {value:?}"
+                        )
+                    })?;
                 self.buffer
                     .get_or_insert_with(BufferConfig::default)
-                    .capacity_bytes = parse::<u64>(key, value)? * 1024
+                    .capacity_bytes = bytes;
             }
-            "serving.batch_size" => {
-                let n: u32 = parse(key, value)?;
-                if n == 0 {
-                    return Err("knob serving.batch_size: must be positive".to_string());
-                }
-                self.serving.batch_size = n;
-            }
+            "serving.batch_size" => self.serving.batch_size = positive(key, value)?,
             "serving.max_wait_us" => {
                 let us: f64 = parse(key, value)?;
                 if !(us >= 0.0 && us.is_finite()) {
@@ -457,6 +482,32 @@ mod tests {
             "{err}"
         );
         assert_eq!(c, before);
+    }
+
+    #[test]
+    fn degenerate_topology_knobs_are_rejected() {
+        let mut c = cfg();
+        let before = c.clone();
+        for (key, value) in [
+            ("outstanding", "0"),
+            ("n_hosts", "0"),
+            ("n_devices", "0"),
+            ("n_switches", "0"),
+            ("cores_per_host", "0"),
+            ("buffer.capacity_kb", "0"),
+            ("buffer.capacity_kb", "18446744073709551615"),
+            ("local_capacity_frac", "-1"),
+            ("local_capacity_frac", "nan"),
+            ("local_capacity_frac", "inf"),
+        ] {
+            let err = c.apply_knob(key, value).unwrap_err();
+            assert!(err.contains(key), "{key}={value}: {err}");
+        }
+        assert_eq!(c, before);
+        // The boundaries themselves are accepted.
+        c.apply_knob("local_capacity_frac", "0").unwrap();
+        c.apply_knob("buffer.capacity_kb", "1").unwrap();
+        c.apply_knob("outstanding", "1").unwrap();
     }
 
     #[test]

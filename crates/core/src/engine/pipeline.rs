@@ -41,8 +41,8 @@ pub(crate) const SNOOP_NS: u64 = 10;
 pub(crate) const DECODE_NS: u64 = 1;
 
 /// The one per-system scratch bundle: the per-bag pipeline buffers
-/// ([`BagScratch`], including the SoA [`BagBatch`] gather arena) and the
-/// open-loop serving dispatcher's per-run buffers
+/// ([`BagScratch`]) and the open-loop serving dispatcher's per-run
+/// buffers
 /// ([`ServingScratch`](super::serving::ServingScratch)). Both run modes
 /// share this single allocation-free scratch convention — any new
 /// reusable buffer, per-bag or per-batch, belongs here.
@@ -75,54 +75,18 @@ pub(crate) struct BagScratch {
     by_switch: Vec<SwitchGroup>,
     sub_acc: Vec<f32>,
     merged: Vec<f32>,
-    batch: BagBatch,
     /// The debug-build DataFetch codec round trip: the burst, its
     /// encoded slab, and the decoded burst.
     #[cfg(debug_assertions)]
     codec: (Vec<M2sReq>, Vec<u128>, Vec<M2sReq>),
 }
 
-/// Structure-of-arrays gather stage: one bag's (or one switch group's)
-/// rows, in bag order, folded in one batched pass after the timing
-/// loop. Rows of a materialized table fold straight from the
-/// shared contiguous row store — copying them into a local arena first
-/// would only add memory traffic (measured slower on the since-retired
-/// `end_to_end` criterion targets). Rows of an over-cap (procedural) table batch-fill the
-/// arena with the vectorized hash ([`EmbeddingTable::value_block`]) in
-/// one contiguous row-major slab, which the SoA fold
-/// ([`dlrm::sls::simd::fold_rows_soa`]) then streams. Both paths fold
-/// in push order with the per-element scalar operation, so the sums are
-/// bit-identical to per-row [`dlrm::sls::accumulate_row`]. Lives in
-/// [`BagScratch`]; capacities persist across bags.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct BagBatch {
-    /// Row-major `rows × dim` value slab (procedural tables only).
-    data: Vec<f32>,
-}
-
-impl BagBatch {
-    /// Gathers `rows` of `table` and folds them into `acc` in order —
-    /// bit-identical to per-row [`dlrm::sls::accumulate_row`] (see the
-    /// type docs for the two paths). Buffer capacities persist.
-    pub(crate) fn fold(
-        &mut self,
-        table: &EmbeddingTable,
-        rows: impl ExactSizeIterator<Item = u64>,
-        acc: &mut [f32],
-    ) {
-        if table.is_materialized() {
-            for row in rows {
-                dlrm::sls::accumulate_row(acc, table, row, 1.0);
-            }
-            return;
-        }
-        let dim = table.dim() as usize;
-        self.data.clear();
-        self.data.resize(rows.len() * dim, 0.0);
-        for (row, slot) in rows.zip(self.data.chunks_exact_mut(dim)) {
-            table.value_block(row, 0, slot);
-        }
-        dlrm::sls::simd::fold_rows_soa(acc, &self.data, None);
+/// Folds `rows` of `table` into `acc` in order with unit weight — one
+/// [`dlrm::sls::accumulate_row`] per row, the fold every compute site
+/// shares, so the sums are bit-identical wherever a row is folded.
+fn fold_rows(table: &EmbeddingTable, rows: impl Iterator<Item = u64>, acc: &mut [f32]) {
+    for row in rows {
+        dlrm::sls::accumulate_row(acc, table, row, 1.0);
     }
 }
 
@@ -195,8 +159,7 @@ pub(crate) struct BagState<'r> {
     /// In-flight fold completions for the bounded MLP window (each
     /// gather stage clears it before use).
     pub window: VecDeque<SimTime>,
-    /// Remaining scratch: the SoA gather arena and the switch-compute
-    /// buffers.
+    /// Remaining scratch: the switch-compute buffers.
     pub scratch: BagScratch,
     /// Completion time of everything observed so far.
     pub done: SimTime,
@@ -351,10 +314,8 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         t += SimDuration::from_ns(if is_nmp { 1 } else { ISSUE_NS });
         last = last.max(fold_done);
     }
-    // SoA gather + wide fold, hoisted out of the timing loop: same
-    // rows in the same order as the per-row fold it replaces, so the
-    // functional sums are bit-identical.
-    bag.scratch.batch.fold(
+    // The functional fold, after the timing loop, in bag order.
+    fold_rows(
         &ctx.tables[bag.table as usize],
         bag.local.iter().map(|&(row, _)| row),
         &mut bag.acc,
@@ -391,9 +352,8 @@ fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         t += SimDuration::from_ns(ISSUE_NS);
         last = last.max(fold_done);
     }
-    // SoA gather + wide fold, hoisted out of the timing loop (order
-    // preserved, bit-identical).
-    bag.scratch.batch.fold(
+    // The functional fold, after the timing loop, in bag order.
+    fold_rows(
         &ctx.tables[bag.table as usize],
         bag.remote.iter().map(|&(row, _)| row),
         &mut bag.acc,
@@ -455,9 +415,8 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
         t += SimDuration::from_ns(ISSUE_NS);
         last = last.max(fold_done);
     }
-    // SoA gather + wide fold, hoisted out of the timing loop (order
-    // preserved, bit-identical).
-    bag.scratch.batch.fold(
+    // The functional fold, after the timing loop, in bag order.
+    fold_rows(
         &ctx.tables[bag.table as usize],
         bag.cxl.iter().map(|&(_, row, _)| row),
         &mut bag.acc,
@@ -611,11 +570,10 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             let folded = ctx.switches[s_idx].engine.process_row(data_ready, cluster);
             sub_last = sub_last.max(folded);
         }
-        // Per-group SoA gather: the sub-cluster's rows fold in group
-        // order, bit-identical to the per-row fold it replaces.
+        // The sub-cluster's rows fold in group order.
         bag.scratch.sub_acc.clear();
         bag.scratch.sub_acc.resize(dim, 0.0f32);
-        bag.scratch.batch.fold(
+        fold_rows(
             &ctx.tables[table as usize],
             group.iter().map(|&i| bag.cxl[i].1),
             &mut bag.scratch.sub_acc,
@@ -645,35 +603,4 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         .transfer(final_done, row_bytes + M2sReq::WIRE_BYTES);
     let visible = at_host + SimDuration::from_ns(SNOOP_NS);
     (visible, core_free)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bag_batch_fold_matches_per_row_accumulate() {
-        // One materialized table and one over-cap procedural table: the
-        // arena gather must be bit-identical to per-row accumulate_row
-        // on both storage kinds, including duplicate rows.
-        let small = EmbeddingTable::new(3, 128, 48, 0);
-        let big = EmbeddingTable::new(7, 1 << 20, 64, 1 << 30);
-        assert!(small.is_materialized() && !big.is_materialized());
-        for table in [&small, &big] {
-            let rows: Vec<u64> = (0..17).map(|i| (i * 31 + 5) % table.rows()).collect();
-            let dim = table.dim() as usize;
-            let mut want = vec![0.0f32; dim];
-            for &r in &rows {
-                dlrm::sls::accumulate_row(&mut want, table, r, 1.0);
-            }
-            let mut got = vec![0.0f32; dim];
-            BagBatch::default().fold(table, rows.iter().copied(), &mut got);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "table {} arena fold diverged",
-                table.id()
-            );
-        }
-    }
 }

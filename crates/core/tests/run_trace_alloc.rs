@@ -1,6 +1,6 @@
 //! Allocation guard for the closed-loop bag path: once a system is
-//! warm, every per-bag buffer (the SoA gather arena, the switch groups,
-//! the partial and merged accumulators) is recycled scratch, so the
+//! warm, every per-bag buffer (the row lists, the switch groups, the
+//! partial and merged accumulators) is recycled scratch, so the
 //! allocation calls of one `run_trace` do not grow with its batch
 //! count. Only the per-run setup (the query partition, the measured
 //! window's offsets, the returned metrics) allocates.

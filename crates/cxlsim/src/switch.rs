@@ -83,11 +83,6 @@ impl FabricSwitch {
         self.bindings.get(&cache_id).copied()
     }
 
-    /// Number of bound devices.
-    pub fn bound_devices(&self) -> usize {
-        self.bindings.len()
-    }
-
     /// Moves `bytes` across upstream port `port` arriving at `now`;
     /// returns delivery time at the switch (or host, symmetric).
     ///
@@ -115,11 +110,6 @@ impl FabricSwitch {
         self.has_process_core
     }
 
-    /// Total bytes through upstream port `port`.
-    pub fn upstream_bytes(&self, port: usize) -> u64 {
-        self.upstream[port].total_bytes()
-    }
-
     /// The switch's fabric parameters.
     pub fn params(&self) -> &CxlParams {
         &self.params
@@ -135,7 +125,6 @@ mod tests {
         let mut sw = FabricSwitch::new(0, 1, CxlParams::default());
         assert_eq!(sw.bind_device(PortId(0)), 0);
         assert_eq!(sw.bind_device(PortId(1)), 1);
-        assert_eq!(sw.bound_devices(), 2);
         assert_eq!(sw.device_port(1), Some(PortId(1)));
         assert_eq!(sw.device_port(9), None);
     }
@@ -163,7 +152,6 @@ mod tests {
         let b = sw.upstream_transfer(SimTime::ZERO, 0, 64);
         // The second transfer queues behind the first (64 KB ≈ 1 µs at 64 GB/s).
         assert!(b > a, "b={b} a={a}");
-        assert_eq!(sw.upstream_bytes(0), 64 * 1024 + 64);
     }
 
     #[test]

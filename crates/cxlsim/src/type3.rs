@@ -82,11 +82,6 @@ impl Type3Device {
         self.accesses
     }
 
-    /// Underlying DRAM statistics.
-    pub fn dram_stats(&self) -> memsim::DramStats {
-        self.dram.stats()
-    }
-
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.dram.config().org.capacity_bytes
@@ -120,7 +115,6 @@ mod tests {
         dev.write(SimTime::ZERO, 0, 64);
         dev.read(SimTime::ZERO, 0, 64);
         assert_eq!(dev.access_count(), 2);
-        assert_eq!(dev.dram_stats().writes, 1);
     }
 
     #[test]

@@ -33,17 +33,6 @@ impl MlpShape {
         }
         flops
     }
-
-    /// Weight bytes (f32) of the stack.
-    pub fn weight_bytes(&self, input_width: u32) -> u64 {
-        let mut bytes = 0u64;
-        let mut prev = input_width as u64;
-        for &w in &self.0 {
-            bytes += 4 * prev * w as u64;
-            prev = w as u64;
-        }
-        bytes
-    }
 }
 
 /// One DLRM configuration from Table I.
@@ -210,12 +199,6 @@ mod tests {
         let shape = MlpShape::parse("4-2");
         // 2×(8×4) + 2×(4×2) = 64 + 16 = 80.
         assert_eq!(shape.flops_per_sample(8), 80);
-    }
-
-    #[test]
-    fn mlp_weight_bytes_are_f32() {
-        let shape = MlpShape::parse("4");
-        assert_eq!(shape.weight_bytes(8), 4 * 8 * 4);
     }
 
     #[test]

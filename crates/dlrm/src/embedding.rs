@@ -15,9 +15,9 @@
 //! with the same key have identical contents by construction, and
 //! concurrent sweep workers constructing the same model reuse one fill).
 //! [`EmbeddingTable::row`] then hands out `&[f32]` slices the SLS kernels
-//! fold with auto-vectorizable slice loops; tables beyond the cap (or
-//! built with [`EmbeddingTable::new_procedural`]) keep the per-element
-//! path. Both paths produce bit-identical sums: the store is filled from
+//! fold with wide slice loops; tables beyond the cap (or built with
+//! [`EmbeddingTable::new_procedural`]) hash their values as they fold.
+//! Both paths produce bit-identical sums: the store is filled from
 //! `value()` itself and the element-wise fold order is unchanged.
 
 use std::collections::HashMap;
@@ -78,8 +78,8 @@ fn raw_value(id: u32, row: u64, elem: u32) -> f32 {
 ///    because `p >> 74 == 0` on a 64-bit `p`.
 ///
 /// Every surviving operation is the scalar one, so the fill matches
-/// elementwise [`raw_value`] calls bit-for-bit (asserted by tests and
-/// the forced-tier proptests).
+/// elementwise [`raw_value`] calls bit-for-bit (asserted by this
+/// module's tests).
 #[inline(always)]
 fn raw_value_block(id: u32, row: u64, elem0: u32, out: &mut [f32]) {
     let base = (id as u64) << 48 ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -91,19 +91,6 @@ fn raw_value_block(id: u32, row: u64, elem0: u32, out: &mut [f32]) {
     }
 }
 
-/// [`raw_value_block`] with the multiply hand-vectorized for the 8-lane
-/// dispatch tier (LLVM does not auto-vectorize 64-bit multiplies).
-///
-/// Eight hashes run as two 4×u64 vectors. The 64×64→64 multiply AVX2
-/// lacks is built from `vpmuludq` 32×32→64 partial products:
-/// `h·C mod 2^64 = h_lo·C_lo + ((h_lo·C_hi + h_hi·C_lo) << 32)` — and
-/// because `e` only perturbs the low dword of the premixed base,
-/// `h_hi·C_lo` is one more per-row constant hoisted out of the loop,
-/// leaving two multiplies per vector. The mantissas narrow to one 8×u32
-/// vector and convert with `vcvtdq2ps` (exact: mantissas are 23 bits),
-/// and the final `·scale − 1` runs the same IEEE single-rounded ops per
-/// lane as the scalar code — the fill is bit-identical to
-/// [`raw_value_block`].
 /// Row-constant registers of the vectorized hash: everything
 /// [`raw_value_block`]'s identities hoist out of the element loop, in
 /// vector form, shared by the fill and the fused-fold kernels.
@@ -443,9 +430,8 @@ impl EmbeddingTable {
             self.dim
         );
         #[cfg(target_arch = "x86_64")]
-        if crate::sls::simd::avx2_dispatched() {
-            // SAFETY: `avx2_dispatched` is gated on runtime
-            // `is_x86_feature_detected!("avx2")`.
+        if crate::sls::simd::avx2_detected() {
+            // SAFETY: the CPU supports AVX2 (runtime detection above).
             unsafe {
                 return raw_value_block_avx2(self.id, row, elem0, out);
             }
@@ -571,6 +557,41 @@ mod tests {
             t.value_block(7, e0, &mut out);
             for (i, &v) in out.iter().enumerate() {
                 assert_eq!(v, t.value(7, e0 + i as u32), "mismatch at {e0}+{i}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_hash_tier_matches_elementwise_values() {
+        // The portable fill, the AVX2 fill and the fused AVX2 fold are
+        // each called directly, so the tier this CPU does not dispatch
+        // stays checked too.
+        let (id, row) = (6u32, 7u64);
+        for (e0, len) in [(0u32, 100usize), (0, 1), (3, 29), (64, 36), (99, 1)] {
+            let want: Vec<f32> = (e0..e0 + len as u32)
+                .map(|e| raw_value(id, row, e))
+                .collect();
+            let mut got = vec![0.0f32; len];
+            raw_value_block(id, row, e0, &mut got);
+            assert_eq!(got, want, "portable fill diverged at {e0}+{len}");
+            #[cfg(target_arch = "x86_64")]
+            if crate::sls::simd::avx2_detected() {
+                // SAFETY: the CPU supports AVX2.
+                unsafe { raw_value_block_avx2(id, row, e0, &mut got) };
+                assert_eq!(got, want, "AVX2 fill diverged at {e0}+{len}");
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if crate::sls::simd::avx2_detected() {
+            for dim in [1usize, 7, 8, 9, 63, 64, 65, 128, 255] {
+                let mut want = vec![0.5f32; dim];
+                for (e, slot) in want.iter_mut().enumerate() {
+                    *slot += -1.25 * raw_value(id, row, e as u32);
+                }
+                let mut got = vec![0.5f32; dim];
+                // SAFETY: the CPU supports AVX2.
+                unsafe { raw_fold_row_avx2(id, row, &mut got, -1.25) };
+                assert_eq!(got, want, "fused AVX2 fold diverged at dim {dim}");
             }
         }
     }

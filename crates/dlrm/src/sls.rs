@@ -10,51 +10,6 @@ use crate::embedding::EmbeddingTable;
 
 pub mod simd;
 
-/// One SLS request: which rows of which table to accumulate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlsRequest {
-    /// Target table id.
-    pub table: u32,
-    /// Row indices to gather.
-    pub indices: Vec<u64>,
-    /// Optional per-row FP32 weights (same length as `indices`).
-    pub weights: Option<Vec<f32>>,
-}
-
-impl SlsRequest {
-    /// Creates an unweighted request.
-    pub fn new(table: u32, indices: Vec<u64>) -> Self {
-        SlsRequest {
-            table,
-            indices,
-            weights: None,
-        }
-    }
-
-    /// Creates a weighted request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != indices.len()`.
-    pub fn weighted(table: u32, indices: Vec<u64>, weights: Vec<f32>) -> Self {
-        assert_eq!(
-            indices.len(),
-            weights.len(),
-            "one weight per index required"
-        );
-        SlsRequest {
-            table,
-            indices,
-            weights: Some(weights),
-        }
-    }
-
-    /// Number of rows gathered.
-    pub fn bag_size(&self) -> usize {
-        self.indices.len()
-    }
-}
-
 /// Reference SLS: accumulates the requested rows of `table`.
 ///
 /// The accumulation order is the order of `indices` — all compute sites
@@ -113,17 +68,18 @@ pub fn sls_reference_scalar(
     acc
 }
 
-/// Folds one row into `acc` with weight `w` — the per-arrival step the
-/// switch's accumulate logic performs (§IV-A5).
+/// Folds one row into `acc` with weight `w` — the per-arrival step
+/// every compute site performs (§IV-A5), and the workspace's one f32
+/// row fold.
 ///
 /// When the table is materialized this is the explicit lane-width wide
 /// fold ([`simd::fold_slice`]): fixed `[f32; LANES]` accumulator blocks
-/// plus a scalar tail, behind the 8/4/scalar runtime dispatcher. For
-/// procedural tables the per-element hash is computed in vectorizable
-/// blocks ([`EmbeddingTable::value_block`]) and folded the same way.
-/// Because the per-element addition order along `dim` is exactly the
-/// scalar loop's on every tier, the f32 sums are bit-identical to
-/// [`accumulate_row_scalar`] (asserted by the forced-tier proptests).
+/// plus a scalar tail. For procedural tables it is the fused AVX2
+/// hash+fold when the CPU has AVX2, and otherwise the per-element hash
+/// computed in blocks ([`EmbeddingTable::value_block`]) and folded the
+/// same way. Because the per-element addition order along `dim` is
+/// exactly the scalar loop's on every tier, the f32 sums are
+/// bit-identical to [`accumulate_row_scalar`].
 ///
 /// # Panics
 ///
@@ -138,32 +94,7 @@ pub fn accumulate_row(acc: &mut [f32], table: &EmbeddingTable, row: u64, w: f32)
     );
     match table.row_slice(row) {
         Some(vals) => simd::fold_slice(acc, vals, w),
-        None => accumulate_row_procedural(acc, table, row, w, None),
-    }
-}
-
-/// [`accumulate_row`] on an explicitly forced dispatch tier — the hook
-/// the forced-tier proptests and the CI fallback guard drive.
-///
-/// # Panics
-///
-/// Panics if `acc.len()` differs from the table dimension or `row` is out
-/// of bounds.
-pub fn accumulate_row_forced(
-    acc: &mut [f32],
-    table: &EmbeddingTable,
-    row: u64,
-    w: f32,
-    width: simd::LaneWidth,
-) {
-    assert_eq!(
-        acc.len(),
-        table.dim() as usize,
-        "accumulator width must match the table dimension"
-    );
-    match table.row_slice(row) {
-        Some(vals) => simd::fold_slice_forced(acc, vals, w, width),
-        None => accumulate_row_procedural(acc, table, row, w, Some(width)),
+        None => accumulate_row_procedural(acc, table, row, w),
     }
 }
 
@@ -172,39 +103,21 @@ pub fn accumulate_row_forced(
 /// consumes it, no heap touched.
 const PROC_BLOCK: usize = 64;
 
-/// The wide fold for over-cap (procedural) tables: hash values are
-/// produced in vectorizable blocks and folded with the dispatched (or
-/// forced) tier. The scalar tier routes to [`accumulate_row_scalar`]
-/// itself so the forced fallback exercises the true reference path.
-fn accumulate_row_procedural(
-    acc: &mut [f32],
-    table: &EmbeddingTable,
-    row: u64,
-    w: f32,
-    forced: Option<simd::LaneWidth>,
-) {
-    let width = forced.unwrap_or_else(simd::dispatched_width);
-    if width == simd::LaneWidth::Scalar {
-        return accumulate_row_scalar(acc, table, row, w);
-    }
+/// The wide fold for over-cap (procedural) tables: the fused AVX2
+/// hash+fold, or hash values produced in blocks and folded with
+/// [`simd::fold_slice`] off AVX2.
+fn accumulate_row_procedural(acc: &mut [f32], table: &EmbeddingTable, row: u64, w: f32) {
     #[cfg(target_arch = "x86_64")]
-    if width == simd::LaneWidth::W8 && simd::avx2_dispatched() {
-        // SAFETY: `avx2_dispatched` is gated on runtime
-        // `is_x86_feature_detected!("avx2")`.
+    if simd::avx2_detected() {
+        // SAFETY: the CPU supports AVX2 (runtime detection above).
         unsafe { table.fold_row_avx2(row, acc, w) };
         return;
     }
     let mut buf = [0.0f32; PROC_BLOCK];
-    let dim = acc.len();
-    let mut e0 = 0usize;
-    while e0 < dim {
-        let l = PROC_BLOCK.min(dim - e0);
-        table.value_block(row, e0 as u32, &mut buf[..l]);
-        match forced {
-            Some(width) => simd::fold_slice_forced(&mut acc[e0..e0 + l], &buf[..l], w, width),
-            None => simd::fold_slice(&mut acc[e0..e0 + l], &buf[..l], w),
-        }
-        e0 += l;
+    for (e0, chunk) in (0u32..).step_by(PROC_BLOCK).zip(acc.chunks_mut(PROC_BLOCK)) {
+        let vals = &mut buf[..chunk.len()];
+        table.value_block(row, e0, vals);
+        simd::fold_slice(chunk, vals, w);
     }
 }
 
@@ -253,7 +166,7 @@ pub fn accumulate_row_scalar(acc: &mut [f32], table: &EmbeddingTable, row: u64, 
 /// one, and otherwise in [`EmbeddingTable::value_block`] chunks on a
 /// stack buffer — both bit-identical to elementwise
 /// [`EmbeddingTable::value`] calls on every lane tier, so the sums are
-/// too (`tests/exact_fold.rs` asserts this under every forced tier).
+/// too (`tests/exact_fold.rs` asserts this).
 ///
 /// # Panics
 ///
@@ -356,12 +269,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one weight per index")]
     fn weight_count_mismatch_panics() {
-        let _ = SlsRequest::weighted(0, vec![1, 2], vec![1.0]);
-    }
-
-    #[test]
-    fn request_reports_bag_size() {
-        assert_eq!(SlsRequest::new(0, vec![1, 2, 3]).bag_size(), 3);
+        let _ = sls_reference(&table(), &[1, 2], Some(&[1.0]));
     }
 
     proptest! {
@@ -414,12 +322,14 @@ mod tests {
             prop_assert_eq!(fast, scalar);
         }
 
-        /// Every dispatch tier — forced scalar, 4-lane and 8-lane —
-        /// must equal the scalar reference *bit-for-bit* (not
-        /// approximately) across dims 1..256, weighted and unweighted,
-        /// on materialized and procedural tables alike.
+        /// The dispatched fold must equal the scalar reference
+        /// *bit-for-bit* (not approximately) across dims 1..256, weighted
+        /// and unweighted, on materialized and procedural tables alike.
+        /// Each tier is also checked directly in [`simd`]'s and
+        /// [`crate::embedding`]'s tests, so the tiers this CPU does not
+        /// dispatch stay covered.
         #[test]
-        fn prop_forced_tiers_match_scalar_reference(
+        fn prop_dispatched_fold_matches_scalar_reference(
             dim in 1u32..256,
             indices in proptest::collection::vec(0u64..64, 1..16),
             raw_weights in proptest::collection::vec(-4.0f32..4.0, 16..17),
@@ -431,20 +341,13 @@ mod tests {
             for weighted in [false, true] {
                 let ws = weighted.then_some(&weights[..]);
                 let reference = sls_reference_scalar(&proc_, &indices, ws);
-                for width in simd::LaneWidth::all() {
-                    for table in [&mat, &proc_] {
-                        let mut acc = vec![0.0f32; dim as usize];
-                        for (i, &row) in indices.iter().enumerate() {
-                            let w = ws.map_or(1.0, |x| x[i]);
-                            accumulate_row_forced(&mut acc, table, row, w, width);
-                        }
-                        prop_assert_eq!(
-                            &acc,
-                            &reference,
-                            "tier {:?} diverged (dim {}, weighted {}, materialized {})",
-                            width, dim, weighted, table.is_materialized()
-                        );
-                    }
+                for table in [&mat, &proc_] {
+                    prop_assert_eq!(
+                        &sls_reference(table, &indices, ws),
+                        &reference,
+                        "tier {:?} diverged (dim {}, weighted {}, materialized {})",
+                        simd::dispatched_width(), dim, weighted, table.is_materialized()
+                    );
                 }
             }
         }

@@ -1,22 +1,14 @@
-//! Explicit lane-width SLS folds — the SIMD-explicit rewrite of the
-//! slice-zip kernel (ROADMAP item 2).
+//! Explicit lane-width SLS folds.
 //!
-//! The auto-vectorized slice fold left the lane width to the compiler's
-//! discretion (and the procedural-hash path entirely scalar). This
-//! module makes the width a dispatched, measured choice: the fold is
-//! blocked into fixed `[f32; LANES]` accumulator chunks that LLVM lowers
-//! to full-width vector multiply/add pairs on stable Rust, with a scalar
-//! tail for `dim % LANES` remainders, behind a runtime three-tier
-//! dispatcher (8 lanes / 4 lanes / scalar).
+//! The fold is blocked into fixed `[f32; LANES]` accumulator chunks
+//! that LLVM lowers to full-width vector multiply/add pairs on stable
+//! Rust, with a scalar tail for `dim % LANES` remainders.
 //!
-//! **Selection rule:** the [`LANES_ENV`] environment variable forces a
-//! tier (`scalar`, `4`, or `8`); otherwise the 8-lane tier is selected
-//! when the CPU offers 256-bit vectors (x86-64 AVX2, where the 8-lane
-//! kernels are additionally compiled with AVX2 codegen via
-//! `#[target_feature]`), and the portable 4-lane tier — one 128-bit
-//! vector on every SSE2/NEON-class machine — otherwise. The scalar tier
-//! is never auto-selected; it exists as the forced fallback the CI
-//! smoke test keeps honest.
+//! **Selection rule:** the tier is decided by CPU detection alone. When
+//! the CPU offers AVX2 (x86-64), the fold runs 8-lane blocks compiled
+//! with AVX2 codegen via `#[target_feature]`; otherwise it runs the
+//! portable 4-lane blocks — one 128-bit vector on every SSE2/NEON-class
+//! machine. No option or environment variable overrides the choice.
 //!
 //! **Determinism:** blocking along `dim` partitions the accumulator
 //! into disjoint lane groups; every element still receives exactly the
@@ -25,118 +17,46 @@
 //! output is a vector, not a scalar), `mul` and `add` stay separately
 //! rounded (FMA contraction is never enabled — fusing would change the
 //! rounding), so every tier is bit-identical to
-//! [`accumulate_row_scalar`](super::accumulate_row_scalar). The
-//! proptests in [`super`] assert this across dims 1..256, weighted and
-//! unweighted, for every forced tier.
-
-use std::sync::OnceLock;
+//! [`accumulate_row_scalar`](super::accumulate_row_scalar). The tests
+//! below call each tier directly, so the portable tier stays checked on
+//! an AVX2 host.
 
 /// One dispatch tier of the wide SLS fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneWidth {
-    /// Plain element loop — the forced fallback, never auto-selected.
-    Scalar,
-    /// 4-lane blocks: one 128-bit vector (SSE2/NEON baseline).
+    /// Portable 4-lane blocks: one 128-bit vector (SSE2/NEON baseline).
     W4,
-    /// 8-lane blocks: one 256-bit vector on AVX2, two 128-bit ops
-    /// elsewhere.
+    /// 8-lane blocks compiled with AVX2 codegen: one 256-bit vector.
     W8,
 }
 
-impl LaneWidth {
-    /// Number of f32 lanes folded per block.
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::Scalar => 1,
-            LaneWidth::W4 => 4,
-            LaneWidth::W8 => 8,
-        }
-    }
-
-    /// All tiers, narrowest first (test iteration order).
-    pub fn all() -> [LaneWidth; 3] {
-        [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8]
-    }
-}
-
-/// Environment variable forcing a dispatch tier: `scalar`, `4`, or `8`.
-pub const LANES_ENV: &str = "PIFS_SLS_LANES";
-
-/// Parses a [`LANES_ENV`] value.
-///
-/// # Errors
-///
-/// Returns the unrecognized value back as the error.
-pub fn parse_lane_override(value: &str) -> Result<LaneWidth, String> {
-    match value {
-        "scalar" | "1" => Ok(LaneWidth::Scalar),
-        "4" => Ok(LaneWidth::W4),
-        "8" => Ok(LaneWidth::W8),
-        other => Err(other.to_string()),
-    }
-}
-
-/// The cached dispatch decision: the selected tier plus whether the
-/// 8-lane kernels may take their AVX2-compiled variants.
-struct Dispatch {
-    width: LaneWidth,
-    avx2: bool,
-}
-
-fn dispatch() -> &'static Dispatch {
-    static DISPATCH: OnceLock<Dispatch> = OnceLock::new();
-    DISPATCH.get_or_init(|| {
-        let avx2 = {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx2")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        };
-        let width = match std::env::var(LANES_ENV) {
-            Ok(v) => parse_lane_override(&v)
-                .unwrap_or_else(|bad| panic!("{LANES_ENV} must be scalar|4|8, got {bad:?}")),
-            Err(_) => {
-                if avx2 {
-                    LaneWidth::W8
-                } else {
-                    LaneWidth::W4
-                }
-            }
-        };
-        Dispatch { width, avx2 }
-    })
-}
-
-/// The tier the runtime dispatcher selected for this process (cached on
-/// first use; see the module docs for the selection rule).
-pub fn dispatched_width() -> LaneWidth {
-    dispatch().width
-}
-
-/// Whether batched kernels should take their AVX2-compiled variants:
-/// the 8-lane tier is dispatched *and* the CPU supports AVX2 (a forced
-/// `PIFS_SLS_LANES=8` on a non-AVX2 machine stays on portable blocks).
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_dispatched() -> bool {
-    let d = dispatch();
-    d.width == LaneWidth::W8 && d.avx2
-}
-
-/// The scalar fold tier: the reference element loop.
+/// Whether the CPU supports AVX2, so the 8-lane AVX2 kernels may run.
+/// The standard library caches the detection, so this is one load.
 #[inline]
-fn fold_scalar(acc: &mut [f32], vals: &[f32], w: f32) {
-    for (slot, &v) in acc.iter_mut().zip(vals) {
-        *slot += w * v;
+pub(crate) fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The tier the folds run on in this process (see the module docs for
+/// the selection rule).
+pub fn dispatched_width() -> LaneWidth {
+    if avx2_detected() {
+        LaneWidth::W8
+    } else {
+        LaneWidth::W4
     }
 }
 
 /// The blocked fold: `L`-lane accumulator chunks plus a scalar tail for
 /// the `len % L` remainder. Per-element operation and order are exactly
-/// [`fold_scalar`]'s — the lanes are disjoint accumulator elements, so
+/// the scalar loop's — the lanes are disjoint accumulator elements, so
 /// no floating-point sum is reassociated (the determinism argument in
 /// the module docs).
 #[inline(always)]
@@ -175,96 +95,13 @@ fn fold_blocked_w8_avx2(acc: &mut [f32], vals: &[f32], w: f32) {
 #[inline]
 pub fn fold_slice(acc: &mut [f32], vals: &[f32], w: f32) {
     assert_eq!(acc.len(), vals.len(), "fold width mismatch");
-    let d = dispatch();
-    match d.width {
-        LaneWidth::Scalar => fold_scalar(acc, vals, w),
-        LaneWidth::W4 => fold_blocked::<4>(acc, vals, w),
-        LaneWidth::W8 => {
-            #[cfg(target_arch = "x86_64")]
-            if d.avx2 {
-                // SAFETY: `d.avx2` is `is_x86_feature_detected!("avx2")`,
-                // cached at dispatch initialization.
-                unsafe {
-                    fold_blocked_w8_avx2(acc, vals, w);
-                }
-                return;
-            }
-            fold_blocked::<8>(acc, vals, w);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: the CPU supports AVX2 (runtime detection above).
+        unsafe { fold_blocked_w8_avx2(acc, vals, w) };
+        return;
     }
-}
-
-/// Folds `vals` into `acc` on an explicitly forced tier (portable
-/// codegen) — the test and bench hook behind the forced-tier proptests.
-///
-/// # Panics
-///
-/// Panics if `acc.len() != vals.len()`.
-#[inline]
-pub fn fold_slice_forced(acc: &mut [f32], vals: &[f32], w: f32, width: LaneWidth) {
-    assert_eq!(acc.len(), vals.len(), "fold width mismatch");
-    match width {
-        LaneWidth::Scalar => fold_scalar(acc, vals, w),
-        LaneWidth::W4 => fold_blocked::<4>(acc, vals, w),
-        LaneWidth::W8 => fold_blocked::<8>(acc, vals, w),
-    }
-}
-
-/// Streams a structure-of-arrays row slab into `acc`: `rows` is a
-/// row-major `n × acc.len()` block (a whole bag gathered contiguously),
-/// folded row by row in slab order with optional per-row weights. This
-/// is the fold the `BagBatch` gather arena feeds — no per-row bounds or
-/// branch overhead, just sequential streaming.
-///
-/// Bit-identical to `n` successive [`fold_slice`] calls (which are
-/// themselves bit-identical to the scalar loop).
-///
-/// # Panics
-///
-/// Panics if `acc` is empty, `rows.len()` is not a multiple of
-/// `acc.len()`, or `weights` (when present) has fewer entries than rows.
-pub fn fold_rows_soa(acc: &mut [f32], rows: &[f32], weights: Option<&[f32]>) {
-    fold_rows_soa_impl(acc, rows, weights, None)
-}
-
-/// [`fold_rows_soa`] on an explicitly forced tier (test/bench hook).
-///
-/// # Panics
-///
-/// As [`fold_rows_soa`].
-pub fn fold_rows_soa_forced(
-    acc: &mut [f32],
-    rows: &[f32],
-    weights: Option<&[f32]>,
-    width: LaneWidth,
-) {
-    fold_rows_soa_impl(acc, rows, weights, Some(width))
-}
-
-#[inline]
-fn fold_rows_soa_impl(
-    acc: &mut [f32],
-    rows: &[f32],
-    weights: Option<&[f32]>,
-    forced: Option<LaneWidth>,
-) {
-    let dim = acc.len();
-    assert!(dim > 0, "accumulator must be non-empty");
-    assert_eq!(
-        rows.len() % dim,
-        0,
-        "row slab must be a whole number of rows"
-    );
-    if let Some(ws) = weights {
-        assert!(ws.len() >= rows.len() / dim, "one weight per row required");
-    }
-    for (i, row) in rows.chunks_exact(dim).enumerate() {
-        let w = weights.map_or(1.0, |ws| ws[i]);
-        match forced {
-            Some(width) => fold_slice_forced(acc, row, w, width),
-            None => fold_slice(acc, row, w),
-        }
-    }
+    fold_blocked::<4>(acc, vals, w);
 }
 
 #[cfg(test)]
@@ -277,6 +114,16 @@ mod tests {
             .collect()
     }
 
+    /// One fold tier's signature.
+    type Fold = fn(&mut [f32], &[f32], f32);
+
+    /// The reference element loop every tier must match bit for bit.
+    fn fold_scalar(acc: &mut [f32], vals: &[f32], w: f32) {
+        for (slot, &v) in acc.iter_mut().zip(vals) {
+            *slot += w * v;
+        }
+    }
+
     #[test]
     fn every_tier_matches_scalar_including_tails() {
         // Dims straddling every remainder class of 4 and 8 lanes.
@@ -286,70 +133,39 @@ mod tests {
             let v = vals(dim, 3);
             let mut reference = vals(dim, 9);
             fold_scalar(&mut reference, &v, 1.75);
-            for width in [LaneWidth::W4, LaneWidth::W8] {
+            let tiers: [(&str, Fold); 3] = [
+                ("4-lane", fold_blocked::<4>),
+                ("8-lane", fold_blocked::<8>),
+                ("dispatched", fold_slice),
+            ];
+            for (name, fold) in tiers {
                 let mut acc = vals(dim, 9);
-                fold_slice_forced(&mut acc, &v, 1.75, width);
-                assert_eq!(acc, reference, "tier {width:?} diverged at dim {dim}");
+                fold(&mut acc, &v, 1.75);
+                assert_eq!(acc, reference, "{name} tier diverged at dim {dim}");
             }
-            let mut acc = vals(dim, 9);
-            fold_slice(&mut acc, &v, 1.75);
-            assert_eq!(acc, reference, "dispatched tier diverged at dim {dim}");
+            #[cfg(target_arch = "x86_64")]
+            if avx2_detected() {
+                let mut acc = vals(dim, 9);
+                // SAFETY: the CPU supports AVX2.
+                unsafe { fold_blocked_w8_avx2(&mut acc, &v, 1.75) };
+                assert_eq!(acc, reference, "AVX2 tier diverged at dim {dim}");
+            }
         }
     }
 
     #[test]
-    fn soa_fold_matches_per_row_folds() {
-        let dim = 37;
-        let n_rows = 5;
-        let slab: Vec<f32> = vals(dim * n_rows, 1);
-        let weights = [0.5f32, -1.25, 2.0, 1.0, 0.75];
-        for forced in [
-            None,
-            Some(LaneWidth::Scalar),
-            Some(LaneWidth::W4),
-            Some(LaneWidth::W8),
-        ] {
-            let mut soa = vec![0.0f32; dim];
-            let mut per_row = vec![0.0f32; dim];
-            match forced {
-                Some(w) => fold_rows_soa_forced(&mut soa, &slab, Some(&weights), w),
-                None => fold_rows_soa(&mut soa, &slab, Some(&weights)),
-            }
-            for (i, row) in slab.chunks_exact(dim).enumerate() {
-                fold_scalar(&mut per_row, row, weights[i]);
-            }
-            assert_eq!(soa, per_row, "SoA fold diverged on tier {forced:?}");
-        }
-    }
-
-    #[test]
-    fn dispatcher_picks_a_non_scalar_tier() {
-        // The CI fallback guard: scalar is only ever a forced override,
-        // so with no override in the environment the dispatcher must
-        // land on a wide tier (portable 4-lane exists on every target).
-        if std::env::var(LANES_ENV).is_err() {
-            assert_ne!(
-                dispatched_width(),
-                LaneWidth::Scalar,
-                "runtime dispatch must never auto-select the scalar tier"
-            );
-        }
-    }
-
-    #[test]
-    fn override_parsing_covers_documented_values() {
-        assert_eq!(parse_lane_override("scalar"), Ok(LaneWidth::Scalar));
-        assert_eq!(parse_lane_override("1"), Ok(LaneWidth::Scalar));
-        assert_eq!(parse_lane_override("4"), Ok(LaneWidth::W4));
-        assert_eq!(parse_lane_override("8"), Ok(LaneWidth::W8));
-        assert!(parse_lane_override("16").is_err());
-    }
-
-    #[test]
-    fn lanes_report_their_width() {
-        assert_eq!(LaneWidth::Scalar.lanes(), 1);
-        assert_eq!(LaneWidth::W4.lanes(), 4);
-        assert_eq!(LaneWidth::W8.lanes(), 8);
+    fn dispatcher_picks_avx2_tier_when_detected() {
+        // The 8-lane AVX2 tier whenever the CPU has AVX2, the portable
+        // 4-lane tier otherwise; there is no other way in.
+        let width = dispatched_width();
+        println!("dispatched SLS tier: {width:?}");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            width == LaneWidth::W8,
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(width, LaneWidth::W4);
     }
 
     #[test]
@@ -357,12 +173,5 @@ mod tests {
     fn width_mismatch_rejected() {
         let mut acc = [0.0f32; 4];
         fold_slice(&mut acc, &[1.0; 5], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of rows")]
-    fn ragged_slab_rejected() {
-        let mut acc = [0.0f32; 4];
-        fold_rows_soa(&mut acc, &[1.0; 6], None);
     }
 }

@@ -2,19 +2,14 @@
 //! [`EmbeddingTable::value`] reference, bit for bit.
 //!
 //! The fold reads a materialized table's row store and streams an
-//! over-cap table's values through `value_block`, whose AVX2 variant is
-//! chosen by the process-wide lane dispatch. That dispatch is fixed at
-//! first use from [`LANES_ENV`], so [`every_forced_tier_matches`] re-runs
-//! this binary's proptest in one child process per forced tier.
+//! over-cap table's values through `value_block`, which takes its AVX2
+//! variant when the CPU has AVX2. `dlrm`'s own tests check the portable
+//! fill against `value()` directly on every host.
 
 use dlrm::embedding::MATERIALIZE_CAP_BYTES;
 use dlrm::sls::accumulate_row_exact;
-use dlrm::sls::simd::{dispatched_width, parse_lane_override, LANES_ENV};
 use dlrm::EmbeddingTable;
 use proptest::prelude::*;
-
-/// The proptest the forced-tier runs repeat.
-const PROPTEST: &str = "prop_exact_fold_matches_elementwise_values";
 
 /// The reference: one `value()` call per element.
 fn fold_elementwise(acc: &mut [f64], table: &EmbeddingTable, row: u64, w: f32) {
@@ -37,9 +32,6 @@ proptest! {
         indices in proptest::collection::vec(0u64..64, 1..16),
         wticks in proptest::collection::vec(0u32..8192, 16..17),
     ) {
-        if let Ok(forced) = std::env::var(LANES_ENV) {
-            prop_assert_eq!(Ok(dispatched_width()), parse_lane_override(&forced));
-        }
         let weights: Vec<f32> = wticks.iter().map(|&t| t as f32 / 1024.0 - 4.0).collect();
         let over_cap_rows = MATERIALIZE_CAP_BYTES / (4 * u64::from(dim)) + 1;
         let materialized = EmbeddingTable::new(7, 64, dim, 0);
@@ -65,28 +57,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// Re-runs the proptest with each tier forced through [`LANES_ENV`].
-/// Skipped inside such a run (the variable is already set there).
-#[test]
-fn every_forced_tier_matches() {
-    if std::env::var_os(LANES_ENV).is_some() {
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    for tier in ["scalar", "4", "8"] {
-        let out = std::process::Command::new(&exe)
-            .args(["--exact", PROPTEST, "--test-threads", "1"])
-            .env(LANES_ENV, tier)
-            .output()
-            .expect("re-run the test binary");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "exact fold under {LANES_ENV}={tier} failed:\n{stdout}{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
     }
 }

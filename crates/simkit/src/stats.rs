@@ -361,20 +361,6 @@ impl Summary {
     }
 }
 
-/// Min-max normalizes `xs` into `[0, 1]`, the scheme the paper's Fig 12
-/// caption describes ("The plot uses min-max normalization").
-///
-/// A constant series normalizes to all-ones (everything is simultaneously
-/// the min and the max; 1.0 keeps "higher = worse latency" readable).
-pub fn min_max_normalize(xs: &[f64]) -> Vec<f64> {
-    let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if xs.is_empty() || (hi - lo).abs() < f64::EPSILON {
-        return vec![1.0; xs.len()];
-    }
-    xs.iter().map(|x| (x - lo) / (hi - lo)).collect()
-}
-
 /// Normalizes `xs` by its maximum, keeping relative magnitudes (used where
 /// the paper normalizes to a baseline's value rather than min-max).
 pub fn max_normalize(xs: &[f64]) -> Vec<f64> {
@@ -565,18 +551,6 @@ mod tests {
             }
             prop_assert_eq!(&ab.buckets, &whole.buckets);
         }
-    }
-
-    #[test]
-    fn min_max_normalize_maps_extremes() {
-        let v = min_max_normalize(&[2.0, 4.0, 6.0]);
-        assert_eq!(v, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn min_max_normalize_constant_series() {
-        assert_eq!(min_max_normalize(&[3.0, 3.0]), vec![1.0, 1.0]);
-        assert!(min_max_normalize(&[]).is_empty());
     }
 
     #[test]

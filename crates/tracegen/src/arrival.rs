@@ -116,11 +116,6 @@ impl ArrivalProcess {
     /// `[0, 1)`, non-positive dwell/period, or a degenerate spike
     /// window.
     pub fn parse(spec: &str, qps: f64) -> Result<ArrivalProcess, String> {
-        if !(qps > 0.0 && qps.is_finite()) {
-            return Err(format!(
-                "arrival rate must be positive and finite, got {qps}"
-            ));
-        }
         let mut parts = spec.split(':');
         let head = parts.next().unwrap_or_default().to_ascii_lowercase();
         let mut arg = |what: &str| -> Result<Option<f64>, String> {
@@ -144,12 +139,6 @@ impl ArrivalProcess {
                     }
                     None => (0.8, 200.0),
                 };
-                if !(0.0..1.0).contains(&burst) {
-                    return Err(format!("burst fraction {burst} must lie in [0, 1)"));
-                }
-                if !(dwell_us > 0.0 && dwell_us.is_finite()) {
-                    return Err(format!("dwell {dwell_us} must be positive and finite"));
-                }
                 ArrivalProcess::Bursty {
                     qps,
                     burst,
@@ -165,12 +154,6 @@ impl ArrivalProcess {
                     }
                     None => (0.5, 1.0),
                 };
-                if !(0.0..1.0).contains(&amplitude) {
-                    return Err(format!("amplitude {amplitude} must lie in [0, 1)"));
-                }
-                if !(period_s > 0.0 && period_s.is_finite()) {
-                    return Err(format!("period {period_s} must be positive and finite"));
-                }
                 ArrivalProcess::Diurnal {
                     qps,
                     amplitude,
@@ -185,15 +168,6 @@ impl ArrivalProcess {
                     .ok_or_else(|| "flash:<mult> is missing its start (s)".to_string())?;
                 let dur_s = arg("flash duration")?
                     .ok_or_else(|| "flash:<mult>:<at_s> is missing its duration (s)".to_string())?;
-                if !(mult >= 1.0 && mult.is_finite()) {
-                    return Err(format!("flash multiplier {mult} must be >= 1 and finite"));
-                }
-                if !(at_s >= 0.0 && at_s.is_finite()) {
-                    return Err(format!("flash start {at_s} must be >= 0 and finite"));
-                }
-                if !(dur_s > 0.0 && dur_s.is_finite()) {
-                    return Err(format!("flash duration {dur_s} must be positive and finite"));
-                }
                 ArrivalProcess::Flash {
                     qps,
                     amplitude: 0.5,
@@ -209,10 +183,74 @@ impl ArrivalProcess {
                 ))
             }
         };
-        match parts.next() {
-            Some(junk) => Err(format!("trailing arrival argument {junk:?}")),
-            None => Ok(process),
+        if let Some(junk) = parts.next() {
+            return Err(format!("trailing arrival argument {junk:?}"));
         }
+        process.validate()?;
+        Ok(process)
+    }
+
+    /// Checks the process's parameters: a positive, finite rate; burst
+    /// and amplitude in `[0, 1)`; positive, finite dwell, period and
+    /// flash duration; a finite flash multiplier `>= 1` and a finite
+    /// flash start `>= 0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        let qps = self.qps();
+        if !(qps > 0.0 && qps.is_finite()) {
+            return Err(format!(
+                "arrival rate must be positive and finite, got {qps}"
+            ));
+        }
+        if let ArrivalProcess::Bursty {
+            burst, dwell_us, ..
+        } = *self
+        {
+            if !(0.0..1.0).contains(&burst) {
+                return Err(format!("burst fraction {burst} must lie in [0, 1)"));
+            }
+            if !(dwell_us > 0.0 && dwell_us.is_finite()) {
+                return Err(format!("dwell {dwell_us} must be positive and finite"));
+            }
+        }
+        if let ArrivalProcess::Diurnal {
+            amplitude,
+            period_s,
+            ..
+        }
+        | ArrivalProcess::Flash {
+            amplitude,
+            period_s,
+            ..
+        } = *self
+        {
+            if !(0.0..1.0).contains(&amplitude) {
+                return Err(format!("amplitude {amplitude} must lie in [0, 1)"));
+            }
+            if !(period_s > 0.0 && period_s.is_finite()) {
+                return Err(format!("period {period_s} must be positive and finite"));
+            }
+        }
+        if let ArrivalProcess::Flash {
+            mult, at_s, dur_s, ..
+        } = *self
+        {
+            if !(mult >= 1.0 && mult.is_finite()) {
+                return Err(format!("flash multiplier {mult} must be >= 1 and finite"));
+            }
+            if !(at_s >= 0.0 && at_s.is_finite()) {
+                return Err(format!("flash start {at_s} must be >= 0 and finite"));
+            }
+            if !(dur_s > 0.0 && dur_s.is_finite()) {
+                return Err(format!(
+                    "flash duration {dur_s} must be positive and finite"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The configured mean rate, queries per second.
@@ -271,64 +309,11 @@ impl ArrivalGen {
     ///
     /// # Panics
     ///
-    /// Panics if the process rate is not positive and finite, or if a
-    /// bursty process has `burst` outside `[0, 1)` or a non-positive
-    /// dwell.
+    /// Panics with [`ArrivalProcess::validate`]'s message if the
+    /// process's parameters are out of range.
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
-        let qps = process.qps();
-        assert!(
-            qps > 0.0 && qps.is_finite(),
-            "arrival rate must be positive and finite"
-        );
-        if let ArrivalProcess::Bursty {
-            burst, dwell_us, ..
-        } = process
-        {
-            assert!(
-                (0.0..1.0).contains(&burst),
-                "burst intensity must be in [0, 1)"
-            );
-            assert!(
-                dwell_us > 0.0 && dwell_us.is_finite(),
-                "dwell time must be positive and finite"
-            );
-        }
-        if let ArrivalProcess::Diurnal {
-            amplitude,
-            period_s,
-            ..
-        }
-        | ArrivalProcess::Flash {
-            amplitude,
-            period_s,
-            ..
-        } = process
-        {
-            assert!(
-                (0.0..1.0).contains(&amplitude),
-                "diurnal amplitude must be in [0, 1)"
-            );
-            assert!(
-                period_s > 0.0 && period_s.is_finite(),
-                "diurnal period must be positive and finite"
-            );
-        }
-        if let ArrivalProcess::Flash {
-            mult, at_s, dur_s, ..
-        } = process
-        {
-            assert!(
-                mult >= 1.0 && mult.is_finite(),
-                "flash multiplier must be >= 1 and finite"
-            );
-            assert!(
-                at_s >= 0.0 && at_s.is_finite(),
-                "flash start must be >= 0 and finite"
-            );
-            assert!(
-                dur_s > 0.0 && dur_s.is_finite(),
-                "flash duration must be positive and finite"
-            );
+        if let Err(why) = process.validate() {
+            panic!("{why}");
         }
         let mut rng = DetRng::new(seed);
         let dwell_left_ns = match process {
@@ -777,5 +762,45 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn zero_rate_rejected() {
         let _ = ArrivalGen::new(ArrivalProcess::Poisson { qps: 0.0 }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "flash multiplier 0.5 must be >= 1")]
+    fn generator_panics_with_the_validation_message() {
+        let flash = ArrivalProcess::Flash {
+            qps: 500.0,
+            amplitude: 0.5,
+            period_s: 1.0,
+            mult: 0.5,
+            at_s: 0.0,
+            dur_s: 1.0,
+        };
+        let _ = ArrivalGen::new(flash, 1);
+    }
+
+    #[test]
+    fn validate_checks_constructed_processes() {
+        let bursty = |burst, dwell_us| ArrivalProcess::Bursty {
+            qps: 500.0,
+            burst,
+            dwell_us,
+        };
+        assert_eq!(bursty(0.5, 100.0).validate(), Ok(()));
+        assert!(bursty(1.0, 100.0)
+            .validate()
+            .unwrap_err()
+            .contains("[0, 1)"));
+        assert!(bursty(0.5, f64::NAN)
+            .validate()
+            .unwrap_err()
+            .contains("dwell"));
+        let diurnal = ArrivalProcess::Diurnal {
+            qps: 500.0,
+            amplitude: 0.5,
+            period_s: 0.0,
+        };
+        assert!(diurnal.validate().unwrap_err().contains("period"));
+        let fixed = ArrivalProcess::Fixed { qps: f64::INFINITY };
+        assert!(fixed.validate().unwrap_err().contains("arrival rate"));
     }
 }
