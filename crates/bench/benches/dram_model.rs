@@ -32,6 +32,28 @@ fn bench_dram(c: &mut Criterion) {
             done
         })
     });
+    g.bench_function("host_12ch_random_1k_lines", |b| {
+        // The host's local DRAM (engine/topology.rs): 12 channels of
+        // the Table II organization, a non-power-of-two channel count.
+        let host = DramConfig {
+            org: DramOrg {
+                channels: 12,
+                ..DramOrg::table2_local()
+            },
+            ..DramConfig::ddr5_4800_local()
+        };
+        b.iter(|| {
+            let mut dev = DramDevice::new(host);
+            let mut done = SimTime::ZERO;
+            let mut x = 9u64;
+            for _ in 0..1000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let addr = x % host.org.capacity_bytes;
+                done = done.max(dev.access(SimTime::ZERO, black_box(addr), MemOp::Read));
+            }
+            done
+        })
+    });
     g.finish();
 }
 

@@ -82,7 +82,7 @@ fn bench_serving(c: &mut Criterion) {
             controller: pifs_core::engine::controller::ControllerPolicy::Adaptive,
             ..ServingConfig::default()
         };
-        let mut hotness = pagemgmt::GlobalHotness::new(4);
+        let mut hotness = pagemgmt::GlobalHotness::new(4, 256);
         for p in 0..256u64 {
             hotness
                 .host_mut((p % 4) as usize)

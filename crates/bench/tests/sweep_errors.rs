@@ -88,7 +88,9 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
     // Each of these used to panic inside a worker (an empty MLP window,
     // a plant with no hosts, devices or switches, no cores to partition
     // work over, a buffer that holds no row); a negative or NaN local
-    // capacity was accepted silently.
+    // capacity was accepted silently, and so was a non-finite or
+    // out-of-range page-management threshold (`inf` made the promote
+    // budget unbounded, `nan` silently disabled demotion).
     for knob in [
         "outstanding=0",
         "n_hosts=0",
@@ -98,6 +100,11 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
         "buffer.capacity_kb=0",
         "local_capacity_frac=-1",
         "local_capacity_frac=nan",
+        "pm.migrate_threshold=inf",
+        "pm.migrate_threshold=nan",
+        "pm.migrate_threshold=1.5",
+        "pm.cold_age_threshold=nan",
+        "pm.cold_age_threshold=-0.2",
     ] {
         let name = knob.split_once('=').expect("k=v").0;
         assert_dies(

@@ -9,6 +9,7 @@
 //! reuse better than recency (Fig 15).
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use simkit::hash::FastMap;
@@ -24,6 +25,37 @@ pub enum BufferPolicy {
     Lru,
     /// First-in first-out.
     Fifo,
+}
+
+/// One observed row's state: its profiled access frequency and, while
+/// resident, its recency stamp (LRU) or admission stamp (HTR, FIFO).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    freq: u64,
+    stamp: u64,
+}
+
+/// `Slot::stamp` of a row that is profiled but not cached. The clock
+/// starts at 1 and counts accesses, so no live stamp reaches it.
+const NOT_RESIDENT: u64 = u64::MAX;
+
+impl Slot {
+    fn resident(&self) -> bool {
+        self.stamp != NOT_RESIDENT
+    }
+}
+
+/// Eviction rank of resident `key` under `policy`, or `None` when the
+/// key is not resident (or the policy keeps no ranks). HTR ranks by
+/// profiled frequency, LRU by recency stamp; both only ever grow, which
+/// is what makes the lazy heap exact.
+fn rank_of(policy: BufferPolicy, slots: &FastMap<u64, Slot>, key: u64) -> Option<u64> {
+    let slot = slots.get(&key).filter(|s| s.resident())?;
+    match policy {
+        BufferPolicy::Htr => Some(slot.freq),
+        BufferPolicy::Lru => Some(slot.stamp),
+        BufferPolicy::Fifo => None,
+    }
 }
 
 /// The on-switch SRAM row cache.
@@ -44,17 +76,19 @@ pub struct OnSwitchBuffer {
     policy: BufferPolicy,
     capacity_rows: usize,
     capacity_bytes: u64,
-    /// Resident rows → recency stamp (LRU) / insertion order (FIFO).
-    resident: FastMap<u64, u64>,
+    /// Every observed row: the HTR address profiler's frequency plus
+    /// the residency stamp, so an access costs one probe. Nothing
+    /// iterates it, so its order never reaches a result.
+    slots: FastMap<u64, Slot>,
+    /// Rows currently cached.
+    resident: usize,
     /// FIFO order queue.
     fifo: VecDeque<u64>,
-    /// HTR address profiler: frequency of *every* observed row.
-    profiler: FastMap<u64, u64>,
     /// Lazy min-heap of `(rank, key)` eviction candidates, where rank is
     /// the profiled frequency (HTR) or the recency stamp (LRU). Ranks
-    /// only ever grow, so a popped entry whose rank no longer matches the
-    /// key's current rank is a stale lower bound: it is re-pushed with
-    /// the fresh rank and the pop retried. This finds the same coldest
+    /// only ever grow, so a top entry whose rank no longer matches the
+    /// key's current rank is a stale lower bound: it is replaced by the
+    /// fresh rank and the top re-read. This finds the same coldest
     /// resident as a full scan in amortized O(log n) instead of O(n).
     coldest: BinaryHeap<Reverse<(u64, u64)>>,
     clock: u64,
@@ -79,9 +113,9 @@ impl OnSwitchBuffer {
             policy,
             capacity_rows,
             capacity_bytes,
-            resident: FastMap::default(),
+            slots: FastMap::default(),
+            resident: 0,
             fifo: VecDeque::new(),
-            profiler: FastMap::default(),
             coldest: BinaryHeap::new(),
             clock: 0,
             hits: 0,
@@ -94,57 +128,68 @@ impl OnSwitchBuffer {
     /// row for admission per the policy.
     pub fn access(&mut self, key: u64) -> bool {
         self.clock += 1;
-        *self.profiler.entry(key).or_insert(0) += 1;
-        if self.resident.contains_key(&key) {
+        let slot = self.slots.entry(key).or_insert(Slot {
+            freq: 0,
+            stamp: NOT_RESIDENT,
+        });
+        slot.freq += 1;
+        if slot.resident() {
             self.hits += 1;
             if self.policy == BufferPolicy::Lru {
-                self.resident.insert(key, self.clock);
+                slot.stamp = self.clock;
             }
             return true;
         }
+        let freq = slot.freq;
         self.misses += 1;
-        self.admit(key);
+        self.admit(key, freq);
         false
     }
 
-    /// Eviction rank of resident `key` under the current policy, or
-    /// `None` when the key is not resident (or the policy keeps no
-    /// ranks). HTR ranks by profiled frequency, LRU by recency stamp;
-    /// both only ever grow, which is what makes the lazy heap exact.
-    fn rank_of(&self, key: u64) -> Option<u64> {
-        match self.policy {
-            BufferPolicy::Htr => self
-                .resident
-                .contains_key(&key)
-                .then(|| self.profiler.get(&key).copied().unwrap_or(0)),
-            BufferPolicy::Lru => self.resident.get(&key).copied(),
-            BufferPolicy::Fifo => None,
-        }
-    }
-
-    /// Pops the coldest resident `(rank, key)` — the same `(rank, key)`
-    /// minimum a full scan of `resident` would find — discarding entries
-    /// for evicted keys and re-pushing entries whose rank went stale.
-    fn pop_coldest(&mut self) -> Option<(u64, u64)> {
-        while let Some(Reverse((rank, key))) = self.coldest.pop() {
-            match self.rank_of(key) {
+    /// Refreshes the heap until its top is the coldest resident
+    /// `(rank, key)` — the same minimum a full scan of the resident rows
+    /// would find — and returns it, still on the heap. Entries for
+    /// evicted keys are dropped; a stale entry is replaced in place by
+    /// its key's current rank.
+    fn coldest_resident(&mut self) -> Option<(u64, u64)> {
+        while let Some(mut top) = self.coldest.peek_mut() {
+            let Reverse((rank, key)) = *top;
+            match rank_of(self.policy, &self.slots, key) {
                 Some(cur) if cur == rank => return Some((rank, key)),
                 Some(cur) => {
                     debug_assert!(cur > rank, "ranks must be monotonic");
-                    self.coldest.push(Reverse((cur, key)));
+                    *top = Reverse((cur, key));
                 }
-                None => {} // evicted since it was pushed
+                None => {
+                    PeekMut::pop(top); // evicted since it was pushed
+                }
             }
         }
         None
     }
 
-    fn admit(&mut self, key: u64) {
-        if self.resident.len() < self.capacity_rows {
-            self.resident.insert(key, self.clock);
+    /// Replaces the heap's top — the victim [`Self::coldest_resident`]
+    /// just returned — with `entry`.
+    fn replace_coldest(&mut self, entry: (u64, u64)) {
+        *self.coldest.peek_mut().expect("the victim tops the heap") = Reverse(entry);
+    }
+
+    /// Marks `key` resident (stamped now) or evicted.
+    fn set_resident(&mut self, key: u64, resident: bool) {
+        let slot = self.slots.get_mut(&key).expect("observed row");
+        slot.stamp = if resident { self.clock } else { NOT_RESIDENT };
+    }
+
+    /// Admission of missed row `key` with profiled frequency `freq`.
+    fn admit(&mut self, key: u64, freq: u64) {
+        if self.resident < self.capacity_rows {
+            self.set_resident(key, true);
+            self.resident += 1;
             self.fifo.push_back(key);
-            if let Some(rank) = self.rank_of(key) {
-                self.coldest.push(Reverse((rank, key)));
+            match self.policy {
+                BufferPolicy::Htr => self.coldest.push(Reverse((freq, key))),
+                BufferPolicy::Lru => self.coldest.push(Reverse((self.clock, key))),
+                BufferPolicy::Fifo => {}
             }
             return;
         }
@@ -152,32 +197,38 @@ impl OnSwitchBuffer {
             BufferPolicy::Htr => {
                 // Admit only if this row is now hotter than the coldest
                 // resident row (by profiled frequency).
-                let new_freq = self.profiler[&key];
-                if let Some((victim_freq, victim)) = self.pop_coldest() {
-                    if new_freq > victim_freq {
-                        self.resident.remove(&victim);
-                        self.resident.insert(key, self.clock);
-                        self.coldest.push(Reverse((new_freq, key)));
-                    } else {
-                        // The coldest resident survives; keep its entry.
-                        self.coldest.push(Reverse((victim_freq, victim)));
+                // Otherwise the coldest resident survives with its entry.
+                if let Some((victim_freq, victim)) = self.coldest_resident() {
+                    if freq > victim_freq {
+                        self.replace_coldest((freq, key));
+                        self.set_resident(victim, false);
+                        self.set_resident(key, true);
                     }
                 }
             }
             BufferPolicy::Lru => {
-                if let Some((_, victim)) = self.pop_coldest() {
-                    self.resident.remove(&victim);
+                match self.coldest_resident() {
+                    Some((_, victim)) => {
+                        self.replace_coldest((self.clock, key));
+                        self.set_resident(victim, false);
+                    }
+                    None => {
+                        self.coldest.push(Reverse((self.clock, key)));
+                        self.resident += 1;
+                    }
                 }
-                self.resident.insert(key, self.clock);
-                self.coldest.push(Reverse((self.clock, key)));
+                self.set_resident(key, true);
             }
             BufferPolicy::Fifo => {
                 while let Some(v) = self.fifo.pop_front() {
-                    if self.resident.remove(&v).is_some() {
+                    if self.slots[&v].resident() {
+                        self.set_resident(v, false);
+                        self.resident -= 1;
                         break;
                     }
                 }
-                self.resident.insert(key, self.clock);
+                self.set_resident(key, true);
+                self.resident += 1;
                 self.fifo.push_back(key);
             }
         }
@@ -216,12 +267,12 @@ impl OnSwitchBuffer {
 
     /// Resident rows.
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.resident
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.resident == 0
     }
 
     /// The configured policy.

@@ -264,7 +264,9 @@ impl ShardPlacement {
             "hotness ranking needs the whole stream"
         );
         let mut walk = stream.clone();
-        let mut trackers = vec![HotnessTracker::new(); n_tables as usize];
+        let mut trackers: Vec<HotnessTracker> = (0..n_tables)
+            .map(|_| HotnessTracker::new(stream.rows_per_table()))
+            .collect();
         while walk.next_tagged().is_some() {
             for t in 0..n_tables {
                 for &row in walk.bag(t) {

@@ -244,8 +244,10 @@ impl SystemConfig {
     /// unparseable values, or values that would make a degenerate system:
     /// a zero count (`n_devices`, `n_hosts`, `n_switches`,
     /// `cores_per_host`, `outstanding`), a negative or non-finite
-    /// `local_capacity_frac`, or a `buffer.capacity_kb` smaller than one
-    /// row. The config is left unchanged in that case.
+    /// `local_capacity_frac`, a `pm.migrate_threshold` or
+    /// `pm.cold_age_threshold` outside [0, 1] (NaN included), or a
+    /// `buffer.capacity_kb` smaller than one row. The config is left
+    /// unchanged in that case.
     pub fn apply_knob(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
@@ -261,6 +263,15 @@ impl SystemConfig {
                 return Err(format!("knob {key}: must be positive"));
             }
             Ok(v)
+        }
+        fn unit_fraction(key: &str, value: &str) -> Result<f64, String> {
+            let frac: f64 = parse(key, value)?;
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(format!(
+                    "knob {key}: must be a fraction in [0, 1], got {value:?}"
+                ));
+            }
+            Ok(frac)
         }
         match key {
             "n_devices" => self.n_devices = positive(key, value)?,
@@ -323,14 +334,16 @@ impl SystemConfig {
                 self.page_mgmt.get_or_insert_with(PmConfig::default).style = style;
             }
             "pm.migrate_threshold" => {
+                let frac = unit_fraction(key, value)?;
                 self.page_mgmt
                     .get_or_insert_with(PmConfig::default)
-                    .migrate_threshold = parse(key, value)?
+                    .migrate_threshold = frac;
             }
             "pm.cold_age_threshold" => {
+                let frac = unit_fraction(key, value)?;
                 self.page_mgmt
                     .get_or_insert_with(PmConfig::default)
-                    .cold_age_threshold = parse(key, value)?
+                    .cold_age_threshold = frac;
             }
             "pm.granularity" => {
                 let granularity = match value {
@@ -499,6 +512,14 @@ mod tests {
             ("local_capacity_frac", "-1"),
             ("local_capacity_frac", "nan"),
             ("local_capacity_frac", "inf"),
+            ("pm.migrate_threshold", "inf"),
+            ("pm.migrate_threshold", "nan"),
+            ("pm.migrate_threshold", "-0.1"),
+            ("pm.migrate_threshold", "1.5"),
+            ("pm.cold_age_threshold", "nan"),
+            ("pm.cold_age_threshold", "-inf"),
+            ("pm.cold_age_threshold", "-0.1"),
+            ("pm.cold_age_threshold", "2"),
         ] {
             let err = c.apply_knob(key, value).unwrap_err();
             assert!(err.contains(key), "{key}={value}: {err}");
@@ -508,6 +529,10 @@ mod tests {
         c.apply_knob("local_capacity_frac", "0").unwrap();
         c.apply_knob("buffer.capacity_kb", "1").unwrap();
         c.apply_knob("outstanding", "1").unwrap();
+        for key in ["pm.migrate_threshold", "pm.cold_age_threshold"] {
+            c.apply_knob(key, "0").unwrap();
+            c.apply_knob(key, "1").unwrap();
+        }
     }
 
     #[test]

@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn fixed_never_moves_a_knob_and_always_admits_epochs() {
         let mut c = ServingController::new(&cfg(ControllerPolicy::Fixed));
-        let hotness = GlobalHotness::new(1);
+        let hotness = GlobalHotness::new(1, 2_048);
         for i in 0..64 {
             c.record_latency(SimDuration::from_ns(1_000_000));
             assert_eq!(c.on_batch(32, 10_000_000), None);
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn epoch_policy_lengthens_on_stability_and_snaps_back_on_churn() {
         let mut c = ServingController::new(&cfg(ControllerPolicy::EpochAdaptive));
-        let mut hotness = GlobalHotness::new(1);
+        let mut hotness = GlobalHotness::new(1, 2_048);
         for p in 0..CHURN_TOP_K as u64 {
             for _ in 0..4 {
                 hotness.host_mut(0).record(PageId(p));
@@ -456,7 +456,7 @@ mod tests {
     fn controller_decisions_are_reproducible() {
         let run = || {
             let mut c = ServingController::new(&cfg(ControllerPolicy::Adaptive));
-            let hotness = GlobalHotness::new(2);
+            let hotness = GlobalHotness::new(2, 2_048);
             let mut trail = Vec::new();
             for i in 0..64u64 {
                 c.record_latency(SimDuration::from_ns(i * 7_919));

@@ -39,6 +39,35 @@ fn hotness_count(hotness: &GlobalHotness, page: PageId) -> u64 {
         .sum()
 }
 
+/// The `k` coldest local pages by `(heat, page)`, coldest first:
+/// exactly the first `k` entries of a full sort of every local page
+/// (`(heat, page)` is a total order, page ids being unique).
+///
+/// An epoch heats far fewer pages than local DRAM holds, so usually at
+/// least `k` local pages have no heat. The answer is then the first `k`
+/// of them in ascending page order — `PageTable::iter`'s order — and the
+/// scan stops at the `k`-th. Otherwise every local page is ranked, with
+/// a quickselect that leaves all but the first `k` unsorted.
+fn coldest_locals(page_table: &PageTable, hotness: &GlobalHotness, k: usize) -> Vec<(u64, PageId)> {
+    let locals = || {
+        page_table
+            .iter()
+            .filter(|&(_, t)| t == Tier::Local)
+            .map(|(p, _)| (hotness_count(hotness, p), p))
+    };
+    let unheated: Vec<(u64, PageId)> = locals().filter(|&(heat, _)| heat == 0).take(k).collect();
+    if unheated.len() == k {
+        return unheated;
+    }
+    let mut pages: Vec<(u64, PageId)> = locals().collect();
+    if k < pages.len() {
+        pages.select_nth_unstable(k);
+        pages.truncate(k);
+    }
+    pages.sort_unstable();
+    pages
+}
+
 fn least_loaded_device(devices: &[Type3Device]) -> u16 {
     devices
         .iter()
@@ -93,13 +122,16 @@ pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
     hot_pages.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let hot_pages: Vec<PageId> = hot_pages.into_iter().map(|(_, p)| p).collect();
     // Current local residents, coldest first, available for swapping.
-    let mut residents: Vec<(PageId, u64)> = ctx
-        .page_table
+    // Each non-local hot page consumes at most one of them: the list is
+    // a snapshot of the local pages, only the victim just consumed
+    // leaves local (by `swap`), and promotions add pages the snapshot
+    // never held. So only the `need` coldest can ever be read.
+    let n_residents = ctx.page_table.occupancy(Tier::Local) as usize;
+    let need = hot_pages
         .iter()
-        .filter(|&(_, t)| t == Tier::Local)
-        .map(|(p, _)| (p, hotness_count(ctx.hotness, p)))
-        .collect();
-    residents.sort_unstable_by_key(|&(p, c)| (c, p));
+        .filter(|&&p| ctx.page_table.tier_of(p) != Some(Tier::Local))
+        .count();
+    let residents = coldest_locals(ctx.page_table, ctx.hotness, need);
     let mut resident_cursor = 0usize;
     for page in hot_pages {
         if promoted >= promote_budget {
@@ -114,7 +146,7 @@ pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
         }
         // Local full: claim & swap with the coldest resident.
         while resident_cursor < residents.len() {
-            let (victim, victim_heat) = residents[resident_cursor];
+            let (victim_heat, victim) = residents[resident_cursor];
             resident_cursor += 1;
             if ctx.page_table.tier_of(victim) != Some(Tier::Local) {
                 continue;
@@ -128,7 +160,7 @@ pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
             promoted += 1;
             break;
         }
-        if resident_cursor >= residents.len() {
+        if resident_cursor >= n_residents {
             break;
         }
     }
@@ -241,14 +273,9 @@ fn run_tpp_epoch(
     }
     candidates.sort_unstable_by(|a, b| b.cmp(a));
     candidates.truncate(64);
-    // Demotion victims: current locals, coldest first.
-    let mut locals: Vec<(u64, PageId)> = ctx
-        .page_table
-        .iter()
-        .filter(|&(_, t)| t == Tier::Local)
-        .map(|(p, _)| (hotness_count(ctx.hotness, p), p))
-        .collect();
-    locals.sort_unstable();
+    // Demotion victims: current locals, coldest first. Each candidate
+    // takes at most one, so only that many need ranking.
+    let locals = coldest_locals(ctx.page_table, ctx.hotness, candidates.len());
     let mut victim_cursor = 0usize;
     for (_, page) in candidates {
         if ctx.page_table.move_page(page, Tier::Local).is_ok() {
@@ -270,4 +297,47 @@ fn run_tpp_epoch(
     let migrated = ctx.page_table.migrations() - migrations_before;
     ctx.metrics.migrations += migrated;
     cost.total_overhead(migrated, migrated * 2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pagemgmt::TierCapacities;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn coldest_locals_is_the_prefix_of_a_full_sort(
+            tiers in proptest::collection::vec(0u8..3, 1..64),
+            heats in proptest::collection::vec(0u64..6, 0..200),
+            n_hosts in 1usize..4,
+            k in 0usize..72,
+        ) {
+            let n_pages = tiers.len() as u64;
+            let mut pt = PageTable::new(TierCapacities::new(n_pages, n_pages, 1, n_pages));
+            for (p, &t) in tiers.iter().enumerate() {
+                let tier = [Tier::Local, Tier::Remote, Tier::Cxl(0)][t as usize];
+                pt.place(PageId(p as u64), tier).expect("capacity covers every page");
+            }
+            // Mostly-unheated pages, so both the early-exit scan and the
+            // full ranking run.
+            let mut hotness = GlobalHotness::new(n_hosts, n_pages);
+            for (i, &h) in heats.iter().enumerate() {
+                if h > 0 {
+                    let page = PageId((i as u64 * 7 + h) % n_pages);
+                    hotness.host_mut(i % n_hosts).record(page);
+                }
+            }
+            let mut expected: Vec<(u64, PageId)> = pt
+                .iter()
+                .filter(|&(_, t)| t == Tier::Local)
+                .map(|(p, _)| (hotness_count(&hotness, p), p))
+                .collect();
+            expected.sort_unstable();
+            expected.truncate(k);
+            prop_assert_eq!(coldest_locals(&pt, &hotness, k), expected);
+        }
+    }
 }

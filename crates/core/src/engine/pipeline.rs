@@ -243,14 +243,16 @@ pub(crate) fn process_bag(
     result
 }
 
-/// Resolves each row to its tier, records page hotness, and charges the
-/// per-tier lookup counters.
+/// Resolves each row to its tier, records page hotness (for the page
+/// manager, when one runs), and charges the per-tier lookup counters.
 fn classify(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     ctx.metrics.lookups += bag.rows.len() as u64;
     for &row in bag.rows {
         let addr = ctx.tables[bag.table as usize].row_addr(row);
         let page = PageId::of_addr(addr);
-        ctx.hotness.host_mut(bag.host_idx).record(page);
+        if ctx.cfg.page_mgmt.is_some() {
+            ctx.hotness.host_mut(bag.host_idx).record(page);
+        }
         match ctx.tier_of_addr(addr) {
             Tier::Local => bag.local.push((row, addr)),
             Tier::Remote => bag.remote.push((row, addr)),

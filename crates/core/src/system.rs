@@ -134,12 +134,16 @@ impl SlsSystem {
 
         let n_hosts = cfg.n_hosts as usize;
         let n_devices = cfg.n_devices as usize;
+        // Only the page manager reads hotness, so a system without one
+        // tracks no pages.
+        let tracked_pages = if cfg.page_mgmt.is_some() { n_pages } else { 0 };
+        let hotness = GlobalHotness::new(n_hosts, tracked_pages);
         SlsSystem {
             cfg,
             plant,
             page_table,
             tables,
-            hotness: GlobalHotness::new(n_hosts),
+            hotness,
             next_cluster: 0,
             pm_epoch: 0,
             metrics: RunMetrics::default(),

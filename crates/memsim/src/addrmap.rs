@@ -85,18 +85,20 @@ impl AddressMapping {
 ///
 /// [`AddressMapping::decode`] re-derives every divisor from the
 /// organization on each call and pays a hardware divide per level of the
-/// hierarchy. The device front-end instead builds a `LineDecoder` once:
-/// when every divisor is a power of two (true of every stock
-/// organization) the whole decode chain collapses to shifts and masks,
-/// and otherwise it falls back to the reference path. Both paths produce
-/// bit-identical [`Location`]s — `decode_is_cached_exactly` in the tests
-/// below sweeps both mappings against the reference.
+/// hierarchy. The device front-end instead builds a `LineDecoder` once.
+/// When the capacity, lines per row, banks and ranks are powers of two
+/// (true of every stock organization) the decode chain collapses to
+/// shifts and masks; the channel split is a shift too for a power-of-two
+/// channel count, and an exact multiply otherwise (the host's 12
+/// channels). Any other organization falls back to the reference path.
+/// All paths produce bit-identical [`Location`]s —
+/// `decode_is_cached_exactly` in the tests below sweeps both mappings
+/// against the reference.
 #[derive(Debug, Clone, Copy)]
 pub struct LineDecoder {
     mapping: AddressMapping,
     org: DramOrg,
-    /// Shift/mask constants, present only when every divisor is a power
-    /// of two.
+    /// Shift/mask constants, present only when the fast path is exact.
     fast: Option<DecodeShifts>,
 }
 
@@ -104,9 +106,8 @@ pub struct LineDecoder {
 struct DecodeShifts {
     /// `log2(capacity_bytes)` wrap mask.
     cap_mask: u64,
-    /// `log2(channels)` / its mask.
-    ch_shift: u32,
-    ch_mask: u64,
+    /// Line → (channel, rest) split.
+    channels: ChannelSplit,
     /// `log2(lines_per_row)`.
     lpr_shift: u32,
     /// `log2(banks)` / its mask.
@@ -117,21 +118,66 @@ struct DecodeShifts {
     ra_mask: u64,
 }
 
+/// `n % channels` and `n / channels` without a hardware divide.
+#[derive(Debug, Clone, Copy)]
+enum ChannelSplit {
+    /// Power-of-two channel count: `log2(channels)` and its mask.
+    Shift { shift: u32, mask: u64 },
+    /// Any other count `d`, by Lemire–Kaser–Kurz's multiply with
+    /// `m = ⌈2⁶⁴ / d⌉`: `⌊m·n / 2⁶⁴⌋ = ⌊n / d⌋` exactly for every
+    /// 32-bit `n` and 32-bit `d` ("Faster remainder by direct
+    /// computation", 2019). The decoder only builds it when every line
+    /// index fits in 32 bits.
+    Multiply { m: u64, d: u64 },
+}
+
+impl ChannelSplit {
+    fn new(channels: u64) -> Self {
+        if channels.is_power_of_two() {
+            ChannelSplit::Shift {
+                shift: channels.trailing_zeros(),
+                mask: channels - 1,
+            }
+        } else {
+            ChannelSplit::Multiply {
+                m: u64::MAX / channels + 1,
+                d: channels,
+            }
+        }
+    }
+
+    /// `(n % channels, n / channels)`.
+    #[inline]
+    fn split(self, n: u64) -> (u64, u64) {
+        match self {
+            ChannelSplit::Shift { shift, mask } => (n & mask, n >> shift),
+            ChannelSplit::Multiply { m, d } => {
+                let q = ((u128::from(m) * u128::from(n)) >> 64) as u64;
+                (n - q * d, q)
+            }
+        }
+    }
+}
+
 impl LineDecoder {
     /// Builds the decoder for `mapping` over `org`.
     pub fn new(mapping: AddressMapping, org: DramOrg) -> Self {
         let cap = org.capacity_bytes.max(1);
         let lpr = (org.row_bytes / 64).max(1);
+        let ch = org.channels as u64;
         let pow2 = |x: u64| x.is_power_of_two();
+        // The multiply split is exact for 32-bit numerators, and every
+        // number it splits is at most a line index, below `cap / 64`.
+        let split_exact = pow2(ch) || cap / 64 <= 1 << 32;
         let fast = (pow2(cap)
-            && pow2(org.channels as u64)
+            && ch > 0
+            && split_exact
             && pow2(lpr)
             && pow2(org.banks as u64)
             && pow2(org.ranks as u64))
         .then(|| DecodeShifts {
             cap_mask: cap - 1,
-            ch_shift: (org.channels as u64).trailing_zeros(),
-            ch_mask: org.channels as u64 - 1,
+            channels: ChannelSplit::new(ch),
             lpr_shift: lpr.trailing_zeros(),
             ba_shift: (org.banks as u64).trailing_zeros(),
             ba_mask: org.banks as u64 - 1,
@@ -150,14 +196,10 @@ impl LineDecoder {
         let line = (addr & s.cap_mask) >> 6;
         let (channel, rest) = match self.mapping {
             AddressMapping::CacheLineInterleave => {
-                let channel = line & s.ch_mask;
-                let rest = (line >> s.ch_shift) >> s.lpr_shift;
-                (channel, rest)
+                let (channel, rest) = s.channels.split(line);
+                (channel, rest >> s.lpr_shift)
             }
-            AddressMapping::RowInterleave => {
-                let rest = line >> s.lpr_shift;
-                (rest & s.ch_mask, rest >> s.ch_shift)
-            }
+            AddressMapping::RowInterleave => s.channels.split(line >> s.lpr_shift),
         };
         Location {
             channel: channel as u32,
@@ -238,19 +280,60 @@ mod tests {
             channels: 3,
             ..org()
         };
-        for o in [org(), non_pow2] {
+        // The host's local DRAM: 12 channels of the 256 GiB Table II
+        // organization, whose 2^32 lines sit exactly at the multiply
+        // split's 32-bit limit.
+        let host = DramOrg {
+            channels: 12,
+            ..DramOrg::table2_local()
+        };
+        let one_channel = DramOrg {
+            channels: 1,
+            ..org()
+        };
+        for o in [org(), non_pow2, host, one_channel] {
             for m in [
                 AddressMapping::CacheLineInterleave,
                 AddressMapping::RowInterleave,
             ] {
                 let d = LineDecoder::new(m, o);
                 assert_eq!(d.mapping(), m);
+                assert!(
+                    d.fast.is_some(),
+                    "{} channels take the fast path",
+                    o.channels
+                );
                 let mut addr = 0u64;
                 for i in 0..50_000u64 {
                     // Stride through lines, odd offsets, and wraps.
                     addr = addr.wrapping_mul(6364136223846793005).wrapping_add(i);
                     assert_eq!(d.decode(addr), m.decode(addr, &o), "addr {addr:#x}");
                 }
+                // The top of the address space: the largest line index
+                // and the wrap just past capacity.
+                for addr in [
+                    o.capacity_bytes - 1,
+                    o.capacity_bytes - 64,
+                    o.capacity_bytes,
+                ] {
+                    assert_eq!(d.decode(addr), m.decode(addr, &o), "addr {addr:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multiply_split_divides_exactly_on_32_bit_numerators() {
+        let mut n = 0u64;
+        for d in [3u64, 5, 6, 7, 12, 24, 1_000_003, u32::MAX as u64] {
+            let split = ChannelSplit::new(d);
+            let edges = [0, 1, d - 1, d, d + 1, u32::MAX as u64 - 1, u32::MAX as u64];
+            let random = (0..20_000u64).map(|i| {
+                n = n.wrapping_mul(6364136223846793005).wrapping_add(i) >> 32;
+                n
+            });
+            for x in edges.into_iter().chain(random) {
+                assert_eq!(split.split(x), (x % d, x / d), "{x} / {d}");
             }
         }
     }

@@ -60,11 +60,6 @@ pub struct Channel {
     /// vec did, but evicting the oldest gap is an O(1) `pop_front`, and
     /// the steady state allocates nothing.
     free_gaps: VecDeque<(SimTime, SimTime)>,
-    /// Upper bound on every recorded gap's end time (only ever ratcheted
-    /// up). When `earliest + burst` exceeds it no gap can possibly fit,
-    /// so `claim_bus` skips the scan — the common case once simulated
-    /// time has advanced past the recorded windows.
-    max_gap_end: SimTime,
     /// Accumulated statistics.
     pub stats: ChannelStats,
 }
@@ -119,7 +114,6 @@ impl Channel {
             org,
             bus_free: SimTime::ZERO,
             free_gaps: VecDeque::with_capacity(MAX_GAPS),
-            max_gap_end: SimTime::ZERO,
             stats: ChannelStats::default(),
         }
     }
@@ -128,14 +122,21 @@ impl Channel {
     /// `earliest`; prefers filling a recorded idle gap, else queues at
     /// the end of the bus schedule.
     fn claim_bus(&mut self, earliest: SimTime, burst: SimDuration) -> SimTime {
-        if earliest + burst <= self.max_gap_end {
-            // The gaps are pairwise disjoint and sorted ascending (each
-            // new gap opens at the previous bus-free point, and splits
-            // insert in place), so every gap ending before
-            // `earliest + burst` is unclaimable for this burst and the
-            // oldest-first scan may start at the first one ending on or
-            // after it — found by binary search instead of walking the
-            // dead prefix. Selection is identical to the full scan.
+        // The gaps are pairwise disjoint and sorted ascending (each new
+        // gap opens at the previous bus-free point, and splits insert in
+        // place), so every gap ending before `earliest + burst` is
+        // unclaimable for this burst. When the newest gap's end is one
+        // of them no gap can fit and the scan is skipped — the common
+        // case once simulated time has advanced past the recorded
+        // windows. Otherwise the oldest-first scan starts at the first
+        // gap ending on or after it, found by binary search instead of
+        // walking the dead prefix. Selection is identical to the full
+        // scan.
+        if self
+            .free_gaps
+            .back()
+            .is_some_and(|&(_, ge)| earliest + burst <= ge)
+        {
             let from = self
                 .free_gaps
                 .partition_point(|&(_, ge)| ge < earliest + burst);
@@ -166,7 +167,6 @@ impl Channel {
         let start = earliest.max(self.bus_free);
         if start > self.bus_free {
             self.free_gaps.push_back((self.bus_free, start));
-            self.max_gap_end = self.max_gap_end.max(start);
             while self.free_gaps.len() > MAX_GAPS {
                 self.free_gaps.pop_front();
             }

@@ -9,7 +9,7 @@
 
 use simkit::hash::FastMap;
 
-use crate::table::PageId;
+use crate::table::{page_slot, PageId};
 
 /// The ranking order shared by every hotness query: hottest first,
 /// page-id ascending on ties — a total order (ids are unique).
@@ -17,39 +17,73 @@ fn hotter_first(a: &(PageId, u64), b: &(PageId, u64)) -> std::cmp::Ordering {
     b.1.cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
-/// Per-host page-access frequency tracker.
+/// Per-host page-access frequency tracker over a fixed page-id space.
+///
+/// Counts live in a dense array indexed by page id, so `record` and
+/// `count` are one index each; a side list of the pages with a nonzero
+/// count lets `decay`, `iter` and the rankings walk only the pages this
+/// host touched. A count is 32 bits — a host keeps one per page, and the
+/// page manager halves them every epoch — and `record` panics rather
+/// than wrap past `u32::MAX`.
+///
+/// `iter` yields pages in first-touch order. Every reader either ranks
+/// by the `(count, page)` total order or folds commutatively, so no
+/// result depends on it.
 ///
 /// # Examples
 ///
 /// ```
 /// use pagemgmt::{HotnessTracker, PageId};
 ///
-/// let mut t = HotnessTracker::new();
+/// let mut t = HotnessTracker::new(16);
 /// t.record(PageId(1));
 /// t.record(PageId(1));
 /// t.record(PageId(2));
 /// assert_eq!(t.count(PageId(1)), 2);
 /// assert_eq!(t.hottest(1), vec![PageId(1)]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HotnessTracker {
-    counts: FastMap<PageId, u64>,
+    /// Access count of each page this epoch, indexed by page id.
+    counts: Vec<u32>,
+    /// Pages whose count is nonzero, in first-touch order.
+    touched: Vec<PageId>,
 }
 
 impl HotnessTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty tracker for pages `0..n_pages`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_pages` exceeds the address space.
+    pub fn new(n_pages: u64) -> Self {
+        let n = usize::try_from(n_pages).expect("page count exceeds the address space");
+        HotnessTracker {
+            counts: vec![0; n],
+            touched: Vec::new(),
+        }
     }
 
     /// Records one access to `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` lies outside the tracker's page-id space or its
+    /// count would pass `u32::MAX`.
     pub fn record(&mut self, page: PageId) {
-        *self.counts.entry(page).or_insert(0) += 1;
+        let c = &mut self.counts[page_slot(page)];
+        if *c == 0 {
+            self.touched.push(page);
+        }
+        *c = c.checked_add(1).expect("page access count overflows u32");
     }
 
     /// Access count of `page` this epoch.
     pub fn count(&self, page: PageId) -> u64 {
-        self.counts.get(&page).copied().unwrap_or(0)
+        usize::try_from(page.0)
+            .ok()
+            .and_then(|i| self.counts.get(i))
+            .map_or(0, |&c| u64::from(c))
     }
 
     /// The `k` most-accessed pages, hottest first (ties broken by page id
@@ -78,7 +112,7 @@ impl HotnessTracker {
     /// through [`hotter_first`], so the two stay ordering-consistent by
     /// construction.
     fn ranked_entries(&self) -> Vec<(PageId, u64)> {
-        self.counts.iter().map(|(&p, &c)| (p, c)).collect()
+        self.iter().collect()
     }
 
     /// Access count of the `k`-th hottest page (the coldest page
@@ -87,7 +121,7 @@ impl HotnessTracker {
     /// cutoff — but via a quickselect alone, skipping the top-`k` sort
     /// a full ranking pays.
     pub fn hottest_floor(&self, k: usize) -> u64 {
-        if k == 0 || self.counts.is_empty() {
+        if k == 0 || self.touched.is_empty() {
             return 0;
         }
         let mut v = self.ranked_entries();
@@ -106,7 +140,9 @@ impl HotnessTracker {
     /// Exponentially decays all counts (epoch boundary), dropping pages
     /// that reach zero.
     pub fn decay(&mut self) {
-        self.counts.retain(|_, c| {
+        let counts = &mut self.counts;
+        self.touched.retain(|p| {
+            let c = &mut counts[page_slot(*p)];
             *c /= 2;
             *c > 0
         });
@@ -114,12 +150,14 @@ impl HotnessTracker {
 
     /// Number of distinct pages seen.
     pub fn tracked(&self) -> usize {
-        self.counts.len()
+        self.touched.len()
     }
 
-    /// Iterates over `(page, count)` pairs in arbitrary order.
+    /// Iterates over `(page, count)` pairs in first-touch order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
-        self.counts.iter().map(|(&p, &c)| (p, c))
+        self.touched
+            .iter()
+            .map(|&p| (p, u64::from(self.counts[page_slot(p)])))
     }
 }
 
@@ -133,16 +171,16 @@ pub enum PageClass {
 }
 
 /// Merges per-host heatmaps and produces the private/public split.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GlobalHotness {
     hosts: Vec<HotnessTracker>,
 }
 
 impl GlobalHotness {
-    /// Creates a detector for `n_hosts` hosts.
-    pub fn new(n_hosts: usize) -> Self {
+    /// Creates a detector for `n_hosts` hosts over pages `0..n_pages`.
+    pub fn new(n_hosts: usize, n_pages: u64) -> Self {
         GlobalHotness {
-            hosts: (0..n_hosts).map(|_| HotnessTracker::new()).collect(),
+            hosts: (0..n_hosts).map(|_| HotnessTracker::new(n_pages)).collect(),
         }
     }
 
@@ -178,6 +216,15 @@ impl GlobalHotness {
     pub fn classify(&self, hot_capacity: usize) -> FastMap<PageId, PageClass> {
         let mut out: FastMap<PageId, PageClass> = FastMap::default();
         for (h, tracker) in self.hosts.iter().enumerate() {
+            if tracker.tracked() <= hot_capacity {
+                // The host has room for its whole heatmap, so the claim
+                // loop below would never stop early: it claims every
+                // page no earlier host holds, whatever the ranking.
+                for (page, _) in tracker.iter() {
+                    out.entry(page).or_insert(PageClass::PrivateHot(h as u16));
+                }
+                continue;
+            }
             let mut claimed = 0;
             // The claim loop consumes at most `hot_capacity` fresh pages
             // plus one skip per page an earlier host already claimed, so
@@ -241,7 +288,7 @@ mod tests {
 
     #[test]
     fn hottest_orders_by_frequency_then_id() {
-        let mut t = HotnessTracker::new();
+        let mut t = HotnessTracker::new(16);
         record_n(&mut t, 1, 5);
         record_n(&mut t, 2, 5);
         record_n(&mut t, 3, 9);
@@ -250,7 +297,7 @@ mod tests {
 
     #[test]
     fn decay_halves_and_prunes() {
-        let mut t = HotnessTracker::new();
+        let mut t = HotnessTracker::new(16);
         record_n(&mut t, 1, 4);
         record_n(&mut t, 2, 1);
         t.decay();
@@ -261,7 +308,7 @@ mod tests {
 
     #[test]
     fn classify_gives_first_host_priority_and_second_its_next_pick() {
-        let mut g = GlobalHotness::new(2);
+        let mut g = GlobalHotness::new(2, 256);
         // Both hosts love page 10; host 1 also likes page 20.
         record_n(g.host_mut(0), 10, 9);
         record_n(g.host_mut(1), 10, 8);
@@ -273,7 +320,7 @@ mod tests {
 
     #[test]
     fn unclaimed_pages_are_public_cold() {
-        let mut g = GlobalHotness::new(1);
+        let mut g = GlobalHotness::new(1, 256);
         record_n(g.host_mut(0), 1, 9);
         record_n(g.host_mut(0), 2, 1);
         let classes = g.classify(1);
@@ -283,7 +330,7 @@ mod tests {
 
     #[test]
     fn demotions_fire_below_the_cold_age_cutoff() {
-        let mut g = GlobalHotness::new(1);
+        let mut g = GlobalHotness::new(1, 256);
         record_n(g.host_mut(0), 1, 100);
         record_n(g.host_mut(0), 2, 100);
         let current = g.classify(2);
@@ -296,7 +343,7 @@ mod tests {
 
     #[test]
     fn no_demotions_when_everything_stays_hot() {
-        let mut g = GlobalHotness::new(1);
+        let mut g = GlobalHotness::new(1, 256);
         record_n(g.host_mut(0), 1, 50);
         record_n(g.host_mut(0), 2, 50);
         let current = g.classify(2);

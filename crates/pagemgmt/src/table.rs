@@ -125,8 +125,8 @@ fn tier_slot(tier: Tier) -> usize {
     }
 }
 
-/// `page`'s index into the dense table.
-fn page_slot(page: PageId) -> usize {
+/// `page`'s index into a dense per-page array.
+pub(crate) fn page_slot(page: PageId) -> usize {
     usize::try_from(page.0).expect("page id exceeds the address space")
 }
 

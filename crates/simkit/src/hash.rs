@@ -1,12 +1,15 @@
 //! A fast, deterministic hasher for simulation-internal maps.
 //!
 //! The std `HashMap` defaults to SipHash-1-3, whose per-lookup cost
-//! dominates several simulator hot paths (page-hotness tracking, the
-//! OoO engine's cluster sets, per-epoch device/page counts). Those maps key
-//! on small integers the workload controls, need no DoS hardening, and —
-//! crucially — never let iteration order leak into results (every
-//! consumer sorts or folds order-independently), so swapping the hasher
-//! is an exact-equivalence optimization.
+//! would dominate several simulator hot paths: the on-switch buffer's
+//! row slots, the OoO engine's cluster sets, the per-epoch device/page
+//! counts, the page manager's private/public classification and the
+//! switch's port bindings. (Page hotness and the page table are dense
+//! arrays indexed by page id instead: their keys are `0..n_pages`.)
+//! Those maps key on small integers the workload controls, need no DoS
+//! hardening, and — crucially — never let iteration order leak into
+//! results (every consumer sorts or folds order-independently), so
+//! swapping the hasher is an exact-equivalence optimization.
 //!
 //! The function is the Fx/FireFox multiply-xor fold: one multiply and a
 //! rotate per word. It is seed-free and therefore identical across runs,

@@ -1,6 +1,7 @@
 //! Row-index distributions.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use simkit::DetRng;
@@ -104,8 +105,8 @@ pub struct Sampler {
     rows: u64,
     rng: DetRng,
     /// Zipf: precomputed cumulative weights for binary search, shared by
-    /// every table's sampler of one trace (empty for the other
-    /// families).
+    /// every sampler of the same exponent and row count in the process
+    /// (empty for the other families).
     zipf_cdf: Arc<[f64]>,
     /// Uniform: current stride position.
     stride_pos: u64,
@@ -124,22 +125,11 @@ impl Sampler {
     /// Panics if `rows` is zero.
     pub fn new(dist: Distribution, rows: u64, rng: DetRng) -> Self {
         assert!(rows > 0, "sampler needs at least one row");
-        Sampler::with_cdf(dist, rows, rng, zipf_cdf(dist, rows))
-    }
-
-    /// A sampler reading `zipf_cdf`, which must be `zipf_cdf(dist, rows)`
-    /// (shared between the tables of one trace).
-    pub(crate) fn with_cdf(
-        dist: Distribution,
-        rows: u64,
-        rng: DetRng,
-        zipf_cdf: Arc<[f64]>,
-    ) -> Self {
         Sampler {
             dist,
             rows,
             rng,
-            zipf_cdf,
+            zipf_cdf: zipf_cdf(dist, rows),
             stride_pos: 0,
             recent: Vec::with_capacity(RECENT_WINDOW),
             recent_pos: 0,
@@ -218,21 +208,41 @@ impl Sampler {
 
 /// The Zipf CDF `dist` draws from over `rows` rows (empty, and not
 /// allocated, for the non-Zipf families).
-pub(crate) fn zipf_cdf(dist: Distribution, rows: u64) -> Arc<[f64]> {
+fn zipf_cdf(dist: Distribution, rows: u64) -> Arc<[f64]> {
     match dist {
         Distribution::Zipfian { s }
         | Distribution::ZipfianHead { s }
-        | Distribution::MetaLike { s, .. } => build_zipf_cdf(rows, s),
+        | Distribution::MetaLike { s, .. } => shared_zipf_cdf(rows, s),
         _ => Arc::default(),
     }
 }
 
-/// Cumulative Zipf weights over `min(rows, CAP)` ranks. Capping the rank
-/// table keeps memory bounded for huge tables; ranks past the cap carry
-/// negligible probability mass at the exponents used here.
-fn build_zipf_cdf(rows: u64, s: f64) -> Arc<[f64]> {
-    const CAP: u64 = 262_144;
-    let n = rows.min(CAP) as usize;
+/// Ranks a Zipf CDF covers at most. Capping the rank table keeps memory
+/// bounded for huge tables; ranks past the cap carry negligible
+/// probability mass at the exponents used here.
+const ZIPF_RANK_CAP: u64 = 262_144;
+
+/// The shared Zipf CDF over `min(rows, ZIPF_RANK_CAP)` ranks with
+/// exponent `s`. A CDF depends on nothing else, so each distinct one is
+/// built once per process and every later trace gets an `Arc` clone —
+/// sweeps regenerate the same few traces for many grid points.
+fn shared_zipf_cdf(rows: u64, s: f64) -> Arc<[f64]> {
+    type Cdfs = HashMap<(u64, u64), Arc<[f64]>>;
+    static CDFS: OnceLock<Mutex<Cdfs>> = OnceLock::new();
+    let n = rows.min(ZIPF_RANK_CAP);
+    let key = (s.to_bits(), n);
+    let cdfs = CDFS.get_or_init(Mutex::default);
+    let poisoned = "a thread panicked holding the CDF cache";
+    if let Some(cdf) = cdfs.lock().expect(poisoned).get(&key) {
+        return Arc::clone(cdf);
+    }
+    // Build outside the lock so other threads' lookups never wait on it.
+    let built = build_zipf_cdf(n as usize, s);
+    Arc::clone(cdfs.lock().expect(poisoned).entry(key).or_insert(built))
+}
+
+/// Cumulative Zipf weights over `n` ranks.
+fn build_zipf_cdf(n: usize, s: f64) -> Arc<[f64]> {
     let mut cdf: Arc<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
     let weights = Arc::get_mut(&mut cdf).expect("a fresh CDF is unshared");
     let total: f64 = weights.iter().sum();

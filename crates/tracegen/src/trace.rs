@@ -1,11 +1,9 @@
 //! The trace container and its generator.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 use simkit::DetRng;
 
-use crate::dist::{zipf_cdf, Distribution, Sampler};
+use crate::dist::{Distribution, Sampler};
 
 /// Row lookups for one table within one batch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,9 +105,10 @@ pub struct TraceSpec {
 impl TraceSpec {
     /// One sampler per table, each on its own fork of the seed's root in
     /// table order: tables have independent popularity structure,
-    /// matching per-table skew in production traces. They share one
-    /// Zipf CDF. Both `generate` and [`QueryStream`](crate::QueryStream)
-    /// start here, so their draws agree.
+    /// matching per-table skew in production traces. They share the
+    /// process-wide Zipf CDF. Both `generate` and
+    /// [`QueryStream`](crate::QueryStream) start here, so their draws
+    /// agree.
     ///
     /// # Panics
     ///
@@ -123,11 +122,9 @@ impl TraceSpec {
                 && self.bag_size > 0,
             "all trace dimensions must be positive"
         );
-        let (dist, rows) = (self.distribution, self.rows_per_table);
-        let cdf = zipf_cdf(dist, rows);
         let mut root = DetRng::new(self.seed);
         (0..self.n_tables)
-            .map(|_| Sampler::with_cdf(dist, rows, root.fork(), Arc::clone(&cdf)))
+            .map(|_| Sampler::new(self.distribution, self.rows_per_table, root.fork()))
             .collect()
     }
 
