@@ -228,27 +228,29 @@ fn validate_axis_values(key: &str, values: &[ParamValue]) {
             // (or a junk max-wait) is a sweep-level error.
             "batch_size" => serving_knob_err("serving.batch_size", &spelled),
             "max_wait_us" => serving_knob_err("serving.max_wait_us", &spelled),
-            // Cluster sizes feed u16 shard indices and u32 replica
-            // counts; reject what would not fit instead of wrapping.
-            "nodes" => match value {
-                ParamValue::U64(n) if (1..=u64::from(u16::MAX)).contains(n) => None,
-                _ => Some(format!(
-                    "node count {spelled:?} must be an integer in 1..={}",
-                    u16::MAX
-                )),
-            },
-            "replicas" => match value {
-                ParamValue::U64(n) if u32::try_from(*n).is_ok() => None,
-                _ => Some(format!(
-                    "replica count {spelled:?} must be an integer in 0..={}",
-                    u32::MAX
-                )),
-            },
+            // Integer axes feed u16 node, device, switch and host counts
+            // and u32 batch, core, dimension and replica counts; reject
+            // what would not fit instead of wrapping, and the zeros the
+            // simulator asserts against (fig14's `hosts=0` is its Pond
+            // anchor, and zero replicas is the unreplicated baseline).
+            "nodes" | "devices" | "switches" => int_in(value, 1, u16::MAX.into()),
+            "hosts" => int_in(value, 0, u16::MAX.into()),
+            "batch" | "cores" | "dim" => int_in(value, 1, u32::MAX.into()),
+            "replicas" => int_in(value, 0, u32::MAX.into()),
+            "duration_s" => int_in(value, 0, pifs_bench::scenarios::diurnal::MAX_DURATION_S),
             _ => None, // scenario-specific; checked by its run function
         };
         if let Some(why) = why {
             die(&format!("--param {key}: {why}"));
         }
+    }
+}
+
+/// `None` when `value` is an integer in `lo..=hi`, else the reason.
+fn int_in(value: &ParamValue, lo: u64, hi: u64) -> Option<String> {
+    match value {
+        ParamValue::U64(n) if (lo..=hi).contains(n) => None,
+        _ => Some(format!("{value} must be an integer in {lo}..={hi}")),
     }
 }
 

@@ -173,6 +173,22 @@ impl Point {
         }
     }
 
+    /// An integer parameter narrowed to `T` with `try_from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the axis, if the parameter is missing, not an
+    /// integer, or out of `T`'s range.
+    pub fn int<T: TryFrom<u64>>(&self, name: &str) -> T {
+        let v = self.u64(name);
+        T::try_from(v).unwrap_or_else(|_| {
+            panic!(
+                "param {name:?}: {v} is out of range for {}",
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
     /// A float parameter (integers widen losslessly where exact).
     ///
     /// # Panics

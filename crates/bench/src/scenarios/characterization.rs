@@ -63,7 +63,7 @@ fn run_fig5_point(p: &Point) -> Value {
         ),
         other => panic!("param \"case\": unknown case {other:?}"),
     };
-    let dim = p.u64("dim") as u32;
+    let dim: u32 = p.int("dim");
     let rows = p.u64("size");
     let bandwidth = |placement| {
         let cfg = characterization_cfg(dim, rows, placement, threading);
@@ -142,8 +142,8 @@ pub static FIG6: GridScenario = GridScenario {
             .collect()
     }),
     run: |p| {
-        let cores = p.u64("cores") as u32;
-        let dim = p.u64("dim") as u32;
+        let cores: u32 = p.int("cores");
+        let dim: u32 = p.int("dim");
         let model = ModelConfig {
             name: format!("{cores}c{dim}d"),
             emb_num: 8192,

@@ -56,8 +56,7 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
         .unwrap_or_else(|e| panic!("param \"arrival\": {e}"));
     let policy =
         ShardPolicy::parse(p.str("policy")).unwrap_or_else(|e| panic!("param \"policy\": {e}"));
-    let nodes = u16::try_from(p.u64("nodes"))
-        .unwrap_or_else(|_| panic!("param \"nodes\": more than {} shards", u16::MAX));
+    let nodes: u16 = p.int("nodes");
 
     let mut node = scale_buffers(SystemConfig::pifs_rec(m.clone()));
     node.apply_knob("serving.max_wait_us", MAX_WAIT_US)

@@ -55,7 +55,7 @@ const WINDOW_NS: u64 = 1_000_000_000;
 /// The longest point of the duration axis, seconds of simulated
 /// traffic. The shared stream is sized for this, so every shorter
 /// point is a strict prefix of it (the warm-start invariant).
-const MAX_DURATION_S: u64 = 60;
+pub const MAX_DURATION_S: u64 = 60;
 
 /// Process-wide warm-start cache: deepest checkpoint per workload
 /// (every point parameter except `duration_s`). Purely an accelerator —

@@ -110,8 +110,7 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     // property keeps the schedule consistent across qps cells.
     let horizon_ns = (SERVE_QUERIES as f64 / qps * 1.5e9).ceil() as u64;
     let mut cfg = ClusterConfig::new(NODES, ShardPolicy::RowHash, node);
-    cfg.hot_rows_per_table = u32::try_from(p.u64("replicas"))
-        .unwrap_or_else(|_| panic!("param \"replicas\": more than {} rows", u32::MAX));
+    cfg.hot_rows_per_table = p.int("replicas");
     cfg.faults = FaultSchedule::generate(fault, fault_seed, NODES, horizon_ns);
     cfg.partial_timeout_ns = Some(PARTIAL_TIMEOUT_NS);
     (cfg, spec)

@@ -28,8 +28,8 @@ pub static FIG13C: GridScenario = GridScenario {
     points: None,
     run: |p| {
         let m = p.model();
-        let switches = p.u64("switches") as u16;
-        let batch = p.u64("batch") as u32;
+        let switches: u16 = p.int("switches");
+        let batch = p.int("batch");
         let mut cfg = SystemConfig::pifs_rec(m.clone());
         cfg.n_switches = switches;
         cfg.n_devices = switches.max(8);
@@ -72,8 +72,8 @@ pub static FIG14: GridScenario = GridScenario {
     points: None,
     run: |p| {
         let m = p.model();
-        let batch = p.u64("batch") as u32;
-        let hosts = p.u64("hosts") as u16;
+        let batch = p.int("batch");
+        let hosts: u16 = p.int("hosts");
         if hosts == 0 {
             // Pond baseline: one host, one request stream.
             let trace = std_trace(&m, meta_distribution(), batch, 6);

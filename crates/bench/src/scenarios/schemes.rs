@@ -127,7 +127,7 @@ pub static FIG12C: GridScenario = GridScenario {
     run: |p| {
         let m = p.model();
         let mut cfg = scale_buffers(p.scheme().config(m));
-        cfg.n_devices = p.u64("devices") as u16;
+        cfg.n_devices = p.int("devices");
         json!({ "total_ns": run_std(cfg).total_ns })
     },
     summarize: |rows| {

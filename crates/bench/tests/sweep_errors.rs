@@ -151,6 +151,43 @@ fn out_of_range_cluster_sizes_die_instead_of_wrapping() {
 }
 
 #[test]
+fn out_of_range_scenario_axes_die_instead_of_wrapping() {
+    // `devices=65538` used to wrap to 2 and run, writing the devices=2
+    // row under the label 65538; the zeros and the over-long duration
+    // used to reach an assert inside a worker.
+    assert_dies(
+        &[
+            "sweep",
+            "fig12c",
+            "--param",
+            "model=RMC1",
+            "--param",
+            "scheme=Pond",
+            "--param",
+            "devices=65538",
+        ],
+        &["devices", "1..=65535"],
+    );
+    for (id, axis, bad, range) in [
+        ("fig12c", "devices", "0", "1..=65535"),
+        ("fig13c", "switches", "0", "1..=65535"),
+        ("fig13c", "switches", "65536", "1..=65535"),
+        ("fig14", "hosts", "65536", "0..=65535"),
+        ("fig13c", "batch", "0", "1..=4294967295"),
+        ("fig14", "batch", "4294967296", "1..=4294967295"),
+        ("fig6", "cores", "0", "1..=4294967295"),
+        ("fig6", "dim", "0", "1..=4294967295"),
+        ("fig5", "dim", "4294967297", "1..=4294967295"),
+        ("latency_diurnal", "duration_s", "61", "0..=60"),
+    ] {
+        assert_dies(
+            &["sweep", id, "--param", &format!("{axis}={bad}")],
+            &[axis, range],
+        );
+    }
+}
+
+#[test]
 fn the_cli_still_answers_when_asked_politely() {
     let out = repro(&["list"]);
     assert_eq!(out.status.code(), Some(0), "repro list must succeed");

@@ -27,13 +27,15 @@
 //! * **Functional plane** — per-shard partial sums are folded in f64
 //!   ([`dlrm::sls::accumulate_row_exact`]) over each shard's owned rows
 //!   in bag order — one pass over the bag into a reused `shards × dim`
-//!   scratch — and merged in **fixed shard-index order**. Because
-//!   procedural embedding values are exact multiples of 2⁻²², the f64
-//!   accumulation is exact and therefore associative: the merged
-//!   embeddings and query checksums are bit-identical for *every* shard
-//!   count and placement policy (the shard-invariance suite asserts
-//!   this). The fixed merge order is belt and suspenders on top of the
-//!   exactness argument, not a correctness requirement.
+//!   scratch, each row's values recomputed from the procedural hash
+//!   ([`dlrm::EmbeddingTable::value_block`]) as it folds — and merged
+//!   in **fixed shard-index order**. Because procedural embedding
+//!   values are exact multiples of 2⁻²², the f64 accumulation is
+//!   exact and therefore associative: the merged embeddings and query
+//!   checksums are bit-identical for *every* shard count and placement
+//!   policy (the shard-invariance suite asserts this). The fixed merge
+//!   order is belt and suspenders on top of the exactness argument, not
+//!   a correctness requirement.
 //!
 //! Determinism: routing, per-node simulation and both merge planes are
 //! pure functions of `(config, workload)`. The aggregation link drains

@@ -186,18 +186,7 @@ pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
     // noise.
     *ctx.pm_epoch += 1;
     if !(*ctx.pm_epoch).is_multiple_of(4) {
-        // Epoch bookkeeping still advances below.
-        for m in ctx.epoch_dev_pages.iter_mut() {
-            m.clear();
-        }
-        for h in 0..ctx.hotness.n_hosts() {
-            ctx.hotness.host_mut(h).decay();
-        }
-        let migrated = ctx.page_table.migrations() - migrations_before;
-        ctx.metrics.migrations += migrated;
-        let _ = promoted;
-        let concurrent = migrated * 2;
-        return cost.total_overhead(migrated, concurrent);
+        return close_epoch(ctx, &cost, migrations_before);
     }
     let active_pages: usize = ctx.epoch_dev_pages.iter().map(|m| m.len()).sum();
     // Budget scales with the observed imbalance: balanced traffic
@@ -237,22 +226,28 @@ pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
     for m in &moves {
         let _ = ctx.page_table.move_page(m.page, Tier::Cxl(m.to));
     }
+    close_epoch(ctx, &cost, migrations_before)
+}
 
-    // Epoch cleanup.
+/// Closes an epoch, whatever its policy: clears the per-device page
+/// counts, decays every host's hotness, charges the epoch's migrations
+/// to the run metrics, and returns their exposed overhead.
+fn close_epoch(
+    ctx: &mut EpochCtx<'_>,
+    cost: &MigrationCostModel,
+    migrations_before: u64,
+) -> SimDuration {
     for m in ctx.epoch_dev_pages.iter_mut() {
         m.clear();
     }
     for h in 0..ctx.hotness.n_hosts() {
         ctx.hotness.host_mut(h).decay();
     }
-
     let migrated = ctx.page_table.migrations() - migrations_before;
     ctx.metrics.migrations += migrated;
-    let _ = promoted;
     // In-flight lookups colliding with migrating pages: a couple per
     // moved page at DLRM arrival rates.
-    let concurrent = migrated * 2;
-    cost.total_overhead(migrated, concurrent)
+    cost.total_overhead(migrated, migrated * 2)
 }
 
 /// TPP-like epoch: promote every page re-referenced this epoch
@@ -288,15 +283,7 @@ fn run_tpp_epoch(
         victim_cursor += 1;
         ctx.page_table.swap(page, victim);
     }
-    for m in ctx.epoch_dev_pages.iter_mut() {
-        m.clear();
-    }
-    for h in 0..ctx.hotness.n_hosts() {
-        ctx.hotness.host_mut(h).decay();
-    }
-    let migrated = ctx.page_table.migrations() - migrations_before;
-    ctx.metrics.migrations += migrated;
-    cost.total_overhead(migrated, migrated * 2)
+    close_epoch(ctx, cost, migrations_before)
 }
 
 #[cfg(test)]

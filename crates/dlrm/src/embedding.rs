@@ -1,5 +1,4 @@
-//! Embedding-table layout, procedural row values, and the shared
-//! materialized row store.
+//! Embedding-table layout and procedural row values.
 //!
 //! Production tables reach terabytes (§III), which a simulation cannot
 //! materialize. Row *values* are therefore procedural: `value(row, elem)`
@@ -7,50 +6,11 @@
 //! sites (host, fabric switch, DIMM) can produce — and tests can verify —
 //! bit-identical SLS results without storing a single row.
 //!
-//! Recomputing that hash per element on every SLS fold is, however, the
-//! per-element cost on the accumulate hot path. Tables up to
-//! [`MATERIALIZE_CAP_BYTES`] therefore also carry a contiguous row-major
-//! `f32` backing store, filled once from the procedural function and
-//! shared process-wide (an `Arc` keyed by `(id, rows, dim)` — two tables
-//! with the same key have identical contents by construction, and
-//! concurrent sweep workers constructing the same model reuse one fill).
-//! [`EmbeddingTable::row`] then hands out `&[f32]` slices the SLS kernels
-//! fold with wide slice loops; tables beyond the cap (or built with
-//! [`EmbeddingTable::new_procedural`]) hash their values as they fold.
-//! Both paths produce bit-identical sums: the store is filled from
-//! `value()` itself and the element-wise fold order is unchanged.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Largest table (in bytes of f32 payload) that gets a materialized
-/// backing store. Above this the table stays purely procedural:
-/// measured on the RMC4 grid, slice loads from a multi-hundred-MB store
-/// are slower than recomputing the procedural hash (the fold becomes
-/// memory-bound), so materialization is reserved for tables whose whole
-/// model stays cache-resident.
-pub const MATERIALIZE_CAP_BYTES: u64 = 2 << 20;
-
-/// Process-wide budget for the shared row store. Once the cached tables
-/// exceed this, further tables stay procedural instead of growing the
-/// cache (performance-only: results never depend on materialization).
-pub const STORE_BUDGET_BYTES: u64 = 512 << 20;
-
-/// The shared store: one filled row block per distinct `(id, rows, dim)`.
-struct RowStore {
-    blocks: HashMap<(u32, u64, u32), Arc<[f32]>>,
-    bytes: u64,
-}
-
-fn store() -> &'static Mutex<RowStore> {
-    static STORE: OnceLock<Mutex<RowStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(RowStore {
-            blocks: HashMap::new(),
-            bytes: 0,
-        })
-    })
-}
+//! The SLS folds recompute that hash as they go: a fused AVX2 hash+fold
+//! when the CPU has AVX2, and otherwise [`EmbeddingTable::value_block`]
+//! blocks folded by the wide fold. Every table, whatever its size, takes
+//! this one path, so an [`EmbeddingTable`] is a plain value that owns no
+//! heap memory.
 
 /// Procedural value of element `elem` of row `row` of table `id`: a
 /// deterministic hash mapped into `[-1, 1)` with 2^-23 granularity so
@@ -226,44 +186,6 @@ fn raw_fold_row_avx2(id: u32, row: u64, acc: &mut [f32], w: f32) {
     }
 }
 
-/// Fetches (filling on first use) the shared row block for a table
-/// shape, or `None` when the shape is over the cap or the budget is
-/// exhausted.
-fn materialize(id: u32, rows: u64, dim: u32) -> Option<Arc<[f32]>> {
-    let bytes = rows * 4 * dim as u64;
-    if bytes > MATERIALIZE_CAP_BYTES {
-        return None;
-    }
-    {
-        let s = store().lock().expect("row store poisoned");
-        if let Some(block) = s.blocks.get(&(id, rows, dim)) {
-            return Some(Arc::clone(block));
-        }
-        if s.bytes + bytes > STORE_BUDGET_BYTES {
-            return None;
-        }
-    }
-    // Fill outside the lock so concurrent sweep workers materializing
-    // *different* shapes don't serialize on one fill. Two workers may
-    // race on the same shape; contents are a pure function of the key,
-    // so the loser just drops its duplicate block below.
-    let mut data = vec![0.0f32; (rows * dim as u64) as usize];
-    for (row, chunk) in data.chunks_exact_mut(dim as usize).enumerate() {
-        raw_value_block(id, row as u64, 0, chunk);
-    }
-    let block: Arc<[f32]> = data.into();
-    let mut s = store().lock().expect("row store poisoned");
-    if let Some(existing) = s.blocks.get(&(id, rows, dim)) {
-        return Some(Arc::clone(existing));
-    }
-    if s.bytes + bytes > STORE_BUDGET_BYTES {
-        return None;
-    }
-    s.bytes += bytes;
-    s.blocks.insert((id, rows, dim), Arc::clone(&block));
-    Some(block)
-}
-
 /// One embedding table: an address range plus procedural contents.
 ///
 /// # Examples
@@ -274,51 +196,21 @@ fn materialize(id: u32, rows: u64, dim: u32) -> Option<Arc<[f32]>> {
 /// let t = EmbeddingTable::new(0, 1024, 64, 0x1000);
 /// assert_eq!(t.row_bytes(), 256);
 /// assert_eq!(t.row_addr(2), 0x1000 + 512);
-/// // Values are deterministic, and the materialized row agrees.
+/// // Values are deterministic and lie in [-1, 1).
 /// assert_eq!(t.value(5, 3), t.value(5, 3));
-/// assert_eq!(t.row(5)[3], t.value(5, 3));
+/// assert!((-1.0..1.0).contains(&t.value(5, 3)));
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmbeddingTable {
     id: u32,
     rows: u64,
     dim: u32,
     base_addr: u64,
-    /// Row-major materialized values (shared), when the table fits the
-    /// store caps.
-    store: Option<Arc<[f32]>>,
 }
-
-impl std::fmt::Debug for EmbeddingTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EmbeddingTable")
-            .field("id", &self.id)
-            .field("rows", &self.rows)
-            .field("dim", &self.dim)
-            .field("base_addr", &self.base_addr)
-            .field("materialized", &self.store.is_some())
-            .finish()
-    }
-}
-
-impl PartialEq for EmbeddingTable {
-    fn eq(&self, other: &Self) -> bool {
-        // Contents are a pure function of (id, rows, dim); whether they
-        // are materialized is a performance detail, not identity.
-        self.id == other.id
-            && self.rows == other.rows
-            && self.dim == other.dim
-            && self.base_addr == other.base_addr
-    }
-}
-
-impl Eq for EmbeddingTable {}
 
 impl EmbeddingTable {
     /// Creates table `id` with `rows` rows of `dim` f32 elements laid out
-    /// contiguously from `base_addr`, materializing the shared row store
-    /// when the table fits [`MATERIALIZE_CAP_BYTES`] /
-    /// [`STORE_BUDGET_BYTES`].
+    /// contiguously from `base_addr`.
     ///
     /// # Panics
     ///
@@ -331,26 +223,6 @@ impl EmbeddingTable {
             rows,
             dim,
             base_addr,
-            store: materialize(id, rows, dim),
-        }
-    }
-
-    /// Creates the table without a materialized store, keeping the pure
-    /// per-element procedural path (the reference the materialized path
-    /// is tested against, and the only mode for over-cap tables).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` or `dim` is zero.
-    pub fn new_procedural(id: u32, rows: u64, dim: u32, base_addr: u64) -> Self {
-        assert!(rows > 0, "table must have at least one row");
-        assert!(dim > 0, "embedding dimension must be positive");
-        EmbeddingTable {
-            id,
-            rows,
-            dim,
-            base_addr,
-            store: None,
         }
     }
 
@@ -412,8 +284,8 @@ impl EmbeddingTable {
 
     /// Fills `out` with the procedural values of elements
     /// `elem0 .. elem0 + out.len()` of `row` — the batched form of
-    /// [`EmbeddingTable::value`] the wide SLS kernels stream from when a
-    /// table is over the materialization cap. Bit-identical to
+    /// [`EmbeddingTable::value`] the wide SLS folds stream from off the
+    /// AVX2 tier, and the exact f64 fold always. Bit-identical to
     /// elementwise `value()` calls on every dispatch tier (integer hash
     /// plus exact f32 mapping, per lane).
     ///
@@ -442,8 +314,8 @@ impl EmbeddingTable {
     /// Fused procedural fold on the AVX2 8-lane tier:
     /// `acc[e] += w * value(row, e)` across the whole row without an
     /// intermediate value buffer (see [`raw_fold_row_avx2`]). The wide
-    /// SLS kernel takes this path for over-cap tables; bit-identical to
-    /// the scalar fold.
+    /// SLS fold takes this path whenever the CPU has AVX2; bit-identical
+    /// to the scalar fold.
     ///
     /// # Panics
     ///
@@ -457,36 +329,6 @@ impl EmbeddingTable {
             "accumulator wider than the row"
         );
         raw_fold_row_avx2(self.id, row, acc, w);
-    }
-
-    /// The materialized row as a contiguous slice, or `None` when the
-    /// table is procedural-only. The SLS kernels branch on this once per
-    /// row and fold the slice with a vectorizable loop.
-    #[inline]
-    pub fn row_slice(&self, row: u64) -> Option<&[f32]> {
-        assert!(row < self.rows, "row {row} out of bounds");
-        self.store.as_deref().map(|s| {
-            let dim = self.dim as usize;
-            let start = row as usize * dim;
-            &s[start..start + dim]
-        })
-    }
-
-    /// The whole materialized row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds, or if the table is over the
-    /// materialization cap (use [`EmbeddingTable::value`] /
-    /// [`EmbeddingTable::row_slice`] for such tables).
-    pub fn row(&self, row: u64) -> &[f32] {
-        self.row_slice(row)
-            .expect("table exceeds the materialization cap; use value()/row_slice()")
-    }
-
-    /// `true` when the table carries a materialized backing store.
-    pub fn is_materialized(&self) -> bool {
-        self.store.is_some()
     }
 }
 
@@ -524,33 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn row_materialization_matches_values() {
-        let t = EmbeddingTable::new(3, 10, 4, 0);
-        let r = t.row(7);
-        for (e, &v) in r.iter().enumerate() {
-            assert_eq!(v, t.value(7, e as u32));
-        }
-    }
-
-    #[test]
-    fn procedural_and_materialized_values_agree() {
-        let m = EmbeddingTable::new(4, 64, 8, 0);
-        let p = EmbeddingTable::new_procedural(4, 64, 8, 0);
-        assert!(m.is_materialized());
-        assert!(!p.is_materialized());
-        assert!(p.row_slice(0).is_none());
-        for row in 0..64 {
-            for e in 0..8 {
-                assert_eq!(m.row(row)[e as usize], p.value(row, e));
-            }
-        }
-        // Same identity regardless of materialization.
-        assert_eq!(m, p);
-    }
-
-    #[test]
     fn value_block_matches_elementwise_values() {
-        let t = EmbeddingTable::new_procedural(6, 40, 100, 0);
+        let t = EmbeddingTable::new(6, 40, 100, 0);
         // Every block offset/length class, including unaligned tails.
         for (e0, len) in [(0u32, 100usize), (0, 1), (3, 29), (64, 36), (99, 1)] {
             let mut out = vec![0.0f32; len];
@@ -583,15 +400,15 @@ mod tests {
         }
         #[cfg(target_arch = "x86_64")]
         if crate::sls::simd::avx2_detected() {
-            for dim in [1usize, 7, 8, 9, 63, 64, 65, 128, 255] {
+            for (dim, w) in (1usize..=256).flat_map(|d| [(d, 1.0f32), (d, -1.25)]) {
                 let mut want = vec![0.5f32; dim];
                 for (e, slot) in want.iter_mut().enumerate() {
-                    *slot += -1.25 * raw_value(id, row, e as u32);
+                    *slot += w * raw_value(id, row, e as u32);
                 }
                 let mut got = vec![0.5f32; dim];
                 // SAFETY: the CPU supports AVX2.
-                unsafe { raw_fold_row_avx2(id, row, &mut got, -1.25) };
-                assert_eq!(got, want, "fused AVX2 fold diverged at dim {dim}");
+                unsafe { raw_fold_row_avx2(id, row, &mut got, w) };
+                assert_eq!(got, want, "fused AVX2 fold diverged at dim {dim}, w {w}");
             }
         }
     }
@@ -599,17 +416,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "element block")]
     fn value_block_bounds_checked() {
-        let t = EmbeddingTable::new_procedural(6, 40, 100, 0);
+        let t = EmbeddingTable::new(6, 40, 100, 0);
         let mut out = vec![0.0f32; 8];
         t.value_block(0, 96, &mut out);
-    }
-
-    #[test]
-    fn store_is_shared_across_equal_shapes() {
-        let a = EmbeddingTable::new(5, 32, 4, 0);
-        let b = EmbeddingTable::new(5, 32, 4, 0x10_000); // different base
-        let (sa, sb) = (a.store.as_ref().unwrap(), b.store.as_ref().unwrap());
-        assert!(Arc::ptr_eq(sa, sb), "same (id, rows, dim) shares one fill");
     }
 
     proptest! {
@@ -618,7 +427,10 @@ mod tests {
             let t = EmbeddingTable::new(9, 1000, 64, 0);
             let v = t.value(row, elem);
             prop_assert!((-1.0..1.0).contains(&v));
-            prop_assert_eq!(t.row(row)[elem as usize], v);
+            // The batched form agrees with the elementwise value.
+            let mut one = [0.0f32];
+            t.value_block(row, elem, &mut one);
+            prop_assert_eq!(one[0], v);
         }
 
         #[test]

@@ -11,8 +11,9 @@
 //!
 //! * [`ModelConfig`] — the Table I model zoo (RMC1–RMC4);
 //! * [`EmbeddingTable`] — address layout plus *procedural* row values, so
-//!   functional SLS results are verifiable without materializing
-//!   multi-GB tables;
+//!   functional SLS results are verifiable without storing multi-GB
+//!   tables: every fold hashes the values it reads, and a table owns no
+//!   heap memory;
 //! * [`sls`] — the reference SparseLengthSum kernel every compute
 //!   placement (host, switch, DIMM) must agree with bit-for-bit;
 //! * [`query`] — batch- vs table-threading work partitioning (Fig 4).

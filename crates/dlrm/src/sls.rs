@@ -14,10 +14,9 @@ pub mod simd;
 ///
 /// The accumulation order is the order of `indices` — all compute sites
 /// in the workspace follow the same order, keeping floating-point sums
-/// bit-identical across placements. Internally each fold takes the
-/// slice-zip fast path when the table carries a materialized row store
-/// (see [`accumulate_row`]); [`sls_reference_scalar`] is the retained
-/// per-element formulation both are property-tested against.
+/// bit-identical across placements. Each row goes through the wide fold
+/// [`accumulate_row`]; [`sls_reference_scalar`] is the retained
+/// per-element formulation it is property-tested against.
 ///
 /// # Examples
 ///
@@ -45,9 +44,9 @@ pub fn sls_reference(table: &EmbeddingTable, indices: &[u64], weights: Option<&[
     acc
 }
 
-/// The retained scalar SLS reference: per-element procedural values,
-/// no slice fast path. Exists so equivalence of the vectorizable path
-/// is a tested property, not an assumption.
+/// The retained scalar SLS reference: one procedural `value()` call per
+/// element, no wide fold. Exists so equivalence of the vectorizable
+/// path is a tested property, not an assumption.
 ///
 /// # Panics
 ///
@@ -68,17 +67,21 @@ pub fn sls_reference_scalar(
     acc
 }
 
+/// Block size (f32 elements) of the stack buffer the folds stream
+/// values through: `value_block` fills a block, the fold consumes it,
+/// no heap touched.
+const VALUE_BLOCK: usize = 64;
+
 /// Folds one row into `acc` with weight `w` — the per-arrival step
 /// every compute site performs (§IV-A5), and the workspace's one f32
 /// row fold.
 ///
-/// When the table is materialized this is the explicit lane-width wide
-/// fold ([`simd::fold_slice`]): fixed `[f32; LANES]` accumulator blocks
-/// plus a scalar tail. For procedural tables it is the fused AVX2
-/// hash+fold when the CPU has AVX2, and otherwise the per-element hash
-/// computed in blocks ([`EmbeddingTable::value_block`]) and folded the
-/// same way. Because the per-element addition order along `dim` is
-/// exactly the scalar loop's on every tier, the f32 sums are
+/// On the AVX2 tier this is the fused hash+fold: the procedural values
+/// are computed in registers and folded straight into `acc`. Off AVX2
+/// the values are computed in [`EmbeddingTable::value_block`] blocks on
+/// a stack buffer and folded by the explicit lane-width wide fold
+/// ([`simd::fold_slice`]). Because the per-element addition order along
+/// `dim` is exactly the scalar loop's on every tier, the f32 sums are
 /// bit-identical to [`accumulate_row_scalar`].
 ///
 /// # Panics
@@ -92,29 +95,17 @@ pub fn accumulate_row(acc: &mut [f32], table: &EmbeddingTable, row: u64, w: f32)
         table.dim() as usize,
         "accumulator width must match the table dimension"
     );
-    match table.row_slice(row) {
-        Some(vals) => simd::fold_slice(acc, vals, w),
-        None => accumulate_row_procedural(acc, table, row, w),
-    }
-}
-
-/// Block size (f32 elements) of the stack buffer the procedural wide
-/// fold streams through: `value_block` fills a block, the wide fold
-/// consumes it, no heap touched.
-const PROC_BLOCK: usize = 64;
-
-/// The wide fold for over-cap (procedural) tables: the fused AVX2
-/// hash+fold, or hash values produced in blocks and folded with
-/// [`simd::fold_slice`] off AVX2.
-fn accumulate_row_procedural(acc: &mut [f32], table: &EmbeddingTable, row: u64, w: f32) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_detected() {
         // SAFETY: the CPU supports AVX2 (runtime detection above).
         unsafe { table.fold_row_avx2(row, acc, w) };
         return;
     }
-    let mut buf = [0.0f32; PROC_BLOCK];
-    for (e0, chunk) in (0u32..).step_by(PROC_BLOCK).zip(acc.chunks_mut(PROC_BLOCK)) {
+    let mut buf = [0.0f32; VALUE_BLOCK];
+    for (e0, chunk) in (0u32..)
+        .step_by(VALUE_BLOCK)
+        .zip(acc.chunks_mut(VALUE_BLOCK))
+    {
         let vals = &mut buf[..chunk.len()];
         table.value_block(row, e0, vals);
         simd::fold_slice(chunk, vals, w);
@@ -122,8 +113,7 @@ fn accumulate_row_procedural(acc: &mut [f32], table: &EmbeddingTable, row: u64, 
 }
 
 /// The scalar fold: one procedural `value()` call per element. The
-/// reference [`accumulate_row`] must match bit-for-bit, and the only
-/// path for tables beyond the materialization cap.
+/// reference [`accumulate_row`] must match bit-for-bit.
 ///
 /// # Panics
 ///
@@ -162,11 +152,10 @@ pub fn accumulate_row_scalar(acc: &mut [f32], table: &EmbeddingTable, row: u64, 
 /// the fixed shard-index merge order is belt and suspenders, not a
 /// correctness requirement.
 ///
-/// The values come from the materialized row store when the table has
-/// one, and otherwise in [`EmbeddingTable::value_block`] chunks on a
-/// stack buffer — both bit-identical to elementwise
-/// [`EmbeddingTable::value`] calls on every lane tier, so the sums are
-/// too (`tests/exact_fold.rs` asserts this).
+/// The values come in [`EmbeddingTable::value_block`] chunks on a stack
+/// buffer, bit-identical to elementwise [`EmbeddingTable::value`] calls
+/// on every lane tier, so the sums are too (`tests/exact_fold.rs`
+/// asserts this).
 ///
 /// # Panics
 ///
@@ -178,25 +167,17 @@ pub fn accumulate_row_exact(acc: &mut [f64], table: &EmbeddingTable, row: u64, w
         table.dim() as usize,
         "accumulator width must match the table dimension"
     );
-    match table.row_slice(row) {
-        Some(vals) => fold_exact(acc, vals, w),
-        None => {
-            let mut buf = [0.0f32; PROC_BLOCK];
-            for (e0, chunk) in (0u32..).step_by(PROC_BLOCK).zip(acc.chunks_mut(PROC_BLOCK)) {
-                let vals = &mut buf[..chunk.len()];
-                table.value_block(row, e0, vals);
-                fold_exact(chunk, vals, w);
-            }
+    // Each term: one f32 rounding per product, then an exact f64 addition.
+    let mut buf = [0.0f32; VALUE_BLOCK];
+    for (e0, chunk) in (0u32..)
+        .step_by(VALUE_BLOCK)
+        .zip(acc.chunks_mut(VALUE_BLOCK))
+    {
+        let vals = &mut buf[..chunk.len()];
+        table.value_block(row, e0, vals);
+        for (slot, &v) in chunk.iter_mut().zip(vals.iter()) {
+            *slot += f64::from(w * v);
         }
-    }
-}
-
-/// The exact fold step: `acc[e] += f64(w * v[e])` — one f32 rounding
-/// per product, then an exact f64 addition.
-#[inline]
-fn fold_exact(acc: &mut [f64], vals: &[f32], w: f32) {
-    for (slot, &v) in acc.iter_mut().zip(vals) {
-        *slot += f64::from(w * v);
     }
 }
 
@@ -242,7 +223,8 @@ mod tests {
     #[test]
     fn single_row_is_identity() {
         let t = table();
-        assert_eq!(sls_reference(&t, &[5], None), t.row(5));
+        let row: Vec<f32> = (0..t.dim()).map(|e| t.value(5, e)).collect();
+        assert_eq!(sls_reference(&t, &[5], None), row);
     }
 
     #[test]
@@ -291,64 +273,53 @@ mod tests {
             prop_assert_eq!(acc, reference);
         }
 
-        /// The vectorizable slice-zip fold must equal the retained
-        /// scalar reference bit-for-bit: unweighted, any dim in 1..256,
-        /// materialized vs procedural table.
+        /// The wide fold must equal the retained scalar reference
+        /// bit-for-bit: unweighted, any dim in 1..=256.
         #[test]
         fn prop_vectorized_matches_scalar_unweighted(
-            dim in 1u32..256,
+            dim in 1u32..257,
             indices in proptest::collection::vec(0u64..64, 1..16),
         ) {
-            let mat = EmbeddingTable::new(7, 64, dim, 0);
-            let proc_ = EmbeddingTable::new_procedural(7, 64, dim, 0);
-            prop_assert!(mat.is_materialized());
-            let fast = sls_reference(&mat, &indices, None);
-            let scalar = sls_reference_scalar(&proc_, &indices, None);
-            prop_assert_eq!(fast, scalar);
+            let t = EmbeddingTable::new(7, 64, dim, 0);
+            prop_assert_eq!(sls_reference(&t, &indices, None), sls_reference_scalar(&t, &indices, None));
         }
 
         /// Same equivalence with per-row weights.
         #[test]
         fn prop_vectorized_matches_scalar_weighted(
-            dim in 1u32..256,
+            dim in 1u32..257,
             indices in proptest::collection::vec(0u64..64, 1..16),
             raw_weights in proptest::collection::vec(-4.0f32..4.0, 16..17),
         ) {
             let weights: Vec<f32> = raw_weights[..indices.len()].to_vec();
-            let mat = EmbeddingTable::new(7, 64, dim, 0);
-            let proc_ = EmbeddingTable::new_procedural(7, 64, dim, 0);
-            let fast = sls_reference(&mat, &indices, Some(&weights));
-            let scalar = sls_reference_scalar(&proc_, &indices, Some(&weights));
-            prop_assert_eq!(fast, scalar);
+            let t = EmbeddingTable::new(7, 64, dim, 0);
+            prop_assert_eq!(
+                sls_reference(&t, &indices, Some(&weights)),
+                sls_reference_scalar(&t, &indices, Some(&weights))
+            );
         }
 
         /// The dispatched fold must equal the scalar reference
-        /// *bit-for-bit* (not approximately) across dims 1..256, weighted
-        /// and unweighted, on materialized and procedural tables alike.
-        /// Each tier is also checked directly in [`simd`]'s and
-        /// [`crate::embedding`]'s tests, so the tiers this CPU does not
-        /// dispatch stay covered.
+        /// *bit-for-bit* (not approximately) across dims 1..=256,
+        /// weighted and unweighted. Each tier is also checked directly
+        /// in [`simd`]'s and [`crate::embedding`]'s tests, so the tiers
+        /// this CPU does not dispatch stay covered.
         #[test]
         fn prop_dispatched_fold_matches_scalar_reference(
-            dim in 1u32..256,
+            dim in 1u32..257,
             indices in proptest::collection::vec(0u64..64, 1..16),
             raw_weights in proptest::collection::vec(-4.0f32..4.0, 16..17),
         ) {
             let weights: Vec<f32> = raw_weights[..indices.len()].to_vec();
-            let mat = EmbeddingTable::new(7, 64, dim, 0);
-            let proc_ = EmbeddingTable::new_procedural(7, 64, dim, 0);
-            prop_assert!(mat.is_materialized());
+            let t = EmbeddingTable::new(7, 64, dim, 0);
             for weighted in [false, true] {
                 let ws = weighted.then_some(&weights[..]);
-                let reference = sls_reference_scalar(&proc_, &indices, ws);
-                for table in [&mat, &proc_] {
-                    prop_assert_eq!(
-                        &sls_reference(table, &indices, ws),
-                        &reference,
-                        "tier {:?} diverged (dim {}, weighted {}, materialized {})",
-                        simd::dispatched_width(), dim, weighted, table.is_materialized()
-                    );
-                }
+                prop_assert_eq!(
+                    sls_reference(&t, &indices, ws),
+                    sls_reference_scalar(&t, &indices, ws),
+                    "tier {:?} diverged (dim {}, weighted {})",
+                    simd::dispatched_width(), dim, weighted
+                );
             }
         }
 
@@ -369,33 +340,29 @@ mod tests {
         ) {
             let weights: Vec<f32> =
                 wticks[..indices.len()].iter().map(|&t| t as f32 / 1024.0 - 4.0).collect();
-            for table in [
-                EmbeddingTable::new(7, 64, dim, 0),
-                EmbeddingTable::new_procedural(7, 64, dim, 0),
-            ] {
-                for weighted in [false, true] {
-                    let ws = weighted.then_some(&weights[..]);
-                    let reference = sls_reference_exact(&table, &indices, ws);
-                    // Shard partials: each shard folds only its owned
-                    // positions, preserving bag order within the shard.
-                    let mut partials = vec![vec![0.0f64; dim as usize]; k];
-                    for (i, &row) in indices.iter().enumerate() {
-                        let w = ws.map_or(1.0, |x| x[i]);
-                        accumulate_row_exact(&mut partials[owners[i] % k], &table, row, w);
-                    }
-                    // Fixed shard-index merge order.
-                    let mut merged = vec![0.0f64; dim as usize];
-                    for p in &partials {
-                        for (m, v) in merged.iter_mut().zip(p) {
-                            *m += v;
-                        }
-                    }
-                    prop_assert_eq!(
-                        merged, reference,
-                        "exact merge diverged (dim {}, k {}, weighted {})",
-                        dim, k, weighted
-                    );
+            let table = EmbeddingTable::new(7, 64, dim, 0);
+            for weighted in [false, true] {
+                let ws = weighted.then_some(&weights[..]);
+                let reference = sls_reference_exact(&table, &indices, ws);
+                // Shard partials: each shard folds only its owned
+                // positions, preserving bag order within the shard.
+                let mut partials = vec![vec![0.0f64; dim as usize]; k];
+                for (i, &row) in indices.iter().enumerate() {
+                    let w = ws.map_or(1.0, |x| x[i]);
+                    accumulate_row_exact(&mut partials[owners[i] % k], &table, row, w);
                 }
+                // Fixed shard-index merge order.
+                let mut merged = vec![0.0f64; dim as usize];
+                for p in &partials {
+                    for (m, v) in merged.iter_mut().zip(p) {
+                        *m += v;
+                    }
+                }
+                prop_assert_eq!(
+                    merged, reference,
+                    "exact merge diverged (dim {}, k {}, weighted {})",
+                    dim, k, weighted
+                );
             }
         }
 
@@ -410,7 +377,7 @@ mod tests {
             raw_weights in proptest::collection::vec(-4.0f32..4.0, 16..17),
         ) {
             let weights: Vec<f32> = raw_weights[..indices.len()].to_vec();
-            let t = EmbeddingTable::new_procedural(7, 64, dim, 0);
+            let t = EmbeddingTable::new(7, 64, dim, 0);
             for weighted in [false, true] {
                 let ws = weighted.then_some(&weights[..]);
                 let scalar = sls_reference_scalar(&t, &indices, ws);
@@ -446,7 +413,7 @@ mod tests {
             indices in proptest::collection::vec(0u64..64, 1..5),
             k in 1usize..4,
         ) {
-            let t = EmbeddingTable::new_procedural(7, 64, dim, 0);
+            let t = EmbeddingTable::new(7, 64, dim, 0);
             let scalar = sls_reference_scalar(&t, &indices, None);
             let mut partials = vec![vec![0.0f64; dim as usize]; k];
             for (i, &row) in indices.iter().enumerate() {

@@ -126,13 +126,12 @@ mod tests {
 
     #[test]
     fn every_tier_matches_scalar_including_tails() {
-        // Dims straddling every remainder class of 4 and 8 lanes.
-        for dim in [
-            1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 128, 255,
-        ] {
+        // Every dim up to 256, so each remainder class of 4 and 8 lanes
+        // is crossed many times; unit and non-unit weights.
+        for (dim, w) in (1usize..=256).flat_map(|d| [(d, 1.0f32), (d, 1.75)]) {
             let v = vals(dim, 3);
             let mut reference = vals(dim, 9);
-            fold_scalar(&mut reference, &v, 1.75);
+            fold_scalar(&mut reference, &v, w);
             let tiers: [(&str, Fold); 3] = [
                 ("4-lane", fold_blocked::<4>),
                 ("8-lane", fold_blocked::<8>),
@@ -140,15 +139,15 @@ mod tests {
             ];
             for (name, fold) in tiers {
                 let mut acc = vals(dim, 9);
-                fold(&mut acc, &v, 1.75);
-                assert_eq!(acc, reference, "{name} tier diverged at dim {dim}");
+                fold(&mut acc, &v, w);
+                assert_eq!(acc, reference, "{name} tier diverged at dim {dim}, w {w}");
             }
             #[cfg(target_arch = "x86_64")]
             if avx2_detected() {
                 let mut acc = vals(dim, 9);
                 // SAFETY: the CPU supports AVX2.
-                unsafe { fold_blocked_w8_avx2(&mut acc, &v, 1.75) };
-                assert_eq!(acc, reference, "AVX2 tier diverged at dim {dim}");
+                unsafe { fold_blocked_w8_avx2(&mut acc, &v, w) };
+                assert_eq!(acc, reference, "AVX2 tier diverged at dim {dim}, w {w}");
             }
         }
     }

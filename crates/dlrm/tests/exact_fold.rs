@@ -1,12 +1,10 @@
 //! The exact f64 fold ([`accumulate_row_exact`]) against the elementwise
 //! [`EmbeddingTable::value`] reference, bit for bit.
 //!
-//! The fold reads a materialized table's row store and streams an
-//! over-cap table's values through `value_block`, which takes its AVX2
-//! variant when the CPU has AVX2. `dlrm`'s own tests check the portable
-//! fill against `value()` directly on every host.
+//! The fold streams a table's values through `value_block`, which takes
+//! its AVX2 variant when the CPU has AVX2. `dlrm`'s own tests check the
+//! portable fill against `value()` directly on every host.
 
-use dlrm::embedding::MATERIALIZE_CAP_BYTES;
 use dlrm::sls::accumulate_row_exact;
 use dlrm::EmbeddingTable;
 use proptest::prelude::*;
@@ -23,9 +21,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 proptest! {
-    /// Materialized and over-cap tables, dims 1..=256 (most of them not
-    /// multiples of the 8-lane or 64-element blocks), unit weights and
-    /// weights on the 2⁻¹⁰ grid in [-4, 4).
+    /// Dims 1..=256 (most of them not multiples of the 8-lane or
+    /// 64-element blocks), unit weights and weights on the 2⁻¹⁰ grid in
+    /// [-4, 4).
     #[test]
     fn prop_exact_fold_matches_elementwise_values(
         dim in 1u32..257,
@@ -33,29 +31,16 @@ proptest! {
         wticks in proptest::collection::vec(0u32..8192, 16..17),
     ) {
         let weights: Vec<f32> = wticks.iter().map(|&t| t as f32 / 1024.0 - 4.0).collect();
-        let over_cap_rows = MATERIALIZE_CAP_BYTES / (4 * u64::from(dim)) + 1;
-        let materialized = EmbeddingTable::new(7, 64, dim, 0);
-        let over_cap = EmbeddingTable::new(7, over_cap_rows, dim, 0);
-        prop_assert!(materialized.is_materialized());
-        prop_assert!(!over_cap.is_materialized());
-        for table in [&materialized, &over_cap] {
-            for weighted in [false, true] {
-                let mut got = vec![0.0f64; dim as usize];
-                let mut want = vec![0.0f64; dim as usize];
-                for (&row, &w) in indices.iter().zip(&weights) {
-                    let w = if weighted { w } else { 1.0 };
-                    accumulate_row_exact(&mut got, table, row, w);
-                    fold_elementwise(&mut want, table, row, w);
-                }
-                prop_assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "dim {}, weighted {}, materialized {}",
-                    dim,
-                    weighted,
-                    table.is_materialized()
-                );
+        let table = EmbeddingTable::new(7, 64, dim, 0);
+        for weighted in [false, true] {
+            let mut got = vec![0.0f64; dim as usize];
+            let mut want = vec![0.0f64; dim as usize];
+            for (&row, &w) in indices.iter().zip(&weights) {
+                let w = if weighted { w } else { 1.0 };
+                accumulate_row_exact(&mut got, &table, row, w);
+                fold_elementwise(&mut want, &table, row, w);
             }
+            prop_assert_eq!(bits(&got), bits(&want), "dim {}, weighted {}", dim, weighted);
         }
     }
 }

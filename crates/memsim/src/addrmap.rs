@@ -1,7 +1,5 @@
 //! Physical-address decomposition into DRAM coordinates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::DramOrg;
 
 /// Where one 64-byte access lands inside the device.
@@ -17,86 +15,51 @@ pub struct Location {
     pub row: u64,
 }
 
-/// Address-interleaving policy.
+/// Decodes `addr` into DRAM coordinates for a device organized as `org`,
+/// with one hardware divide per level of the hierarchy — the fallback
+/// for organizations [`LineDecoder`] cannot shift through, and the
+/// reference its fast path is tested against.
 ///
-/// `CacheLineInterleave` spreads consecutive cache lines round-robin over
-/// channels then banks, maximizing parallelism for streaming access —
-/// the policy real memory controllers default to and the one the paper's
-/// bandwidth-expansion argument assumes. `RowInterleave` keeps whole rows
-/// on one bank, maximizing row-buffer locality for sequential scans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AddressMapping {
-    /// 64 B granularity: channel bits lowest, then bank, then rank.
-    CacheLineInterleave,
-    /// Row granularity: consecutive addresses fill a row before moving on.
-    RowInterleave,
-}
-
-impl AddressMapping {
-    /// Decodes `addr` into DRAM coordinates for a device organized as
-    /// `org`. Addresses beyond capacity wrap (the simulation treats the
-    /// device as its own physical address space).
-    pub fn decode(self, addr: u64, org: &DramOrg) -> Location {
-        let line = (addr % org.capacity_bytes.max(1)) / 64;
-        let ch = org.channels as u64;
-        let ba = org.banks as u64;
-        let ra = org.ranks as u64;
-        let lines_per_row = (org.row_bytes / 64).max(1);
-        match self {
-            AddressMapping::CacheLineInterleave => {
-                // line = (((row * ranks + rank) * banks + bank) * channels + channel)
-                //        × lines_per_row + line_in_row   — channel varies fastest.
-                let channel = line % ch;
-                let rest = line / ch;
-                let in_row = rest % lines_per_row;
-                let _ = in_row;
-                let rest = rest / lines_per_row;
-                let bank = rest % ba;
-                let rest = rest / ba;
-                let rank = rest % ra;
-                let row = rest / ra;
-                Location {
-                    channel: channel as u32,
-                    rank: rank as u32,
-                    bank: bank as u32,
-                    row,
-                }
-            }
-            AddressMapping::RowInterleave => {
-                let rest = line / lines_per_row;
-                let channel = rest % ch;
-                let rest = rest / ch;
-                let bank = rest % ba;
-                let rest = rest / ba;
-                let rank = rest % ra;
-                let row = rest / ra;
-                Location {
-                    channel: channel as u32,
-                    rank: rank as u32,
-                    bank: bank as u32,
-                    row,
-                }
-            }
-        }
+/// The mapping is cache-line interleave: consecutive 64 B lines go
+/// round-robin over channels, then fill a row, then move across banks and
+/// ranks — the policy real memory controllers default to and the one the
+/// paper's bandwidth-expansion argument assumes. Addresses beyond
+/// capacity wrap (the simulation treats the device as its own physical
+/// address space).
+fn decode_divide(addr: u64, org: &DramOrg) -> Location {
+    // line = ((((row * ranks + rank) * banks + bank) * lines_per_row
+    //        + line_in_row) * channels + channel — channel varies fastest.
+    let line = (addr % org.capacity_bytes.max(1)) / 64;
+    let ch = org.channels as u64;
+    let lines_per_row = (org.row_bytes / 64).max(1);
+    let channel = line % ch;
+    let rest = line / ch / lines_per_row;
+    let bank = rest % org.banks as u64;
+    let rest = rest / org.banks as u64;
+    let rank = rest % org.ranks as u64;
+    let row = rest / org.ranks as u64;
+    Location {
+        channel: channel as u32,
+        rank: rank as u32,
+        bank: bank as u32,
+        row,
     }
 }
 
-/// Precomputed decode state for one `(mapping, org)` pair.
+/// Precomputed decode state for one DRAM organization.
 ///
-/// [`AddressMapping::decode`] re-derives every divisor from the
-/// organization on each call and pays a hardware divide per level of the
-/// hierarchy. The device front-end instead builds a `LineDecoder` once.
+/// The reference decode re-derives every divisor from the organization
+/// on each call and pays a hardware divide per level of the hierarchy. The device front-end instead builds a `LineDecoder` once.
 /// When the capacity, lines per row, banks and ranks are powers of two
 /// (true of every stock organization) the decode chain collapses to
 /// shifts and masks; the channel split is a shift too for a power-of-two
 /// channel count, and an exact multiply otherwise (the host's 12
 /// channels). Any other organization falls back to the reference path.
 /// All paths produce bit-identical [`Location`]s —
-/// `decode_is_cached_exactly` in the tests below sweeps both mappings
+/// `decode_is_cached_exactly` in the tests below sweeps organizations
 /// against the reference.
 #[derive(Debug, Clone, Copy)]
 pub struct LineDecoder {
-    mapping: AddressMapping,
     org: DramOrg,
     /// Shift/mask constants, present only when the fast path is exact.
     fast: Option<DecodeShifts>,
@@ -160,8 +123,8 @@ impl ChannelSplit {
 }
 
 impl LineDecoder {
-    /// Builds the decoder for `mapping` over `org`.
-    pub fn new(mapping: AddressMapping, org: DramOrg) -> Self {
+    /// Builds the decoder for `org`.
+    pub fn new(org: DramOrg) -> Self {
         let cap = org.capacity_bytes.max(1);
         let lpr = (org.row_bytes / 64).max(1);
         let ch = org.channels as u64;
@@ -184,34 +147,26 @@ impl LineDecoder {
             ra_shift: (org.ranks as u64).trailing_zeros(),
             ra_mask: org.ranks as u64 - 1,
         });
-        LineDecoder { mapping, org, fast }
+        LineDecoder { org, fast }
     }
 
-    /// Decodes `addr` exactly as [`AddressMapping::decode`] would.
+    /// Decodes `addr` into DRAM coordinates: cache-line interleave over
+    /// channels, then row, bank and rank (the layout the module's
+    /// divide-based reference decode spells out).
     #[inline]
     pub fn decode(&self, addr: u64) -> Location {
         let Some(s) = &self.fast else {
-            return self.mapping.decode(addr, &self.org);
+            return decode_divide(addr, &self.org);
         };
         let line = (addr & s.cap_mask) >> 6;
-        let (channel, rest) = match self.mapping {
-            AddressMapping::CacheLineInterleave => {
-                let (channel, rest) = s.channels.split(line);
-                (channel, rest >> s.lpr_shift)
-            }
-            AddressMapping::RowInterleave => s.channels.split(line >> s.lpr_shift),
-        };
+        let (channel, rest) = s.channels.split(line);
+        let rest = rest >> s.lpr_shift;
         Location {
             channel: channel as u32,
             rank: ((rest >> s.ba_shift) & s.ra_mask) as u32,
             bank: (rest & s.ba_mask) as u32,
             row: (rest >> s.ba_shift) >> s.ra_shift,
         }
-    }
-
-    /// The mapping this decoder implements.
-    pub fn mapping(&self) -> AddressMapping {
-        self.mapping
     }
 }
 
@@ -232,50 +187,28 @@ mod tests {
 
     #[test]
     fn cacheline_interleave_rotates_channels() {
-        let m = AddressMapping::CacheLineInterleave;
         let o = org();
         for i in 0..16u64 {
-            let loc = m.decode(i * 64, &o);
+            let loc = decode_divide(i * 64, &o);
             assert_eq!(loc.channel, (i % 4) as u32, "line {i}");
         }
     }
 
     #[test]
-    fn row_interleave_keeps_row_on_one_channel() {
-        let m = AddressMapping::RowInterleave;
-        let o = org();
-        let first = m.decode(0, &o);
-        for i in 0..(o.row_bytes / 64) {
-            let loc = m.decode(i * 64, &o);
-            assert_eq!(loc.channel, first.channel);
-            assert_eq!(loc.bank, first.bank);
-            assert_eq!(loc.row, first.row);
-        }
-        // The next row moves to a different channel.
-        let next = m.decode(o.row_bytes, &o);
-        assert_ne!(next.channel, first.channel);
-    }
-
-    #[test]
     fn decode_is_within_bounds() {
         let o = org();
-        for m in [
-            AddressMapping::CacheLineInterleave,
-            AddressMapping::RowInterleave,
-        ] {
-            for i in 0..10_000u64 {
-                let loc = m.decode(i * 64 + 3, &o);
-                assert!(loc.channel < o.channels);
-                assert!(loc.rank < o.ranks);
-                assert!(loc.bank < o.banks);
-            }
+        for i in 0..10_000u64 {
+            let loc = decode_divide(i * 64 + 3, &o);
+            assert!(loc.channel < o.channels);
+            assert!(loc.rank < o.ranks);
+            assert!(loc.bank < o.banks);
         }
     }
 
     #[test]
     fn decode_is_cached_exactly() {
         // The precomputed decoder must agree with the reference decode
-        // bit-for-bit, on both mappings, for pow2 and non-pow2 layouts.
+        // bit-for-bit, for pow2 and non-pow2 layouts.
         let non_pow2 = DramOrg {
             channels: 3,
             ..org()
@@ -292,32 +225,26 @@ mod tests {
             ..org()
         };
         for o in [org(), non_pow2, host, one_channel] {
-            for m in [
-                AddressMapping::CacheLineInterleave,
-                AddressMapping::RowInterleave,
+            let d = LineDecoder::new(o);
+            assert!(
+                d.fast.is_some(),
+                "{} channels take the fast path",
+                o.channels
+            );
+            let mut addr = 0u64;
+            for i in 0..50_000u64 {
+                // Stride through lines, odd offsets, and wraps.
+                addr = addr.wrapping_mul(6364136223846793005).wrapping_add(i);
+                assert_eq!(d.decode(addr), decode_divide(addr, &o), "addr {addr:#x}");
+            }
+            // The top of the address space: the largest line index and
+            // the wrap just past capacity.
+            for addr in [
+                o.capacity_bytes - 1,
+                o.capacity_bytes - 64,
+                o.capacity_bytes,
             ] {
-                let d = LineDecoder::new(m, o);
-                assert_eq!(d.mapping(), m);
-                assert!(
-                    d.fast.is_some(),
-                    "{} channels take the fast path",
-                    o.channels
-                );
-                let mut addr = 0u64;
-                for i in 0..50_000u64 {
-                    // Stride through lines, odd offsets, and wraps.
-                    addr = addr.wrapping_mul(6364136223846793005).wrapping_add(i);
-                    assert_eq!(d.decode(addr), m.decode(addr, &o), "addr {addr:#x}");
-                }
-                // The top of the address space: the largest line index
-                // and the wrap just past capacity.
-                for addr in [
-                    o.capacity_bytes - 1,
-                    o.capacity_bytes - 64,
-                    o.capacity_bytes,
-                ] {
-                    assert_eq!(d.decode(addr), m.decode(addr, &o), "addr {addr:#x}");
-                }
+                assert_eq!(d.decode(addr), decode_divide(addr, &o), "addr {addr:#x}");
             }
         }
     }
@@ -341,15 +268,16 @@ mod tests {
     #[test]
     fn addresses_wrap_at_capacity() {
         let o = org();
-        let m = AddressMapping::CacheLineInterleave;
-        assert_eq!(m.decode(64, &o), m.decode(o.capacity_bytes + 64, &o));
+        assert_eq!(
+            decode_divide(64, &o),
+            decode_divide(o.capacity_bytes + 64, &o)
+        );
     }
 
     #[test]
     fn same_line_same_location() {
         let o = org();
-        let m = AddressMapping::CacheLineInterleave;
-        assert_eq!(m.decode(128, &o), m.decode(129, &o));
-        assert_eq!(m.decode(128, &o), m.decode(191, &o));
+        assert_eq!(decode_divide(128, &o), decode_divide(129, &o));
+        assert_eq!(decode_divide(128, &o), decode_divide(191, &o));
     }
 }

@@ -230,8 +230,6 @@ pub struct DramConfig {
     pub timings: DramTimings,
     /// Organization.
     pub org: DramOrg,
-    /// How physical addresses map onto (channel, rank, bank, row, column).
-    pub mapping: crate::AddressMapping,
 }
 
 impl DramConfig {
@@ -240,7 +238,6 @@ impl DramConfig {
         DramConfig {
             timings: DramTimings::ddr5_4800(),
             org: DramOrg::table2_local(),
-            mapping: crate::AddressMapping::CacheLineInterleave,
         }
     }
 
@@ -249,7 +246,6 @@ impl DramConfig {
         DramConfig {
             timings: DramTimings::ddr4_3200(),
             org: DramOrg::cxl_expander(),
-            mapping: crate::AddressMapping::CacheLineInterleave,
         }
     }
 

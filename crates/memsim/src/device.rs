@@ -81,7 +81,7 @@ impl DramDevice {
             .collect();
         DramDevice {
             cfg,
-            decoder: LineDecoder::new(cfg.mapping, cfg.org),
+            decoder: LineDecoder::new(cfg.org),
             durs: cfg.timings.durations(),
             channels,
         }

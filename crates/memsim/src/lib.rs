@@ -41,7 +41,7 @@ pub mod channel;
 pub mod config;
 pub mod device;
 
-pub use addrmap::{AddressMapping, LineDecoder, Location};
+pub use addrmap::{LineDecoder, Location};
 pub use channel::MemOp;
 pub use config::{DramConfig, DramOrg, DramTimings};
 pub use device::{DramDevice, DramStats};
