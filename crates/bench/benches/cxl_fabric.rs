@@ -1,10 +1,9 @@
 //! Criterion bench: CXL fabric data-plane costs — FlexBus link
-//! serialization (per-flit vs batched arbitration), switch
-//! upstream-port transfer + VCS transit, and the full switch→device
-//! round trip through a Type 3 expander.
+//! serialization (per-flit vs batched arbitration) and the full
+//! switch→device round trip through a Type 3 expander.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use cxlsim::{CxlParams, FabricSwitch, FlexBusLink, M2sReq, Type3Device};
+use cxlsim::{CxlParams, FlexBusLink, M2sReq, Type3Device};
 use simkit::{SimDuration, SimTime};
 
 fn bench_link(c: &mut Criterion) {
@@ -40,19 +39,8 @@ fn bench_link(c: &mut Criterion) {
 fn bench_switch(c: &mut Criterion) {
     let p = CxlParams::default();
     let mut g = c.benchmark_group("cxl_switch");
-    g.bench_function("upstream_hop", |b| {
-        let mut sw = FabricSwitch::new(0, 4, p);
-        let mut t = SimTime::ZERO;
-        let mut port = 0usize;
-        b.iter(|| {
-            t += SimDuration::from_ns(3);
-            port = (port + 1) % 4;
-            let arrived = sw.upstream_transfer(black_box(t), port, 64);
-            sw.transit(arrived)
-        })
-    });
     g.bench_function("device_round_trip", |b| {
-        let mut dev = Type3Device::new(0, p);
+        let mut dev = Type3Device::new(p);
         let mut t = SimTime::ZERO;
         let mut addr = 0u64;
         b.iter(|| {

@@ -133,7 +133,6 @@ fn run_adaptive_point(p: &Point) -> Value {
     // every controller at a given (traffic, qps) — the controller must
     // never leak into the workload seeds.
     let (trace, arrival_seed) = serving_workload(p, &m, ADAPT_BATCHES, Some("traffic"));
-    cfg.seed = trace.seed;
 
     let opts = OpenLoopOpts {
         record_completion: false,

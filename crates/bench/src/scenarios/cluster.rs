@@ -65,7 +65,6 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     // Same queries for every point of a model; same timestamps for
     // every (nodes, policy) cell at a given (arrival, qps).
     let (trace, arrival_seed) = serving_workload(p, &m, STD_BATCHES, Some("arrival"));
-    node.seed = trace.seed;
     let spec = QueryStreamSpec {
         trace,
         arrival: process,

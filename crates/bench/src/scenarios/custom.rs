@@ -41,7 +41,6 @@ pub static CUSTOM: GridScenario = GridScenario {
             ],
         );
         let mut cfg = scale_buffers(p.scheme().config(m.clone()));
-        cfg.seed = seed;
         for (name, value) in p.params() {
             if matches!(name.as_str(), "scheme" | "model" | "trace") {
                 continue;

@@ -103,7 +103,6 @@ fn run_diurnal_point(p: &Point) -> Value {
     let n_push = (qps as u64) * duration_s;
     let n_batches = max_queries.div_ceil(STD_BATCH_SIZE as u64) as u32;
     let (trace, arrival_seed) = serving_workload(p, &m, n_batches, Some("arrival"));
-    cfg.seed = trace.seed;
     let spec = QueryStreamSpec {
         trace,
         arrival: process,

@@ -99,7 +99,6 @@ fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
             p.get("fault").expect("fault param"),
         ],
     );
-    node.seed = trace.seed;
     let spec = QueryStreamSpec {
         trace,
         arrival: process,

@@ -69,7 +69,6 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
     // Same queries for every point of a model; same timestamps for
     // every scheme/knob at a given (arrival, qps).
     let (trace, arrival_seed) = serving_workload(p, &m, STD_BATCHES, Some("arrival"));
-    cfg.seed = trace.seed;
     let spec = QueryStreamSpec {
         trace,
         arrival: process,

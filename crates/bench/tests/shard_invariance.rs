@@ -43,7 +43,6 @@ fn workload(qps: u64) -> (SystemConfig, Trace, Vec<SimTime>) {
     cfg.apply_knob("serving.max_wait_us", "10").expect("knob");
     let model_param = ParamValue::Str("RMC1".into());
     let trace_seed = workload_seed(SEED, &[&model_param]);
-    cfg.seed = trace_seed;
     let trace = tracegen::TraceSpec {
         distribution: meta_distribution(),
         n_tables: m.n_tables,

@@ -76,6 +76,12 @@ fn degenerate_serving_knobs_die_with_the_parsers_reason() {
         &["sweep", "custom", "--param", "serving.warp_factor=9"],
         &["unknown SystemConfig knob"],
     );
+    // `seed` set a config field no run reads, so two seeds wrote two
+    // identical rows; it is no longer a knob.
+    assert_dies(
+        &["sweep", "custom", "--param", "seed=7"],
+        &["unknown SystemConfig knob", "seed"],
+    );
     // Non-free-form scenarios must not silently absorb unknown keys.
     assert_dies(
         &["sweep", "latency_qps", "--param", "serving.batch_size=0"],
@@ -90,7 +96,9 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
     // work over, a buffer that holds no row); a negative or NaN local
     // capacity was accepted silently, and so was a non-finite or
     // out-of-range page-management threshold (`inf` made the promote
-    // budget unbounded, `nan` silently disabled demotion).
+    // budget unbounded, `nan` silently disabled demotion). An
+    // out-of-range or NaN placement fraction panicked a worker at the
+    // placement builder's range assert.
     for knob in [
         "outstanding=0",
         "n_hosts=0",
@@ -105,6 +113,8 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
         "pm.migrate_threshold=1.5",
         "pm.cold_age_threshold=nan",
         "pm.cold_age_threshold=-0.2",
+        "placement.cxl_frac=1.5",
+        "placement.remote_frac=nan",
     ] {
         let name = knob.split_once('=').expect("k=v").0;
         assert_dies(

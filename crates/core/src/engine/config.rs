@@ -131,7 +131,9 @@ pub struct SystemConfig {
     /// traffic and migration charges do not appear in
     /// [`RunMetrics`](crate::system::RunMetrics).
     pub warmup_batches: u32,
-    /// RNG/workload seed echoed into metrics for provenance.
+    /// Read by nothing: a run's workload is fixed by the trace it is
+    /// given, which carries its own seed. The field stays only because
+    /// perfbench's `replay.rs` still assigns it.
     pub seed: u64,
 }
 
@@ -223,7 +225,7 @@ impl SystemConfig {
     /// Keys mirror the struct fields (`n_devices`, `n_hosts`,
     /// `n_switches`, `cores_per_host`, `outstanding`, `compute`,
     /// `local_capacity_frac`, `ooo`, `translation_ns`, `threading`,
-    /// `warmup_batches`, `seed`) plus dotted paths into the optional
+    /// `warmup_batches`) plus dotted paths into the optional
     /// sub-configs: `placement.cxl_frac`, `placement.remote_frac`,
     /// `placement` (`all_local` / `all_cxl`), `pm.style` (`pifs` /
     /// `tpp`), `pm.migrate_threshold`, `pm.cold_age_threshold`,
@@ -244,7 +246,8 @@ impl SystemConfig {
     /// unparseable values, or values that would make a degenerate system:
     /// a zero count (`n_devices`, `n_hosts`, `n_switches`,
     /// `cores_per_host`, `outstanding`), a negative or non-finite
-    /// `local_capacity_frac`, a `pm.migrate_threshold` or
+    /// `local_capacity_frac`, a `placement.cxl_frac`,
+    /// `placement.remote_frac`, `pm.migrate_threshold` or
     /// `pm.cold_age_threshold` outside [0, 1] (NaN included), or a
     /// `buffer.capacity_kb` smaller than one row. The config is left
     /// unchanged in that case.
@@ -291,7 +294,6 @@ impl SystemConfig {
             "ooo" => self.ooo = parse(key, value)?,
             "translation_ns" => self.translation_ns = parse(key, value)?,
             "warmup_batches" => self.warmup_batches = parse(key, value)?,
-            "seed" => self.seed = parse(key, value)?,
             "compute" => {
                 self.compute = match value {
                     "host" => ComputeSite::Host,
@@ -316,12 +318,12 @@ impl SystemConfig {
             }
             "placement.cxl_frac" => {
                 self.placement = InitialPlacement::CxlFraction {
-                    cxl_frac: parse(key, value)?,
+                    cxl_frac: unit_fraction(key, value)?,
                 }
             }
             "placement.remote_frac" => {
                 self.placement = InitialPlacement::RemoteFraction {
-                    remote_frac: parse(key, value)?,
+                    remote_frac: unit_fraction(key, value)?,
                 }
             }
             "pm" if value == "off" => self.page_mgmt = None,
@@ -520,6 +522,12 @@ mod tests {
             ("pm.cold_age_threshold", "-inf"),
             ("pm.cold_age_threshold", "-0.1"),
             ("pm.cold_age_threshold", "2"),
+            ("placement.cxl_frac", "1.5"),
+            ("placement.cxl_frac", "-0.1"),
+            ("placement.cxl_frac", "nan"),
+            ("placement.remote_frac", "nan"),
+            ("placement.remote_frac", "inf"),
+            ("placement.remote_frac", "2"),
         ] {
             let err = c.apply_knob(key, value).unwrap_err();
             assert!(err.contains(key), "{key}={value}: {err}");
@@ -529,7 +537,12 @@ mod tests {
         c.apply_knob("local_capacity_frac", "0").unwrap();
         c.apply_knob("buffer.capacity_kb", "1").unwrap();
         c.apply_knob("outstanding", "1").unwrap();
-        for key in ["pm.migrate_threshold", "pm.cold_age_threshold"] {
+        for key in [
+            "pm.migrate_threshold",
+            "pm.cold_age_threshold",
+            "placement.cxl_frac",
+            "placement.remote_frac",
+        ] {
             c.apply_knob(key, "0").unwrap();
             c.apply_knob(key, "1").unwrap();
         }
@@ -542,6 +555,7 @@ mod tests {
         assert!(c.apply_knob("n_devices", "lots").is_err());
         assert!(c.apply_knob("pm.style", "magic").is_err());
         assert!(c.apply_knob("no_such_knob", "1").is_err());
+        assert!(c.apply_knob("seed", "7").is_err());
         assert_eq!(c, before);
     }
 

@@ -34,8 +34,6 @@ pub struct RunMetrics {
     pub migration_ns: u64,
     /// In-order accumulation stalls.
     pub ooo_stalls: u64,
-    /// Swap-register spills to SRAM.
-    pub sram_spills: u64,
     /// Bytes over the host↔switch links.
     pub host_link_bytes: u64,
     /// Functional checksum of every bag result (placement-independent up
@@ -82,7 +80,6 @@ impl RunMetrics {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct CounterOffsets {
     stalls: u64,
-    spills: u64,
     hits: u64,
     misses: u64,
     link_bytes: u64,
@@ -94,7 +91,6 @@ impl CounterOffsets {
         let mut off = CounterOffsets::default();
         for s in switches {
             off.stalls += s.engine.stalls;
-            off.spills += s.engine.sram_spills;
             if let Some(b) = &s.buffer {
                 off.hits += b.hits();
                 off.misses += b.misses();
@@ -120,7 +116,6 @@ impl CounterOffsets {
     ) {
         let now = Self::capture(switches, hosts);
         metrics.ooo_stalls += now.stalls - self.stalls;
-        metrics.sram_spills += now.spills - self.spills;
         metrics.buffer_hits += now.hits - self.hits;
         metrics.buffer_misses += now.misses - self.misses;
         metrics.host_link_bytes += now.link_bytes - self.link_bytes;

@@ -580,7 +580,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             group.iter().map(|&i| bag.cxl[i].1),
             &mut bag.scratch.sub_acc,
         );
-        ctx.switches[s_idx].engine.complete_cluster(cluster);
 
         // Ship the sub-result to the local switch (free when the
         // accumulation already happened locally).

@@ -4,16 +4,13 @@
 
 #![deny(missing_docs)]
 
-use cxlsim::{CxlParams, FabricSwitch, FlexBusLink, PortId, SwitchId, Topology, Type3Device};
+use cxlsim::{CxlParams, FabricSwitch, FlexBusLink, Topology, Type3Device};
 use memsim::{DramConfig, DramDevice};
 use simkit::SimTime;
 
 use super::config::{ComputeSite, SystemConfig};
 use crate::buffer::OnSwitchBuffer;
 use crate::ooo::AccumEngine;
-
-/// Swap registers in the OoO engine.
-pub(crate) const SWAP_REGS: usize = 8;
 
 /// Per-host simulation state: lookup cores, FlexBus links, local DRAM,
 /// and (for RecNMP) the DIMM cache.
@@ -81,45 +78,26 @@ impl Plant {
         assert!(cfg.n_devices >= 1, "need at least one device");
         assert!(cfg.n_switches >= 1, "need at least one switch");
 
-        let topo = if cfg.n_switches == 1 {
-            Topology::single_switch(cfg.n_devices as usize, cfg.n_hosts as usize, cfg.cxl)
-        } else {
-            Topology::custom(
-                cfg.n_switches,
-                (0..cfg.n_devices)
-                    .map(|d| SwitchId(d % cfg.n_switches))
-                    .collect(),
-                (0..cfg.n_hosts)
-                    .map(|h| SwitchId(h % cfg.n_switches))
-                    .collect(),
-                cfg.cxl,
-            )
-        };
+        let topo = Topology::new(cfg.n_switches, cfg.n_devices, cfg.n_hosts, cfg.cxl);
 
         let dim = cfg.model.emb_dim;
         let switches = (0..cfg.n_switches)
-            .map(|s| {
-                let mut sw = FabricSwitch::new(s, cfg.n_hosts as usize, cfg.cxl);
-                for d in topo.devices_on(SwitchId(s)) {
-                    sw.bind_device(PortId(d as u16));
-                }
-                SwitchCtx {
-                    sw,
-                    engine: AccumEngine::new(cfg.ooo, dim, SWAP_REGS),
-                    buffer: if cfg.compute == ComputeSite::Switch {
-                        cfg.buffer.map(|b| {
-                            OnSwitchBuffer::new(b.policy, b.capacity_bytes, cfg.model.row_bytes())
-                        })
-                    } else {
-                        None
-                    },
-                    decode_free: SimTime::ZERO,
-                }
+            .map(|_| SwitchCtx {
+                sw: FabricSwitch::new(cfg.cxl),
+                engine: AccumEngine::new(cfg.ooo, dim),
+                buffer: if cfg.compute == ComputeSite::Switch {
+                    cfg.buffer.map(|b| {
+                        OnSwitchBuffer::new(b.policy, b.capacity_bytes, cfg.model.row_bytes())
+                    })
+                } else {
+                    None
+                },
+                decode_free: SimTime::ZERO,
             })
             .collect();
 
         let devices = (0..cfg.n_devices)
-            .map(|d| Type3Device::new(d, cfg.cxl))
+            .map(|_| Type3Device::new(cfg.cxl))
             .collect();
 
         let hosts = (0..cfg.n_hosts)

@@ -11,7 +11,8 @@
 //!
 //! * [`instrflow`] — the MemOpcode checker that lets standard CXL
 //!   traffic bypass the process core untouched;
-//! * [`ooo`] — the out-of-order accumulation engine with swap registers;
+//! * [`ooo`] — the accumulate unit's timing: an in-order drain or a free
+//!   out-of-order cluster switch;
 //! * [`buffer`] — the on-switch SRAM buffer with the Hottest-Recording
 //!   (HTR) replacement policy, plus LRU/FIFO for comparison.
 //!

@@ -81,7 +81,6 @@ fn assert_run_eq(a: &RunMetrics, b: &RunMetrics, ctx: &str) {
     assert_eq!(a.migrations, b.migrations, "{ctx}: migrations");
     assert_eq!(a.migration_ns, b.migration_ns, "{ctx}: migration_ns");
     assert_eq!(a.ooo_stalls, b.ooo_stalls, "{ctx}: ooo_stalls");
-    assert_eq!(a.sram_spills, b.sram_spills, "{ctx}: sram_spills");
     assert_eq!(
         a.host_link_bytes, b.host_link_bytes,
         "{ctx}: host_link_bytes"

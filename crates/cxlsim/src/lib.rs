@@ -13,9 +13,10 @@
 //!   `vectorsize` and `SumCandidateCount` fields;
 //! * [`Type3Device`] — a DDR4 expander behind a downstream port
 //!   ([`memsim::DramDevice`] plus link serialization);
-//! * [`FabricSwitch`] — port bookkeeping, device binding (the Fabric
-//!   Manager endpoint's job) and switch transit latency;
-//! * [`Topology`] — multi-switch scale-out graphs for §IV-C.
+//! * [`FabricSwitch`] — the VCS transit delay every message pays and the
+//!   CNV bit marking a switch with a process core;
+//! * [`Topology`] — the multi-switch fabric of §IV-C: round-robin device
+//!   and host homes and the inter-switch hop latency.
 //!
 //! # Examples
 //!
@@ -23,7 +24,7 @@
 //! use cxlsim::{CxlParams, Type3Device};
 //! use simkit::SimTime;
 //!
-//! let mut dev = Type3Device::new(0, CxlParams::default());
+//! let mut dev = Type3Device::new(CxlParams::default());
 //! let done = dev.read(SimTime::ZERO, 0x1000, 64);
 //! // The device-side round trip alone (two port hops + DDR4 access) costs
 //! // tens of ns; the host↔switch hops add the rest of the ~100 ns penalty.
@@ -42,6 +43,6 @@ pub mod type3;
 pub use instr::M2sReq;
 pub use link::{CxlParams, FlexBusLink};
 pub use opcode::MemOpcode;
-pub use switch::{FabricSwitch, PortId};
+pub use switch::FabricSwitch;
 pub use topology::{SwitchId, Topology};
 pub use type3::Type3Device;

@@ -13,22 +13,26 @@ use crate::link::CxlParams;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SwitchId(pub u16);
 
-/// A fully connected multi-switch fabric.
+/// A fully connected multi-switch fabric with devices and hosts homed
+/// round-robin: device `d` on switch `d % n_switches`, host `h` on
+/// switch `h % n_switches`. One switch is the CXL 2.0 single-switch
+/// system; `n` switches with `n` devices and `n` hosts is the Fig 13(c)
+/// configuration ("each fabric switch has one local CXL memory and one
+/// host").
 ///
 /// # Examples
 ///
 /// ```
 /// use cxlsim::{CxlParams, SwitchId, Topology};
 ///
-/// let topo = Topology::fully_connected(4, CxlParams::default());
-/// assert_eq!(topo.hops(SwitchId(0), SwitchId(0)), 0);
-/// assert_eq!(topo.hops(SwitchId(0), SwitchId(3)), 1);
+/// let topo = Topology::new(4, 8, 4, CxlParams::default());
+/// assert_eq!(topo.device_switch(5), SwitchId(1));
+/// assert_eq!(topo.hop_latency(SwitchId(0), SwitchId(0)).as_ns(), 0);
 /// assert_eq!(topo.hop_latency(SwitchId(0), SwitchId(3)).as_ns(), 100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
-    n_switches: u16,
-    params: CxlParams,
+    inter_switch_ns: u64,
     /// device index → owning switch
     device_home: Vec<SwitchId>,
     /// host index → local switch
@@ -36,69 +40,20 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// A single-switch topology (CXL 2.0 style): all hosts and devices on
-    /// one switch.
-    pub fn single_switch(n_devices: usize, n_hosts: usize, params: CxlParams) -> Self {
-        Topology {
-            n_switches: 1,
-            params,
-            device_home: vec![SwitchId(0); n_devices],
-            host_home: vec![SwitchId(0); n_hosts],
-        }
-    }
-
-    /// A fully connected fabric of `n` switches, each with one host and
-    /// one device (the Fig 13(c) configuration: "each fabric switch has
-    /// one local CXL memory and one host").
-    pub fn fully_connected(n: u16, params: CxlParams) -> Self {
-        assert!(n >= 1, "need at least one switch");
-        Topology {
-            n_switches: n,
-            params,
-            device_home: (0..n).map(SwitchId).collect(),
-            host_home: (0..n).map(SwitchId).collect(),
-        }
-    }
-
-    /// A custom assignment of devices and hosts to switches.
+    /// A fabric of `n_switches` switches carrying `n_devices` devices and
+    /// `n_hosts` hosts, homed round-robin.
     ///
     /// # Panics
     ///
-    /// Panics if any assignment references a switch ≥ `n_switches`.
-    pub fn custom(
-        n_switches: u16,
-        device_home: Vec<SwitchId>,
-        host_home: Vec<SwitchId>,
-        params: CxlParams,
-    ) -> Self {
-        assert!(
-            device_home
-                .iter()
-                .chain(&host_home)
-                .all(|s| s.0 < n_switches),
-            "assignment references a nonexistent switch"
-        );
+    /// Panics if `n_switches` is zero.
+    pub fn new(n_switches: u16, n_devices: u16, n_hosts: u16, params: CxlParams) -> Self {
+        assert!(n_switches >= 1, "need at least one switch");
+        let home = |n: u16| (0..n).map(|i| SwitchId(i % n_switches)).collect();
         Topology {
-            n_switches,
-            params,
-            device_home,
-            host_home,
+            inter_switch_ns: params.inter_switch_ns,
+            device_home: home(n_devices),
+            host_home: home(n_hosts),
         }
-    }
-
-    /// Number of switches.
-    pub fn n_switches(&self) -> u16 {
-        self.n_switches
-    }
-
-    /// Number of devices in the fabric.
-    pub fn n_devices(&self) -> usize {
-        self.device_home.len()
-    }
-
-    /// Number of hosts in the fabric.
-    pub fn n_hosts(&self) -> usize {
-        self.host_home.len()
     }
 
     /// Switch owning device `dev`.
@@ -111,23 +66,10 @@ impl Topology {
         self.host_home[host]
     }
 
-    /// Inter-switch hop count (0 or 1 in a fully connected fabric).
-    pub fn hops(&self, a: SwitchId, b: SwitchId) -> u32 {
-        u32::from(a != b)
-    }
-
-    /// Extra latency for traversing from switch `a` to switch `b`.
+    /// Extra latency for traversing from switch `a` to switch `b`: one
+    /// inter-switch hop unless they are the same switch.
     pub fn hop_latency(&self, a: SwitchId, b: SwitchId) -> SimDuration {
-        SimDuration::from_ns(self.params.inter_switch_ns * self.hops(a, b) as u64)
-    }
-
-    /// Devices homed on switch `s`.
-    pub fn devices_on(&self, s: SwitchId) -> Vec<usize> {
-        self.device_home
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &h)| (h == s).then_some(i))
-            .collect()
+        SimDuration::from_ns(self.inter_switch_ns * u64::from(a != b))
     }
 }
 
@@ -136,29 +78,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_switch_has_no_hops() {
-        let t = Topology::single_switch(8, 2, CxlParams::default());
-        assert_eq!(t.n_switches(), 1);
-        assert_eq!(t.hops(SwitchId(0), SwitchId(0)), 0);
-        assert_eq!(t.device_switch(7), SwitchId(0));
-        assert_eq!(t.devices_on(SwitchId(0)).len(), 8);
+    fn one_switch_homes_everything_locally() {
+        let t = Topology::new(1, 8, 2, CxlParams::default());
+        for d in 0..8 {
+            assert_eq!(t.device_switch(d), SwitchId(0));
+        }
+        assert_eq!(t.host_switch(1), SwitchId(0));
+        assert_eq!(t.hop_latency(SwitchId(0), SwitchId(0)), SimDuration::ZERO);
     }
 
     #[test]
-    fn fully_connected_pairs_host_and_device_per_switch() {
-        let t = Topology::fully_connected(4, CxlParams::default());
-        assert_eq!(t.n_devices(), 4);
-        assert_eq!(t.n_hosts(), 4);
-        for i in 0..4 {
-            assert_eq!(t.device_switch(i), SwitchId(i as u16));
-            assert_eq!(t.host_switch(i), SwitchId(i as u16));
+    fn homes_are_round_robin() {
+        let t = Topology::new(4, 6, 5, CxlParams::default());
+        for d in 0..6 {
+            assert_eq!(t.device_switch(d), SwitchId(d as u16 % 4));
+        }
+        for h in 0..5 {
+            assert_eq!(t.host_switch(h), SwitchId(h as u16 % 4));
         }
     }
 
     #[test]
     fn remote_hop_costs_inter_switch_latency() {
         let p = CxlParams::default();
-        let t = Topology::fully_connected(2, p);
+        let t = Topology::new(2, 2, 2, p);
         assert_eq!(
             t.hop_latency(SwitchId(0), SwitchId(1)),
             SimDuration::from_ns(p.inter_switch_ns)
@@ -167,13 +110,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nonexistent switch")]
-    fn custom_rejects_bad_assignment() {
-        let _ = Topology::custom(
-            2,
-            vec![SwitchId(0), SwitchId(5)],
-            vec![SwitchId(0)],
-            CxlParams::default(),
-        );
+    #[should_panic(expected = "at least one switch")]
+    fn zero_switches_are_rejected() {
+        let _ = Topology::new(0, 1, 1, CxlParams::default());
     }
 }

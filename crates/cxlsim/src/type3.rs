@@ -20,14 +20,13 @@ use crate::link::{CxlParams, FlexBusLink};
 /// use cxlsim::{CxlParams, Type3Device};
 /// use simkit::SimTime;
 ///
-/// let mut dev = Type3Device::new(3, CxlParams::default());
+/// let mut dev = Type3Device::new(CxlParams::default());
 /// let done = dev.read(SimTime::ZERO, 0x40, 64);
 /// assert!(done.as_ns() >= 50);
 /// assert_eq!(dev.access_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Type3Device {
-    id: u16,
     dram: DramDevice,
     req_link: FlexBusLink,
     rsp_link: FlexBusLink,
@@ -35,25 +34,14 @@ pub struct Type3Device {
 }
 
 impl Type3Device {
-    /// Creates device `id` with the standard DDR4 expander organization.
-    pub fn new(id: u16, params: CxlParams) -> Self {
-        Self::with_dram(id, params, DramConfig::ddr4_cxl_expander())
-    }
-
-    /// Creates device `id` backed by a custom DRAM configuration.
-    pub fn with_dram(id: u16, params: CxlParams, dram_cfg: DramConfig) -> Self {
+    /// Creates a device with the standard DDR4 expander organization.
+    pub fn new(params: CxlParams) -> Self {
         Type3Device {
-            id,
-            dram: DramDevice::new(dram_cfg),
+            dram: DramDevice::new(DramConfig::ddr4_cxl_expander()),
             req_link: FlexBusLink::new(&params),
             rsp_link: FlexBusLink::new(&params),
             accesses: 0,
         }
-    }
-
-    /// Device id (the fabric manager's cacheID for this endpoint).
-    pub fn id(&self) -> u16 {
-        self.id
     }
 
     /// Reads `bytes` at `addr`; the request flit leaves the switch at
@@ -67,24 +55,9 @@ impl Type3Device {
             .transfer(data_ready, bytes + crate::M2sReq::WIRE_BYTES)
     }
 
-    /// Writes `bytes` at `addr`; returns when the device has absorbed the
-    /// data burst.
-    pub fn write(&mut self, now: SimTime, addr: u64, bytes: u64) -> SimTime {
-        self.accesses += 1;
-        let at_device = self
-            .req_link
-            .transfer(now, bytes + crate::M2sReq::WIRE_BYTES);
-        self.dram.access_span(at_device, addr, bytes, MemOp::Write)
-    }
-
     /// Total accesses served (Fig 13(b)'s per-device access frequency).
     pub fn access_count(&self) -> u64 {
         self.accesses
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.dram.config().org.capacity_bytes
     }
 }
 
@@ -95,7 +68,7 @@ mod tests {
     #[test]
     fn read_includes_link_and_dram_latency() {
         let p = CxlParams::default();
-        let mut dev = Type3Device::new(0, p);
+        let mut dev = Type3Device::new(p);
         let done = dev.read(SimTime::ZERO, 0, 64);
         // At minimum: two port hops + an ACT+CAS+burst DRAM access.
         assert!(done.as_ns() >= 2 * p.port_latency_ns + 20, "done={done}");
@@ -103,23 +76,15 @@ mod tests {
 
     #[test]
     fn reads_to_one_device_contend_on_its_links_and_banks() {
-        let mut dev = Type3Device::new(0, CxlParams::default());
+        let mut dev = Type3Device::new(CxlParams::default());
         let a = dev.read(SimTime::ZERO, 0, 4096);
         let b = dev.read(SimTime::ZERO, 1 << 20, 4096);
         assert!(b > a);
     }
 
     #[test]
-    fn writes_count_as_accesses() {
-        let mut dev = Type3Device::new(0, CxlParams::default());
-        dev.write(SimTime::ZERO, 0, 64);
-        dev.read(SimTime::ZERO, 0, 64);
-        assert_eq!(dev.access_count(), 2);
-    }
-
-    #[test]
     fn big_reads_serialize_on_the_response_link() {
-        let mut dev = Type3Device::new(0, CxlParams::default());
+        let mut dev = Type3Device::new(CxlParams::default());
         // 64 KB at 64 GB/s = 1 µs of serialization; dwarfs DRAM latency.
         let done = dev.read(SimTime::ZERO, 0, 64 * 1024);
         assert!(done.as_ns() >= 1000, "done={done}");

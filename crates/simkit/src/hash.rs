@@ -2,10 +2,9 @@
 //!
 //! The std `HashMap` defaults to SipHash-1-3, whose per-lookup cost
 //! would dominate several simulator hot paths: the on-switch buffer's
-//! row slots, the OoO engine's cluster sets, the per-epoch device/page
-//! counts, the page manager's private/public classification and the
-//! switch's port bindings. (Page hotness and the page table are dense
-//! arrays indexed by page id instead: their keys are `0..n_pages`.)
+//! row slots, the per-epoch device/page counts and the page manager's
+//! private/public classification. (Page hotness and the page table are
+//! dense arrays indexed by page id instead: their keys are `0..n_pages`.)
 //! Those maps key on small integers the workload controls, need no DoS
 //! hardening, and — crucially — never let iteration order leak into
 //! results (every consumer sorts or folds order-independently), so
@@ -19,9 +18,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` keyed with [`FxHasher`].
-pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -170,28 +170,23 @@ impl Sampler {
         idx
     }
 
-    fn draw_zipf(&mut self) -> u64 {
+    /// Zipf rank of one uniform draw: the first CDF entry at or above
+    /// it, clamped to the last rank.
+    fn zipf_rank(&mut self) -> u64 {
         let u = self.rng.unit_f64();
-        // Binary search the CDF; ranks are scattered over the row space
-        // so that popular rows are not physically adjacent.
-        let rank = match self
-            .zipf_cdf
-            .binary_search_by(|w| w.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.zipf_cdf.len() - 1) as u64,
-        };
-        scatter_rank(rank, self.rows)
+        let i = self.zipf_cdf.partition_point(|&w| w < u);
+        i.min(self.zipf_cdf.len() - 1) as u64
+    }
+
+    fn draw_zipf(&mut self) -> u64 {
+        // Ranks are scattered over the row space so that popular rows
+        // are not physically adjacent.
+        scatter_rank(self.zipf_rank(), self.rows)
     }
 
     /// Zipf draw returning the raw rank (hot rows contiguous at index 0).
     fn draw_zipf_rank(&mut self) -> u64 {
-        let u = self.rng.unit_f64();
-        match self
-            .zipf_cdf
-            .binary_search_by(|w| w.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) | Err(i) => (i.min(self.zipf_cdf.len() - 1) as u64).min(self.rows - 1),
-        }
+        self.zipf_rank().min(self.rows - 1)
     }
 
     fn draw_normal(&mut self, sigma_frac: f64) -> u64 {
