@@ -32,6 +32,24 @@ fn bench_dram(c: &mut Criterion) {
             done
         })
     });
+    g.bench_function("expander_row_reads_250x4_lines", |b| {
+        // One-channel CXL expander reads of 256 B embedding rows: each
+        // span is four lines of one DRAM row, scheduled by one row-run
+        // call (`Channel::access_run`).
+        let cfg = DramConfig::ddr4_cxl_expander();
+        b.iter(|| {
+            let mut dev = DramDevice::new(cfg);
+            let mut done = SimTime::ZERO;
+            let mut x = 9u64;
+            for i in 0..250u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let addr = (x % cfg.org.capacity_bytes) & !255;
+                let now = SimTime::from_ns(i * 8);
+                done = done.max(dev.access_span(now, black_box(addr), 256, MemOp::Read));
+            }
+            done
+        })
+    });
     g.bench_function("host_12ch_random_1k_lines", |b| {
         // The host's local DRAM (engine/topology.rs): 12 channels of
         // the Table II organization, a non-power-of-two channel count.
@@ -110,6 +128,26 @@ fn bench_channel(c: &mut Criterion) {
             let done = ch.access(black_box(now), &loc, MemOp::Read, &t);
             now += simkit::SimDuration::from_ns(2);
             done
+        })
+    });
+    g.bench_function("back_filled_claims", |b| {
+        // Arrivals up to 2 µs in the channel's past, as the closed-loop
+        // pipeline issues them: most bursts back-fill a recorded bus gap
+        // instead of queueing at the end of the schedule.
+        let mut ch = Channel::new(org);
+        let mut clock = 0u64;
+        let mut x = 7u64;
+        b.iter(|| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            clock += 3;
+            let loc = Location {
+                channel: 0,
+                rank: (x >> 20) as u32 % org.ranks,
+                bank: (x >> 24) as u32 % org.banks,
+                row: (x >> 32) % 4,
+            };
+            let now = SimTime::from_ns(clock.saturating_sub((x >> 40) % 2_000));
+            ch.access(black_box(now), &loc, MemOp::Read, &t)
         })
     });
     g.finish();

@@ -214,8 +214,12 @@ fn validate_axis_values(key: &str, values: &[ParamValue]) {
                 .iter()
                 .any(|s| s.label().eq_ignore_ascii_case(&spelled)))
             .then(|| format!("unknown scheme {spelled:?}")),
-            "trace" => (tracegen::Distribution::parse(&spelled).is_none())
-                .then(|| format!("unknown trace distribution {spelled:?}")),
+            "trace" => (tracegen::Distribution::parse(&spelled).is_none()).then(|| {
+                format!(
+                    "unknown trace distribution {spelled:?} (parameters must be finite, \
+                     exponents >= 0, reuse_frac in [0, 1] and sigma_frac > 0)"
+                )
+            }),
             // The rate is per-point; validate the spelling at a dummy 1 qps.
             "arrival" => tracegen::ArrivalProcess::parse(&spelled, 1.0).err(),
             "traffic" => pifs_bench::scenarios::adaptive::parse_traffic(&spelled, 1.0).err(),

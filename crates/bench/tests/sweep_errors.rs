@@ -132,6 +132,34 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
 }
 
 #[test]
+fn degenerate_trace_specs_die_naming_the_trace_axis() {
+    // Each of these used to parse, run, and write a meaningless row: a
+    // NaN or infinite exponent, a negative one, a reuse fraction outside
+    // [0, 1], and a NaN or non-positive normal width.
+    for spec in [
+        "zipf:nan",
+        "zipf:-1",
+        "zipf:inf",
+        "zipf_head:-2",
+        "normal:nan",
+        "normal:0",
+        "meta:1.5:1.05",
+        "meta:nan:1",
+        "meta:0.35:-1",
+    ] {
+        assert_dies(
+            &["sweep", "custom", "--param", &format!("trace={spec}")],
+            &["--param trace", spec],
+        );
+    }
+    // The Fig 12(b) scenario takes the same axis.
+    assert_dies(
+        &["sweep", "fig12b", "--param", "trace=zipf:nan"],
+        &["--param trace", "zipf:nan"],
+    );
+}
+
+#[test]
 fn out_of_range_cluster_sizes_die_instead_of_wrapping() {
     // Zero shards used to panic a worker; 65537 wrapped to one shard
     // and died in the merge; 2^32 + 64 replicas silently ran as 64.

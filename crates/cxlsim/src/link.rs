@@ -74,6 +74,7 @@ impl FlexBusLink {
 
     /// Enqueues a transfer of `bytes`; returns delivery time at the far
     /// end. Transfers serialize, modeling flex-bus congestion.
+    #[inline]
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         simkit::stats::record_events(1);
         self.inner.transfer(now, bytes)

@@ -41,6 +41,7 @@ impl FabricSwitch {
     }
 
     /// Adds VCS routing/arbitration transit to a message at `t`.
+    #[inline]
     pub fn transit(&self, t: SimTime) -> SimTime {
         simkit::stats::record_events(1);
         t + self.transit
@@ -53,6 +54,7 @@ impl FabricSwitch {
     }
 
     /// CNV: `true` when the switch can run in-switch accumulation.
+    #[inline]
     pub fn cnv(&self) -> bool {
         self.has_process_core
     }

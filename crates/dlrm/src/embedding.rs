@@ -261,6 +261,7 @@ impl EmbeddingTable {
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
+    #[inline]
     pub fn row_addr(&self, row: u64) -> u64 {
         assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
         self.base_addr + row * self.row_bytes()

@@ -168,6 +168,29 @@ impl LineDecoder {
             row: (rest >> s.ba_shift) >> s.ra_shift,
         }
     }
+
+    /// The location shared by the `lines` consecutive 64 B lines starting
+    /// at `addr`'s line, when they all lie in one DRAM row of one channel
+    /// without wrapping the capacity; `None` when they do not, or when
+    /// this organization's decode is not the shift path. One line is
+    /// always its own run.
+    #[inline]
+    pub fn row_run(&self, addr: u64, lines: u64) -> Option<Location> {
+        if lines > 1 {
+            let s = self.fast.as_ref()?;
+            // Consecutive lines interleave over channels, so only a
+            // one-channel device keeps a span in one channel.
+            if !matches!(s.channels, ChannelSplit::Shift { shift: 0, .. }) {
+                return None;
+            }
+            let line = (addr & s.cap_mask) >> 6;
+            let last = line.checked_add(lines - 1)?;
+            if last > s.cap_mask >> 6 || line >> s.lpr_shift != last >> s.lpr_shift {
+                return None;
+            }
+        }
+        Some(self.decode(addr))
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +268,50 @@ mod tests {
                 o.capacity_bytes,
             ] {
                 assert_eq!(d.decode(addr), decode_divide(addr, &o), "addr {addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_runs_are_exactly_the_single_row_spans() {
+        // Every line of a reported run decodes to the run's location,
+        // and a span of a one-channel device is a run exactly when it
+        // stays inside one row without wrapping the capacity.
+        let tiny = DramOrg {
+            channels: 1,
+            capacity_bytes: 1 << 14,
+            ..org()
+        };
+        let one = DramOrg {
+            channels: 1,
+            ..org()
+        };
+        // Smaller than one row: a span can wrap without leaving the row.
+        let sub_row = DramOrg {
+            capacity_bytes: 1 << 12,
+            ..tiny
+        };
+        for o in [org(), one, tiny, sub_row] {
+            let d = LineDecoder::new(o);
+            let lpr = o.row_bytes / 64;
+            let cap_lines = o.capacity_bytes / 64;
+            let mut x = 1u64;
+            for i in 0..20_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = x >> 20;
+                let lines = 1 + i % 9;
+                let run = d.row_run(addr, lines);
+                if let Some(loc) = run {
+                    for k in 0..lines {
+                        assert_eq!(d.decode((addr / 64 + k) * 64), loc, "addr {addr:#x} +{k}");
+                    }
+                }
+                let line = addr % o.capacity_bytes / 64;
+                let in_row = line % lpr + lines <= lpr && line + lines <= cap_lines;
+                let expected = lines == 1 || (o.channels == 1 && in_row);
+                assert_eq!(run.is_some(), expected, "addr {addr:#x} lines {lines}");
             }
         }
     }

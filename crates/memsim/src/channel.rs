@@ -1,8 +1,6 @@
 //! One DRAM channel: banks, rank-level activate limits, the shared data
 //! bus, and refresh.
 
-use std::collections::VecDeque;
-
 use simkit::{SimDuration, SimTime};
 
 use crate::addrmap::Location;
@@ -32,7 +30,16 @@ struct RankState {
 
 impl RankState {
     /// Slides `at` into the window, dropping the oldest ACT when full.
+    ///
+    /// The window is ordered by time only because ACTs arrive in time
+    /// order: `Channel::act_gate`'s tRRD term holds every new ACT at or
+    /// after the rank's newest one, even for a request back-filled into
+    /// the past.
     fn record_act(&mut self, at: SimTime) {
+        debug_assert!(
+            self.n_acts == 0 || at >= self.recent_acts[self.n_acts - 1],
+            "ACT at {at} precedes the rank's newest ACT"
+        );
         if self.n_acts == 4 {
             self.recent_acts.copy_within(1..4, 0);
             self.recent_acts[3] = at;
@@ -49,25 +56,130 @@ pub struct Channel {
     banks: Vec<BankState>,
     ranks: Vec<RankState>,
     org: DramOrg,
-    /// Time at which the shared data bus frees up.
-    bus_free: SimTime,
-    /// Recent idle windows on the data bus, oldest first. A burst whose
-    /// data is ready early may claim one instead of queueing at
-    /// `bus_free` — the reordering freedom an FR-FCFS controller has,
-    /// without which one bank-conflicted request head-of-line-blocks
-    /// every later burst. A capacity-bounded ring: the scan in
-    /// `claim_bus` walks it oldest-first exactly as the original flat
-    /// vec did, but evicting the oldest gap is an O(1) `pop_front`, and
-    /// the steady state allocates nothing.
-    free_gaps: VecDeque<(SimTime, SimTime)>,
+    bus: DataBus,
     /// Accumulated statistics.
     pub stats: ChannelStats,
 }
 
+/// Gaps a new bus-queue gap trims the list back to (see [`DataBus`]).
 const MAX_GAPS: usize = 64;
 
+/// The shared data bus's reservation calendar: the instant the bus frees
+/// up, and the recent idle windows before it.
+///
+/// A burst whose data is ready early may claim an idle window instead of
+/// queueing at `free` — the reordering freedom an FR-FCFS controller
+/// has, without which one bank-conflicted request head-of-line-blocks
+/// every later burst. The windows are pairwise disjoint and sorted
+/// ascending: each new one opens at the previous bus-free point, and a
+/// claim splits a window in place.
+///
+/// The live windows are `gaps[head..]`, oldest first, in one contiguous
+/// run. Queueing at `free` opens a new window and then trims the list to
+/// the newest [`MAX_GAPS`]; a claim that splits a window in the middle
+/// inserts without trimming, so the list may hold more than
+/// [`MAX_GAPS`] windows until the next queued burst. Trimming advances
+/// `head`, and the dead prefix is dropped only when the buffer is full,
+/// so the steady state neither shifts every entry nor allocates.
+#[derive(Debug, Clone)]
+struct DataBus {
+    free: SimTime,
+    gaps: Vec<(SimTime, SimTime)>,
+    head: usize,
+}
+
+impl DataBus {
+    fn new() -> Self {
+        DataBus {
+            free: SimTime::ZERO,
+            gaps: Vec::with_capacity(2 * MAX_GAPS),
+            head: 0,
+        }
+    }
+
+    /// The live idle windows, oldest first.
+    fn gaps(&self) -> &[(SimTime, SimTime)] {
+        &self.gaps[self.head..]
+    }
+
+    /// Drops the dead prefix when the buffer has no room left, so the
+    /// next insert reuses it instead of reallocating.
+    fn make_room(&mut self) {
+        if self.gaps.len() == self.gaps.capacity() && self.head > 0 {
+            self.gaps.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Claims a slot of `burst` length no earlier than `earliest`: the
+    /// oldest idle window that fits it, else the end of the schedule.
+    fn claim(&mut self, earliest: SimTime, burst: SimDuration) -> SimTime {
+        // Windows ending before `earliest + burst` cannot hold the burst.
+        // When the newest window is one of them none can, and the search
+        // is skipped — the common case once simulated time has passed
+        // the recorded windows. Otherwise the oldest fitting window is at
+        // or after the first one ending at or after that instant.
+        let end = earliest + burst;
+        if self.gaps().last().is_some_and(|&(_, ge)| end <= ge) {
+            for i in self.head + first_ending_at(self.gaps(), end)..self.gaps.len() {
+                let (gs, ge) = self.gaps[i];
+                let start = gs.max(earliest);
+                if start + burst <= ge {
+                    // Split the window around the claimed slot. The common
+                    // case (claim from the window's front, remainder
+                    // survives) edits it in place.
+                    if start == gs {
+                        if start + burst < ge {
+                            self.gaps[i].0 = start + burst;
+                        } else {
+                            self.gaps.remove(i);
+                        }
+                    } else {
+                        self.gaps[i].1 = start;
+                        if start + burst < ge {
+                            let at = i + 1 - self.head;
+                            self.make_room();
+                            self.gaps.insert(self.head + at, (start + burst, ge));
+                        }
+                    }
+                    return start;
+                }
+            }
+        }
+        let start = earliest.max(self.free);
+        if start > self.free {
+            self.make_room();
+            self.gaps.push((self.free, start));
+            self.head = self.head.max(self.gaps.len().saturating_sub(MAX_GAPS));
+        }
+        self.free = start + burst;
+        start
+    }
+}
+
+/// Index of the first window in `gaps` ending at or after `end`, given
+/// that the newest one does. Searches back from the newest window, where
+/// most claims land: it gallops over strides of 1, 2, 4, … windows until
+/// one ends before `end`, then bisects the last stride.
+#[inline]
+fn first_ending_at(gaps: &[(SimTime, SimTime)], end: SimTime) -> usize {
+    let mut hi = gaps.len() - 1;
+    let mut step = 1;
+    let lo = loop {
+        if hi < step {
+            break 0;
+        }
+        if gaps[hi - step].1 < end {
+            break hi - step + 1;
+        }
+        hi -= step;
+        step *= 2;
+    };
+    lo + gaps[lo..hi].partition_point(|&(_, ge)| ge < end)
+}
+
 /// Row-buffer and traffic statistics for one channel.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Row-buffer hits.
     pub hits: u64,
@@ -112,67 +224,9 @@ impl Channel {
             banks,
             ranks,
             org,
-            bus_free: SimTime::ZERO,
-            free_gaps: VecDeque::with_capacity(MAX_GAPS),
+            bus: DataBus::new(),
             stats: ChannelStats::default(),
         }
-    }
-
-    /// Claims a data-bus slot of `burst` length no earlier than
-    /// `earliest`; prefers filling a recorded idle gap, else queues at
-    /// the end of the bus schedule.
-    fn claim_bus(&mut self, earliest: SimTime, burst: SimDuration) -> SimTime {
-        // The gaps are pairwise disjoint and sorted ascending (each new
-        // gap opens at the previous bus-free point, and splits insert in
-        // place), so every gap ending before `earliest + burst` is
-        // unclaimable for this burst. When the newest gap's end is one
-        // of them no gap can fit and the scan is skipped — the common
-        // case once simulated time has advanced past the recorded
-        // windows. Otherwise the oldest-first scan starts at the first
-        // gap ending on or after it, found by binary search instead of
-        // walking the dead prefix. Selection is identical to the full
-        // scan.
-        if self
-            .free_gaps
-            .back()
-            .is_some_and(|&(_, ge)| earliest + burst <= ge)
-        {
-            let from = self
-                .free_gaps
-                .partition_point(|&(_, ge)| ge < earliest + burst);
-            for i in from..self.free_gaps.len() {
-                let (gs, ge) = self.free_gaps[i];
-                let start = gs.max(earliest);
-                if start + burst <= ge {
-                    // Split the gap around the claimed slot. The common
-                    // case (claim from the gap's front, remainder
-                    // survives) edits the slot in place; only a mid-gap
-                    // split shifts ring entries.
-                    if start == gs {
-                        if start + burst < ge {
-                            self.free_gaps[i] = (start + burst, ge);
-                        } else {
-                            self.free_gaps.remove(i);
-                        }
-                    } else {
-                        self.free_gaps[i] = (gs, start);
-                        if start + burst < ge {
-                            self.free_gaps.insert(i + 1, (start + burst, ge));
-                        }
-                    }
-                    return start;
-                }
-            }
-        }
-        let start = earliest.max(self.bus_free);
-        if start > self.bus_free {
-            self.free_gaps.push_back((self.bus_free, start));
-            while self.free_gaps.len() > MAX_GAPS {
-                self.free_gaps.pop_front();
-            }
-        }
-        self.bus_free = start + burst;
-        start
     }
 
     fn bank_index(&self, loc: &Location) -> usize {
@@ -229,6 +283,43 @@ impl Channel {
         op: MemOp,
         t: &TimingDurations,
     ) -> SimTime {
+        let (idx, cas_ready) = self.open_row(now, loc, t);
+        self.burst(idx, cas_ready, op, t)
+    }
+
+    /// Schedules `lines` 64 B accesses to the one row at `loc`, all
+    /// arriving at `now`; returns the instant the last burst completes.
+    ///
+    /// Channel state and statistics end exactly as after `lines` calls
+    /// to [`access`](Self::access) in turn: once the first line has
+    /// opened the row, no refresh is due before `now` and every later
+    /// line is a row hit whose column command is ready when the first
+    /// line's was (bursts move only the bank's precharge window). So the
+    /// row is opened once, and only the bus claims run per line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines` is zero.
+    pub fn access_run(
+        &mut self,
+        now: SimTime,
+        loc: &Location,
+        lines: u64,
+        op: MemOp,
+        t: &TimingDurations,
+    ) -> SimTime {
+        assert!(lines > 0, "a row run has at least one line");
+        let (idx, cas_ready) = self.open_row(now, loc, t);
+        self.stats.hits += lines - 1;
+        (0..lines).fold(SimTime::ZERO, |done, _| {
+            done.max(self.burst(idx, cas_ready, op, t))
+        })
+    }
+
+    /// Refresh, the rank's ACT gate and the bank's row preparation for an
+    /// access to `loc` arriving at `now`: returns the bank's index and
+    /// the instant its column command may issue.
+    fn open_row(&mut self, now: SimTime, loc: &Location, t: &TimingDurations) -> (usize, SimTime) {
         if self.apply_refresh(now, loc.rank, t) {
             self.stats.refresh_stalls += 1;
         }
@@ -248,18 +339,30 @@ impl Channel {
             debug_assert!(act_at >= acts_before);
             self.ranks[loc.rank as usize].record_act(act_at);
         }
+        (idx, cas_ready)
+    }
 
+    /// One 64 B data burst from bank `idx`, whose column command is ready
+    /// at `cas_ready`: claims the bus, then records the column command.
+    /// Returns the instant the burst completes.
+    fn burst(&mut self, idx: usize, cas_ready: SimTime, op: MemOp, t: &TimingDurations) -> SimTime {
         // The data burst must find a free slot on the shared bus; if the
         // bus is busy, the column command slips until the slot aligns.
-        let cas_to_data = match op {
-            MemOp::Read => t.cl,
-            MemOp::Write => t.cwl,
-        };
-        let earliest_data = cas_ready + cas_to_data;
-        let burst = t.burst;
-        let data_start = self.claim_bus(earliest_data, burst);
-        let cas_at = SimTime::from_ns(data_start.as_ns() - cas_to_data.as_ns());
+        let data_start = self.bus.claim(cas_ready + cas_to_data(op, t), t.burst);
+        self.complete(idx, data_start, op, t)
+    }
 
+    /// Records the column command of a burst from bank `idx` whose data
+    /// starts on the bus at `data_start`; returns the instant the burst
+    /// completes.
+    fn complete(
+        &mut self,
+        idx: usize,
+        data_start: SimTime,
+        op: MemOp,
+        t: &TimingDurations,
+    ) -> SimTime {
+        let cas_at = SimTime::from_ns(data_start.as_ns() - cas_to_data(op, t).as_ns());
         match op {
             MemOp::Read => {
                 self.banks[idx].complete_read(cas_at, t);
@@ -271,13 +374,26 @@ impl Channel {
             }
         }
         self.stats.bytes += 64;
-        data_start + burst
+        data_start + t.burst
+    }
+}
+
+/// Column command to first data: CL for reads, CWL for writes.
+fn cas_to_data(op: MemOp, t: &TimingDurations) -> SimDuration {
+    match op {
+        MemOp::Read => t.cl,
+        MemOp::Write => t.cwl,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::addrmap::LineDecoder;
     use crate::config::DramTimings;
 
     fn org() -> DramOrg {
@@ -388,5 +504,163 @@ mod tests {
         }
         let r = ch.stats.hit_ratio();
         assert!(r > 0.8, "expected high hit ratio, got {r}");
+    }
+
+    #[test]
+    fn back_filled_activates_stay_in_time_order() {
+        // Requests arrive newest first, each opening a row in a fresh
+        // bank of the one rank. tRRD holds every ACT at or after the
+        // rank's newest, so the tFAW window stays ordered (the debug
+        // assertion in `record_act` checks each slide) and the fifth ACT
+        // still waits for the first ACT's window.
+        let tt = t();
+        let mut ch = Channel::new(DramOrg { banks: 8, ..org() });
+        let mut acts = Vec::new();
+        for (i, bank) in (0..8u32).enumerate() {
+            let now = SimTime::from_ns(8_000 - 1_000 * i as u64);
+            ch.access(now, &loc(bank, 1 + u64::from(bank)), MemOp::Read, &tt);
+            acts.push(ch.banks[bank as usize].last_act());
+            let rank = &ch.ranks[0];
+            let window = &rank.recent_acts[..rank.n_acts];
+            assert!(window.windows(2).all(|w| w[0] <= w[1]), "{window:?}");
+            assert_eq!(window.last(), acts.last());
+        }
+        for w in acts.windows(2) {
+            assert!(w[1] >= w[0] + tt.rrd, "{acts:?}");
+        }
+        for w in acts.windows(5) {
+            assert!(w[4] >= w[0] + tt.faw, "{acts:?}");
+        }
+    }
+
+    /// The reference bus claim: a deque of gaps scanned oldest-first in
+    /// full, with no search bound, trimmed to [`MAX_GAPS`] only when a
+    /// queued burst pushes a new gap.
+    #[derive(Debug, Default)]
+    struct RefBus {
+        free: SimTime,
+        gaps: VecDeque<(SimTime, SimTime)>,
+    }
+
+    impl RefBus {
+        fn claim(&mut self, earliest: SimTime, burst: SimDuration) -> SimTime {
+            for i in 0..self.gaps.len() {
+                let (gs, ge) = self.gaps[i];
+                let start = gs.max(earliest);
+                if start + burst <= ge {
+                    if start == gs {
+                        if start + burst < ge {
+                            self.gaps[i] = (start + burst, ge);
+                        } else {
+                            self.gaps.remove(i);
+                        }
+                    } else {
+                        self.gaps[i] = (gs, start);
+                        if start + burst < ge {
+                            self.gaps.insert(i + 1, (start + burst, ge));
+                        }
+                    }
+                    return start;
+                }
+            }
+            let start = earliest.max(self.free);
+            if start > self.free {
+                self.gaps.push_back((self.free, start));
+                while self.gaps.len() > MAX_GAPS {
+                    self.gaps.pop_front();
+                }
+            }
+            self.free = start + burst;
+            start
+        }
+
+        fn assert_matches(&self, bus: &DataBus) {
+            assert_eq!(bus.free, self.free);
+            assert!(bus.gaps().iter().eq(self.gaps.iter()), "gap lists differ");
+        }
+    }
+
+    #[test]
+    fn mid_gap_splits_outgrow_the_trim_until_the_next_queued_burst() {
+        let burst = SimDuration::from_ns(2);
+        let mut bus = DataBus::new();
+        let mut model = RefBus::default();
+        let mut claim = |at: u64| {
+            let at = SimTime::from_ns(at);
+            assert_eq!(bus.claim(at, burst), model.claim(at, burst));
+            model.assert_matches(&bus);
+            bus.gaps().len()
+        };
+        // 70 queued bursts, each leaving a 10 ns gap: trimmed to 64.
+        for k in 0..70 {
+            claim(12 * k + 10);
+        }
+        assert_eq!(claim(12 * 69 + 10 + 2), MAX_GAPS);
+        // Claims in the middle of the newest gaps split them in two.
+        for k in 60..70 {
+            assert_eq!(claim(12 * k + 4), MAX_GAPS + k as usize - 59);
+        }
+        // The next burst that queues at the end trims back to 64.
+        assert_eq!(claim(10_000), MAX_GAPS);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bus_claims_match_the_full_scan_reference(
+            claims in collection::vec(any::<u64>(), 1..600),
+        ) {
+            // Claims wander forward and back in time with mixed burst
+            // lengths, so gaps open, split mid-way, fill exactly and
+            // pile up past the trim.
+            let mut bus = DataBus::new();
+            let mut model = RefBus::default();
+            let mut clock = 0u64;
+            for word in claims {
+                clock += word % 7;
+                let earliest = SimTime::from_ns(clock.saturating_sub((word >> 8) % 400));
+                let burst = SimDuration::from_ns(1 + (word >> 20) % 4);
+                prop_assert_eq!(bus.claim(earliest, burst), model.claim(earliest, burst));
+                model.assert_matches(&bus);
+            }
+        }
+
+        #[test]
+        fn channel_accesses_match_the_reference_bus(
+            accesses in collection::vec(any::<u64>(), 1..400),
+            twelve in any::<bool>(),
+        ) {
+            // A device's channels, each run twice: once as built and once
+            // with every bus claim answered by the reference. Arrivals
+            // step back in time by up to ~5 µs, so most land in the past
+            // of their channel and back-fill its recorded gaps.
+            let org = DramOrg {
+                channels: if twelve { 12 } else { 1 },
+                ..DramOrg::table2_local()
+            };
+            let tt = t();
+            let decoder = LineDecoder::new(org);
+            let n = org.channels as usize;
+            let mut real = vec![Channel::new(org); n];
+            let mut shadow = vec![Channel::new(org); n];
+            let mut buses: Vec<RefBus> = (0..n).map(|_| RefBus::default()).collect();
+            let mut clock = 0u64;
+            for word in accesses {
+                clock += word % 64;
+                let now = SimTime::from_ns(clock.saturating_sub((word >> 6) % 5_000));
+                // A few hot rows per bank: hits, empties and conflicts.
+                let line = (word >> 20) % (1 << 16);
+                let loc = decoder.decode(line * 64 * (1 + (word >> 40) % 3));
+                let op = if (word >> 50) % 4 == 0 { MemOp::Write } else { MemOp::Read };
+                let c = loc.channel as usize;
+                let done = real[c].access(now, &loc, op, &tt);
+                let (idx, cas_ready) = shadow[c].open_row(now, &loc, &tt);
+                let start = buses[c].claim(cas_ready + cas_to_data(op, &tt), tt.burst);
+                prop_assert_eq!(done, shadow[c].complete(idx, start, op, &tt));
+                prop_assert_eq!(real[c].stats, shadow[c].stats);
+                buses[c].assert_matches(&real[c].bus);
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@ pub struct DramDevice {
 }
 
 /// Aggregated statistics across all channels of a device.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Row-buffer hits.
     pub hits: u64,
@@ -101,10 +101,24 @@ impl DramDevice {
     }
 
     /// Schedules an access spanning `bytes` starting at `addr` (split into
-    /// 64 B lines); returns when the last line completes.
+    /// 64 B lines, all arriving at `now`); returns when the last line
+    /// completes.
+    ///
+    /// A span inside one DRAM row of one channel — every row read on a
+    /// one-channel device, such as a CXL expander — is one
+    /// [`Channel::access_run`] call, which leaves the device exactly as
+    /// the per-line [`access`](Self::access) calls would. Any other span
+    /// (one crossing a row boundary, wrapping the capacity, or
+    /// interleaved over channels) takes the per-line calls.
     pub fn access_span(&mut self, now: SimTime, addr: u64, bytes: u64, op: MemOp) -> SimTime {
         let first_line = addr / 64;
         let last_line = (addr + bytes.max(1) - 1) / 64;
+        let lines = last_line - first_line + 1;
+        if let Some(loc) = self.decoder.row_run(addr, lines) {
+            simkit::stats::record_events(lines);
+            let ch = &mut self.channels[loc.channel as usize];
+            return now.max(ch.access_run(now, &loc, lines, op, &self.durs));
+        }
         let mut done = now;
         for line in first_line..=last_line {
             done = done.max(self.access(now, line * 64, op));

@@ -70,6 +70,7 @@ impl HotnessTracker {
     ///
     /// Panics if `page` lies outside the tracker's page-id space or its
     /// count would pass `u32::MAX`.
+    #[inline]
     pub fn record(&mut self, page: PageId) {
         let c = &mut self.counts[page_slot(page)];
         if *c == 0 {

@@ -126,6 +126,7 @@ fn tier_slot(tier: Tier) -> usize {
 }
 
 /// `page`'s index into a dense per-page array.
+#[inline]
 pub(crate) fn page_slot(page: PageId) -> usize {
     usize::try_from(page.0).expect("page id exceeds the address space")
 }

@@ -61,6 +61,7 @@ impl BandwidthLink {
     }
 
     /// Serialization time for a payload of `bytes` on this link.
+    #[inline]
     pub fn serialization_delay(&self, bytes: u64) -> SimDuration {
         // ceil(bytes * 1024 / bytes_per_1024ns) nanoseconds.
         SimDuration::from_ns((bytes * 1024).div_ceil(self.bytes_per_1024ns))
@@ -69,6 +70,7 @@ impl BandwidthLink {
     /// Enqueues a transfer of `bytes` arriving at the link at `now`;
     /// returns the time the last byte (plus propagation) reaches the far
     /// end. Transfers are serviced in call order.
+    #[inline]
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = now.max(self.busy_until);
         let ser = self.serialization_delay(bytes);

@@ -35,6 +35,7 @@ impl DetRng {
     }
 
     /// Returns the next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         // SplitMix64 (Steele, Lea, Flood 2014).
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -49,6 +50,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a positive bound");
         // Lemire's multiply-shift rejection-free approximation is fine
@@ -58,6 +60,7 @@ impl DetRng {
     }
 
     /// Returns a uniform float in `[0, 1)`.
+    #[inline]
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

@@ -48,6 +48,7 @@ impl SimTime {
     }
 
     /// Returns the later of `self` and `other`.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -57,6 +58,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is after `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,

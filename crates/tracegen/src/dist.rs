@@ -50,6 +50,10 @@ impl Distribution {
     /// case-insensitive) or a parameterized form — `zipf:<s>`,
     /// `zipf_head:<s>`, `normal:<sigma_frac>`, `meta:<reuse_frac>:<s>`,
     /// `uniform`, `random`.
+    ///
+    /// Degenerate parameters parse to `None`, like any unknown spelling:
+    /// every parameter must be finite, an exponent `s` at least 0, a
+    /// `reuse_frac` in `[0, 1]` and a `sigma_frac` above 0.
     pub fn parse(spec: &str) -> Option<Distribution> {
         if let Some((_, dist)) = Self::fig12b_suite()
             .into_iter()
@@ -74,7 +78,20 @@ impl Distribution {
         };
         match parts.next() {
             Some(_) => None, // trailing junk
-            None => Some(dist),
+            None => dist.is_sound().then_some(dist),
+        }
+    }
+
+    /// Whether every parameter is in its domain (see [`parse`](Self::parse)).
+    fn is_sound(self) -> bool {
+        let exponent = |s: f64| s.is_finite() && s >= 0.0;
+        match self {
+            Distribution::Zipfian { s } | Distribution::ZipfianHead { s } => exponent(s),
+            Distribution::Normal { sigma_frac } => sigma_frac.is_finite() && sigma_frac > 0.0,
+            Distribution::MetaLike { reuse_frac, s } => {
+                (0.0..=1.0).contains(&reuse_frac) && exponent(s)
+            }
+            Distribution::Uniform | Distribution::Random => true,
         }
     }
 
@@ -104,10 +121,10 @@ pub struct Sampler {
     dist: Distribution,
     rows: u64,
     rng: DetRng,
-    /// Zipf: precomputed cumulative weights for binary search, shared by
-    /// every sampler of the same exponent and row count in the process
-    /// (empty for the other families).
-    zipf_cdf: Arc<[f64]>,
+    /// Zipf: the rank table, shared by every sampler of the same
+    /// exponent and row count in the process (`None` for the other
+    /// families).
+    zipf: Option<Arc<ZipfTable>>,
     /// Uniform: current stride position.
     stride_pos: u64,
     /// MetaLike: recent accesses ring buffer.
@@ -129,7 +146,7 @@ impl Sampler {
             dist,
             rows,
             rng,
-            zipf_cdf: zipf_cdf(dist, rows),
+            zipf: zipf_table(dist, rows),
             stride_pos: 0,
             recent: Vec::with_capacity(RECENT_WINDOW),
             recent_pos: 0,
@@ -170,12 +187,11 @@ impl Sampler {
         idx
     }
 
-    /// Zipf rank of one uniform draw: the first CDF entry at or above
-    /// it, clamped to the last rank.
+    /// Zipf rank of one uniform draw.
     fn zipf_rank(&mut self) -> u64 {
         let u = self.rng.unit_f64();
-        let i = self.zipf_cdf.partition_point(|&w| w < u);
-        i.min(self.zipf_cdf.len() - 1) as u64
+        let table = self.zipf.as_ref().expect("a Zipf family has a rank table");
+        table.rank(u) as u64
     }
 
     fn draw_zipf(&mut self) -> u64 {
@@ -201,14 +217,14 @@ impl Sampler {
     }
 }
 
-/// The Zipf CDF `dist` draws from over `rows` rows (empty, and not
-/// allocated, for the non-Zipf families).
-fn zipf_cdf(dist: Distribution, rows: u64) -> Arc<[f64]> {
+/// The Zipf rank table `dist` draws from over `rows` rows (`None` for the
+/// non-Zipf families).
+fn zipf_table(dist: Distribution, rows: u64) -> Option<Arc<ZipfTable>> {
     match dist {
         Distribution::Zipfian { s }
         | Distribution::ZipfianHead { s }
-        | Distribution::MetaLike { s, .. } => shared_zipf_cdf(rows, s),
-        _ => Arc::default(),
+        | Distribution::MetaLike { s, .. } => Some(shared_zipf_table(rows, s)),
+        _ => None,
     }
 }
 
@@ -217,42 +233,105 @@ fn zipf_cdf(dist: Distribution, rows: u64) -> Arc<[f64]> {
 /// probability mass at the exponents used here.
 const ZIPF_RANK_CAP: u64 = 262_144;
 
-/// The shared Zipf CDF over `min(rows, ZIPF_RANK_CAP)` ranks with
-/// exponent `s`. A CDF depends on nothing else, so each distinct one is
+/// The shared Zipf rank table over `min(rows, ZIPF_RANK_CAP)` ranks with
+/// exponent `s`. A table depends on nothing else, so each distinct one is
 /// built once per process and every later trace gets an `Arc` clone —
 /// sweeps regenerate the same few traces for many grid points.
-fn shared_zipf_cdf(rows: u64, s: f64) -> Arc<[f64]> {
-    type Cdfs = HashMap<(u64, u64), Arc<[f64]>>;
-    static CDFS: OnceLock<Mutex<Cdfs>> = OnceLock::new();
+fn shared_zipf_table(rows: u64, s: f64) -> Arc<ZipfTable> {
+    type Tables = HashMap<(u64, u64), Arc<ZipfTable>>;
+    static TABLES: OnceLock<Mutex<Tables>> = OnceLock::new();
     let n = rows.min(ZIPF_RANK_CAP);
     let key = (s.to_bits(), n);
-    let cdfs = CDFS.get_or_init(Mutex::default);
+    let tables = TABLES.get_or_init(Mutex::default);
     let poisoned = "a thread panicked holding the CDF cache";
-    if let Some(cdf) = cdfs.lock().expect(poisoned).get(&key) {
-        return Arc::clone(cdf);
+    if let Some(table) = tables.lock().expect(poisoned).get(&key) {
+        return Arc::clone(table);
     }
     // Build outside the lock so other threads' lookups never wait on it.
-    let built = build_zipf_cdf(n as usize, s);
-    Arc::clone(cdfs.lock().expect(poisoned).entry(key).or_insert(built))
+    let built = Arc::new(ZipfTable::new(n as usize, s));
+    Arc::clone(tables.lock().expect(poisoned).entry(key).or_insert(built))
 }
 
-/// Cumulative Zipf weights over `n` ranks.
-fn build_zipf_cdf(n: usize, s: f64) -> Arc<[f64]> {
-    let mut cdf: Arc<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-    let weights = Arc::get_mut(&mut cdf).expect("a fresh CDF is unshared");
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    for w in weights {
-        acc += *w / total;
-        *w = acc;
+/// A Zipf CDF with a guide table (Chen and Asau, 1974) that turns each
+/// draw's binary search into an expected O(1) lookup.
+///
+/// A draw `u` maps to a bucket `b(u) = min(⌊u·m⌋, m − 1)` of `m` equal
+/// buckets, and `b` never decreases as `u` grows. `guide[j]` counts the
+/// CDF entries whose own bucket is below `j`. Each of those is below
+/// every `u` in bucket `j`, and every entry below such a `u` has a
+/// bucket of at most `j`, so the first entry at or above `u` lies in
+/// `guide[j]..=guide[j + 1]`: the entries of bucket `j`. With as many
+/// buckets as ranks a bucket holds one entry on average, and the search
+/// inside it is a compare or two. It is a search, not a forward step,
+/// because a steep exponent piles the tail ranks into the last bucket
+/// (at `s = 2`, 62 % of 262 144 ranks share it). The result
+/// is exactly `partition_point(|&w| w < u)`, clamped to the last rank —
+/// the whole-CDF binary search it replaces — for every `u`, NaN and
+/// values outside `[0, 1)` included.
+#[derive(Debug)]
+struct ZipfTable {
+    /// Cumulative weights over the ranks, ascending.
+    cdf: Box<[f64]>,
+    /// Per bucket, the number of CDF entries in lower buckets, then the
+    /// total: `m + 1` entries.
+    guide: Box<[u32]>,
+}
+
+impl ZipfTable {
+    /// Cumulative Zipf weights over `n` ranks, and their guide table.
+    fn new(n: usize, s: f64) -> Self {
+        let mut cdf: Box<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let total: f64 = cdf.iter().sum();
+        let mut acc = 0.0;
+        for w in cdf.iter_mut() {
+            acc += *w / total;
+            *w = acc;
+        }
+        let mut table = ZipfTable {
+            cdf,
+            guide: Box::default(),
+        };
+        let mut below = 0;
+        table.guide = (0..=n)
+            .map(|j| {
+                while below < n && table.bucket(table.cdf[below]) < j {
+                    below += 1;
+                }
+                u32::try_from(below).expect("rank count fits in u32")
+            })
+            .collect();
+        table
     }
-    cdf
+
+    /// The bucket of draw `u`; the float-to-int cast saturates, so NaN
+    /// and negative draws fall in the first bucket.
+    #[inline]
+    fn bucket(&self, u: f64) -> usize {
+        ((u * self.cdf.len() as f64) as usize).min(self.cdf.len() - 1)
+    }
+
+    /// The rank of draw `u`: the first CDF entry at or above `u`, clamped
+    /// to the last rank.
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        let j = self.bucket(u);
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let i = lo + self.cdf[lo..hi].partition_point(|&w| w < u);
+        i.min(self.cdf.len() - 1)
+    }
 }
 
 /// Maps a popularity rank onto a physical row index, scattering hot ranks
 /// across the table (hot embeddings are not contiguous in practice).
 fn scatter_rank(rank: u64, rows: u64) -> u64 {
-    rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % rows
+    let h = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    // The stock tables have power-of-two row counts, whose remainder is
+    // a mask rather than a 64-bit division per draw.
+    if rows.is_power_of_two() {
+        h & (rows - 1)
+    } else {
+        h % rows
+    }
 }
 
 fn golden_stride(rows: u64) -> u64 {
@@ -378,6 +457,55 @@ mod tests {
         assert!(meta > zipf, "meta={meta} zipf={zipf}");
     }
 
+    /// The binary search the guide table replaces.
+    fn searched_rank(cdf: &[f64], u: f64) -> usize {
+        cdf.partition_point(|&w| w < u).min(cdf.len() - 1)
+    }
+
+    #[test]
+    fn guided_lookup_equals_the_clamped_binary_search() {
+        // The (ranks, exponent) tables `repro -- all` and the CI serving
+        // sweeps build, then the exponent extremes at assorted sizes
+        // (flat, mild, steep; one rank, odd counts, the rank cap).
+        let registry = [
+            (1_024, 1.05),
+            (2_048, 1.05),
+            (4_096, 1.05),
+            (8_192, 1.05),
+            (16_384, 1.05),
+            (32_768, 1.05),
+            (65_536, 1.05),
+            (65_536, 0.8),
+        ];
+        let extremes = [1, 2, 3, 1_000, 12_345, 65_536, ZIPF_RANK_CAP as usize]
+            .into_iter()
+            .flat_map(|n| [(n, 0.0), (n, 0.5), (n, 2.0)]);
+        for (n, s) in registry.into_iter().chain(extremes) {
+            let table = ZipfTable::new(n, s);
+            let cdf = &table.cdf[..];
+            let last = cdf[n - 1];
+            let probes = cdf
+                .iter()
+                .flat_map(|&w| [w, w.next_up(), w.next_down()])
+                .chain([0.0, -0.0, last.next_up(), 1.0, 1.5, f64::INFINITY])
+                .chain([-1.0, f64::NEG_INFINITY, f64::NAN, f64::MIN_POSITIVE]);
+            for u in probes {
+                assert_eq!(table.rank(u), searched_rank(cdf, u), "n={n} s={s} u={u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn guided_draws_match_the_binary_search_stream() {
+        // Whole draw streams, as the samplers make them.
+        let table = shared_zipf_table(65_536, 1.05);
+        let mut rng = DetRng::new(11);
+        for _ in 0..200_000 {
+            let u = rng.unit_f64();
+            assert_eq!(table.rank(u), searched_rank(&table.cdf, u), "u={u:e}");
+        }
+    }
+
     #[test]
     fn samplers_are_deterministic() {
         let draws = |seed| {
@@ -416,6 +544,35 @@ mod tests {
         );
         assert_eq!(Distribution::parse("uniform"), Some(Distribution::Uniform));
         assert_eq!(Distribution::parse("zipf"), None);
+        assert_eq!(
+            Distribution::parse("zipf:0"),
+            Some(Distribution::Zipfian { s: 0.0 })
+        );
+        assert_eq!(
+            Distribution::parse("meta:1:0"),
+            Some(Distribution::MetaLike {
+                reuse_frac: 1.0,
+                s: 0.0
+            })
+        );
+        for degenerate in [
+            "zipf:nan",
+            "zipf:-1",
+            "zipf:inf",
+            "zipf_head:-0.5",
+            "zipf_head:NaN",
+            "normal:nan",
+            "normal:0",
+            "normal:-0.1",
+            "normal:inf",
+            "meta:1.5:1.05",
+            "meta:-0.1:1.05",
+            "meta:nan:1",
+            "meta:0.35:-1",
+            "meta:0.35:inf",
+        ] {
+            assert_eq!(Distribution::parse(degenerate), None, "{degenerate}");
+        }
         assert_eq!(Distribution::parse("zipf:0.9:junk"), None);
         assert_eq!(Distribution::parse("nope"), None);
     }

@@ -72,11 +72,13 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if any coordinate is out of range.
+    #[inline]
     pub fn bag(&self, batch: usize, table: u32, sample: u32) -> &[u64] {
         self.sample_slice(&self.batches[batch].tables[table as usize], sample)
     }
 
     /// Sample `sample`'s row slice within one table's lookups.
+    #[inline]
     fn sample_slice<'a>(&self, t: &'a TableLookups, sample: u32) -> &'a [u64] {
         let start = sample as usize * self.bag_size as usize;
         &t.indices[start..start + self.bag_size as usize]
