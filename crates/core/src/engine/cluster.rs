@@ -372,9 +372,11 @@ impl ShardPlacement {
 /// What one cluster run measured.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
-    /// Queries served (each counted once, however many shards it hit).
+    /// Queries offered (each counted once, however many shards it hit),
+    /// shed and lost ones included.
     pub queries: u64,
-    /// Per-query enqueue→merged-response latency.
+    /// Per-query enqueue→merged-response latency of the answered
+    /// queries (folded from [`Self::per_tenant`]).
     pub latency: LatencyHist,
     /// Completion of the last merged response, ns.
     pub makespan_ns: u64,
@@ -429,7 +431,8 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// Achieved cluster throughput in queries per second.
+    /// Offered queries per second of makespan (shed and lost queries
+    /// count, see [`Self::queries`]).
     pub fn achieved_qps(&self) -> f64 {
         if self.makespan_ns == 0 {
             0.0
@@ -807,7 +810,6 @@ fn merge_timing(
             }
             Some(done) => {
                 let latency = since_arrival(qid, arrival, done);
-                m.latency.record(latency);
                 m.per_tenant[tenant].queries += 1;
                 m.per_tenant[tenant].latency.record(latency);
                 let served = total - lost_rows;
@@ -837,6 +839,9 @@ fn merge_timing(
     } else {
         coverage_sum / routed.arrivals.len() as f64
     };
+    for t in &m.per_tenant {
+        m.latency.merge(&t.latency);
+    }
     excluded
 }
 

@@ -30,7 +30,7 @@
 //!   `max_wait_ns` at session start) stays conservative — see
 //!   the session's `LatencyWindows`.
 //! * `batch_size` is bounded by [`BATCH_GROWTH_CAP`] × base, so the
-//!   session's pending-bag store stays bounded.
+//!   batcher's store of pending queries and their bags stays bounded.
 
 #![deny(missing_docs)]
 
@@ -44,7 +44,7 @@ use super::serving::ServingConfig;
 pub const TICK_BATCHES: u32 = 4;
 
 /// Ceiling on adaptive batch growth, as a multiple of the configured
-/// base `batch_size` (bounds the pending-bag store).
+/// base `batch_size` (bounds the batcher's pending store).
 pub const BATCH_GROWTH_CAP: u32 = 4;
 
 /// Floor on adaptive max-wait shrink, as a divisor of the configured

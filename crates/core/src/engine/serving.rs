@@ -4,14 +4,14 @@
 //! Closed-loop runs ([`SlsSystem::run_trace`]) feed batches back-to-back
 //! and report aggregate runtime — load is whatever the engine absorbs.
 //! Serving mode inverts that: queries arrive at externally generated
-//! timestamps (see [`tracegen::arrival`]), wait in a FIFO queue, and a
-//! [`QueryBatcher`] closes dynamic batches when either the batch fills
-//! ([`ServingConfig::batch_size`]) or the oldest query has waited
-//! [`ServingConfig::max_wait_ns`]. Each closed batch is dispatched to
-//! the per-bag stage pipeline (`engine/pipeline.rs`) as soon as
-//! its host is free, and every query's enqueue→completion latency lands
-//! in a streaming [`LatencyHist`] — the p50/p99 a latency-vs-QPS curve
-//! plots.
+//! timestamps (see [`tracegen::arrival`]), wait with their bags in the
+//! [`QueryBatcher`]'s FIFO store, and the batcher closes dynamic
+//! batches when either the batch fills ([`ServingConfig::batch_size`])
+//! or the oldest query has waited [`ServingConfig::max_wait_ns`]. Each
+//! closed batch is dispatched to the per-bag stage pipeline
+//! (`engine/pipeline.rs`) as soon as its host is free, and every
+//! query's enqueue→completion latency lands in a streaming
+//! [`LatencyHist`] — the p50/p99 a latency-vs-QPS curve plots.
 //!
 //! Everything here is deterministic: batch formation depends only on
 //! the arrival timestamps and the batcher knobs, ties at the same
@@ -133,25 +133,15 @@ impl ShedPolicy {
     }
 }
 
-/// One query waiting in (or dispatched from) the serving queue.
+/// One query waiting in the serving queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingQuery {
-    /// Query id: the index into the arrival stream, which is also the
-    /// index of the query's bags in the backing trace.
+    /// Query id: the push-sequential index into the arrival stream.
     pub qid: u64,
     /// Enqueue timestamp.
     pub arrival: SimTime,
-}
-
-/// A batch the batcher has closed, ready for dispatch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadyBatch {
-    /// The member queries, in arrival (FIFO) order.
-    pub queries: Vec<PendingQuery>,
-    /// The instant the batch closed: the triggering arrival's timestamp
-    /// (full batch) or the oldest member's deadline (timeout). Dispatch
-    /// starts at `max(close, host ready)`.
-    pub close: SimTime,
+    /// Tenant tag (0 for untagged pushes).
+    pub tenant: u16,
 }
 
 /// Reusable buffers for the open-loop dispatch path — the serving-side
@@ -171,35 +161,59 @@ pub(crate) struct ServingScratch {
     pub parts_memo: Option<(u32, Vec<Vec<dlrm::query::WorkItem>>)>,
 }
 
-/// The query batcher: a FIFO of pending queries with fill and max-wait
-/// close conditions.
+/// The query batcher and the one store of pending queries: each
+/// pending query's [`PendingQuery`] record plus its per-table row bags,
+/// in arrival (FIFO) order, under fill and max-wait close conditions.
+///
+/// A closed batch is always *every* pending query: [`Self::offer`] and
+/// [`Self::flush_due`] return only the close instant, the caller reads
+/// the members in place ([`Self::pending`], [`Self::bag`]) and then
+/// [`Self::clear`]s the store, which keeps its capacity — so a steady
+/// stream dispatches without allocating.
 ///
 /// Driver contract: before admitting an arrival at time `t`, call
-/// [`Self::flush_due`]`(t)` until it returns `None` (a timeout strictly
-/// before — or exactly at — `t` fires first); then [`Self::offer`] the
-/// arrival. After the last arrival, drain with [`Self::flush_due`] at
-/// `SimTime::MAX` (trailing queries fire at their deadline, exactly as
-/// they would had more traffic followed).
+/// [`Self::flush_due`]`(t)` and, while it returns a close instant,
+/// dispatch and clear (a timeout strictly before — or exactly at — `t`
+/// fires first); then [`Self::offer`] the arrival. After the last
+/// arrival, drain with [`Self::flush_due`] at `SimTime::MAX` (trailing
+/// queries fire at their deadline, exactly as they would had more
+/// traffic followed).
 #[derive(Debug, Clone)]
 pub struct QueryBatcher {
     batch_size: usize,
     max_wait: SimDuration,
-    pending: VecDeque<PendingQuery>,
+    n_tables: u32,
+    pending: Vec<PendingQuery>,
+    /// Pending queries' rows, query-major then table-major, flat.
+    rows: Vec<u64>,
+    /// Bag boundaries into `rows`: pending query `p`, table `t` spans
+    /// `rows[offsets[p * n_tables + t]..offsets[p * n_tables + t + 1]]`
+    /// (leading sentinel 0).
+    offsets: Vec<usize>,
 }
 
 impl QueryBatcher {
-    /// Creates an empty batcher with `cfg`'s knobs.
+    /// Creates an empty batcher with `cfg`'s knobs, storing `n_tables`
+    /// bags per query.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.batch_size` is zero.
-    pub fn new(cfg: &ServingConfig) -> Self {
+    pub fn new(cfg: &ServingConfig, n_tables: u32) -> Self {
         assert!(cfg.batch_size > 0, "serving batch size must be positive");
         QueryBatcher {
             batch_size: cfg.batch_size as usize,
             max_wait: SimDuration::from_ns(cfg.max_wait_ns),
-            pending: VecDeque::new(),
+            n_tables,
+            pending: Vec::new(),
+            rows: Vec::new(),
+            offsets: vec![0],
         }
+    }
+
+    /// Tables per stored query.
+    pub fn n_tables(&self) -> u32 {
+        self.n_tables
     }
 
     /// Number of queries currently pending.
@@ -212,37 +226,73 @@ impl QueryBatcher {
         self.pending.is_empty()
     }
 
+    /// The pending queries, in arrival (FIFO) order: after a close, the
+    /// batch's members.
+    pub fn pending(&self) -> &[PendingQuery] {
+        &self.pending
+    }
+
+    /// Pending query `p`'s rows in `table` (`p` indexes
+    /// [`Self::pending`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `table` is out of range.
+    pub fn bag(&self, p: usize, table: u32) -> &[u64] {
+        assert!(table < self.n_tables, "table {table} out of range");
+        let i = p * self.n_tables as usize + table as usize;
+        &self.rows[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Empties the store after a closed batch has been dispatched,
+    /// keeping every buffer's capacity.
+    pub fn clear(&mut self) {
+        self.pending.clear();
+        self.rows.clear();
+        self.offsets.truncate(1);
+    }
+
     /// The instant the oldest pending query's max-wait expires, or
     /// `None` when the queue is empty.
     pub fn deadline(&self) -> Option<SimTime> {
-        self.pending.front().map(|q| q.arrival + self.max_wait)
+        self.pending.first().map(|q| q.arrival + self.max_wait)
     }
 
-    /// Admits one arrival. Returns the closed batch when this arrival
-    /// fills it (close time = `at`). Arrivals at the same `SimTime`
-    /// keep their call order — the FIFO tie-break.
-    pub fn offer(&mut self, qid: u64, at: SimTime) -> Option<ReadyBatch> {
+    /// Admits one arrival, copying its `n_tables` bags into the store
+    /// (so the source buffers are free to be reused at once). Returns
+    /// the close instant (`at`) when this arrival fills the batch.
+    /// Arrivals at the same `SimTime` keep their call order — the FIFO
+    /// tie-break.
+    pub fn offer(
+        &mut self,
+        qid: u64,
+        tenant: u16,
+        at: SimTime,
+        bags: &(impl QueryBags + ?Sized),
+    ) -> Option<SimTime> {
         debug_assert!(
             self.deadline().is_none_or(|d| d > at),
             "flush_due must run before offer admits an arrival at {at}"
         );
-        self.pending.push_back(PendingQuery { qid, arrival: at });
-        (self.pending.len() >= self.batch_size).then(|| ReadyBatch {
-            queries: self.pending.drain(..).collect(),
-            close: at,
-        })
+        self.pending.push(PendingQuery {
+            qid,
+            arrival: at,
+            tenant,
+        });
+        for t in 0..self.n_tables {
+            self.rows.extend_from_slice(bags.bag(t));
+            self.offsets.push(self.rows.len());
+        }
+        (self.pending.len() >= self.batch_size).then_some(at)
     }
 
-    /// Fires the max-wait timeout if it is due at `now` (inclusive):
-    /// returns the part-full batch closed at its deadline, or `None`
-    /// when the queue is empty or the oldest query can still wait. An
-    /// empty tick (`flush_due` on an empty batcher) is a no-op.
-    pub fn flush_due(&mut self, now: SimTime) -> Option<ReadyBatch> {
-        let deadline = self.deadline()?;
-        (deadline <= now).then(|| ReadyBatch {
-            queries: self.pending.drain(..).collect(),
-            close: deadline,
-        })
+    /// Whether the max-wait timeout is due at `now` (inclusive):
+    /// returns the part-full batch's close instant (the oldest query's
+    /// deadline), or `None` when the queue is empty or the oldest query
+    /// can still wait. An empty tick (`flush_due` on an empty batcher)
+    /// is a no-op.
+    pub fn flush_due(&self, now: SimTime) -> Option<SimTime> {
+        self.deadline().filter(|&deadline| deadline <= now)
     }
 
     /// Retunes the close conditions mid-stream (the serving
@@ -299,7 +349,9 @@ pub struct ServingMetrics {
     /// the slot exists (downstream merges index by qid) but spans zero
     /// service.
     pub shed_qids: Vec<u64>,
-    /// Per-tenant splits, tenant-index order. Untagged pushes
+    /// Per-tenant splits, tenant-index order: where each query is
+    /// booked, and what `queries`, `shed`, `latency` and `wait` are
+    /// folded from at finish. Untagged pushes
     /// ([`SlsSystem::open_loop_push`]) land on tenant 0, so a
     /// single-tenant run has one entry mirroring the whole-run
     /// aggregates.
@@ -673,21 +725,24 @@ impl LatencyWindows {
 /// [`SlsSystem::open_loop_begin`] and [`SlsSystem::open_loop_finish`].
 ///
 /// Holds everything `run_open_loop`'s two-phase implementation kept on
-/// the stack — the batcher, the accumulating metrics, the counter
-/// snapshots, and the warm-start time base — plus a bounded store of
-/// the pending (not yet dispatched) queries' bags: at most
-/// `batch_size` queries × `n_tables` bags, recycled at every dispatch.
-/// `Clone` is the checkpoint primitive: a cloned session (inside a
-/// cloned [`SlsSystem`](crate::system::SlsSystem)) resumes
-/// byte-identically.
+/// the stack — the batcher (the one store of pending queries and their
+/// bags: at most one batch, recycled at every dispatch), the
+/// accumulating metrics, the counter snapshots, and the warm-start time
+/// base. Each query is booked once, in its tenant's
+/// [`TenantServing`] slot; the whole-run aggregates are folded from
+/// those slots at finish. `Clone` is the checkpoint primitive: a cloned
+/// session (inside a cloned [`SlsSystem`](crate::system::SlsSystem))
+/// resumes byte-identically.
 ///
 /// [`SlsSystem::open_loop_begin`]: crate::system::SlsSystem::open_loop_begin
 /// [`SlsSystem::open_loop_finish`]: crate::system::SlsSystem::open_loop_finish
 #[derive(Debug, Clone)]
 pub(crate) struct OpenLoopSession {
-    /// The dynamic batcher.
+    /// The dynamic batcher and pending-query store.
     pub batcher: QueryBatcher,
-    /// Metrics accumulated so far.
+    /// Metrics accumulated so far: `per_tenant`, `shed_qids`,
+    /// `completion` and the batch-fill sum; the whole-run aggregates
+    /// are filled at finish.
     pub serving: ServingMetrics,
     /// Sum of per-bag latencies (for `mean_bag_ns`).
     pub bag_latency_sum: u128,
@@ -695,37 +750,19 @@ pub(crate) struct OpenLoopSession {
     pub dev_offset: Vec<u64>,
     /// Hardware counters at session start.
     pub counter_offsets: CounterOffsets,
-    /// The warm-start time base: max host `next_free` at begin.
-    pub t0: SimTime,
-    /// `t0` as a shift applied to every arrival timestamp.
+    /// The warm-start time base (max host `next_free` at begin), as a
+    /// shift applied to every run-relative arrival timestamp.
     pub shift: SimDuration,
     /// Batches dispatched so far (the host round-robin cursor).
     pub batches_dispatched: u64,
     /// Record the per-query completion vector.
     pub record_completion: bool,
-    /// Tables per query (the partition layout input).
-    pub n_tables: u32,
-    /// Pending queries' rows, query-major then table-major, flat.
-    pub rows: Vec<u64>,
-    /// Bag boundaries into `rows`: pending query `p`, table `t` spans
-    /// `rows[offsets[p * n_tables + t]..offsets[p * n_tables + t + 1]]`
-    /// (leading sentinel 0).
-    pub offsets: Vec<usize>,
     /// Windowed latency accounting, when requested.
     pub windows: Option<LatencyWindows>,
     /// Next query id to assign (== queries pushed so far).
     pub next_qid: u64,
     /// Latest pushed arrival (monotonicity check).
     pub last_arrival: SimTime,
-    /// Shed queries awaiting their slot in the completion vector
-    /// (qid, arrival): completions index by qid, and a shed query's
-    /// neighbours may still be pending when it is dropped, so its entry
-    /// is spliced in as the surrounding batches retire. Only populated
-    /// when completions are recorded and the shed policy is active.
-    pub shed_completions: VecDeque<(u64, SimTime)>,
-    /// Pending queries' tenant tags, parallel to the pending-bag store
-    /// (untagged pushes record tenant 0).
-    pub tenants: Vec<u16>,
     /// The adaptive-knob controller (a no-op under
     /// [`ControllerPolicy::Fixed`]).
     pub controller: ServingController,
@@ -735,32 +772,62 @@ pub(crate) struct OpenLoopSession {
 mod tests {
     use super::*;
 
+    /// Tables per query in the batcher tests.
+    const TABLES: u32 = 2;
+
     fn batcher(batch_size: u32, max_wait_ns: u64) -> QueryBatcher {
-        QueryBatcher::new(&ServingConfig {
-            batch_size,
-            max_wait_ns,
-            ..ServingConfig::default()
-        })
+        QueryBatcher::new(
+            &ServingConfig {
+                batch_size,
+                max_wait_ns,
+                ..ServingConfig::default()
+            },
+            TABLES,
+        )
     }
 
-    fn qids(b: &ReadyBatch) -> Vec<u64> {
-        b.queries.iter().map(|q| q.qid).collect()
+    /// Query `qid`'s bags: table `t` holds `t + 1` rows derived from
+    /// the qid, so every member's store entry is distinguishable.
+    fn bags_of(qid: u64) -> Vec<Vec<u64>> {
+        (0..TABLES as u64)
+            .map(|t| (0..=t).map(|i| qid * 100 + t * 10 + i).collect())
+            .collect()
+    }
+
+    fn offer(b: &mut QueryBatcher, qid: u64, at_ns: u64) -> Option<SimTime> {
+        b.offer(qid, 0, SimTime::from_ns(at_ns), bags_of(qid).as_slice())
+    }
+
+    /// The pending members' qids, asserting each one's stored bags came
+    /// back intact.
+    fn qids(b: &QueryBatcher) -> Vec<u64> {
+        b.pending()
+            .iter()
+            .enumerate()
+            .map(|(p, q)| {
+                for (t, bag) in (0..TABLES).zip(bags_of(q.qid)) {
+                    assert_eq!(b.bag(p, t), bag, "query {} table {t}", q.qid);
+                }
+                q.qid
+            })
+            .collect()
     }
 
     #[test]
     fn fills_close_at_the_triggering_arrival() {
         let mut b = batcher(3, 1_000);
-        assert!(b.offer(0, SimTime::from_ns(10)).is_none());
-        assert!(b.offer(1, SimTime::from_ns(20)).is_none());
-        let batch = b.offer(2, SimTime::from_ns(30)).expect("batch full");
-        assert_eq!(qids(&batch), [0, 1, 2]);
-        assert_eq!(batch.close, SimTime::from_ns(30));
+        assert!(offer(&mut b, 0, 10).is_none());
+        assert!(offer(&mut b, 1, 20).is_none());
+        let close = offer(&mut b, 2, 30).expect("batch full");
+        assert_eq!(qids(&b), [0, 1, 2]);
+        assert_eq!(close, SimTime::from_ns(30));
+        b.clear();
         assert!(b.is_empty());
     }
 
     #[test]
     fn empty_tick_is_a_no_op() {
-        let mut b = batcher(4, 1_000);
+        let b = batcher(4, 1_000);
         assert!(b.flush_due(SimTime::from_ns(5_000)).is_none());
         assert!(b.is_empty());
         assert_eq!(b.deadline(), None);
@@ -769,14 +836,15 @@ mod tests {
     #[test]
     fn max_wait_fires_before_the_batch_fills() {
         let mut b = batcher(8, 1_000);
-        assert!(b.offer(0, SimTime::from_ns(100)).is_none());
-        assert!(b.offer(1, SimTime::from_ns(600)).is_none());
+        assert!(offer(&mut b, 0, 100).is_none());
+        assert!(offer(&mut b, 1, 600).is_none());
         // Not due yet at 1099…
         assert!(b.flush_due(SimTime::from_ns(1_099)).is_none());
         // …due at the oldest query's deadline, closing part-full there.
-        let batch = b.flush_due(SimTime::from_ns(5_000)).expect("timeout due");
-        assert_eq!(qids(&batch), [0, 1]);
-        assert_eq!(batch.close, SimTime::from_ns(1_100));
+        let close = b.flush_due(SimTime::from_ns(5_000)).expect("timeout due");
+        assert_eq!(qids(&b), [0, 1]);
+        assert_eq!(close, SimTime::from_ns(1_100));
+        b.clear();
         assert!(b.is_empty());
         // The tick after the flush is an empty tick.
         assert!(b.flush_due(SimTime::from_ns(5_000)).is_none());
@@ -787,47 +855,81 @@ mod tests {
         // Deadline comparisons are inclusive: an arrival landing exactly
         // on the oldest query's deadline joins the *next* batch.
         let mut b = batcher(8, 1_000);
-        assert!(b.offer(0, SimTime::from_ns(0)).is_none());
+        assert!(offer(&mut b, 0, 0).is_none());
         let at = SimTime::from_ns(1_000);
-        let batch = b.flush_due(at).expect("deadline is inclusive");
-        assert_eq!(qids(&batch), [0]);
-        assert_eq!(batch.close, at);
-        assert!(b.offer(1, at).is_none());
+        let close = b.flush_due(at).expect("deadline is inclusive");
+        assert_eq!(qids(&b), [0]);
+        assert_eq!(close, at);
+        b.clear();
+        assert!(offer(&mut b, 1, 1_000).is_none());
         assert_eq!(b.len(), 1);
+        assert_eq!(qids(&b), [1]);
     }
 
     #[test]
     fn same_simtime_arrivals_keep_fifo_order() {
         let mut b = batcher(4, 1_000);
-        let t = SimTime::from_ns(77);
-        assert!(b.offer(10, t).is_none());
-        assert!(b.offer(11, t).is_none());
-        assert!(b.offer(12, t).is_none());
-        let batch = b.offer(13, t).expect("filled");
-        assert_eq!(qids(&batch), [10, 11, 12, 13]);
-        assert_eq!(batch.close, t);
+        assert!(offer(&mut b, 10, 77).is_none());
+        assert!(offer(&mut b, 11, 77).is_none());
+        assert!(offer(&mut b, 12, 77).is_none());
+        let close = offer(&mut b, 13, 77).expect("filled");
+        assert_eq!(qids(&b), [10, 11, 12, 13]);
+        assert_eq!(close, SimTime::from_ns(77));
     }
 
     #[test]
     fn trailing_queries_flush_at_their_deadline() {
         let mut b = batcher(8, 2_000);
-        assert!(b.offer(0, SimTime::from_ns(500)).is_none());
-        assert!(b.offer(1, SimTime::from_ns(900)).is_none());
+        assert!(offer(&mut b, 0, 500).is_none());
+        assert!(offer(&mut b, 1, 900).is_none());
         // End of stream: drain with a far-future now.
-        let batch = b
+        let close = b
             .flush_due(SimTime::from_ns(u64::MAX))
             .expect("trailing batch");
-        assert_eq!(qids(&batch), [0, 1]);
-        assert_eq!(batch.close, SimTime::from_ns(2_500));
+        assert_eq!(qids(&b), [0, 1]);
+        assert_eq!(close, SimTime::from_ns(2_500));
+        b.clear();
         assert!(b.flush_due(SimTime::from_ns(u64::MAX)).is_none());
     }
 
     #[test]
     fn batch_size_one_dispatches_immediately() {
         let mut b = batcher(1, 1_000);
-        let batch = b.offer(0, SimTime::from_ns(42)).expect("immediate");
-        assert_eq!(qids(&batch), [0]);
-        assert_eq!(batch.close, SimTime::from_ns(42));
+        let close = offer(&mut b, 0, 42).expect("immediate");
+        assert_eq!(qids(&b), [0]);
+        assert_eq!(close, SimTime::from_ns(42));
+    }
+
+    #[test]
+    fn pending_records_carry_tenant_and_arrival() {
+        let mut b = batcher(4, 1_000);
+        let bags = bags_of(7);
+        assert!(b
+            .offer(7, 3, SimTime::from_ns(5), bags.as_slice())
+            .is_none());
+        assert_eq!(
+            b.pending(),
+            [PendingQuery {
+                qid: 7,
+                arrival: SimTime::from_ns(5),
+                tenant: 3,
+            }]
+        );
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_the_next_batch_reads_its_own_bags() {
+        let mut b = batcher(2, 1_000);
+        assert!(offer(&mut b, 0, 1).is_none());
+        assert!(offer(&mut b, 1, 2).is_some());
+        let caps = (b.pending.capacity(), b.rows.capacity());
+        b.clear();
+        assert_eq!((b.pending.capacity(), b.rows.capacity()), caps);
+        assert_eq!(b.offsets, [0]);
+        assert!(offer(&mut b, 2, 3).is_none());
+        assert!(offer(&mut b, 3, 4).is_some());
+        assert_eq!(qids(&b), [2, 3]);
+        assert_eq!((b.pending.capacity(), b.rows.capacity()), caps);
     }
 
     #[test]
@@ -875,15 +977,17 @@ mod tests {
     #[test]
     fn set_knobs_applies_to_the_next_close_decision() {
         let mut b = batcher(4, 10_000);
-        assert!(b.offer(0, SimTime::from_ns(100)).is_none());
-        assert!(b.offer(1, SimTime::from_ns(200)).is_none());
+        assert!(offer(&mut b, 0, 100).is_none());
+        assert!(offer(&mut b, 1, 200).is_none());
         // Shrinking the fill target below the pending count does not
         // close retroactively — the next offer does.
         b.set_knobs(2, 500);
-        let batch = b.offer(2, SimTime::from_ns(300)).expect("fill target 2");
-        assert_eq!(qids(&batch), [0, 1, 2]);
+        let close = offer(&mut b, 2, 300).expect("fill target 2");
+        assert_eq!(qids(&b), [0, 1, 2]);
+        assert_eq!(close, SimTime::from_ns(300));
+        b.clear();
         // The shrunk max-wait governs the next deadline.
-        assert!(b.offer(3, SimTime::from_ns(400)).is_none());
+        assert!(offer(&mut b, 3, 400).is_none());
         assert_eq!(b.deadline(), Some(SimTime::from_ns(900)));
     }
 

@@ -28,7 +28,7 @@ use crate::engine::metrics::CounterOffsets;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
 use crate::engine::pipeline::{process_bag, EngineCtx, EngineScratch};
 use crate::engine::serving::{
-    assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, ReadyBatch, TaggedQuerySource,
+    assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, TaggedQuerySource,
     TraceArrivals,
 };
 use crate::engine::topology::Plant;
@@ -342,32 +342,26 @@ impl SlsSystem {
             .max()
             .unwrap_or(SimTime::ZERO);
         self.session = Some(OpenLoopSession {
-            batcher: QueryBatcher::new(&self.cfg.serving),
+            batcher: QueryBatcher::new(&self.cfg.serving, n_tables),
             controller: crate::engine::controller::ServingController::new(&self.cfg.serving),
             serving: ServingMetrics::default(),
             bag_latency_sum: 0,
             dev_offset,
             counter_offsets,
-            t0,
             shift: t0.since(SimTime::ZERO),
             batches_dispatched: 0,
             record_completion: opts.record_completion,
-            n_tables,
-            rows: Vec::new(),
-            offsets: vec![0],
             windows: opts
                 .window_ns
                 .map(|w| LatencyWindows::new(w, self.cfg.serving.max_wait_ns)),
             next_qid: 0,
             last_arrival: SimTime::ZERO,
-            shed_completions: std::collections::VecDeque::new(),
-            tenants: Vec::new(),
         });
     }
 
     /// Pushes one query into the active session: `bags` supplies its
     /// row bag for each of the session's tables, copied into the
-    /// session's recycled pending store (so the source buffers are free
+    /// batcher's recycled pending store (so the source buffers are free
     /// to be reused immediately). Returns the query's id — sequential
     /// from 0 in push order. Any batch the batcher closes (the oldest
     /// pending query timing out at or before `arrival`, or this arrival
@@ -383,9 +377,9 @@ impl SlsSystem {
 
     /// [`Self::open_loop_push`] with an explicit tenant tag: the query's
     /// served/shed counts and latency land in
-    /// [`ServingMetrics::per_tenant`]`[tenant]` as well as the whole-run
-    /// aggregates. Untagged pushes are tenant 0, so the two entry points
-    /// mix freely.
+    /// [`ServingMetrics::per_tenant`]`[tenant]`, which the whole-run
+    /// aggregates are folded from. Untagged pushes are tenant 0, so the
+    /// two entry points mix freely.
     ///
     /// # Panics
     ///
@@ -407,36 +401,26 @@ impl SlsSystem {
         s.last_arrival = arrival;
         // The batcher contract: timeouts due at or before this arrival
         // fire first, then the arrival is admitted (possibly closing a
-        // full batch). The pending store always holds exactly the
-        // batcher's pending queries, in FIFO order.
-        while let Some(b) = s.batcher.flush_due(arrival) {
-            self.dispatch_batch(&mut s, &b);
+        // full batch).
+        while let Some(close) = s.batcher.flush_due(arrival) {
+            self.dispatch_batch(&mut s, close);
         }
         let qid = s.next_qid;
         s.next_qid += 1;
+        // Every qid owns a completion slot from its push: it holds the
+        // arrival instant (zero service) until the query retires, which
+        // a shed query never does.
+        if s.record_completion {
+            s.serving.completion.push(arrival);
+        }
         // SLA-aware admission control: a shed arrival consumes its qid
         // (downstream merges index by qid) but is never queued — no
-        // bags copied, no latency recorded. Its completion slot, when
-        // recorded, is the arrival instant itself (zero service),
-        // spliced into qid order as neighbouring batches retire.
+        // bags copied, no latency recorded.
         if self.should_shed(&s, arrival) {
-            s.serving.shed += 1;
             s.serving.tenant_mut(tenant).shed += 1;
             s.serving.shed_qids.push(qid);
-            if s.record_completion {
-                s.shed_completions
-                    .push_back((qid, SimTime::from_ns(arrival.as_ns())));
-            }
-            self.session = Some(s);
-            return qid;
-        }
-        for t in 0..s.n_tables {
-            s.rows.extend_from_slice(bags.bag(t));
-            s.offsets.push(s.rows.len());
-        }
-        s.tenants.push(tenant);
-        if let Some(b) = s.batcher.offer(qid, arrival) {
-            self.dispatch_batch(&mut s, &b);
+        } else if let Some(close) = s.batcher.offer(qid, tenant, arrival, bags) {
+            self.dispatch_batch(&mut s, close);
         }
         self.session = Some(s);
         qid
@@ -479,15 +463,21 @@ impl SlsSystem {
             .session
             .take()
             .expect("open_loop_finish requires an active session (open_loop_begin)");
-        while let Some(b) = s.batcher.flush_due(SimTime::from_ns(u64::MAX)) {
-            self.dispatch_batch(&mut s, &b);
-        }
-        // Trailing shed queries (nothing after them ever dispatched).
-        while let Some((shed_qid, at)) = s.shed_completions.pop_front() {
-            debug_assert_eq!(s.serving.completion.len() as u64, shed_qid);
-            s.serving.completion.push(at);
+        while let Some(close) = s.batcher.flush_due(SimTime::from_ns(u64::MAX)) {
+            self.dispatch_batch(&mut s, close);
         }
         let mut serving = s.serving;
+        for t in &serving.per_tenant {
+            serving.queries += t.queries;
+            serving.shed += t.shed;
+            serving.latency.merge(&t.latency);
+            serving.wait.merge(&t.wait);
+        }
+        debug_assert_eq!(
+            serving.queries + serving.shed,
+            s.next_qid,
+            "every pushed query is served or shed exactly once"
+        );
         serving.last_arrival_ns = s.last_arrival.as_ns();
         serving.batches = s.batches_dispatched;
         serving.pm_epochs = s.controller.epochs_run();
@@ -502,14 +492,15 @@ impl SlsSystem {
         }
         // A host no batch reached may still sit before `t0`; the
         // busiest one never does.
+        let t0 = SimTime::ZERO + s.shift;
         serving.makespan_ns = self
             .plant
             .hosts
             .iter()
             .map(|h| h.next_free)
             .max()
-            .unwrap_or(s.t0)
-            .since(s.t0)
+            .unwrap_or(t0)
+            .since(t0)
             .as_ns();
         self.metrics.total_ns = serving.makespan_ns;
         self.close_window(&s.dev_offset, &s.counter_offsets, s.bag_latency_sum);
@@ -560,54 +551,43 @@ impl SlsSystem {
         (batch_done, latency_sum)
     }
 
-    /// Dispatches one closed batch, fed from the session's pending
-    /// store: [`Self::execute_batch`] plus the open-loop bookkeeping.
-    /// Batches run in close order, round-robin over hosts, each
-    /// starting when both the batch has closed and its host is free.
-    /// The pending store is recycled (cleared, capacity kept) on
-    /// return: the batcher drains *all* pending queries into every
-    /// batch it closes, so the store and the batch always cover the
-    /// same queries.
-    fn dispatch_batch(&mut self, s: &mut OpenLoopSession, batch: &ReadyBatch) {
+    /// Dispatches the batch the session's batcher closed at `close` —
+    /// every pending query, read in place: [`Self::execute_batch`] plus
+    /// the open-loop bookkeeping. Batches run in close order,
+    /// round-robin over hosts, each starting when both the batch has
+    /// closed and its host is free. The batcher is cleared (capacity
+    /// kept) on return.
+    fn dispatch_batch(&mut self, s: &mut OpenLoopSession, close: SimTime) {
         let bi = s.batches_dispatched as usize;
         s.batches_dispatched += 1;
         let host_idx = bi % self.cfg.n_hosts as usize;
-        let start = (batch.close + s.shift).max(self.plant.hosts[host_idx].next_free);
-        let n = batch.queries.len() as u32;
-        debug_assert_eq!(
-            s.offsets.len(),
-            n as usize * s.n_tables as usize + 1,
-            "pending store must hold exactly the batch's queries"
-        );
+        let start = (close + s.shift).max(self.plant.hosts[host_idx].next_free);
+        let n = s.batcher.len() as u32;
+        let n_tables = s.batcher.n_tables();
         let mut sv = std::mem::take(&mut self.scratch.serving);
         // Partition memo: every full batch shares one layout, so only
         // the trailing part-full sizes recompute it.
         if sv.parts_memo.as_ref().is_none_or(|(len, _)| *len != n) {
             sv.parts_memo = Some((
                 n,
-                query::partition(s.n_tables, n, self.cfg.cores_per_host, self.cfg.threading),
+                query::partition(n_tables, n, self.cfg.cores_per_host, self.cfg.threading),
             ));
         }
         let parts = &sv.parts_memo.as_ref().expect("memo just filled").1;
         sv.q_done.clear();
-        sv.q_done.resize(batch.queries.len(), start);
+        sv.q_done.resize(n as usize, start);
         let q_done = &mut sv.q_done;
-        let (rows, offsets, n_tables) = (&s.rows, &s.offsets, s.n_tables as usize);
+        let batcher = &s.batcher;
         let (mut batch_done, latency_sum) = self.execute_batch(
             host_idx,
             start,
             parts,
-            |sample, table| {
-                let p = sample as usize * n_tables + table as usize;
-                &rows[offsets[p]..offsets[p + 1]]
-            },
+            |sample, table| batcher.bag(sample as usize, table),
             |sample, done| q_done[sample as usize] = q_done[sample as usize].max(done),
         );
         s.bag_latency_sum += latency_sum;
         // A query completes when its last bag does; the response leaves
-        // before the epoch-boundary page manager runs. Query ids are
-        // push-sequential and batches dispatch in formation order, so
-        // appending completions keeps `completion[qid]` indexing.
+        // before the epoch-boundary page manager runs.
         // Service slow-down dilation: a batch starting inside a fault
         // window stretches end to end — every query completion and the
         // host's busy span — by the window's multiplier, so queueing
@@ -631,41 +611,25 @@ impl SlsSystem {
                 }
             }
         }
-        for (i, (q, &done)) in batch.queries.iter().zip(&sv.q_done).enumerate() {
+        let t0 = SimTime::ZERO + s.shift;
+        for (q, &done) in s.batcher.pending().iter().zip(&sv.q_done) {
             let latency = done.since(q.arrival + s.shift);
             let wait = start.since(q.arrival + s.shift);
-            s.serving.latency.record(latency);
-            s.serving.wait.record(wait);
             s.controller.record_latency(latency);
-            let slot = s.serving.tenant_mut(s.tenants[i]);
+            let slot = s.serving.tenant_mut(q.tenant);
             slot.queries += 1;
             slot.latency.record(latency);
             slot.wait.record(wait);
             if s.record_completion {
-                // Shed neighbours with smaller qids retire first: the
-                // completion vector indexes by qid.
-                while s
-                    .shed_completions
-                    .front()
-                    .is_some_and(|&(shed_qid, _)| shed_qid < q.qid)
-                {
-                    let (shed_qid, at) = s.shed_completions.pop_front().expect("front checked");
-                    debug_assert_eq!(s.serving.completion.len() as u64, shed_qid);
-                    s.serving.completion.push(at);
-                }
-                debug_assert_eq!(s.serving.completion.len() as u64, q.qid);
-                s.serving
-                    .completion
-                    .push(SimTime::from_ns(done.since(s.t0).as_ns()));
+                s.serving.completion[q.qid as usize] = SimTime::ZERO + done.since(t0);
             }
             if let Some(w) = &mut s.windows {
                 w.record(q.arrival, latency);
             }
         }
-        s.serving.queries += batch.queries.len() as u64;
-        s.serving.mean_batch_fill += batch.queries.len() as f64;
+        s.serving.mean_batch_fill += f64::from(n);
         if let Some(w) = &mut s.windows {
-            w.on_batch_close(batch.close);
+            w.on_batch_close(close);
         }
         // Page-management epoch at the batch boundary, gated by the
         // controller: the fixed/load policies admit one at every
@@ -680,14 +644,11 @@ impl SlsSystem {
         // Controller load tick: the dispatch backlog (close → service
         // start) is the open-loop queue-depth signal, the fill says
         // whether growing the batch could even absorb it.
-        let backlog_ns = start.since(batch.close + s.shift).as_ns();
+        let backlog_ns = start.since(close + s.shift).as_ns();
         if let Some((batch_size, max_wait_ns)) = s.controller.on_batch(n, backlog_ns) {
             s.batcher.set_knobs(batch_size, max_wait_ns);
         }
-        s.rows.clear();
-        s.offsets.clear();
-        s.offsets.push(0);
-        s.tenants.clear();
+        s.batcher.clear();
         self.scratch.serving = sv;
     }
 

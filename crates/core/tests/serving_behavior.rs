@@ -246,6 +246,19 @@ fn last_arrival_counts_a_shed_final_arrival() {
     assert_eq!(m.queries, 2);
     assert_eq!(m.shed_qids, vec![2, 3, 4]);
     assert_eq!(m.last_arrival_ns, 1_000);
+    // Every qid owns a completion slot: a shed query's spans zero
+    // service (its arrival), a served query's ends after its arrival.
+    assert_eq!(m.completion.len(), arrivals.len());
+    for (q, (&done, &at)) in m.completion.iter().zip(&arrivals).enumerate() {
+        if m.shed_qids.contains(&(q as u64)) {
+            assert_eq!(done, at, "shed query {q}");
+        } else {
+            assert!(
+                done > at,
+                "served query {q} completed at {done}, arrived {at}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -288,40 +288,57 @@ fn checkpoint_resume_at_every_query_matches_straight_through() {
     // require the full metrics (histograms, completion vector,
     // checksum bits) to equal the straight-through run. Also proves
     // capture is non-perturbing: the original session keeps running
-    // after the snapshot and must stay exact too.
+    // after the snapshot and must stay exact too. The second workload
+    // sheds between served queries (a queue-depth cap under short
+    // max-wait timeouts), so captures land while shed and pending
+    // queries' completion slots are interleaved.
     let m = small_model();
-    let cfg = SystemConfig::pifs_rec(m.clone());
-    let spec = spec_for(&m, 48, ArrivalProcess::Poisson { qps: 200_000.0 });
-    let reference = streamed(&cfg, &spec);
+    let plain = SystemConfig::pifs_rec(m.clone());
+    let mut shedding = plain.clone();
+    shedding.serving.shed = ShedPolicy::QueueDepth { max_pending: 2 };
+    shedding.serving.max_wait_ns = 2_000;
+    let workloads = [
+        ("plain", plain, 200_000.0),
+        ("queue-depth shed", shedding, 2_000_000.0),
+    ];
+    for (name, cfg, qps) in workloads {
+        let spec = spec_for(&m, 48, ArrivalProcess::Poisson { qps });
+        let reference = streamed(&cfg, &spec);
+        assert_eq!(reference.completion.len() as u64, spec.n_queries());
+        if cfg.serving.shed != ShedPolicy::None {
+            assert!(reference.shed > 0, "{name}: the workload must shed");
+            assert!(reference.batches > 1, "{name}: and serve several batches");
+        }
 
-    for k in 0..=spec.n_queries() {
-        let mut sys = SlsSystem::new(cfg.clone());
-        let mut stream = spec.stream();
-        sys.open_loop_begin(spec.trace.n_tables, OpenLoopOpts::default());
-        assert_eq!(checkpoint::advance(&mut sys, &mut stream, k), k);
+        for k in 0..=spec.n_queries() {
+            let mut sys = SlsSystem::new(cfg.clone());
+            let mut stream = spec.stream();
+            sys.open_loop_begin(spec.trace.n_tables, OpenLoopOpts::default());
+            assert_eq!(checkpoint::advance(&mut sys, &mut stream, k), k);
 
-        let ck = SimCheckpoint::capture(&sys, &stream);
-        assert_eq!(ck.position(), k);
+            let ck = SimCheckpoint::capture(&sys, &stream);
+            assert_eq!(ck.position(), k);
 
-        // The original continues past the capture, unperturbed.
-        checkpoint::advance(&mut sys, &mut stream, u64::MAX);
-        assert_serving_eq(
-            &sys.open_loop_finish(),
-            &reference,
-            &format!("original after capture at {k}"),
-        );
+            // The original continues past the capture, unperturbed.
+            checkpoint::advance(&mut sys, &mut stream, u64::MAX);
+            assert_serving_eq(
+                &sys.open_loop_finish(),
+                &reference,
+                &format!("{name}: original after capture at {k}"),
+            );
 
-        // The resumed copy replays the suffix from the snapshot alone.
-        let (mut rsys, mut rstream) = ck.resume();
-        assert_eq!(
-            checkpoint::advance(&mut rsys, &mut rstream, u64::MAX),
-            spec.n_queries() - k
-        );
-        assert_serving_eq(
-            &rsys.open_loop_finish(),
-            &reference,
-            &format!("resume at {k}"),
-        );
+            // The resumed copy replays the suffix from the snapshot alone.
+            let (mut rsys, mut rstream) = ck.resume();
+            assert_eq!(
+                checkpoint::advance(&mut rsys, &mut rstream, u64::MAX),
+                spec.n_queries() - k
+            );
+            assert_serving_eq(
+                &rsys.open_loop_finish(),
+                &reference,
+                &format!("{name}: resume at {k}"),
+            );
+        }
     }
 }
 

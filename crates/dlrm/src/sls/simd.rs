@@ -1,14 +1,15 @@
 //! Explicit lane-width SLS folds.
 //!
-//! The fold is blocked into fixed `[f32; LANES]` accumulator chunks
-//! that LLVM lowers to full-width vector multiply/add pairs on stable
-//! Rust, with a scalar tail for `dim % LANES` remainders.
-//!
 //! **Selection rule:** the tier is decided by CPU detection alone. When
-//! the CPU offers AVX2 (x86-64), the fold runs 8-lane blocks compiled
-//! with AVX2 codegen via `#[target_feature]`; otherwise it runs the
-//! portable 4-lane blocks — one 128-bit vector on every SSE2/NEON-class
-//! machine. No option or environment variable overrides the choice.
+//! the CPU offers AVX2 (x86-64), [`accumulate_row`](super::accumulate_row)
+//! runs the fused 8-lane row fold compiled with AVX2 codegen
+//! (`EmbeddingTable::fold_row_avx2`), which hashes and folds each
+//! 8-element block in registers. Otherwise it computes the row's values
+//! in blocks and folds them with [`fold_slice`]: fixed `[f32; 4]`
+//! accumulator chunks that LLVM lowers to one 128-bit vector
+//! multiply/add pair on every SSE2/NEON-class machine, with a scalar
+//! tail for `dim % 4` remainders. No option or environment variable
+//! overrides the choice.
 //!
 //! **Determinism:** blocking along `dim` partitions the accumulator
 //! into disjoint lane groups; every element still receives exactly the
@@ -18,15 +19,17 @@
 //! rounded (FMA contraction is never enabled — fusing would change the
 //! rounding), so every tier is bit-identical to
 //! [`accumulate_row_scalar`](super::accumulate_row_scalar). The tests
-//! below call each tier directly, so the portable tier stays checked on
-//! an AVX2 host.
+//! below call the blocked fold directly, so the portable tier stays
+//! checked on an AVX2 host; `accumulate_row`'s own tests cover the
+//! fused AVX2 tier.
 
 /// One dispatch tier of the wide SLS fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneWidth {
     /// Portable 4-lane blocks: one 128-bit vector (SSE2/NEON baseline).
     W4,
-    /// 8-lane blocks compiled with AVX2 codegen: one 256-bit vector.
+    /// The fused 8-lane row fold compiled with AVX2 codegen: one
+    /// 256-bit vector.
     W8,
 }
 
@@ -76,18 +79,10 @@ fn fold_blocked<const L: usize>(acc: &mut [f32], vals: &[f32], w: f32) {
     }
 }
 
-/// The 8-lane fold compiled with AVX2 codegen, so the `[f32; 8]` blocks
-/// lower to single 256-bit `vmulps`/`vaddps` pairs (never FMA —
-/// contraction would change the rounding and break bit-identity).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fold_blocked_w8_avx2(acc: &mut [f32], vals: &[f32], w: f32) {
-    fold_blocked::<8>(acc, vals, w);
-}
-
-/// Folds `vals` into `acc` with weight `w` on the dispatched tier.
+/// Folds `vals` into `acc` with weight `w` in portable 4-lane blocks —
+/// the fold [`accumulate_row`](super::accumulate_row) runs off AVX2.
 ///
-/// Bit-identical to the scalar loop on every tier; see the module docs.
+/// Bit-identical to the scalar loop; see the module docs.
 ///
 /// # Panics
 ///
@@ -95,12 +90,6 @@ fn fold_blocked_w8_avx2(acc: &mut [f32], vals: &[f32], w: f32) {
 #[inline]
 pub fn fold_slice(acc: &mut [f32], vals: &[f32], w: f32) {
     assert_eq!(acc.len(), vals.len(), "fold width mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_detected() {
-        // SAFETY: the CPU supports AVX2 (runtime detection above).
-        unsafe { fold_blocked_w8_avx2(acc, vals, w) };
-        return;
-    }
     fold_blocked::<4>(acc, vals, w);
 }
 
@@ -135,19 +124,12 @@ mod tests {
             let tiers: [(&str, Fold); 3] = [
                 ("4-lane", fold_blocked::<4>),
                 ("8-lane", fold_blocked::<8>),
-                ("dispatched", fold_slice),
+                ("fold_slice", fold_slice),
             ];
             for (name, fold) in tiers {
                 let mut acc = vals(dim, 9);
                 fold(&mut acc, &v, w);
                 assert_eq!(acc, reference, "{name} tier diverged at dim {dim}, w {w}");
-            }
-            #[cfg(target_arch = "x86_64")]
-            if avx2_detected() {
-                let mut acc = vals(dim, 9);
-                // SAFETY: the CPU supports AVX2.
-                unsafe { fold_blocked_w8_avx2(&mut acc, &v, w) };
-                assert_eq!(acc, reference, "AVX2 tier diverged at dim {dim}, w {w}");
             }
         }
     }
