@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memsim::bank::BankState;
 use memsim::channel::Channel;
-use memsim::{DramConfig, DramDevice, DramOrg, DramTimings, Location, MemOp};
+use memsim::{DramConfig, DramDevice, DramOrg, DramTimings, Location};
 use simkit::SimTime;
 
 fn bench_dram(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_dram(c: &mut Criterion) {
             let mut dev = DramDevice::new(DramConfig::ddr5_4800_local());
             let mut done = SimTime::ZERO;
             for i in 0..1000u64 {
-                done = done.max(dev.access(SimTime::ZERO, black_box(i * 64), MemOp::Read));
+                done = done.max(dev.access(SimTime::ZERO, black_box(i * 64)));
             }
             done
         })
@@ -27,7 +27,7 @@ fn bench_dram(c: &mut Criterion) {
             let mut x = 9u64;
             for _ in 0..1000 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                done = done.max(dev.access(SimTime::ZERO, black_box(x % (1 << 33)), MemOp::Read));
+                done = done.max(dev.access(SimTime::ZERO, black_box(x % (1 << 33))));
             }
             done
         })
@@ -45,7 +45,7 @@ fn bench_dram(c: &mut Criterion) {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let addr = (x % cfg.org.capacity_bytes) & !255;
                 let now = SimTime::from_ns(i * 8);
-                done = done.max(dev.access_span(now, black_box(addr), 256, MemOp::Read));
+                done = done.max(dev.access_span(now, black_box(addr), 256));
             }
             done
         })
@@ -67,7 +67,7 @@ fn bench_dram(c: &mut Criterion) {
             for _ in 0..1000 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let addr = x % host.org.capacity_bytes;
-                done = done.max(dev.access(SimTime::ZERO, black_box(addr), MemOp::Read));
+                done = done.max(dev.access(SimTime::ZERO, black_box(addr)));
             }
             done
         })
@@ -125,7 +125,7 @@ fn bench_channel(c: &mut Criterion) {
                 bank: (i % org.banks as u64) as u32,
                 row: i / 97,
             };
-            let done = ch.access(black_box(now), &loc, MemOp::Read, &t);
+            let done = ch.access(black_box(now), &loc, &t);
             now += simkit::SimDuration::from_ns(2);
             done
         })
@@ -147,7 +147,7 @@ fn bench_channel(c: &mut Criterion) {
                 row: (x >> 32) % 4,
             };
             let now = SimTime::from_ns(clock.saturating_sub((x >> 40) % 2_000));
-            ch.access(black_box(now), &loc, MemOp::Read, &t)
+            ch.access(black_box(now), &loc, &t)
         })
     });
     g.finish();

@@ -335,6 +335,32 @@ mod tests {
             .contains("unknown arrival process"));
     }
 
+    #[test]
+    fn traffic_parse_never_panics_and_accepts_only_sound_processes() {
+        // Every head with up to three `:` fields drawn from numbers in
+        // and out of range, at sound and degenerate rates.
+        let heads = [
+            "mix", "MIX", "bursty", "diurnal", "flash", "poisson", "", "é",
+        ];
+        let args = ["", "0", "1", "-1", "0.5", "1e308", "nan", "-inf", "x"];
+        for head in heads {
+            for n in 0..4u32 {
+                for pick in 0..args.len().pow(n) {
+                    let mut spec = head.to_string();
+                    for k in 0..n {
+                        spec.push(':');
+                        spec.push_str(args[pick / args.len().pow(k) % args.len()]);
+                    }
+                    for qps in [1000.0, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+                        if let Ok(Traffic::Single(p)) = parse_traffic(&spec, qps) {
+                            assert!(p.validate().is_ok(), "{spec:?} at {qps} gave {p:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// A `latency_adaptive` point of the mix traffic.
     fn mix_point(controller: &str, qps: u64) -> Point {
         let str = |v: &str| crate::scenario::ParamValue::Str(v.to_string());

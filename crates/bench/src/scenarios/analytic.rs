@@ -55,12 +55,14 @@ pub static TABLE2: GridScenario = GridScenario {
         let local = memsim::DramConfig::ddr5_4800_local();
         let cxl = memsim::DramConfig::ddr4_cxl_expander();
         let params = cxlsim::CxlParams::default();
-        let dram_json = |cfg: &memsim::DramConfig| {
+        // Table II's write timings (tWR, tCWL), quoted for the record:
+        // the DRAM model only reads, so `DramTimings` has no field for them.
+        let dram_json = |cfg: &memsim::DramConfig, (wr, cwl): (u32, u32)| {
             json!({
                 "timings": json!({
                     "cl": cfg.timings.cl, "rcd": cfg.timings.rcd, "rp": cfg.timings.rp,
-                    "ras": cfg.timings.ras, "rc": cfg.timings.rc, "wr": cfg.timings.wr,
-                    "rtp": cfg.timings.rtp, "cwl": cfg.timings.cwl, "rfc": cfg.timings.rfc,
+                    "ras": cfg.timings.ras, "rc": cfg.timings.rc, "wr": wr,
+                    "rtp": cfg.timings.rtp, "cwl": cwl, "rfc": cfg.timings.rfc,
                     "faw": cfg.timings.faw, "rrd": cfg.timings.rrd,
                     "burst_length": cfg.timings.burst_length,
                     "refi_ns": cfg.timings.refi_ns, "tck_ps": cfg.timings.tck_ps,
@@ -74,8 +76,8 @@ pub static TABLE2: GridScenario = GridScenario {
             })
         };
         json!({
-            "dram_local": dram_json(&local),
-            "dram_cxl_expander": dram_json(&cxl),
+            "dram_local": dram_json(&local, (48, 22)),
+            "dram_cxl_expander": dram_json(&cxl, (24, 16)),
             "cxl": json!({
                 "downstream_port_gbps": params.link_gbps,
                 "round_trip_penalty_ns": params.round_trip_ns(),

@@ -63,6 +63,19 @@ fn degenerate_serving_knobs_die_with_the_parsers_reason() {
         &["sweep", "latency_wait", "--param", "max_wait_us=-1"],
         &["max_wait_us"],
     );
+    // Past the cap the nanosecond cast used to saturate, and the worker
+    // panicked on clock overflow mid-run.
+    assert_dies(
+        &[
+            "sweep",
+            "latency_wait",
+            "--param",
+            "batch_size=32",
+            "--param",
+            "max_wait_us=1e30",
+        ],
+        &["serving.max_wait_us"],
+    );
     assert_dies(
         &["sweep", "latency_adaptive", "--param", "controller=pid"],
         &["controller", "unknown serving controller"],
@@ -98,7 +111,8 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
     // out-of-range page-management threshold (`inf` made the promote
     // budget unbounded, `nan` silently disabled demotion). An
     // out-of-range or NaN placement fraction panicked a worker at the
-    // placement builder's range assert.
+    // placement builder's range assert. A huge translation delay wrapped
+    // the clock and ran faster than none.
     for knob in [
         "outstanding=0",
         "n_hosts=0",
@@ -115,6 +129,7 @@ fn degenerate_topology_knobs_die_before_the_grid_launches() {
         "pm.cold_age_threshold=-0.2",
         "placement.cxl_frac=1.5",
         "placement.remote_frac=nan",
+        "translation_ns=18446744073709551615",
     ] {
         let name = knob.split_once('=').expect("k=v").0;
         assert_dies(

@@ -137,6 +137,18 @@ pub struct SystemConfig {
     pub seed: u64,
 }
 
+/// The largest `serving.max_wait_us` or `serving.sla_us` a knob accepts:
+/// 10^12 µs, about 11.6 days. No serving run simulates that long, so the
+/// cap binds no real setting, while every instant plus a wait or SLA
+/// stays far inside the `u64` nanosecond clock.
+pub const MAX_SERVING_US: f64 = 1e12;
+
+/// The largest `translation_ns` a knob accepts: one second, 4×10^7 times
+/// BEACON's 25 ns. A translation is charged once per CXL row fetch, so
+/// at the cap a run needs over 10^10 of them back to back to overflow
+/// the `u64` nanosecond clock, which wraps in release builds.
+pub const MAX_TRANSLATION_NS: u64 = 1_000_000_000;
+
 impl SystemConfig {
     fn base(model: ModelConfig) -> Self {
         SystemConfig {
@@ -248,8 +260,11 @@ impl SystemConfig {
     /// `cores_per_host`, `outstanding`), a negative or non-finite
     /// `local_capacity_frac`, a `placement.cxl_frac`,
     /// `placement.remote_frac`, `pm.migrate_threshold` or
-    /// `pm.cold_age_threshold` outside [0, 1] (NaN included), or a
-    /// `buffer.capacity_kb` smaller than one row. The config is left
+    /// `pm.cold_age_threshold` outside [0, 1] (NaN included), a
+    /// `buffer.capacity_kb` smaller than one row, or a
+    /// `serving.max_wait_us` or `serving.sla_us` that is negative (under
+    /// half a nanosecond for the SLA), NaN or above [`MAX_SERVING_US`], or a
+    /// `translation_ns` above [`MAX_TRANSLATION_NS`]. The config is left
     /// unchanged in that case.
     pub fn apply_knob(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
@@ -266,6 +281,19 @@ impl SystemConfig {
                 return Err(format!("knob {key}: must be positive"));
             }
             Ok(v)
+        }
+        /// Microseconds to whole nanoseconds, checked against
+        /// `[0, MAX_SERVING_US]`.
+        fn micros_to_ns(key: &str, value: &str) -> Result<u64, String> {
+            let us: f64 = parse(key, value)?;
+            if !(0.0..=MAX_SERVING_US).contains(&us) {
+                return Err(format!(
+                    "knob {key}: must be >= 0 and at most {MAX_SERVING_US:e} µs, got {value:?}"
+                ));
+            }
+            // The range check bounds the product below 2^53, so the
+            // rounded value is an exact integer and the cast is lossless.
+            Ok((us * 1_000.0).round() as u64)
         }
         fn unit_fraction(key: &str, value: &str) -> Result<f64, String> {
             let frac: f64 = parse(key, value)?;
@@ -292,7 +320,15 @@ impl SystemConfig {
                 self.local_capacity_frac = frac;
             }
             "ooo" => self.ooo = parse(key, value)?,
-            "translation_ns" => self.translation_ns = parse(key, value)?,
+            "translation_ns" => {
+                let ns: u64 = parse(key, value)?;
+                if ns > MAX_TRANSLATION_NS {
+                    return Err(format!(
+                        "knob {key}: must be at most {MAX_TRANSLATION_NS} ns, got {value:?}"
+                    ));
+                }
+                self.translation_ns = ns;
+            }
             "warmup_batches" => self.warmup_batches = parse(key, value)?,
             "compute" => {
                 self.compute = match value {
@@ -382,23 +418,17 @@ impl SystemConfig {
                     .capacity_bytes = bytes;
             }
             "serving.batch_size" => self.serving.batch_size = positive(key, value)?,
-            "serving.max_wait_us" => {
-                let us: f64 = parse(key, value)?;
-                if !(us >= 0.0 && us.is_finite()) {
-                    return Err(format!("knob serving.max_wait_us: bad value {value:?}"));
-                }
-                self.serving.max_wait_ns = (us * 1_000.0).round() as u64;
-            }
+            "serving.max_wait_us" => self.serving.max_wait_ns = micros_to_ns(key, value)?,
             "serving.shed_policy" => {
                 self.serving.shed = super::serving::ShedPolicy::parse(value)
                     .map_err(|e| format!("knob serving.shed_policy: {e}"))?;
             }
             "serving.sla_us" => {
-                let us: f64 = parse(key, value)?;
-                if !(us > 0.0 && us.is_finite()) {
-                    return Err(format!("knob serving.sla_us: bad value {value:?}"));
+                let ns = micros_to_ns(key, value)?;
+                if ns == 0 {
+                    return Err(format!("knob {key}: must be positive, got {value:?}"));
                 }
-                self.serving.sla_ns = (us * 1_000.0).round() as u64;
+                self.serving.sla_ns = ns;
             }
             "serving.controller" => {
                 self.serving.controller = super::controller::ControllerPolicy::parse(value)
@@ -485,6 +515,21 @@ mod tests {
         assert!(c.apply_knob("serving.max_wait_us", "-1").is_err());
         assert!(c.apply_knob("serving.max_wait_us", "inf").is_err());
         assert!(c.apply_knob("serving.sla_us", "0").is_err());
+        // Rounds to 0 ns.
+        assert!(c.apply_knob("serving.sla_us", "0.0001").is_err());
+        // An unchecked translation delay used to wrap the clock.
+        for value in ["18446744073709551615", "1000000001"] {
+            let err = c.apply_knob("translation_ns", value).unwrap_err();
+            assert!(err.contains("translation_ns"), "{value}: {err}");
+        }
+        // Values past the cap used to saturate the nanosecond cast and
+        // overflow the clock mid-run.
+        for key in ["serving.max_wait_us", "serving.sla_us"] {
+            for value in ["1e30", "nan", "1000000000001"] {
+                let err = c.apply_knob(key, value).unwrap_err();
+                assert!(err.contains(key), "{key}={value}: {err}");
+            }
+        }
         // The shed-policy parser's reason is surfaced through the knob.
         let err = c.apply_knob("serving.shed_policy", "queue:0").unwrap_err();
         assert!(
@@ -497,6 +542,13 @@ mod tests {
             "{err}"
         );
         assert_eq!(c, before);
+        // The cap itself is accepted, and converts exactly.
+        c.apply_knob("serving.max_wait_us", "1e12").unwrap();
+        c.apply_knob("serving.sla_us", "1e12").unwrap();
+        assert_eq!(c.serving.max_wait_ns, 1_000_000_000_000_000);
+        assert_eq!(c.serving.sla_ns, 1_000_000_000_000_000);
+        c.apply_knob("translation_ns", "1000000000").unwrap();
+        assert_eq!(c.translation_ns, MAX_TRANSLATION_NS);
     }
 
     #[test]

@@ -11,10 +11,17 @@
 //!    spill) or in the fabric switch (PIFS/BEACON);
 //! 5. `finalize` — fold the functional checksum into the metrics.
 //!
+//! The three host-side gathers (local rows, remote rows, and CXL rows
+//! folded on the host) share one issue loop, `issue_window`: a core
+//! keeps at most `outstanding` row fetches in flight (RecNMP's DIMM-side
+//! fold keeps the whole bag in flight), and each stage supplies only its
+//! per-row access chain, its functional `fold_rows` and its rule for
+//! when the core is free again.
+//!
 //! Timing is resource-based: every shared medium (host FlexBus links,
 //! switch transit, device links, DRAM banks/buses, the accumulate unit)
 //! is a stateful resource that serializes contending work, so congestion
-//! and parallelism emerge rather than being assumed.
+//! and parallelism emerge rather than being assumed. DRAM is only read.
 
 #![deny(missing_docs)]
 
@@ -22,7 +29,7 @@ use std::collections::VecDeque;
 
 use cxlsim::{M2sReq, SwitchId, Topology, Type3Device};
 use dlrm::EmbeddingTable;
-use memsim::{DramDevice, MemOp};
+use memsim::DramDevice;
 use pagemgmt::{GlobalHotness, PageId, PageTable, Tier};
 use simkit::{SimDuration, SimTime};
 
@@ -156,8 +163,8 @@ pub(crate) struct BagState<'r> {
     pub cxl: Vec<(u16, u64, u64)>,
     /// The functional accumulator.
     pub acc: Vec<f32>,
-    /// In-flight fold completions for the bounded MLP window (each
-    /// gather stage clears it before use).
+    /// In-flight fold completions for the bounded MLP window
+    /// (`issue_window` clears it before use).
     pub window: VecDeque<SimTime>,
     /// Remaining scratch: the switch-compute buffers.
     pub scratch: BagScratch,
@@ -222,6 +229,35 @@ impl<'r> BagState<'r> {
     }
 }
 
+/// Runs the bounded MLP issue window over `n` rows, starting at `start`:
+/// row `i` issues at `t` (once fewer than `limit` folds are in flight,
+/// else when the oldest lands), `fetch(i, t)` returns the instant its
+/// fold completes, and the next row issues `step_ns` later. Returns the
+/// next issue instant and the latest fold completion (at least
+/// `start`).
+fn issue_window(
+    window: &mut VecDeque<SimTime>,
+    start: SimTime,
+    n: usize,
+    limit: usize,
+    step_ns: u64,
+    mut fetch: impl FnMut(usize, SimTime) -> SimTime,
+) -> (SimTime, SimTime) {
+    window.clear();
+    let mut t = start;
+    let mut last = start;
+    for i in 0..n {
+        if window.len() >= limit {
+            t = t.max(window.pop_front().expect("window non-empty"));
+        }
+        let fold_done = fetch(i, t);
+        window.push_back(fold_done);
+        t += SimDuration::from_ns(step_ns);
+        last = last.max(fold_done);
+    }
+    (t, last)
+}
+
 /// Processes one bag through the five stages, in order; returns
 /// `(completion_time, core_free_time)`.
 pub(crate) fn process_bag(
@@ -279,43 +315,32 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     }
     let row_bytes = ctx.cfg.model.row_bytes();
     let is_nmp = ctx.cfg.compute == ComputeSite::Dimm;
-    let start = bag.core_busy;
-    bag.window.clear();
-    let mut t = start;
-    let mut last = start;
-    for &(_row, addr) in &bag.local {
-        if !is_nmp && bag.window.len() >= ctx.cfg.outstanding {
-            t = t.max(bag.window.pop_front().expect("window non-empty"));
-        }
-        let host = &mut ctx.hosts[bag.host_idx];
-        let mut served_from_cache = false;
-        if is_nmp {
-            if let Some(cache) = host.dimm_cache.as_mut() {
-                served_from_cache = cache.access(addr);
-            }
-        }
-        let data = if served_from_cache {
-            let lat = host
-                .dimm_cache
-                .as_ref()
-                .expect("cache present")
-                .access_latency();
-            t + lat
-        } else {
-            host.dram
-                .access_span(t, spread_addr(addr), row_bytes, MemOp::Read)
-        };
-        // RecNMP gathers with bank-level parallelism inside the DIMM:
-        // the whole bag is issued at once and folds pipeline behind
-        // the data (§VI-C1: "the latter performs data fetch with
-        // bank-level parallelism"). Hosts fold on the core with a
-        // bounded MLP window.
-        let fold_done =
-            data + SimDuration::from_ns(if is_nmp { bag.acc_ns / 2 } else { bag.acc_ns });
-        bag.window.push_back(fold_done);
-        t += SimDuration::from_ns(if is_nmp { 1 } else { ISSUE_NS });
-        last = last.max(fold_done);
-    }
+    // RecNMP gathers with bank-level parallelism inside the DIMM: the
+    // whole bag is issued at once and folds pipeline behind the data
+    // (§VI-C1: "the latter performs data fetch with bank-level
+    // parallelism"). Hosts fold on the core with a bounded MLP window.
+    let (limit, step_ns, fold_ns) = if is_nmp {
+        (usize::MAX, 1, bag.acc_ns / 2)
+    } else {
+        (ctx.cfg.outstanding, ISSUE_NS, bag.acc_ns)
+    };
+    let (t, last) = issue_window(
+        &mut bag.window,
+        bag.core_busy,
+        bag.local.len(),
+        limit,
+        step_ns,
+        |i, t| {
+            let addr = bag.local[i].1;
+            let host = &mut ctx.hosts[bag.host_idx];
+            let cached = is_nmp && host.dimm_cache.as_mut().is_some_and(|c| c.access(addr));
+            let data = match &host.dimm_cache {
+                Some(cache) if cached => t + cache.access_latency(),
+                _ => host.dram.access_span(t, spread_addr(addr), row_bytes),
+            };
+            data + SimDuration::from_ns(fold_ns)
+        },
+    );
     // The functional fold, after the timing loop, in bag order.
     fold_rows(
         &ctx.tables[bag.table as usize],
@@ -337,23 +362,19 @@ fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         return;
     }
     let row_bytes = ctx.cfg.model.row_bytes();
-    bag.window.clear();
-    let mut t = bag.core_busy;
-    let mut last = bag.core_busy;
-    for &(_row, addr) in &bag.remote {
-        if bag.window.len() >= ctx.cfg.outstanding {
-            t = t.max(bag.window.pop_front().expect("window non-empty"));
-        }
-        let sent = ctx.remote_link.transfer(t, 16);
-        let data = ctx
-            .remote_dram
-            .access_span(sent, spread_addr(addr), row_bytes, MemOp::Read);
-        let back = ctx.remote_link.transfer(data, row_bytes);
-        let fold_done = back + SimDuration::from_ns(bag.acc_ns);
-        bag.window.push_back(fold_done);
-        t += SimDuration::from_ns(ISSUE_NS);
-        last = last.max(fold_done);
-    }
+    let (_, last) = issue_window(
+        &mut bag.window,
+        bag.core_busy,
+        bag.remote.len(),
+        ctx.cfg.outstanding,
+        ISSUE_NS,
+        |i, t| {
+            let sent = ctx.remote_link.transfer(t, 16);
+            let addr = spread_addr(bag.remote[i].1);
+            let data = ctx.remote_dram.access_span(sent, addr, row_bytes);
+            ctx.remote_link.transfer(data, row_bytes) + SimDuration::from_ns(bag.acc_ns)
+        },
+    );
     // The functional fold, after the timing loop, in bag order.
     fold_rows(
         &ctx.tables[bag.table as usize],
@@ -392,31 +413,27 @@ type SwitchGroup = (SwitchId, Vec<usize>);
 fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (SimTime, SimTime) {
     let row_bytes = ctx.cfg.model.row_bytes();
     let host_switch = ctx.topo.host_switch(bag.host_idx);
-    let start = bag.core_busy;
-    bag.window.clear();
-    let mut t = start;
-    let mut last = start;
-    for &(dev, _row, addr) in &bag.cxl {
-        if bag.window.len() >= ctx.cfg.outstanding {
-            t = t.max(bag.window.pop_front().expect("window non-empty"));
-        }
-        let sent = ctx.hosts[bag.host_idx]
-            .req_link
-            .transfer(t, M2sReq::WIRE_BYTES);
-        let dev_switch = ctx.topo.device_switch(dev as usize);
-        let hop = ctx.topo.hop_latency(host_switch, dev_switch);
-        let at_switch = ctx.switches[dev_switch.0 as usize].sw.transit(sent) + hop;
-        let data_at_switch =
-            ctx.devices[dev as usize].read(at_switch, spread_addr(addr), row_bytes);
-        let back_at_host_switch = data_at_switch + hop;
-        let at_host = ctx.hosts[bag.host_idx]
-            .rsp_link
-            .transfer(back_at_host_switch, row_bytes + M2sReq::WIRE_BYTES);
-        let fold_done = at_host + SimDuration::from_ns(bag.acc_ns);
-        bag.window.push_back(fold_done);
-        t += SimDuration::from_ns(ISSUE_NS);
-        last = last.max(fold_done);
-    }
+    let (t, last) = issue_window(
+        &mut bag.window,
+        bag.core_busy,
+        bag.cxl.len(),
+        ctx.cfg.outstanding,
+        ISSUE_NS,
+        |i, t| {
+            let (dev, _row, addr) = bag.cxl[i];
+            let host = &mut ctx.hosts[bag.host_idx];
+            let sent = host.req_link.transfer(t, M2sReq::WIRE_BYTES);
+            let dev_switch = ctx.topo.device_switch(dev as usize);
+            let hop = ctx.topo.hop_latency(host_switch, dev_switch);
+            let at_switch = ctx.switches[dev_switch.0 as usize].sw.transit(sent) + hop;
+            let data_at_switch =
+                ctx.devices[dev as usize].read(at_switch, spread_addr(addr), row_bytes);
+            let back = host
+                .rsp_link
+                .transfer(data_at_switch + hop, row_bytes + M2sReq::WIRE_BYTES);
+            back + SimDuration::from_ns(bag.acc_ns)
+        },
+    );
     // The functional fold, after the timing loop, in bag order.
     fold_rows(
         &ctx.tables[bag.table as usize],

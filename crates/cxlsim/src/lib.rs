@@ -6,8 +6,9 @@
 //! This crate models all three plus the instruction format the paper
 //! modifies (Fig 9):
 //!
-//! * [`FlexBusLink`] — a 64 GB/s (PCIe 5.0 ×16) serialized link with
-//!   port/retimer latency, so flex-bus congestion appears under load;
+//! * [`FlexBusLink`] — the workspace's one link model: a 64 GB/s
+//!   (PCIe 5.0 ×16) serialized link with port/retimer latency, reserved
+//!   in call order, so flex-bus congestion appears under load;
 //! * [`M2sReq`] / [`MemOpcode`] — bit-exact encode/decode of the enhanced
 //!   CXL.mem M2S request, including the paper's added `sumtag`,
 //!   `vectorsize` and `SumCandidateCount` fields;

@@ -1,6 +1,6 @@
 //! Type 3 CXL memory expanders: DDR4 DRAM behind a downstream port.
 
-use memsim::{DramConfig, DramDevice, MemOp};
+use memsim::{DramConfig, DramDevice};
 use simkit::SimTime;
 
 use crate::link::{CxlParams, FlexBusLink};
@@ -50,7 +50,7 @@ impl Type3Device {
     pub fn read(&mut self, now: SimTime, addr: u64, bytes: u64) -> SimTime {
         self.accesses += 1;
         let at_device = self.req_link.transfer(now, crate::M2sReq::WIRE_BYTES);
-        let data_ready = self.dram.access_span(at_device, addr, bytes, MemOp::Read);
+        let data_ready = self.dram.access_span(at_device, addr, bytes);
         self.rsp_link
             .transfer(data_ready, bytes + crate::M2sReq::WIRE_BYTES)
     }

@@ -1,8 +1,8 @@
 //! Per-bank DRAM state machine.
 //!
 //! A bank tracks which row its row buffer holds and the timestamps of the
-//! last ACT / read / write, from which the legality windows for the next
-//! command follow (tRAS, tRC, tRTP, tWR, tRP, tRCD).
+//! last ACT and read, from which the legality windows for the next
+//! command follow (tRAS, tRC, tRTP, tRP, tRCD).
 
 use simkit::SimTime;
 
@@ -27,9 +27,9 @@ pub struct BankState {
     last_act: SimTime,
     /// Earliest time the next ACT may issue (covers tRC / tRP chains).
     next_act_ok: SimTime,
-    /// Earliest time a PRE may issue (covers tRAS / tRTP / tWR).
+    /// Earliest time a PRE may issue (covers tRAS / tRTP).
     next_pre_ok: SimTime,
-    /// Earliest time a CAS (RD/WR) may issue (covers tRCD).
+    /// Earliest time a read CAS may issue (covers tRCD).
     next_cas_ok: SimTime,
 }
 
@@ -63,7 +63,7 @@ impl BankState {
 
     /// Schedules the row-preparation phase of an access to `row` arriving
     /// at `earliest`. Returns `(cas_issue_time, outcome)`: the first
-    /// instant a RD/WR column command may issue, and whether this was a
+    /// instant a RD column command may issue, and whether this was a
     /// hit, an empty-row activate, or a conflict.
     ///
     /// `act_allowed_at` carries rank-level constraints (tFAW, tRRD) into
@@ -107,13 +107,6 @@ impl BankState {
     /// legal precharge (tRTP).
     pub fn complete_read(&mut self, cas_at: SimTime, t: &TimingDurations) {
         self.next_pre_ok = self.next_pre_ok.max(cas_at + t.rtp);
-    }
-
-    /// Records that a write burst issued at `cas_at`; updates the earliest
-    /// legal precharge (CWL + burst + tWR).
-    pub fn complete_write(&mut self, cas_at: SimTime, t: &TimingDurations) {
-        let end_of_burst = cas_at + t.cwl + t.burst;
-        self.next_pre_ok = self.next_pre_ok.max(end_of_burst + t.wr);
     }
 
     /// Forces the bank closed and blocks it until `until` (refresh).
@@ -176,25 +169,6 @@ mod tests {
         let (_c2, _) = b.prepare(c1, c1, 2, &tt);
         // The second ACT must be ≥ tRC after the first.
         assert!(b.last_act() >= SimTime::ZERO + tt.rc);
-    }
-
-    #[test]
-    fn write_recovery_delays_precharge_beyond_read() {
-        let tt = t();
-        let mut br = BankState::new();
-        let (c, _) = br.prepare(SimTime::ZERO, SimTime::ZERO, 1, &tt);
-        br.complete_read(c, &tt);
-        let (cas_after_read, _) = br.prepare(c, c, 2, &tt);
-
-        let mut bw = BankState::new();
-        let (c, _) = bw.prepare(SimTime::ZERO, SimTime::ZERO, 1, &tt);
-        bw.complete_write(c, &tt);
-        let (cas_after_write, _) = bw.prepare(c, c, 2, &tt);
-
-        assert!(
-            cas_after_write > cas_after_read,
-            "write recovery should push the conflict turnaround later"
-        );
     }
 
     #[test]

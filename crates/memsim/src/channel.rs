@@ -7,15 +7,6 @@ use crate::addrmap::Location;
 use crate::bank::{BankState, RowOutcome};
 use crate::config::{DramOrg, TimingDurations};
 
-/// Kind of memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemOp {
-    /// 64 B read burst.
-    Read,
-    /// 64 B write burst.
-    Write,
-}
-
 /// Per-rank bookkeeping: refresh schedule and the tFAW activate window.
 #[derive(Debug, Clone)]
 struct RankState {
@@ -189,8 +180,6 @@ pub struct ChannelStats {
     pub conflicts: u64,
     /// Read accesses.
     pub reads: u64,
-    /// Write accesses.
-    pub writes: u64,
     /// Total bytes moved on the data bus.
     pub bytes: u64,
     /// Accesses delayed by a refresh blackout.
@@ -274,20 +263,14 @@ impl Channel {
         gate
     }
 
-    /// Schedules one 64 B access arriving at `now`; returns the instant the
+    /// Schedules one 64 B read arriving at `now`; returns the instant the
     /// data burst completes on the bus.
-    pub fn access(
-        &mut self,
-        now: SimTime,
-        loc: &Location,
-        op: MemOp,
-        t: &TimingDurations,
-    ) -> SimTime {
+    pub fn access(&mut self, now: SimTime, loc: &Location, t: &TimingDurations) -> SimTime {
         let (idx, cas_ready) = self.open_row(now, loc, t);
-        self.burst(idx, cas_ready, op, t)
+        self.burst(idx, cas_ready, t)
     }
 
-    /// Schedules `lines` 64 B accesses to the one row at `loc`, all
+    /// Schedules `lines` 64 B reads of the one row at `loc`, all
     /// arriving at `now`; returns the instant the last burst completes.
     ///
     /// Channel state and statistics end exactly as after `lines` calls
@@ -305,14 +288,13 @@ impl Channel {
         now: SimTime,
         loc: &Location,
         lines: u64,
-        op: MemOp,
         t: &TimingDurations,
     ) -> SimTime {
         assert!(lines > 0, "a row run has at least one line");
         let (idx, cas_ready) = self.open_row(now, loc, t);
         self.stats.hits += lines - 1;
         (0..lines).fold(SimTime::ZERO, |done, _| {
-            done.max(self.burst(idx, cas_ready, op, t))
+            done.max(self.burst(idx, cas_ready, t))
         })
     }
 
@@ -342,47 +324,25 @@ impl Channel {
         (idx, cas_ready)
     }
 
-    /// One 64 B data burst from bank `idx`, whose column command is ready
-    /// at `cas_ready`: claims the bus, then records the column command.
-    /// Returns the instant the burst completes.
-    fn burst(&mut self, idx: usize, cas_ready: SimTime, op: MemOp, t: &TimingDurations) -> SimTime {
+    /// One 64 B read burst from bank `idx`, whose column command is
+    /// ready at `cas_ready`: claims the bus, then records the column
+    /// command. Returns the instant the burst completes.
+    fn burst(&mut self, idx: usize, cas_ready: SimTime, t: &TimingDurations) -> SimTime {
         // The data burst must find a free slot on the shared bus; if the
         // bus is busy, the column command slips until the slot aligns.
-        let data_start = self.bus.claim(cas_ready + cas_to_data(op, t), t.burst);
-        self.complete(idx, data_start, op, t)
+        let data_start = self.bus.claim(cas_ready + t.cl, t.burst);
+        self.complete(idx, data_start, t)
     }
 
-    /// Records the column command of a burst from bank `idx` whose data
-    /// starts on the bus at `data_start`; returns the instant the burst
-    /// completes.
-    fn complete(
-        &mut self,
-        idx: usize,
-        data_start: SimTime,
-        op: MemOp,
-        t: &TimingDurations,
-    ) -> SimTime {
-        let cas_at = SimTime::from_ns(data_start.as_ns() - cas_to_data(op, t).as_ns());
-        match op {
-            MemOp::Read => {
-                self.banks[idx].complete_read(cas_at, t);
-                self.stats.reads += 1;
-            }
-            MemOp::Write => {
-                self.banks[idx].complete_write(cas_at, t);
-                self.stats.writes += 1;
-            }
-        }
+    /// Records the column command of a read burst from bank `idx` whose
+    /// data starts on the bus at `data_start` (CL after the command);
+    /// returns the instant the burst completes.
+    fn complete(&mut self, idx: usize, data_start: SimTime, t: &TimingDurations) -> SimTime {
+        let cas_at = SimTime::from_ns(data_start.as_ns() - t.cl.as_ns());
+        self.banks[idx].complete_read(cas_at, t);
+        self.stats.reads += 1;
         self.stats.bytes += 64;
         data_start + t.burst
-    }
-}
-
-/// Column command to first data: CL for reads, CWL for writes.
-fn cas_to_data(op: MemOp, t: &TimingDurations) -> SimDuration {
-    match op {
-        MemOp::Read => t.cl,
-        MemOp::Write => t.cwl,
     }
 }
 
@@ -424,8 +384,8 @@ mod tests {
     fn row_hits_stream_at_bus_rate() {
         let mut ch = Channel::new(org());
         let tt = t();
-        let first = ch.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
-        let second = ch.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
+        let first = ch.access(SimTime::ZERO, &loc(0, 1), &tt);
+        let second = ch.access(SimTime::ZERO, &loc(0, 1), &tt);
         // Back-to-back hits are separated by exactly one burst.
         assert_eq!(second.since(first), tt.burst);
         assert_eq!(ch.stats.hits, 1);
@@ -437,12 +397,12 @@ mod tests {
         let tt = t();
         // Same bank, different rows: serialized by tRC.
         let mut same = Channel::new(org());
-        same.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
-        let same_done = same.access(SimTime::ZERO, &loc(0, 2), MemOp::Read, &tt);
+        same.access(SimTime::ZERO, &loc(0, 1), &tt);
+        let same_done = same.access(SimTime::ZERO, &loc(0, 2), &tt);
         // Different banks: row preparation overlaps.
         let mut diff = Channel::new(org());
-        diff.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
-        let diff_done = diff.access(SimTime::ZERO, &loc(1, 2), MemOp::Read, &tt);
+        diff.access(SimTime::ZERO, &loc(0, 1), &tt);
+        let diff_done = diff.access(SimTime::ZERO, &loc(1, 2), &tt);
         assert!(
             diff_done < same_done,
             "bank-level parallelism should win: {diff_done} vs {same_done}"
@@ -453,8 +413,8 @@ mod tests {
     fn bus_serializes_bursts_across_banks() {
         let tt = t();
         let mut ch = Channel::new(org());
-        let a = ch.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
-        let b = ch.access(SimTime::ZERO, &loc(1, 1), MemOp::Read, &tt);
+        let a = ch.access(SimTime::ZERO, &loc(0, 1), &tt);
+        let b = ch.access(SimTime::ZERO, &loc(1, 1), &tt);
         assert!(b.since(a) >= tt.burst);
     }
 
@@ -464,7 +424,7 @@ mod tests {
         let mut ch = Channel::new(DramOrg { banks: 8, ..org() });
         let mut last = SimTime::ZERO;
         for bank in 0..5 {
-            last = ch.access(SimTime::ZERO, &loc(bank, 1), MemOp::Read, &tt);
+            last = ch.access(SimTime::ZERO, &loc(bank, 1), &tt);
         }
         // The 5th activate cannot start before ACT#1 + tFAW.
         let min_done = SimTime::ZERO + tt.faw + tt.rcd + tt.cl + tt.burst;
@@ -478,21 +438,10 @@ mod tests {
         // Walk time far past several tREFI intervals.
         for i in 0..100u64 {
             let now = SimTime::from_ns(i * 1000);
-            ch.access(now, &loc(0, i), MemOp::Read, &tt);
+            ch.access(now, &loc(0, i), &tt);
         }
         // Refresh bookkeeping advanced past `now`.
         assert!(ch.ranks[0].next_refresh > SimTime::ZERO + SimDuration::from_ns(tt.refi_ns));
-    }
-
-    #[test]
-    fn writes_count_separately_and_move_bytes() {
-        let tt = t();
-        let mut ch = Channel::new(org());
-        ch.access(SimTime::ZERO, &loc(0, 1), MemOp::Write, &tt);
-        ch.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
-        assert_eq!(ch.stats.writes, 1);
-        assert_eq!(ch.stats.reads, 1);
-        assert_eq!(ch.stats.bytes, 128);
     }
 
     #[test]
@@ -500,7 +449,7 @@ mod tests {
         let tt = t();
         let mut ch = Channel::new(org());
         for _ in 0..9 {
-            ch.access(SimTime::ZERO, &loc(0, 1), MemOp::Read, &tt);
+            ch.access(SimTime::ZERO, &loc(0, 1), &tt);
         }
         let r = ch.stats.hit_ratio();
         assert!(r > 0.8, "expected high hit ratio, got {r}");
@@ -518,7 +467,7 @@ mod tests {
         let mut acts = Vec::new();
         for (i, bank) in (0..8u32).enumerate() {
             let now = SimTime::from_ns(8_000 - 1_000 * i as u64);
-            ch.access(now, &loc(bank, 1 + u64::from(bank)), MemOp::Read, &tt);
+            ch.access(now, &loc(bank, 1 + u64::from(bank)), &tt);
             acts.push(ch.banks[bank as usize].last_act());
             let rank = &ch.ranks[0];
             let window = &rank.recent_acts[..rank.n_acts];
@@ -652,12 +601,11 @@ mod tests {
                 // A few hot rows per bank: hits, empties and conflicts.
                 let line = (word >> 20) % (1 << 16);
                 let loc = decoder.decode(line * 64 * (1 + (word >> 40) % 3));
-                let op = if (word >> 50) % 4 == 0 { MemOp::Write } else { MemOp::Read };
                 let c = loc.channel as usize;
-                let done = real[c].access(now, &loc, op, &tt);
+                let done = real[c].access(now, &loc, &tt);
                 let (idx, cas_ready) = shadow[c].open_row(now, &loc, &tt);
-                let start = buses[c].claim(cas_ready + cas_to_data(op, &tt), tt.burst);
-                prop_assert_eq!(done, shadow[c].complete(idx, start, op, &tt));
+                let start = buses[c].claim(cas_ready + tt.cl, tt.burst);
+                prop_assert_eq!(done, shadow[c].complete(idx, start, &tt));
                 prop_assert_eq!(real[c].stats, shadow[c].stats);
                 buses[c].assert_matches(&real[c].bus);
             }

@@ -4,8 +4,10 @@
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
-/// DRAM timing parameters, stored in device clock cycles plus the clock
-/// period in picoseconds (the form DRAM datasheets and Table II use).
+/// DRAM read-timing parameters, stored in device clock cycles plus the
+/// clock period in picoseconds (the form DRAM datasheets and Table II
+/// use). The model only reads, so the write timings (tWR, tCWL) have no
+/// field.
 ///
 /// # Examples
 ///
@@ -13,13 +15,13 @@ use simkit::SimDuration;
 /// use memsim::DramTimings;
 /// let t = DramTimings::ddr5_4800();
 /// assert_eq!(t.cl, 28);
-/// assert!(t.cas_latency().as_ns() >= 11); // 28 cycles × 417 ps
+/// assert!(t.cycles(t.cl).as_ns() >= 11); // 28 cycles × 417 ps
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramTimings {
     /// CAS latency (read command → first data), cycles.
     pub cl: u32,
-    /// RAS-to-CAS delay (ACT → RD/WR), cycles.
+    /// RAS-to-CAS delay (ACT → RD), cycles.
     pub rcd: u32,
     /// Row precharge time (PRE → ACT), cycles.
     pub rp: u32,
@@ -27,12 +29,8 @@ pub struct DramTimings {
     pub ras: u32,
     /// Row cycle (ACT → ACT same bank), cycles.
     pub rc: u32,
-    /// Write recovery (end of write burst → PRE), cycles.
-    pub wr: u32,
     /// Read-to-precharge (RD → PRE), cycles.
     pub rtp: u32,
-    /// CAS write latency (WR command → first data), cycles.
-    pub cwl: u32,
     /// Refresh cycle time (REF → next command), cycles.
     pub rfc: u32,
     /// Four-activate window, cycles.
@@ -61,9 +59,7 @@ impl DramTimings {
             rp: 28,
             ras: 52,
             rc: 79,
-            wr: 48,
             rtp: 12,
-            cwl: 22,
             rfc: 30,
             faw: 32,
             rrd: 8,
@@ -75,7 +71,8 @@ impl DramTimings {
 
     /// DDR4-3200 timings for the CXL-attached expanders. §III notes the
     /// "CXL-attached DDR4 memory has a low refresh rate over CPU-attached
-    /// DDR5" — the longer tREFI reflects that.
+    /// DDR5" — the longer tREFI reflects that. Its write timings are
+    /// tWR 24 and tCWL 16.
     pub fn ddr4_3200() -> Self {
         DramTimings {
             cl: 22,
@@ -83,9 +80,7 @@ impl DramTimings {
             rp: 22,
             ras: 52,
             rc: 74,
-            wr: 24,
             rtp: 12,
-            cwl: 16,
             rfc: 35,
             faw: 34,
             rrd: 8,
@@ -101,16 +96,6 @@ impl DramTimings {
         SimDuration::from_ps_ceil(cycles as u64 * self.tck_ps)
     }
 
-    /// ACT → readable data duration (tRCD + CL).
-    pub fn act_to_data(&self) -> SimDuration {
-        self.cycles(self.rcd + self.cl)
-    }
-
-    /// Read-command-to-first-data latency.
-    pub fn cas_latency(&self) -> SimDuration {
-        self.cycles(self.cl)
-    }
-
     /// Duration one 64 B line occupies the data bus: 8 transfers on an
     /// 8-byte bus, i.e. 4 clock cycles at double data rate.
     pub fn burst_time(&self) -> SimDuration {
@@ -121,12 +106,10 @@ impl DramTimings {
     pub fn durations(&self) -> TimingDurations {
         TimingDurations {
             cl: self.cycles(self.cl),
-            cwl: self.cycles(self.cwl),
             rcd: self.cycles(self.rcd),
             rp: self.cycles(self.rp),
             ras: self.cycles(self.ras),
             rc: self.cycles(self.rc),
-            wr: self.cycles(self.wr),
             rtp: self.cycles(self.rtp),
             rfc: self.cycles(self.rfc),
             faw: self.cycles(self.faw),
@@ -151,8 +134,6 @@ impl DramTimings {
 pub struct TimingDurations {
     /// CAS latency.
     pub cl: SimDuration,
-    /// CAS write latency.
-    pub cwl: SimDuration,
     /// RAS-to-CAS delay.
     pub rcd: SimDuration,
     /// Row precharge time.
@@ -161,8 +142,6 @@ pub struct TimingDurations {
     pub ras: SimDuration,
     /// Row cycle.
     pub rc: SimDuration,
-    /// Write recovery.
-    pub wr: SimDuration,
     /// Read-to-precharge.
     pub rtp: SimDuration,
     /// Refresh cycle time.
@@ -289,12 +268,10 @@ mod tests {
         for t in [DramTimings::ddr5_4800(), DramTimings::ddr4_3200()] {
             let d = t.durations();
             assert_eq!(d.cl, t.cycles(t.cl));
-            assert_eq!(d.cwl, t.cycles(t.cwl));
             assert_eq!(d.rcd, t.cycles(t.rcd));
             assert_eq!(d.rp, t.cycles(t.rp));
             assert_eq!(d.ras, t.cycles(t.ras));
             assert_eq!(d.rc, t.cycles(t.rc));
-            assert_eq!(d.wr, t.cycles(t.wr));
             assert_eq!(d.rtp, t.cycles(t.rtp));
             assert_eq!(d.rfc, t.cycles(t.rfc));
             assert_eq!(d.faw, t.cycles(t.faw));
@@ -315,11 +292,5 @@ mod tests {
     #[test]
     fn ddr4_is_slower_than_ddr5_per_burst() {
         assert!(DramTimings::ddr4_3200().burst_time() > DramTimings::ddr5_4800().burst_time());
-    }
-
-    #[test]
-    fn act_to_data_combines_rcd_and_cl() {
-        let t = DramTimings::ddr5_4800();
-        assert_eq!(t.act_to_data(), t.cycles(t.rcd + t.cl));
     }
 }

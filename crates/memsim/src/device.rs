@@ -3,7 +3,7 @@
 use simkit::SimTime;
 
 use crate::addrmap::LineDecoder;
-use crate::channel::{Channel, ChannelStats, MemOp};
+use crate::channel::{Channel, ChannelStats};
 use crate::config::DramConfig;
 use crate::config::TimingDurations;
 
@@ -12,12 +12,12 @@ use crate::config::TimingDurations;
 /// # Examples
 ///
 /// ```
-/// use memsim::{DramConfig, DramDevice, MemOp};
+/// use memsim::{DramConfig, DramDevice};
 /// use simkit::SimTime;
 ///
 /// let mut dev = DramDevice::new(DramConfig::ddr4_cxl_expander());
-/// let t1 = dev.access(SimTime::ZERO, 0, MemOp::Read);
-/// let t2 = dev.access(t1, 64, MemOp::Read);
+/// let t1 = dev.access(SimTime::ZERO, 0);
+/// let t2 = dev.access(t1, 64);
 /// assert!(t2 > t1);
 /// assert_eq!(dev.stats().reads, 2);
 /// ```
@@ -43,8 +43,6 @@ pub struct DramStats {
     pub conflicts: u64,
     /// Read accesses.
     pub reads: u64,
-    /// Write accesses.
-    pub writes: u64,
     /// Bytes moved.
     pub bytes: u64,
     /// Refresh-induced stalls.
@@ -57,7 +55,6 @@ impl DramStats {
         self.empties += c.empties;
         self.conflicts += c.conflicts;
         self.reads += c.reads;
-        self.writes += c.writes;
         self.bytes += c.bytes;
         self.refresh_stalls += c.refresh_stalls;
     }
@@ -92,15 +89,15 @@ impl DramDevice {
         &self.cfg
     }
 
-    /// Schedules one 64 B access to physical `addr` arriving at `now`;
+    /// Schedules one 64 B read of physical `addr` arriving at `now`;
     /// returns when its data burst completes.
-    pub fn access(&mut self, now: SimTime, addr: u64, op: MemOp) -> SimTime {
+    pub fn access(&mut self, now: SimTime, addr: u64) -> SimTime {
         simkit::stats::record_events(1);
         let loc = self.decoder.decode(addr);
-        self.channels[loc.channel as usize].access(now, &loc, op, &self.durs)
+        self.channels[loc.channel as usize].access(now, &loc, &self.durs)
     }
 
-    /// Schedules an access spanning `bytes` starting at `addr` (split into
+    /// Schedules a read spanning `bytes` starting at `addr` (split into
     /// 64 B lines, all arriving at `now`); returns when the last line
     /// completes.
     ///
@@ -110,18 +107,18 @@ impl DramDevice {
     /// the per-line [`access`](Self::access) calls would. Any other span
     /// (one crossing a row boundary, wrapping the capacity, or
     /// interleaved over channels) takes the per-line calls.
-    pub fn access_span(&mut self, now: SimTime, addr: u64, bytes: u64, op: MemOp) -> SimTime {
+    pub fn access_span(&mut self, now: SimTime, addr: u64, bytes: u64) -> SimTime {
         let first_line = addr / 64;
         let last_line = (addr + bytes.max(1) - 1) / 64;
         let lines = last_line - first_line + 1;
         if let Some(loc) = self.decoder.row_run(addr, lines) {
             simkit::stats::record_events(lines);
             let ch = &mut self.channels[loc.channel as usize];
-            return now.max(ch.access_run(now, &loc, lines, op, &self.durs));
+            return now.max(ch.access_run(now, &loc, lines, &self.durs));
         }
         let mut done = now;
         for line in first_line..=last_line {
-            done = done.max(self.access(now, line * 64, op));
+            done = done.max(self.access(now, line * 64));
         }
         done
     }
@@ -151,11 +148,11 @@ mod tests {
         let mut dev = DramDevice::new(cfg);
         // Cache-line interleave puts consecutive lines on different
         // channels, so 4 lines should finish much sooner than 4× one line.
-        let single = dev.access(SimTime::ZERO, 0, MemOp::Read);
+        let single = dev.access(SimTime::ZERO, 0);
         let mut dev2 = DramDevice::new(cfg);
         let mut done = SimTime::ZERO;
         for i in 0..4u64 {
-            done = done.max(dev2.access(SimTime::ZERO, i * 64, MemOp::Read));
+            done = done.max(dev2.access(SimTime::ZERO, i * 64));
         }
         let serial_estimate = SimTime::from_ns(single.as_ns() * 3);
         assert!(
@@ -167,18 +164,18 @@ mod tests {
     #[test]
     fn access_span_touches_every_line() {
         let mut dev = DramDevice::new(DramConfig::ddr5_4800_local());
-        dev.access_span(SimTime::ZERO, 0, 256, MemOp::Read);
+        dev.access_span(SimTime::ZERO, 0, 256);
         assert_eq!(dev.stats().reads, 4);
         // Sub-line spans still cost one full line.
         let mut dev2 = DramDevice::new(DramConfig::ddr5_4800_local());
-        dev2.access_span(SimTime::ZERO, 10, 16, MemOp::Read);
+        dev2.access_span(SimTime::ZERO, 10, 16);
         assert_eq!(dev2.stats().reads, 1);
     }
 
     #[test]
     fn span_crossing_line_boundary_costs_two() {
         let mut dev = DramDevice::new(DramConfig::ddr5_4800_local());
-        dev.access_span(SimTime::ZERO, 60, 16, MemOp::Read);
+        dev.access_span(SimTime::ZERO, 60, 16);
         assert_eq!(dev.stats().reads, 2);
     }
 
@@ -189,7 +186,7 @@ mod tests {
         let lines = 20_000u64;
         let mut done = SimTime::ZERO;
         for i in 0..lines {
-            done = done.max(dev.access(SimTime::ZERO, i * 64, MemOp::Read));
+            done = done.max(dev.access(SimTime::ZERO, i * 64));
         }
         let gbps = (lines * 64) as f64 / done.as_ns() as f64;
         let peak = dev.peak_bandwidth_gbps();
@@ -210,7 +207,7 @@ mod tests {
         let mut seq = DramDevice::new(cfg);
         let mut seq_done = SimTime::ZERO;
         for i in 0..lines {
-            seq_done = seq_done.max(seq.access(SimTime::ZERO, i * 64, MemOp::Read));
+            seq_done = seq_done.max(seq.access(SimTime::ZERO, i * 64));
         }
         let mut rnd = DramDevice::new(cfg);
         let mut rnd_done = SimTime::ZERO;
@@ -220,7 +217,7 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            rnd_done = rnd_done.max(rnd.access(SimTime::ZERO, (x % (1 << 32)) & !63, MemOp::Read));
+            rnd_done = rnd_done.max(rnd.access(SimTime::ZERO, (x % (1 << 32)) & !63));
         }
         assert!(
             rnd_done > seq_done,
@@ -233,7 +230,7 @@ mod tests {
     fn stats_aggregate_across_channels() {
         let mut dev = DramDevice::new(DramConfig::ddr5_4800_local());
         for i in 0..16u64 {
-            dev.access(SimTime::ZERO, i * 64, MemOp::Read);
+            dev.access(SimTime::ZERO, i * 64);
         }
         let s = dev.stats();
         assert_eq!(s.reads, 16);

@@ -4,8 +4,8 @@
 //! paper wraps for cycle-level memory simulation (§VI-A). It models the
 //! pieces of DRAM behaviour the paper's results actually depend on:
 //!
-//! * **per-bank state machines** — ACT/PRE/RD/WR legality windows (tRCD,
-//!   tRP, tRAS, tRC, tWR, tRTP), so row-buffer hits are fast and conflicts
+//! * **per-bank state machines** — ACT/PRE/RD legality windows (tRCD,
+//!   tRP, tRAS, tRC, tRTP), so row-buffer hits are fast and conflicts
 //!   are slow;
 //! * **rank-level constraints** — the tFAW rolling four-activate window
 //!   that throttles bank-level parallelism;
@@ -14,6 +14,10 @@
 //! * **refresh** — periodic tREFI/tRFC blackouts;
 //! * **configurable address interleaving** — cache-line vs row granularity
 //!   across channels and banks.
+//!
+//! The model is read-only. SLS inference only reads embedding rows, and
+//! page migration is costed analytically (`pagemgmt`), so no run issues
+//! a DRAM write and the write timings (tWR, tCWL) are not modelled.
 //!
 //! Scheduling is greedy in arrival order with row-hit-aware bank timing
 //! (a first-ready approximation of FR-FCFS): each request is scheduled at
@@ -25,11 +29,11 @@
 //! # Examples
 //!
 //! ```
-//! use memsim::{DramConfig, DramDevice, MemOp};
+//! use memsim::{DramConfig, DramDevice};
 //! use simkit::SimTime;
 //!
 //! let mut dev = DramDevice::new(DramConfig::ddr5_4800_local());
-//! let done = dev.access(SimTime::ZERO, 0x4000, MemOp::Read);
+//! let done = dev.access(SimTime::ZERO, 0x4000);
 //! assert!(done > SimTime::ZERO);
 //! ```
 
@@ -42,6 +46,5 @@ pub mod config;
 pub mod device;
 
 pub use addrmap::{LineDecoder, Location};
-pub use channel::MemOp;
 pub use config::{DramConfig, DramOrg, DramTimings};
 pub use device::{DramDevice, DramStats};

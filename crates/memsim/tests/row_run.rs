@@ -8,15 +8,15 @@
 //! every span the two must agree on the completion time, the device
 //! statistics, and the number of simulation events recorded.
 
-use memsim::{DramConfig, DramDevice, DramOrg, MemOp};
+use memsim::{DramConfig, DramDevice, DramOrg};
 use proptest::prelude::*;
 use simkit::SimTime;
 
 /// The per-line definition of a span, with its event count.
-fn per_line(dev: &mut DramDevice, now: SimTime, addr: u64, bytes: u64, op: MemOp) -> SimTime {
+fn per_line(dev: &mut DramDevice, now: SimTime, addr: u64, bytes: u64) -> SimTime {
     let first = addr / 64;
     let last = (addr + bytes.max(1) - 1) / 64;
-    (first..=last).fold(now, |done, line| done.max(dev.access(now, line * 64, op)))
+    (first..=last).fold(now, |done, line| done.max(dev.access(now, line * 64)))
 }
 
 /// A device of `channels` channels over a small capacity, so spans wrap
@@ -60,12 +60,11 @@ proptest! {
                 1 => cap * ((word >> 36) % 3) + cap - (word >> 48) % 512,
                 _ => (word >> 36) % (4 * cap),
             };
-            let op = if (word >> 60) % 3 == 0 { MemOp::Write } else { MemOp::Read };
 
             let before = simkit::stats::events_recorded();
-            let done = fast.access_span(now, addr, bytes, op);
+            let done = fast.access_span(now, addr, bytes);
             let fast_events = simkit::stats::events_recorded() - before;
-            let expected = per_line(&mut slow, now, addr, bytes, op);
+            let expected = per_line(&mut slow, now, addr, bytes);
             let slow_events = simkit::stats::events_recorded() - before - fast_events;
 
             prop_assert_eq!(done, expected, "span {:#x}+{} at {}", addr, bytes, now);

@@ -210,12 +210,6 @@ pub struct FaultSchedule {
     deaths: Vec<Option<SimTime>>,
 }
 
-/// Draws an exponential with the given mean, matching `tracegen`'s
-/// arrival machinery: `1 - unit_f64()` keeps the argument in `(0, 1]`.
-fn exp_draw(rng: &mut DetRng, mean: f64) -> f64 {
-    -(1.0 - rng.unit_f64()).ln() * mean
-}
-
 impl FaultSchedule {
     /// The empty schedule: no events, every node alive forever. The
     /// cheap default every fault-free run carries (no allocation).
@@ -251,7 +245,7 @@ impl FaultSchedule {
                 let mut dead = vec![false; n_nodes as usize];
                 let mut clock = 0.0f64;
                 loop {
-                    clock += exp_draw(&mut rng, mean_gap);
+                    clock += rng.exp(mean_gap);
                     if clock > horizon_ns as f64 {
                         break;
                     }
@@ -277,12 +271,12 @@ impl FaultSchedule {
                 let mean_active = DUTY_FRACTION * NS_PER_S / rate;
                 let mut clock = 0.0f64;
                 loop {
-                    clock += exp_draw(&mut rng, mean_gap);
+                    clock += rng.exp(mean_gap);
                     if clock > horizon_ns as f64 {
                         break;
                     }
                     let node = rng.below(n_nodes as u64) as u16;
-                    let active = exp_draw(&mut rng, mean_active);
+                    let active = rng.exp(mean_active);
                     events.push(FaultEvent {
                         at: SimTime::from_ns(clock.round() as u64),
                         until: SimTime::from_ns((clock + active).round() as u64),
@@ -296,11 +290,11 @@ impl FaultSchedule {
                 let mean_active = DUTY_FRACTION * NS_PER_S / rate;
                 let mut clock = 0.0f64;
                 loop {
-                    clock += exp_draw(&mut rng, mean_gap);
+                    clock += rng.exp(mean_gap);
                     if clock > horizon_ns as f64 {
                         break;
                     }
-                    let active = exp_draw(&mut rng, mean_active);
+                    let active = rng.exp(mean_active);
                     events.push(FaultEvent {
                         at: SimTime::from_ns(clock.round() as u64),
                         until: SimTime::from_ns((clock + active).round() as u64),

@@ -9,9 +9,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //!   matching the paper's 1 ns/clk top-module tick (§VI-A).
-//! * [`BandwidthLink`] — a serialization-delay model for bandwidth-limited
-//!   resources (FlexBus lanes, DIMM data buses, switch ports), reserved
-//!   in call order.
 //! * [`hash`] — a fast deterministic hasher ([`hash::FastMap`]) for
 //!   simulation-internal maps on hot paths.
 //! * [`stats`] — latency histograms, summaries, normalizers and the
@@ -25,27 +22,26 @@
 //! # Examples
 //!
 //! ```
-//! use simkit::{BandwidthLink, SimDuration, SimTime};
+//! use simkit::{SimDuration, SimTime};
 //!
-//! // A 64 GB/s link with 10 ns of propagation delay.
-//! let mut link = BandwidthLink::from_gbps(64, 10);
-//! let t = SimTime::ZERO + SimDuration::from_ns(5);
-//! let a = link.transfer(t, 640); // 10 ns on the wire, then 10 ns in flight
-//! let b = link.transfer(t, 640); // same instant: reserved behind `a`
-//! assert_eq!((a.as_ns(), b.as_ns()), (25, 35));
+//! // A resource busy until 25 ns: a request issued at 5 ns starts when
+//! // it frees up, and holds it for 10 ns.
+//! let free = SimTime::from_ns(25);
+//! let now = SimTime::ZERO + SimDuration::from_ns(5);
+//! let start = now.max(free);
+//! let free = start + SimDuration::from_ns(10);
+//! assert_eq!((start.as_ns(), free.as_ns()), (25, 35));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod faults;
 pub mod hash;
-pub mod link;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSpec};
-pub use link::BandwidthLink;
 pub use rng::DetRng;
 pub use stats::{LatencyHist, Summary};
 pub use time::{SimDuration, SimTime};

@@ -65,6 +65,14 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// Returns an exponential draw with the given `mean`, by inverting
+    /// the CDF on `1 - unit_f64()`, which lies in `(0, 1]` and so never
+    /// takes `ln(0)`.
+    #[inline]
+    pub fn exp(&mut self, mean: f64) -> f64 {
+        -(1.0 - self.unit_f64()).ln() * mean
+    }
+
     /// Spawns an independent child generator; used to give each simulated
     /// host or table its own stream without correlation.
     pub fn fork(&mut self) -> DetRng {

@@ -317,7 +317,7 @@ impl ArrivalGen {
         }
         let mut rng = DetRng::new(seed);
         let dwell_left_ns = match process {
-            ArrivalProcess::Bursty { dwell_us, .. } => exp_draw(&mut rng, dwell_us * 1_000.0),
+            ArrivalProcess::Bursty { dwell_us, .. } => rng.exp(dwell_us * 1_000.0),
             ArrivalProcess::Diurnal { period_s, .. } | ArrivalProcess::Flash { period_s, .. } => {
                 period_s * NS_PER_S / DIURNAL_SEGMENTS as f64
             }
@@ -342,7 +342,7 @@ impl ArrivalGen {
                 t
             }
             ArrivalProcess::Poisson { qps } => {
-                self.clock_ns += exp_draw(&mut self.rng, NS_PER_S / qps);
+                self.clock_ns += self.rng.exp(NS_PER_S / qps);
                 self.clock_ns.round()
             }
             ArrivalProcess::Bursty {
@@ -358,7 +358,7 @@ impl ArrivalGen {
                     };
                     // Rate 0 (burst → 1 in the low state) draws an
                     // infinite gap, falling through to the state flip.
-                    let gap = exp_draw(&mut self.rng, NS_PER_S / rate);
+                    let gap = self.rng.exp(NS_PER_S / rate);
                     if gap <= self.dwell_left_ns {
                         self.dwell_left_ns -= gap;
                         self.clock_ns += gap;
@@ -370,7 +370,7 @@ impl ArrivalGen {
                     // redraw distribution-exact).
                     self.clock_ns += self.dwell_left_ns;
                     self.high = !self.high;
-                    self.dwell_left_ns = exp_draw(&mut self.rng, dwell_us * 1_000.0);
+                    self.dwell_left_ns = self.rng.exp(dwell_us * 1_000.0);
                 }
                 self.clock_ns.round()
             }
@@ -418,7 +418,7 @@ impl ArrivalGen {
                     rate *= mult;
                 }
             }
-            let gap = exp_draw(&mut self.rng, NS_PER_S / rate);
+            let gap = self.rng.exp(NS_PER_S / rate);
             if gap <= self.dwell_left_ns {
                 self.dwell_left_ns -= gap;
                 self.clock_ns += gap;
@@ -433,12 +433,6 @@ impl ArrivalGen {
         }
         self.clock_ns.round()
     }
-}
-
-/// One exponential draw with the given mean (f64 nanoseconds).
-fn exp_draw(rng: &mut DetRng, mean: f64) -> f64 {
-    // Inverse CDF on (0, 1]: 1 - u avoids ln(0).
-    -(1.0 - rng.unit_f64()).ln() * mean
 }
 
 #[cfg(test)]

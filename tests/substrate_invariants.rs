@@ -15,13 +15,14 @@ proptest! {
     /// (activate + CAS + one burst).
     #[test]
     fn dram_never_beats_physics(addrs in proptest::collection::vec(0u64..(1 << 30), 1..64)) {
-        use memsim::{DramConfig, DramDevice, MemOp};
+        use memsim::{DramConfig, DramDevice};
         use simkit::SimTime;
         let cfg = DramConfig::ddr5_4800_local();
-        let floor = cfg.timings.act_to_data() + cfg.timings.burst_time();
+        let t = cfg.timings;
+        let floor = t.cycles(t.rcd + t.cl) + t.burst_time();
         let mut dev = DramDevice::new(cfg);
         for addr in addrs {
-            let done = dev.access(SimTime::ZERO, addr, MemOp::Read);
+            let done = dev.access(SimTime::ZERO, addr);
             prop_assert!(done.as_ns() >= floor.as_ns() - 1,
                 "completion {done} beats the physical floor {floor}");
         }
