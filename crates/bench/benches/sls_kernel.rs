@@ -1,8 +1,9 @@
 //! Criterion bench: the functional SparseLengthSum kernel (the operation
-//! every compute site executes per row).
+//! every compute site executes per row), and the cluster checksum's
+//! per-row term, per element and in closed form.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dlrm::sls::{accumulate_row, sls_reference};
+use dlrm::sls::{accumulate_row, accumulate_row_exact, sls_reference};
 use dlrm::EmbeddingTable;
 
 fn bench_sls(c: &mut Criterion) {
@@ -16,6 +17,20 @@ fn bench_sls(c: &mut Criterion) {
         g.bench_function(format!("fold_dim{dim}"), |b| {
             let mut acc = vec![0.0f32; dim as usize];
             b.iter(|| accumulate_row(black_box(&mut acc), &table, black_box(indices[0]), 1.0))
+        });
+        // A row's exact checksum term, element by element: the exact
+        // f64 fold, then the sum over its elements...
+        g.bench_function(format!("exact_fold_dim{dim}"), |b| {
+            let mut acc = vec![0.0f64; dim as usize];
+            b.iter(|| {
+                acc.fill(0.0);
+                accumulate_row_exact(black_box(&mut acc), &table, black_box(indices[0]), 1.0);
+                acc.iter().sum::<f64>()
+            })
+        });
+        // ...and in closed form from the row's integer mantissa sum.
+        g.bench_function(format!("row_sum_dim{dim}"), |b| {
+            b.iter(|| black_box(&table).row_sum_exact(black_box(indices[0])))
         });
     }
     // Serving-sized batch: one open-loop dispatch folds ~32 rows per bag.

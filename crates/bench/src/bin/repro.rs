@@ -198,7 +198,7 @@ fn scenario_rows_json(rows: &[pifs_bench::scenario::ResultRow]) -> serde_json::V
 }
 
 /// Validates axes whose semantics are shared across scenarios
-/// (`model`, `scheme`, `trace`, `arrival`, `traffic`, `policy`,
+/// (`model`, `scheme`, `trace`, `arrival`, `qps`, `traffic`, `policy`,
 /// `fault`, `shed`, `controller`, and the serving batcher knobs)
 /// before any simulation starts, so typos and degenerate values
 /// (`batch_size=0`) die with a clean message — the parser's own, where
@@ -222,6 +222,14 @@ fn validate_axis_values(key: &str, values: &[ParamValue]) {
             }),
             // The rate is per-point; validate the spelling at a dummy 1 qps.
             "arrival" => tracegen::ArrivalProcess::parse(&spelled, 1.0).err(),
+            // ...and each rate with the simplest process, so a zero,
+            // negative or non-finite rate is the parser's error here
+            // rather than a worker panic mid-grid.
+            "qps" => match value {
+                ParamValue::U64(n) => tracegen::ArrivalProcess::parse("poisson", *n as f64).err(),
+                ParamValue::F64(v) => tracegen::ArrivalProcess::parse("poisson", *v).err(),
+                ParamValue::Str(s) => Some(format!("rate {s:?} is not a number")),
+            },
             "traffic" => pifs_bench::scenarios::adaptive::parse_traffic(&spelled, 1.0).err(),
             "policy" => pifs_core::engine::cluster::ShardPolicy::parse(&spelled).err(),
             "fault" => simkit::FaultSpec::parse(&spelled).err(),

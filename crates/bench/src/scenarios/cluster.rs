@@ -16,12 +16,15 @@
 //! bit-identical across every (nodes, policy) cell of a qps column —
 //! the shard-invariance suite pins this.
 //!
-//! Each point is one task that routes its workload once
+//! Each point is one task that walks its workload once
 //! ([`SlsCluster::run_open_loop_streamed`]): one placement build, one
 //! pass over the seeded [`QueryStreamSpec`] (a few dozen bytes — the
 //! workload is never materialized) pushing every shard's sub-bags into
-//! its node, and one merge. The 32-point grid keeps every core busy
-//! without splitting a point's nodes across threads.
+//! its node and summing each participation's exact checksum partial
+//! from the served rows' integer mantissas, and one merge that adds
+//! those scalars — the stream is never replayed. The 32-point grid
+//! keeps every core busy without splitting a point's nodes across
+//! threads.
 
 use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy, SlsCluster};
 use pifs_core::system::{ServingMetrics, SystemConfig};

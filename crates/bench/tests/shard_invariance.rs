@@ -24,8 +24,7 @@ use pifs_bench::runner::SweepRunner;
 use pifs_bench::scenario::{find, workload_seed, ParamValue, Point};
 use pifs_bench::{meta_distribution, scale_buffers, SEED, STD_BATCHES, STD_BATCH_SIZE};
 use pifs_core::engine::cluster::{
-    functional_tables, merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy,
-    SlsCluster,
+    merged_bag_embedding_at, ClusterConfig, ShardPlacement, ShardPolicy, SlsCluster,
 };
 use pifs_core::engine::serving::TraceArrivals;
 use pifs_core::system::{SlsSystem, SystemConfig};
@@ -122,14 +121,10 @@ fn one_shard_cluster_is_byte_identical_to_the_node() {
 #[test]
 fn sharded_merges_are_bit_identical_for_every_shard_count() {
     let (cfg, trace, arrivals) = workload(RATES[0]);
-    let tables = functional_tables(&cfg.model);
     // The unsharded reference: k = 1 (== the whole-bag exact sum).
-    let reference = exact_query_checksums(
-        &ShardPlacement::from_dims(1, trace.n_tables, ShardPolicy::RowHash),
-        &tables,
-        &trace,
-        arrivals.len(),
-    );
+    let unsharded = ShardPlacement::from_dims(1, trace.n_tables, ShardPolicy::RowHash, &cfg.model);
+    let tables = unsharded.tables();
+    let reference = exact_query_checksums(&unsharded, tables, &trace, arrivals.len());
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     for policy in POLICIES {
         for k in [2u16, 4, 8] {
@@ -139,7 +134,7 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
                 &TraceArrivals::new(&trace, &arrivals),
             );
             // Per-query checksums, bit for bit.
-            let got = exact_query_checksums(&placement, &tables, &trace, arrivals.len());
+            let got = exact_query_checksums(&placement, tables, &trace, arrivals.len());
             assert_eq!(
                 bits(&got),
                 bits(&reference),

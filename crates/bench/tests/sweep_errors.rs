@@ -103,6 +103,25 @@ fn degenerate_serving_knobs_die_with_the_parsers_reason() {
 }
 
 #[test]
+fn degenerate_rates_die_with_the_arrival_parsers_reason() {
+    // A zero, negative or non-finite offered rate used to reach the
+    // worker, which panicked on the arrival parser's error mid-grid.
+    for scenario in ["latency_qps", "cluster_qps"] {
+        for qps in ["0", "-5", "nan", "inf"] {
+            let param = format!("qps={qps}");
+            assert_dies(
+                &["--threads", "1", "sweep", scenario, "--param", &param],
+                &["--param qps", "arrival rate must be positive and finite"],
+            );
+        }
+    }
+    assert_dies(
+        &["sweep", "cluster_qps", "--param", "qps=fast"],
+        &["--param qps", "is not a number"],
+    );
+}
+
+#[test]
 fn degenerate_topology_knobs_die_before_the_grid_launches() {
     // Each of these used to panic inside a worker (an empty MLP window,
     // a plant with no hosts, devices or switches, no cores to partition

@@ -24,18 +24,22 @@
 //!   entirely by one shard returns directly — which is why a 1-shard
 //!   cluster is *byte-identical* to plain
 //!   [`run_open_loop`](SlsSystem::run_open_loop).
-//! * **Functional plane** — per-shard partial sums are folded in f64
-//!   ([`dlrm::sls::accumulate_row_exact`]) over each shard's owned rows
-//!   in bag order — one pass over the bag into a reused `shards × dim`
-//!   scratch, each row's values recomputed from the procedural hash
-//!   ([`dlrm::EmbeddingTable::value_block`]) as it folds — and merged
-//!   in **fixed shard-index order**. Because procedural embedding
-//!   values are exact multiples of 2⁻²², the f64 accumulation is
-//!   exact and therefore associative: the merged embeddings and query
-//!   checksums are bit-identical for *every* shard count and placement
-//!   policy (the shard-invariance suite asserts this). The fixed merge
-//!   order is belt and suspenders on top of the exactness argument, not
-//!   a correctness requirement.
+//! * **Functional plane** — each query's checksum is the f64 sum of
+//!   its served embedding elements. Procedural embedding values are
+//!   exact multiples of 2⁻²², so while a query's rows × dim stays under
+//!   2³¹ ([`dlrm::sls::exact_sum_fits`], asserted per query) every f64
+//!   sum on this plane is exact and therefore associative. So the
+//!   checksum forms in closed form while routing: [`route_stream`] adds
+//!   each served row's integer-mantissa sum
+//!   ([`dlrm::EmbeddingTable::row_sum_exact`]) into its shard's scalar
+//!   partial, and the merge adds the partials of the participations it
+//!   answered, in **fixed shard-index order**. The checksums are
+//!   bit-identical for *every* shard count and placement policy, and to
+//!   the per-element merge of [`merged_bag_embedding_at`] (the
+//!   shard-invariance suite and this module's
+//!   `prop_routed_checksums_match_the_per_element_merge` assert both).
+//!   The fixed merge order is belt and suspenders on top of the
+//!   exactness argument, not a correctness requirement.
 //!
 //! Determinism: routing, per-node simulation and both merge planes are
 //! pure functions of `(config, workload)`. The aggregation link drains
@@ -81,7 +85,7 @@
 #![deny(missing_docs)]
 
 use cxlsim::FlexBusLink;
-use dlrm::EmbeddingTable;
+use dlrm::{EmbeddingTable, ModelConfig};
 use pagemgmt::{HotnessTracker, PageId};
 use simkit::faults::FaultSchedule;
 use simkit::{LatencyHist, SimDuration, SimTime};
@@ -211,33 +215,44 @@ impl ClusterConfig {
 }
 
 /// The frozen row→shard map for one trace: the policy plus the
-/// hotness-ranked replica set.
+/// hotness-ranked replica set, over the model's functional tables.
 #[derive(Debug, Clone)]
 pub struct ShardPlacement {
     n_shards: u16,
-    n_tables: u32,
     policy: ShardPolicy,
+    /// The functional table of every routed table (base address zero —
+    /// the procedural values depend only on `(table, row, element)`):
+    /// the model's row count and dimension, one per table of the source.
+    tables: Vec<EmbeddingTable>,
     /// Rows replicated on every shard, per table (sorted for binary
     /// search; empty when replication is off).
     replicated: Vec<Vec<u64>>,
 }
 
 impl ShardPlacement {
-    /// A placement with no replica set, constructible from the shard
-    /// dimensions alone — no workload scan. Identical to
-    /// [`Self::build_streamed`] whenever `hot_rows_per_table` is 0 (the
-    /// common serving configuration).
+    /// A placement of `n_tables` tables of `model`'s shape with no
+    /// replica set, constructible from the dimensions alone — no
+    /// workload scan. Identical to [`Self::build_streamed`] whenever
+    /// `hot_rows_per_table` is 0 (the common serving configuration).
     ///
     /// # Panics
     ///
-    /// Panics if `n_shards` or `n_tables` is zero.
-    pub fn from_dims(n_shards: u16, n_tables: u32, policy: ShardPolicy) -> ShardPlacement {
+    /// Panics if `n_shards` or `n_tables` is zero, or `model` has no
+    /// rows or a zero dimension.
+    pub fn from_dims(
+        n_shards: u16,
+        n_tables: u32,
+        policy: ShardPolicy,
+        model: &ModelConfig,
+    ) -> ShardPlacement {
         assert!(n_shards > 0, "a cluster needs at least one shard");
         assert!(n_tables > 0, "a placement needs at least one table");
         ShardPlacement {
             n_shards,
-            n_tables,
             policy,
+            tables: (0..n_tables)
+                .map(|t| EmbeddingTable::new(t, model.emb_num, model.emb_dim, 0))
+                .collect(),
             replicated: vec![Vec::new(); n_tables as usize],
         }
     }
@@ -256,7 +271,8 @@ impl ShardPlacement {
     /// whole workload) or the dimensions are degenerate.
     pub fn build_streamed<S: TaggedQuerySource>(cfg: &ClusterConfig, stream: &S) -> ShardPlacement {
         let n_tables = stream.n_tables();
-        let mut placement = ShardPlacement::from_dims(cfg.n_shards, n_tables, cfg.policy);
+        let mut placement =
+            ShardPlacement::from_dims(cfg.n_shards, n_tables, cfg.policy, &cfg.node.model);
         if cfg.hot_rows_per_table == 0 {
             return placement;
         }
@@ -297,10 +313,16 @@ impl ShardPlacement {
         self.n_shards
     }
 
+    /// The functional table of every routed table, table-index order.
+    pub fn tables(&self) -> &[EmbeddingTable] {
+        &self.tables
+    }
+
     /// The shard owning `(table, row)` under the policy (replication
     /// aside — the owner also holds a replicated row's primary copy).
     pub fn owner(&self, table: u32, row: u64) -> u16 {
-        self.policy.owner(self.n_shards, self.n_tables, table, row)
+        self.policy
+            .owner(self.n_shards, self.tables.len() as u32, table, row)
     }
 
     /// Whether `(table, row)` is replicated on every shard.
@@ -389,9 +411,9 @@ pub struct ClusterMetrics {
     /// Mean shards participating per query (1.0 = no sharding overhead,
     /// `n_shards` = full scatter).
     pub mean_fanout: f64,
-    /// Exact merged functional checksum: the f64 partial-sum merge
-    /// summed over every query — bit-identical across shard counts and
-    /// policies (see the module docs).
+    /// Exact merged functional checksum: the per-query checksums summed
+    /// — bit-identical across shard counts and policies (see the module
+    /// docs).
     pub checksum: f64,
     /// Per-query exact checksums, indexed by qid (the shard-invariance
     /// tests compare these bitwise across shard counts).
@@ -496,9 +518,8 @@ impl SlsCluster {
     /// build the placement once, open every node's session (with its
     /// shard's slow-down windows from [`ClusterConfig::faults`]), walk
     /// the source once with [`route_stream`] pushing each shard's
-    /// sub-bags into its node, finish the sessions, and merge (timing
-    /// plane + exact functional plane, [`merge_node_parts`] — the merge
-    /// replays a clone of the source). Tagged sources (a
+    /// sub-bags into its node and forming the checksum partials, finish
+    /// the sessions, and merge ([`merge_node_parts`]). Tagged sources (a
     /// [`tracegen::TenantMixStream`]) also fill the per-node and merged
     /// per-tenant splits.
     ///
@@ -512,6 +533,21 @@ impl SlsCluster {
         &mut self,
         stream: &mut S,
     ) -> ClusterMetrics {
+        let (routed, per_node) = self.serve(stream);
+        let parts: Vec<NodePart<'_>> = per_node.iter().map(NodePart::from).collect();
+        let mut merged = merge_node_parts(&self.cfg, &routed, &parts);
+        merged.per_node = per_node;
+        merged
+    }
+
+    /// The serving half of [`Self::run_open_loop_streamed`]: places,
+    /// routes `stream` into the nodes and finishes their sessions,
+    /// returning the routing record and each node's metrics, shard
+    /// order.
+    fn serve<S: TaggedQuerySource>(
+        &mut self,
+        stream: &mut S,
+    ) -> (RoutedStream, Vec<ServingMetrics>) {
         assert_rows_fit(&self.cfg.node.model, stream);
         assert_eq!(
             stream.position(),
@@ -519,7 +555,6 @@ impl SlsCluster {
             "a streamed cluster run consumes a fresh stream"
         );
         let placement = ShardPlacement::build_streamed(&self.cfg, stream);
-        let replay = stream.clone();
         let n_tables = stream.n_tables();
         for (shard, node) in (0..self.cfg.n_shards).zip(&mut self.nodes) {
             node.set_slowdowns(self.cfg.faults.slow_intervals(shard));
@@ -534,15 +569,12 @@ impl SlsCluster {
                 nodes[shard].open_loop_push_tagged(at, tenant, sub);
             },
         );
-        let per_node: Vec<ServingMetrics> = self
+        let per_node = self
             .nodes
             .iter_mut()
             .map(SlsSystem::open_loop_finish)
             .collect();
-        let parts: Vec<NodePart<'_>> = per_node.iter().map(NodePart::from).collect();
-        let mut merged = merge_node_parts(&self.cfg, &placement, &replay, &routed, &parts);
-        merged.per_node = per_node;
-        merged
+        (routed, per_node)
     }
 }
 
@@ -570,26 +602,20 @@ impl<'a> From<&'a ServingMetrics> for NodePart<'a> {
     }
 }
 
-/// The functional embedding tables of `model` (base address zero — the
-/// procedural values depend only on `(table, row, element)`).
-pub fn functional_tables(model: &dlrm::ModelConfig) -> Vec<EmbeddingTable> {
-    (0..model.n_tables)
-        .map(|t| EmbeddingTable::new(t, model.emb_num, model.emb_dim, 0))
-        .collect()
-}
-
-/// The exact merged embedding of one bag: routes the bag at instant
-/// `at` under `faults` ([`ShardPlacement::route_bag_at`]), folds each
-/// shard's f64 partial sum over its rows in bag order, and merges the
-/// partials in fixed shard-index order — skipping rows routed to no
-/// live shard and the `excluded` shards' partials (the timing merge's
-/// shed and timed-out participations). With
+/// The exact merged embedding of one bag, element by element: routes
+/// the bag at instant `at` under `faults`
+/// ([`ShardPlacement::route_bag_at`]), folds each shard's f64 partial
+/// sum over its rows in bag order ([`dlrm::sls::accumulate_row_exact`]),
+/// and merges the partials in fixed shard-index order — skipping rows
+/// routed to no live shard and the `excluded` shards' partials (the
+/// merge's shed and timed-out participations). With
 /// [`FaultSchedule::none`] and no exclusions the result is bit-identical
 /// to [`dlrm::sls::sls_reference_exact`] on the whole bag for every
 /// shard count and policy — the exactness argument in the module docs.
 /// Dropping whole partials never re-associates the surviving ones, so a
 /// full-coverage answer under faults is bit-identical to the fault-free
-/// merge.
+/// merge. The serving merge never calls this: it is the per-element
+/// oracle its closed-form checksums are tested against.
 pub fn merged_bag_embedding_at(
     placement: &ShardPlacement,
     faults: &FaultSchedule,
@@ -599,81 +625,162 @@ pub fn merged_bag_embedding_at(
     table_idx: u32,
     bag: &[u64],
 ) -> Vec<f64> {
-    BagMerge::new(placement, faults)
-        .merge(at, excluded, table, table_idx, bag)
-        .to_vec()
-}
-
-/// The one functional-plane fold behind [`merged_bag_embedding_at`] and
-/// [`merge_node_parts`], with reusable scratch: the bag's route, one f64
-/// partial per shard (`shards × dim`, shard-major), which shards folded
-/// a row, and the merged embedding. The buffers grow to the widest bag
-/// and table seen, then never allocate again.
-struct BagMerge<'a> {
-    placement: &'a ShardPlacement,
-    faults: &'a FaultSchedule,
-    route: Vec<u16>,
-    partials: Vec<f64>,
-    folded: Vec<bool>,
-    merged: Vec<f64>,
-}
-
-impl<'a> BagMerge<'a> {
-    fn new(placement: &'a ShardPlacement, faults: &'a FaultSchedule) -> Self {
-        BagMerge {
-            placement,
-            faults,
-            route: Vec::new(),
-            partials: Vec::new(),
-            folded: Vec::new(),
-            merged: Vec::new(),
+    let dim = table.dim() as usize;
+    let mut route = Vec::new();
+    placement.route_bag_at(table_idx, bag, at, faults, &mut route);
+    let mut partials = vec![vec![0.0f64; dim]; usize::from(placement.n_shards)];
+    for (&row, &shard) in bag.iter().zip(&route) {
+        if shard != ShardPlacement::LOST && !excluded.contains(&shard) {
+            dlrm::sls::accumulate_row_exact(&mut partials[usize::from(shard)], table, row, 1.0);
         }
     }
-
-    /// The exact merged embedding of `bag` (see
-    /// [`merged_bag_embedding_at`]): one pass over the bag folds every
-    /// served row into its shard's partial, in bag order; then the
-    /// partials of the shards that folded a row merge in shard-index
-    /// order.
-    fn merge(
-        &mut self,
-        at: SimTime,
-        excluded: &[u16],
-        table: &EmbeddingTable,
-        table_idx: u32,
-        bag: &[u64],
-    ) -> &[f64] {
-        let dim = table.dim() as usize;
-        let shards = usize::from(self.placement.n_shards);
-        self.placement
-            .route_bag_at(table_idx, bag, at, self.faults, &mut self.route);
-        self.partials.clear();
-        self.partials.resize(shards * dim, 0.0);
-        self.folded.clear();
-        self.folded.resize(shards, false);
-        for (&row, &shard) in bag.iter().zip(&self.route) {
-            if shard == ShardPlacement::LOST || excluded.contains(&shard) {
-                continue;
-            }
-            let s = usize::from(shard);
-            self.folded[s] = true;
-            let partial = &mut self.partials[s * dim..(s + 1) * dim];
-            dlrm::sls::accumulate_row_exact(partial, table, row, 1.0);
+    let mut merged = vec![0.0f64; dim];
+    for partial in &partials {
+        for (m, p) in merged.iter_mut().zip(partial) {
+            *m += p;
         }
-        self.merged.clear();
-        self.merged.resize(dim, 0.0);
-        for (partial, _) in self
-            .partials
-            .chunks_exact(dim)
-            .zip(&self.folded)
-            .filter(|(_, &folded)| folded)
-        {
-            for (m, p) in self.merged.iter_mut().zip(partial) {
-                *m += p;
-            }
-        }
-        &self.merged
     }
+    merged
+}
+
+/// The routing record of one pass over the workload: everything the
+/// merge needs that a lazy stream cannot replay cheaply. Per-query
+/// state is O(participations) scalars — the routed *bags* are handed
+/// to the sink and recycled, never stored.
+#[derive(Debug, Clone, Default)]
+pub struct RoutedStream {
+    /// Arrival instant of every query, qid order.
+    pub arrivals: Vec<SimTime>,
+    /// Global qid of each of shard `s`'s local queries, ascending.
+    pub qids: Vec<Vec<u64>>,
+    /// Tables shard `s` touches for each of its local queries (aligned
+    /// with `qids[s]`): the partial-response size of the timing merge.
+    pub touched: Vec<Vec<u64>>,
+    /// Rows shard `s` serves for each of its local queries (aligned
+    /// with `qids[s]`): the coverage a dropped partial forfeits.
+    pub lookups: Vec<Vec<u64>>,
+    /// Whether every row of the participation is replicated (aligned
+    /// with `qids[s]`): a timed-out partial can be hedged to a replica
+    /// shard only when some other shard holds all of its rows.
+    pub hedgeable: Vec<Vec<bool>>,
+    /// The exact f64 sum of every embedding element shard `s` serves
+    /// for each of its local queries (aligned with `qids[s]`): the
+    /// participation's checksum partial, summed from the rows'
+    /// [`EmbeddingTable::row_sum_exact`] terms.
+    pub partials: Vec<Vec<f64>>,
+    /// Rows each query offered, qid order.
+    pub total_lookups: Vec<u64>,
+    /// Rows each query lost at routing time (dead owner, no replica),
+    /// qid order.
+    pub lost_lookups: Vec<u64>,
+    /// Lookups that failed over from a dead owner to a replica shard.
+    pub failovers: u64,
+    /// Each query's tenant tag, qid order (0 throughout for
+    /// single-tenant sources).
+    pub tenants: Vec<u16>,
+}
+
+/// Consumes `stream`, routing each query's bags across the placement's
+/// shards: each shard receives, per table, exactly the rows it serves,
+/// in bag order, and a query is handed only to shards serving at least
+/// one of its rows. The per-shard sub-bags live in one recycled
+/// `shards × tables` buffer set, and each participating shard's
+/// sub-bags are handed to `sink(shard, tenant, arrival, sub_bags)`
+/// (table-indexed, empty for untouched tables) before the next query
+/// overwrites them. Routing consults `faults` at each arrival
+/// ([`ShardPlacement::route_bag_at`] — pass the empty schedule for the
+/// fault-free behaviour). For a 1-shard fault-free placement the sink
+/// sees the source's bags and arrivals verbatim.
+///
+/// Each served row's exact element sum
+/// ([`EmbeddingTable::row_sum_exact`] on the placement's functional
+/// tables) adds into its shard's scalar for the query, and each
+/// participation records that scalar in [`RoutedStream::partials`]: the
+/// merge's checksums need no second pass over the workload. Returns the
+/// [`RoutedStream`] record the merge keys on.
+///
+/// # Panics
+///
+/// Panics if the placement and the stream disagree on the table count,
+/// and, naming the query, if a query's rows × dim reaches 2³¹
+/// ([`dlrm::sls::exact_sum_fits`]): past that the f64 checksum could
+/// round, and the merge's exactness would be a guess.
+pub fn route_stream<S, F>(
+    placement: &ShardPlacement,
+    faults: &FaultSchedule,
+    stream: &mut S,
+    mut sink: F,
+) -> RoutedStream
+where
+    S: TaggedQuerySource,
+    F: FnMut(usize, u16, SimTime, &[Vec<u64>]),
+{
+    let k = placement.n_shards as usize;
+    let n_tables = stream.n_tables();
+    let tables = &placement.tables;
+    assert_eq!(
+        tables.len(),
+        n_tables as usize,
+        "the placement must cover the stream's tables"
+    );
+    let dim = tables[0].dim();
+    let mut routed = RoutedStream {
+        qids: vec![Vec::new(); k],
+        touched: vec![Vec::new(); k],
+        lookups: vec![Vec::new(); k],
+        hedgeable: vec![Vec::new(); k],
+        partials: vec![Vec::new(); k],
+        ..RoutedStream::default()
+    };
+    let mut sub: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); n_tables as usize]; k];
+    let mut route: Vec<u16> = Vec::new();
+    let mut all_repl: Vec<bool> = vec![true; k];
+    let mut sums: Vec<f64> = vec![0.0; k];
+    while let Some((qid, tenant, at)) = stream.next_tagged() {
+        routed.arrivals.push(at);
+        routed.tenants.push(tenant);
+        for shard in sub.iter_mut() {
+            for bag in shard.iter_mut() {
+                bag.clear();
+            }
+        }
+        all_repl.iter_mut().for_each(|r| *r = true);
+        sums.iter_mut().for_each(|sum| *sum = 0.0);
+        let mut total = 0u64;
+        let mut lost = 0u64;
+        for (t, table) in (0..n_tables).zip(tables) {
+            let bag = stream.bag(t);
+            routed.failovers += placement.route_bag_at(t, bag, at, faults, &mut route);
+            total += bag.len() as u64;
+            for (&row, &s) in bag.iter().zip(&route) {
+                if s == ShardPlacement::LOST {
+                    lost += 1;
+                    continue;
+                }
+                sub[s as usize][t as usize].push(row);
+                all_repl[s as usize] &= placement.is_replicated(t, row);
+                sums[s as usize] += table.row_sum_exact(row);
+            }
+        }
+        assert!(
+            dlrm::sls::exact_sum_fits(total, dim),
+            "query {qid}: {total} lookups of dim {dim} reach the exact plane's 2^31-term bound"
+        );
+        routed.total_lookups.push(total);
+        routed.lost_lookups.push(lost);
+        for (s, shard) in sub.iter().enumerate() {
+            let tables_touched = shard.iter().filter(|bag| !bag.is_empty()).count() as u64;
+            if tables_touched > 0 {
+                sink(s, tenant, at, shard);
+                routed.qids[s].push(qid);
+                routed.touched[s].push(tables_touched);
+                routed.lookups[s].push(shard.iter().map(|bag| bag.len() as u64).sum());
+                routed.hedgeable[s].push(all_repl[s]);
+                routed.partials[s].push(sums[s]);
+            }
+        }
+    }
+    routed
 }
 
 /// The latency from query `qid`'s `arrival` to an instant `at` on its
@@ -690,34 +797,85 @@ fn since_arrival(qid: usize, arrival: SimTime, at: SimTime) -> SimDuration {
         .unwrap_or_else(|| panic!("query {qid} answered at {at}, before its arrival at {arrival}"))
 }
 
-/// The timing-plane merge: queries in qid order, shards ascending, home
-/// shard (lowest participating index that did not shed the query)
-/// answering directly and every other live participant's partial
-/// serializing over the aggregation link plus one inter-node hop —
-/// link-degradation faults stretch both, and partials past the
-/// per-query timeout are hedged or dropped. Fills the timing and
-/// resilience counters of `m` and returns the excluded participations
-/// `(qid, shard)` — shed or dropped — qid-ascending, shards ascending
-/// within a qid, for the functional merge to skip.
-fn merge_timing(
+/// Merges per-node serving runs into cluster metrics. `parts[s]` is
+/// node `s`'s run ([`NodePart`]); `routed` is the record of the
+/// routing pass that fed the nodes.
+///
+/// Timing plane: queries merge in qid order, shards ascending. The
+/// query's *home* shard (lowest participating index that did not shed
+/// it) answers directly; every other participant's partial — one
+/// response of `tables_touched × row_bytes` — serializes over the
+/// shared aggregation [`FlexBusLink`] and pays one
+/// [`inter_switch_ns`](cxlsim::CxlParams::inter_switch_ns) hop, both
+/// stretched by any active link-degradation fault. A partial landing
+/// past [`ClusterConfig::partial_timeout_ns`] is hedged to a replica
+/// (when one covers every row) or dropped, completing the query
+/// degraded. The merged completion is the max over the home completion
+/// and the landed partials. The cluster makespan is the instant the
+/// fleet goes idle: the max over the node makespans (when every host
+/// frees), raised to any cross-shard partial that lands later — so a
+/// 1-shard cluster's makespan is *exactly* its node's.
+///
+/// Functional plane: a query's checksum is the sum, from `+0.0` in
+/// shard order, of the [`RoutedStream::partials`] of its answered
+/// participations — shed and dropped ones add nothing. So full-coverage
+/// answers are bit-identical to the fault-free merge, an entirely
+/// unanswered query checksums to `0.0`, and every checksum equals the
+/// per-element [`merged_bag_embedding_at`] merge summed with the same
+/// exclusions (the module docs give the exactness argument). The merge
+/// allocates a fixed number of times whatever the query count, apart
+/// from the one `query_checksums` vector.
+///
+/// # Panics
+///
+/// Panics if the routed and part shapes disagree, or if a completion
+/// precedes its query's arrival.
+pub fn merge_node_parts(
     cfg: &ClusterConfig,
     routed: &RoutedStream,
     parts: &[NodePart<'_>],
-    m: &mut ClusterMetrics,
-) -> Vec<(u64, u16)> {
+) -> ClusterMetrics {
+    merge_parts(cfg, routed, parts).0
+}
+
+/// [`merge_node_parts`], also returning the participations the merge
+/// excluded — shed or dropped — as `(qid, shard)`, qid-ascending,
+/// shards ascending within a qid: the exclusions the per-element
+/// [`merged_bag_embedding_at`] oracle must skip to reproduce each
+/// checksum. The list stays empty, and never allocates, on a run with
+/// no shedding and no dropped partial.
+fn merge_parts(
+    cfg: &ClusterConfig,
+    routed: &RoutedStream,
+    parts: &[NodePart<'_>],
+) -> (ClusterMetrics, Vec<(u64, u16)>) {
+    assert_eq!(routed.qids.len(), parts.len(), "one node part per shard");
+    for (q, p) in routed.qids.iter().zip(parts) {
+        assert_eq!(
+            q.len(),
+            p.completion.len(),
+            "completions must cover the shard's queries"
+        );
+    }
+    let n_queries = routed.arrivals.len();
+    let mut m = ClusterMetrics {
+        queries: n_queries as u64,
+        query_checksums: Vec::with_capacity(n_queries),
+        ..ClusterMetrics::default()
+    };
     let faulty = !cfg.faults.is_none();
     let mut link = FlexBusLink::new(&cfg.node.cxl);
     let hop = SimDuration::from_ns(cfg.node.cxl.inter_switch_ns);
     let row_bytes = cfg.node.model.row_bytes();
-    let n_shards = routed.qids.len();
-    let mut cursor = vec![0usize; n_shards];
-    let mut shed_cursor = vec![0usize; n_shards];
+    let mut cursor = vec![0usize; parts.len()];
+    let mut shed_cursor = vec![0usize; parts.len()];
     let mut excluded: Vec<(u64, u16)> = Vec::new();
     let mut fanout_sum = 0u64;
     let mut coverage_sum = 0.0f64;
     let mut makespan = SimTime::from_ns(parts.iter().map(|p| p.makespan_ns).max().unwrap_or(0));
     for (qid, &arrival) in routed.arrivals.iter().enumerate() {
         let mut done: Option<SimTime> = None;
+        let mut checksum = 0.0f64;
         let mut participations = 0u64;
         let mut lost_rows = routed.lost_lookups[qid];
         for (s, part) in parts.iter().enumerate() {
@@ -743,11 +901,11 @@ fn merge_timing(
                 continue;
             }
             let node_done = part.completion[li];
-            done = Some(match done {
+            let answered = match done {
                 // Home shard: the lowest participating index that did
                 // not shed, answering directly (no hop — a 1-shard
                 // cluster adds nothing).
-                None => node_done,
+                None => Some(node_done),
                 Some(prev) => {
                     let mut bytes = routed.touched[s][li] * row_bytes;
                     let mut part_hop = hop;
@@ -779,20 +937,26 @@ fn merge_timing(
                                 m.hedges += 1;
                                 let hedged = arrival + SimDuration::from_ns(t) + hop;
                                 makespan = makespan.max(hedged);
-                                prev.max(hedged)
+                                Some(prev.max(hedged))
                             } else {
                                 // No replica covers it: drop the
                                 // partial and answer degraded.
                                 lost_rows += routed.lookups[s][li];
-                                excluded.push((qid as u64, s as u16));
-                                prev
+                                None
                             }
                         }
-                        _ => prev.max(landed),
+                        _ => Some(prev.max(landed)),
                     }
                 }
-            });
+            };
+            if answered.is_some() {
+                done = answered;
+                checksum += routed.partials[s][li];
+            } else {
+                excluded.push((qid as u64, s as u16));
+            }
         }
+        m.query_checksums.push(checksum);
         let total = routed.total_lookups[qid];
         m.total_lookups += total;
         let tenant = routed.tenants[qid] as usize;
@@ -829,230 +993,42 @@ fn merge_timing(
     m.last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
     m.agg_bytes = link.total_bytes();
     m.failovers = routed.failovers;
-    m.mean_fanout = if routed.arrivals.is_empty() {
-        0.0
-    } else {
-        fanout_sum as f64 / routed.arrivals.len() as f64
-    };
-    m.mean_coverage = if routed.arrivals.is_empty() {
-        0.0
-    } else {
-        coverage_sum / routed.arrivals.len() as f64
-    };
+    if n_queries > 0 {
+        m.mean_fanout = fanout_sum as f64 / n_queries as f64;
+        m.mean_coverage = coverage_sum / n_queries as f64;
+    }
     for t in &m.per_tenant {
         m.latency.merge(&t.latency);
     }
-    excluded
-}
-
-/// The routing record of one pass over the workload: everything the
-/// timing merge needs that a lazy stream cannot replay cheaply.
-/// Per-query state is O(participations) scalars — the routed *bags*
-/// are handed to the sink and recycled, never stored.
-#[derive(Debug, Clone, Default)]
-pub struct RoutedStream {
-    /// Arrival instant of every query, qid order.
-    pub arrivals: Vec<SimTime>,
-    /// Global qid of each of shard `s`'s local queries, ascending.
-    pub qids: Vec<Vec<u64>>,
-    /// Tables shard `s` touches for each of its local queries (aligned
-    /// with `qids[s]`): the partial-response size of the timing merge.
-    pub touched: Vec<Vec<u64>>,
-    /// Rows shard `s` serves for each of its local queries (aligned
-    /// with `qids[s]`): the coverage a dropped partial forfeits.
-    pub lookups: Vec<Vec<u64>>,
-    /// Whether every row of the participation is replicated (aligned
-    /// with `qids[s]`): a timed-out partial can be hedged to a replica
-    /// shard only when some other shard holds all of its rows.
-    pub hedgeable: Vec<Vec<bool>>,
-    /// Rows each query offered, qid order.
-    pub total_lookups: Vec<u64>,
-    /// Rows each query lost at routing time (dead owner, no replica),
-    /// qid order.
-    pub lost_lookups: Vec<u64>,
-    /// Lookups that failed over from a dead owner to a replica shard.
-    pub failovers: u64,
-    /// Each query's tenant tag, qid order (0 throughout for
-    /// single-tenant sources).
-    pub tenants: Vec<u16>,
-}
-
-/// Consumes `stream`, routing each query's bags across the placement's
-/// shards: each shard receives, per table, exactly the rows it serves,
-/// in bag order, and a query is handed only to shards serving at least
-/// one of its rows. The per-shard sub-bags live in one recycled
-/// `shards × tables` buffer set, and each participating shard's
-/// sub-bags are handed to `sink(shard, tenant, arrival, sub_bags)`
-/// (table-indexed, empty for untouched tables) before the next query
-/// overwrites them. Routing consults `faults` at each arrival
-/// ([`ShardPlacement::route_bag_at`] — pass the empty schedule for the
-/// fault-free behaviour). For a 1-shard fault-free placement the sink
-/// sees the source's bags and arrivals verbatim. Returns the
-/// [`RoutedStream`] record the merge keys on.
-pub fn route_stream<S, F>(
-    placement: &ShardPlacement,
-    faults: &FaultSchedule,
-    stream: &mut S,
-    mut sink: F,
-) -> RoutedStream
-where
-    S: TaggedQuerySource,
-    F: FnMut(usize, u16, SimTime, &[Vec<u64>]),
-{
-    let k = placement.n_shards as usize;
-    let n_tables = stream.n_tables();
-    let mut routed = RoutedStream {
-        qids: vec![Vec::new(); k],
-        touched: vec![Vec::new(); k],
-        lookups: vec![Vec::new(); k],
-        hedgeable: vec![Vec::new(); k],
-        ..RoutedStream::default()
-    };
-    let mut sub: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); n_tables as usize]; k];
-    let mut route: Vec<u16> = Vec::new();
-    let mut all_repl: Vec<bool> = vec![true; k];
-    while let Some((qid, tenant, at)) = stream.next_tagged() {
-        routed.arrivals.push(at);
-        routed.tenants.push(tenant);
-        for shard in sub.iter_mut() {
-            for bag in shard.iter_mut() {
-                bag.clear();
-            }
-        }
-        all_repl.iter_mut().for_each(|r| *r = true);
-        let mut total = 0u64;
-        let mut lost = 0u64;
-        for t in 0..n_tables {
-            let bag = stream.bag(t);
-            routed.failovers += placement.route_bag_at(t, bag, at, faults, &mut route);
-            total += bag.len() as u64;
-            for (&row, &s) in bag.iter().zip(&route) {
-                if s == ShardPlacement::LOST {
-                    lost += 1;
-                    continue;
-                }
-                sub[s as usize][t as usize].push(row);
-                all_repl[s as usize] &= placement.is_replicated(t, row);
-            }
-        }
-        routed.total_lookups.push(total);
-        routed.lost_lookups.push(lost);
-        for (s, shard) in sub.iter().enumerate() {
-            let tables_touched = shard.iter().filter(|bag| !bag.is_empty()).count() as u64;
-            if tables_touched > 0 {
-                sink(s, tenant, at, shard);
-                routed.qids[s].push(qid);
-                routed.touched[s].push(tables_touched);
-                routed.lookups[s].push(shard.iter().map(|bag| bag.len() as u64).sum());
-                routed.hedgeable[s].push(all_repl[s]);
-            }
-        }
-    }
-    routed
-}
-
-/// Merges per-node serving runs into cluster metrics. `parts[s]` is
-/// node `s`'s run ([`NodePart`]); `routed` is the record of the
-/// routing pass that fed the nodes, and `stream` a *fresh* (position-0)
-/// clone of the routed source, which the functional plane replays.
-///
-/// Timing plane: queries merge in qid order, shards ascending. The
-/// query's *home* shard (lowest participating index that did not shed
-/// it) answers directly; every other participant's partial — one
-/// response of `tables_touched × row_bytes` — serializes over the
-/// shared aggregation [`FlexBusLink`] and pays one
-/// [`inter_switch_ns`](cxlsim::CxlParams::inter_switch_ns) hop, both
-/// stretched by any active link-degradation fault. A partial landing
-/// past [`ClusterConfig::partial_timeout_ns`] is hedged to a replica
-/// (when one covers every row) or dropped, completing the query
-/// degraded. The merged completion is the max over the home completion
-/// and the landed partials. The cluster makespan is the instant the
-/// fleet goes idle: the max over the node makespans (when every host
-/// frees), raised to any cross-shard partial that lands later — so a
-/// 1-shard cluster's makespan is *exactly* its node's.
-///
-/// Functional plane: each query's bags are re-routed at its arrival
-/// instant and merged exactly as [`merged_bag_embedding_at`] merges
-/// them, skipping the shed and dropped participations — full-coverage
-/// answers are bit-identical to the fault-free merge, and an entirely
-/// unanswered query checksums to `0.0`. Each bag is folded in one pass
-/// into scratch reused across the whole run, so the merge allocates a
-/// fixed number of times whatever the query count, apart from the one
-/// `query_checksums` vector.
-///
-/// # Panics
-///
-/// Panics if the routed and part shapes disagree, if `stream` is not at
-/// position 0, or if a completion precedes its query's arrival.
-pub fn merge_node_parts<S: TaggedQuerySource>(
-    cfg: &ClusterConfig,
-    placement: &ShardPlacement,
-    stream: &S,
-    routed: &RoutedStream,
-    parts: &[NodePart<'_>],
-) -> ClusterMetrics {
-    assert_eq!(routed.qids.len(), parts.len(), "one node part per shard");
-    for (q, p) in routed.qids.iter().zip(parts) {
-        assert_eq!(
-            q.len(),
-            p.completion.len(),
-            "completions must cover the shard's queries"
-        );
-    }
-    assert_eq!(stream.position(), 0, "checksum replay needs a fresh stream");
-    let mut m = ClusterMetrics {
-        queries: routed.arrivals.len() as u64,
-        ..ClusterMetrics::default()
-    };
-    let excluded = merge_timing(cfg, routed, parts, &mut m);
-    let tables = functional_tables(&cfg.node.model);
-    let mut replay = stream.clone();
-    let mut fold = BagMerge::new(placement, &cfg.faults);
-    let mut cursor = 0usize;
-    let mut skip: Vec<u16> = Vec::new();
-    m.query_checksums = (0..routed.arrivals.len())
-        .map(|qid| {
-            let (_, _, at) = replay.next_tagged().expect("stream shorter than the run");
-            skip.clear();
-            while cursor < excluded.len() && excluded[cursor].0 < qid as u64 {
-                cursor += 1;
-            }
-            while cursor < excluded.len() && excluded[cursor].0 == qid as u64 {
-                skip.push(excluded[cursor].1);
-                cursor += 1;
-            }
-            tables
-                .iter()
-                .zip(0u32..)
-                .map(|(table, t)| {
-                    fold.merge(at, &skip, table, t, replay.bag(t))
-                        .iter()
-                        .sum::<f64>()
-                })
-                .sum()
-        })
-        .collect();
     m.checksum = m.query_checksums.iter().sum();
-    m
+    (m, excluded)
 }
 
 /// [`merge_node_parts`] for callers holding the parts as separate
 /// per-shard slices, with each node's shed list given as *global* qids
-/// (ascending) rather than the node's local ones.
+/// (ascending) rather than the node's local ones. `placement` must be
+/// the one `routed` was routed on; `stream` is not read — the
+/// checksums formed while routing.
 ///
 /// # Panics
 ///
-/// As [`merge_node_parts`], or if the slices disagree in length.
+/// As [`merge_node_parts`], or if the slices or the placement disagree
+/// with `routed` in shard count.
 #[allow(clippy::too_many_arguments)]
 pub fn merge_streamed<S: TaggedQuerySource>(
     cfg: &ClusterConfig,
     placement: &ShardPlacement,
-    stream: &S,
+    _stream: &S,
     routed: &RoutedStream,
     completions: &[&[SimTime]],
     sheds: &[&[u64]],
     node_makespans: &[u64],
 ) -> ClusterMetrics {
+    assert_eq!(
+        usize::from(placement.n_shards),
+        routed.qids.len(),
+        "the placement must be the routed one"
+    );
     assert_eq!(completions.len(), sheds.len(), "one shed list per shard");
     assert_eq!(
         completions.len(),
@@ -1079,15 +1055,16 @@ pub fn merge_streamed<S: TaggedQuerySource>(
             makespan_ns,
         })
         .collect();
-    merge_node_parts(cfg, placement, stream, routed, &parts)
+    merge_node_parts(cfg, routed, &parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::serving::ShedPolicy;
 
     fn placement(k: u16, policy: ShardPolicy) -> ShardPlacement {
-        ShardPlacement::from_dims(k, 8, policy)
+        ShardPlacement::from_dims(k, 8, policy, &dlrm::ModelConfig::rmc1())
     }
 
     #[test]
@@ -1138,6 +1115,7 @@ mod tests {
             touched: vec![vec![1, 1]],
             lookups: vec![vec![1, 1]],
             hedgeable: vec![vec![false, false]],
+            partials: vec![vec![0.0, 0.0]],
             total_lookups: vec![1, 1],
             lost_lookups: vec![0, 0],
             tenants: vec![0, 0],
@@ -1149,7 +1127,7 @@ mod tests {
             shed_qids: &[],
             makespan_ns: 40,
         };
-        merge_timing(&cfg, &routed, &[part], &mut ClusterMetrics::default());
+        merge_node_parts(&cfg, &routed, &[part]);
     }
 
     /// One routed sub-query as the sink saw it: `(shard, arrival,
@@ -1186,7 +1164,7 @@ mod tests {
         }
         .generate();
         let arrivals: Vec<SimTime> = (0..8).map(|i| SimTime::from_ns(i * 10)).collect();
-        let p = ShardPlacement::from_dims(1, 3, ShardPolicy::RowHash);
+        let p = ShardPlacement::from_dims(1, 3, ShardPolicy::RowHash, &dlrm::ModelConfig::rmc1());
         let (seen, routed) = route_collect(&p, &trace, &arrivals);
         assert_eq!(routed.failovers, 0);
         assert_eq!(routed.lost_lookups, vec![0; 8]);
@@ -1200,6 +1178,167 @@ mod tests {
                 assert_eq!(sub[t as usize], trace.bag(b, t, s));
             }
         }
+    }
+
+    /// Serves `spec` on `cfg` and checks every query's routed-partials
+    /// checksum, bit for bit, against the per-element oracle: Σₜ Σₑ of
+    /// [`merged_bag_embedding_at`] at the query's arrival, skipping the
+    /// participations the merge excluded. Returns the merged metrics and
+    /// those exclusions.
+    fn checksums_match_the_oracle(
+        cfg: &ClusterConfig,
+        spec: &tracegen::QueryStreamSpec,
+    ) -> (ClusterMetrics, Vec<(u64, u16)>) {
+        let mut cluster = SlsCluster::new(cfg.clone());
+        let (routed, per_node) = cluster.serve(&mut spec.stream());
+        let parts: Vec<NodePart<'_>> = per_node.iter().map(NodePart::from).collect();
+        let (m, excluded) = merge_parts(cfg, &routed, &parts);
+        let placement = ShardPlacement::build_streamed(cfg, &spec.stream());
+        let mut replay = spec.stream();
+        let mut skip: Vec<u16> = Vec::new();
+        for (qid, &got) in m.query_checksums.iter().enumerate() {
+            let (_, _, at) = replay
+                .next_tagged()
+                .expect("one replayed query per checksum");
+            skip.clear();
+            skip.extend(
+                excluded
+                    .iter()
+                    .filter(|&&(q, _)| q == qid as u64)
+                    .map(|&(_, s)| s),
+            );
+            let want: f64 = placement
+                .tables()
+                .iter()
+                .zip(0u32..)
+                .map(|(table, t)| {
+                    merged_bag_embedding_at(
+                        &placement,
+                        &cfg.faults,
+                        at,
+                        &skip,
+                        table,
+                        t,
+                        replay.bag(t),
+                    )
+                    .iter()
+                    .sum::<f64>()
+                })
+                .sum();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "query {qid}: routed checksum {got} vs per-element {want} (skipping {skip:?})"
+            );
+        }
+        (m, excluded)
+    }
+
+    /// A 48-query small-model cluster under one fault family and shed
+    /// policy, with a partial timeout tight enough that cross-shard
+    /// partials miss it: fail-stops fail rows over or lose them, late
+    /// partials are dropped or (when replicated) hedged, and the
+    /// queue-depth shedder sheds participations.
+    fn oracle_case(
+        k: u16,
+        policy: ShardPolicy,
+        replicas: u32,
+        fault: &str,
+        fault_seed: u64,
+        shed: ShedPolicy,
+    ) -> (ClusterConfig, tracegen::QueryStreamSpec) {
+        let model = dlrm::ModelConfig {
+            emb_num: 4096,
+            ..dlrm::ModelConfig::rmc1()
+        };
+        let mut node = SystemConfig::pifs_rec(model.clone());
+        node.serving.shed = shed;
+        let mut cfg = ClusterConfig::new(k, policy, node);
+        cfg.hot_rows_per_table = replicas;
+        let spec = simkit::FaultSpec::parse(fault).expect("fault spec");
+        cfg.faults = FaultSchedule::generate(spec, fault_seed, k, 10_000_000);
+        cfg.partial_timeout_ns = Some(10_000);
+        let stream = tracegen::QueryStreamSpec {
+            trace: tracegen::TraceSpec {
+                distribution: tracegen::Distribution::MetaLike {
+                    reuse_frac: 0.35,
+                    s: 1.05,
+                },
+                n_tables: model.n_tables,
+                rows_per_table: model.emb_num,
+                batch_size: 16,
+                n_batches: 3,
+                bag_size: model.bag_size,
+                seed: 5,
+            },
+            arrival: tracegen::ArrivalProcess::Poisson { qps: 4_000_000.0 },
+            arrival_seed: 77,
+        };
+        (cfg, stream)
+    }
+
+    const ORACLE_FAULTS: [&str; 3] = ["none", "failstop:100000", "link:500000:8"];
+    const ORACLE_SHEDS: [ShedPolicy; 2] = [
+        ShedPolicy::Deadline,
+        ShedPolicy::QueueDepth { max_pending: 8 },
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The closed-form checksums formed while routing equal the
+        /// per-element merge, bit for bit, for every shard count,
+        /// policy, replication setting, fault family and shed policy.
+        #[test]
+        fn prop_routed_checksums_match_the_per_element_merge(
+            k_idx in 0usize..4,
+            policy_idx in 0usize..2,
+            replicas_idx in 0usize..2,
+            fault_idx in 0usize..ORACLE_FAULTS.len(),
+            shed_idx in 0usize..ORACLE_SHEDS.len(),
+            fault_seed in 0u64..64,
+        ) {
+            let (cfg, spec) = oracle_case(
+                [1u16, 2, 4, 8][k_idx],
+                [ShardPolicy::RowHash, ShardPolicy::TablePartition][policy_idx],
+                [0u32, 32][replicas_idx],
+                ORACLE_FAULTS[fault_idx],
+                fault_seed,
+                ORACLE_SHEDS[shed_idx],
+            );
+            checksums_match_the_oracle(&cfg, &spec);
+        }
+    }
+
+    #[test]
+    fn routed_checksum_oracle_covers_exclusions_and_hedges() {
+        // The proptest's cases are not vacuous: under fail-stops and the
+        // tight timeout rows fail over, partials are dropped and hedged,
+        // and the queue-depth shedder sheds, so the oracle really skips
+        // participations.
+        let (cfg, spec) = oracle_case(
+            8,
+            ShardPolicy::RowHash,
+            32,
+            "failstop:100000",
+            0,
+            ShedPolicy::Deadline,
+        );
+        let (m, excluded) = checksums_match_the_oracle(&cfg, &spec);
+        assert!(m.failovers > 0, "no row failed over");
+        assert!(m.hedges > 0, "no partial was hedged");
+        assert!(m.timeouts > m.hedges, "no partial was dropped");
+        assert!(!excluded.is_empty(), "no participation was excluded");
+        let (cfg, spec) = oracle_case(
+            2,
+            ShardPolicy::RowHash,
+            0,
+            "none",
+            0,
+            ShedPolicy::QueueDepth { max_pending: 8 },
+        );
+        let (m, _) = checksums_match_the_oracle(&cfg, &spec);
+        assert!(m.shed > 0 && m.fully_served + m.degraded > 0);
     }
 
     #[test]
@@ -1216,7 +1355,7 @@ mod tests {
         .generate();
         let arrivals: Vec<SimTime> = (0..12).map(|i| SimTime::from_ns(i * 5)).collect();
         for policy in [ShardPolicy::RowHash, ShardPolicy::TablePartition] {
-            let p = ShardPlacement::from_dims(3, 4, policy);
+            let p = ShardPlacement::from_dims(3, 4, policy, &dlrm::ModelConfig::rmc1());
             let (seen, routed) = route_collect(&p, &trace, &arrivals);
             let total: u64 = seen
                 .iter()

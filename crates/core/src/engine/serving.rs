@@ -448,7 +448,7 @@ impl QueryBags for [Vec<u64>] {
 
 /// A tagged query source: what a serving run — one node's
 /// [`SlsSystem::run_open_loop_streamed`] or a cluster's router and
-/// functional-checksum replay — needs from a workload. The current
+/// replica hotness ranking — needs from a workload. The current
 /// query's bags are read through [`QueryBags`], valid until the next
 /// [`Self::next_tagged`]. Single-tenant sources ([`QueryStream`],
 /// [`TraceArrivals`]) tag every query tenant 0; a [`TenantMixStream`]

@@ -20,7 +20,7 @@ const POLICIES: [ShardPolicy; 2] = [ShardPolicy::RowHash, ShardPolicy::TablePart
 
 /// A placement over `n_tables` tables with no replication.
 fn placement(k: u16, policy: ShardPolicy, n_tables: u32) -> ShardPlacement {
-    ShardPlacement::from_dims(k, n_tables, policy)
+    ShardPlacement::from_dims(k, n_tables, policy, &dlrm::ModelConfig::rmc1())
 }
 
 /// The fault-free merged embedding of `bag` in table 0.

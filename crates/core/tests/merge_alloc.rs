@@ -1,8 +1,8 @@
-//! Allocation guard for the cluster merge: [`merge_node_parts`] folds
-//! every bag into scratch reused across the whole run, so the number of
-//! allocation calls it makes does not grow with the query count. Only
-//! the preallocated `query_checksums` vector scales with the run, and it
-//! does so in bytes, not in calls.
+//! Allocation guard for the cluster merge: [`merge_node_parts`] sums
+//! the checksum partials routing recorded and keeps only fixed-size
+//! cursors, so the number of allocation calls it makes does not grow
+//! with the query count. Only the preallocated `query_checksums` vector
+//! scales with the run, and it does so in bytes, not in calls.
 //!
 //! The binary installs [`simkit::stats::CountingAlloc`] as the global
 //! allocator and keeps a single `#[test]` so no concurrent test
@@ -52,7 +52,6 @@ fn merge_alloc_calls(n_batches: u32) -> (u64, usize) {
         node.open_loop_begin(spec.trace.n_tables, OpenLoopOpts::default());
     }
     let mut stream = spec.stream();
-    let replay = stream.clone();
     let routed = route_stream(
         &placement,
         &cfg.faults,
@@ -65,7 +64,7 @@ fn merge_alloc_calls(n_batches: u32) -> (u64, usize) {
     let parts: Vec<NodePart<'_>> = per_node.iter().map(NodePart::from).collect();
 
     let before = alloc_stats().calls;
-    let met = merge_node_parts(&cfg, &placement, &replay, &routed, &parts);
+    let met = merge_node_parts(&cfg, &routed, &parts);
     let calls = alloc_stats().calls - before;
     assert_eq!(met.fully_served, met.queries, "a fault-free run serves all");
     (calls, met.query_checksums.len())

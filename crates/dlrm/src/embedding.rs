@@ -10,7 +10,9 @@
 //! when the CPU has AVX2, and otherwise [`EmbeddingTable::value_block`]
 //! blocks folded by the wide fold. Every table, whatever its size, takes
 //! this one path, so an [`EmbeddingTable`] is a plain value that owns no
-//! heap memory.
+//! heap memory. The same hash, stopped at its integer mantissas, gives a
+//! row's exact element sum in closed form
+//! ([`EmbeddingTable::row_sum_exact`]).
 
 /// Procedural value of element `elem` of row `row` of table `id`: a
 /// deterministic hash mapped into `[-1, 1)` with 2^-23 granularity so
@@ -19,10 +21,21 @@
 fn raw_value(id: u32, row: u64, elem: u32) -> f32 {
     let mut h = (id as u64) << 48 ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ elem as u64;
     h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = h.wrapping_mul(MIX);
     h ^= h >> 33;
     let mantissa = (h >> 41) as u32; // 23 bits
     (mantissa as f32) * (2.0 / (1u32 << 23) as f32) - 1.0
+}
+
+/// The hash's finalizer multiplier.
+const MIX: u64 = 0xFF51_AFD7_ED55_8CCD;
+
+/// The per-row constant of the batched hash: the row's base, pre-mixed
+/// (identity 1 of [`raw_value_block`]).
+#[inline(always)]
+fn premixed(id: u32, row: u64) -> u64 {
+    let base = (id as u64) << 48 ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    base ^ (base >> 33)
 }
 
 /// Portable batched form of [`raw_value`]: fills `out[i]` with
@@ -42,13 +55,35 @@ fn raw_value(id: u32, row: u64, elem: u32) -> f32 {
 /// module's tests).
 #[inline(always)]
 fn raw_value_block(id: u32, row: u64, elem0: u32, out: &mut [f32]) {
-    let base = (id as u64) << 48 ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let premixed = base ^ (base >> 33);
+    let pre = premixed(id, row);
     for (i, slot) in out.iter_mut().enumerate() {
-        let p = (premixed ^ (elem0 as u64 + i as u64)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        let p = (pre ^ (elem0 as u64 + i as u64)).wrapping_mul(MIX);
         let mantissa = (p >> 41) as u32; // 23 bits
         *slot = (mantissa as f32) * (2.0 / (1u32 << 23) as f32) - 1.0;
     }
+}
+
+/// Portable integer form of a row's exact sum: `Σ mantissa(id, row, e)`
+/// over the elements `elems`, through [`raw_value_block`]'s identities
+/// with no float work.
+#[inline]
+fn raw_mantissa_sum(id: u32, row: u64, elems: core::ops::Range<u32>) -> u64 {
+    let pre = premixed(id, row);
+    elems
+        .map(|e| (pre ^ u64::from(e)).wrapping_mul(MIX) >> 41)
+        .sum()
+}
+
+/// A row's exact f64 sum from its mantissa sum. Each value is
+/// `m·2⁻²² − 1` exactly, so the row sums to `(Σm − dim·2²²)·2⁻²²`: an
+/// integer count of 2⁻²² units below `dim·2²²` in magnitude, which one
+/// conversion and one power-of-two scaling carry into f64 exactly while
+/// `dim < 2³¹` ([`crate::sls::exact_sum_fits`]). A zero sum is `+0.0`,
+/// as the elementwise f64 fold gives.
+#[inline]
+fn row_sum_from_mantissas(mantissas: u64, dim: u32) -> f64 {
+    let units = mantissas as i64 - (i64::from(dim) << 22);
+    units as f64 * (1.0 / (1u64 << 22) as f64)
 }
 
 /// Row-constant registers of the vectorized hash: everything
@@ -71,16 +106,14 @@ impl RowMixAvx2 {
     #[target_feature(enable = "avx2")]
     fn new(id: u32, row: u64) -> Self {
         use core::arch::x86_64::*;
-        const MUL: u64 = 0xFF51_AFD7_ED55_8CCD;
-        let base = (id as u64) << 48 ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let premixed = base ^ (base >> 33);
+        let pre = premixed(id, row);
         // h_hi·C_lo: constant across the row because elem xors only h_lo.
-        let hi_part = (premixed >> 32).wrapping_mul(MUL & 0xFFFF_FFFF);
+        let hi_part = (pre >> 32).wrapping_mul(MIX & 0xFFFF_FFFF);
         RowMixAvx2 {
-            pre_v: _mm256_set1_epi64x(premixed as i64),
+            pre_v: _mm256_set1_epi64x(pre as i64),
             hi_v: _mm256_set1_epi64x(hi_part as i64),
-            c_lo: _mm256_set1_epi64x((MUL & 0xFFFF_FFFF) as i64),
-            c_hi: _mm256_set1_epi64x((MUL >> 32) as i64),
+            c_lo: _mm256_set1_epi64x((MIX & 0xFFFF_FFFF) as i64),
+            c_hi: _mm256_set1_epi64x((MIX >> 32) as i64),
             scale: _mm256_set1_ps(2.0 / (1u32 << 23) as f32),
             one: _mm256_set1_ps(1.0),
             // Gathers the low dword of each u64 lane into the low 128 bits.
@@ -88,21 +121,19 @@ impl RowMixAvx2 {
         }
     }
 
-    /// The eight values `raw_value(id, row, e .. e + 8)` as one vector.
+    /// The eight mantissas of `raw_value(id, row, e .. e + 8)`, as two
+    /// 4×u64 vectors (elements `e .. e + 4`, then `e + 4 .. e + 8`).
     ///
-    /// Eight hashes run as two 4×u64 vectors. The 64×64→64 multiply AVX2
-    /// lacks is built from `vpmuludq` 32×32→64 partial products:
+    /// The 64×64→64 multiply AVX2 lacks is built from `vpmuludq`
+    /// 32×32→64 partial products:
     /// `h·C mod 2^64 = h_lo·C_lo + ((h_lo·C_hi + h_hi·C_lo) << 32)` — and
     /// because `e` only perturbs the low dword of the premixed base,
     /// `h_hi·C_lo` is one more per-row constant hoisted out of the loop,
-    /// leaving two multiplies per vector. The mantissas narrow to one
-    /// 8×u32 vector and convert with `vcvtdq2ps` (exact: mantissas are
-    /// 23 bits), and the final `·scale − 1` runs the same IEEE
-    /// single-rounded ops per lane as the scalar code — bit-identical to
-    /// [`raw_value_block`].
+    /// leaving two multiplies per vector. Integer ops only, so each lane
+    /// is exactly [`raw_value_block`]'s mantissa.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn values8(&self, e: u64) -> core::arch::x86_64::__m256 {
+    fn mantissas8(&self, e: u64) -> (core::arch::x86_64::__m256i, core::arch::x86_64::__m256i) {
         use core::arch::x86_64::*;
         let ev = _mm256_set1_epi64x(e as i64);
         let h0 = _mm256_xor_si256(
@@ -120,8 +151,19 @@ impl RowMixAvx2 {
         let mid1 = _mm256_add_epi64(_mm256_mul_epu32(h1, self.c_hi), self.hi_v);
         let p0 = _mm256_add_epi64(lo0, _mm256_slli_epi64(mid0, 32));
         let p1 = _mm256_add_epi64(lo1, _mm256_slli_epi64(mid1, 32));
-        let m0 = _mm256_srli_epi64(p0, 41);
-        let m1 = _mm256_srli_epi64(p1, 41);
+        (_mm256_srli_epi64(p0, 41), _mm256_srli_epi64(p1, 41))
+    }
+
+    /// The eight values `raw_value(id, row, e .. e + 8)` as one vector:
+    /// [`Self::mantissas8`] narrowed to one 8×u32 vector and converted
+    /// with `vcvtdq2ps` (exact: mantissas are 23 bits), then the same
+    /// IEEE single-rounded `·scale − 1` per lane as the scalar code —
+    /// bit-identical to [`raw_value_block`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn values8(&self, e: u64) -> core::arch::x86_64::__m256 {
+        use core::arch::x86_64::*;
+        let (m0, m1) = self.mantissas8(e);
         let n0 = _mm256_permutevar8x32_epi32(m0, self.narrow);
         let n1 = _mm256_permutevar8x32_epi32(m1, self.narrow);
         let packed = _mm256_inserti128_si256(n0, _mm256_castsi256_si128(n1), 1);
@@ -150,6 +192,27 @@ fn raw_value_block_avx2(id: u32, row: u64, elem0: u32, out: &mut [f32]) {
     if !tail.is_empty() {
         raw_value_block(id, row, e as u32, tail);
     }
+}
+
+/// [`raw_mantissa_sum`] over a whole row of `dim` elements on the AVX2
+/// tier: [`RowMixAvx2::mantissas8`] summed in u64 lanes, no float work,
+/// and the `dim % 8` tail through the portable identity. Integer sums
+/// are exact in any order, so the total equals the portable one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn raw_mantissa_sum_avx2(id: u32, row: u64, dim: u32) -> u64 {
+    use core::arch::x86_64::*;
+    let mix = RowMixAvx2::new(id, row);
+    let body = dim & !7;
+    let mut acc = _mm256_setzero_si256();
+    for e in (0..u64::from(body)).step_by(8) {
+        let (m0, m1) = mix.mantissas8(e);
+        acc = _mm256_add_epi64(acc, _mm256_add_epi64(m0, m1));
+    }
+    let mut lanes = [0u64; 4];
+    // SAFETY: `lanes` is 32 bytes; the store is unaligned.
+    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
+    lanes.iter().sum::<u64>() + raw_mantissa_sum(id, row, body..dim)
 }
 
 /// Fused hash+fold of one whole procedural row on the AVX2 tier:
@@ -312,6 +375,30 @@ impl EmbeddingTable {
         raw_value_block(self.id, row, elem0, out)
     }
 
+    /// The exact f64 sum of row `row`'s procedural values,
+    /// `Σₑ value(row, e)` — bit-identical to summing an
+    /// [`accumulate_row_exact`](crate::sls::accumulate_row_exact) fold's
+    /// elements, in closed form: the row's 23-bit mantissas are summed
+    /// as integers (four u64 lanes of the AVX2 hash when the CPU has
+    /// AVX2, the portable identity otherwise) and converted once. This
+    /// is the cluster layer's per-row checksum term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    #[inline]
+    pub fn row_sum_exact(&self, row: u64) -> f64 {
+        assert!(row < self.rows, "row {row} out of bounds");
+        debug_assert!(crate::sls::exact_sum_fits(1, self.dim));
+        #[cfg(target_arch = "x86_64")]
+        if crate::sls::simd::avx2_detected() {
+            // SAFETY: the CPU supports AVX2 (runtime detection above).
+            let sum = unsafe { raw_mantissa_sum_avx2(self.id, row, self.dim) };
+            return row_sum_from_mantissas(sum, self.dim);
+        }
+        row_sum_from_mantissas(raw_mantissa_sum(self.id, row, 0..self.dim), self.dim)
+    }
+
     /// Fused procedural fold on the AVX2 8-lane tier:
     /// `acc[e] += w * value(row, e)` across the whole row without an
     /// intermediate value buffer (see [`raw_fold_row_avx2`]). The wide
@@ -410,6 +497,47 @@ mod tests {
                 // SAFETY: the CPU supports AVX2.
                 unsafe { raw_fold_row_avx2(id, row, &mut got, w) };
                 assert_eq!(got, want, "fused AVX2 fold diverged at dim {dim}, w {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_sum_tiers_match_the_exact_fold() {
+        // The portable and AVX2 mantissa sums are each called directly,
+        // so the tier this CPU does not dispatch stays checked too. The
+        // reference is the elementwise exact fold summed in element order.
+        let tables = [
+            EmbeddingTable::new(5, 1000, 1, 0),
+            EmbeddingTable::new(u32::MAX, u64::MAX, 1, 0),
+        ];
+        for dim in [1u32, 3, 7, 8, 9, 64, 100, 128] {
+            for t in &tables {
+                let t = EmbeddingTable::new(t.id(), t.rows(), dim, 0);
+                let end = t.rows();
+                for row in [0, 1, end / 2, end - 2, end - 1] {
+                    let mut acc = vec![0.0f64; dim as usize];
+                    crate::sls::accumulate_row_exact(&mut acc, &t, row, 1.0);
+                    let want = acc.iter().fold(0.0f64, |sum, &v| sum + v).to_bits();
+                    let portable = raw_mantissa_sum(t.id(), row, 0..dim);
+                    assert_eq!(
+                        row_sum_from_mantissas(portable, dim).to_bits(),
+                        want,
+                        "portable row sum diverged (table {}, row {row}, dim {dim})",
+                        t.id()
+                    );
+                    #[cfg(target_arch = "x86_64")]
+                    if crate::sls::simd::avx2_detected() {
+                        // SAFETY: the CPU supports AVX2.
+                        let wide = unsafe { raw_mantissa_sum_avx2(t.id(), row, dim) };
+                        assert_eq!(
+                            row_sum_from_mantissas(wide, dim).to_bits(),
+                            want,
+                            "AVX2 row sum diverged (table {}, row {row}, dim {dim})",
+                            t.id()
+                        );
+                    }
+                    assert_eq!(t.row_sum_exact(row).to_bits(), want);
+                }
             }
         }
     }

@@ -130,6 +130,32 @@ pub fn accumulate_row_scalar(acc: &mut [f32], table: &EmbeddingTable, row: u64, 
     }
 }
 
+/// The exact plane's bound on one f64 sum: fewer than 2³¹ terms, each a
+/// procedural value (see [`exact_sum_fits`]).
+pub const EXACT_SUM_TERMS: u64 = 1 << 31;
+
+/// Whether `rows` unweighted rows of `dim` procedural values sum exactly
+/// in f64 — elementwise, or all of their elements into one scalar — in
+/// *any* grouping: `rows × dim < 2³¹`. Each value is a multiple of 2⁻²²
+/// in [-1, 1), so every partial sum of fewer than 2³¹ of them is a
+/// multiple of 2⁻²² below 2³¹ in magnitude: under 2⁵³ units, which f64
+/// holds exactly. The product is checked, so an overflowing one is out
+/// of bounds rather than wrapped.
+///
+/// # Examples
+///
+/// ```
+/// use dlrm::sls::exact_sum_fits;
+///
+/// assert!(exact_sum_fits(1 << 24, 64)); // 2³⁰ terms
+/// assert!(!exact_sum_fits(1 << 25, 64)); // 2³¹ terms
+/// assert!(!exact_sum_fits(u64::MAX, 2)); // the product overflows
+/// ```
+pub fn exact_sum_fits(rows: u64, dim: u32) -> bool {
+    rows.checked_mul(u64::from(dim))
+        .is_some_and(|terms| terms < EXACT_SUM_TERMS)
+}
+
 /// Folds one row into an **exact** f64 accumulator — the arithmetic of
 /// the cluster layer's partial-sum merge plane.
 ///
@@ -140,8 +166,8 @@ pub fn accumulate_row_scalar(acc: &mut [f32], table: &EmbeddingTable, row: u64, 
 /// [-1, 1) (see [`EmbeddingTable`]'s value construction — a 23-bit
 /// mantissa scaled by 2/2²³), so an unweighted sum is an integer
 /// multiple of 2⁻²² with magnitude below `bag_size`; f64 represents
-/// every such sum exactly until the integer part exceeds 2⁵³, i.e. for
-/// any bag under 2³⁰ rows. Exact addition is associative, so *any*
+/// every such sum exactly for any bag under 2³¹ rows
+/// ([`exact_sum_fits`] with `dim = 1`). Exact addition is associative, so *any*
 /// grouping of the rows — per-shard partials merged in any order —
 /// yields bit-identical results. The same holds for weights that are
 /// multiples of 2⁻¹⁰ in [-4, 4): products are multiples of 2⁻³² with
@@ -246,6 +272,22 @@ mod tests {
             accumulate_row(&mut acc, &t, row, 1.0);
         }
         assert_eq!(acc, reference);
+    }
+
+    #[test]
+    fn exact_sum_bound_sits_at_two_to_the_31_terms() {
+        for dim in [1u32, 3, 64, 128, u32::MAX] {
+            let d = u64::from(dim);
+            let last_fit = (EXACT_SUM_TERMS - 1) / d;
+            assert!(exact_sum_fits(last_fit, dim), "dim {dim}");
+            assert!(!exact_sum_fits(last_fit + 1, dim), "dim {dim}");
+        }
+        assert!(exact_sum_fits(0, u32::MAX));
+        assert!(!exact_sum_fits(EXACT_SUM_TERMS, 1));
+        // Overflowing products are out of bounds, not wrapped: 2⁶³ × 2
+        // wraps to zero.
+        assert!(!exact_sum_fits(1 << 63, 2));
+        assert!(!exact_sum_fits(u64::MAX, u32::MAX));
     }
 
     #[test]
