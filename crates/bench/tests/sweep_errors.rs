@@ -223,6 +223,31 @@ fn out_of_range_cluster_sizes_die_instead_of_wrapping() {
 }
 
 #[test]
+fn oversized_fault_multipliers_die_instead_of_wrapping_the_clock() {
+    // A 1e300 slow-down used to saturate the stretched service span and
+    // panic a worker when the wrapped release clock went backwards; the
+    // same link multiplier ran and reported an 80-million-second
+    // makespan with availability 0.
+    for fault in ["slow:100000:1e300", "link:100000:1e300"] {
+        assert_dies(
+            &[
+                "sweep",
+                "cluster_faults",
+                "--param",
+                &format!("fault={fault}"),
+                "--param",
+                "shed=none",
+                "--param",
+                "replicas=0",
+                "--param",
+                "qps=4000000",
+            ],
+            &["--param fault", fault, "<= 1000000"],
+        );
+    }
+}
+
+#[test]
 fn out_of_range_scenario_axes_die_instead_of_wrapping() {
     // `devices=65538` used to wrap to 2 and run, writing the devices=2
     // row under the label 65538; the zeros and the over-long duration

@@ -2,10 +2,11 @@
 //!
 //! A [`SimCheckpoint`] is a deep copy of the two stateful halves of a
 //! streaming serving run at a query boundary: the [`SlsSystem`] (plant
-//! timing state, page placement, hotness, metrics, scratch, and the
-//! in-progress [`open_loop`](SlsSystem::open_loop_begin) session — RNG
-//! cursors live inside the stream, batcher queue and histograms inside
-//! the session) and the [`QueryStream`] cursor feeding it. Because
+//! timing state, page placement, hotness, scratch, and the in-progress
+//! [`open_loop`](SlsSystem::open_loop_begin) session — RNG cursors live
+//! inside the stream; batcher queue, histograms and the measurement
+//! window inside the session) and the [`QueryStream`] cursor feeding
+//! it. Because
 //! every piece of simulation state is plain `Clone` data — there is no
 //! hidden global state, thread-local, or wall-clock input anywhere in
 //! the engine — capture is a pure deep copy and resume is provably

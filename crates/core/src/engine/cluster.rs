@@ -87,7 +87,7 @@
 use cxlsim::FlexBusLink;
 use dlrm::{EmbeddingTable, ModelConfig};
 use pagemgmt::{HotnessTracker, PageId};
-use simkit::faults::FaultSchedule;
+use simkit::faults::{dilate, FaultSchedule};
 use simkit::{LatencyHist, SimDuration, SimTime};
 use tracegen::Trace;
 
@@ -912,9 +912,13 @@ fn merge_parts(
                     if faulty {
                         let lm = cfg.faults.link_mult(node_done);
                         if lm > 1.0 {
-                            bytes = (bytes as f64 * lm).ceil() as u64;
-                            part_hop =
-                                SimDuration::from_ns((hop.as_ns() as f64 * lm).ceil() as u64);
+                            bytes = dilate(bytes, lm, f64::ceil, "link-degrade");
+                            part_hop = SimDuration::from_ns(dilate(
+                                hop.as_ns(),
+                                lm,
+                                f64::ceil,
+                                "link-degrade",
+                            ));
                         }
                     }
                     let landed = link.transfer(node_done, bytes) + part_hop;

@@ -121,9 +121,12 @@ pub struct SystemConfig {
     pub threading: ThreadingMode,
     /// Fabric latency/bandwidth parameters.
     pub cxl: CxlParams,
-    /// Open-loop serving batcher knobs (only
-    /// [`run_open_loop`](crate::system::SlsSystem::run_open_loop) reads
-    /// them; closed-loop traces ignore this field).
+    /// Open-loop serving knobs: the batcher, admission control and the
+    /// adaptive controller. Every open-loop session reads them (one
+    /// opened by [`open_loop_begin`](crate::system::SlsSystem::open_loop_begin),
+    /// directly or through `run_open_loop*` and the cluster's nodes);
+    /// closed-loop [`run_trace`](crate::system::SlsSystem::run_trace)
+    /// ignores this field.
     pub serving: ServingConfig,
     /// Batches excluded from measurement: they run first to warm the
     /// page placement, buffers and hotness state, modeling a system

@@ -1,10 +1,10 @@
 //! Run-level measurement: the [`RunMetrics`] every figure harness
-//! reports, plus the warmup counter-offset bookkeeping that lets a run
-//! measure steady state only.
+//! reports, and the measurement window that builds them, whose counter
+//! offsets let a run measure steady state only.
 
 #![deny(missing_docs)]
 
-use super::topology::{HostCtx, SwitchCtx};
+use super::topology::Plant;
 
 /// Everything a run measures.
 #[derive(Debug, Clone, Default)]
@@ -75,49 +75,114 @@ impl RunMetrics {
     }
 }
 
-/// Cumulative hardware counters captured at the warmup boundary so the
-/// measured window reports only steady-state activity.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct CounterOffsets {
+/// The plant's cumulative switch and host counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct Totals {
     stalls: u64,
     hits: u64,
     misses: u64,
     link_bytes: u64,
 }
 
-impl CounterOffsets {
-    /// Records the current cumulative counters of every switch and host.
-    pub(crate) fn capture(switches: &[SwitchCtx], hosts: &[HostCtx]) -> Self {
-        let mut off = CounterOffsets::default();
-        for s in switches {
-            off.stalls += s.engine.stalls;
+impl Totals {
+    fn of(plant: &Plant) -> Totals {
+        let mut t = Totals::default();
+        for s in &plant.switches {
+            t.stalls += s.engine.stalls;
             if let Some(b) = &s.buffer {
-                off.hits += b.hits();
-                off.misses += b.misses();
+                t.hits += b.hits();
+                t.misses += b.misses();
             }
         }
-        for h in hosts {
+        for h in &plant.hosts {
             if let Some(b) = &h.dimm_cache {
-                off.hits += b.hits();
-                off.misses += b.misses();
+                t.hits += b.hits();
+                t.misses += b.misses();
             }
-            off.link_bytes += h.req_link.total_bytes() + h.rsp_link.total_bytes();
+            t.link_bytes += h.req_link.total_bytes() + h.rsp_link.total_bytes();
         }
-        off
+        t
+    }
+}
+
+/// Cumulative hardware counters captured when a measurement window
+/// opens, so the window reports only what happened inside it.
+#[derive(Debug, Default, Clone)]
+struct CounterOffsets {
+    totals: Totals,
+    /// Per-device access counts.
+    devices: Vec<u64>,
+}
+
+impl CounterOffsets {
+    /// Records the plant's current cumulative counters, refilling the
+    /// per-device buffer in place.
+    fn capture(&mut self, plant: &Plant) {
+        self.totals = Totals::of(plant);
+        self.devices.clear();
+        self.devices
+            .extend(plant.devices.iter().map(|d| d.access_count()));
     }
 
-    /// Folds the end-of-run cumulative counters into `metrics`,
-    /// subtracting everything that happened before the capture point.
-    pub(crate) fn finish(
-        &self,
-        switches: &[SwitchCtx],
-        hosts: &[HostCtx],
-        metrics: &mut RunMetrics,
-    ) {
-        let now = Self::capture(switches, hosts);
-        metrics.ooo_stalls += now.stalls - self.stalls;
-        metrics.buffer_hits += now.hits - self.hits;
-        metrics.buffer_misses += now.misses - self.misses;
-        metrics.host_link_bytes += now.link_bytes - self.link_bytes;
+    /// Folds the plant's counters since the capture into `metrics`.
+    fn finish(&self, plant: &Plant, metrics: &mut RunMetrics) {
+        let now = Totals::of(plant);
+        metrics.ooo_stalls += now.stalls - self.totals.stalls;
+        metrics.buffer_hits += now.hits - self.totals.hits;
+        metrics.buffer_misses += now.misses - self.totals.misses;
+        metrics.host_link_bytes += now.link_bytes - self.totals.link_bytes;
+        metrics.device_accesses = plant
+            .devices
+            .iter()
+            .zip(&self.devices)
+            .map(|(d, &off)| d.access_count() - off)
+            .collect();
+    }
+}
+
+/// One measurement window of a run: the [`RunMetrics`] under
+/// construction, the counters at the window's opening, and the summed
+/// bag latency behind [`RunMetrics::mean_bag_ns`].
+///
+/// A closed-loop run opens one and reopens it when warmup ends; an
+/// open-loop session opens one at begin and closes it at finish.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct MeasureWindow {
+    /// Metrics under construction.
+    pub metrics: RunMetrics,
+    /// Sum of per-bag latencies, ns.
+    pub bag_latency_sum: u128,
+    offsets: CounterOffsets,
+}
+
+impl MeasureWindow {
+    /// Opens a window at the plant's current state.
+    pub(crate) fn open(plant: &Plant) -> MeasureWindow {
+        let mut w = MeasureWindow::default();
+        w.reopen(plant);
+        w
+    }
+
+    /// Restarts the window at the plant's current state: everything
+    /// measured so far is dropped, and the offsets are recaptured into
+    /// their existing buffer.
+    pub(crate) fn reopen(&mut self, plant: &Plant) {
+        self.metrics = RunMetrics::default();
+        self.bag_latency_sum = 0;
+        self.offsets.capture(plant);
+    }
+
+    /// Closes the window with makespan `total_ns`: the device, switch
+    /// and host counters since the opening, and the mean bag latency.
+    pub(crate) fn close(self, plant: &Plant, total_ns: u64) -> RunMetrics {
+        let mut m = self.metrics;
+        m.total_ns = total_ns;
+        self.offsets.finish(plant, &mut m);
+        m.mean_bag_ns = if m.bags == 0 {
+            0.0
+        } else {
+            self.bag_latency_sum as f64 / m.bags as f64
+        };
+        m
     }
 }

@@ -77,9 +77,11 @@ fn least_loaded_device(devices: &[Type3Device]) -> u16 {
         .unwrap_or(0)
 }
 
-/// One page-management epoch: global hotness classification, hot-page
-/// promotion with claim-&-swap, cold-age demotion, and embedding
-/// spreading across devices. Returns the exposed overhead.
+/// One page-management epoch at a batch boundary: global hotness
+/// classification, hot-page promotion with claim-&-swap, cold-age
+/// demotion, and embedding spreading across devices. Charges the
+/// migrations and their exposed overhead to `ctx.metrics` and returns
+/// the overhead, which the caller adds to the batch's host time.
 pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
     let Some(pm) = ctx.cfg.page_mgmt else {
         return SimDuration::ZERO;
@@ -231,7 +233,8 @@ pub(crate) fn run_pm_epoch(ctx: &mut EpochCtx<'_>) -> SimDuration {
 
 /// Closes an epoch, whatever its policy: clears the per-device page
 /// counts, decays every host's hotness, charges the epoch's migrations
-/// to the run metrics, and returns their exposed overhead.
+/// and their exposed overhead to the run metrics, and returns the
+/// overhead.
 fn close_epoch(
     ctx: &mut EpochCtx<'_>,
     cost: &MigrationCostModel,
@@ -247,7 +250,9 @@ fn close_epoch(
     ctx.metrics.migrations += migrated;
     // In-flight lookups colliding with migrating pages: a couple per
     // moved page at DLRM arrival rates.
-    cost.total_overhead(migrated, migrated * 2)
+    let overhead = cost.total_overhead(migrated, migrated * 2);
+    ctx.metrics.migration_ns += overhead.as_ns();
+    overhead
 }
 
 /// TPP-like epoch: promote every page re-referenced this epoch

@@ -18,6 +18,12 @@
 //! per-row access chain, its functional `fold_rows` and its rule for
 //! when the core is free again.
 //!
+//! `process_bag` touches no per-run state beyond what its caller lends
+//! it: the stages write counters into the caller's `RunMetrics` (through
+//! `EngineCtx`), the bag borrows its buffers from a `BagScratch` in
+//! place, and it hands the issuing core's next free instant back to
+//! the caller, whose batch loop keeps the core clocks.
+//!
 //! Timing is resource-based: every shared medium (host FlexBus links,
 //! switch transit, device links, DRAM banks/buses, the accumulate unit)
 //! is a stateful resource that serializes contending work, so congestion
@@ -47,35 +53,26 @@ pub(crate) const SNOOP_NS: u64 = 10;
 /// Process-core instruction decode occupancy per instruction.
 pub(crate) const DECODE_NS: u64 = 1;
 
-/// The one per-system scratch bundle: the per-bag pipeline buffers
-/// ([`BagScratch`]) and the open-loop serving dispatcher's per-run
-/// buffers
-/// ([`ServingScratch`](super::serving::ServingScratch)). Both run modes
-/// share this single allocation-free scratch convention — any new
-/// reusable buffer, per-bag or per-batch, belongs here.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct EngineScratch {
-    /// Per-bag pipeline buffers.
-    pub bag: BagScratch,
-    /// Open-loop serving dispatch buffers.
-    pub serving: super::serving::ServingScratch,
-}
-
-/// Reusable buffers for the per-bag pipeline.
+/// Reusable buffers for the per-bag pipeline: the row lists by tier,
+/// the accumulator, the MLP window and the switch-compute buffers.
 ///
-/// One instance lives in [`SlsSystem`](crate::system::SlsSystem) (inside
-/// [`EngineScratch`]) and is threaded through every [`process_bag`]
-/// call: the bag takes the buffers, uses them, and hands them back
-/// cleared, so steady-state query processing performs no per-bag heap
-/// allocation. This is the allocation-free scratch-buffer convention
-/// ARCHITECTURE.md documents — any new stage state that would otherwise
-/// be a fresh `Vec` per bag belongs here.
+/// One instance lives in [`SlsSystem`](crate::system::SlsSystem), and
+/// each [`process_bag`] call lends it to its [`BagState`], which
+/// clears what it reads before use. The buffers keep their capacity
+/// across bags, so steady-state query processing performs no per-bag
+/// heap allocation. Any new stage state that would otherwise be a
+/// fresh `Vec` per bag belongs here.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BagScratch {
+    /// Rows resolved to local DRAM: `(row, addr)`.
     local: Vec<(u64, u64)>,
+    /// Rows resolved to the remote socket: `(row, addr)`.
     remote: Vec<(u64, u64)>,
+    /// Rows resolved to pooled CXL: `(device, row, addr)`.
     cxl: Vec<(u16, u64, u64)>,
+    /// The functional accumulator.
     acc: Vec<f32>,
+    /// In-flight fold completions for the bounded MLP window.
     window: VecDeque<SimTime>,
     sent: Vec<SimTime>,
     instr_arrivals: Vec<SimTime>,
@@ -111,7 +108,7 @@ pub(crate) struct EngineCtx<'a> {
     pub switches: &'a mut [SwitchCtx],
     /// All CXL Type 3 devices.
     pub devices: &'a mut [Type3Device],
-    /// All hosts (cores, links, local DRAM).
+    /// All hosts (links, local DRAM, DIMM cache).
     pub hosts: &'a mut [HostCtx],
     /// Link to the remote socket.
     pub remote_link: &'a mut cxlsim::FlexBusLink,
@@ -141,9 +138,8 @@ impl EngineCtx<'_> {
 
 /// One in-flight SLS bag moving through the pipeline.
 ///
-/// The growable buffers are borrowed from the system's [`BagScratch`]
-/// (via `std::mem::take`) and handed back cleared by [`BagState::release`],
-/// so constructing a bag allocates nothing in the steady state.
+/// The bag borrows the system's [`BagScratch`] for its growable
+/// buffers, so constructing one allocates nothing in the steady state.
 pub(crate) struct BagState<'r> {
     /// Issuing host.
     pub host_idx: usize,
@@ -155,78 +151,12 @@ pub(crate) struct BagState<'r> {
     pub rows: &'r [u64],
     /// Per-element fold latency, ns.
     pub acc_ns: u64,
-    /// Rows resolved to local DRAM: `(row, addr)`.
-    pub local: Vec<(u64, u64)>,
-    /// Rows resolved to the remote socket: `(row, addr)`.
-    pub remote: Vec<(u64, u64)>,
-    /// Rows resolved to pooled CXL: `(device, row, addr)`.
-    pub cxl: Vec<(u16, u64, u64)>,
-    /// The functional accumulator.
-    pub acc: Vec<f32>,
-    /// In-flight fold completions for the bounded MLP window
-    /// (`issue_window` clears it before use).
-    pub window: VecDeque<SimTime>,
-    /// Remaining scratch: the switch-compute buffers.
-    pub scratch: BagScratch,
+    /// The borrowed buffers.
+    pub scratch: &'r mut BagScratch,
     /// Completion time of everything observed so far.
     pub done: SimTime,
     /// Time the issuing core is next free.
     pub core_busy: SimTime,
-}
-
-impl<'r> BagState<'r> {
-    fn new(
-        cfg: &SystemConfig,
-        scratch: &mut BagScratch,
-        host_idx: usize,
-        issue: SimTime,
-        table: u32,
-        rows: &'r [u64],
-    ) -> Self {
-        let dim = cfg.model.emb_dim as usize;
-        let mut taken = std::mem::take(scratch);
-        taken.local.clear();
-        taken.remote.clear();
-        taken.cxl.clear();
-        taken.acc.clear();
-        taken.acc.resize(dim, 0.0f32);
-        let local = std::mem::take(&mut taken.local);
-        let remote = std::mem::take(&mut taken.remote);
-        let cxl = std::mem::take(&mut taken.cxl);
-        let acc = std::mem::take(&mut taken.acc);
-        let window = std::mem::take(&mut taken.window);
-        BagState {
-            host_idx,
-            issue,
-            table,
-            rows,
-            acc_ns: (dim as u64).div_ceil(16).max(1),
-            local,
-            remote,
-            cxl,
-            acc,
-            window,
-            scratch: taken,
-            done: issue,
-            core_busy: issue,
-        }
-    }
-
-    /// Returns every taken buffer to `scratch`, cleared but with its
-    /// capacity intact for the next bag.
-    fn release(mut self, scratch: &mut BagScratch) {
-        self.local.clear();
-        self.remote.clear();
-        self.cxl.clear();
-        self.acc.clear();
-        self.window.clear();
-        self.scratch.local = self.local;
-        self.scratch.remote = self.remote;
-        self.scratch.cxl = self.cxl;
-        self.scratch.acc = self.acc;
-        self.scratch.window = self.window;
-        *scratch = self.scratch;
-    }
 }
 
 /// Runs the bounded MLP issue window over `n` rows, starting at `start`:
@@ -268,49 +198,63 @@ pub(crate) fn process_bag(
     table: u32,
     rows: &[u64],
 ) -> (SimTime, SimTime) {
-    let mut bag = BagState::new(ctx.cfg, scratch, host_idx, issue, table, rows);
+    let dim = ctx.cfg.model.emb_dim as usize;
+    scratch.local.clear();
+    scratch.remote.clear();
+    scratch.cxl.clear();
+    scratch.acc.clear();
+    scratch.acc.resize(dim, 0.0f32);
+    let mut bag = BagState {
+        host_idx,
+        issue,
+        table,
+        rows,
+        acc_ns: (dim as u64).div_ceil(16).max(1),
+        scratch,
+        done: issue,
+        core_busy: issue,
+    };
     classify(ctx, &mut bag);
     local_gather(ctx, &mut bag);
     remote_gather(ctx, &mut bag);
     cxl_gather(ctx, &mut bag);
     finalize(ctx, &bag);
-    let result = (bag.done, bag.core_busy.max(bag.issue));
-    bag.release(scratch);
-    result
+    (bag.done, bag.core_busy.max(bag.issue))
 }
 
-/// Resolves each row to its tier, records page hotness (for the page
-/// manager, when one runs), and charges the per-tier lookup counters.
+/// Resolves each row to its tier, records page hotness and per-device
+/// page counts (for the page manager, when one runs; nothing else reads
+/// them), and charges the per-tier lookup counters.
 fn classify(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     ctx.metrics.lookups += bag.rows.len() as u64;
+    let managed = ctx.cfg.page_mgmt.is_some();
     for &row in bag.rows {
         let addr = ctx.tables[bag.table as usize].row_addr(row);
         let page = PageId::of_addr(addr);
-        if ctx.cfg.page_mgmt.is_some() {
+        if managed {
             ctx.hotness.host_mut(bag.host_idx).record(page);
         }
         match ctx.tier_of_addr(addr) {
-            Tier::Local => bag.local.push((row, addr)),
-            Tier::Remote => bag.remote.push((row, addr)),
+            Tier::Local => bag.scratch.local.push((row, addr)),
+            Tier::Remote => bag.scratch.remote.push((row, addr)),
             Tier::Cxl(d) => {
                 let d = d % ctx.cfg.n_devices;
-                ctx.epoch_dev_pages[d as usize]
-                    .entry(page)
-                    .and_modify(|c| *c += 1)
-                    .or_insert(1);
-                bag.cxl.push((d, row, addr));
+                if managed {
+                    *ctx.epoch_dev_pages[d as usize].entry(page).or_insert(0) += 1;
+                }
+                bag.scratch.cxl.push((d, row, addr));
             }
         }
     }
-    ctx.metrics.local_lookups += bag.local.len() as u64;
-    ctx.metrics.remote_lookups += bag.remote.len() as u64;
-    ctx.metrics.cxl_lookups += bag.cxl.len() as u64;
+    ctx.metrics.local_lookups += bag.scratch.local.len() as u64;
+    ctx.metrics.remote_lookups += bag.scratch.remote.len() as u64;
+    ctx.metrics.cxl_lookups += bag.scratch.cxl.len() as u64;
 }
 
 /// Local rows: host-compute everywhere except RecNMP, which folds in
 /// the DIMM using bank-level parallelism and its DIMM cache.
 fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-    if bag.local.is_empty() {
+    if bag.scratch.local.is_empty() {
         return;
     }
     let row_bytes = ctx.cfg.model.row_bytes();
@@ -325,13 +269,13 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         (ctx.cfg.outstanding, ISSUE_NS, bag.acc_ns)
     };
     let (t, last) = issue_window(
-        &mut bag.window,
+        &mut bag.scratch.window,
         bag.core_busy,
-        bag.local.len(),
+        bag.scratch.local.len(),
         limit,
         step_ns,
         |i, t| {
-            let addr = bag.local[i].1;
+            let addr = bag.scratch.local[i].1;
             let host = &mut ctx.hosts[bag.host_idx];
             let cached = is_nmp && host.dimm_cache.as_mut().is_some_and(|c| c.access(addr));
             let data = match &host.dimm_cache {
@@ -344,8 +288,8 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     // The functional fold, after the timing loop, in bag order.
     fold_rows(
         &ctx.tables[bag.table as usize],
-        bag.local.iter().map(|&(row, _)| row),
-        &mut bag.acc,
+        bag.scratch.local.iter().map(|&(row, _)| row),
+        &mut bag.scratch.acc,
     );
     // Local gathers are software-pipelined across bags (prefetch
     // hides local DRAM latency — the CPU optimizations of the
@@ -358,19 +302,19 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
 /// Remote-socket rows: a bounded MLP window over the socket link and the
 /// partially-populated remote DRAM; synchronous on the issuing core.
 fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-    if bag.remote.is_empty() {
+    if bag.scratch.remote.is_empty() {
         return;
     }
     let row_bytes = ctx.cfg.model.row_bytes();
     let (_, last) = issue_window(
-        &mut bag.window,
+        &mut bag.scratch.window,
         bag.core_busy,
-        bag.remote.len(),
+        bag.scratch.remote.len(),
         ctx.cfg.outstanding,
         ISSUE_NS,
         |i, t| {
             let sent = ctx.remote_link.transfer(t, 16);
-            let addr = spread_addr(bag.remote[i].1);
+            let addr = spread_addr(bag.scratch.remote[i].1);
             let data = ctx.remote_dram.access_span(sent, addr, row_bytes);
             ctx.remote_link.transfer(data, row_bytes) + SimDuration::from_ns(bag.acc_ns)
         },
@@ -378,8 +322,8 @@ fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     // The functional fold, after the timing loop, in bag order.
     fold_rows(
         &ctx.tables[bag.table as usize],
-        bag.remote.iter().map(|&(row, _)| row),
-        &mut bag.acc,
+        bag.scratch.remote.iter().map(|&(row, _)| row),
+        &mut bag.scratch.acc,
     );
     bag.done = bag.done.max(last);
     bag.core_busy = bag.core_busy.max(last); // synchronous on the core
@@ -389,7 +333,7 @@ fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
 /// spill) or in-switch accumulation (PIFS, BEACON) per the configured
 /// compute site.
 fn cxl_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
-    if bag.cxl.is_empty() {
+    if bag.scratch.cxl.is_empty() {
         return;
     }
     let (cxl_done, core_after) = match ctx.cfg.compute {
@@ -402,10 +346,11 @@ fn cxl_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
 
 /// Folds the bag's functional checksum into the run metrics.
 fn finalize(ctx: &mut EngineCtx<'_>, bag: &BagState<'_>) {
-    ctx.metrics.checksum += bag.acc.iter().map(|&x| x as f64).sum::<f64>();
+    ctx.metrics.checksum += bag.scratch.acc.iter().map(|&x| x as f64).sum::<f64>();
 }
 
-/// Rows of one bag homed on one switch, as indices into `BagState::cxl`.
+/// Rows of one bag homed on one switch, as indices into the bag's
+/// `cxl` list.
 type SwitchGroup = (SwitchId, Vec<usize>);
 
 /// Pond-style CXL handling: each row crosses the whole fabric to the
@@ -414,13 +359,13 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
     let row_bytes = ctx.cfg.model.row_bytes();
     let host_switch = ctx.topo.host_switch(bag.host_idx);
     let (t, last) = issue_window(
-        &mut bag.window,
+        &mut bag.scratch.window,
         bag.core_busy,
-        bag.cxl.len(),
+        bag.scratch.cxl.len(),
         ctx.cfg.outstanding,
         ISSUE_NS,
         |i, t| {
-            let (dev, _row, addr) = bag.cxl[i];
+            let (dev, _row, addr) = bag.scratch.cxl[i];
             let host = &mut ctx.hosts[bag.host_idx];
             let sent = host.req_link.transfer(t, M2sReq::WIRE_BYTES);
             let dev_switch = ctx.topo.device_switch(dev as usize);
@@ -437,8 +382,8 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
     // The functional fold, after the timing loop, in bag order.
     fold_rows(
         &ctx.tables[bag.table as usize],
-        bag.cxl.iter().map(|&(_, row, _)| row),
-        &mut bag.acc,
+        bag.scratch.cxl.iter().map(|&(_, row, _)| row),
+        &mut bag.scratch.acc,
     );
     // The gather loop is software-pipelined across bags; the run is
     // bound by fabric bandwidth (every row crosses the host link,
@@ -465,7 +410,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     // for this bag, and their inner index vectors keep their capacity
     // across bags.
     let mut n_groups = 0usize;
-    for (i, &(dev, _, _)) in bag.cxl.iter().enumerate() {
+    for (i, &(dev, _, _)) in bag.scratch.cxl.iter().enumerate() {
         let s = ctx.topo.device_switch(dev as usize);
         let by_switch = &mut bag.scratch.by_switch;
         match by_switch[..n_groups].iter_mut().find(|(sid, _)| *sid == s) {
@@ -488,7 +433,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     let config_req = M2sReq::configuration(
         0xF000_0000,
         (cluster.0 & 0x1FF) as u16,
-        bag.cxl.len() as u16,
+        bag.scratch.cxl.len() as u16,
         host_idx as u16,
     );
     debug_assert_eq!(config_req.opcode, cxlsim::MemOpcode::Configuration);
@@ -505,10 +450,10 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         t,
         SimDuration::from_ns(ISSUE_NS),
         M2sReq::WIRE_BYTES,
-        bag.cxl.len(),
+        bag.scratch.cxl.len(),
         &mut bag.scratch.sent,
     );
-    t += SimDuration::from_ns(ISSUE_NS * bag.cxl.len() as u64);
+    t += SimDuration::from_ns(ISSUE_NS * bag.scratch.cxl.len() as u64);
     // Debug builds round-trip the whole DataFetch burst through the
     // batched codec and check every instruction routes to the process
     // core; the release path models only the stream's timing.
@@ -517,7 +462,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         let chunks = (row_bytes.div_ceil(16)).min(8) as u8;
         let (stream, slab, decoded) = &mut bag.scratch.codec;
         stream.clear();
-        stream.extend(bag.cxl.iter().map(|&(_, _, addr)| {
+        stream.extend(bag.scratch.cxl.iter().map(|&(_, _, addr)| {
             M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16)
         }));
         M2sReq::encode_batch(stream, slab);
@@ -531,10 +476,10 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         }
     }
     // Arrival time of each DataFetch at its switch, indexed by the row's
-    // position in `bag.cxl` (positional, so duplicate rows in one bag
+    // position in the bag's `cxl` list (positional, so duplicate rows in one bag
     // keep their own serialized issue/arrival times).
     bag.scratch.instr_arrivals.clear();
-    for (i, &(dev, _row, _addr)) in bag.cxl.iter().enumerate() {
+    for (i, &(dev, _row, _addr)) in bag.scratch.cxl.iter().enumerate() {
         let s = ctx.topo.device_switch(dev as usize);
         let hop = ctx.topo.hop_latency(host_switch, s);
         let transit = ctx.switches[local_sw_idx].sw.transit(bag.scratch.sent[i]);
@@ -543,7 +488,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     let core_free = t;
 
     // The local switch opens the cluster when the Configuration lands
-    // (the ACR's `SumCandidateCount` is `bag.cxl.len()`, split into one
+    // (the ACR's `SumCandidateCount` is the bag's CXL row count, split into one
     // sub-cluster per switch group). Each group accumulates its
     // sub-cluster and the local forward controller folds the partials,
     // in group order, into `merged`; the result is ready once the
@@ -563,7 +508,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         };
         let mut sub_last = SimTime::ZERO;
         for &i in group {
-            let (dev, _row, addr) = bag.cxl[i];
+            let (dev, _row, addr) = bag.scratch.cxl[i];
             let arrival = bag.scratch.instr_arrivals[i];
             // Decode (+ BEACON's translation logic) serializes in the PC.
             let sw = &mut ctx.switches[s_idx];
@@ -594,7 +539,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         bag.scratch.sub_acc.resize(dim, 0.0f32);
         fold_rows(
             &ctx.tables[table as usize],
-            group.iter().map(|&i| bag.cxl[i].1),
+            group.iter().map(|&i| bag.scratch.cxl[i].1),
             &mut bag.scratch.sub_acc,
         );
 
@@ -610,7 +555,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             *m += v;
         }
     }
-    for (a, &v) in bag.acc.iter_mut().zip(&bag.scratch.merged) {
+    for (a, &v) in bag.scratch.acc.iter_mut().zip(&bag.scratch.merged) {
         *a += v;
     }
 

@@ -30,7 +30,7 @@ use simkit::{LatencyHist, SimDuration, SimTime};
 use tracegen::{QueryStream, TenantMixStream, Trace};
 
 use super::controller::{ControllerPolicy, ServingController};
-use super::metrics::{CounterOffsets, RunMetrics};
+use super::metrics::{MeasureWindow, RunMetrics};
 
 /// Open-loop batcher knobs (see [`SystemConfig::serving`]).
 ///
@@ -142,23 +142,6 @@ pub struct PendingQuery {
     pub arrival: SimTime,
     /// Tenant tag (0 for untagged pushes).
     pub tenant: u16,
-}
-
-/// Reusable buffers for the open-loop dispatch path — the serving-side
-/// member of the unified scratch convention ([`EngineScratch`]): the
-/// per-query completion times of the batch being dispatched and the
-/// work-partition memo keep their capacity across batches and runs,
-/// mirroring what [`BagScratch`](super::pipeline::BagScratch) does for
-/// the per-bag path.
-///
-/// [`EngineScratch`]: super::pipeline::EngineScratch
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ServingScratch {
-    /// Per-query completion time of the batch being dispatched.
-    pub q_done: Vec<SimTime>,
-    /// Work-partition memo keyed by batch size. Reset at the start of
-    /// every session: the layout also bakes in the stream's table count.
-    pub parts_memo: Option<(u32, Vec<Vec<dlrm::query::WorkItem>>)>,
 }
 
 /// The query batcher and the one store of pending queries: each
@@ -724,15 +707,17 @@ impl LatencyWindows {
 /// The state of one in-progress streaming open-loop run, between
 /// [`SlsSystem::open_loop_begin`] and [`SlsSystem::open_loop_finish`].
 ///
-/// Holds everything `run_open_loop`'s two-phase implementation kept on
-/// the stack — the batcher (the one store of pending queries and their
-/// bags: at most one batch, recycled at every dispatch), the
-/// accumulating metrics, the counter snapshots, and the warm-start time
-/// base. Each query is booked once, in its tenant's
-/// [`TenantServing`] slot; the whole-run aggregates are folded from
-/// those slots at finish. `Clone` is the checkpoint primitive: a cloned
-/// session (inside a cloned [`SlsSystem`](crate::system::SlsSystem))
-/// resumes byte-identically.
+/// Everything that lives only as long as the run is here, not on the
+/// system: the batcher (the one store of pending queries and their
+/// bags: at most one batch, recycled at every dispatch), the dispatch
+/// buffers (per-query completions and the work-partition memo, both
+/// sized by this session's table count and batch sizes), the
+/// measurement window, the serving metrics and the warm-start time
+/// base. Each query is booked once, in its tenant's [`TenantServing`]
+/// slot; the whole-run aggregates are folded from those slots at
+/// finish. `Clone` is the checkpoint primitive: a cloned session
+/// (inside a cloned [`SlsSystem`](crate::system::SlsSystem)) resumes
+/// byte-identically.
 ///
 /// [`SlsSystem::open_loop_begin`]: crate::system::SlsSystem::open_loop_begin
 /// [`SlsSystem::open_loop_finish`]: crate::system::SlsSystem::open_loop_finish
@@ -744,12 +729,13 @@ pub(crate) struct OpenLoopSession {
     /// `completion` and the batch-fill sum; the whole-run aggregates
     /// are filled at finish.
     pub serving: ServingMetrics,
-    /// Sum of per-bag latencies (for `mean_bag_ns`).
-    pub bag_latency_sum: u128,
-    /// Device access counts at session start.
-    pub dev_offset: Vec<u64>,
-    /// Hardware counters at session start.
-    pub counter_offsets: CounterOffsets,
+    /// The run's measurement window, opened at begin.
+    pub measure: MeasureWindow,
+    /// Per-query completion time of the batch being dispatched.
+    pub q_done: Vec<SimTime>,
+    /// Work-partition memo keyed by batch size, recomputed only when a
+    /// batch's size differs from the previous batch's.
+    pub parts_memo: Option<(u32, Vec<Vec<dlrm::query::WorkItem>>)>,
     /// The warm-start time base (max host `next_free` at begin), as a
     /// shift applied to every run-relative arrival timestamp.
     pub shift: SimDuration,

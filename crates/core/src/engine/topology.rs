@@ -12,12 +12,11 @@ use super::config::{ComputeSite, SystemConfig};
 use crate::buffer::OnSwitchBuffer;
 use crate::ooo::AccumEngine;
 
-/// Per-host simulation state: lookup cores, FlexBus links, local DRAM,
-/// and (for RecNMP) the DIMM cache.
+/// Per-host simulation state: FlexBus links, local DRAM, and (for
+/// RecNMP) the DIMM cache. The lookup cores' clocks live only inside
+/// one batch, so they are not host state.
 #[derive(Clone)]
 pub(crate) struct HostCtx {
-    /// Next-free time of each lookup core.
-    pub cores: Vec<SimTime>,
     /// Host→switch request link.
     pub req_link: FlexBusLink,
     /// Switch→host response link.
@@ -102,7 +101,6 @@ impl Plant {
 
         let hosts = (0..cfg.n_hosts)
             .map(|_| HostCtx {
-                cores: vec![SimTime::ZERO; cfg.cores_per_host as usize],
                 req_link: FlexBusLink::new(&cfg.cxl),
                 rsp_link: FlexBusLink::new(&cfg.cxl),
                 // The characterization host populates 12 DDR5 channels

@@ -20,13 +20,14 @@
 
 use dlrm::{query, EmbeddingTable};
 use pagemgmt::{GlobalHotness, PageId, PageTable, TierCapacities};
+use simkit::faults::dilate;
 use simkit::{SimDuration, SimTime};
 use tracegen::Trace;
 
 use crate::engine::config::page_align;
-use crate::engine::metrics::CounterOffsets;
+use crate::engine::metrics::MeasureWindow;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
-use crate::engine::pipeline::{process_bag, EngineCtx, EngineScratch};
+use crate::engine::pipeline::{process_bag, BagScratch, EngineCtx};
 use crate::engine::serving::{
     assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, TaggedQuerySource,
     TraceArrivals,
@@ -59,11 +60,13 @@ fn assert_trace_fits(model: &dlrm::ModelConfig, trace: &Trace) {
 }
 
 /// The composed system: the hardware `Plant`, the embedding layout and
-/// page placement, and the workload-visible run state.
+/// page placement, and the page manager's state. What lives only as
+/// long as one run (the measurement window, the dispatch buffers, the
+/// core clocks) belongs to that run's loop, not to the system.
 ///
 /// `Clone` deep-copies the entire simulation — plant timing state, page
-/// placement, hotness, metrics, scratch, and any in-progress open-loop
-/// session — which is what a
+/// placement, hotness, the bag scratch, and any in-progress open-loop
+/// session with its measurement window — which is what a
 /// [`SimCheckpoint`](crate::engine::checkpoint::SimCheckpoint)
 /// captures.
 #[derive(Clone)]
@@ -75,13 +78,11 @@ pub struct SlsSystem {
     hotness: GlobalHotness,
     next_cluster: u64,
     pm_epoch: u64,
-    metrics: RunMetrics,
-    /// Per-device page-access counts within the current PM epoch.
+    /// Per-device page-access counts within the current PM epoch
+    /// (recorded only when a page manager runs).
     epoch_dev_pages: Vec<simkit::hash::FastMap<PageId, u64>>,
-    /// The unified scratch bundle: per-bag pipeline buffers plus the
-    /// open-loop dispatcher's per-run buffers (allocation-free steady
-    /// state for both run modes).
-    scratch: EngineScratch,
+    /// The per-bag pipeline buffers, lent to each bag in turn.
+    scratch: BagScratch,
     /// The in-progress streaming open-loop session, between
     /// [`Self::open_loop_begin`] and [`Self::open_loop_finish`].
     session: Option<OpenLoopSession>,
@@ -146,9 +147,8 @@ impl SlsSystem {
             hotness,
             next_cluster: 0,
             pm_epoch: 0,
-            metrics: RunMetrics::default(),
             epoch_dev_pages: vec![simkit::hash::FastMap::default(); n_devices],
-            scratch: EngineScratch::default(),
+            scratch: BagScratch::default(),
             session: None,
             slowdowns: Vec::new(),
         }
@@ -196,15 +196,9 @@ impl SlsSystem {
     pub fn run_trace(&mut self, trace: &Trace) -> RunMetrics {
         assert_trace_fits(&self.cfg.model, trace);
 
-        self.metrics = RunMetrics::default();
-        let mut bag_latency_sum = 0u128;
         let warmup = (self.cfg.warmup_batches as usize).min(trace.batches.len().saturating_sub(1));
+        let mut measure = MeasureWindow::open(&self.plant);
         let mut measure_from: Vec<SimTime> = self.plant.hosts.iter().map(|h| h.next_free).collect();
-        let mut dev_offset: Vec<u64> = vec![0; self.plant.devices.len()];
-        let mut counter_offsets = CounterOffsets::default();
-        if warmup == 0 {
-            counter_offsets = self.snapshot_counters(&mut dev_offset);
-        }
 
         let parts = query::partition(
             trace.n_tables,
@@ -216,33 +210,30 @@ impl SlsSystem {
         for bi in 0..trace.batches.len() {
             let host_idx = bi % self.cfg.n_hosts as usize;
             let batch_start = self.plant.hosts[host_idx].next_free;
-            let (mut batch_done, latency_sum) = self.execute_batch(
+            let mut batch_done = self.execute_batch(
+                &mut measure,
                 host_idx,
                 batch_start,
                 &parts,
                 |sample, table| trace.bag(bi, table, sample),
                 |_, _| {},
             );
-            bag_latency_sum += latency_sum;
-
             // Page-management epoch at the batch boundary.
             if self.cfg.page_mgmt.is_some() {
-                let overhead = run_pm_epoch(&mut self.epoch_ctx());
-                batch_done += overhead;
-                self.metrics.migration_ns += overhead.as_ns();
+                batch_done += run_pm_epoch(&mut self.epoch_ctx(&mut measure.metrics));
             }
             self.plant.hosts[host_idx].next_free = batch_done;
 
             if bi + 1 == warmup {
-                // Steady state reached: reset every measured quantity.
-                self.metrics = RunMetrics::default();
-                bag_latency_sum = 0;
-                measure_from = self.plant.hosts.iter().map(|h| h.next_free).collect();
-                counter_offsets = self.snapshot_counters(&mut dev_offset);
+                // Steady state reached: measure from here on.
+                measure.reopen(&self.plant);
+                for (from, h) in measure_from.iter_mut().zip(&self.plant.hosts) {
+                    *from = h.next_free;
+                }
             }
         }
 
-        self.metrics.total_ns = self
+        let total_ns = self
             .plant
             .hosts
             .iter()
@@ -250,8 +241,7 @@ impl SlsSystem {
             .map(|(h, &from)| h.next_free.since(from).as_ns())
             .max()
             .unwrap_or(0);
-        self.close_window(&dev_offset, &counter_offsets, bag_latency_sum);
-        self.metrics.clone()
+        measure.close(&self.plant, total_ns)
     }
 
     /// Serves `trace`'s samples open-loop: query `q` (the `q`-th entry
@@ -323,13 +313,6 @@ impl SlsSystem {
             n_tables <= self.cfg.model.n_tables,
             "stream has more tables than the model"
         );
-        self.metrics = RunMetrics::default();
-        // The partition memo is layout-dependent (it bakes in the
-        // session's table count), so it resets every session; its
-        // buffers keep their capacity.
-        self.scratch.serving.parts_memo = None;
-        let mut dev_offset: Vec<u64> = vec![0; self.plant.devices.len()];
-        let counter_offsets = self.snapshot_counters(&mut dev_offset);
         // Arrival timestamps are relative to the run start: on a warm
         // system (a prior run advanced the hosts) the whole stream is
         // shifted past everything already simulated, so latencies and
@@ -345,9 +328,9 @@ impl SlsSystem {
             batcher: QueryBatcher::new(&self.cfg.serving, n_tables),
             controller: crate::engine::controller::ServingController::new(&self.cfg.serving),
             serving: ServingMetrics::default(),
-            bag_latency_sum: 0,
-            dev_offset,
-            counter_offsets,
+            measure: MeasureWindow::open(&self.plant),
+            q_done: Vec::new(),
+            parts_memo: None,
             shift: t0.since(SimTime::ZERO),
             batches_dispatched: 0,
             record_completion: opts.record_completion,
@@ -502,53 +485,50 @@ impl SlsSystem {
             .unwrap_or(t0)
             .since(t0)
             .as_ns();
-        self.metrics.total_ns = serving.makespan_ns;
-        self.close_window(&s.dev_offset, &s.counter_offsets, s.bag_latency_sum);
-        serving.run = self.metrics.clone();
+        serving.run = s.measure.close(&self.plant, serving.makespan_ns);
         serving
     }
 
     /// Runs one batch's bags through the stage pipeline on host
-    /// `host_idx` — the timing path both run modes share. Every core
-    /// starts at `start` and works through its share of the query
-    /// partition `parts`, each bag (`bag(sample, table)`) issuing when
-    /// its core frees; `on_bag(sample, done)` sees each bag's
-    /// completion. Returns the batch's last bag completion and the
-    /// summed per-bag latency, ns.
+    /// `host_idx`, measured into `measure` — the timing path both run
+    /// modes share. Every core starts at `start` and works through its
+    /// share of the query partition `parts`, each bag
+    /// (`bag(sample, table)`) issuing when its core frees; the core
+    /// clocks live only for the batch. `on_bag(sample, done)` sees each
+    /// bag's completion. Returns the batch's last bag completion.
     fn execute_batch<'a>(
         &mut self,
+        measure: &mut MeasureWindow,
         host_idx: usize,
         start: SimTime,
         parts: &[Vec<query::WorkItem>],
         bag: impl Fn(u32, u32) -> &'a [u64],
         mut on_bag: impl FnMut(u32, SimTime),
-    ) -> (SimTime, u128) {
+    ) -> SimTime {
+        let (mut ctx, scratch) = self.engine_ctx(&mut measure.metrics);
         let mut batch_done = start;
-        let mut latency_sum = 0u128;
-        for (core_idx, items) in parts.iter().enumerate() {
-            self.plant.hosts[host_idx].cores[core_idx] = start;
+        for items in parts {
+            let mut core_free = start;
             for item in items {
                 for sample in item.sample_begin..item.sample_end {
-                    let issue = self.plant.hosts[host_idx].cores[core_idx];
-                    let mut scratch = std::mem::take(&mut self.scratch.bag);
-                    let (done, core_free) = process_bag(
-                        &mut self.engine_ctx(),
-                        &mut scratch,
+                    let issue = core_free;
+                    let (done, free) = process_bag(
+                        &mut ctx,
+                        scratch,
                         host_idx,
                         issue,
                         item.table,
                         bag(sample, item.table),
                     );
-                    self.scratch.bag = scratch;
-                    self.plant.hosts[host_idx].cores[core_idx] = core_free;
+                    core_free = free;
                     batch_done = batch_done.max(done);
                     on_bag(sample, done);
-                    latency_sum += done.since(issue).as_ns() as u128;
-                    self.metrics.bags += 1;
+                    measure.bag_latency_sum += done.since(issue).as_ns() as u128;
+                    ctx.metrics.bags += 1;
                 }
             }
         }
-        (batch_done, latency_sum)
+        batch_done
     }
 
     /// Dispatches the batch the session's batcher closed at `close` —
@@ -564,28 +544,25 @@ impl SlsSystem {
         let start = (close + s.shift).max(self.plant.hosts[host_idx].next_free);
         let n = s.batcher.len() as u32;
         let n_tables = s.batcher.n_tables();
-        let mut sv = std::mem::take(&mut self.scratch.serving);
-        // Partition memo: every full batch shares one layout, so only
-        // the trailing part-full sizes recompute it.
-        if sv.parts_memo.as_ref().is_none_or(|(len, _)| *len != n) {
-            sv.parts_memo = Some((
+        if s.parts_memo.as_ref().is_none_or(|(len, _)| *len != n) {
+            s.parts_memo = Some((
                 n,
                 query::partition(n_tables, n, self.cfg.cores_per_host, self.cfg.threading),
             ));
         }
-        let parts = &sv.parts_memo.as_ref().expect("memo just filled").1;
-        sv.q_done.clear();
-        sv.q_done.resize(n as usize, start);
-        let q_done = &mut sv.q_done;
+        let parts = &s.parts_memo.as_ref().expect("memo just filled").1;
+        s.q_done.clear();
+        s.q_done.resize(n as usize, start);
+        let q_done = &mut s.q_done;
         let batcher = &s.batcher;
-        let (mut batch_done, latency_sum) = self.execute_batch(
+        let mut batch_done = self.execute_batch(
+            &mut s.measure,
             host_idx,
             start,
             parts,
             |sample, table| batcher.bag(sample as usize, table),
             |sample, done| q_done[sample as usize] = q_done[sample as usize].max(done),
         );
-        s.bag_latency_sum += latency_sum;
         // A query completes when its last bag does; the response leaves
         // before the epoch-boundary page manager runs.
         // Service slow-down dilation: a batch starting inside a fault
@@ -603,16 +580,16 @@ impl SlsSystem {
             if mult > 1.0 {
                 let stretch = |done: SimTime| {
                     let span = done.since(start).as_ns();
-                    start + SimDuration::from_ns((span as f64 * mult).round() as u64)
+                    start + SimDuration::from_ns(dilate(span, mult, f64::round, "slow-down"))
                 };
                 batch_done = stretch(batch_done);
-                for done in sv.q_done.iter_mut() {
+                for done in s.q_done.iter_mut() {
                     *done = stretch(*done);
                 }
             }
         }
         let t0 = SimTime::ZERO + s.shift;
-        for (q, &done) in s.batcher.pending().iter().zip(&sv.q_done) {
+        for (q, &done) in s.batcher.pending().iter().zip(&s.q_done) {
             let latency = done.since(q.arrival + s.shift);
             let wait = start.since(q.arrival + s.shift);
             s.controller.record_latency(latency);
@@ -636,9 +613,7 @@ impl SlsSystem {
         // boundary (the historical cadence), the epoch-adaptive
         // policies stretch the cadence while the hot set is stable.
         if self.cfg.page_mgmt.is_some() && s.controller.epoch_due(&self.hotness) {
-            let overhead = run_pm_epoch(&mut self.epoch_ctx());
-            batch_done += overhead;
-            self.metrics.migration_ns += overhead.as_ns();
+            batch_done += run_pm_epoch(&mut self.epoch_ctx(&mut s.measure.metrics));
         }
         self.plant.hosts[host_idx].next_free = batch_done;
         // Controller load tick: the dispatch backlog (close → service
@@ -649,45 +624,15 @@ impl SlsSystem {
             s.batcher.set_knobs(batch_size, max_wait_ns);
         }
         s.batcher.clear();
-        self.scratch.serving = sv;
     }
 
-    /// Records current cumulative counters so the measured window can
-    /// subtract everything that happened before the capture point.
-    fn snapshot_counters(&self, dev_offset: &mut [u64]) -> CounterOffsets {
-        for (slot, d) in dev_offset.iter_mut().zip(&self.plant.devices) {
-            *slot = d.access_count();
-        }
-        CounterOffsets::capture(&self.plant.switches, &self.plant.hosts)
-    }
-
-    /// Closes the measured window: per-device accesses and the switch
-    /// and host counters since the capture point, and the mean bag
-    /// latency over the window's `bag_latency_sum`.
-    fn close_window(
-        &mut self,
-        dev_offset: &[u64],
-        counter_offsets: &CounterOffsets,
-        bag_latency_sum: u128,
-    ) {
-        self.metrics.device_accesses = self
-            .plant
-            .devices
-            .iter()
-            .zip(dev_offset)
-            .map(|(d, &off)| d.access_count() - off)
-            .collect();
-        counter_offsets.finish(&self.plant.switches, &self.plant.hosts, &mut self.metrics);
-        self.metrics.mean_bag_ns = if self.metrics.bags == 0 {
-            0.0
-        } else {
-            bag_latency_sum as f64 / self.metrics.bags as f64
-        };
-    }
-
-    /// A split-borrow view for the per-bag pipeline stages.
-    fn engine_ctx(&mut self) -> EngineCtx<'_> {
-        EngineCtx {
+    /// A split-borrow view for the per-bag pipeline stages, charging
+    /// `metrics`, plus the bag scratch the stages borrow.
+    fn engine_ctx<'a>(
+        &'a mut self,
+        metrics: &'a mut RunMetrics,
+    ) -> (EngineCtx<'a>, &'a mut BagScratch) {
+        let ctx = EngineCtx {
             cfg: &self.cfg,
             topo: &self.plant.topo,
             switches: &mut self.plant.switches,
@@ -699,20 +644,22 @@ impl SlsSystem {
             tables: &self.tables,
             hotness: &mut self.hotness,
             epoch_dev_pages: &mut self.epoch_dev_pages,
-            metrics: &mut self.metrics,
+            metrics,
             next_cluster: &mut self.next_cluster,
-        }
+        };
+        (ctx, &mut self.scratch)
     }
 
-    /// A split-borrow view for the epoch-boundary page manager.
-    fn epoch_ctx(&mut self) -> EpochCtx<'_> {
+    /// A split-borrow view for the epoch-boundary page manager,
+    /// charging `metrics`.
+    fn epoch_ctx<'a>(&'a mut self, metrics: &'a mut RunMetrics) -> EpochCtx<'a> {
         EpochCtx {
             cfg: &self.cfg,
             page_table: &mut self.page_table,
             hotness: &mut self.hotness,
             epoch_dev_pages: &mut self.epoch_dev_pages,
             devices: &self.plant.devices,
-            metrics: &mut self.metrics,
+            metrics,
             pm_epoch: &mut self.pm_epoch,
         }
     }

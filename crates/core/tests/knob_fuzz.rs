@@ -12,6 +12,7 @@ use pifs_core::engine::controller::ControllerPolicy;
 use pifs_core::engine::serving::ShedPolicy;
 use pifs_core::{ShardPolicy, SystemConfig};
 use proptest::prelude::*;
+use simkit::faults::MAX_FAULT_MULT;
 use simkit::FaultSpec;
 use tracegen::{ArrivalProcess, Distribution, QosClass};
 
@@ -210,6 +211,11 @@ proptest! {
         }
         if let Ok(p) = FaultSpec::parse(&s) {
             prop_assert_eq!(FaultSpec::parse(&p.label()), Ok(p));
+            // A multiplier past the cap would dilate spans and link
+            // bytes toward the u64 limit.
+            if let FaultSpec::Slow { mult, .. } | FaultSpec::Link { mult, .. } = p {
+                prop_assert!((1.0..=MAX_FAULT_MULT).contains(&mult), "{:?} parsed to {:?}", s, p);
+            }
         }
         if let Ok(p) = QosClass::parse(&s) {
             prop_assert_eq!(QosClass::parse(p.label()), Ok(p));

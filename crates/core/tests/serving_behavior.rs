@@ -168,6 +168,35 @@ fn warm_system_measures_only_its_own_run() {
 }
 
 #[test]
+fn each_session_partitions_work_over_its_own_table_count() {
+    // The dispatch path caches its work partition per batch size, and a
+    // partition lists the tables it covers. A second session on the
+    // same system, with the same batch size but twice the tables, must
+    // look up every one of its tables, not the first session's four.
+    // Arrivals dense enough that every batch fills, so both sessions
+    // dispatch only full batches of the one default size.
+    let n = 64u32;
+    let model = ModelConfig::rmc1();
+    let mut sys = SlsSystem::new(SystemConfig::pifs_rec(model.clone()));
+    let arrivals = ArrivalProcess::Poisson { qps: 1e9 }.times(n as usize, 77);
+    for n_tables in [4, 8] {
+        let trace = TraceSpec {
+            n_tables,
+            ..trace_spec(&model, n)
+        }
+        .generate();
+        let m = sys.run_open_loop(&trace, &arrivals);
+        assert_eq!(m.queries, n as u64);
+        assert_eq!(m.batches, 2);
+        assert_eq!(
+            m.run.lookups,
+            n as u64 * n_tables as u64 * model.bag_size as u64,
+            "{n_tables}-table session"
+        );
+    }
+}
+
+#[test]
 #[should_panic(expected = "sorted non-decreasing")]
 fn unsorted_arrivals_rejected() {
     let cfg = SystemConfig::pond(small_model());

@@ -38,6 +38,33 @@ const NS_PER_S: f64 = 1e9;
 /// i.e. a ~20% duty cycle per node, independent of the swept rate.
 const DUTY_FRACTION: f64 = 0.2;
 
+/// The largest latency or link multiplier a fault spec accepts.
+///
+/// Every multiplier dilates an integer quantity (a batch's service
+/// span, a partial's link bytes and hop latency) through `f64` and back
+/// to `u64`. At 10^6 a one-microsecond batch already stretches to a
+/// second, far past any SLA a sweep measures, while a larger multiplier
+/// only pushes dilated spans toward the `u64` limit, where the clock
+/// would wrap instead of reporting the slow node.
+pub const MAX_FAULT_MULT: f64 = 1e6;
+
+/// Scales the integer `x` by the fault multiplier `mult`, rounding the
+/// product with `round` (`f64::round`, `f64::ceil`): the one conversion
+/// of a fault-dilated quantity back to integer units.
+///
+/// # Panics
+///
+/// Panics naming `fault` if the dilated value does not fit in a `u64`,
+/// instead of saturating into a quantity that wraps the clock.
+pub fn dilate(x: u64, mult: f64, round: fn(f64) -> f64, fault: &str) -> u64 {
+    let scaled = round(x as f64 * mult);
+    assert!(
+        (0.0..u64::MAX as f64).contains(&scaled),
+        "{fault} fault: {x} dilated by {mult} is {scaled}, past the u64 range"
+    );
+    scaled as u64
+}
+
 /// A parsed fault family + parameters: the `fault` axis of a sweep.
 ///
 /// Pure configuration — turn it into events with
@@ -75,8 +102,9 @@ impl FaultSpec {
     /// Parses the sweep spelling
     /// `none | failstop:<rate> | slow:<rate>:<mult> | link:<rate>:<mult>`.
     ///
-    /// Rates must be positive and finite; multipliers must be finite
-    /// and ≥ 1 (a fault never speeds a component up). Errors name the
+    /// Rates must be positive and finite; multipliers must lie in
+    /// `[1, MAX_FAULT_MULT]` (a fault never speeds a component up, and
+    /// [`MAX_FAULT_MULT`] says why the top is bounded). Errors name the
     /// offending piece so sweep harnesses can surface *why* a spec was
     /// rejected.
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
@@ -99,11 +127,11 @@ impl FaultSpec {
             }
         };
         let mult_of = |v: f64| -> Result<f64, String> {
-            if v.is_finite() && v >= 1.0 {
+            if (1.0..=MAX_FAULT_MULT).contains(&v) {
                 Ok(v)
             } else {
                 Err(format!(
-                    "fault spec {spec:?}: multiplier must be finite and >= 1, got {v}"
+                    "fault spec {spec:?}: multiplier must be >= 1 and <= {MAX_FAULT_MULT}, got {v:?}"
                 ))
             }
         };
@@ -428,10 +456,27 @@ mod tests {
         assert!(FaultSpec::parse("slow:100:0.5")
             .unwrap_err()
             .contains(">= 1"));
+        assert!(FaultSpec::parse("link:100:1e300")
+            .unwrap_err()
+            .contains("<= 1000000"));
         assert!(FaultSpec::parse("none:1").unwrap_err().contains("trailing"));
         assert!(FaultSpec::parse("slow:100")
             .unwrap_err()
             .contains("missing mult"));
+    }
+
+    #[test]
+    fn dilate_rounds_as_asked_and_refuses_to_saturate() {
+        assert_eq!(dilate(5, 1.5, f64::round, "slow-down"), 8);
+        assert_eq!(dilate(5, 1.1, f64::ceil, "link-degrade"), 6);
+        assert_eq!(
+            dilate(1_000, MAX_FAULT_MULT, f64::round, "slow-down"),
+            1_000_000_000
+        );
+        let overflow =
+            std::panic::catch_unwind(|| dilate(u64::MAX / 2, 4.0, f64::round, "slow-down"));
+        let msg = *overflow.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("slow-down fault"), "{msg}");
     }
 
     #[test]
