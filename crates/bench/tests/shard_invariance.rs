@@ -7,8 +7,9 @@
 //!
 //! * a **1-shard cluster is byte-identical to plain
 //!   [`run_open_loop`](SlsSystem::run_open_loop)** — same latency
-//!   histogram, same makespan, same per-node run metrics, zero
-//!   aggregation traffic;
+//!   histogram, same makespan, same per-node timing metrics, zero
+//!   aggregation traffic — and its checksum is the exact per-element
+//!   sum (the node itself runs timing only);
 //! * **k ∈ {2, 4, 8} shards produce bit-identical merged embeddings and
 //!   per-query checksums** under both placement policies — the exact
 //!   f64 merge plane (see `pifs_core::engine::cluster`) makes the
@@ -108,10 +109,15 @@ fn one_shard_cluster_is_byte_identical_to_the_node() {
             assert_eq!(m.latency, plain.latency, "{policy:?} @ {qps}");
             assert_eq!(m.makespan_ns, plain.makespan_ns, "{policy:?} @ {qps}");
             assert_eq!(m.agg_bytes, 0);
-            assert_eq!(
-                m.per_node[0].run.checksum.to_bits(),
-                plain.run.checksum.to_bits()
-            );
+            // The node runs timing only; the cluster's checksum is the
+            // exact per-element sum.
+            assert_eq!(m.per_node[0].run.checksum.to_bits(), 0.0f64.to_bits());
+            let unsharded = ShardPlacement::from_dims(1, trace.n_tables, policy, &cfg.model);
+            let oracle: f64 =
+                exact_query_checksums(&unsharded, unsharded.tables(), &trace, arrivals.len())
+                    .iter()
+                    .sum();
+            assert_eq!(m.checksum.to_bits(), oracle.to_bits(), "{policy:?} @ {qps}");
             assert_eq!(m.per_node[0].run.lookups, plain.run.lookups);
             assert_eq!(m.per_node[0].run.total_ns, plain.run.total_ns);
         }

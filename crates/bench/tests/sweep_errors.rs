@@ -248,6 +248,31 @@ fn oversized_fault_multipliers_die_instead_of_wrapping_the_clock() {
 }
 
 #[test]
+fn oversized_fault_rates_die_instead_of_growing_the_schedule() {
+    // The schedule draws about rate × nodes × horizon events, so an
+    // unbounded rate would loop while its event vector grows.
+    assert_dies(
+        &[
+            "sweep",
+            "cluster_faults",
+            "--param",
+            "fault=slow:1e300:2",
+            "--param",
+            "shed=none",
+            "--param",
+            "replicas=0",
+            "--param",
+            "qps=4000000",
+        ],
+        &[
+            "--param fault",
+            "slow:1e300:2",
+            "rate must be positive and <= 1000000",
+        ],
+    );
+}
+
+#[test]
 fn out_of_range_scenario_axes_die_instead_of_wrapping() {
     // `devices=65538` used to wrap to 2 and run, writing the devices=2
     // row under the label 65538; the zeros and the over-long duration

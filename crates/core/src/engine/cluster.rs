@@ -25,8 +25,11 @@
 //!   cluster is *byte-identical* to plain
 //!   [`run_open_loop`](SlsSystem::run_open_loop).
 //! * **Functional plane** — each query's checksum is the f64 sum of
-//!   its served embedding elements. Procedural embedding values are
-//!   exact multiples of 2⁻²², so while a query's rows × dim stays under
+//!   its served embedding elements. It is the run's one functional
+//!   plane: the nodes run timing only and fold no values (each node's
+//!   [`RunMetrics::checksum`](crate::system::RunMetrics::checksum) is
+//!   `0.0`). Procedural embedding values are exact multiples of 2⁻²²,
+//!   so while a query's rows × dim stays under
 //!   2³¹ ([`dlrm::sls::exact_sum_fits`], asserted per query) every f64
 //!   sum on this plane is exact and therefore associative. So the
 //!   checksum forms in closed form while routing: [`route_stream`] adds
@@ -418,7 +421,10 @@ pub struct ClusterMetrics {
     /// Per-query exact checksums, indexed by qid (the shard-invariance
     /// tests compare these bitwise across shard counts).
     pub query_checksums: Vec<f64>,
-    /// Each node's own serving metrics, shard-index order.
+    /// Each node's own serving metrics, shard-index order. The nodes run
+    /// the timing plane only, so each `run.checksum` is `0.0`: the
+    /// cluster's functional plane is [`Self::checksum`] and
+    /// [`Self::query_checksums`].
     pub per_node: Vec<ServingMetrics>,
     /// Per-tenant splits of the *merged* results, tenant-index order:
     /// a tenant's `queries`/`latency` cover its answered queries
@@ -515,11 +521,11 @@ impl SlsCluster {
     }
 
     /// Serves a query source across the cluster in one routing pass:
-    /// build the placement once, open every node's session (with its
-    /// shard's slow-down windows from [`ClusterConfig::faults`]), walk
-    /// the source once with [`route_stream`] pushing each shard's
-    /// sub-bags into its node and forming the checksum partials, finish
-    /// the sessions, and merge ([`merge_node_parts`]). Tagged sources (a
+    /// build the placement once, open every node's session timing-only
+    /// (with its shard's slow-down windows from
+    /// [`ClusterConfig::faults`]), walk the source once with
+    /// [`route_stream`] pushing each shard's sub-bags into its node and
+    /// forming the checksum partials, finish the sessions, and merge ([`merge_node_parts`]). Tagged sources (a
     /// [`tracegen::TenantMixStream`]) also fill the per-node and merged
     /// per-tenant splits.
     ///
@@ -559,6 +565,7 @@ impl SlsCluster {
         for (shard, node) in (0..self.cfg.n_shards).zip(&mut self.nodes) {
             node.set_slowdowns(self.cfg.faults.slow_intervals(shard));
             node.open_loop_begin(n_tables, OpenLoopOpts::default());
+            node.open_loop_timing_only();
         }
         let nodes = &mut self.nodes;
         let routed = route_stream(

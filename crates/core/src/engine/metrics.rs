@@ -37,7 +37,11 @@ pub struct RunMetrics {
     /// Bytes over the host↔switch links.
     pub host_link_bytes: u64,
     /// Functional checksum of every bag result (placement-independent up
-    /// to FP32 reassociation).
+    /// to FP32 reassociation): each bag's f32 result summed exactly in
+    /// f64, then added in bag order. `0.0` for a timing-only run: a
+    /// cluster node folds no values, its cluster's checksums are the
+    /// functional plane
+    /// ([`ClusterMetrics::checksum`](crate::engine::cluster::ClusterMetrics::checksum)).
     pub checksum: f64,
     /// Mean bag latency, ns.
     pub mean_bag_ns: f64,
@@ -141,8 +145,9 @@ impl CounterOffsets {
 }
 
 /// One measurement window of a run: the [`RunMetrics`] under
-/// construction, the counters at the window's opening, and the summed
-/// bag latency behind [`RunMetrics::mean_bag_ns`].
+/// construction, the counters at the window's opening, the summed bag
+/// latency behind [`RunMetrics::mean_bag_ns`], and whether the run
+/// measures its functional checksum.
 ///
 /// A closed-loop run opens one and reopens it when warmup ends; an
 /// open-loop session opens one at begin and closes it at finish.
@@ -152,13 +157,21 @@ pub(crate) struct MeasureWindow {
     pub metrics: RunMetrics,
     /// Sum of per-bag latencies, ns.
     pub bag_latency_sum: u128,
+    /// Whether bags fold their values into `metrics.checksum`: set at
+    /// opening, cleared for a timing-only run (a cluster node, whose
+    /// functional plane is its cluster's).
+    pub fold: bool,
     offsets: CounterOffsets,
 }
 
 impl MeasureWindow {
-    /// Opens a window at the plant's current state.
+    /// Opens a window at the plant's current state, measuring the
+    /// checksum too.
     pub(crate) fn open(plant: &Plant) -> MeasureWindow {
-        let mut w = MeasureWindow::default();
+        let mut w = MeasureWindow {
+            fold: true,
+            ..MeasureWindow::default()
+        };
         w.reopen(plant);
         w
     }

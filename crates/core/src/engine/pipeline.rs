@@ -18,6 +18,11 @@
 //! per-row access chain, its functional `fold_rows` and its rule for
 //! when the core is free again.
 //!
+//! The functional plane (the folds and `finalize`) runs only when
+//! `EngineCtx::fold` is set. A cluster node runs timing only: its
+//! cluster forms every checksum while routing. Each fold runs after
+//! its stage's timing loop, so skipping it moves no simulated instant.
+//!
 //! `process_bag` touches no per-run state beyond what its caller lends
 //! it: the stages write counters into the caller's `RunMetrics` (through
 //! `EngineCtx`), the bag borrows its buffers from a `BagScratch` in
@@ -126,6 +131,11 @@ pub(crate) struct EngineCtx<'a> {
     pub metrics: &'a mut RunMetrics,
     /// Next accumulation cluster id.
     pub next_cluster: &'a mut u64,
+    /// Whether bags fold their values into `metrics.checksum`. A
+    /// timing-only run (a cluster node, whose functional plane is the
+    /// router's) skips every fold; the folds run after their stage's
+    /// timing loop, so no instant, counter or event depends on them.
+    pub fold: bool,
 }
 
 impl EngineCtx<'_> {
@@ -198,18 +208,27 @@ pub(crate) fn process_bag(
     table: u32,
     rows: &[u64],
 ) -> (SimTime, SimTime) {
-    let dim = ctx.cfg.model.emb_dim as usize;
+    let dim = ctx.cfg.model.emb_dim;
+    // `finalize` sums the accumulator in any order; that is exact only
+    // inside this bound.
+    assert!(
+        dlrm::sls::exact_sum_fits(rows.len() as u64, dim),
+        "table {table}: a bag of {} rows at dim {dim} breaks the exact-sum bound (rows × dim < 2³¹)",
+        rows.len()
+    );
     scratch.local.clear();
     scratch.remote.clear();
     scratch.cxl.clear();
-    scratch.acc.clear();
-    scratch.acc.resize(dim, 0.0f32);
+    if ctx.fold {
+        scratch.acc.clear();
+        scratch.acc.resize(dim as usize, 0.0f32);
+    }
     let mut bag = BagState {
         host_idx,
         issue,
         table,
         rows,
-        acc_ns: (dim as u64).div_ceil(16).max(1),
+        acc_ns: u64::from(dim).div_ceil(16).max(1),
         scratch,
         done: issue,
         core_busy: issue,
@@ -218,7 +237,9 @@ pub(crate) fn process_bag(
     local_gather(ctx, &mut bag);
     remote_gather(ctx, &mut bag);
     cxl_gather(ctx, &mut bag);
-    finalize(ctx, &bag);
+    if ctx.fold {
+        finalize(ctx, &bag);
+    }
     (bag.done, bag.core_busy.max(bag.issue))
 }
 
@@ -286,11 +307,13 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         },
     );
     // The functional fold, after the timing loop, in bag order.
-    fold_rows(
-        &ctx.tables[bag.table as usize],
-        bag.scratch.local.iter().map(|&(row, _)| row),
-        &mut bag.scratch.acc,
-    );
+    if ctx.fold {
+        fold_rows(
+            &ctx.tables[bag.table as usize],
+            bag.scratch.local.iter().map(|&(row, _)| row),
+            &mut bag.scratch.acc,
+        );
+    }
     // Local gathers are software-pipelined across bags (prefetch
     // hides local DRAM latency — the CPU optimizations of the
     // paper's [8]); the core is free once the loads are in flight.
@@ -320,11 +343,13 @@ fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         },
     );
     // The functional fold, after the timing loop, in bag order.
-    fold_rows(
-        &ctx.tables[bag.table as usize],
-        bag.scratch.remote.iter().map(|&(row, _)| row),
-        &mut bag.scratch.acc,
-    );
+    if ctx.fold {
+        fold_rows(
+            &ctx.tables[bag.table as usize],
+            bag.scratch.remote.iter().map(|&(row, _)| row),
+            &mut bag.scratch.acc,
+        );
+    }
     bag.done = bag.done.max(last);
     bag.core_busy = bag.core_busy.max(last); // synchronous on the core
 }
@@ -344,9 +369,36 @@ fn cxl_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     bag.core_busy = core_after;
 }
 
-/// Folds the bag's functional checksum into the run metrics.
+/// Folds the bag's functional checksum, the f64 sum of its
+/// accumulator, into the run metrics.
+///
+/// The sum runs in four f64 lanes, and it is exact, so it has the bits
+/// of the sequential sum. Every accumulator element is an f32 sum of
+/// procedural values, multiples of 2⁻²² in [-1, 1): a multiple of 2⁻²²
+/// (rounding only coarsens the grid) of magnitude at most the bag's
+/// row count. So every partial sum of its `dim` elements is a multiple
+/// of 2⁻²² below rows × dim in magnitude, which f64 holds exactly while
+/// rows × dim < 2³¹ ([`dlrm::sls::exact_sum_fits`], asserted per bag by
+/// [`process_bag`]).
 fn finalize(ctx: &mut EngineCtx<'_>, bag: &BagState<'_>) {
-    ctx.metrics.checksum += bag.scratch.acc.iter().map(|&x| x as f64).sum::<f64>();
+    ctx.metrics.checksum += bag_sum(&bag.scratch.acc);
+}
+
+/// The f64 sum of `acc` in four lanes, combined pairwise: exact, and so
+/// order-free, under [`finalize`]'s bound.
+fn bag_sum(acc: &[f32]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let chunks = acc.chunks_exact(4);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane += f64::from(x);
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(tail) {
+        *lane += f64::from(x);
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 /// Rows of one bag homed on one switch, as indices into the bag's
@@ -380,11 +432,13 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
         },
     );
     // The functional fold, after the timing loop, in bag order.
-    fold_rows(
-        &ctx.tables[bag.table as usize],
-        bag.scratch.cxl.iter().map(|&(_, row, _)| row),
-        &mut bag.scratch.acc,
-    );
+    if ctx.fold {
+        fold_rows(
+            &ctx.tables[bag.table as usize],
+            bag.scratch.cxl.iter().map(|&(_, row, _)| row),
+            &mut bag.scratch.acc,
+        );
+    }
     // The gather loop is software-pipelined across bags; the run is
     // bound by fabric bandwidth (every row crosses the host link,
     // which is Pond's structural handicap), not by one bag's RTT.
@@ -398,6 +452,7 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
 fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (SimTime, SimTime) {
     let row_bytes = ctx.cfg.model.row_bytes();
     let dim = ctx.cfg.model.emb_dim as usize;
+    let fold = ctx.fold;
     let host_idx = bag.host_idx;
     let table = bag.table;
     let host_switch = ctx.topo.host_switch(host_idx);
@@ -494,8 +549,10 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     // in group order, into `merged`; the result is ready once the
     // slowest partial has landed.
     let mut final_done = config_arrival;
-    bag.scratch.merged.clear();
-    bag.scratch.merged.resize(dim, 0.0f32);
+    if fold {
+        bag.scratch.merged.clear();
+        bag.scratch.merged.resize(dim, 0.0f32);
+    }
     for (sid, group) in &bag.scratch.by_switch[..n_groups] {
         // §IV-C2 versatility: a remote switch without a process core
         // (CNV = 0) cannot accumulate — the local switch does all the
@@ -534,15 +591,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             let folded = ctx.switches[s_idx].engine.process_row(data_ready, cluster);
             sub_last = sub_last.max(folded);
         }
-        // The sub-cluster's rows fold in group order.
-        bag.scratch.sub_acc.clear();
-        bag.scratch.sub_acc.resize(dim, 0.0f32);
-        fold_rows(
-            &ctx.tables[table as usize],
-            group.iter().map(|&i| bag.scratch.cxl[i].1),
-            &mut bag.scratch.sub_acc,
-        );
-
         // Ship the sub-result to the local switch (free when the
         // accumulation already happened locally).
         let hop = if remote_cnv {
@@ -551,12 +599,25 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             SimDuration::ZERO
         };
         final_done = final_done.max(sub_last + hop);
-        for (m, &v) in bag.scratch.merged.iter_mut().zip(&bag.scratch.sub_acc) {
-            *m += v;
+        if fold {
+            // The sub-cluster's rows fold in group order, and the
+            // partial adds into `merged`.
+            bag.scratch.sub_acc.clear();
+            bag.scratch.sub_acc.resize(dim, 0.0f32);
+            fold_rows(
+                &ctx.tables[table as usize],
+                group.iter().map(|&i| bag.scratch.cxl[i].1),
+                &mut bag.scratch.sub_acc,
+            );
+            for (m, &v) in bag.scratch.merged.iter_mut().zip(&bag.scratch.sub_acc) {
+                *m += v;
+            }
         }
     }
-    for (a, &v) in bag.scratch.acc.iter_mut().zip(&bag.scratch.merged) {
-        *a += v;
+    if fold {
+        for (a, &v) in bag.scratch.acc.iter_mut().zip(&bag.scratch.merged) {
+            *a += v;
+        }
     }
 
     // Result returns to the reserved host address via CXL.cache D2H;
@@ -566,4 +627,55 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         .transfer(final_done, row_bytes + M2sReq::WIRE_BYTES);
     let visible = at_host + SimDuration::from_ns(SNOOP_NS);
     (visible, core_free)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bag_sum;
+    use dlrm::EmbeddingTable;
+    use proptest::prelude::*;
+
+    /// Dims around the four-lane width and the Table I dims.
+    const DIMS: [u32; 7] = [1, 3, 7, 8, 64, 100, 128];
+
+    /// The f32 fold of `rows` at `dim`, and whether any of its elements
+    /// rounded (differs from the exact f64 fold).
+    fn fold(dim: u32, rows: &[u64]) -> (Vec<f32>, bool) {
+        let table = EmbeddingTable::new(3, 4096, dim, 0);
+        let acc = dlrm::sls::sls_reference(&table, rows, None);
+        let exact = dlrm::sls::sls_reference_exact(&table, rows, None);
+        let rounded = acc.iter().zip(&exact).any(|(&a, &e)| f64::from(a) != e);
+        (acc, rounded)
+    }
+
+    /// The sequential f64 sum `finalize` used to take.
+    fn sequential(acc: &[f32]) -> f64 {
+        acc.iter().map(|&x| f64::from(x)).sum()
+    }
+
+    proptest! {
+        /// The four-lane sum has the sequential sum's bits on bags of
+        /// 16–64 rows, whose f32 partial sums pass 4 and round.
+        #[test]
+        fn prop_four_lane_sum_is_the_sequential_sum(
+            dim_pick in 0usize..7,
+            rows in proptest::collection::vec(0u64..4096, 16..65),
+        ) {
+            let (acc, _) = fold(DIMS[dim_pick], &rows);
+            prop_assert_eq!(bag_sum(&acc).to_bits(), sequential(&acc).to_bits());
+        }
+    }
+
+    /// The property above covers rounded folds: at the Table I dims a
+    /// 64-row bag's f32 fold rounds some element, and the two sums still
+    /// agree there.
+    #[test]
+    fn four_lane_sum_covers_rounded_folds() {
+        let rows: Vec<u64> = (0..64).map(|i| i * 61 % 4096).collect();
+        for dim in [64, 100, 128] {
+            let (acc, rounded) = fold(dim, &rows);
+            assert!(rounded, "dim {dim}: the fold never rounded");
+            assert_eq!(bag_sum(&acc).to_bits(), sequential(&acc).to_bits());
+        }
+    }
 }

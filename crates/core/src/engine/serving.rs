@@ -729,7 +729,8 @@ pub(crate) struct OpenLoopSession {
     /// `completion` and the batch-fill sum; the whole-run aggregates
     /// are filled at finish.
     pub serving: ServingMetrics,
-    /// The run's measurement window, opened at begin.
+    /// The run's measurement window, opened at begin; a cluster node's
+    /// is timing-only (`measure.fold` cleared).
     pub measure: MeasureWindow,
     /// Per-query completion time of the batch being dispatched.
     pub q_done: Vec<SimTime>,

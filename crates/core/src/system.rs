@@ -342,6 +342,23 @@ impl SlsSystem {
         });
     }
 
+    /// Makes the active session timing-only: its bags skip the
+    /// functional fold, so its [`RunMetrics::checksum`] stays `0.0`
+    /// while every instant and counter is unchanged. A cluster node runs
+    /// this way, since its cluster forms each query's checksum while
+    /// routing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no session is active.
+    pub(crate) fn open_loop_timing_only(&mut self) {
+        self.session
+            .as_mut()
+            .expect("a timing-only session needs an active session (open_loop_begin)")
+            .measure
+            .fold = false;
+    }
+
     /// Pushes one query into the active session: `bags` supplies its
     /// row bag for each of the session's tables, copied into the
     /// batcher's recycled pending store (so the source buffers are free
@@ -505,7 +522,7 @@ impl SlsSystem {
         bag: impl Fn(u32, u32) -> &'a [u64],
         mut on_bag: impl FnMut(u32, SimTime),
     ) -> SimTime {
-        let (mut ctx, scratch) = self.engine_ctx(&mut measure.metrics);
+        let (mut ctx, scratch) = self.engine_ctx(&mut measure.metrics, measure.fold);
         let mut batch_done = start;
         for items in parts {
             let mut core_free = start;
@@ -627,10 +644,12 @@ impl SlsSystem {
     }
 
     /// A split-borrow view for the per-bag pipeline stages, charging
-    /// `metrics`, plus the bag scratch the stages borrow.
+    /// `metrics` (and folding checksums when `fold` is set), plus the
+    /// bag scratch the stages borrow.
     fn engine_ctx<'a>(
         &'a mut self,
         metrics: &'a mut RunMetrics,
+        fold: bool,
     ) -> (EngineCtx<'a>, &'a mut BagScratch) {
         let ctx = EngineCtx {
             cfg: &self.cfg,
@@ -646,6 +665,7 @@ impl SlsSystem {
             epoch_dev_pages: &mut self.epoch_dev_pages,
             metrics,
             next_cluster: &mut self.next_cluster,
+            fold,
         };
         (ctx, &mut self.scratch)
     }
@@ -661,6 +681,60 @@ impl SlsSystem {
             devices: &self.plant.devices,
             metrics,
             pm_epoch: &mut self.pm_epoch,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tracegen::{ArrivalProcess, Distribution, TraceSpec};
+
+    /// A timing-only session differs from a folding one in its checksum
+    /// only: every other `RunMetrics` and `ServingMetrics` field, each
+    /// scheme's fold site included, is the same.
+    #[test]
+    fn timing_only_sessions_change_nothing_but_the_checksum() {
+        let model = dlrm::ModelConfig {
+            emb_num: 4096,
+            ..dlrm::ModelConfig::rmc1()
+        };
+        let trace = TraceSpec {
+            distribution: Distribution::MetaLike {
+                reuse_frac: 0.35,
+                s: 1.05,
+            },
+            n_tables: model.n_tables,
+            rows_per_table: model.emb_num,
+            batch_size: 16,
+            n_batches: 6,
+            bag_size: model.bag_size,
+            seed: 5,
+        }
+        .generate();
+        let arrivals = ArrivalProcess::Poisson { qps: 4e6 }.times(96, 77);
+        for cfg in [
+            SystemConfig::pond(model.clone()),
+            SystemConfig::pond_pm(model.clone()),
+            SystemConfig::beacon(model.clone()),
+            SystemConfig::recnmp(model.clone(), 0.5),
+            SystemConfig::pifs_rec(model.clone()),
+        ] {
+            let mut folding = SlsSystem::new(cfg.clone()).run_open_loop(&trace, &arrivals);
+            let mut sys = SlsSystem::new(cfg);
+            let mut source = TraceArrivals::new(&trace, &arrivals);
+            sys.open_loop_begin(trace.n_tables, OpenLoopOpts::default());
+            sys.open_loop_timing_only();
+            while let Some((_, tenant, at)) = source.next_tagged() {
+                sys.open_loop_push_tagged(at, tenant, &source);
+            }
+            let mut timing = sys.open_loop_finish();
+            assert_ne!(folding.run.checksum, 0.0);
+            assert_eq!(timing.run.checksum.to_bits(), 0.0f64.to_bits());
+            folding.run.checksum = 0.0;
+            timing.run.checksum = 0.0;
+            // `Debug` prints every field, and each f64 in full.
+            assert_eq!(format!("{timing:?}"), format!("{folding:?}"));
         }
     }
 }

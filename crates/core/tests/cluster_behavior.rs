@@ -5,8 +5,11 @@
 //! load monotonicity, and the merged per-tenant split of a multi-tenant
 //! mix. Mirrors `serving_behavior.rs` one level up.
 
+use dlrm::sls::sls_reference_exact;
 use dlrm::ModelConfig;
-use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
+use pifs_core::engine::cluster::{
+    ClusterConfig, ClusterMetrics, ShardPlacement, ShardPolicy, SlsCluster,
+};
 use pifs_core::system::{ShedPolicy, SlsSystem, SystemConfig};
 use simkit::SimTime;
 use tracegen::{
@@ -72,10 +75,25 @@ fn one_shard_cluster_is_byte_identical_to_plain_serving() {
         assert_eq!(m.mean_fanout, 1.0);
         assert_eq!(m.per_node.len(), 1);
         assert_eq!(m.per_node[0].run.total_ns, plain.run.total_ns);
-        assert_eq!(
-            m.per_node[0].run.checksum.to_bits(),
-            plain.run.checksum.to_bits()
-        );
+        // The node runs timing only; the cluster's checksum is the
+        // exact per-element sum of every query's bags.
+        assert_eq!(m.per_node[0].run.checksum.to_bits(), 0.0f64.to_bits());
+        let placement = ShardPlacement::from_dims(1, trace.n_tables, policy, &node_cfg.model);
+        let bs = trace.batch_size as usize;
+        let oracle: f64 = (0..n as usize)
+            .map(|q| {
+                placement
+                    .tables()
+                    .iter()
+                    .enumerate()
+                    .map(|(t, table)| {
+                        let bag = trace.bag(q / bs, t as u32, (q % bs) as u32);
+                        sls_reference_exact(table, bag, None).iter().sum::<f64>()
+                    })
+                    .sum::<f64>()
+            })
+            .sum();
+        assert_eq!(m.checksum.to_bits(), oracle.to_bits(), "{policy:?}");
     }
 }
 

@@ -12,7 +12,7 @@ use pifs_core::engine::controller::ControllerPolicy;
 use pifs_core::engine::serving::ShedPolicy;
 use pifs_core::{ShardPolicy, SystemConfig};
 use proptest::prelude::*;
-use simkit::faults::MAX_FAULT_MULT;
+use simkit::faults::{MAX_FAULT_MULT, MAX_FAULT_RATE};
 use simkit::FaultSpec;
 use tracegen::{ArrivalProcess, Distribution, QosClass};
 
@@ -215,6 +215,14 @@ proptest! {
             // bytes toward the u64 limit.
             if let FaultSpec::Slow { mult, .. } | FaultSpec::Link { mult, .. } = p {
                 prop_assert!((1.0..=MAX_FAULT_MULT).contains(&mult), "{:?} parsed to {:?}", s, p);
+            }
+            // A rate past the cap would make the schedule's generator
+            // draw events without end.
+            if let FaultSpec::FailStop { rate }
+            | FaultSpec::Slow { rate, .. }
+            | FaultSpec::Link { rate, .. } = p
+            {
+                prop_assert!(rate > 0.0 && rate <= MAX_FAULT_RATE, "{:?} parsed to {:?}", s, p);
             }
         }
         if let Ok(p) = QosClass::parse(&s) {

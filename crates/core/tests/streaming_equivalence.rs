@@ -7,12 +7,16 @@
 //! pre/post-knee rates. On top of that, a [`SimCheckpoint`] captured at
 //! *every* query boundary and resumed to completion must reproduce the
 //! straight-through run exactly, a one-tenant mix must be its tenant's
-//! stream, and a 1-shard streamed cluster must be the streamed node.
+//! stream, and a 1-shard streamed cluster must be the streamed node
+//! (its checksum aside: a cluster node runs timing only).
 //! Mirrors `cluster_behavior.rs` one axis over.
 
+use dlrm::sls::sls_reference_exact;
 use dlrm::ModelConfig;
 use pifs_core::engine::checkpoint;
-use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
+use pifs_core::engine::cluster::{
+    ClusterConfig, ClusterMetrics, ShardPlacement, ShardPolicy, SlsCluster,
+};
 use pifs_core::system::{
     OpenLoopOpts, RunMetrics, ServingMetrics, ShedPolicy, SlsSystem, SystemConfig,
 };
@@ -398,7 +402,35 @@ fn one_shard_streamed_cluster_is_the_streamed_node() {
         assert_eq!(cl.agg_bytes, 0, "a lone shard never crosses the fabric");
         assert_eq!(cl.mean_fanout, 1.0);
         assert_eq!(cl.per_node.len(), 1);
-        assert_run_eq(&cl.per_node[0].run, &plain.run, &format!("{policy:?} node"));
+        // The node runs timing only: it matches the plain node in every
+        // field but the checksum, which it leaves at 0.0. The cluster's
+        // checksum is the exact per-element sum of every query's bags.
+        let timing_only = RunMetrics {
+            checksum: 0.0,
+            ..plain.run.clone()
+        };
+        assert_run_eq(
+            &cl.per_node[0].run,
+            &timing_only,
+            &format!("{policy:?} node"),
+        );
+        let trace = spec.trace.generate();
+        let placement = ShardPlacement::from_dims(1, trace.n_tables, policy, &m);
+        let tables = placement.tables();
+        let bs = trace.batch_size as usize;
+        let oracle: f64 = (0..spec.n_queries() as usize)
+            .map(|q| {
+                tables
+                    .iter()
+                    .enumerate()
+                    .map(|(t, table)| {
+                        let bag = trace.bag(q / bs, t as u32, (q % bs) as u32);
+                        sls_reference_exact(table, bag, None).iter().sum::<f64>()
+                    })
+                    .sum::<f64>()
+            })
+            .sum();
+        assert_eq!(cl.checksum.to_bits(), oracle.to_bits(), "{policy:?}");
     }
 }
 

@@ -48,6 +48,18 @@ const DUTY_FRACTION: f64 = 0.2;
 /// would wrap instead of reporting the slow node.
 pub const MAX_FAULT_MULT: f64 = 1e6;
 
+/// The largest fault rate a fault spec accepts, in events per simulated
+/// second (per node for the node families).
+///
+/// [`FaultSchedule::generate`] draws about `rate × nodes × horizon`
+/// events, one exponential gap at a time, so the rate bounds both the
+/// loop and the schedule's memory. At 10^6 a node faults once per
+/// microsecond on average, about one batch's service span and 15× the
+/// fastest rate the `cluster_faults` axis sweeps (64 000); a faster rate
+/// no longer describes faults between batches, while a rate near `f64`'s
+/// top draws gaps so small that the clock never reaches the horizon.
+pub const MAX_FAULT_RATE: f64 = 1e6;
+
 /// Scales the integer `x` by the fault multiplier `mult`, rounding the
 /// product with `round` (`f64::round`, `f64::ceil`): the one conversion
 /// of a fault-dilated quantity back to integer units.
@@ -102,9 +114,10 @@ impl FaultSpec {
     /// Parses the sweep spelling
     /// `none | failstop:<rate> | slow:<rate>:<mult> | link:<rate>:<mult>`.
     ///
-    /// Rates must be positive and finite; multipliers must lie in
+    /// Rates must lie in `(0, MAX_FAULT_RATE]` and multipliers in
     /// `[1, MAX_FAULT_MULT]` (a fault never speeds a component up, and
-    /// [`MAX_FAULT_MULT`] says why the top is bounded). Errors name the
+    /// [`MAX_FAULT_RATE`] and [`MAX_FAULT_MULT`] say why the tops are
+    /// bounded). Errors name the
     /// offending piece so sweep harnesses can surface *why* a spec was
     /// rejected.
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
@@ -118,11 +131,11 @@ impl FaultSpec {
                 .map_err(|_| format!("fault spec {spec:?}: {what} {raw:?} is not a number"))
         };
         let rate_of = |v: f64| -> Result<f64, String> {
-            if v.is_finite() && v > 0.0 {
+            if v > 0.0 && v <= MAX_FAULT_RATE {
                 Ok(v)
             } else {
                 Err(format!(
-                    "fault spec {spec:?}: rate must be positive and finite, got {v}"
+                    "fault spec {spec:?}: rate must be positive and <= {MAX_FAULT_RATE}, got {v}"
                 ))
             }
         };
@@ -453,6 +466,10 @@ mod tests {
         assert!(FaultSpec::parse("failstop:-1")
             .unwrap_err()
             .contains("positive"));
+        assert!(FaultSpec::parse("slow:1e300:2")
+            .unwrap_err()
+            .contains("positive and <= 1000000"));
+        assert!(FaultSpec::parse("failstop:1000000").is_ok());
         assert!(FaultSpec::parse("slow:100:0.5")
             .unwrap_err()
             .contains(">= 1"));
