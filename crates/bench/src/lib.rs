@@ -93,15 +93,17 @@ pub fn with_warmup(mut cfg: SystemConfig) -> SystemConfig {
     cfg
 }
 
-/// Runs `cfg` over the standard Meta-like trace.
+/// Runs `cfg` over the standard Meta-like trace, timing only: the
+/// figures read no checksum, so [`RunMetrics::checksum`] is `0.0`
+/// ([`SlsSystem::run_trace_timing`]).
 pub fn run_std(cfg: SystemConfig) -> RunMetrics {
     let trace = std_trace(&cfg.model, meta_distribution(), STD_BATCH_SIZE, STD_BATCHES);
-    SlsSystem::new(with_warmup(cfg)).run_trace(&trace)
+    SlsSystem::new(with_warmup(cfg)).run_trace_timing(&trace)
 }
 
-/// Runs `cfg` over an explicit trace.
+/// Runs `cfg` over an explicit trace, timing only, as [`run_std`] does.
 pub fn run_with(cfg: SystemConfig, trace: &Trace) -> RunMetrics {
-    SlsSystem::new(cfg).run_trace(trace)
+    SlsSystem::new(cfg).run_trace_timing(trace)
 }
 
 /// Emits one experiment's result: pretty table on stdout plus

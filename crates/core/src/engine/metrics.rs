@@ -38,8 +38,10 @@ pub struct RunMetrics {
     pub host_link_bytes: u64,
     /// Functional checksum of every bag result (placement-independent up
     /// to FP32 reassociation): each bag's f32 result summed exactly in
-    /// f64, then added in bag order. `0.0` for a timing-only run: a
-    /// cluster node folds no values, its cluster's checksums are the
+    /// f64, then added in bag order. `0.0` for a timing-only run,
+    /// which folds no values: a
+    /// [`SlsSystem::run_trace_timing`](crate::system::SlsSystem::run_trace_timing)
+    /// run, and a cluster node, whose cluster's checksums are the
     /// functional plane
     /// ([`ClusterMetrics::checksum`](crate::engine::cluster::ClusterMetrics::checksum)).
     pub checksum: f64,
@@ -159,7 +161,8 @@ pub(crate) struct MeasureWindow {
     pub bag_latency_sum: u128,
     /// Whether bags fold their values into `metrics.checksum`: set at
     /// opening, cleared for a timing-only run (a cluster node, whose
-    /// functional plane is its cluster's).
+    /// functional plane is its cluster's, or a `run_trace_timing`
+    /// run); reopening keeps it.
     pub fold: bool,
     offsets: CounterOffsets,
 }

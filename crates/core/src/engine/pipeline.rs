@@ -19,9 +19,11 @@
 //! when the core is free again.
 //!
 //! The functional plane (the folds and `finalize`) runs only when
-//! `EngineCtx::fold` is set. A cluster node runs timing only: its
-//! cluster forms every checksum while routing. Each fold runs after
-//! its stage's timing loop, so skipping it moves no simulated instant.
+//! `EngineCtx::fold` is set. A cluster node runs timing only, since
+//! its cluster forms every checksum while routing, and so does a
+//! closed-loop `run_trace_timing` run, whose caller reads no checksum
+//! (every paper figure). Each fold runs after its stage's timing loop,
+//! so skipping it moves no simulated instant.
 //!
 //! `process_bag` touches no per-run state beyond what its caller lends
 //! it: the stages write counters into the caller's `RunMetrics` (through
@@ -133,8 +135,9 @@ pub(crate) struct EngineCtx<'a> {
     pub next_cluster: &'a mut u64,
     /// Whether bags fold their values into `metrics.checksum`. A
     /// timing-only run (a cluster node, whose functional plane is the
-    /// router's) skips every fold; the folds run after their stage's
-    /// timing loop, so no instant, counter or event depends on them.
+    /// router's, or a `run_trace_timing` run) skips every fold; the
+    /// folds run after their stage's timing loop, so no instant,
+    /// counter or event depends on them.
     pub fold: bool,
 }
 

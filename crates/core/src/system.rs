@@ -188,16 +188,36 @@ impl SlsSystem {
         self.plant.switches[idx].sw.set_process_core(false);
     }
 
-    /// Runs `trace` to completion and returns the metrics.
+    /// Runs `trace` to completion and returns the metrics, the
+    /// functional [`RunMetrics::checksum`] included.
     ///
     /// # Panics
     ///
     /// Panics if the trace's table count or row space exceeds the model's.
     pub fn run_trace(&mut self, trace: &Trace) -> RunMetrics {
+        self.run_trace_measured(trace, true)
+    }
+
+    /// [`Self::run_trace`] on the timing plane only: bags skip the
+    /// functional fold, so [`RunMetrics::checksum`] reads `0.0` while
+    /// every instant and counter matches the folding run. A caller that
+    /// reports no checksum (every paper figure) runs this way.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run_trace`].
+    pub fn run_trace_timing(&mut self, trace: &Trace) -> RunMetrics {
+        self.run_trace_measured(trace, false)
+    }
+
+    /// The closed-loop run both entry points share; `fold` says whether
+    /// bags fold their values into the checksum.
+    fn run_trace_measured(&mut self, trace: &Trace, fold: bool) -> RunMetrics {
         assert_trace_fits(&self.cfg.model, trace);
 
         let warmup = (self.cfg.warmup_batches as usize).min(trace.batches.len().saturating_sub(1));
         let mut measure = MeasureWindow::open(&self.plant);
+        measure.fold = fold;
         let mut measure_from: Vec<SimTime> = self.plant.hosts.iter().map(|h| h.next_free).collect();
 
         let parts = query::partition(
@@ -690,11 +710,9 @@ mod tests {
     use super::*;
     use tracegen::{ArrivalProcess, Distribution, TraceSpec};
 
-    /// A timing-only session differs from a folding one in its checksum
-    /// only: every other `RunMetrics` and `ServingMetrics` field, each
-    /// scheme's fold site included, is the same.
-    #[test]
-    fn timing_only_sessions_change_nothing_but_the_checksum() {
+    /// The five schemes on a small RMC1, and a Meta-like trace of
+    /// `n_batches` 16-sample batches drawn with `seed`.
+    fn schemes_and_trace(n_batches: u32, seed: u64) -> ([SystemConfig; 5], Trace) {
         let model = dlrm::ModelConfig {
             emb_num: 4096,
             ..dlrm::ModelConfig::rmc1()
@@ -707,19 +725,54 @@ mod tests {
             n_tables: model.n_tables,
             rows_per_table: model.emb_num,
             batch_size: 16,
-            n_batches: 6,
+            n_batches,
             bag_size: model.bag_size,
-            seed: 5,
+            seed,
         }
         .generate();
-        let arrivals = ArrivalProcess::Poisson { qps: 4e6 }.times(96, 77);
-        for cfg in [
+        let schemes = [
             SystemConfig::pond(model.clone()),
             SystemConfig::pond_pm(model.clone()),
             SystemConfig::beacon(model.clone()),
             SystemConfig::recnmp(model.clone(), 0.5),
-            SystemConfig::pifs_rec(model.clone()),
-        ] {
+            SystemConfig::pifs_rec(model),
+        ];
+        (schemes, trace)
+    }
+
+    /// A timing-only closed-loop run differs from a folding one in its
+    /// checksum only, with warmup, two hosts and page management in
+    /// play: every other `RunMetrics` field, each scheme's fold site
+    /// included, is the same.
+    #[test]
+    fn timing_only_runs_change_nothing_but_the_checksum() {
+        let (schemes, trace) = schemes_and_trace(8, 9);
+        for mut cfg in schemes {
+            cfg.warmup_batches = 2;
+            cfg.n_hosts = 2;
+            if cfg.page_mgmt.is_none() {
+                cfg.page_mgmt = Some(PmConfig::default());
+            }
+            let mut folding = SlsSystem::new(cfg.clone()).run_trace(&trace);
+            let mut timing = SlsSystem::new(cfg).run_trace_timing(&trace);
+            assert_ne!(folding.checksum, 0.0);
+            assert_eq!(timing.checksum.to_bits(), 0.0f64.to_bits());
+            assert!(timing.migrations > 0, "page management must move pages");
+            folding.checksum = 0.0;
+            timing.checksum = 0.0;
+            // `Debug` prints every field, and each f64 in full.
+            assert_eq!(format!("{timing:?}"), format!("{folding:?}"));
+        }
+    }
+
+    /// A timing-only session differs from a folding one in its checksum
+    /// only: every other `RunMetrics` and `ServingMetrics` field, each
+    /// scheme's fold site included, is the same.
+    #[test]
+    fn timing_only_sessions_change_nothing_but_the_checksum() {
+        let (schemes, trace) = schemes_and_trace(6, 5);
+        let arrivals = ArrivalProcess::Poisson { qps: 4e6 }.times(96, 77);
+        for cfg in schemes {
             let mut folding = SlsSystem::new(cfg.clone()).run_open_loop(&trace, &arrivals);
             let mut sys = SlsSystem::new(cfg);
             let mut source = TraceArrivals::new(&trace, &arrivals);

@@ -13,6 +13,17 @@
 //! The function is the Fx/FireFox multiply-xor fold: one multiply and a
 //! rotate per word. It is seed-free and therefore identical across runs,
 //! threads and platforms of the same word size.
+//!
+//! `finish` rotates the folded state left by 26 bits, the finisher
+//! rustc-hash 2 adopted. A multiply only moves entropy upwards, so a
+//! bare product keeps every trailing zero of its key; hashbrown picks a
+//! bucket from a hash's *low* bits. The simulator's hottest keys are
+//! byte addresses of embedding rows, multiples of the 256 B or 512 B
+//! row size, whose products all end in eight zero bits: without the
+//! rotation, RMC1's 8 192 row addresses start on 64 of a
+//! 16 384-bucket table's buckets and every probe walks a long chain.
+//! The rotation brings the product's well-mixed high bits down to where
+//! the bucket index is read.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -22,6 +33,10 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHa
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-xor hasher (the rustc/Firefox "Fx" function).
+///
+/// [`Hasher::finish`] returns the state rotated left by 26 bits, so
+/// keys that differ only in their high bits — strided addresses — still
+/// land on distinct buckets (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -81,7 +96,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 }
 
@@ -107,6 +122,30 @@ mod tests {
             seen.insert(h.finish());
         }
         assert_eq!(seen.len(), 10_000, "no collisions on small dense keys");
+    }
+
+    /// Row addresses, the buffer's keys, are multiples of the row size.
+    /// They must spread over a 16 384-bucket table as dense keys do, not
+    /// pile onto the few buckets their zero low bits would leave.
+    #[test]
+    fn strided_keys_start_on_distinct_buckets() {
+        const MASK: u64 = 16_384 - 1;
+        for row_bytes in [256u64, 512] {
+            let table_bytes = 1024 * row_bytes;
+            let mut buckets = std::collections::HashSet::new();
+            for table in 0..8u64 {
+                for row in 0..1024u64 {
+                    let mut h = FxHasher::default();
+                    h.write_u64(table * table_bytes + row * row_bytes);
+                    buckets.insert(h.finish() & MASK);
+                }
+            }
+            assert!(
+                buckets.len() >= 4096,
+                "{row_bytes} B rows start on {} of 16 384 buckets",
+                buckets.len()
+            );
+        }
     }
 
     #[test]
