@@ -96,7 +96,7 @@ fn bench_serving(c: &mut Criterion) {
                 if ctl.on_batch((i % 40) as u32, (i % 3) * 60_000).is_some() {
                     moved += 1;
                 }
-                black_box(ctl.epoch_due(&hotness));
+                black_box(ctl.epoch_due(&mut hotness));
             }
             black_box((moved, ctl.batch_size(), ctl.epoch_period()))
         })

@@ -266,7 +266,7 @@ impl ServingController {
     /// from [`GlobalHotness`] churn: a mostly-fresh top-k set halves it
     /// (drift demands fast migration), a mostly-stable one doubles it
     /// (idle epochs are pure overhead).
-    pub fn epoch_due(&mut self, hotness: &GlobalHotness) -> bool {
+    pub fn epoch_due(&mut self, hotness: &mut GlobalHotness) -> bool {
         if !self.epoch_active() {
             self.epochs_run += 1;
             return true;
@@ -277,28 +277,17 @@ impl ServingController {
         }
         self.batches_since_epoch = 0;
         self.epochs_run += 1;
-        let cur = hottest_union(hotness, CHURN_TOP_K);
-        let fresh = cur.len() - sorted_intersection(&self.prev_hot, &cur);
+        let cur = hotness.hottest_union(CHURN_TOP_K);
+        let fresh = cur.len() - sorted_intersection(&self.prev_hot, cur);
         if fresh * 2 > cur.len() {
             self.epoch_period = (self.epoch_period / 2).max(1);
         } else if fresh * 8 < cur.len().max(1) {
             self.epoch_period = (self.epoch_period * 2).min(EPOCH_PERIOD_CAP);
         }
-        self.prev_hot = cur;
+        self.prev_hot.clear();
+        self.prev_hot.extend_from_slice(cur);
         true
     }
-}
-
-/// The union of every host's hottest-`k` pages, sorted ascending
-/// (deterministic: [`pagemgmt::HotnessTracker::hottest`] total-orders
-/// ties by page id).
-fn hottest_union(hotness: &GlobalHotness, k: usize) -> Vec<PageId> {
-    let mut all: Vec<PageId> = (0..hotness.n_hosts())
-        .flat_map(|h| hotness.host(h).hottest(k))
-        .collect();
-    all.sort_unstable();
-    all.dedup();
-    all
 }
 
 /// `|a ∩ b|` for sorted, deduplicated slices (two-pointer walk).
@@ -366,11 +355,11 @@ mod tests {
     #[test]
     fn fixed_never_moves_a_knob_and_always_admits_epochs() {
         let mut c = ServingController::new(&cfg(ControllerPolicy::Fixed));
-        let hotness = GlobalHotness::new(1, 2_048);
+        let mut hotness = GlobalHotness::new(1, 2_048);
         for i in 0..64 {
             c.record_latency(SimDuration::from_ns(1_000_000));
             assert_eq!(c.on_batch(32, 10_000_000), None);
-            assert!(c.epoch_due(&hotness), "epoch at every boundary");
+            assert!(c.epoch_due(&mut hotness), "epoch at every boundary");
             assert_eq!(c.epochs_run(), i + 1);
         }
         assert_eq!(c.batch_size(), 32);
@@ -430,7 +419,7 @@ mod tests {
         // A stable hot set doubles the period every epoch, up to the cap.
         let mut admitted = 0;
         for _ in 0..200 {
-            if c.epoch_due(&hotness) {
+            if c.epoch_due(&mut hotness) {
                 admitted += 1;
             }
         }
@@ -444,7 +433,7 @@ mod tests {
         }
         let before = c.epochs_run();
         while c.epochs_run() == before {
-            let _ = c.epoch_due(&hotness);
+            let _ = c.epoch_due(&mut hotness);
         }
         assert!(
             c.epoch_period() < EPOCH_PERIOD_CAP,
@@ -456,12 +445,12 @@ mod tests {
     fn controller_decisions_are_reproducible() {
         let run = || {
             let mut c = ServingController::new(&cfg(ControllerPolicy::Adaptive));
-            let hotness = GlobalHotness::new(2, 2_048);
+            let mut hotness = GlobalHotness::new(2, 2_048);
             let mut trail = Vec::new();
             for i in 0..64u64 {
                 c.record_latency(SimDuration::from_ns(i * 7_919));
                 let knobs = c.on_batch((i % 33) as u32, i * 13_337);
-                let due = c.epoch_due(&hotness);
+                let due = c.epoch_due(&mut hotness);
                 trail.push((
                     knobs,
                     due,

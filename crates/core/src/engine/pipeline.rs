@@ -48,6 +48,7 @@ use simkit::{SimDuration, SimTime};
 
 use super::config::{ComputeSite, SystemConfig};
 use super::metrics::RunMetrics;
+use super::pagemgmt_epoch::EpochCounts;
 use super::topology::{spread_addr, HostCtx, SwitchCtx};
 use crate::ooo::ClusterId;
 
@@ -127,8 +128,8 @@ pub(crate) struct EngineCtx<'a> {
     pub tables: &'a [EmbeddingTable],
     /// Cross-host page-hotness state.
     pub hotness: &'a mut GlobalHotness,
-    /// Per-device page-access counts within the current PM epoch.
-    pub epoch_dev_pages: &'a mut [simkit::hash::FastMap<PageId, u64>],
+    /// Per-page CXL access counts within the current PM epoch.
+    pub epoch_counts: &'a mut EpochCounts,
     /// Run metrics under construction.
     pub metrics: &'a mut RunMetrics,
     /// Next accumulation cluster id.
@@ -262,9 +263,15 @@ fn classify(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
             Tier::Local => bag.scratch.local.push((row, addr)),
             Tier::Remote => bag.scratch.remote.push((row, addr)),
             Tier::Cxl(d) => {
-                let d = d % ctx.cfg.n_devices;
+                // Placement, demotion and spreading only ever pick a
+                // device below `n_devices`.
+                assert!(
+                    d < ctx.cfg.n_devices,
+                    "page {page:?} is placed on device {d} of {}",
+                    ctx.cfg.n_devices
+                );
                 if managed {
-                    *ctx.epoch_dev_pages[d as usize].entry(page).or_insert(0) += 1;
+                    ctx.epoch_counts.record(page, d);
                 }
                 bag.scratch.cxl.push((d, row, addr));
             }

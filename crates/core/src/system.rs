@@ -19,14 +19,14 @@
 //! | PIFS-Rec | Switch | managed | HTR | OoO | yes |
 
 use dlrm::{query, EmbeddingTable};
-use pagemgmt::{GlobalHotness, PageId, PageTable, TierCapacities};
+use pagemgmt::{GlobalHotness, PageTable, TierCapacities};
 use simkit::faults::dilate;
 use simkit::{SimDuration, SimTime};
 use tracegen::Trace;
 
 use crate::engine::config::page_align;
 use crate::engine::metrics::MeasureWindow;
-use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
+use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCounts, EpochCtx};
 use crate::engine::pipeline::{process_bag, BagScratch, EngineCtx};
 use crate::engine::serving::{
     assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, TaggedQuerySource,
@@ -78,9 +78,9 @@ pub struct SlsSystem {
     hotness: GlobalHotness,
     next_cluster: u64,
     pm_epoch: u64,
-    /// Per-device page-access counts within the current PM epoch
+    /// Per-page CXL access counts within the current PM epoch
     /// (recorded only when a page manager runs).
-    epoch_dev_pages: Vec<simkit::hash::FastMap<PageId, u64>>,
+    epoch_counts: EpochCounts,
     /// The per-bag pipeline buffers, lent to each bag in turn.
     scratch: BagScratch,
     /// The in-progress streaming open-loop session, between
@@ -147,7 +147,7 @@ impl SlsSystem {
             hotness,
             next_cluster: 0,
             pm_epoch: 0,
-            epoch_dev_pages: vec![simkit::hash::FastMap::default(); n_devices],
+            epoch_counts: EpochCounts::new(tracked_pages, n_devices),
             scratch: BagScratch::default(),
             session: None,
             slowdowns: Vec::new(),
@@ -649,7 +649,7 @@ impl SlsSystem {
         // controller: the fixed/load policies admit one at every
         // boundary (the historical cadence), the epoch-adaptive
         // policies stretch the cadence while the hot set is stable.
-        if self.cfg.page_mgmt.is_some() && s.controller.epoch_due(&self.hotness) {
+        if self.cfg.page_mgmt.is_some() && s.controller.epoch_due(&mut self.hotness) {
             batch_done += run_pm_epoch(&mut self.epoch_ctx(&mut s.measure.metrics));
         }
         self.plant.hosts[host_idx].next_free = batch_done;
@@ -682,7 +682,7 @@ impl SlsSystem {
             page_table: &self.page_table,
             tables: &self.tables,
             hotness: &mut self.hotness,
-            epoch_dev_pages: &mut self.epoch_dev_pages,
+            epoch_counts: &mut self.epoch_counts,
             metrics,
             next_cluster: &mut self.next_cluster,
             fold,
@@ -697,7 +697,7 @@ impl SlsSystem {
             cfg: &self.cfg,
             page_table: &mut self.page_table,
             hotness: &mut self.hotness,
-            epoch_dev_pages: &mut self.epoch_dev_pages,
+            counts: &mut self.epoch_counts,
             devices: &self.plant.devices,
             metrics,
             pm_epoch: &mut self.pm_epoch,

@@ -7,8 +7,6 @@
 //! claimed by one host is skipped by others, which claim their next
 //! hottest candidate instead.
 
-use simkit::hash::FastMap;
-
 use crate::table::{page_slot, PageId};
 
 /// The ranking order shared by every hotness query: hottest first,
@@ -80,6 +78,7 @@ impl HotnessTracker {
     }
 
     /// Access count of `page` this epoch.
+    #[inline]
     pub fn count(&self, page: PageId) -> u64 {
         usize::try_from(page.0)
             .ok()
@@ -89,53 +88,33 @@ impl HotnessTracker {
 
     /// The `k` most-accessed pages, hottest first (ties broken by page id
     /// for determinism).
+    pub fn hottest(&self, k: usize) -> Vec<PageId> {
+        let mut ranked = Vec::new();
+        self.rank_top(k, &mut ranked);
+        ranked.into_iter().map(|(p, _)| p).collect()
+    }
+
+    /// Writes the `k` most-accessed `(page, count)` entries into
+    /// `ranked`, hottest first by [`hotter_first`] — the one ranking
+    /// every hotness query uses.
     ///
     /// `(count, id)` is a total order, so partitioning the top `k` with a
     /// quickselect before sorting only that prefix returns exactly what
     /// a full sort followed by `take(k)` would — at O(n + k log k)
     /// instead of O(n log n), which matters because the page manager
-    /// calls this on every epoch boundary.
-    pub fn hottest(&self, k: usize) -> Vec<PageId> {
+    /// ranks on every epoch boundary. Both steps work in place, so a
+    /// reused `ranked` allocates nothing once it has grown.
+    fn rank_top(&self, k: usize, ranked: &mut Vec<(PageId, u64)>) {
+        ranked.clear();
         if k == 0 {
-            return Vec::new();
+            return;
         }
-        let mut v = self.ranked_entries();
-        if k < v.len() {
-            v.select_nth_unstable_by(k, hotter_first);
-            v.truncate(k);
+        ranked.extend(self.iter());
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k, hotter_first);
+            ranked.truncate(k);
         }
-        v.sort_unstable_by(hotter_first);
-        v.into_iter().map(|(p, _)| p).collect()
-    }
-
-    /// All `(page, count)` entries, unordered — the input both ranking
-    /// entry points ([`Self::hottest`], [`Self::hottest_floor`]) feed
-    /// through [`hotter_first`], so the two stay ordering-consistent by
-    /// construction.
-    fn ranked_entries(&self) -> Vec<(PageId, u64)> {
-        self.iter().collect()
-    }
-
-    /// Access count of the `k`-th hottest page (the coldest page
-    /// [`Self::hottest`]`(k)` would return), or 0 when nothing is
-    /// tracked. Exactly `hottest(k).last()`'s count — the demotion
-    /// cutoff — but via a quickselect alone, skipping the top-`k` sort
-    /// a full ranking pays.
-    pub fn hottest_floor(&self, k: usize) -> u64 {
-        if k == 0 || self.touched.is_empty() {
-            return 0;
-        }
-        let mut v = self.ranked_entries();
-        if k < v.len() {
-            let (_, kth, _) = v.select_nth_unstable_by(k - 1, hotter_first);
-            kth.1
-        } else {
-            // Fewer pages than k: the floor is the coldest tracked page.
-            v.iter()
-                .min_by(|a, b| hotter_first(b, a))
-                .expect("non-empty")
-                .1
-        }
+        ranked.sort_unstable_by(hotter_first);
     }
 
     /// Exponentially decays all counts (epoch boundary), dropping pages
@@ -172,16 +151,64 @@ pub enum PageClass {
 }
 
 /// Merges per-host heatmaps and produces the private/public split.
+///
+/// The split of the last [`Self::classify`] is dense state: a class per
+/// page id, plus the list of pages it classified, in classification
+/// order, which the next `classify` walks to reset only those pages.
+/// The buffers the rankings write into live here too and are reused, so
+/// once they have grown an epoch's `classify`, `demotions` and
+/// `hottest_union` allocate nothing. The classified list's order is not
+/// a ranking; every reader orders by a total order ending in the page
+/// id or folds commutatively.
 #[derive(Debug, Clone)]
 pub struct GlobalHotness {
     hosts: Vec<HotnessTracker>,
+    /// Class of each page at the last `classify`, indexed by page id;
+    /// `None` for a page no host touched.
+    class: Vec<Option<PageClass>>,
+    /// The pages with a class, in classification order.
+    classified: Vec<PageId>,
+    /// Per host, the count of the page at its claim capacity at the last
+    /// `classify`: the demotion floor.
+    floors: Vec<u64>,
+    /// One host's top-k `(page, count)` entries, hottest first.
+    ranked: Vec<(PageId, u64)>,
+    /// The page list the last `demotions` or `hottest_union` returned.
+    listed: Vec<PageId>,
+}
+
+/// Gives `page` class `c` unless it already has one; returns whether it
+/// was unclassified.
+fn claim(
+    class: &mut [Option<PageClass>],
+    classified: &mut Vec<PageId>,
+    page: PageId,
+    c: PageClass,
+) -> bool {
+    let slot = &mut class[page_slot(page)];
+    if slot.is_some() {
+        return false;
+    }
+    *slot = Some(c);
+    classified.push(page);
+    true
 }
 
 impl GlobalHotness {
     /// Creates a detector for `n_hosts` hosts over pages `0..n_pages`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_pages` exceeds the address space.
     pub fn new(n_hosts: usize, n_pages: u64) -> Self {
+        let n = usize::try_from(n_pages).expect("page count exceeds the address space");
         GlobalHotness {
             hosts: (0..n_hosts).map(|_| HotnessTracker::new(n_pages)).collect(),
+            class: vec![None; n],
+            classified: Vec::new(),
+            floors: Vec::new(),
+            ranked: Vec::new(),
+            listed: Vec::new(),
         }
     }
 
@@ -208,72 +235,152 @@ impl GlobalHotness {
         self.hosts.len()
     }
 
+    /// Global heat of `page`: the sum of every host's count. Each count
+    /// is a `u32`, so the sum stays below `n_hosts × 2³²`.
+    #[inline]
+    pub fn heat(&self, page: PageId) -> u64 {
+        self.hosts.iter().map(|t| t.count(page)).sum()
+    }
+
     /// Claims up to `hot_capacity` pages per host into Private Hot
     /// Regions, hottest-first by each host's own heatmap; pages already
     /// claimed by an earlier host are skipped and the host claims its
     /// next candidate ("if a host identifies a page already designated as
     /// a private hot page by another host, it selects its next most
-    /// frequently accessed page").
-    pub fn classify(&self, hot_capacity: usize) -> FastMap<PageId, PageClass> {
-        let mut out: FastMap<PageId, PageClass> = FastMap::default();
-        for (h, tracker) in self.hosts.iter().enumerate() {
-            if tracker.tracked() <= hot_capacity {
+    /// frequently accessed page"). Every other page some host touched is
+    /// public cold. The split replaces the previous one; read it with
+    /// [`Self::class`] and [`Self::classified`].
+    ///
+    /// Each host's heatmap is ranked at most once, and that ranking also
+    /// records the host's demotion floor for [`Self::demotions`].
+    pub fn classify(&mut self, hot_capacity: usize) {
+        let GlobalHotness {
+            hosts,
+            class,
+            classified,
+            floors,
+            ranked,
+            ..
+        } = self;
+        for &page in classified.iter() {
+            class[page_slot(page)] = None;
+        }
+        classified.clear();
+        floors.clear();
+        for (h, tracker) in hosts.iter().enumerate() {
+            let hot = PageClass::PrivateHot(h as u16);
+            let floor = if tracker.tracked() <= hot_capacity {
                 // The host has room for its whole heatmap, so the claim
                 // loop below would never stop early: it claims every
-                // page no earlier host holds, whatever the ranking.
-                for (page, _) in tracker.iter() {
-                    out.entry(page).or_insert(PageClass::PrivateHot(h as u16));
+                // page no earlier host holds, whatever the ranking. The
+                // floor is the coldest tracked page.
+                let mut coldest = None;
+                for (page, count) in tracker.iter() {
+                    coldest = Some(coldest.map_or(count, |c: u64| c.min(count)));
+                    claim(class, classified, page, hot);
                 }
-                continue;
-            }
-            let mut claimed = 0;
-            // The claim loop consumes at most `hot_capacity` fresh pages
-            // plus one skip per page an earlier host already claimed, so
-            // ranking that many candidates is exactly equivalent to
-            // ranking the host's whole heatmap.
-            for page in tracker.hottest(hot_capacity + out.len()) {
-                if claimed >= hot_capacity {
-                    break;
+                coldest.unwrap_or(0)
+            } else if hot_capacity == 0 {
+                0
+            } else {
+                // The claim loop consumes at most `hot_capacity` fresh
+                // pages plus one skip per page an earlier host already
+                // claimed, so ranking that many candidates is exactly
+                // equivalent to ranking the host's whole heatmap. The
+                // host tracks more than `hot_capacity` pages, so the
+                // ranking reaches its floor.
+                tracker.rank_top(hot_capacity + classified.len(), ranked);
+                let mut claimed = 0;
+                for &(page, _) in ranked.iter() {
+                    if claimed >= hot_capacity {
+                        break;
+                    }
+                    // A page another host got to first is skipped.
+                    if claim(class, classified, page, hot) {
+                        claimed += 1;
+                    }
                 }
-                if out.contains_key(&page) {
-                    continue; // another host got here first
-                }
-                out.insert(page, PageClass::PrivateHot(h as u16));
-                claimed += 1;
-            }
+                ranked[hot_capacity - 1].1
+            };
+            floors.push(floor);
         }
         // Everything observed but unclaimed is public cold.
-        for tracker in &self.hosts {
+        for tracker in hosts.iter() {
             for (page, _) in tracker.iter() {
-                out.entry(page).or_insert(PageClass::PublicCold);
+                claim(class, classified, page, PageClass::PublicCold);
             }
         }
-        out
     }
 
-    /// Cold-age reclassification (§IV-B2): returns the private-hot pages
-    /// of `current` whose access frequency has dropped more than
-    /// `cold_age_threshold` (e.g. 0.2) below the least-accessed page that
-    /// *would* be claimed now. Those pages should be demoted to the
-    /// Public Cold Region.
-    pub fn demotions(
-        &self,
-        current: &FastMap<PageId, PageClass>,
-        hot_capacity: usize,
-        cold_age_threshold: f64,
-    ) -> Vec<PageId> {
-        let mut demote = Vec::new();
-        for (h, tracker) in self.hosts.iter().enumerate() {
-            let floor = tracker.hottest_floor(hot_capacity);
-            let cutoff = (floor as f64 * (1.0 - cold_age_threshold)).floor() as u64;
-            for (&page, &class) in current.iter() {
-                if class == PageClass::PrivateHot(h as u16) && tracker.count(page) < cutoff {
-                    demote.push(page);
+    /// Class of `page` at the last [`Self::classify`], or `None` if no
+    /// host had touched it.
+    pub fn class(&self, page: PageId) -> Option<PageClass> {
+        usize::try_from(page.0)
+            .ok()
+            .and_then(|i| self.class.get(i))
+            .copied()
+            .flatten()
+    }
+
+    /// Every page the last [`Self::classify`] classified, with its class,
+    /// in classification order.
+    pub fn classified(&self) -> impl Iterator<Item = (PageId, PageClass)> + '_ {
+        self.classified.iter().map(|&p| {
+            let c = self.class[page_slot(p)].expect("a classified page has a class");
+            (p, c)
+        })
+    }
+
+    /// Cold-age reclassification (§IV-B2): the private-hot pages of the
+    /// last [`Self::classify`] whose access count has dropped more than
+    /// `cold_age_threshold` (e.g. 0.2) below the least-accessed page
+    /// their host claimed by rank — its `hot_capacity`-th hottest page
+    /// at that classify. Those pages should be demoted to the Public Cold
+    /// Region. Sorted by page id.
+    ///
+    /// The floors are the last classify's, so call this before the
+    /// heatmaps change again.
+    pub fn demotions(&mut self, cold_age_threshold: f64) -> &[PageId] {
+        let GlobalHotness {
+            hosts,
+            class,
+            classified,
+            floors,
+            listed,
+            ..
+        } = self;
+        listed.clear();
+        for &page in classified.iter() {
+            if let Some(PageClass::PrivateHot(h)) = class[page_slot(page)] {
+                let h = usize::from(h);
+                let cutoff = (floors[h] as f64 * (1.0 - cold_age_threshold)).floor() as u64;
+                if hosts[h].count(page) < cutoff {
+                    listed.push(page);
                 }
             }
         }
-        demote.sort_unstable();
-        demote
+        listed.sort_unstable();
+        listed
+    }
+
+    /// The union of every host's hottest-`k` pages, sorted ascending and
+    /// deduplicated (deterministic: each host's ranking total-orders
+    /// ties by page id).
+    pub fn hottest_union(&mut self, k: usize) -> &[PageId] {
+        let GlobalHotness {
+            hosts,
+            ranked,
+            listed,
+            ..
+        } = self;
+        listed.clear();
+        for tracker in hosts.iter() {
+            tracker.rank_top(k, ranked);
+            listed.extend(ranked.iter().map(|&(p, _)| p));
+        }
+        listed.sort_unstable();
+        listed.dedup();
+        listed
     }
 }
 
@@ -314,9 +421,22 @@ mod tests {
         record_n(g.host_mut(0), 10, 9);
         record_n(g.host_mut(1), 10, 8);
         record_n(g.host_mut(1), 20, 5);
-        let classes = g.classify(1);
-        assert_eq!(classes[&PageId(10)], PageClass::PrivateHot(0));
-        assert_eq!(classes[&PageId(20)], PageClass::PrivateHot(1));
+        g.classify(1);
+        assert_eq!(g.class(PageId(10)), Some(PageClass::PrivateHot(0)));
+        assert_eq!(g.class(PageId(20)), Some(PageClass::PrivateHot(1)));
+    }
+
+    #[test]
+    fn unclassified_pages_lose_their_class_at_the_next_classify() {
+        let mut g = GlobalHotness::new(1, 256);
+        record_n(g.host_mut(0), 7, 3);
+        g.classify(1);
+        assert_eq!(g.class(PageId(7)), Some(PageClass::PrivateHot(0)));
+        g.host_mut(0).decay();
+        g.host_mut(0).decay();
+        g.classify(1);
+        assert_eq!(g.class(PageId(7)), None);
+        assert_eq!(g.classified().count(), 0);
     }
 
     #[test]
@@ -324,22 +444,28 @@ mod tests {
         let mut g = GlobalHotness::new(1, 256);
         record_n(g.host_mut(0), 1, 9);
         record_n(g.host_mut(0), 2, 1);
-        let classes = g.classify(1);
-        assert_eq!(classes[&PageId(1)], PageClass::PrivateHot(0));
-        assert_eq!(classes[&PageId(2)], PageClass::PublicCold);
+        g.classify(1);
+        assert_eq!(g.class(PageId(1)), Some(PageClass::PrivateHot(0)));
+        assert_eq!(g.class(PageId(2)), Some(PageClass::PublicCold));
     }
 
     #[test]
     fn demotions_fire_below_the_cold_age_cutoff() {
-        let mut g = GlobalHotness::new(1, 256);
-        record_n(g.host_mut(0), 1, 100);
-        record_n(g.host_mut(0), 2, 100);
-        let current = g.classify(2);
-        // Page 2 cools off dramatically relative to the new floor.
-        record_n(g.host_mut(0), 1, 100);
-        record_n(g.host_mut(0), 3, 150);
-        let demote = g.demotions(&current, 2, 0.2);
-        assert_eq!(demote, vec![PageId(2)]);
+        let mut g = GlobalHotness::new(2, 256);
+        // Host 0 claims pages 1 and 3 first, so host 1, whose two
+        // hottest pages those are, claims page 2 far below its floor.
+        record_n(g.host_mut(0), 1, 10);
+        record_n(g.host_mut(0), 3, 10);
+        record_n(g.host_mut(1), 1, 200);
+        record_n(g.host_mut(1), 3, 150);
+        record_n(g.host_mut(1), 2, 100);
+        g.classify(2);
+        assert_eq!(g.class(PageId(2)), Some(PageClass::PrivateHot(1)));
+        // Host 1's floor is page 3's 150, so the cutoff is 120.
+        assert_eq!(g.demotions(0.2), [PageId(2)]);
+        // Host 0 holds its whole heatmap, so its floor is its coldest
+        // page and not even a zero threshold demotes one of its pages.
+        assert_eq!(g.demotions(0.0), [PageId(2)]);
     }
 
     #[test]
@@ -347,7 +473,18 @@ mod tests {
         let mut g = GlobalHotness::new(1, 256);
         record_n(g.host_mut(0), 1, 50);
         record_n(g.host_mut(0), 2, 50);
-        let current = g.classify(2);
-        assert!(g.demotions(&current, 2, 0.2).is_empty());
+        g.classify(2);
+        assert!(g.demotions(0.2).is_empty());
+    }
+
+    #[test]
+    fn hottest_union_merges_every_host_top_k() {
+        let mut g = GlobalHotness::new(2, 256);
+        record_n(g.host_mut(0), 5, 3);
+        record_n(g.host_mut(0), 9, 1);
+        record_n(g.host_mut(1), 5, 2);
+        record_n(g.host_mut(1), 4, 1);
+        assert_eq!(g.hottest_union(1), [PageId(5)]);
+        assert_eq!(g.hottest_union(2), [PageId(4), PageId(5), PageId(9)]);
     }
 }

@@ -67,23 +67,39 @@ impl DeviceLoad {
 /// back (§IV-B3's two-way move). Stops when balanced or after
 /// `cfg.max_rounds`.
 ///
-/// Returns the migrations in execution order; `devices` is updated in
-/// place so callers can inspect the final distribution.
-pub fn rebalance(devices: &mut [DeviceLoad], cfg: &SpreadConfig) -> Vec<Migration> {
-    let mut moves = Vec::new();
+/// Writes the migrations, in execution order, into `moves` (cleared
+/// first); `devices` is updated in place so callers can inspect the
+/// final distribution. `totals` is the caller's buffer for each device's
+/// access total, computed once and kept current move by move, so once
+/// the buffers and page lists have grown a call allocates nothing.
+///
+/// A device's page list comes back in no particular order; every choice
+/// is a minimum over a total order ending in the page id, so the moves
+/// do not depend on it.
+pub fn rebalance(
+    devices: &mut [DeviceLoad],
+    cfg: &SpreadConfig,
+    totals: &mut Vec<u64>,
+    moves: &mut Vec<Migration>,
+) {
+    moves.clear();
     if devices.len() < 2 {
-        return moves;
+        return;
     }
+    totals.clear();
+    totals.extend(devices.iter().map(DeviceLoad::total));
+    // A move carries its count from one device to another, so the sum
+    // over devices never changes.
+    let sum: u64 = totals.iter().sum();
+    let n = totals.len();
     for _ in 0..cfg.max_rounds {
-        let totals: Vec<u64> = devices.iter().map(DeviceLoad::total).collect();
-        let n = totals.len();
         // Hottest device and the average of the *other* devices.
         let (hot_idx, &hot_total) = totals
             .iter()
             .enumerate()
             .max_by_key(|&(i, &t)| (t, usize::MAX - i))
             .expect("at least two devices");
-        let others_avg: f64 = (totals.iter().sum::<u64>() - hot_total) as f64 / (n as f64 - 1.0);
+        let others_avg: f64 = (sum - hot_total) as f64 / (n as f64 - 1.0);
         if (hot_total as f64) <= others_avg * (1.0 + cfg.migrate_threshold) || hot_total == 0 {
             break; // balanced enough
         }
@@ -104,7 +120,8 @@ pub fn rebalance(devices: &mut [DeviceLoad], cfg: &SpreadConfig) -> Vec<Migratio
         let Some(page_pos) = best_transfer(&devices[hot_idx].pages, ideal, gap) else {
             break;
         };
-        let (page, count) = devices[hot_idx].pages.remove(page_pos);
+        let (page, count) = devices[hot_idx].pages.swap_remove(page_pos);
+        totals[hot_idx] -= count;
         moves.push(Migration {
             page,
             from: hot_idx as u16,
@@ -116,18 +133,20 @@ pub fn rebalance(devices: &mut [DeviceLoad], cfg: &SpreadConfig) -> Vec<Migratio
         // memory node").
         if devices[cold_idx].pages.len() as u64 >= devices[cold_idx].capacity {
             if let Some(cold_page_pos) = argmin_count(&devices[cold_idx].pages) {
-                let (cold_page, cold_count) = devices[cold_idx].pages.remove(cold_page_pos);
+                let (cold_page, cold_count) = devices[cold_idx].pages.swap_remove(cold_page_pos);
+                totals[cold_idx] -= cold_count;
                 moves.push(Migration {
                     page: cold_page,
                     from: cold_idx as u16,
                     to: hot_idx as u16,
                 });
                 devices[hot_idx].pages.push((cold_page, cold_count));
+                totals[hot_idx] += cold_count;
             }
         }
         devices[cold_idx].pages.push((page, count));
+        totals[cold_idx] += count;
     }
-    moves
 }
 
 /// Index of the page whose count is closest to `ideal` without making the
@@ -162,6 +181,12 @@ pub fn access_std_dev(devices: &[DeviceLoad]) -> f64 {
 mod tests {
     use super::*;
 
+    fn rebalance_moves(devices: &mut [DeviceLoad], cfg: &SpreadConfig) -> Vec<Migration> {
+        let mut moves = Vec::new();
+        rebalance(devices, cfg, &mut Vec::new(), &mut moves);
+        moves
+    }
+
     fn dev(counts: &[u64], capacity: u64) -> DeviceLoad {
         DeviceLoad {
             pages: counts
@@ -176,15 +201,14 @@ mod tests {
     #[test]
     fn balanced_input_produces_no_moves() {
         let mut devs = vec![dev(&[10, 10], 10), dev(&[10, 10], 10)];
-        let moves = rebalance(&mut devs, &SpreadConfig::default());
-        assert!(moves.is_empty());
+        assert!(rebalance_moves(&mut devs, &SpreadConfig::default()).is_empty());
     }
 
     #[test]
     fn skewed_device_sheds_hot_pages() {
         let mut devs = vec![dev(&[100, 90, 5], 10), dev(&[1, 1], 10)];
         let before = access_std_dev(&devs);
-        let moves = rebalance(&mut devs, &SpreadConfig::default());
+        let moves = rebalance_moves(&mut devs, &SpreadConfig::default());
         assert!(!moves.is_empty());
         assert!(moves.iter().all(|m| m.from == 0 && m.to == 1));
         let after = access_std_dev(&devs);
@@ -195,7 +219,7 @@ mod tests {
     fn full_destination_triggers_a_swap_back() {
         // Device 1 is full (capacity 2) and cold.
         let mut devs = vec![dev(&[100, 90], 10), dev(&[1, 1], 2)];
-        let moves = rebalance(&mut devs, &SpreadConfig::default());
+        let moves = rebalance_moves(&mut devs, &SpreadConfig::default());
         // Some move must flow back from device 1 to device 0.
         assert!(moves.iter().any(|m| m.from == 1 && m.to == 0), "{moves:?}");
         // Occupancy respects capacity.
@@ -209,14 +233,14 @@ mod tests {
             migrate_threshold: 0.0,
             max_rounds: 5,
         };
-        let moves = rebalance(&mut devs, &cfg);
+        let moves = rebalance_moves(&mut devs, &cfg);
         assert!(moves.len() <= 10, "bounded by max_rounds (plus swaps)");
     }
 
     #[test]
     fn single_device_is_a_no_op() {
         let mut devs = vec![dev(&[5, 5], 10)];
-        assert!(rebalance(&mut devs, &SpreadConfig::default()).is_empty());
+        assert!(rebalance_moves(&mut devs, &SpreadConfig::default()).is_empty());
     }
 
     #[test]
@@ -228,7 +252,7 @@ mod tests {
             dev(&[2], 32),
             dev(&[2], 32),
         ];
-        rebalance(&mut devs, &SpreadConfig::default());
+        rebalance_moves(&mut devs, &SpreadConfig::default());
         let totals: Vec<u64> = devs.iter().map(DeviceLoad::total).collect();
         let max = *totals.iter().max().unwrap() as f64;
         let avg = totals.iter().sum::<u64>() as f64 / totals.len() as f64;

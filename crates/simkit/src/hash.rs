@@ -1,13 +1,15 @@
 //! A fast, deterministic hasher for simulation-internal maps.
 //!
 //! The std `HashMap` defaults to SipHash-1-3, whose per-lookup cost
-//! would dominate several simulator hot paths: the on-switch buffer's
-//! row slots, the per-epoch device/page counts and the page manager's
-//! private/public classification. (Page hotness and the page table are
-//! dense arrays indexed by page id instead: their keys are `0..n_pages`.)
-//! Those maps key on small integers the workload controls, need no DoS
-//! hardening, and — crucially — never let iteration order leak into
-//! results (every consumer sorts or folds order-independently), so
+//! would dominate the simulator's one hashed hot path: the on-switch
+//! buffer's row slots. (Everything the page manager keeps per page —
+//! hotness, placement, classification and the epoch's access counts —
+//! is a dense array indexed by page id instead: its keys are
+//! `0..n_pages`. The buffer stays a map because a dense per-row index
+//! over every buffered switch costs far more memory than the few rows a
+//! buffer holds.) The map keys on integers the workload controls, needs
+//! no DoS hardening, and — crucially — never lets iteration order leak
+//! into results (every consumer sorts or folds order-independently), so
 //! swapping the hasher is an exact-equivalence optimization.
 //!
 //! The function is the Fx/FireFox multiply-xor fold: one multiply and a

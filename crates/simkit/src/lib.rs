@@ -9,8 +9,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //!   matching the paper's 1 ns/clk top-module tick (§VI-A).
-//! * [`hash`] — a fast deterministic hasher ([`hash::FastMap`]) for
-//!   simulation-internal maps on hot paths.
+//! * [`hash`] — a fast deterministic hasher ([`hash::FastMap`]) for the
+//!   on-switch buffer's row map.
 //! * [`stats`] — latency histograms, summaries, normalizers and the
 //!   event/allocation tallies used by every experiment harness.
 //! * [`rng`] — a small deterministic RNG so that every figure regenerates

@@ -71,7 +71,7 @@ proptest! {
             capacity: 32,
         }).collect();
         let before: usize = devices.iter().map(|d| d.pages.len()).sum();
-        rebalance(&mut devices, &SpreadConfig::default());
+        rebalance(&mut devices, &SpreadConfig::default(), &mut Vec::new(), &mut Vec::new());
         let after: usize = devices.iter().map(|d| d.pages.len()).sum();
         prop_assert_eq!(before, after, "pages must be conserved");
         for d in &devices {
