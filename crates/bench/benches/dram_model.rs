@@ -50,16 +50,16 @@ fn bench_dram(c: &mut Criterion) {
             done
         })
     });
+    // The host's local DRAM (engine/topology.rs): 12 channels of the
+    // Table II organization, a non-power-of-two channel count.
+    let host = DramConfig {
+        org: DramOrg {
+            channels: 12,
+            ..DramOrg::table2_local()
+        },
+        ..DramConfig::ddr5_4800_local()
+    };
     g.bench_function("host_12ch_random_1k_lines", |b| {
-        // The host's local DRAM (engine/topology.rs): 12 channels of
-        // the Table II organization, a non-power-of-two channel count.
-        let host = DramConfig {
-            org: DramOrg {
-                channels: 12,
-                ..DramOrg::table2_local()
-            },
-            ..DramConfig::ddr5_4800_local()
-        };
         b.iter(|| {
             let mut dev = DramDevice::new(host);
             let mut done = SimTime::ZERO;
@@ -68,6 +68,24 @@ fn bench_dram(c: &mut Criterion) {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let addr = x % host.org.capacity_bytes;
                 done = done.max(dev.access(SimTime::ZERO, black_box(addr)));
+            }
+            done
+        })
+    });
+    g.bench_function("host_12ch_row_spans_250x4_lines", |b| {
+        // Host reads of 256 B embedding rows at 256 B-aligned addresses
+        // over 16 GiB, as `spread_addr` places them: each span is four
+        // lines on four channels that stay in lockstep, scheduled by one
+        // channel access.
+        b.iter(|| {
+            let mut dev = DramDevice::new(host);
+            let mut done = SimTime::ZERO;
+            let mut x = 9u64;
+            for i in 0..250u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let addr = ((x >> 20) % (1 << 34)) & !255;
+                let now = SimTime::from_ns(i * 8);
+                done = done.max(dev.access_span(now, black_box(addr), 256));
             }
             done
         })

@@ -251,7 +251,7 @@ impl ServingController {
         {
             self.max_wait_ns = self.max_wait_ns.saturating_mul(2).min(self.base_wait_ns);
         }
-        self.tick_hist = LatencyHist::default();
+        self.tick_hist.clear();
         self.batches_in_tick = 0;
         self.backlog_max_ns = 0;
         self.fill_max = 0;

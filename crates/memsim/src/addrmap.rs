@@ -29,9 +29,9 @@ pub struct Location {
 fn decode_divide(addr: u64, org: &DramOrg) -> Location {
     // line = ((((row * ranks + rank) * banks + bank) * lines_per_row
     //        + line_in_row) * channels + channel — channel varies fastest.
-    let line = (addr % org.capacity_bytes.max(1)) / 64;
+    let line = (addr % org.capacity_bytes) / 64;
     let ch = org.channels as u64;
-    let lines_per_row = (org.row_bytes / 64).max(1);
+    let lines_per_row = org.row_bytes / 64;
     let channel = line % ch;
     let rest = line / ch / lines_per_row;
     let bank = rest % org.banks as u64;
@@ -123,17 +123,17 @@ impl ChannelSplit {
 }
 
 impl LineDecoder {
-    /// Builds the decoder for `org`.
+    /// Builds the decoder for `org`, a sound organization as
+    /// [`DramDevice::new`](crate::DramDevice::new) checks it.
     pub fn new(org: DramOrg) -> Self {
-        let cap = org.capacity_bytes.max(1);
-        let lpr = (org.row_bytes / 64).max(1);
+        let cap = org.capacity_bytes;
+        let lpr = org.row_bytes / 64;
         let ch = org.channels as u64;
         let pow2 = |x: u64| x.is_power_of_two();
         // The multiply split is exact for 32-bit numerators, and every
         // number it splits is at most a line index, below `cap / 64`.
         let split_exact = pow2(ch) || cap / 64 <= 1 << 32;
         let fast = (pow2(cap)
-            && ch > 0
             && split_exact
             && pow2(lpr)
             && pow2(org.banks as u64)

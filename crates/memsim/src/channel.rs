@@ -42,7 +42,7 @@ impl RankState {
 }
 
 /// One DRAM channel with its own command/data bus.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Channel {
     banks: Vec<BankState>,
     ranks: Vec<RankState>,
@@ -50,6 +50,28 @@ pub struct Channel {
     bus: DataBus,
     /// Accumulated statistics.
     pub stats: ChannelStats,
+}
+
+impl Clone for Channel {
+    fn clone(&self) -> Self {
+        Channel {
+            banks: self.banks.clone(),
+            ranks: self.ranks.clone(),
+            org: self.org,
+            bus: self.bus.clone(),
+            stats: self.stats,
+        }
+    }
+
+    /// Copies `source` into `self`'s buffers, allocating only where
+    /// `source` holds more bus windows than `self` has room for.
+    fn clone_from(&mut self, source: &Self) {
+        self.banks.clone_from(&source.banks);
+        self.ranks.clone_from(&source.ranks);
+        self.org = source.org;
+        self.bus.clone_from(&source.bus);
+        self.stats = source.stats;
+    }
 }
 
 /// Gaps a new bus-queue gap trims the list back to (see [`DataBus`]).
@@ -72,11 +94,27 @@ const MAX_GAPS: usize = 64;
 /// [`MAX_GAPS`] windows until the next queued burst. Trimming advances
 /// `head`, and the dead prefix is dropped only when the buffer is full,
 /// so the steady state neither shifts every entry nor allocates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DataBus {
     free: SimTime,
     gaps: Vec<(SimTime, SimTime)>,
     head: usize,
+}
+
+impl Clone for DataBus {
+    fn clone(&self) -> Self {
+        DataBus {
+            free: self.free,
+            gaps: self.gaps.clone(),
+            head: self.head,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.free = source.free;
+        self.gaps.clone_from(&source.gaps);
+        self.head = source.head;
+    }
 }
 
 impl DataBus {
@@ -102,38 +140,70 @@ impl DataBus {
         }
     }
 
-    /// Claims a slot of `burst` length no earlier than `earliest`: the
+    /// Claims `n` slots of `burst` length, each no earlier than
+    /// `earliest`, and returns the last one's start. Each slot is the
     /// oldest idle window that fits it, else the end of the schedule.
-    fn claim(&mut self, earliest: SimTime, burst: SimDuration) -> SimTime {
-        // Windows ending before `earliest + burst` cannot hold the burst.
+    ///
+    /// One walk leaves the bus exactly as `n` one-slot claims in turn
+    /// would, and returns the last of their starts, the latest:
+    /// - a claim leaves every window before the one it splits unable to
+    ///   fit a burst, so the next claim's search resumes at that window;
+    /// - a window takes `min(left, room / burst)` bursts from its front
+    ///   (from `earliest` when it opened before), back to back;
+    /// - once no window fits, the rest queue back to back at `free`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    fn claim_run(&mut self, earliest: SimTime, burst: SimDuration, n: u64) -> SimTime {
+        assert!(n > 0, "a claim run has at least one burst");
+        let mut left = n;
+        // Windows ending before `earliest + burst` cannot hold a burst.
         // When the newest window is one of them none can, and the search
         // is skipped — the common case once simulated time has passed
         // the recorded windows. Otherwise the oldest fitting window is at
         // or after the first one ending at or after that instant.
         let end = earliest + burst;
         if self.gaps().last().is_some_and(|&(_, ge)| end <= ge) {
-            for i in self.head + first_ending_at(self.gaps(), end)..self.gaps.len() {
+            // `at` indexes the live windows, so it survives `make_room`.
+            let mut at = first_ending_at(self.gaps(), end);
+            while at < self.gaps.len() - self.head {
+                let i = self.head + at;
                 let (gs, ge) = self.gaps[i];
                 let start = gs.max(earliest);
-                if start + burst <= ge {
-                    // Split the window around the claimed slot. The common
-                    // case (claim from the window's front, remainder
-                    // survives) edits it in place.
-                    if start == gs {
-                        if start + burst < ge {
-                            self.gaps[i].0 = start + burst;
-                        } else {
-                            self.gaps.remove(i);
-                        }
+                if start + burst > ge {
+                    at += 1;
+                    continue;
+                }
+                // One burst fits; a longer run divides the room.
+                let k = match left {
+                    1 => 1,
+                    _ => left.min(ge.since(start).as_ns() / burst.as_ns()),
+                };
+                let stop = start + SimDuration::from_ns(k * burst.as_ns());
+                left -= k;
+                // Split the window around the claimed slots. The common
+                // case (claim from the window's front, remainder
+                // survives) edits it in place. A remainder left while
+                // bursts are still to place is shorter than a burst.
+                if start == gs {
+                    if stop < ge {
+                        self.gaps[i].0 = stop;
+                        at += 1;
                     } else {
-                        self.gaps[i].1 = start;
-                        if start + burst < ge {
-                            let at = i + 1 - self.head;
-                            self.make_room();
-                            self.gaps.insert(self.head + at, (start + burst, ge));
-                        }
+                        self.gaps.remove(i);
                     }
-                    return start;
+                } else {
+                    self.gaps[i].1 = start;
+                    at += 1;
+                    if stop < ge {
+                        self.make_room();
+                        self.gaps.insert(self.head + at, (stop, ge));
+                        at += 1;
+                    }
+                }
+                if left == 0 {
+                    return SimTime::from_ns(stop.as_ns() - burst.as_ns());
                 }
             }
         }
@@ -143,8 +213,8 @@ impl DataBus {
             self.gaps.push((self.free, start));
             self.head = self.head.max(self.gaps.len().saturating_sub(MAX_GAPS));
         }
-        self.free = start + burst;
-        start
+        self.free = start + SimDuration::from_ns(left * burst.as_ns());
+        SimTime::from_ns(self.free.as_ns() - burst.as_ns())
     }
 }
 
@@ -238,7 +308,7 @@ impl Channel {
         let refi = SimDuration::from_ns(t.refi_ns);
         let rfc = t.rfc;
         // Number of refreshes with `due <= now` (at least one).
-        let missed = (now.since(first_due).as_ns() / t.refi_ns.max(1)) + 1;
+        let missed = (now.since(first_due).as_ns() / t.refi_ns) + 1;
         let last_due = first_due + SimDuration::from_ns((missed - 1) * t.refi_ns);
         let blocked_until = last_due + rfc;
         let base = rank * self.org.banks;
@@ -266,8 +336,7 @@ impl Channel {
     /// Schedules one 64 B read arriving at `now`; returns the instant the
     /// data burst completes on the bus.
     pub fn access(&mut self, now: SimTime, loc: &Location, t: &TimingDurations) -> SimTime {
-        let (idx, cas_ready) = self.open_row(now, loc, t);
-        self.burst(idx, cas_ready, t)
+        self.access_run(now, loc, 1, t)
     }
 
     /// Schedules `lines` 64 B reads of the one row at `loc`, all
@@ -277,8 +346,10 @@ impl Channel {
     /// to [`access`](Self::access) in turn: once the first line has
     /// opened the row, no refresh is due before `now` and every later
     /// line is a row hit whose column command is ready when the first
-    /// line's was (bursts move only the bank's precharge window). So the
-    /// row is opened once, and only the bus claims run per line.
+    /// line's was. So the row is opened once, and the bursts take one
+    /// walk of the bus calendar (`DataBus::claim_run`) from that column
+    /// command's data time. Their starts rise, so the last burst alone
+    /// sets the bank's precharge window (tRTP) and the completion.
     ///
     /// # Panics
     ///
@@ -293,9 +364,10 @@ impl Channel {
         assert!(lines > 0, "a row run has at least one line");
         let (idx, cas_ready) = self.open_row(now, loc, t);
         self.stats.hits += lines - 1;
-        (0..lines).fold(SimTime::ZERO, |done, _| {
-            done.max(self.burst(idx, cas_ready, t))
-        })
+        // The data bursts must find free slots on the shared bus; if the
+        // bus is busy, the column commands slip until the slots align.
+        let last_start = self.bus.claim_run(cas_ready + t.cl, t.burst, lines);
+        self.complete(idx, last_start, lines, t)
     }
 
     /// Refresh, the rank's ACT gate and the bank's row preparation for an
@@ -324,25 +396,21 @@ impl Channel {
         (idx, cas_ready)
     }
 
-    /// One 64 B read burst from bank `idx`, whose column command is
-    /// ready at `cas_ready`: claims the bus, then records the column
-    /// command. Returns the instant the burst completes.
-    fn burst(&mut self, idx: usize, cas_ready: SimTime, t: &TimingDurations) -> SimTime {
-        // The data burst must find a free slot on the shared bus; if the
-        // bus is busy, the column command slips until the slot aligns.
-        let data_start = self.bus.claim(cas_ready + t.cl, t.burst);
-        self.complete(idx, data_start, t)
-    }
-
-    /// Records the column command of a read burst from bank `idx` whose
-    /// data starts on the bus at `data_start` (CL after the command);
-    /// returns the instant the burst completes.
-    fn complete(&mut self, idx: usize, data_start: SimTime, t: &TimingDurations) -> SimTime {
-        let cas_at = SimTime::from_ns(data_start.as_ns() - t.cl.as_ns());
+    /// Records the column commands of `lines` read bursts from bank
+    /// `idx`, the last of whose data starts on the bus at `last_start`
+    /// (CL after its command); returns the instant that burst completes.
+    fn complete(
+        &mut self,
+        idx: usize,
+        last_start: SimTime,
+        lines: u64,
+        t: &TimingDurations,
+    ) -> SimTime {
+        let cas_at = SimTime::from_ns(last_start.as_ns() - t.cl.as_ns());
         self.banks[idx].complete_read(cas_at, t);
-        self.stats.reads += 1;
-        self.stats.bytes += 64;
-        data_start + t.burst
+        self.stats.reads += lines;
+        self.stats.bytes += 64 * lines;
+        last_start + t.burst
     }
 }
 
@@ -536,7 +604,7 @@ mod tests {
         let mut model = RefBus::default();
         let mut claim = |at: u64| {
             let at = SimTime::from_ns(at);
-            assert_eq!(bus.claim(at, burst), model.claim(at, burst));
+            assert_eq!(bus.claim_run(at, burst, 1), model.claim(at, burst));
             model.assert_matches(&bus);
             bus.gaps().len()
         };
@@ -570,7 +638,30 @@ mod tests {
                 clock += word % 7;
                 let earliest = SimTime::from_ns(clock.saturating_sub((word >> 8) % 400));
                 let burst = SimDuration::from_ns(1 + (word >> 20) % 4);
-                prop_assert_eq!(bus.claim(earliest, burst), model.claim(earliest, burst));
+                prop_assert_eq!(bus.claim_run(earliest, burst, 1), model.claim(earliest, burst));
+                model.assert_matches(&bus);
+            }
+        }
+
+        #[test]
+        fn claim_runs_match_one_reference_claim_per_burst(
+            runs in collection::vec(any::<u64>(), 1..300),
+        ) {
+            // Runs of up to 12 bursts, arriving forward and back in time
+            // with mixed burst lengths: a run fills windows from the
+            // front and from the middle, leaves remainders shorter than
+            // a burst, spills past the last window and queues at the end
+            // of the schedule, which opens new windows and trims old ones.
+            let mut bus = DataBus::new();
+            let mut model = RefBus::default();
+            let mut clock = 0u64;
+            for word in runs {
+                clock += word % 23;
+                let earliest = SimTime::from_ns(clock.saturating_sub((word >> 8) % 400));
+                let burst = SimDuration::from_ns(1 + (word >> 20) % 4);
+                let n = 1 + (word >> 24) % 12;
+                let last = (0..n).map(|_| model.claim(earliest, burst)).last();
+                prop_assert_eq!(Some(bus.claim_run(earliest, burst, n)), last);
                 model.assert_matches(&bus);
             }
         }
@@ -605,7 +696,7 @@ mod tests {
                 let done = real[c].access(now, &loc, &tt);
                 let (idx, cas_ready) = shadow[c].open_row(now, &loc, &tt);
                 let start = buses[c].claim(cas_ready + tt.cl, tt.burst);
-                prop_assert_eq!(done, shadow[c].complete(idx, start, &tt));
+                prop_assert_eq!(done, shadow[c].complete(idx, start, 1, &tt));
                 prop_assert_eq!(real[c].stats, shadow[c].stats);
                 buses[c].assert_matches(&real[c].bus);
             }

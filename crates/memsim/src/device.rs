@@ -30,6 +30,12 @@ pub struct DramDevice {
     /// Timing durations pre-converted from cycles at construction.
     durs: TimingDurations,
     channels: Vec<Channel>,
+    /// Lockstep width `w`, a divisor of the channel count: the channels
+    /// of each group `[g·w, g·w + w)` hold identical state, so only
+    /// each group's first channel, its representative, is simulated
+    /// (see [`access_span`](Self::access_span)). It starts at the
+    /// channel count and only narrows.
+    width: usize,
 }
 
 /// Aggregated statistics across all channels of a device.
@@ -50,13 +56,14 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    fn absorb(&mut self, c: &ChannelStats) {
-        self.hits += c.hits;
-        self.empties += c.empties;
-        self.conflicts += c.conflicts;
-        self.reads += c.reads;
-        self.bytes += c.bytes;
-        self.refresh_stalls += c.refresh_stalls;
+    /// Adds `c`'s counts `times` times over.
+    fn absorb(&mut self, c: &ChannelStats, times: u64) {
+        self.hits += c.hits * times;
+        self.empties += c.empties * times;
+        self.conflicts += c.conflicts * times;
+        self.reads += c.reads * times;
+        self.bytes += c.bytes * times;
+        self.refresh_stalls += c.refresh_stalls * times;
     }
 
     /// Row-buffer hit ratio over all accesses.
@@ -72,15 +79,41 @@ impl DramStats {
 
 impl DramDevice {
     /// Creates an idle device from `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, unless the organization is sound: at
+    /// least one channel, rank and bank; `row_bytes` and
+    /// `capacity_bytes` nonzero multiples of the 64 B line; and a
+    /// positive refresh interval.
     pub fn new(cfg: DramConfig) -> Self {
-        let channels = (0..cfg.org.channels)
-            .map(|_| Channel::new(cfg.org))
-            .collect();
+        let org = cfg.org;
+        for (field, n) in [
+            ("channels", org.channels),
+            ("ranks", org.ranks),
+            ("banks", org.banks),
+        ] {
+            assert!(n >= 1, "DramOrg::{field} is {n}: it must be at least 1");
+        }
+        for (field, n) in [
+            ("row_bytes", org.row_bytes),
+            ("capacity_bytes", org.capacity_bytes),
+        ] {
+            assert!(
+                n > 0 && n.is_multiple_of(64),
+                "DramOrg::{field} is {n}: it must be a nonzero multiple of 64"
+            );
+        }
+        assert!(
+            cfg.timings.refi_ns > 0,
+            "DramTimings::refi_ns is 0: it must be positive"
+        );
         DramDevice {
             cfg,
-            decoder: LineDecoder::new(cfg.org),
+            decoder: LineDecoder::new(org),
             durs: cfg.timings.durations(),
-            channels,
+            channels: (0..org.channels).map(|_| Channel::new(org)).collect(),
+            width: org.channels as usize,
         }
     }
 
@@ -90,8 +123,17 @@ impl DramDevice {
     }
 
     /// Schedules one 64 B read of physical `addr` arriving at `now`;
-    /// returns when its data burst completes.
+    /// returns when its data burst completes. One line reaches one
+    /// channel, so this ends the lockstep (narrows it to width 1).
     pub fn access(&mut self, now: SimTime, addr: u64) -> SimTime {
+        if self.width > 1 {
+            self.narrow(1);
+        }
+        self.access_line(now, addr)
+    }
+
+    /// [`access`](Self::access) at width 1.
+    fn access_line(&mut self, now: SimTime, addr: u64) -> SimTime {
         simkit::stats::record_events(1);
         let loc = self.decoder.decode(addr);
         self.channels[loc.channel as usize].access(now, &loc, &self.durs)
@@ -99,18 +141,52 @@ impl DramDevice {
 
     /// Schedules a read spanning `bytes` starting at `addr` (split into
     /// 64 B lines, all arriving at `now`); returns when the last line
-    /// completes.
+    /// completes. The device ends exactly as after one
+    /// [`access`](Self::access) per line, and records one simulation
+    /// event per line.
     ///
-    /// A span inside one DRAM row of one channel — every row read on a
-    /// one-channel device, such as a CXL expander — is one
-    /// [`Channel::access_run`] call, which leaves the device exactly as
-    /// the per-line [`access`](Self::access) calls would. Any other span
-    /// (one crossing a row boundary, wrapping the capacity, or
-    /// interleaved over channels) takes the per-line calls.
+    /// Under the cache-line interleave, line `L` goes to channel
+    /// `L mod C`. Take a span that does not wrap the capacity and whose
+    /// first line and line count are multiples of `w`, where `w`
+    /// divides `C`. Each `w`-line block of it reaches the `w` channels
+    /// of one group `[g·w, g·w + w)`, one line each, all in the same
+    /// rank, bank and row, since they share `L div C`. So every channel
+    /// of a group sees the same calls and keeps the same state as the
+    /// group's first channel. The device keeps that width: each span
+    /// narrows it to `gcd(width, first line, lines)`, and a span that
+    /// wraps the capacity or a single-line [`access`](Self::access)
+    /// narrows it to 1. At width `w > 1` a span is one
+    /// [`Channel::access`] per block, on its representative channel.
+    ///
+    /// At width 1, a span inside one DRAM row of one channel, such as
+    /// every row read on a one-channel CXL expander, is one
+    /// [`Channel::access_run`] call. Any other span (one crossing a row
+    /// boundary, wrapping the capacity, or interleaved over channels)
+    /// takes the per-line calls.
     pub fn access_span(&mut self, now: SimTime, addr: u64, bytes: u64) -> SimTime {
         let first_line = addr / 64;
         let last_line = (addr + bytes.max(1) - 1) / 64;
         let lines = last_line - first_line + 1;
+        let cap_lines = self.cfg.org.capacity_bytes / 64;
+        let in_cap = first_line % cap_lines;
+        let width = if in_cap + lines > cap_lines {
+            1
+        } else {
+            gcd(gcd(self.width as u64, in_cap), lines) as usize
+        };
+        if width != self.width {
+            self.narrow(width);
+        }
+        if width > 1 {
+            simkit::stats::record_events(lines);
+            let mut done = now;
+            for block in (first_line..=last_line).step_by(width) {
+                let loc = self.decoder.decode(block * 64);
+                let ch = &mut self.channels[loc.channel as usize];
+                done = done.max(ch.access(now, &loc, &self.durs));
+            }
+            return done;
+        }
         if let Some(loc) = self.decoder.row_run(addr, lines) {
             simkit::stats::record_events(lines);
             let ch = &mut self.channels[loc.channel as usize];
@@ -118,16 +194,39 @@ impl DramDevice {
         }
         let mut done = now;
         for line in first_line..=last_line {
-            done = done.max(self.access(now, line * 64));
+            done = done.max(self.access_line(now, line * 64));
         }
         done
     }
 
-    /// Aggregated statistics over all channels.
+    /// Narrows the lockstep width to `to`, a proper divisor of the
+    /// current width: each group's representative is copied into the
+    /// channels that become representatives of its new, narrower groups.
+    /// A representative that has served no read still holds its initial
+    /// state, and so do its group's channels, so it is not copied.
+    fn narrow(&mut self, to: usize) {
+        let from = self.width;
+        debug_assert!(
+            to < from && from.is_multiple_of(to),
+            "width {to} does not divide {from}"
+        );
+        for group in self.channels.chunks_mut(from) {
+            let (rep, rest) = group.split_first_mut().expect("groups are nonempty");
+            if rep.stats.reads > 0 {
+                for ch in rest.iter_mut().skip(to - 1).step_by(to) {
+                    ch.clone_from(rep);
+                }
+            }
+        }
+        self.width = to;
+    }
+
+    /// Aggregated statistics over all channels: each representative
+    /// counts once for every channel of its lockstep group.
     pub fn stats(&self) -> DramStats {
         let mut s = DramStats::default();
-        for ch in &self.channels {
-            s.absorb(&ch.stats);
+        for ch in self.channels.iter().step_by(self.width) {
+            s.absorb(&ch.stats, self.width as u64);
         }
         s
     }
@@ -136,6 +235,14 @@ impl DramDevice {
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         self.cfg.peak_bandwidth_gbps()
     }
+}
+
+/// Greatest common divisor, with `gcd(a, 0) = a`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 #[cfg(test)]
@@ -224,6 +331,22 @@ mod tests {
             "random={rnd_done} sequential={seq_done}"
         );
         assert!(rnd.stats().hit_ratio() < seq.stats().hit_ratio());
+    }
+
+    #[test]
+    #[should_panic(expected = "DramOrg::banks is 0")]
+    fn construction_names_a_missing_bank() {
+        let mut cfg = DramConfig::ddr5_4800_local();
+        cfg.org.banks = 0;
+        DramDevice::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "DramOrg::row_bytes is 100")]
+    fn construction_names_a_row_of_partial_lines() {
+        let mut cfg = DramConfig::ddr5_4800_local();
+        cfg.org.row_bytes = 100;
+        DramDevice::new(cfg);
     }
 
     #[test]

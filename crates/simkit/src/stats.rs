@@ -240,6 +240,17 @@ impl LatencyHist {
         self.max_ns = self.max_ns.max(ns);
     }
 
+    /// Empties the histogram but keeps its bucket storage, so refilling
+    /// it allocates only for a sample past the highest bucket it has
+    /// held. The cleared histogram equals a fresh one.
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        self.count = 0;
+        self.sum_ns = 0;
+        self.min_ns = 0;
+        self.max_ns = 0;
+    }
+
     /// Folds `other` into `self`. Exact: the result equals a histogram
     /// that recorded both sample streams, regardless of merge order.
     pub fn merge(&mut self, other: &LatencyHist) {
@@ -382,6 +393,22 @@ mod tests {
         let n = sorted.len() as u64;
         let rank = ((p.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n);
         sorted[(rank - 1) as usize]
+    }
+
+    #[test]
+    fn cleared_histogram_is_fresh_and_keeps_its_buckets() {
+        let mut h = LatencyHist::new();
+        for ns in [3, 700, 1 << 40] {
+            h.record_ns(ns);
+        }
+        let capacity = h.buckets.capacity();
+        h.clear();
+        assert_eq!(h, LatencyHist::default());
+        assert_eq!(h.buckets.capacity(), capacity);
+        h.record_ns(700);
+        let mut fresh = LatencyHist::new();
+        fresh.record_ns(700);
+        assert_eq!(h, fresh);
     }
 
     #[test]
