@@ -152,3 +152,46 @@ fn cnv_fallback_preserves_results_and_costs_bandwidth() {
         with_pc.total_ns
     );
 }
+
+#[test]
+fn multi_switch_fold_checksums_are_pinned() {
+    // Exact checksum bits of folding runs on four switches, where a
+    // bag's CXL rows split into per-switch sub-clusters: each group
+    // folds from zero and the partials merge in group order (§IV-A5).
+    // Folding the CXL rows in bag order instead moves these bits.
+    let m = ModelConfig::rmc1().scaled_down(4);
+    let t = TraceSpec {
+        distribution: Distribution::MetaLike {
+            reuse_frac: 0.35,
+            s: 1.05,
+        },
+        n_tables: m.n_tables,
+        rows_per_table: m.emb_num,
+        batch_size: 8,
+        n_batches: 3,
+        bag_size: m.bag_size,
+        seed: 107,
+    }
+    .generate();
+    let four = |mut cfg: Cfg| {
+        cfg.n_switches = 4;
+        cfg.n_hosts = 4;
+        cfg
+    };
+    let pifs = SlsSystem::new(four(Cfg::pifs_rec(m.clone()))).run_trace(&t);
+    let beacon = SlsSystem::new(four(Cfg::beacon(m.clone()))).run_trace(&t);
+    let mut crippled = SlsSystem::new(four(Cfg::pifs_rec(m.clone())));
+    crippled.disable_process_core(1);
+    let crippled = crippled.run_trace(&t);
+    let arrivals = ArrivalProcess::Poisson { qps: 50_000.0 }.times(24, 77);
+    let session = SlsSystem::new(four(Cfg::pifs_rec(m))).run_open_loop(&t, &arrivals);
+    let pins: [(&str, f64, f64); 4] = [
+        ("PIFS-Rec", pifs.checksum, 3111.5238082408905),
+        ("BEACON", beacon.checksum, 3111.523817539215),
+        ("no core on switch 1", crippled.checksum, 3111.5238082408905),
+        ("open-loop session", session.run.checksum, 3111.523803949356),
+    ];
+    for (name, got, want) in pins {
+        assert_eq!(got.to_bits(), want.to_bits(), "{name}: {got} vs {want}");
+    }
+}
