@@ -82,7 +82,7 @@ pub struct OnSwitchBuffer {
     slots: FastMap<u64, Slot>,
     /// Rows currently cached.
     resident: usize,
-    /// FIFO order queue.
+    /// Admission order of the resident rows (FIFO only).
     fifo: VecDeque<u64>,
     /// Lazy min-heap of `(rank, key)` eviction candidates, where rank is
     /// the profiled frequency (HTR) or the recency stamp (LRU). Ranks
@@ -185,11 +185,10 @@ impl OnSwitchBuffer {
         if self.resident < self.capacity_rows {
             self.set_resident(key, true);
             self.resident += 1;
-            self.fifo.push_back(key);
             match self.policy {
                 BufferPolicy::Htr => self.coldest.push(Reverse((freq, key))),
                 BufferPolicy::Lru => self.coldest.push(Reverse((self.clock, key))),
-                BufferPolicy::Fifo => {}
+                BufferPolicy::Fifo => self.fifo.push_back(key),
             }
             return;
         }
@@ -207,16 +206,13 @@ impl OnSwitchBuffer {
                 }
             }
             BufferPolicy::Lru => {
-                match self.coldest_resident() {
-                    Some((_, victim)) => {
-                        self.replace_coldest((self.clock, key));
-                        self.set_resident(victim, false);
-                    }
-                    None => {
-                        self.coldest.push(Reverse((self.clock, key)));
-                        self.resident += 1;
-                    }
-                }
+                // Every resident row holds exactly one heap entry, so a
+                // full buffer always has a victim.
+                let (_, victim) = self
+                    .coldest_resident()
+                    .expect("a full LRU buffer has a resident row");
+                self.replace_coldest((self.clock, key));
+                self.set_resident(victim, false);
                 self.set_resident(key, true);
             }
             BufferPolicy::Fifo => {
@@ -288,11 +284,20 @@ mod tests {
 
     #[test]
     fn capacity_is_respected() {
-        let mut buf = OnSwitchBuffer::new(BufferPolicy::Lru, 1024, 256);
-        for k in 0..100 {
-            buf.access(k);
+        for policy in [BufferPolicy::Htr, BufferPolicy::Lru, BufferPolicy::Fifo] {
+            let mut buf = OnSwitchBuffer::new(policy, 1024, 256);
+            for k in 0..100 {
+                buf.access(k * 7 % 13);
+                assert!(buf.len() <= 4, "{policy:?}");
+            }
+            assert_eq!(buf.len(), 4, "{policy:?}");
+            // Only FIFO keeps an admission queue.
+            assert_eq!(
+                buf.fifo.is_empty(),
+                policy != BufferPolicy::Fifo,
+                "{policy:?}"
+            );
         }
-        assert!(buf.len() <= 4);
     }
 
     #[test]

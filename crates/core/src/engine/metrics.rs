@@ -37,7 +37,8 @@ pub struct RunMetrics {
     /// Bytes over the host↔switch links.
     pub host_link_bytes: u64,
     /// Functional checksum of every bag result (placement-independent up
-    /// to FP32 reassociation): each bag's f32 result summed exactly in
+    /// to FP32 reassociation): each bag's f32 result, folded after the
+    /// timing stages in its compute site's order and summed exactly in
     /// f64, then added in bag order. `0.0` for a timing-only run,
     /// which folds no values: a
     /// [`SlsSystem::run_trace_timing`](crate::system::SlsSystem::run_trace_timing)
@@ -159,10 +160,11 @@ pub(crate) struct MeasureWindow {
     pub metrics: RunMetrics,
     /// Sum of per-bag latencies, ns.
     pub bag_latency_sum: u128,
-    /// Whether bags fold their values into `metrics.checksum`: set at
-    /// opening, cleared for a timing-only run (a cluster node, whose
-    /// functional plane is its cluster's, or a `run_trace_timing`
-    /// run); reopening keeps it.
+    /// Whether each bag's values fold into `metrics.checksum`, one
+    /// `fold_bag` call after the bag's timing stages: set at opening,
+    /// cleared for a timing-only run (a cluster node, whose functional
+    /// plane is its cluster's, or a `run_trace_timing` run); reopening
+    /// keeps it.
     pub fold: bool,
     offsets: CounterOffsets,
 }

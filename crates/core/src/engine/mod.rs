@@ -10,8 +10,8 @@
 //! * [`topology`] — the physical plant (hosts, switches, devices,
 //!   remote socket) and its construction from a config;
 //! * [`pipeline`] — the per-query request→forward→DRAM→accumulate path
-//!   as five stage functions called in order, including the in-switch
-//!   accumulation fold;
+//!   as four timing stages called in order, then one functional fold
+//!   per bag (the in-switch sub-cluster merge included);
 //! * [`pagemgmt_epoch`] — epoch-boundary page management (§IV-B) and
 //!   the TPP baseline;
 //! * [`serving`] — the open-loop serving layer: timestamped query

@@ -1,29 +1,29 @@
 //! The per-query timing path, decomposed into explicit stages.
 //!
-//! Each SLS bag flows request→forward→DRAM→accumulate through five
-//! stage functions that `process_bag` calls in order over a shared
+//! Each SLS bag flows request→forward→DRAM→accumulate through four
+//! timing stages that `process_bag` calls in order over a shared
 //! `EngineCtx`:
 //!
 //! 1. `classify` — resolve rows to tiers, record hotness;
 //! 2. `local_gather` — host-DRAM rows (DIMM-side fold for RecNMP);
 //! 3. `remote_gather` — remote-socket rows over the socket link;
 //! 4. `cxl_gather` — pooled-CXL rows, on the host (Pond/RecNMP
-//!    spill) or in the fabric switch (PIFS/BEACON);
-//! 5. `finalize` — fold the functional checksum into the metrics.
+//!    spill) or in the fabric switch (PIFS/BEACON).
 //!
 //! The three host-side gathers (local rows, remote rows, and CXL rows
 //! folded on the host) share one issue loop, `issue_window`: a core
 //! keeps at most `outstanding` row fetches in flight (RecNMP's DIMM-side
 //! fold keeps the whole bag in flight), and each stage supplies only its
-//! per-row access chain, its functional `fold_rows` and its rule for
-//! when the core is free again.
+//! per-row access chain and its rule for when the core is free again.
 //!
-//! The functional plane (the folds and `finalize`) runs only when
-//! `EngineCtx::fold` is set. A cluster node runs timing only, since
-//! its cluster forms every checksum while routing, and so does a
-//! closed-loop `run_trace_timing` run, whose caller reads no checksum
-//! (every paper figure). Each fold runs after its stage's timing loop,
-//! so skipping it moves no simulated instant.
+//! The stages carry no values. The functional plane is one function,
+//! `fold_bag`, which the caller runs after the stages when the run
+//! measures its checksum: it folds the bag's rows from the tier lists
+//! the stages built, in each compute site's order. A cluster node runs
+//! timing only, since its cluster forms every checksum while routing,
+//! and so does a closed-loop `run_trace_timing` run, whose caller reads
+//! no checksum (every paper figure). Skipping the fold moves no
+//! simulated instant.
 //!
 //! `process_bag` touches no per-run state beyond what its caller lends
 //! it: the stages write counters into the caller's `RunMetrics` (through
@@ -62,7 +62,8 @@ pub(crate) const SNOOP_NS: u64 = 10;
 pub(crate) const DECODE_NS: u64 = 1;
 
 /// Reusable buffers for the per-bag pipeline: the row lists by tier,
-/// the accumulator, the MLP window and the switch-compute buffers.
+/// the MLP window, the switch-compute buffers and the accumulators of
+/// [`fold_bag`].
 ///
 /// One instance lives in [`SlsSystem`](crate::system::SlsSystem), and
 /// each [`process_bag`] call lends it to its [`BagState`], which
@@ -84,22 +85,16 @@ pub(crate) struct BagScratch {
     window: VecDeque<SimTime>,
     sent: Vec<SimTime>,
     instr_arrivals: Vec<SimTime>,
+    /// The bag's CXL rows grouped by home switch. Entries are recycled
+    /// across bags: only the first `n_groups` are live.
     by_switch: Vec<SwitchGroup>,
+    n_groups: usize,
     sub_acc: Vec<f32>,
     merged: Vec<f32>,
     /// The debug-build DataFetch codec round trip: the burst, its
     /// encoded slab, and the decoded burst.
     #[cfg(debug_assertions)]
     codec: (Vec<M2sReq>, Vec<u128>, Vec<M2sReq>),
-}
-
-/// Folds `rows` of `table` into `acc` in order with unit weight — one
-/// [`dlrm::sls::accumulate_row`] per row, the fold every compute site
-/// shares, so the sums are bit-identical wherever a row is folded.
-fn fold_rows(table: &EmbeddingTable, rows: impl Iterator<Item = u64>, acc: &mut [f32]) {
-    for row in rows {
-        dlrm::sls::accumulate_row(acc, table, row, 1.0);
-    }
 }
 
 /// Mutable view over the system state a pipeline stage may touch.
@@ -124,7 +119,7 @@ pub(crate) struct EngineCtx<'a> {
     pub remote_dram: &'a mut DramDevice,
     /// Page placement (read-only during query processing).
     pub page_table: &'a PageTable,
-    /// Embedding tables (functional values).
+    /// Embedding tables (row addresses).
     pub tables: &'a [EmbeddingTable],
     /// Cross-host page-hotness state.
     pub hotness: &'a mut GlobalHotness,
@@ -134,12 +129,6 @@ pub(crate) struct EngineCtx<'a> {
     pub metrics: &'a mut RunMetrics,
     /// Next accumulation cluster id.
     pub next_cluster: &'a mut u64,
-    /// Whether bags fold their values into `metrics.checksum`. A
-    /// timing-only run (a cluster node, whose functional plane is the
-    /// router's, or a `run_trace_timing` run) skips every fold; the
-    /// folds run after their stage's timing loop, so no instant,
-    /// counter or event depends on them.
-    pub fold: bool,
 }
 
 impl EngineCtx<'_> {
@@ -202,8 +191,9 @@ fn issue_window(
     (t, last)
 }
 
-/// Processes one bag through the five stages, in order; returns
-/// `(completion_time, core_free_time)`.
+/// Processes one bag through the four timing stages, in order; returns
+/// `(completion_time, core_free_time)`. The bag's tier lists stay in
+/// `scratch` for [`fold_bag`].
 pub(crate) fn process_bag(
     ctx: &mut EngineCtx<'_>,
     scratch: &mut BagScratch,
@@ -213,7 +203,7 @@ pub(crate) fn process_bag(
     rows: &[u64],
 ) -> (SimTime, SimTime) {
     let dim = ctx.cfg.model.emb_dim;
-    // `finalize` sums the accumulator in any order; that is exact only
+    // `fold_bag` sums the accumulator in any order; that is exact only
     // inside this bound.
     assert!(
         dlrm::sls::exact_sum_fits(rows.len() as u64, dim),
@@ -223,16 +213,13 @@ pub(crate) fn process_bag(
     scratch.local.clear();
     scratch.remote.clear();
     scratch.cxl.clear();
-    if ctx.fold {
-        scratch.acc.clear();
-        scratch.acc.resize(dim as usize, 0.0f32);
-    }
+    scratch.n_groups = 0;
     let mut bag = BagState {
         host_idx,
         issue,
         table,
         rows,
-        acc_ns: u64::from(dim).div_ceil(16).max(1),
+        acc_ns: u64::from(dim).div_ceil(16),
         scratch,
         done: issue,
         core_busy: issue,
@@ -241,9 +228,6 @@ pub(crate) fn process_bag(
     local_gather(ctx, &mut bag);
     remote_gather(ctx, &mut bag);
     cxl_gather(ctx, &mut bag);
-    if ctx.fold {
-        finalize(ctx, &bag);
-    }
     (bag.done, bag.core_busy.max(bag.issue))
 }
 
@@ -316,14 +300,6 @@ fn local_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
             data + SimDuration::from_ns(fold_ns)
         },
     );
-    // The functional fold, after the timing loop, in bag order.
-    if ctx.fold {
-        fold_rows(
-            &ctx.tables[bag.table as usize],
-            bag.scratch.local.iter().map(|&(row, _)| row),
-            &mut bag.scratch.acc,
-        );
-    }
     // Local gathers are software-pipelined across bags (prefetch
     // hides local DRAM latency — the CPU optimizations of the
     // paper's [8]); the core is free once the loads are in flight.
@@ -352,14 +328,6 @@ fn remote_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
             ctx.remote_link.transfer(data, row_bytes) + SimDuration::from_ns(bag.acc_ns)
         },
     );
-    // The functional fold, after the timing loop, in bag order.
-    if ctx.fold {
-        fold_rows(
-            &ctx.tables[bag.table as usize],
-            bag.scratch.remote.iter().map(|&(row, _)| row),
-            &mut bag.scratch.acc,
-        );
-    }
     bag.done = bag.done.max(last);
     bag.core_busy = bag.core_busy.max(last); // synchronous on the core
 }
@@ -379,8 +347,17 @@ fn cxl_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
     bag.core_busy = core_after;
 }
 
-/// Folds the bag's functional checksum, the f64 sum of its
-/// accumulator, into the run metrics.
+/// Folds the values of the bag [`process_bag`] just timed, from the
+/// tier lists its stages built in `scratch`, and returns the bag's
+/// functional checksum, the f64 sum of its f32 accumulator.
+///
+/// Rows fold with unit weight, one [`dlrm::sls::accumulate_row`] each,
+/// in the order of the site that accumulates them: local rows, then
+/// remote rows, each in bag order; then the CXL rows. The host (Pond)
+/// and the DIMM (RecNMP) fold those in bag order. Under switch compute
+/// (PIFS, BEACON) each switch group accumulates its sub-cluster from
+/// zero, the local forward controller merges the partials in group
+/// order, and the merged result adds into the accumulator (§IV-A5).
 ///
 /// The sum runs in four f64 lanes, and it is exact, so it has the bits
 /// of the sequential sum. Every accumulator element is an f32 sum of
@@ -390,12 +367,47 @@ fn cxl_gather(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
 /// of 2⁻²² below rows × dim in magnitude, which f64 holds exactly while
 /// rows × dim < 2³¹ ([`dlrm::sls::exact_sum_fits`], asserted per bag by
 /// [`process_bag`]).
-fn finalize(ctx: &mut EngineCtx<'_>, bag: &BagState<'_>) {
-    ctx.metrics.checksum += bag_sum(&bag.scratch.acc);
+pub(crate) fn fold_bag(
+    compute: ComputeSite,
+    table: &EmbeddingTable,
+    scratch: &mut BagScratch,
+) -> f64 {
+    let s = scratch;
+    let dim = table.dim() as usize;
+    s.acc.clear();
+    s.acc.resize(dim, 0.0f32);
+    for &(row, _) in &s.local {
+        dlrm::sls::accumulate_row(&mut s.acc, table, row, 1.0);
+    }
+    for &(row, _) in &s.remote {
+        dlrm::sls::accumulate_row(&mut s.acc, table, row, 1.0);
+    }
+    if compute != ComputeSite::Switch {
+        for &(_, row, _) in &s.cxl {
+            dlrm::sls::accumulate_row(&mut s.acc, table, row, 1.0);
+        }
+    } else if !s.cxl.is_empty() {
+        s.merged.clear();
+        s.merged.resize(dim, 0.0f32);
+        for (_, group) in &s.by_switch[..s.n_groups] {
+            s.sub_acc.clear();
+            s.sub_acc.resize(dim, 0.0f32);
+            for &i in group {
+                dlrm::sls::accumulate_row(&mut s.sub_acc, table, s.cxl[i].1, 1.0);
+            }
+            for (m, &v) in s.merged.iter_mut().zip(&s.sub_acc) {
+                *m += v;
+            }
+        }
+        for (a, &v) in s.acc.iter_mut().zip(&s.merged) {
+            *a += v;
+        }
+    }
+    bag_sum(&s.acc)
 }
 
 /// The f64 sum of `acc` in four lanes, combined pairwise: exact, and so
-/// order-free, under [`finalize`]'s bound.
+/// order-free, under [`fold_bag`]'s bound.
 fn bag_sum(acc: &[f32]) -> f64 {
     let mut lanes = [0.0f64; 4];
     let chunks = acc.chunks_exact(4);
@@ -441,14 +453,6 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
             back + SimDuration::from_ns(bag.acc_ns)
         },
     );
-    // The functional fold, after the timing loop, in bag order.
-    if ctx.fold {
-        fold_rows(
-            &ctx.tables[bag.table as usize],
-            bag.scratch.cxl.iter().map(|&(_, row, _)| row),
-            &mut bag.scratch.acc,
-        );
-    }
     // The gather loop is software-pipelined across bags; the run is
     // bound by fabric bandwidth (every row crosses the host link,
     // which is Pond's structural handicap), not by one bag's RTT.
@@ -461,10 +465,7 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
 /// host.
 fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (SimTime, SimTime) {
     let row_bytes = ctx.cfg.model.row_bytes();
-    let dim = ctx.cfg.model.emb_dim as usize;
-    let fold = ctx.fold;
     let host_idx = bag.host_idx;
-    let table = bag.table;
     let host_switch = ctx.topo.host_switch(host_idx);
     let local_sw_idx = host_switch.0 as usize;
     let cluster = ClusterId(*ctx.next_cluster);
@@ -492,6 +493,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             }
         }
     }
+    bag.scratch.n_groups = n_groups;
 
     // Host issues Configuration + one DataFetch per row on its
     // request link, then is free (asynchronous communication).
@@ -555,14 +557,9 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     // The local switch opens the cluster when the Configuration lands
     // (the ACR's `SumCandidateCount` is the bag's CXL row count, split into one
     // sub-cluster per switch group). Each group accumulates its
-    // sub-cluster and the local forward controller folds the partials,
-    // in group order, into `merged`; the result is ready once the
-    // slowest partial has landed.
+    // sub-cluster and the local forward controller merges the partials;
+    // the result is ready once the slowest partial has landed.
     let mut final_done = config_arrival;
-    if fold {
-        bag.scratch.merged.clear();
-        bag.scratch.merged.resize(dim, 0.0f32);
-    }
     for (sid, group) in &bag.scratch.by_switch[..n_groups] {
         // §IV-C2 versatility: a remote switch without a process core
         // (CNV = 0) cannot accumulate — the local switch does all the
@@ -596,7 +593,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
                 // Raw row crosses to the computing (local) switch.
                 data_ready = data_ready
                     + ctx.topo.hop_latency(*sid, host_switch)
-                    + SimDuration::from_ns(row_bytes / ctx.cfg.cxl.link_gbps.max(1) + 1);
+                    + SimDuration::from_ns(row_bytes / ctx.cfg.cxl.link_gbps + 1);
             }
             let folded = ctx.switches[s_idx].engine.process_row(data_ready, cluster);
             sub_last = sub_last.max(folded);
@@ -609,25 +606,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             SimDuration::ZERO
         };
         final_done = final_done.max(sub_last + hop);
-        if fold {
-            // The sub-cluster's rows fold in group order, and the
-            // partial adds into `merged`.
-            bag.scratch.sub_acc.clear();
-            bag.scratch.sub_acc.resize(dim, 0.0f32);
-            fold_rows(
-                &ctx.tables[table as usize],
-                group.iter().map(|&i| bag.scratch.cxl[i].1),
-                &mut bag.scratch.sub_acc,
-            );
-            for (m, &v) in bag.scratch.merged.iter_mut().zip(&bag.scratch.sub_acc) {
-                *m += v;
-            }
-        }
-    }
-    if fold {
-        for (a, &v) in bag.scratch.acc.iter_mut().zip(&bag.scratch.merged) {
-            *a += v;
-        }
     }
 
     // Result returns to the reserved host address via CXL.cache D2H;
@@ -658,7 +636,7 @@ mod tests {
         (acc, rounded)
     }
 
-    /// The sequential f64 sum `finalize` used to take.
+    /// The sequential f64 sum of `acc`.
     fn sequential(acc: &[f32]) -> f64 {
         acc.iter().map(|&x| f64::from(x)).sum()
     }

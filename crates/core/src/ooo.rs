@@ -48,7 +48,7 @@ impl AccumEngine {
         assert!(dim > 0, "dimension must be positive");
         AccumEngine {
             ooo,
-            row_ns: (dim as u64).div_ceil(64).max(1),
+            row_ns: (dim as u64).div_ceil(64),
             busy_until: SimTime::ZERO,
             current: None,
             stalls: 0,

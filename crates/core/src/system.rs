@@ -27,7 +27,7 @@ use tracegen::Trace;
 use crate::engine::config::page_align;
 use crate::engine::metrics::MeasureWindow;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCounts, EpochCtx};
-use crate::engine::pipeline::{process_bag, BagScratch, EngineCtx};
+use crate::engine::pipeline::{fold_bag, process_bag, BagScratch, EngineCtx};
 use crate::engine::serving::{
     assert_rows_fit, LatencyWindows, OpenLoopSession, QueryBatcher, TaggedQuerySource,
     TraceArrivals,
@@ -542,7 +542,7 @@ impl SlsSystem {
         bag: impl Fn(u32, u32) -> &'a [u64],
         mut on_bag: impl FnMut(u32, SimTime),
     ) -> SimTime {
-        let (mut ctx, scratch) = self.engine_ctx(&mut measure.metrics, measure.fold);
+        let (mut ctx, scratch) = self.engine_ctx(&mut measure.metrics);
         let mut batch_done = start;
         for items in parts {
             let mut core_free = start;
@@ -557,6 +557,10 @@ impl SlsSystem {
                         item.table,
                         bag(sample, item.table),
                     );
+                    if measure.fold {
+                        let table = &ctx.tables[item.table as usize];
+                        ctx.metrics.checksum += fold_bag(ctx.cfg.compute, table, scratch);
+                    }
                     core_free = free;
                     batch_done = batch_done.max(done);
                     on_bag(sample, done);
@@ -664,12 +668,10 @@ impl SlsSystem {
     }
 
     /// A split-borrow view for the per-bag pipeline stages, charging
-    /// `metrics` (and folding checksums when `fold` is set), plus the
-    /// bag scratch the stages borrow.
+    /// `metrics`, plus the bag scratch the stages borrow.
     fn engine_ctx<'a>(
         &'a mut self,
         metrics: &'a mut RunMetrics,
-        fold: bool,
     ) -> (EngineCtx<'a>, &'a mut BagScratch) {
         let ctx = EngineCtx {
             cfg: &self.cfg,
@@ -685,7 +687,6 @@ impl SlsSystem {
             epoch_counts: &mut self.epoch_counts,
             metrics,
             next_cluster: &mut self.next_cluster,
-            fold,
         };
         (ctx, &mut self.scratch)
     }
