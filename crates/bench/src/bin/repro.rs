@@ -136,7 +136,7 @@ fn sweep(runner: &SweepRunner, args: &[String]) {
             die(&format!("--param {key}: empty value in {vals:?}"));
         }
         let values: Vec<ParamValue> = vals.split(',').map(ParamValue::parse).collect();
-        validate_axis_values(key, &values);
+        validate_axis_values(id, key, &values);
         overridden = true;
         if let Some(spec) = specs.iter_mut().find(|s| s.name == key) {
             spec.values = values;
@@ -203,8 +203,9 @@ fn scenario_rows_json(rows: &[pifs_bench::scenario::ResultRow]) -> serde_json::V
 /// before any simulation starts, so typos and degenerate values
 /// (`batch_size=0`) die with a clean message — the parser's own, where
 /// the spelling has structure — instead of panicking inside a worker
-/// thread.
-fn validate_axis_values(key: &str, values: &[ParamValue]) {
+/// thread. Scenario `id`'s `dim` axis is also held to its model's
+/// exact-sum bound.
+fn validate_axis_values(id: &str, key: &str, values: &[ParamValue]) {
     for value in values {
         let spelled = value.to_string();
         let why = match key {
@@ -247,7 +248,13 @@ fn validate_axis_values(key: &str, values: &[ParamValue]) {
             // anchor, and zero replicas is the unreplicated baseline).
             "nodes" | "devices" | "switches" => int_in(value, 1, u16::MAX.into()),
             "hosts" => int_in(value, 0, u16::MAX.into()),
-            "batch" | "cores" | "dim" => int_in(value, 1, u32::MAX.into()),
+            "batch" | "cores" => int_in(value, 1, u32::MAX.into()),
+            "dim" => int_in(value, 1, u32::MAX.into()).or_else(|| match value {
+                ParamValue::U64(dim) => {
+                    pifs_bench::scenarios::characterization::dim_axis_err(id, *dim as u32)
+                }
+                _ => None,
+            }),
             "replicas" => int_in(value, 0, u32::MAX.into()),
             "duration_s" => int_in(value, 0, pifs_bench::scenarios::diurnal::MAX_DURATION_S),
             _ => None, // scenario-specific; checked by its run function

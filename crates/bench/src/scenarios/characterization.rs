@@ -9,6 +9,47 @@ use serde_json::{json, Value};
 
 use crate::scenario::{point_seed, GridScenario, ParamSpec, ParamValue, Point, ResultRow};
 
+/// Fig 5's model: 8 tables of `rows` rows of `emb_dim` elements, bags
+/// of 8.
+fn fig5_model(emb_dim: u32, rows: u64) -> ModelConfig {
+    ModelConfig {
+        name: format!("char-{emb_dim}d"),
+        emb_num: rows,
+        emb_dim,
+        n_tables: 8,
+        bag_size: 8,
+        ..ModelConfig::rmc1()
+    }
+}
+
+/// Fig 6's model: RMC2's shape over 8 192 rows of `dim` elements.
+fn fig6_model(cores: u32, dim: u32) -> ModelConfig {
+    ModelConfig {
+        name: format!("{cores}c{dim}d"),
+        emb_num: 8192,
+        emb_dim: dim,
+        ..ModelConfig::rmc2()
+    }
+}
+
+/// Why `dim` cannot be a value of scenario `id`'s `dim` axis: a bag of
+/// the scenario's model at that dimension breaks the exact-sum bound
+/// its SLS stage asserts per bag (rows × dim < 2³¹,
+/// [`dlrm::sls::exact_sum_fits`]). `None` when the bag fits, or when
+/// `id` has no `dim` axis.
+pub fn dim_axis_err(id: &str, dim: u32) -> Option<String> {
+    let bag = match id {
+        "fig5" => fig5_model(dim, 1).bag_size,
+        "fig6" => fig6_model(1, dim).bag_size,
+        _ => return None,
+    };
+    (!dlrm::sls::exact_sum_fits(bag.into(), dim)).then(|| {
+        format!(
+            "{id}: a bag of {bag} rows at dim {dim} breaks the exact-sum bound (rows × dim < 2³¹)"
+        )
+    })
+}
+
 /// Characterization base: host-compute lookups over a given placement.
 fn characterization_cfg(
     emb_dim: u32,
@@ -16,15 +57,7 @@ fn characterization_cfg(
     placement: InitialPlacement,
     threading: ThreadingMode,
 ) -> SystemConfig {
-    let model = ModelConfig {
-        name: format!("char-{emb_dim}d"),
-        emb_num: rows,
-        emb_dim,
-        n_tables: 8,
-        bag_size: 8,
-        ..ModelConfig::rmc1()
-    };
-    let mut cfg = SystemConfig::pond(model);
+    let mut cfg = SystemConfig::pond(fig5_model(emb_dim, rows));
     cfg.placement = placement;
     cfg.threading = threading;
     cfg.local_capacity_frac = 1.1; // capacity never binds in Fig 5
@@ -144,13 +177,7 @@ pub static FIG6: GridScenario = GridScenario {
     run: |p| {
         let cores: u32 = p.int("cores");
         let dim: u32 = p.int("dim");
-        let model = ModelConfig {
-            name: format!("{cores}c{dim}d"),
-            emb_num: 8192,
-            emb_dim: dim,
-            ..ModelConfig::rmc2()
-        };
-        let mut cfg = SystemConfig::pond(model);
+        let mut cfg = SystemConfig::pond(fig6_model(cores, dim));
         cfg.placement = InitialPlacement::CxlFraction { cxl_frac: 0.2 };
         cfg.cores_per_host = cores;
         cfg.local_capacity_frac = 1.1;

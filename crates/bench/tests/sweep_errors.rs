@@ -310,6 +310,35 @@ fn out_of_range_scenario_axes_die_instead_of_wrapping() {
 }
 
 #[test]
+fn a_dim_past_the_exact_sum_bound_dies_before_any_worker_runs() {
+    // `dim=400000000` fits the u32 axis, but a bag of 8 rows at that
+    // dimension holds 3.2e9 terms: the SLS stage's per-bag assert used
+    // to panic a worker and exit 101. 2²⁸ = 2³¹ / 8 is the first dim
+    // that breaks the bound for both scenarios' bags of 8.
+    for (id, dim) in [
+        ("fig5", "400000000"),
+        ("fig5", "268435456"),
+        ("fig6", "268435456"),
+    ] {
+        assert_dies(
+            &[
+                "--threads",
+                "1",
+                "sweep",
+                id,
+                "--param",
+                &format!("dim={dim}"),
+            ],
+            &[
+                "--param dim",
+                "a bag of 8 rows",
+                "exact-sum bound (rows × dim < 2³¹)",
+            ],
+        );
+    }
+}
+
+#[test]
 fn the_cli_still_answers_when_asked_politely() {
     let out = repro(&["list"]);
     assert_eq!(out.status.code(), Some(0), "repro list must succeed");

@@ -13,6 +13,15 @@
 //! heap memory. The same hash, stopped at its integer mantissas, gives a
 //! row's exact element sum in closed form
 //! ([`EmbeddingTable::row_sum_exact`]).
+//!
+//! On the AVX2 tier the hash has no multiply per element. Within a
+//! 256-element chunk an element index only flips the low 8 bits of the
+//! row's premixed base, so each element's 64-bit product is one scalar
+//! product per chunk plus an entry of a 16 KiB table of multiples built
+//! at compile time, added in 8×u32 lanes with the carry taken by a
+//! compare (`RowHashAvx2`). The fused fold, the mantissa sum and the
+//! value block all run that one kernel, at every dim and offset, and
+//! match the scalar hash bit for bit.
 
 /// Procedural value of element `elem` of row `row` of table `id`: a
 /// deterministic hash mapped into `[-1, 1)` with 2^-23 granularity so
@@ -86,133 +95,224 @@ fn row_sum_from_mantissas(mantissas: u64, dim: u32) -> f64 {
     units as f64 * (1.0 / (1u64 << 22) as f64)
 }
 
-/// Row-constant registers of the vectorized hash: everything
-/// [`raw_value_block`]'s identities hoist out of the element loop, in
-/// vector form, shared by the fill and the fused-fold kernels.
+/// Elements one row-hash chunk covers (`2^CHUNK_BITS`): within a chunk
+/// the element index only touches the premixed base's low
+/// `CHUNK_BITS` bits, so the hash becomes one table add per element
+/// (see [`RowHashAvx2`]).
 #[cfg(target_arch = "x86_64")]
-struct RowMixAvx2 {
-    pre_v: core::arch::x86_64::__m256i,
-    hi_v: core::arch::x86_64::__m256i,
-    c_lo: core::arch::x86_64::__m256i,
-    c_hi: core::arch::x86_64::__m256i,
-    scale: core::arch::x86_64::__m256,
-    one: core::arch::x86_64::__m256,
-    narrow: core::arch::x86_64::__m256i,
+const CHUNK_BITS: u32 = 8;
+
+#[cfg(target_arch = "x86_64")]
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// The multiples `K[j] = j·MIX mod 2⁶⁴`, `j < CHUNK`, as u32 halves,
+/// stored once per xor mask `m` of the low three bits: `lo[m][j]` and
+/// `hi[m][j]` are the halves of `K[j ^ m]`. An 8-lane block of a row
+/// whose premixed base ends in `m` is then 8 contiguous entries of each
+/// half (two 32-byte loads, no lane shuffle). 16 KiB in all.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(32))]
+struct MixTable {
+    lo: [[u32; CHUNK]; 8],
+    hi: [[u32; CHUNK]; 8],
 }
 
 #[cfg(target_arch = "x86_64")]
-impl RowMixAvx2 {
+impl MixTable {
+    const fn new() -> Self {
+        let mut t = MixTable {
+            lo: [[0; CHUNK]; 8],
+            hi: [[0; CHUNK]; 8],
+        };
+        let mut m = 0;
+        while m < 8 {
+            let mut j = 0;
+            while j < CHUNK {
+                let k = ((j ^ m) as u64).wrapping_mul(MIX);
+                t.lo[m][j] = k as u32;
+                t.hi[m][j] = (k >> 32) as u32;
+                j += 1;
+            }
+            m += 1;
+        }
+        t
+    }
+}
+
+/// Built at compile time: no runtime state, no heap.
+#[cfg(target_arch = "x86_64")]
+static MIX_TABLE: MixTable = MixTable::new();
+
+/// One row's multiply-free AVX2 hash.
+///
+/// A mantissa is `((pre ^ e)·MIX mod 2⁶⁴) >> 41` (see
+/// [`raw_value_block`]). Split `pre ^ c·CHUNK` into `H_c`, its low
+/// `CHUNK_BITS` bits cleared, and `L = pre mod CHUNK`. Element
+/// `e = c·CHUNK + e'` with `e' < CHUNK` then has
+/// `pre ^ e = H_c + (L ^ e')`, so its product is
+/// `A_c + K[L ^ e']` with `A_c = H_c·MIX` (one scalar multiply per
+/// chunk) and `K` the compile-time [`MixTable`]. For an 8-aligned `e'`
+/// the eight lanes `L ^ (e' + i)` are `(L − m) ^ e'` plus `m ^ i`, with
+/// `m = L mod 8`: the mask-`m` copy of the table, read contiguously.
+#[cfg(target_arch = "x86_64")]
+struct RowHashAvx2 {
+    pre: u64,
+    /// The halves of `K`, in the row's xor-mask copy.
+    lo: &'static [u32; CHUNK],
+    hi: &'static [u32; CHUNK],
+    /// `L` with its low three bits cleared.
+    base: usize,
+}
+
+/// A chunk's constant `A_c`, as broadcast u32 halves (the high one plus
+/// one, see [`RowHashAvx2::mantissas8`]).
+#[cfg(target_arch = "x86_64")]
+struct ChunkMix {
+    a_lo: core::arch::x86_64::__m256i,
+    a_hi1: core::arch::x86_64::__m256i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RowHashAvx2 {
     #[inline]
-    #[target_feature(enable = "avx2")]
     fn new(id: u32, row: u64) -> Self {
-        use core::arch::x86_64::*;
         let pre = premixed(id, row);
-        // h_hi·C_lo: constant across the row because elem xors only h_lo.
-        let hi_part = (pre >> 32).wrapping_mul(MIX & 0xFFFF_FFFF);
-        RowMixAvx2 {
-            pre_v: _mm256_set1_epi64x(pre as i64),
-            hi_v: _mm256_set1_epi64x(hi_part as i64),
-            c_lo: _mm256_set1_epi64x((MIX & 0xFFFF_FFFF) as i64),
-            c_hi: _mm256_set1_epi64x((MIX >> 32) as i64),
-            scale: _mm256_set1_ps(2.0 / (1u32 << 23) as f32),
-            one: _mm256_set1_ps(1.0),
-            // Gathers the low dword of each u64 lane into the low 128 bits.
-            narrow: _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0),
+        let low = pre as usize % CHUNK;
+        let m = low % 8;
+        RowHashAvx2 {
+            pre,
+            lo: &MIX_TABLE.lo[m],
+            hi: &MIX_TABLE.hi[m],
+            base: low - m,
         }
     }
 
-    /// The eight mantissas of `raw_value(id, row, e .. e + 8)`, as two
-    /// 4×u64 vectors (elements `e .. e + 4`, then `e + 4 .. e + 8`).
-    ///
-    /// The 64×64→64 multiply AVX2 lacks is built from `vpmuludq`
-    /// 32×32→64 partial products:
-    /// `h·C mod 2^64 = h_lo·C_lo + ((h_lo·C_hi + h_hi·C_lo) << 32)` — and
-    /// because `e` only perturbs the low dword of the premixed base,
-    /// `h_hi·C_lo` is one more per-row constant hoisted out of the loop,
-    /// leaving two multiplies per vector. Integer ops only, so each lane
-    /// is exactly [`raw_value_block`]'s mantissa.
+    /// `A_c` of chunk `c` (elements `c·CHUNK ..`).
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn mantissas8(&self, e: u64) -> (core::arch::x86_64::__m256i, core::arch::x86_64::__m256i) {
+    fn chunk(&self, c: u64) -> ChunkMix {
         use core::arch::x86_64::*;
-        let ev = _mm256_set1_epi64x(e as i64);
-        let h0 = _mm256_xor_si256(
-            self.pre_v,
-            _mm256_add_epi64(ev, _mm256_setr_epi64x(0, 1, 2, 3)),
-        );
-        let h1 = _mm256_xor_si256(
-            self.pre_v,
-            _mm256_add_epi64(ev, _mm256_setr_epi64x(4, 5, 6, 7)),
-        );
-        // p = h·C mod 2^64, then mantissa = p >> 41 (see raw_value_block).
-        let lo0 = _mm256_mul_epu32(h0, self.c_lo);
-        let lo1 = _mm256_mul_epu32(h1, self.c_lo);
-        let mid0 = _mm256_add_epi64(_mm256_mul_epu32(h0, self.c_hi), self.hi_v);
-        let mid1 = _mm256_add_epi64(_mm256_mul_epu32(h1, self.c_hi), self.hi_v);
-        let p0 = _mm256_add_epi64(lo0, _mm256_slli_epi64(mid0, 32));
-        let p1 = _mm256_add_epi64(lo1, _mm256_slli_epi64(mid1, 32));
-        (_mm256_srli_epi64(p0, 41), _mm256_srli_epi64(p1, 41))
+        let h = (self.pre ^ (c << CHUNK_BITS)) & !(CHUNK as u64 - 1);
+        let a = h.wrapping_mul(MIX);
+        ChunkMix {
+            a_lo: _mm256_set1_epi32(a as u32 as i32),
+            a_hi1: _mm256_set1_epi32(((a >> 32) as u32).wrapping_add(1) as i32),
+        }
     }
 
-    /// The eight values `raw_value(id, row, e .. e + 8)` as one vector:
-    /// [`Self::mantissas8`] narrowed to one 8×u32 vector and converted
-    /// with `vcvtdq2ps` (exact: mantissas are 23 bits), then the same
-    /// IEEE single-rounded `·scale − 1` per lane as the scalar code —
-    /// bit-identical to [`raw_value_block`].
+    /// The eight mantissas of the chunk's elements `g .. g + 8` (`g` an
+    /// 8-aligned chunk offset) as 8×u32 lanes: bits 41–63 of
+    /// `A_c + K[..]`. The low halves add; the carry out of them is
+    /// `sum < a_lo`, read as `max(sum, a_lo) == sum` (all ones when
+    /// there is *no* carry); the high halves then add as
+    /// `(a_hi + 1) + k_hi + no_carry`, and bit 41 is bit 9 of the high
+    /// half. Integer ops only, so each lane is exactly
+    /// [`raw_value_block`]'s mantissa.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn values8(&self, e: u64) -> core::arch::x86_64::__m256 {
+    fn mantissas8(&self, a: &ChunkMix, g: usize) -> core::arch::x86_64::__m256i {
         use core::arch::x86_64::*;
-        let (m0, m1) = self.mantissas8(e);
-        let n0 = _mm256_permutevar8x32_epi32(m0, self.narrow);
-        let n1 = _mm256_permutevar8x32_epi32(m1, self.narrow);
-        let packed = _mm256_inserti128_si256(n0, _mm256_castsi256_si128(n1), 1);
-        let f = _mm256_cvtepi32_ps(packed);
-        _mm256_sub_ps(_mm256_mul_ps(f, self.scale), self.one)
+        // A multiple of 8 at most CHUNK − 8 (both operands already are;
+        // the mask lets the bounds checks fold).
+        let j = (self.base ^ g) & (CHUNK - 8);
+        let (k_lo, k_hi) = (&self.lo[j..j + 8], &self.hi[j..j + 8]);
+        // SAFETY: each slice is 8 u32s, 32 bytes; the loads are unaligned.
+        let (k_lo, k_hi) = unsafe {
+            (
+                _mm256_loadu_si256(k_lo.as_ptr().cast()),
+                _mm256_loadu_si256(k_hi.as_ptr().cast()),
+            )
+        };
+        let lo = _mm256_add_epi32(a.a_lo, k_lo);
+        let no_carry = _mm256_cmpeq_epi32(_mm256_max_epu32(lo, a.a_lo), lo);
+        let hi = _mm256_add_epi32(_mm256_add_epi32(a.a_hi1, k_hi), no_carry);
+        _mm256_srli_epi32(hi, 9)
+    }
+
+    /// The eight values of [`Self::mantissas8`]'s elements: the float
+    /// with bits `0x4000_0000 | m` is `2 + m·2⁻²²`, exactly, and
+    /// subtracting 3 leaves `m·2⁻²² − 1` exactly — the scalar
+    /// `m·(2/2²³) − 1`, bit for bit (a zero is `+0.0` in both).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn values8(&self, a: &ChunkMix, g: usize) -> core::arch::x86_64::__m256 {
+        use core::arch::x86_64::*;
+        let m = self.mantissas8(a, g);
+        let two_plus = _mm256_castsi256_ps(_mm256_or_si256(m, _mm256_set1_epi32(0x4000_0000)));
+        _mm256_sub_ps(two_plus, _mm256_set1_ps(3.0))
     }
 }
 
-/// [`raw_value_block`] with the multiply hand-vectorized for the 8-lane
-/// dispatch tier (LLVM does not auto-vectorize 64-bit multiplies); see
-/// [`RowMixAvx2::values8`] for the vector decomposition.
+/// [`raw_value_block`] on the AVX2 tier: [`RowHashAvx2::values8`] per
+/// 8-aligned element group, any `elem0` and length. A group the range
+/// cuts is computed whole and only its lanes in range are kept.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn raw_value_block_avx2(id: u32, row: u64, elem0: u32, out: &mut [f32]) {
     use core::arch::x86_64::*;
-    let mix = RowMixAvx2::new(id, row);
-    let mut e = elem0 as u64;
-    let mut blocks = out.chunks_exact_mut(8);
-    for block in &mut blocks {
-        let v = mix.values8(e);
-        // SAFETY: `block` is a chunk of exactly 8 f32s.
-        unsafe { _mm256_storeu_ps(block.as_mut_ptr(), v) };
+    let hash = RowHashAvx2::new(id, row);
+    let start = u64::from(elem0);
+    let end = start + out.len() as u64;
+    let mut e = start & !7;
+    let mut a = hash.chunk(e >> CHUNK_BITS);
+    while e < end {
+        let g = e as usize % CHUNK;
+        if g == 0 {
+            a = hash.chunk(e >> CHUNK_BITS);
+        }
+        let v = hash.values8(&a, g);
+        let (lo, hi) = (e.max(start), (e + 8).min(end));
+        let dst = &mut out[(lo - start) as usize..(hi - start) as usize];
+        if dst.len() == 8 {
+            // SAFETY: `dst` is 8 f32s, 32 bytes; the store is unaligned.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) };
+        } else {
+            let mut buf = [0.0f32; 8];
+            // SAFETY: `buf` is 8 f32s, 32 bytes; the store is unaligned.
+            unsafe { _mm256_storeu_ps(buf.as_mut_ptr(), v) };
+            dst.copy_from_slice(&buf[(lo - e) as usize..(hi - e) as usize]);
+        }
         e += 8;
-    }
-    let tail = blocks.into_remainder();
-    if !tail.is_empty() {
-        raw_value_block(id, row, e as u32, tail);
     }
 }
 
 /// [`raw_mantissa_sum`] over a whole row of `dim` elements on the AVX2
-/// tier: [`RowMixAvx2::mantissas8`] summed in u64 lanes, no float work,
-/// and the `dim % 8` tail through the portable identity. Integer sums
-/// are exact in any order, so the total equals the portable one.
+/// tier: [`RowHashAvx2::mantissas8`] summed in u32 lanes per chunk
+/// (each lane takes at most `CHUNK / 8` mantissas below 2²³, so the
+/// chunk's eight lanes total under 2³¹) and widened to u64 per chunk.
+/// A chunk's last group, if cut by `dim`, keeps its lanes in range.
+/// Integer sums are exact in any order, so the total equals the
+/// portable one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn raw_mantissa_sum_avx2(id: u32, row: u64, dim: u32) -> u64 {
     use core::arch::x86_64::*;
-    let mix = RowMixAvx2::new(id, row);
-    let body = dim & !7;
-    let mut acc = _mm256_setzero_si256();
-    for e in (0..u64::from(body)).step_by(8) {
-        let (m0, m1) = mix.mantissas8(e);
-        acc = _mm256_add_epi64(acc, _mm256_add_epi64(m0, m1));
+    let hash = RowHashAvx2::new(id, row);
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut total = 0u64;
+    for c in 0..u64::from(dim).div_ceil(CHUNK as u64) {
+        let a = hash.chunk(c);
+        let len = (u64::from(dim) - c * CHUNK as u64).min(CHUNK as u64) as usize;
+        let body = len & !7;
+        let mut acc = _mm256_setzero_si256();
+        for g in (0..body).step_by(8) {
+            acc = _mm256_add_epi32(acc, hash.mantissas8(&a, g));
+        }
+        if body < len {
+            let keep = _mm256_cmpgt_epi32(_mm256_set1_epi32((len - body) as i32), lane);
+            acc = _mm256_add_epi32(acc, _mm256_and_si256(keep, hash.mantissas8(&a, body)));
+        }
+        // The eight lanes' total, folded in halves: under 2³¹, so no
+        // u32 step wraps.
+        let x = _mm_add_epi32(
+            _mm256_castsi256_si128(acc),
+            _mm256_extracti128_si256::<1>(acc),
+        );
+        let x = _mm_add_epi32(x, _mm_shuffle_epi32::<0b01_00_11_10>(x));
+        let x = _mm_add_epi32(x, _mm_shuffle_epi32::<0b10_11_00_01>(x));
+        total += u64::from(_mm_cvtsi128_si32(x) as u32);
     }
-    let mut lanes = [0u64; 4];
-    // SAFETY: `lanes` is 32 bytes; the store is unaligned.
-    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
-    lanes.iter().sum::<u64>() + raw_mantissa_sum(id, row, body..dim)
+    total
 }
 
 /// Fused hash+fold of one whole procedural row on the AVX2 tier:
@@ -220,31 +320,36 @@ fn raw_mantissa_sum_avx2(id: u32, row: u64, dim: u32) -> u64 {
 /// intermediate value buffer. Per element this is the same two
 /// separately-rounded IEEE ops (`mul`, then `add`) as the scalar fold —
 /// FMA is never enabled, contraction would change the rounding — so the
-/// result is bit-identical to the scalar reference.
+/// result is bit-identical to the scalar reference. A last group cut by
+/// the row's end folds through an 8-lane stack copy.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn raw_fold_row_avx2(id: u32, row: u64, acc: &mut [f32], w: f32) {
     use core::arch::x86_64::*;
-    let mix = RowMixAvx2::new(id, row);
+    let hash = RowHashAvx2::new(id, row);
     let wv = _mm256_set1_ps(w);
-    let mut e = 0u64;
-    let mut blocks = acc.chunks_exact_mut(8);
-    for block in &mut blocks {
-        let v = mix.values8(e);
-        // SAFETY: `block` is a chunk of exactly 8 f32s.
-        unsafe {
-            let a = _mm256_loadu_ps(block.as_ptr());
-            _mm256_storeu_ps(block.as_mut_ptr(), _mm256_add_ps(a, _mm256_mul_ps(wv, v)));
+    for (c, chunk) in (0u64..).zip(acc.chunks_mut(CHUNK)) {
+        let a = hash.chunk(c);
+        let body = chunk.len() & !7;
+        let (whole, tail) = chunk.split_at_mut(body);
+        for (g, block) in (0..).step_by(8).zip(whole.chunks_exact_mut(8)) {
+            let v = hash.values8(&a, g);
+            // SAFETY: `block` is 8 f32s, 32 bytes; the accesses are unaligned.
+            unsafe {
+                let sum = _mm256_add_ps(_mm256_loadu_ps(block.as_ptr()), _mm256_mul_ps(wv, v));
+                _mm256_storeu_ps(block.as_mut_ptr(), sum);
+            }
         }
-        e += 8;
-    }
-    let tail = blocks.into_remainder();
-    if !tail.is_empty() {
-        let mut buf = [0.0f32; 7];
-        let vals = &mut buf[..tail.len()];
-        raw_value_block(id, row, e as u32, vals);
-        for (slot, &v) in tail.iter_mut().zip(vals.iter()) {
-            *slot += w * v;
+        if !tail.is_empty() {
+            let mut buf = [0.0f32; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            let v = hash.values8(&a, body);
+            // SAFETY: `buf` is 8 f32s, 32 bytes; the accesses are unaligned.
+            unsafe {
+                let sum = _mm256_add_ps(_mm256_loadu_ps(buf.as_ptr()), _mm256_mul_ps(wv, v));
+                _mm256_storeu_ps(buf.as_mut_ptr(), sum);
+            }
+            tail.copy_from_slice(&buf[..tail.len()]);
         }
     }
 }
@@ -466,37 +571,81 @@ mod tests {
         }
     }
 
+    /// `(table, row)` pairs over the whole id and row ranges whose
+    /// premixed bases end in every xor mask of the low three bits (so
+    /// every copy of the AVX2 table is read) and in both a low and a
+    /// high half of a chunk.
+    fn hash_rows() -> Vec<(u32, u64)> {
+        let mut rows: Vec<(u32, u64)> = [0u32, 6, 0x8000_0001, u32::MAX]
+            .into_iter()
+            .flat_map(|id| {
+                [0u64, 1, 7, 0x5555_5555_5555_5555, u64::MAX - 1, u64::MAX].map(|r| (id, r))
+            })
+            .collect();
+        rows.extend((0..16).map(|r| (6, r)));
+        let masks: std::collections::BTreeSet<u64> =
+            rows.iter().map(|&(id, r)| premixed(id, r) % 8).collect();
+        assert_eq!(masks.len(), 8, "every xor mask is covered");
+        let halves: std::collections::BTreeSet<u64> = rows
+            .iter()
+            .map(|&(id, r)| premixed(id, r) % 256 / 128)
+            .collect();
+        assert_eq!(halves.len(), 2, "both chunk halves are covered");
+        rows
+    }
+
     #[test]
     fn every_hash_tier_matches_elementwise_values() {
         // The portable fill, the AVX2 fill and the fused AVX2 fold are
         // each called directly, so the tier this CPU does not dispatch
-        // stays checked too.
-        let (id, row) = (6u32, 7u64);
-        for (e0, len) in [(0u32, 100usize), (0, 1), (3, 29), (64, 36), (99, 1)] {
-            let want: Vec<f32> = (e0..e0 + len as u32)
-                .map(|e| raw_value(id, row, e))
-                .collect();
-            let mut got = vec![0.0f32; len];
-            raw_value_block(id, row, e0, &mut got);
-            assert_eq!(got, want, "portable fill diverged at {e0}+{len}");
-            #[cfg(target_arch = "x86_64")]
-            if crate::sls::simd::avx2_detected() {
-                // SAFETY: the CPU supports AVX2.
-                unsafe { raw_value_block_avx2(id, row, e0, &mut got) };
-                assert_eq!(got, want, "AVX2 fill diverged at {e0}+{len}");
-            }
-        }
+        // stays checked too. Every dim from 1 to 300 crosses the AVX2
+        // hash's 256-element chunk; the blocks start off the 8-lane grid
+        // and end past chunk boundaries, the last ones at the top of the
+        // u32 element range.
         #[cfg(target_arch = "x86_64")]
-        if crate::sls::simd::avx2_detected() {
-            for (dim, w) in (1usize..=256).flat_map(|d| [(d, 1.0f32), (d, -1.25)]) {
-                let mut want = vec![0.5f32; dim];
-                for (e, slot) in want.iter_mut().enumerate() {
-                    *slot += w * raw_value(id, row, e as u32);
+        let avx2 = crate::sls::simd::avx2_detected();
+        let blocks = [
+            (0u32, 300usize),
+            (3, 29),
+            (250, 12),
+            (255, 1),
+            (256, 8),
+            (249, 300),
+            (u32::MAX - 300, 300),
+            (u32::MAX - 5, 5),
+        ];
+        for (id, row) in hash_rows() {
+            for (e0, len) in blocks {
+                let want: Vec<f32> = (e0..e0 + len as u32)
+                    .map(|e| raw_value(id, row, e))
+                    .collect();
+                let mut got = vec![0.0f32; len];
+                raw_value_block(id, row, e0, &mut got);
+                assert_eq!(got, want, "portable fill diverged at {id}/{row} {e0}+{len}");
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    got.fill(0.0);
+                    // SAFETY: the CPU supports AVX2.
+                    unsafe { raw_value_block_avx2(id, row, e0, &mut got) };
+                    assert_eq!(got, want, "AVX2 fill diverged at {id}/{row} {e0}+{len}");
                 }
-                let mut got = vec![0.5f32; dim];
-                // SAFETY: the CPU supports AVX2.
-                unsafe { raw_fold_row_avx2(id, row, &mut got, w) };
-                assert_eq!(got, want, "fused AVX2 fold diverged at dim {dim}, w {w}");
+            }
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                let vals: Vec<f32> = (0..300).map(|e| raw_value(id, row, e)).collect();
+                for (dim, w) in (1usize..=300).flat_map(|d| [(d, 1.0f32), (d, -1.25)]) {
+                    let mut want = vec![0.5f32; dim];
+                    for (slot, &v) in want.iter_mut().zip(&vals) {
+                        *slot += w * v;
+                    }
+                    let mut got = vec![0.5f32; dim];
+                    // SAFETY: the CPU supports AVX2.
+                    unsafe { raw_fold_row_avx2(id, row, &mut got, w) };
+                    assert_eq!(
+                        got, want,
+                        "fused AVX2 fold diverged at {id}/{row}, dim {dim}, w {w}"
+                    );
+                }
             }
         }
     }
@@ -504,13 +653,34 @@ mod tests {
     #[test]
     fn row_sum_tiers_match_the_exact_fold() {
         // The portable and AVX2 mantissa sums are each called directly,
-        // so the tier this CPU does not dispatch stays checked too. The
-        // reference is the elementwise exact fold summed in element order.
+        // so the tier this CPU does not dispatch stays checked too, at
+        // every dim from 1 to 300. The references are the mantissas of
+        // the scalar `raw_value` and the elementwise exact fold summed in
+        // element order.
+        for (id, row) in hash_rows() {
+            let mantissas: Vec<u64> = (0..300)
+                .map(|e| ((raw_value(id, row, e) + 1.0) * (1u32 << 22) as f32) as u64)
+                .collect();
+            for dim in 1u32..=300 {
+                let want: u64 = mantissas[..dim as usize].iter().sum();
+                assert_eq!(
+                    raw_mantissa_sum(id, row, 0..dim),
+                    want,
+                    "portable, {id}/{row} dim {dim}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if crate::sls::simd::avx2_detected() {
+                    // SAFETY: the CPU supports AVX2.
+                    let wide = unsafe { raw_mantissa_sum_avx2(id, row, dim) };
+                    assert_eq!(wide, want, "AVX2 row sum diverged ({id}/{row}, dim {dim})");
+                }
+            }
+        }
         let tables = [
             EmbeddingTable::new(5, 1000, 1, 0),
             EmbeddingTable::new(u32::MAX, u64::MAX, 1, 0),
         ];
-        for dim in [1u32, 3, 7, 8, 9, 64, 100, 128] {
+        for dim in [1u32, 3, 7, 8, 9, 64, 100, 128, 255, 256, 257, 300] {
             for t in &tables {
                 let t = EmbeddingTable::new(t.id(), t.rows(), dim, 0);
                 let end = t.rows();
@@ -525,17 +695,6 @@ mod tests {
                         "portable row sum diverged (table {}, row {row}, dim {dim})",
                         t.id()
                     );
-                    #[cfg(target_arch = "x86_64")]
-                    if crate::sls::simd::avx2_detected() {
-                        // SAFETY: the CPU supports AVX2.
-                        let wide = unsafe { raw_mantissa_sum_avx2(t.id(), row, dim) };
-                        assert_eq!(
-                            row_sum_from_mantissas(wide, dim).to_bits(),
-                            want,
-                            "AVX2 row sum diverged (table {}, row {row}, dim {dim})",
-                            t.id()
-                        );
-                    }
                     assert_eq!(t.row_sum_exact(row).to_bits(), want);
                 }
             }

@@ -53,16 +53,31 @@ impl DetRng {
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a positive bound");
+        Self::below_of(self.next_u64(), bound)
+    }
+
+    /// [`below`](Self::below)'s map from one 64-bit word to `[0, bound)`
+    /// (`0` for a zero bound), for a caller that spends the same word
+    /// more than one way.
+    #[inline]
+    pub fn below_of(word: u64, bound: u64) -> u64 {
         // Lemire's multiply-shift rejection-free approximation is fine
         // here: the simulation does not need cryptographic uniformity and
         // bound ≪ 2^64 keeps bias negligible.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+        ((word as u128 * bound as u128) >> 64) as u64
     }
 
     /// Returns a uniform float in `[0, 1)`.
     #[inline]
     pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::unit_of(self.next_u64())
+    }
+
+    /// [`unit_f64`](Self::unit_f64)'s map from one 64-bit word to
+    /// `[0, 1)`: its top 53 bits, scaled.
+    #[inline]
+    pub fn unit_of(word: u64) -> f64 {
+        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns an exponential draw with the given `mean`, by inverting

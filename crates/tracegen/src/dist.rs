@@ -1,4 +1,15 @@
 //! Row-index distributions.
+//!
+//! A [`Sampler`] draws one table's row indices in batches
+//! ([`Sampler::fill`]); [`TraceSpec::generate`](crate::TraceSpec::generate)
+//! and [`QueryStream`](crate::QueryStream) draw a whole batch of a table
+//! per call. The three Zipf-backed families share one rank table per
+//! (exponent, rank count) in the process: a CDF with a guide table, so a
+//! draw's rank is found in its own small bucket, by a vector count of the
+//! bucket's entries on the AVX2 tier. The Meta-like family's reuse draw
+//! has no branch on its random coin. Neither changes a draw: the batched
+//! draws equal the per-draw sampler they replaced, bit for bit
+//! (`tests/fill_equivalence.rs` keeps that sampler as the reference).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -127,12 +138,12 @@ pub struct Sampler {
     zipf: Option<Arc<ZipfTable>>,
     /// Uniform: current stride position.
     stride_pos: u64,
-    /// MetaLike: recent accesses ring buffer.
-    recent: Vec<u64>,
-    recent_pos: usize,
+    /// MetaLike: the recently drawn rows.
+    window: ReuseWindow,
 }
 
-const RECENT_WINDOW: usize = 256;
+/// The `expect` message of a Zipf family's rank-table lookup.
+const HAS_TABLE: &str = "a Zipf family has a rank table";
 
 impl Sampler {
     /// Creates a sampler over `rows` rows with its own RNG stream.
@@ -148,73 +159,151 @@ impl Sampler {
             rng,
             zipf: zipf_table(dist, rows),
             stride_pos: 0,
-            recent: Vec::with_capacity(RECENT_WINDOW),
-            recent_pos: 0,
+            window: ReuseWindow::new(),
         }
     }
 
-    /// Draws the next row index.
-    pub fn next_index(&mut self) -> u64 {
-        let idx = match self.dist {
-            Distribution::Zipfian { .. } => self.draw_zipf(),
-            Distribution::ZipfianHead { .. } => self.draw_zipf_rank(),
-            Distribution::Normal { sigma_frac } => self.draw_normal(sigma_frac),
+    /// Appends the next `n` row indices to `out`, in draw order: the
+    /// stream continues where the last call left it, so `fill(a)` then
+    /// `fill(b)` draws what `fill(a + b)` does.
+    ///
+    /// The family is matched once per call, not per draw. When the CPU
+    /// has AVX2 the whole loop is compiled for it, so the Zipf rank's
+    /// vector search (see the module docs) inlines into it.
+    pub fn fill(&mut self, n: usize, out: &mut Vec<u64>) {
+        out.reserve(n);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2 (runtime detection above).
+            unsafe { self.fill_avx2(n, out) };
+            return;
+        }
+        self.fill_with::<false>(n, out);
+    }
+
+    /// [`Sampler::fill`] on the AVX2 tier.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fill_avx2(&mut self, n: usize, out: &mut Vec<u64>) {
+        self.fill_with::<true>(n, out);
+    }
+
+    /// The draw loop of [`Sampler::fill`]; `AVX2` picks the Zipf rank
+    /// search ([`ZipfTable::rank`]). Plain loops, no closures, so that
+    /// the whole loop inlines into [`Sampler::fill`]'s AVX2 tier.
+    #[inline(always)]
+    fn fill_with<const AVX2: bool>(&mut self, n: usize, out: &mut Vec<u64>) {
+        let rows = self.rows;
+        let rng = &mut self.rng;
+        match self.dist {
+            Distribution::Zipfian { .. } => {
+                let table = self.zipf.as_deref().expect(HAS_TABLE);
+                for _ in 0..n {
+                    out.push(scatter_rank(table.rank::<AVX2>(rng.unit_f64()), rows));
+                }
+            }
+            Distribution::ZipfianHead { .. } => {
+                // The raw rank: hot rows contiguous at index 0.
+                let table = self.zipf.as_deref().expect(HAS_TABLE);
+                for _ in 0..n {
+                    out.push((table.rank::<AVX2>(rng.unit_f64()) as u64).min(rows - 1));
+                }
+            }
+            Distribution::Normal { sigma_frac } => {
+                for _ in 0..n {
+                    out.push(draw_normal(rng, rows, sigma_frac));
+                }
+            }
             Distribution::Uniform => {
                 // Golden-ratio stride: visits rows in a balanced, spread
                 // pattern with no hot spots.
-                let idx = self.stride_pos;
-                self.stride_pos = (self.stride_pos + golden_stride(self.rows)) % self.rows;
-                idx
-            }
-            Distribution::Random => self.rng.below(self.rows),
-            Distribution::MetaLike { reuse_frac, .. } => {
-                if !self.recent.is_empty() && self.rng.unit_f64() < reuse_frac {
-                    // Temporal reuse: re-reference something recent.
-                    self.recent[self.rng.below(self.recent.len() as u64) as usize]
-                } else {
-                    self.draw_zipf()
+                let stride = golden_stride(rows);
+                for _ in 0..n {
+                    out.push(self.stride_pos);
+                    self.stride_pos = (self.stride_pos + stride) % rows;
                 }
             }
-        };
-        if matches!(self.dist, Distribution::MetaLike { .. }) {
-            if self.recent.len() < RECENT_WINDOW {
-                self.recent.push(idx);
-            } else {
-                self.recent[self.recent_pos] = idx;
-                self.recent_pos = (self.recent_pos + 1) % RECENT_WINDOW;
+            Distribution::Random => {
+                for _ in 0..n {
+                    out.push(rng.below(rows));
+                }
             }
+            Distribution::MetaLike { reuse_frac, .. } => {
+                let table = self.zipf.as_deref().expect(HAS_TABLE);
+                for _ in 0..n {
+                    out.push(self.window.draw::<AVX2>(rng, reuse_frac, table, rows));
+                }
+            }
+        }
+    }
+}
+
+/// A MetaLike sampler's recent draws: the last [`ReuseWindow::LEN`] rows,
+/// as a ring once full.
+#[derive(Debug, Clone)]
+struct ReuseWindow {
+    recent: Vec<u64>,
+    /// Once full, the slot the next draw overwrites.
+    pos: usize,
+}
+
+impl ReuseWindow {
+    const LEN: usize = 256;
+
+    /// An empty window, allocated at its full length.
+    fn new() -> Self {
+        ReuseWindow {
+            recent: Vec::with_capacity(Self::LEN),
+            pos: 0,
+        }
+    }
+
+    /// One MetaLike draw over `rows` rows, which the window then
+    /// remembers: a re-reference of a recent row with probability
+    /// `reuse_frac`, otherwise a Zipf draw from `table`, scattered.
+    ///
+    /// The first draw, with the window empty, is a Zipf draw and takes
+    /// one RNG word. Every later draw takes two: the reuse coin, then one
+    /// word that is both the window slot ([`DetRng::below_of`]) and the
+    /// Zipf draw's `u` ([`DetRng::unit_of`]). Both outcomes are computed
+    /// and the coin picks one without a branch, since a branch on a
+    /// random coin mispredicts about as often as it reuses.
+    #[inline(always)]
+    fn draw<const AVX2: bool>(
+        &mut self,
+        rng: &mut DetRng,
+        reuse_frac: f64,
+        table: &ZipfTable,
+        rows: u64,
+    ) -> u64 {
+        let idx = if self.recent.is_empty() {
+            scatter_rank(table.rank::<AVX2>(rng.unit_f64()), rows)
+        } else {
+            let reuse = rng.unit_f64() < reuse_frac;
+            let word = rng.next_u64();
+            let reused = self.recent[DetRng::below_of(word, self.recent.len() as u64) as usize];
+            let fresh = scatter_rank(table.rank::<AVX2>(DetRng::unit_of(word)), rows);
+            std::hint::select_unpredictable(reuse, reused, fresh)
+        };
+        if self.recent.len() < Self::LEN {
+            self.recent.push(idx);
+        } else {
+            self.recent[self.pos] = idx;
+            self.pos = (self.pos + 1) % Self::LEN;
         }
         idx
     }
+}
 
-    /// Zipf rank of one uniform draw.
-    fn zipf_rank(&mut self) -> u64 {
-        let u = self.rng.unit_f64();
-        let table = self.zipf.as_ref().expect("a Zipf family has a rank table");
-        table.rank(u) as u64
-    }
-
-    fn draw_zipf(&mut self) -> u64 {
-        // Ranks are scattered over the row space so that popular rows
-        // are not physically adjacent.
-        scatter_rank(self.zipf_rank(), self.rows)
-    }
-
-    /// Zipf draw returning the raw rank (hot rows contiguous at index 0).
-    fn draw_zipf_rank(&mut self) -> u64 {
-        self.zipf_rank().min(self.rows - 1)
-    }
-
-    fn draw_normal(&mut self, sigma_frac: f64) -> u64 {
-        // Box–Muller.
-        let u1 = self.rng.unit_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.rng.unit_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let mean = self.rows as f64 / 2.0;
-        let sigma = (self.rows as f64 * sigma_frac).max(1.0);
-        let v = mean + z * sigma;
-        (v.round().max(0.0) as u64).min(self.rows - 1)
-    }
+/// One discretized-normal draw over `rows` rows (Box–Muller).
+fn draw_normal(rng: &mut DetRng, rows: u64, sigma_frac: f64) -> u64 {
+    let u1 = rng.unit_f64().max(f64::MIN_POSITIVE);
+    let u2 = rng.unit_f64();
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    let mean = rows as f64 / 2.0;
+    let sigma = (rows as f64 * sigma_frac).max(1.0);
+    let v = mean + z * sigma;
+    (v.round().max(0.0) as u64).min(rows - 1)
 }
 
 /// The Zipf rank table `dist` draws from over `rows` rows (`None` for the
@@ -268,27 +357,38 @@ fn shared_zipf_table(rows: u64, s: f64) -> Arc<ZipfTable> {
 /// is exactly `partition_point(|&w| w < u)`, clamped to the last rank —
 /// the whole-CDF binary search it replaces — for every `u`, NaN and
 /// values outside `[0, 1)` included.
+///
+/// On the AVX2 tier a bucket of at most [`PAD`] entries is searched by
+/// counting (see [`ZipfTable::rank`]); the CDF carries `PAD`
+/// entries of `+∞` past its last rank so that an 8-entry read from any
+/// bucket start stays in bounds.
 #[derive(Debug)]
 struct ZipfTable {
-    /// Cumulative weights over the ranks, ascending.
+    /// Cumulative weights over the ranks, ascending, then `PAD` × `+∞`.
     cdf: Box<[f64]>,
     /// Per bucket, the number of CDF entries in lower buckets, then the
     /// total: `m + 1` entries.
     guide: Box<[u32]>,
 }
 
+/// The CDF's `+∞` padding, and the longest bucket the vector search
+/// counts: one AVX2 compare covers four f64 entries, two cover eight.
+const PAD: usize = 8;
+
 impl ZipfTable {
     /// Cumulative Zipf weights over `n` ranks, and their guide table.
     fn new(n: usize, s: f64) -> Self {
-        let mut cdf: Box<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let mut cdf = Vec::with_capacity(n + PAD);
+        cdf.extend((1..=n).map(|k| 1.0 / (k as f64).powf(s)));
         let total: f64 = cdf.iter().sum();
         let mut acc = 0.0;
         for w in cdf.iter_mut() {
             acc += *w / total;
             *w = acc;
         }
+        cdf.extend([f64::INFINITY; PAD]);
         let mut table = ZipfTable {
-            cdf,
+            cdf: cdf.into_boxed_slice(),
             guide: Box::default(),
         };
         let mut below = 0;
@@ -303,28 +403,72 @@ impl ZipfTable {
         table
     }
 
+    /// The number of ranks (the CDF without its padding).
+    #[inline]
+    fn ranks(&self) -> usize {
+        self.cdf.len() - PAD
+    }
+
     /// The bucket of draw `u`; the float-to-int cast saturates, so NaN
     /// and negative draws fall in the first bucket.
     #[inline]
     fn bucket(&self, u: f64) -> usize {
-        ((u * self.cdf.len() as f64) as usize).min(self.cdf.len() - 1)
+        ((u * self.ranks() as f64) as usize).min(self.ranks() - 1)
     }
 
     /// The rank of draw `u`: the first CDF entry at or above `u`, clamped
-    /// to the last rank.
-    #[inline]
-    fn rank(&self, u: f64) -> usize {
+    /// to the last rank, searched in `u`'s bucket.
+    ///
+    /// With `AVX2` set — only by [`Sampler::fill`], once it has detected
+    /// AVX2 — a bucket of at most [`PAD`] entries is searched by counting
+    /// ([`count_below_avx2`]) the entries below `u` among the eight from
+    /// its start. An entry past the bucket never counts: a later
+    /// bucket's entry exceeds every `u` of this one (buckets never
+    /// decrease with `u`), and the padding is `+∞`. Longer buckets, and
+    /// every bucket without `AVX2`, take a binary search.
+    #[inline(always)]
+    fn rank<const AVX2: bool>(&self, u: f64) -> usize {
         let j = self.bucket(u);
         let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        #[cfg(target_arch = "x86_64")]
+        if AVX2 && hi - lo <= PAD {
+            // `lo` is at most the rank count, and PAD entries follow it.
+            let block = self.cdf[lo..lo + PAD].try_into().expect("PAD entries");
+            // SAFETY: `AVX2` is set only when the CPU supports AVX2.
+            let below = unsafe { count_below_avx2(block, u) };
+            return (lo + below).min(self.ranks() - 1);
+        }
         let i = lo + self.cdf[lo..hi].partition_point(|&w| w < u);
-        i.min(self.cdf.len() - 1)
+        i.min(self.ranks() - 1)
     }
+}
+
+/// How many of the eight `block` entries are below `u`: two
+/// `_CMP_LT_OQ` compares (false for a NaN `u`, as `w < u` is) and a
+/// popcount of their sign masks.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn count_below_avx2(block: &[f64; PAD], u: f64) -> usize {
+    use std::arch::x86_64::*;
+    let uv = _mm256_set1_pd(u);
+    // SAFETY: `block` is 8 f64s, 64 bytes; the loads are unaligned.
+    let (w0, w1) = unsafe {
+        (
+            _mm256_loadu_pd(block.as_ptr()),
+            _mm256_loadu_pd(block.as_ptr().add(4)),
+        )
+    };
+    let below = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(w0, uv))
+        | _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(w1, uv)) << 4;
+    below.count_ones() as usize
 }
 
 /// Maps a popularity rank onto a physical row index, scattering hot ranks
 /// across the table (hot embeddings are not contiguous in practice).
-fn scatter_rank(rank: u64, rows: u64) -> u64 {
-    let h = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+#[inline(always)]
+fn scatter_rank(rank: usize, rows: u64) -> u64 {
+    let h = (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     // The stock tables have power-of-two row counts, whose remainder is
     // a mask rather than a 64-bit division per draw.
     if rows.is_power_of_two() {
@@ -356,11 +500,17 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// `n` draws of a fresh sampler.
+    fn draws(dist: Distribution, rows: u64, seed: u64, n: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        Sampler::new(dist, rows, DetRng::new(seed)).fill(n, &mut out);
+        out
+    }
+
     fn histogram(dist: Distribution, rows: u64, draws: usize) -> HashMap<u64, u64> {
-        let mut s = Sampler::new(dist, rows, DetRng::new(7));
         let mut h = HashMap::new();
-        for _ in 0..draws {
-            *h.entry(s.next_index()).or_insert(0) += 1;
+        for idx in self::draws(dist, rows, 7, draws) {
+            *h.entry(idx).or_insert(0) += 1;
         }
         h
     }
@@ -378,10 +528,7 @@ mod tests {
             },
             Distribution::ZipfianHead { s: 1.0 },
         ] {
-            let mut s = Sampler::new(dist, 100, DetRng::new(1));
-            for _ in 0..10_000 {
-                assert!(s.next_index() < 100);
-            }
+            assert!(draws(dist, 100, 1, 10_000).iter().all(|&idx| idx < 100));
         }
     }
 
@@ -435,11 +582,9 @@ mod tests {
     #[test]
     fn metalike_has_more_reuse_than_plain_zipf() {
         let reuse = |dist| {
-            let mut s = Sampler::new(dist, 100_000, DetRng::new(3));
             let mut last_seen: HashMap<u64, usize> = HashMap::new();
             let mut near = 0u64;
-            for i in 0..50_000usize {
-                let idx = s.next_index();
+            for (i, idx) in draws(dist, 100_000, 3, 50_000).into_iter().enumerate() {
                 if let Some(&prev) = last_seen.get(&idx) {
                     if i - prev < 512 {
                         near += 1;
@@ -462,11 +607,29 @@ mod tests {
         cdf.partition_point(|&w| w < u).min(cdf.len() - 1)
     }
 
+    /// Both rank searches of `table` — the binary one and, when the CPU
+    /// has AVX2, the counting one — against the whole-CDF search, for
+    /// draw `u`; returns the length of `u`'s bucket.
+    fn check_rank(table: &ZipfTable, u: f64, case: &str) -> usize {
+        let cdf = &table.cdf[..table.ranks()];
+        let want = searched_rank(cdf, u);
+        assert_eq!(table.rank::<false>(u), want, "{case} u={u:e}");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(table.rank::<true>(u), want, "AVX2, {case} u={u:e}");
+        }
+        let j = table.bucket(u);
+        (table.guide[j + 1] - table.guide[j]) as usize
+    }
+
     #[test]
     fn guided_lookup_equals_the_clamped_binary_search() {
         // The (ranks, exponent) tables `repro -- all` and the CI serving
         // sweeps build, then the exponent extremes at assorted sizes
-        // (flat, mild, steep; one rank, odd counts, the rank cap).
+        // (flat, mild, steep; one rank, odd counts, the rank cap). Each
+        // entry is probed at, just above and just below its value, and
+        // each bucket at its middle, so every bucket length the tables
+        // hold is searched: empty, 1 to PAD, and past PAD.
         let registry = [
             (1_024, 1.05),
             (2_048, 1.05),
@@ -480,19 +643,22 @@ mod tests {
         let extremes = [1, 2, 3, 1_000, 12_345, 65_536, ZIPF_RANK_CAP as usize]
             .into_iter()
             .flat_map(|n| [(n, 0.0), (n, 0.5), (n, 2.0)]);
+        let mut lengths = std::collections::BTreeSet::new();
         for (n, s) in registry.into_iter().chain(extremes) {
             let table = ZipfTable::new(n, s);
-            let cdf = &table.cdf[..];
+            let cdf = &table.cdf[..n];
             let last = cdf[n - 1];
             let probes = cdf
                 .iter()
                 .flat_map(|&w| [w, w.next_up(), w.next_down()])
+                .chain((0..n).map(|j| (j as f64 + 0.5) / n as f64))
                 .chain([0.0, -0.0, last.next_up(), 1.0, 1.5, f64::INFINITY])
                 .chain([-1.0, f64::NEG_INFINITY, f64::NAN, f64::MIN_POSITIVE]);
             for u in probes {
-                assert_eq!(table.rank(u), searched_rank(cdf, u), "n={n} s={s} u={u:e}");
+                lengths.insert(check_rank(&table, u, &format!("n={n} s={s}")).min(PAD + 1));
             }
         }
+        assert_eq!(lengths, (0..=PAD + 1).collect(), "bucket lengths searched");
     }
 
     #[test]
@@ -501,17 +667,13 @@ mod tests {
         let table = shared_zipf_table(65_536, 1.05);
         let mut rng = DetRng::new(11);
         for _ in 0..200_000 {
-            let u = rng.unit_f64();
-            assert_eq!(table.rank(u), searched_rank(&table.cdf, u), "u={u:e}");
+            check_rank(&table, rng.unit_f64(), "n=65536 s=1.05");
         }
     }
 
     #[test]
     fn samplers_are_deterministic() {
-        let draws = |seed| {
-            let mut s = Sampler::new(Distribution::Zipfian { s: 0.9 }, 1000, DetRng::new(seed));
-            (0..100).map(|_| s.next_index()).collect::<Vec<_>>()
-        };
+        let draws = |seed| draws(Distribution::Zipfian { s: 0.9 }, 1000, seed, 100);
         assert_eq!(draws(5), draws(5));
         assert_ne!(draws(5), draws(6));
     }

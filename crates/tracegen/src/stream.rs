@@ -175,10 +175,10 @@ impl QueryStream {
         // for exactly that batch (per table, batch_size × bag_size
         // sequential draws) into the recycled buffers.
         if qid == self.batches_drawn as u64 * t.batch_size as u64 {
-            let per_table = t.batch_size as u64 * t.bag_size as u64;
+            let per_table = t.batch_size as usize * t.bag_size as usize;
             for (s, buf) in self.samplers.iter_mut().zip(&mut self.bufs) {
                 buf.clear();
-                buf.extend((0..per_table).map(|_| s.next_index()));
+                s.fill(per_table, buf);
             }
             self.batches_drawn += 1;
         }

@@ -137,18 +137,16 @@ impl TraceSpec {
     /// Panics if any dimension is zero.
     pub fn generate(&self) -> Trace {
         let mut samplers = self.samplers();
+        let per_table = self.batch_size as usize * self.bag_size as usize;
         let mut batches = Vec::with_capacity(self.n_batches as usize);
         for _ in 0..self.n_batches {
             let tables = samplers
                 .iter_mut()
                 .enumerate()
                 .map(|(t, s)| {
-                    TableLookups::fixed(
-                        t as u32,
-                        (0..self.batch_size as u64 * self.bag_size as u64)
-                            .map(|_| s.next_index())
-                            .collect(),
-                    )
+                    let mut indices = Vec::with_capacity(per_table);
+                    s.fill(per_table, &mut indices);
+                    TableLookups::fixed(t as u32, indices)
                 })
                 .collect();
             batches.push(Batch { tables });
