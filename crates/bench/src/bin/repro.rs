@@ -16,12 +16,16 @@
 //! (`results/<id>.jsonl`) and the summarized figure JSON
 //! (`results/<id>.json`), which is bit-identical for any thread count.
 //! `sweep` reuses a scenario's machinery on a grid the paper never ran:
-//! declared parameters take overridden value lists, and the free-form
-//! `custom` scenario additionally forwards unknown keys to
-//! `SystemConfig::apply_knob` (topology and page-management knobs).
+//! declared parameters take overridden value lists, each value vetted
+//! by its axis's own check (`ParamSpec::check`) before any worker
+//! starts, and the free-form `custom` scenario additionally forwards
+//! unknown keys to `SystemConfig::apply_knob` (topology and
+//! page-management knobs), dry-running each value first. A value that
+//! fails exits 2 naming `--param <axis>` and the reason.
 
 use pifs_bench::runner::SweepRunner;
-use pifs_bench::scenario::{cartesian_points, registry, ParamSpec, ParamValue, Scenario};
+use pifs_bench::scenario::ResultRow;
+use pifs_bench::scenario::{cartesian_points, knob, registry, ParamSpec, ParamValue, Scenario};
 use pifs_bench::{emit, emit_jsonl};
 
 fn main() {
@@ -136,31 +140,35 @@ fn sweep(runner: &SweepRunner, args: &[String]) {
             die(&format!("--param {key}: empty value in {vals:?}"));
         }
         let values: Vec<ParamValue> = vals.split(',').map(ParamValue::parse).collect();
-        validate_axis_values(id, key, &values);
-        overridden = true;
-        if let Some(spec) = specs.iter_mut().find(|s| s.name == key) {
-            spec.values = values;
-        } else if scenario.accepts_free_params() {
-            // Forwarded to SystemConfig::apply_knob by the scenario:
-            // dry-run each value against a default config now, so a bad
-            // knob (`serving.batch_size=0`, an unknown key) is a
-            // sweep-level error here instead of a worker-thread panic
-            // mid-grid. Leak the name to satisfy ParamSpec's static
-            // lifetime.
-            for value in &values {
-                let mut probe = pifs_core::system::SystemConfig::pifs_rec_default();
-                if let Err(why) = probe.apply_knob(key, &value.to_string()) {
-                    die(&format!("--param {key}: {why}"));
-                }
-            }
-            let name: &'static str = Box::leak(key.to_string().into_boxed_str());
-            specs.push(ParamSpec { name, values });
-        } else {
+        let declared = specs.iter().position(|s| s.name == key);
+        if declared.is_none() && !scenario.accepts_free_params() {
             let known: Vec<&str> = specs.iter().map(|s| s.name).collect();
             die(&format!(
                 "scenario {id} has no parameter {key:?} (axes: {known:?}); \
                  only the `custom` scenario accepts free-form knobs"
             ));
+        }
+        // Every value passes its axis's own check (an undeclared key is
+        // a knob the free-form scenario forwards to
+        // SystemConfig::apply_knob: its dry run) before any worker starts.
+        for value in &values {
+            let verdict = match declared {
+                Some(axis) => (specs[axis].check)(value),
+                None => knob(key, value),
+            };
+            if let Err(why) = verdict {
+                die(&format!("--param {key}: {why}"));
+            }
+        }
+        overridden = true;
+        match declared {
+            Some(axis) => specs[axis].values = values,
+            // Leak the name to satisfy ParamSpec's static lifetime.
+            None => specs.push(ParamSpec {
+                name: Box::leak(key.into()),
+                values,
+                check: |_| Ok(()), // its knob's dry run above
+            }),
         }
     }
     // Without overrides, run the scenario's true default grid (which may
@@ -183,102 +191,9 @@ fn sweep(runner: &SweepRunner, args: &[String]) {
     emit(
         &sweep_id,
         &format!("Sweep of {id} ({})", scenario.title()),
-        &scenario_rows_json(&rows),
+        // Generic sweep summary: every row, in grid order.
+        &serde_json::Value::Array(rows.iter().map(ResultRow::to_json).collect()),
     );
-}
-
-/// Generic sweep summary: every row's params and data, in grid order.
-fn scenario_rows_json(rows: &[pifs_bench::scenario::ResultRow]) -> serde_json::Value {
-    use serde_json::{json, Value};
-    Value::Array(
-        rows.iter()
-            .map(|r| json!({ "point": r.index, "params": r.params_json(), "data": r.data }))
-            .collect(),
-    )
-}
-
-/// Validates axes whose semantics are shared across scenarios
-/// (`model`, `scheme`, `trace`, `arrival`, `qps`, `traffic`, `policy`,
-/// `fault`, `shed`, `controller`, and the serving batcher knobs)
-/// before any simulation starts, so typos and degenerate values
-/// (`batch_size=0`) die with a clean message — the parser's own, where
-/// the spelling has structure — instead of panicking inside a worker
-/// thread. Scenario `id`'s `dim` axis is also held to its model's
-/// exact-sum bound.
-fn validate_axis_values(id: &str, key: &str, values: &[ParamValue]) {
-    for value in values {
-        let spelled = value.to_string();
-        let why = match key {
-            "model" => (dlrm::ModelConfig::by_name(&spelled).is_none())
-                .then(|| format!("unknown model {spelled:?}")),
-            "scheme" => (!baselines::Scheme::all()
-                .iter()
-                .any(|s| s.label().eq_ignore_ascii_case(&spelled)))
-            .then(|| format!("unknown scheme {spelled:?}")),
-            "trace" => (tracegen::Distribution::parse(&spelled).is_none()).then(|| {
-                format!(
-                    "unknown trace distribution {spelled:?} (parameters must be finite, \
-                     exponents >= 0, reuse_frac in [0, 1] and sigma_frac > 0)"
-                )
-            }),
-            // The rate is per-point; validate the spelling at a dummy 1 qps.
-            "arrival" => tracegen::ArrivalProcess::parse(&spelled, 1.0).err(),
-            // ...and each rate with the simplest process, so a zero,
-            // negative or non-finite rate is the parser's error here
-            // rather than a worker panic mid-grid.
-            "qps" => match value {
-                ParamValue::U64(n) => tracegen::ArrivalProcess::parse("poisson", *n as f64).err(),
-                ParamValue::F64(v) => tracegen::ArrivalProcess::parse("poisson", *v).err(),
-                ParamValue::Str(s) => Some(format!("rate {s:?} is not a number")),
-            },
-            "traffic" => pifs_bench::scenarios::adaptive::parse_traffic(&spelled, 1.0).err(),
-            "policy" => pifs_core::engine::cluster::ShardPolicy::parse(&spelled).err(),
-            "fault" => simkit::FaultSpec::parse(&spelled).err(),
-            "shed" => pifs_core::system::ShedPolicy::parse(&spelled).err(),
-            "controller" => pifs_core::engine::controller::ControllerPolicy::parse(&spelled).err(),
-            // Batcher knob axes route through apply_knob inside the
-            // worker; dry-run the same knob here so `batch_size=0`
-            // (or a junk max-wait) is a sweep-level error.
-            "batch_size" => serving_knob_err("serving.batch_size", &spelled),
-            "max_wait_us" => serving_knob_err("serving.max_wait_us", &spelled),
-            // Integer axes feed u16 node, device, switch and host counts
-            // and u32 batch, core, dimension and replica counts; reject
-            // what would not fit instead of wrapping, and the zeros the
-            // simulator asserts against (fig14's `hosts=0` is its Pond
-            // anchor, and zero replicas is the unreplicated baseline).
-            "nodes" | "devices" | "switches" => int_in(value, 1, u16::MAX.into()),
-            "hosts" => int_in(value, 0, u16::MAX.into()),
-            "batch" | "cores" => int_in(value, 1, u32::MAX.into()),
-            "dim" => int_in(value, 1, u32::MAX.into()).or_else(|| match value {
-                ParamValue::U64(dim) => {
-                    pifs_bench::scenarios::characterization::dim_axis_err(id, *dim as u32)
-                }
-                _ => None,
-            }),
-            "replicas" => int_in(value, 0, u32::MAX.into()),
-            "duration_s" => int_in(value, 0, pifs_bench::scenarios::diurnal::MAX_DURATION_S),
-            _ => None, // scenario-specific; checked by its run function
-        };
-        if let Some(why) = why {
-            die(&format!("--param {key}: {why}"));
-        }
-    }
-}
-
-/// `None` when `value` is an integer in `lo..=hi`, else the reason.
-fn int_in(value: &ParamValue, lo: u64, hi: u64) -> Option<String> {
-    match value {
-        ParamValue::U64(n) if (lo..=hi).contains(n) => None,
-        _ => Some(format!("{value} must be an integer in {lo}..={hi}")),
-    }
-}
-
-/// Dry-runs one serving knob against a default config, returning the
-/// knob's own rejection message if the value is invalid.
-fn serving_knob_err(knob: &str, spelled: &str) -> Option<String> {
-    pifs_core::system::SystemConfig::pifs_rec_default()
-        .apply_knob(knob, spelled)
-        .err()
 }
 
 /// `repro -- list`: the registry as a table of ids, grids, and titles.

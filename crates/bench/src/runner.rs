@@ -155,7 +155,7 @@ mod tests {
             "test scenario"
         }
         fn params(&self) -> Vec<ParamSpec> {
-            vec![ParamSpec::u64s("x", 0..32)]
+            vec![ParamSpec::ints::<0, 31>("x", 0..32)]
         }
         fn run(&self, point: &Point) -> Value {
             json!(point.u64("x") * 2)
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn pool_never_spawns_more_workers_than_points() {
         // A 1-point grid with 8 requested threads must still complete.
-        let mut points = cartesian_points(&[ParamSpec::u64s("x", [3])]);
+        let mut points = cartesian_points(&[ParamSpec::ints::<0, 31>("x", [3])]);
         assert_eq!(points.len(), 1);
         let rows = SweepRunner::new(8).run_points(&Doubler, std::mem::take(&mut points));
         assert_eq!(rows.len(), 1);

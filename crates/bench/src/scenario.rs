@@ -17,7 +17,9 @@
 //! text, the `sweep` subcommand's scenario lookup, and `EXPERIMENTS.md`
 //! consistency tests all enumerate it rather than a hand-rolled array.
 
+use pifs_core::system::SystemConfig;
 use serde_json::{json, Value};
+use tracegen::Distribution;
 
 use crate::scenarios;
 
@@ -45,6 +47,23 @@ impl ParamValue {
         }
     }
 
+    /// The value as an integer in `lo..=hi`, else why not.
+    pub fn int_within(&self, lo: u64, hi: u64) -> Result<u64, String> {
+        match self {
+            ParamValue::U64(n) if (lo..=hi).contains(n) => Ok(*n),
+            _ => Err(format!("{self} must be an integer in {lo}..={hi}")),
+        }
+    }
+
+    /// The value as a fraction in [0, 1], else why not.
+    pub fn fraction(&self) -> Result<f64, String> {
+        match *self {
+            ParamValue::U64(n) if n <= 1 => Ok(n as f64),
+            ParamValue::F64(f) if (0.0..=1.0).contains(&f) => Ok(f),
+            _ => Err(format!("{self} must be a fraction in [0, 1]")),
+        }
+    }
+
     /// The value as JSON (for JSONL rows).
     pub fn to_json(&self) -> Value {
         match self {
@@ -65,39 +84,53 @@ impl std::fmt::Display for ParamValue {
     }
 }
 
-/// One named grid axis and the values it takes in the default (paper)
-/// sweep. Axis order is significant: grids enumerate row-major with the
-/// last axis fastest, matching the nesting order of the original
-/// hand-written experiment loops.
+/// An axis's value check: `Ok`, or why the value cannot stand on the
+/// axis. `repro sweep` runs it before any worker starts, so workers
+/// read values with `expect("checked at grid time")`.
+pub type Check = fn(&ParamValue) -> Result<(), String>;
+
+/// One named grid axis, its default (paper) values and its check. Axis
+/// order is significant: grids enumerate row-major with the last axis
+/// fastest, matching the nesting order of the original hand-written
+/// experiment loops.
 #[derive(Debug, Clone)]
 pub struct ParamSpec {
     /// Axis name (`model`, `scheme`, `devices`, …).
     pub name: &'static str,
     /// Default values, in paper order.
     pub values: Vec<ParamValue>,
+    /// The axis's own value check, declared with the axis.
+    pub check: Check,
 }
 
 impl ParamSpec {
-    /// An axis of unsigned integers.
-    pub fn u64s(name: &'static str, values: impl IntoIterator<Item = u64>) -> ParamSpec {
+    /// An axis of unsigned integers that `check` vets.
+    pub fn u64s(
+        name: &'static str,
+        values: impl IntoIterator<Item = u64>,
+        check: Check,
+    ) -> ParamSpec {
         ParamSpec {
             name,
             values: values.into_iter().map(ParamValue::U64).collect(),
+            check,
         }
     }
 
-    /// An axis of floats.
-    pub fn f64s(name: &'static str, values: impl IntoIterator<Item = f64>) -> ParamSpec {
-        ParamSpec {
-            name,
-            values: values.into_iter().map(ParamValue::F64).collect(),
-        }
+    /// An axis of integers in `LO..=HI`.
+    pub fn ints<const LO: u64, const HI: u64>(
+        name: &'static str,
+        values: impl IntoIterator<Item = u64>,
+    ) -> ParamSpec {
+        Self::u64s(name, values, |v| v.int_within(LO, HI).map(drop))
     }
 
-    /// An axis of strings.
+    /// An axis of names that `check` vets: a closed set's match or an
+    /// existing parser, through [`word`].
     pub fn strs<S: Into<String>>(
         name: &'static str,
         values: impl IntoIterator<Item = S>,
+        check: Check,
     ) -> ParamSpec {
         ParamSpec {
             name,
@@ -105,23 +138,72 @@ impl ParamSpec {
                 .into_iter()
                 .map(|s| ParamValue::Str(s.into()))
                 .collect(),
+            check,
         }
+    }
+
+    /// The Table I model axis over `names`.
+    pub fn model<'a>(names: impl IntoIterator<Item = &'a str>) -> ParamSpec {
+        Self::strs("model", names, |v| word(v, table1_model))
     }
 
     /// The Table I model axis shared by most scenarios.
     pub fn models() -> ParamSpec {
-        Self::strs("model", ["RMC1", "RMC2", "RMC3", "RMC4"])
+        Self::model(["RMC1", "RMC2", "RMC3", "RMC4"])
+    }
+
+    /// The scheme axis over `labels`.
+    pub fn scheme<'a>(labels: impl IntoIterator<Item = &'a str>) -> ParamSpec {
+        Self::strs("scheme", labels, |v| word(v, scheme_labelled))
     }
 
     /// The five-scheme axis of the Fig 12 grids, in plotting order.
     pub fn schemes() -> ParamSpec {
-        Self::strs(
-            "scheme",
-            baselines::Scheme::all()
-                .iter()
-                .map(|s| s.label().to_string()),
-        )
+        Self::scheme(baselines::Scheme::all().iter().map(|s| s.label()))
     }
+
+    /// The trace-distribution axis over `specs` ([`Distribution::parse`]
+    /// spellings).
+    pub fn traces<'a>(specs: impl IntoIterator<Item = &'a str>) -> ParamSpec {
+        Self::strs("trace", specs, |v| word(v, distribution))
+    }
+}
+
+/// `parse`'s verdict on a name value. A number is never a name.
+pub fn word<T>(value: &ParamValue, parse: fn(&str) -> Result<T, String>) -> Result<(), String> {
+    match value {
+        ParamValue::Str(s) => parse(s).map(drop),
+        number => Err(format!("expected a name, got the number {number}")),
+    }
+}
+
+/// Dry-runs [`SystemConfig::apply_knob`] with `value` against a default
+/// config: the knob's own verdict.
+pub fn knob(key: &str, value: &ParamValue) -> Result<(), String> {
+    SystemConfig::pifs_rec_default().apply_knob(key, &value.to_string())
+}
+
+/// The Table I model named `name` (case-insensitive), unscaled.
+pub(crate) fn table1_model(name: &str) -> Result<dlrm::ModelConfig, String> {
+    dlrm::ModelConfig::by_name(name).ok_or_else(|| format!("unknown model {name:?}"))
+}
+
+/// The scheme labelled `label` (case-insensitive).
+fn scheme_labelled(label: &str) -> Result<baselines::Scheme, String> {
+    baselines::Scheme::all()
+        .into_iter()
+        .find(|s| s.label().eq_ignore_ascii_case(label))
+        .ok_or_else(|| format!("unknown scheme {label:?}"))
+}
+
+/// The trace distribution `spec` spells.
+pub(crate) fn distribution(spec: &str) -> Result<Distribution, String> {
+    Distribution::parse(spec).ok_or_else(|| {
+        format!(
+            "unknown trace distribution {spec:?} (parameters must be finite, \
+             exponents >= 0, reuse_frac in [0, 1] and sigma_frac > 0)"
+        )
+    })
 }
 
 /// One fully-bound point of a scenario's grid.
@@ -221,11 +303,7 @@ impl Point {
     ///
     /// Panics if `model` is missing or names no Table I model.
     pub fn model(&self) -> dlrm::ModelConfig {
-        let name = self.str("model");
-        crate::scaled(
-            dlrm::ModelConfig::by_name(name)
-                .unwrap_or_else(|| panic!("param \"model\": unknown Table I model {name:?}")),
-        )
+        crate::scaled(table1_model(self.str("model")).expect("checked at grid time"))
     }
 
     /// The scheme bound to this point's `scheme` parameter.
@@ -234,11 +312,7 @@ impl Point {
     ///
     /// Panics if `scheme` is missing or names no scheme.
     pub fn scheme(&self) -> baselines::Scheme {
-        let label = self.str("scheme");
-        baselines::Scheme::all()
-            .into_iter()
-            .find(|s| s.label().eq_ignore_ascii_case(label))
-            .unwrap_or_else(|| panic!("param \"scheme\": unknown scheme {label:?}"))
+        scheme_labelled(self.str("scheme")).expect("checked at grid time")
     }
 }
 
@@ -263,15 +337,14 @@ impl ResultRow {
         Value::Object(params)
     }
 
-    /// The JSONL line for this row: `{"point": .., "params": {..},
-    /// "data": ..}`.
+    /// The row as `{"point": .., "params": {..}, "data": ..}`.
+    pub fn to_json(&self) -> Value {
+        json!({ "point": self.index, "params": self.params_json(), "data": self.data })
+    }
+
+    /// The JSONL line for this row: [`ResultRow::to_json`], compact.
     pub fn to_jsonl(&self) -> String {
-        let line = json!({
-            "point": self.index,
-            "params": self.params_json(),
-            "data": self.data,
-        });
-        serde_json::to_string(&line).expect("serializable")
+        serde_json::to_string(&self.to_json()).expect("serializable")
     }
 
     /// The value of parameter `name`, spelled as on the command line.
@@ -495,8 +568,8 @@ mod tests {
     #[test]
     fn cartesian_enumeration_is_row_major_last_axis_fastest() {
         let specs = [
-            ParamSpec::strs("a", ["x", "y"]),
-            ParamSpec::u64s("b", [1, 2, 3]),
+            ParamSpec::strs("a", ["x", "y"], |_| Ok(())),
+            ParamSpec::ints::<1, 3>("b", [1, 2, 3]),
         ];
         let points = cartesian_points(&specs);
         assert_eq!(points.len(), 6);
@@ -534,5 +607,39 @@ mod tests {
         assert_eq!(ParamValue::parse("42"), ParamValue::U64(42));
         assert_eq!(ParamValue::parse("0.35"), ParamValue::F64(0.35));
         assert_eq!(ParamValue::parse("RMC1"), ParamValue::Str("RMC1".into()));
+    }
+
+    #[test]
+    fn every_default_value_passes_its_own_axis_check() {
+        for scenario in registry() {
+            for spec in scenario.params() {
+                for value in &spec.values {
+                    assert_eq!(
+                        (spec.check)(value),
+                        Ok(()),
+                        "{} axis {}: default value {value}",
+                        scenario.id(),
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_axis_rejects_junk_without_panicking() {
+        for scenario in registry() {
+            for spec in scenario.params() {
+                for junk in ["bogus", "nan", "-1", "18446744073709551616"] {
+                    let why = (spec.check)(&ParamValue::parse(junk));
+                    assert!(
+                        why.is_err(),
+                        "{} axis {} accepted {junk:?}",
+                        scenario.id(),
+                        spec.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -3,9 +3,8 @@
 //! traffic.
 //!
 //! The `latency` family measures the serving engine with its batcher
-//! knobs pinned; this family races the
-//! [`ControllerPolicy`](pifs_core::engine::controller::ControllerPolicy)
-//! variants over identical workloads. Comparability is the whole
+//! knobs pinned; this family races the [`ControllerPolicy`] variants
+//! over identical workloads. Comparability is the whole
 //! experiment, so the seeding convention is strict: the trace is seeded
 //! from the model alone and the arrivals from `(model, traffic, qps)` —
 //! never from the controller — so every point of a controller axis
@@ -27,12 +26,13 @@
 //! controller's p99 at the *fixed* policy's knee, plus the per-policy
 //! max-stable-QPS-under-SLA frontier.
 
+use pifs_core::engine::controller::ControllerPolicy;
 use pifs_core::system::{OpenLoopOpts, SlsSystem};
 use serde_json::{json, Map, Value};
 use tracegen::{ArrivalProcess, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, TraceSpec};
 
 use super::stability::{self, saturated, serving_workload, MAX_WAIT_US, P99_SLA_NS};
-use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
+use crate::scenario::{word, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Batches per point: 4x the family standard. The load controller
@@ -61,8 +61,8 @@ pub enum Traffic {
 
 /// Parses a `traffic` axis value at a given rate: `mix`, or any
 /// [`ArrivalProcess::parse`] spelling. Errors say why the spec was
-/// rejected (the sweep-level validation path in `repro` calls this
-/// before any simulation starts).
+/// rejected (the `traffic` axis's check calls this before any
+/// simulation starts).
 pub fn parse_traffic(spec: &str, qps: f64) -> Result<Traffic, String> {
     if spec.eq_ignore_ascii_case("mix") {
         // The mix's tenants are rate splits of `qps`: one rate check.
@@ -119,15 +119,13 @@ fn mix_tenants(trace: TraceSpec, qps: f64, arrival_seed: u64) -> Vec<TenantSpec>
 fn run_adaptive_point(p: &Point) -> Value {
     let m = p.model();
     let qps = p.f64("qps");
-    let traffic_spec = p.str("traffic");
-    let traffic =
-        parse_traffic(traffic_spec, qps).unwrap_or_else(|e| panic!("param \"traffic\": {e}"));
+    let traffic = parse_traffic(p.str("traffic"), qps).expect("checked at grid time");
 
     let mut cfg = scale_buffers(p.scheme().config(m.clone()));
     cfg.apply_knob("serving.max_wait_us", MAX_WAIT_US)
         .expect("max_wait_us knob");
     cfg.apply_knob("serving.controller", p.str("controller"))
-        .unwrap_or_else(|e| panic!("param \"controller\": {e}"));
+        .expect("checked at grid time");
 
     // Same queries for every point of a model; same timestamps for
     // every controller at a given (traffic, qps) — the controller must
@@ -207,8 +205,7 @@ fn sla_frontier(group: &[ResultRow]) -> Option<f64> {
                 stable_qps: offered,
                 offered_qps: offered,
                 p99_ns: p99,
-                saturated: r.data.get("saturated").and_then(Value::as_bool) == Some(true)
-                    || p99 > P99_SLA_NS,
+                saturated: r.is_saturated() || p99 > P99_SLA_NS,
             }
         })
         .collect();
@@ -223,14 +220,15 @@ pub static LATENCY_ADAPTIVE: GridScenario = GridScenario {
         "Adaptive serving controllers vs fixed knobs under bursty / flash / multi-tenant traffic",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1"]),
-            ParamSpec::strs("scheme", ["PIFS-Rec"]),
-            ParamSpec::strs("controller", ["fixed", "load", "epoch", "adaptive"]),
-            ParamSpec::strs("traffic", ["bursty", "flash:4:0.0001:0.0002", "mix"]),
-            ParamSpec::u64s(
-                "qps",
-                [1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000],
-            ),
+            ParamSpec::model(["RMC1"]),
+            ParamSpec::scheme(["PIFS-Rec"]),
+            ParamSpec::strs("controller", ["fixed", "load", "epoch", "adaptive"], |v| {
+                word(v, ControllerPolicy::parse)
+            }),
+            ParamSpec::strs("traffic", ["bursty", "flash:4:0.0001:0.0002", "mix"], |v| {
+                word(v, |s| parse_traffic(s, 1.0))
+            }),
+            stability::qps([1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000]),
         ]
     },
     points: None,

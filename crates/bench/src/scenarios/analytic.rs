@@ -10,12 +10,10 @@ use dlrm::ModelConfig;
 use serde_json::{json, Value};
 use tco::{EnergyModel, HardwareOverheads, SystemBom};
 
-use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
+use crate::scenario::{table1_model, GridScenario, ParamSpec, Point, ResultRow};
 
 fn raw_model(p: &Point) -> ModelConfig {
-    let name = p.str("model");
-    ModelConfig::by_name(name)
-        .unwrap_or_else(|| panic!("param \"model\": unknown Table I model {name:?}"))
+    table1_model(p.str("model")).expect("checked at grid time")
 }
 
 fn rows_array(rows: &[ResultRow]) -> Value {

@@ -7,7 +7,7 @@ use pagemgmt::InitialPlacement;
 use pifs_core::system::{RunMetrics, SystemConfig};
 use serde_json::{json, Value};
 
-use crate::scenario::{point_seed, GridScenario, ParamSpec, ParamValue, Point, ResultRow};
+use crate::scenario::{point_seed, word, GridScenario, ParamSpec, ParamValue, Point, ResultRow};
 
 /// Fig 5's model: 8 tables of `rows` rows of `emb_dim` elements, bags
 /// of 8.
@@ -32,22 +32,18 @@ fn fig6_model(cores: u32, dim: u32) -> ModelConfig {
     }
 }
 
-/// Why `dim` cannot be a value of scenario `id`'s `dim` axis: a bag of
-/// the scenario's model at that dimension breaks the exact-sum bound
-/// its SLS stage asserts per bag (rows × dim < 2³¹,
-/// [`dlrm::sls::exact_sum_fits`]). `None` when the bag fits, or when
-/// `id` has no `dim` axis.
-pub fn dim_axis_err(id: &str, dim: u32) -> Option<String> {
-    let bag = match id {
-        "fig5" => fig5_model(dim, 1).bag_size,
-        "fig6" => fig6_model(1, dim).bag_size,
-        _ => return None,
-    };
-    (!dlrm::sls::exact_sum_fits(bag.into(), dim)).then(|| {
-        format!(
-            "{id}: a bag of {bag} rows at dim {dim} breaks the exact-sum bound (rows × dim < 2³¹)"
-        )
-    })
+/// A `dim` value of a scenario whose model bags `bag` rows: an integer
+/// in `1..=u32::MAX` that keeps the exact-sum bound its SLS stage
+/// asserts per bag (rows × dim < 2³¹, [`dlrm::sls::exact_sum_fits`]).
+fn dim_fits(value: &ParamValue, bag: u32) -> Result<(), String> {
+    let dim = value.int_within(1, u32::MAX.into())? as u32;
+    if dlrm::sls::exact_sum_fits(bag.into(), dim) {
+        Ok(())
+    } else {
+        Err(format!(
+            "a bag of {bag} rows at dim {dim} breaks the exact-sum bound (rows × dim < 2³¹)"
+        ))
+    }
 }
 
 /// Characterization base: host-compute lookups over a given placement.
@@ -72,34 +68,39 @@ pub(crate) fn run_small(cfg: SystemConfig) -> RunMetrics {
 
 const FIG5_SIZES: [u64; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
 
+/// The threading mode Fig 5's `panel` names.
+fn threading(panel: &str) -> Result<ThreadingMode, String> {
+    match panel {
+        "batch" => Ok(ThreadingMode::Batch),
+        "table" => Ok(ThreadingMode::Table),
+        other => Err(format!("unknown panel {other:?} (batch|table)")),
+    }
+}
+
+/// The measured placement and its baseline that Fig 5's `case` names.
+fn placements(case: &str) -> Result<(InitialPlacement, InitialPlacement), String> {
+    let measured = match case {
+        "remote" => InitialPlacement::RemoteFraction { remote_frac: 0.2 },
+        "cxl" | "interleave" => InitialPlacement::CxlFraction { cxl_frac: 0.2 },
+        other => return Err(format!("unknown case {other:?} (remote|cxl|interleave)")),
+    };
+    let baseline = match case {
+        "interleave" => InitialPlacement::AllCxl,
+        _ => InitialPlacement::AllLocal,
+    };
+    Ok((measured, baseline))
+}
+
 /// One Fig 5 point: the app bandwidth of the measured placement over
 /// that of the baseline it normalizes against (all-local, or all-CXL
 /// for the interleave case).
 fn run_fig5_point(p: &Point) -> Value {
-    let threading = match p.str("panel") {
-        "batch" => ThreadingMode::Batch,
-        "table" => ThreadingMode::Table,
-        other => panic!("param \"panel\": unknown panel {other:?}"),
-    };
-    let (placement, baseline) = match p.str("case") {
-        "remote" => (
-            InitialPlacement::RemoteFraction { remote_frac: 0.2 },
-            InitialPlacement::AllLocal,
-        ),
-        "cxl" => (
-            InitialPlacement::CxlFraction { cxl_frac: 0.2 },
-            InitialPlacement::AllLocal,
-        ),
-        "interleave" => (
-            InitialPlacement::CxlFraction { cxl_frac: 0.2 },
-            InitialPlacement::AllCxl,
-        ),
-        other => panic!("param \"case\": unknown case {other:?}"),
-    };
+    let mode = threading(p.str("panel")).expect("checked at grid time");
+    let (placement, baseline) = placements(p.str("case")).expect("checked at grid time");
     let dim: u32 = p.int("dim");
     let rows = p.u64("size");
     let bandwidth = |placement| {
-        let cfg = characterization_cfg(dim, rows, placement, threading);
+        let cfg = characterization_cfg(dim, rows, placement, mode);
         run_small(cfg).app_bandwidth_gbps(4 * dim as u64)
     };
     let (bw, base) = (bandwidth(placement), bandwidth(baseline));
@@ -112,10 +113,15 @@ pub static FIG5: GridScenario = GridScenario {
     title: "Normalized app bandwidth vs table size (Fig 5; a-d vs all-local, e-f vs all-CXL)",
     params: || {
         vec![
-            ParamSpec::strs("panel", ["batch", "table"]),
-            ParamSpec::strs("case", ["remote", "cxl", "interleave"]),
-            ParamSpec::u64s("dim", [16, 32, 64, 128]),
-            ParamSpec::u64s("size", FIG5_SIZES),
+            ParamSpec::strs("panel", ["batch", "table"], |v| word(v, threading)),
+            ParamSpec::strs("case", ["remote", "cxl", "interleave"], |v| {
+                word(v, placements)
+            }),
+            ParamSpec::u64s("dim", [16, 32, 64, 128], |v| {
+                dim_fits(v, fig5_model(1, 1).bag_size)
+            }),
+            // From one row to the largest Table I table.
+            ParamSpec::ints::<1, { 1 << 20 }>("size", FIG5_SIZES),
         ]
     },
     points: None,
@@ -152,8 +158,10 @@ pub static FIG6: GridScenario = GridScenario {
     title: "CXL bandwidth contribution (Fig 6)",
     params: || {
         vec![
-            ParamSpec::u64s("cores", [4, 8]),
-            ParamSpec::u64s("dim", [32, 64, 128]),
+            ParamSpec::ints::<1, { u32::MAX as u64 }>("cores", [4, 8]),
+            ParamSpec::u64s("dim", [32, 64, 128], |v| {
+                dim_fits(v, fig6_model(1, 1).bag_size)
+            }),
         ]
     },
     // The paper plots five hand-picked (threads, dim) mixes, not the

@@ -32,7 +32,7 @@ use serde_json::{json, Value};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
 use super::stability::{self, empirical_qps, saturated, serving_workload, MAX_WAIT_US, P99_SLA_NS};
-use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
+use crate::scenario::{word, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the `latency_qps` family).
@@ -44,21 +44,11 @@ const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
 /// curve without reordering the policies.
 const QUERIES_PER_SEC_PER_USER: f64 = 20.0;
 
-/// The offered-load axis, cluster-wide queries per second. Spans the
-/// single-node floor (2 M), the single-node knee (≈16 M on scaled
-/// RMC1), and rates only multi-node fleets can absorb (32 M, 128 M).
-fn qps_axis() -> ParamSpec {
-    ParamSpec::u64s("qps", [2_000_000, 8_000_000, 32_000_000, 128_000_000])
-}
-
 fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     let m = p.model();
     let qps = p.f64("qps");
-    let arrival_spec = p.str("arrival");
-    let process = ArrivalProcess::parse(arrival_spec, qps)
-        .unwrap_or_else(|e| panic!("param \"arrival\": {e}"));
-    let policy =
-        ShardPolicy::parse(p.str("policy")).unwrap_or_else(|e| panic!("param \"policy\": {e}"));
+    let process = ArrivalProcess::parse(p.str("arrival"), qps).expect("checked at grid time");
+    let policy = ShardPolicy::parse(p.str("policy")).expect("checked at grid time");
     let nodes: u16 = p.int("nodes");
 
     let mut node = scale_buffers(SystemConfig::pifs_rec(m.clone()));
@@ -164,11 +154,16 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
     title: "Sharded cluster tail latency vs offered QPS (nodes x placement policy; serving mode)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1"]),
-            ParamSpec::strs("policy", ["row_hash", "table_partition"]),
-            ParamSpec::u64s("nodes", [1, 2, 4, 8]),
-            ParamSpec::strs("arrival", ["poisson"]),
-            qps_axis(),
+            ParamSpec::model(["RMC1"]),
+            ParamSpec::strs("policy", ["row_hash", "table_partition"], |v| {
+                word(v, ShardPolicy::parse)
+            }),
+            ParamSpec::ints::<1, { u16::MAX as u64 }>("nodes", [1, 2, 4, 8]),
+            stability::arrivals(["poisson"]),
+            // Cluster-wide offered load: the single-node floor (2 M qps),
+            // the single-node knee (≈16 M on scaled RMC1), and rates only
+            // multi-node fleets absorb (32 M, 128 M).
+            stability::qps([2_000_000, 8_000_000, 32_000_000, 128_000_000]),
         ]
     },
     points: None,

@@ -11,9 +11,8 @@
 
 use pifs_core::system::SlsSystem;
 use serde_json::{json, Value};
-use tracegen::{Distribution, TraceSpec};
 
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, ResultRow};
+use crate::scenario::{distribution, workload_seed, GridScenario, ParamSpec, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// The sweep-only knob-exploration scenario (`in_all = false`).
@@ -22,17 +21,15 @@ pub static CUSTOM: GridScenario = GridScenario {
     title: "Free-form scheme/model/knob sweep (not a paper figure)",
     params: || {
         vec![
-            ParamSpec::strs("scheme", ["PIFS-Rec"]),
-            ParamSpec::strs("model", ["RMC1"]),
-            ParamSpec::strs("trace", ["Meta"]),
+            ParamSpec::scheme(["PIFS-Rec"]),
+            ParamSpec::model(["RMC1"]),
+            ParamSpec::traces(["Meta"]),
         ]
     },
     points: None,
     run: |p| {
         let m = p.model();
-        let spec = p.str("trace");
-        let dist = Distribution::parse(spec)
-            .unwrap_or_else(|| panic!("param \"trace\": unknown distribution {spec:?}"));
+        let dist = distribution(p.str("trace")).expect("checked at grid time");
         let seed = workload_seed(
             crate::SEED,
             &[
@@ -46,18 +43,9 @@ pub static CUSTOM: GridScenario = GridScenario {
                 continue;
             }
             cfg.apply_knob(name, &value.to_string())
-                .unwrap_or_else(|e| panic!("--param {name}: {e}"));
+                .expect("checked at grid time");
         }
-        let trace = TraceSpec {
-            distribution: dist,
-            n_tables: m.n_tables,
-            rows_per_table: m.emb_num,
-            batch_size: STD_BATCH_SIZE,
-            n_batches: STD_BATCHES,
-            bag_size: m.bag_size,
-            seed,
-        }
-        .generate();
+        let trace = crate::trace_spec(&m, dist, STD_BATCH_SIZE, STD_BATCHES, seed).generate();
         let met = SlsSystem::new(cfg).run_trace(&trace);
         json!({
             "seed": seed,

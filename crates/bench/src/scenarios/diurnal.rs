@@ -45,7 +45,7 @@ use pifs_core::SimCheckpoint;
 use serde_json::{json, Value};
 use tracegen::{ArrivalProcess, QueryStream, QueryStreamSpec};
 
-use super::stability::{serving_workload, MAX_WAIT_US};
+use super::stability::{arrivals, serving_workload, MAX_QPS, MAX_WAIT_US};
 use crate::scenario::{GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCH_SIZE};
 
@@ -85,13 +85,7 @@ fn run_diurnal_point(p: &Point) -> Value {
     let m = p.model();
     let qps = p.f64("qps");
     let duration_s = p.u64("duration_s");
-    assert!(
-        duration_s <= MAX_DURATION_S,
-        "duration axis exceeds the shared stream length"
-    );
-    let arrival_spec = p.str("arrival");
-    let process = ArrivalProcess::parse(arrival_spec, qps)
-        .unwrap_or_else(|e| panic!("param \"arrival\": {e}"));
+    let process = ArrivalProcess::parse(p.str("arrival"), qps).expect("checked at grid time");
 
     let mut cfg = scale_buffers(p.scheme().config(m.clone()));
     cfg.apply_knob("serving.max_wait_us", MAX_WAIT_US)
@@ -184,11 +178,12 @@ pub static LATENCY_DIURNAL: GridScenario = GridScenario {
     title: "Diurnal long-trace serving time series (streamed, checkpoint warm-started durations)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1"]),
-            ParamSpec::strs("scheme", ["PIFS-Rec"]),
-            ParamSpec::strs("arrival", ["diurnal:0.9:20"]),
-            ParamSpec::u64s("qps", [500]),
-            ParamSpec::u64s("duration_s", [15, 30, 60]),
+            ParamSpec::model(["RMC1"]),
+            ParamSpec::scheme(["PIFS-Rec"]),
+            arrivals(["diurnal:0.9:20"]),
+            // Whole queries per second: each point pushes qps × duration.
+            ParamSpec::ints::<1, MAX_QPS>("qps", [500]),
+            ParamSpec::ints::<0, MAX_DURATION_S>("duration_s", [15, 30, 60]),
         ]
     },
     points: None,

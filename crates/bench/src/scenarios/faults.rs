@@ -28,13 +28,13 @@
 //! degraded router merge and the exact functional plane.
 
 use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy, SlsCluster};
-use pifs_core::system::SystemConfig;
+use pifs_core::system::{ShedPolicy, SystemConfig};
 use serde_json::{json, Value};
 use simkit::{FaultSchedule, FaultSpec};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
 use super::stability::{self, saturated, serving_workload, MAX_WAIT_US, P99_SLA_NS};
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
+use crate::scenario::{word, workload_seed, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the cluster family).
@@ -76,15 +76,14 @@ const FAULT_AXIS: [&str; 6] = [
 fn setup(p: &Point) -> (ClusterConfig, QueryStreamSpec) {
     let m = p.model();
     let qps = p.f64("qps");
-    let fault = FaultSpec::parse(p.str("fault")).unwrap_or_else(|e| panic!("param \"fault\": {e}"));
-    let process =
-        ArrivalProcess::parse("poisson", qps).unwrap_or_else(|e| panic!("param \"qps\": {e}"));
+    let fault = FaultSpec::parse(p.str("fault")).expect("checked at grid time");
+    let process = ArrivalProcess::parse("poisson", qps).expect("checked at grid time");
 
     let mut node = scale_buffers(SystemConfig::pifs_rec(m.clone()));
     node.apply_knob("serving.max_wait_us", MAX_WAIT_US)
         .expect("max_wait_us knob");
     node.apply_knob("serving.shed_policy", p.str("shed"))
-        .unwrap_or_else(|e| panic!("param \"shed\": {e}"));
+        .expect("checked at grid time");
     node.apply_knob("serving.sla_us", SLA_US)
         .expect("sla_us knob");
 
@@ -210,11 +209,11 @@ pub static CLUSTER_FAULTS: GridScenario = GridScenario {
     title: "Cluster serving under injected faults (availability, coverage, fault-tax frontier)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1"]),
-            ParamSpec::strs("fault", FAULT_AXIS),
-            ParamSpec::strs("shed", ["none", "deadline"]),
-            ParamSpec::u64s("replicas", [0, 64]),
-            ParamSpec::u64s("qps", [4_000_000, 16_000_000, 128_000_000]),
+            ParamSpec::model(["RMC1"]),
+            ParamSpec::strs("fault", FAULT_AXIS, |v| word(v, FaultSpec::parse)),
+            ParamSpec::strs("shed", ["none", "deadline"], |v| word(v, ShedPolicy::parse)),
+            ParamSpec::ints::<0, { u32::MAX as u64 }>("replicas", [0, 64]),
+            stability::qps([4_000_000, 16_000_000, 128_000_000]),
         ]
     },
     points: None,

@@ -26,33 +26,19 @@ use serde_json::{json, Value};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
 use super::stability::{self, empirical_qps, saturated, serving_workload, MAX_WAIT_US};
-use crate::scenario::{GridScenario, ParamSpec, ResultRow};
+use crate::scenario::{knob, GridScenario, ParamSpec, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (the standard closed-loop sample count, so
 /// runtimes match the fig12 grids).
 const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
 
-/// The offered-load axis, queries per second. Spans the batching floor
-/// (0.25 M), every scheme's saturation knee (3–15 M), and deep
-/// overload (32 M) on the scaled RMC1 workload.
-fn qps_axis() -> ParamSpec {
-    ParamSpec::u64s(
-        "qps",
-        [
-            250_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000, 32_000_000,
-        ],
-    )
-}
-
 /// Runs one open-loop point: build the scheme config, apply batcher
 /// knobs, stream the seeded queries at the seeded arrival instants.
 fn run_serving_point(p: &crate::scenario::Point) -> Value {
     let m = p.model();
     let qps = p.f64("qps");
-    let arrival_spec = p.str("arrival");
-    let process = ArrivalProcess::parse(arrival_spec, qps)
-        .unwrap_or_else(|e| panic!("param \"arrival\": {e}"));
+    let process = ArrivalProcess::parse(p.str("arrival"), qps).expect("checked at grid time");
 
     let mut cfg = scale_buffers(p.scheme().config(m.clone()));
     cfg.apply_knob(
@@ -60,10 +46,10 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
         &p.get("max_wait_us")
             .map_or_else(|| MAX_WAIT_US.to_string(), |v| v.to_string()),
     )
-    .expect("max_wait_us knob");
+    .expect("checked at grid time");
     if let Some(v) = p.get("batch_size") {
         cfg.apply_knob("serving.batch_size", &v.to_string())
-            .expect("batch_size knob");
+            .expect("checked at grid time");
     }
 
     // Same queries for every point of a model; same timestamps for
@@ -130,10 +116,15 @@ pub static LATENCY_QPS: GridScenario = GridScenario {
     title: "Open-loop tail latency vs offered QPS per scheme (serving mode; knee = saturation)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1"]),
+            ParamSpec::model(["RMC1"]),
             ParamSpec::schemes(),
-            ParamSpec::strs("arrival", ["poisson"]),
-            qps_axis(),
+            stability::arrivals(["poisson"]),
+            // Offered load: the batching floor (0.25 M qps), every
+            // scheme's saturation knee (3–15 M) and deep overload (32 M)
+            // on the scaled RMC1 workload.
+            stability::qps([
+                250_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000, 32_000_000,
+            ]),
         ]
     },
     points: None,
@@ -156,12 +147,16 @@ pub static LATENCY_WAIT: GridScenario = GridScenario {
     title: "Batcher knob tradeoff: batch size x max wait at fixed load (PIFS-Rec, serving mode)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1"]),
-            ParamSpec::strs("scheme", ["PIFS-Rec"]),
-            ParamSpec::strs("arrival", ["poisson"]),
-            ParamSpec::u64s("qps", [4_000_000]),
-            ParamSpec::u64s("batch_size", [8, 16, 32, 64]),
-            ParamSpec::u64s("max_wait_us", [2, 10, 50]),
+            ParamSpec::model(["RMC1"]),
+            ParamSpec::scheme(["PIFS-Rec"]),
+            stability::arrivals(["poisson"]),
+            stability::qps([4_000_000]),
+            ParamSpec::u64s("batch_size", [8, 16, 32, 64], |v| {
+                knob("serving.batch_size", v)
+            }),
+            ParamSpec::u64s("max_wait_us", [2, 10, 50], |v| {
+                knob("serving.max_wait_us", v)
+            }),
         ]
     },
     points: None,
@@ -171,10 +166,8 @@ pub static LATENCY_WAIT: GridScenario = GridScenario {
             .iter()
             .map(|r| {
                 json!({
-                    "batch_size": r.params.iter().find(|(n, _)| n == "batch_size")
-                        .map(|(_, v)| v.to_string()),
-                    "max_wait_us": r.params.iter().find(|(n, _)| n == "max_wait_us")
-                        .map(|(_, v)| v.to_string()),
+                    "batch_size": r.param("batch_size"),
+                    "max_wait_us": r.param("max_wait_us"),
                     "p50_ns": r.get_f64("p50_ns"),
                     "p99_ns": r.get_f64("p99_ns"),
                     "mean_wait_ns": r.get_f64("mean_wait_ns"),

@@ -1,12 +1,12 @@
 //! Page-management scenarios (§IV-B / Fig 13): migration-threshold and
 //! cold-age sweeps plus the device-balance before/after study.
 
-use pagemgmt::{InitialPlacement, MigrationGranularity};
+use pagemgmt::InitialPlacement;
 use pifs_core::system::{PmConfig, PmStyle, SystemConfig};
 use serde_json::{json, Value};
 use tracegen::Distribution;
 
-use crate::scenario::{GridScenario, ParamSpec, ParamValue, ResultRow};
+use crate::scenario::{knob, word, GridScenario, ParamSpec, ParamValue, ResultRow};
 use crate::{run_std, run_with, scale_buffers, std_trace, STD_BATCH_SIZE};
 
 /// Fig 13a: migrate-threshold sweep at both migration granularities.
@@ -15,28 +15,27 @@ pub static FIG13A: GridScenario = GridScenario {
     title: "Migrate-threshold sweep (Fig 13a; paper optimum 35%, cache-line up to 5.1x cheaper)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC4"]),
-            ParamSpec::f64s(
-                "threshold",
-                [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50],
-            ),
-            ParamSpec::strs("granularity", ["cache_line", "page_block"]),
+            ParamSpec::model(["RMC4"]),
+            ParamSpec {
+                name: "threshold",
+                values: [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50]
+                    .map(ParamValue::F64)
+                    .into(),
+                check: |v| v.fraction().map(drop),
+            },
+            ParamSpec::strs("granularity", ["cache_line", "page_block"], |v| {
+                knob("pm.granularity", v)
+            }),
         ]
     },
     points: None,
     run: |p| {
-        let m = p.model();
-        let gran = match p.str("granularity") {
-            "cache_line" => MigrationGranularity::CacheLineBlock,
-            "page_block" => MigrationGranularity::PageBlock,
-            other => panic!("param \"granularity\": unknown granularity {other:?}"),
-        };
-        let mut cfg = SystemConfig::pifs_rec(m);
-        cfg.page_mgmt = Some(PmConfig {
-            migrate_threshold: p.f64("threshold"),
-            granularity: gran,
-            ..PmConfig::default()
-        });
+        // The axes set two knobs of PIFS-Rec's default page manager.
+        let mut cfg = SystemConfig::pifs_rec(p.model());
+        cfg.apply_knob("pm.granularity", p.str("granularity"))
+            .expect("checked at grid time");
+        let pm = cfg.page_mgmt.as_mut().expect("PIFS-Rec manages pages");
+        pm.migrate_threshold = p.f64("threshold");
         let met = run_std(cfg);
         json!({
             "latency_ns": met.total_ns,
@@ -70,14 +69,24 @@ pub static FIG13A: GridScenario = GridScenario {
     in_all: true,
 };
 
+/// Whether Fig 13b's `phase` runs page management: `after` does,
+/// `before` does not.
+fn page_managed(phase: &str) -> Result<bool, String> {
+    match phase {
+        "before" => Ok(false),
+        "after" => Ok(true),
+        other => Err(format!("unknown phase {other:?} (before|after)")),
+    }
+}
+
 /// Fig 13b: per-device access balance with and without page management.
 pub static FIG13B: GridScenario = GridScenario {
     id: "fig13b",
     title: "Device access balance before/after PM (Fig 13b; paper std dev 20.6 -> 7.8)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC4"]),
-            ParamSpec::strs("phase", ["before", "after"]),
+            ParamSpec::model(["RMC4"]),
+            ParamSpec::strs("phase", ["before", "after"], |v| word(v, page_managed)),
         ]
     },
     points: None,
@@ -97,7 +106,7 @@ pub static FIG13B: GridScenario = GridScenario {
             total_pages: n_pages,
         };
         cfg.warmup_batches = 24;
-        if p.str("phase") == "before" {
+        if !page_managed(p.str("phase")).expect("checked at grid time") {
             cfg.page_mgmt = None;
         }
         let met = run_with(cfg, &trace);
@@ -147,13 +156,25 @@ pub static FIG13B: GridScenario = GridScenario {
     in_all: true,
 };
 
+/// The page manager Fig 13d's `policy` names: `TPP`, or PIFS-Rec's at
+/// a cold-age threshold in [0, 1].
+fn pm_policy(policy: &ParamValue) -> Result<PmConfig, String> {
+    let mut pm = PmConfig::default();
+    match policy {
+        ParamValue::Str(s) if s == "TPP" => pm.style = PmStyle::Tpp,
+        ParamValue::Str(s) => return Err(format!("unknown policy {s:?} (TPP|fraction)")),
+        threshold => pm.cold_age_threshold = threshold.fraction()?,
+    }
+    Ok(pm)
+}
+
 /// Fig 13d: cold-age demotion threshold sweep vs the TPP baseline.
 pub static FIG13D: GridScenario = GridScenario {
     id: "fig13d",
     title: "Cold-age threshold sweep vs TPP (Fig 13d; paper optimum 16%, 12% below TPP)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC4"]),
+            ParamSpec::model(["RMC4"]),
             ParamSpec {
                 name: "policy",
                 values: std::iter::once(ParamValue::Str("TPP".into()))
@@ -163,24 +184,15 @@ pub static FIG13D: GridScenario = GridScenario {
                             .map(ParamValue::F64),
                     )
                     .collect(),
+                check: |v| pm_policy(v).map(drop),
             },
         ]
     },
     points: None,
     run: |p| {
-        let m = p.model();
-        let mut cfg = SystemConfig::pifs_rec(m);
-        cfg.page_mgmt = Some(match p.get("policy") {
-            Some(ParamValue::Str(s)) if s == "TPP" => PmConfig {
-                style: PmStyle::Tpp,
-                ..PmConfig::default()
-            },
-            Some(ParamValue::F64(t)) => PmConfig {
-                cold_age_threshold: *t,
-                ..PmConfig::default()
-            },
-            other => panic!("param \"policy\": expected \"TPP\" or a threshold, got {other:?}"),
-        });
+        let mut cfg = SystemConfig::pifs_rec(p.model());
+        let policy = p.get("policy").expect("axis bound");
+        cfg.page_mgmt = Some(pm_policy(policy).expect("checked at grid time"));
         let met = run_std(cfg);
         json!({
             "latency_ns": met.total_ns,

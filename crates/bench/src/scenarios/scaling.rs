@@ -2,9 +2,10 @@
 //! end-to-end speedup (Fig 14), and the on-switch buffer sweep (Fig 15).
 
 use pifs_core::system::{BufferConfig, SystemConfig};
+use pifs_core::BufferPolicy;
 use serde_json::{json, Value};
 
-use crate::scenario::{point_seed, GridScenario, ParamSpec, ParamValue, Point, ResultRow};
+use crate::scenario::{point_seed, word, GridScenario, ParamSpec, ParamValue, Point, ResultRow};
 use crate::scenarios::schemes::lat_ns;
 use crate::{meta_distribution, run_std, run_with, std_trace, with_warmup};
 
@@ -20,9 +21,9 @@ pub static FIG13C: GridScenario = GridScenario {
     title: "Fabric-switch scaling (Fig 13c; paper: 1.8-20.8x from 2x to 32x in the largest batch)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC4"]),
-            ParamSpec::u64s("batch", [8, 64, 256]),
-            ParamSpec::u64s("switches", [1, 2, 4, 8, 16, 32]),
+            ParamSpec::model(["RMC4"]),
+            ParamSpec::ints::<1, { u32::MAX as u64 }>("batch", [8, 64, 256]),
+            ParamSpec::ints::<1, { u16::MAX as u64 }>("switches", [1, 2, 4, 8, 16, 32]),
         ]
     },
     points: None,
@@ -64,9 +65,9 @@ pub static FIG14: GridScenario = GridScenario {
     title: "Multi-host end-to-end speedup (Fig 14; paper: 1.9-4.7x from 2 to 8 hosts)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC1", "RMC2"]),
-            ParamSpec::u64s("batch", [8, 64, 256]),
-            ParamSpec::u64s("hosts", [0, 1, 2, 4, 8]),
+            ParamSpec::model(["RMC1", "RMC2"]),
+            ParamSpec::ints::<1, { u32::MAX as u64 }>("batch", [8, 64, 256]),
+            ParamSpec::ints::<0, { u16::MAX as u64 }>("hosts", [0, 1, 2, 4, 8]),
         ]
     },
     points: None,
@@ -137,6 +138,17 @@ pub static FIG14: GridScenario = GridScenario {
     in_all: true,
 };
 
+/// The replacement policy a Fig 15 `policy` names (`none` is only the
+/// buffer-less anchor's label, never a sweep value).
+fn buffer_policy(policy: &str) -> Result<BufferPolicy, String> {
+    match policy {
+        "HTR" => Ok(BufferPolicy::Htr),
+        "LRU" => Ok(BufferPolicy::Lru),
+        "FIFO" => Ok(BufferPolicy::Fifo),
+        other => Err(format!("unknown buffer policy {other:?} (HTR|LRU|FIFO)")),
+    }
+}
+
 /// Fig 15: on-switch buffer capacity and replacement-policy sweep (the
 /// `capacity_kb = 0, policy = none` anchor is the buffer-less baseline).
 pub static FIG15: GridScenario = GridScenario {
@@ -146,8 +158,9 @@ pub static FIG15: GridScenario = GridScenario {
     params: || {
         vec![
             ParamSpec::models(),
-            ParamSpec::u64s("capacity_kb", [64, 128, 256, 512, 1024]),
-            ParamSpec::strs("policy", ["HTR", "LRU", "FIFO"]),
+            // Zero is the buffer-less anchor; the top keeps bytes in u64.
+            ParamSpec::ints::<0, { u64::MAX >> 10 }>("capacity_kb", [64, 128, 256, 512, 1024]),
+            ParamSpec::strs("policy", ["HTR", "LRU", "FIFO"], |v| word(v, buffer_policy)),
         ]
     },
     // One buffer-less anchor point per model ahead of the 5×3 grid; a
@@ -177,7 +190,6 @@ pub static FIG15: GridScenario = GridScenario {
         points
     }),
     run: |p| {
-        use pifs_core::BufferPolicy;
         let m = p.model();
         let cap_kb = p.u64("capacity_kb");
         if cap_kb == 0 {
@@ -185,12 +197,7 @@ pub static FIG15: GridScenario = GridScenario {
             no_buffer.buffer = None;
             json!({ "total_ns": run_std(no_buffer).total_ns })
         } else {
-            let policy = match p.str("policy") {
-                "HTR" => BufferPolicy::Htr,
-                "LRU" => BufferPolicy::Lru,
-                "FIFO" => BufferPolicy::Fifo,
-                other => panic!("param \"policy\": unknown buffer policy {other:?}"),
-            };
+            let policy = buffer_policy(p.str("policy")).expect("checked at grid time");
             let mut cfg = SystemConfig::pifs_rec(m);
             cfg.buffer = Some(BufferConfig {
                 policy,

@@ -9,7 +9,7 @@ use pifs_core::system::{ComputeSite, PmConfig, SystemConfig};
 use serde_json::{json, Value};
 use tracegen::Distribution;
 
-use crate::scenario::{GridScenario, ParamSpec, ResultRow};
+use crate::scenario::{distribution, word, GridScenario, ParamSpec, ParamValue, ResultRow};
 use crate::{run_std, run_with, scale_buffers, std_trace, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Extracts `total_ns` from a row as the f64 the legacy harness used.
@@ -18,13 +18,6 @@ pub(crate) fn lat_ns(row: &ResultRow) -> f64 {
         .get("total_ns")
         .and_then(Value::as_u64)
         .expect("row carries total_ns") as f64
-}
-
-fn scheme_labels() -> Vec<String> {
-    Scheme::all()
-        .iter()
-        .map(|s| s.label().to_string())
-        .collect()
 }
 
 /// Fig 12a: scheme latency per model.
@@ -44,7 +37,7 @@ pub static FIG12A: GridScenario = GridScenario {
         for chunk in rows.chunks(Scheme::all().len()) {
             let name = chunk[0].params[0].1.to_string();
             let lat: Vec<f64> = chunk.iter().map(lat_ns).collect();
-            let labels = scheme_labels();
+            let labels: Vec<String> = Scheme::all().iter().map(|s| s.label().into()).collect();
             let norm = simkit::stats::max_normalize(&lat);
             let pifs = lat[4];
             ratios.insert(
@@ -73,9 +66,8 @@ pub static FIG12B: GridScenario = GridScenario {
     title: "Trace generality (Fig 12b)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC3"]),
-            ParamSpec::strs(
-                "trace",
+            ParamSpec::model(["RMC3"]),
+            ParamSpec::traces(
                 Distribution::fig12b_suite()
                     .into_iter()
                     .map(|(label, _)| label),
@@ -86,9 +78,7 @@ pub static FIG12B: GridScenario = GridScenario {
     points: None,
     run: |p| {
         let m = p.model();
-        let spec = p.str("trace");
-        let dist = Distribution::parse(spec)
-            .unwrap_or_else(|| panic!("param \"trace\": unknown distribution {spec:?}"));
+        let dist = distribution(p.str("trace")).expect("checked at grid time");
         let trace = std_trace(&m, dist, STD_BATCH_SIZE, STD_BATCHES);
         let met = run_with(scale_buffers(p.scheme().config(m)), &trace);
         json!({ "total_ns": met.total_ns })
@@ -118,8 +108,8 @@ pub static FIG12C: GridScenario = GridScenario {
     title: "Memory-device scaling (Fig 12c; paper: 12.5x over Pond at 16 devices)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC4"]),
-            ParamSpec::u64s("devices", [2, 4, 8, 16]),
+            ParamSpec::model(["RMC4"]),
+            ParamSpec::ints::<1, { u16::MAX as u64 }>("devices", [2, 4, 8, 16]),
             ParamSpec::schemes(),
         ]
     },
@@ -158,8 +148,8 @@ pub static FIG12D: GridScenario = GridScenario {
     title: "DRAM capacity sensitivity (Fig 12d; paper: 256GB +4%, 512GB +6%)",
     params: || {
         vec![
-            ParamSpec::strs("model", ["RMC4"]),
-            ParamSpec::strs("dram", ["128GB", "X2", "X4"]),
+            ParamSpec::model(["RMC4"]),
+            ParamSpec::strs("dram", ["128GB", "X2", "X4"], |v| dram_frac(v).map(drop)),
             ParamSpec::schemes(),
         ]
     },
@@ -167,7 +157,8 @@ pub static FIG12D: GridScenario = GridScenario {
     run: |p| {
         let m = p.model();
         let mut cfg = scale_buffers(p.scheme().config(m));
-        cfg.local_capacity_frac = dram_frac(p.get("dram"));
+        cfg.local_capacity_frac =
+            dram_frac(p.get("dram").expect("axis bound")).expect("checked at grid time");
         json!({ "total_ns": run_std(cfg).total_ns })
     },
     summarize: |rows| {
@@ -187,27 +178,34 @@ pub static FIG12D: GridScenario = GridScenario {
     in_all: true,
 };
 
-/// Maps the Fig 12d capacity labels to working-set fractions; sweeps may
-/// also pass a bare fraction.
-fn dram_frac(value: Option<&crate::scenario::ParamValue>) -> f64 {
-    use crate::scenario::ParamValue;
+/// The local-DRAM working-set fraction of a Fig 12d `dram` value: a
+/// capacity label, or a bare fraction in [0, 1] (above 1 the whole
+/// working set fits, the same system as 1).
+fn dram_frac(value: &ParamValue) -> Result<f64, String> {
     match value {
-        Some(ParamValue::Str(label)) => match label.as_str() {
-            "128GB" => 0.2,
-            "X2" => 0.4,
-            "X4" => 0.8,
-            other => other
-                .parse()
-                .unwrap_or_else(|_| panic!("param \"dram\": unknown capacity {other:?}")),
+        ParamValue::Str(label) => match label.as_str() {
+            "128GB" => Ok(0.2),
+            "X2" => Ok(0.4),
+            "X4" => Ok(0.8),
+            other => Err(format!("unknown capacity {other:?} (128GB|X2|X4|fraction)")),
         },
-        Some(ParamValue::F64(v)) => *v,
-        Some(ParamValue::U64(v)) => *v as f64,
-        None => panic!("param \"dram\" missing"),
+        fraction => fraction.fraction(),
     }
 }
 
-/// The Fig 12e ablation ladder, in cumulative-feature order.
-pub(crate) fn ablation_ladder(m: &ModelConfig) -> Vec<(&'static str, SystemConfig)> {
+/// The Fig 12e ablation stages, in cumulative-feature order.
+const STAGES: [&str; 5] = ["Baseline", "PC", "PC/OoO", "PC/OoO/PM", "PC/OoO/PM/OSB"];
+
+/// The rung of [`ablation_ladder`] that `stage` names.
+fn rung(stage: &str) -> Result<usize, String> {
+    STAGES
+        .iter()
+        .position(|s| *s == stage)
+        .ok_or_else(|| format!("unknown ablation stage {stage:?} ({})", STAGES.join("|")))
+}
+
+/// The Fig 12e ablation ladder, one config per [`STAGES`] entry.
+fn ablation_ladder(m: &ModelConfig) -> Vec<SystemConfig> {
     let pond = SystemConfig::pond(m.clone());
     let mut pc = SystemConfig::pond(m.clone());
     pc.compute = ComputeSite::Switch;
@@ -218,13 +216,7 @@ pub(crate) fn ablation_ladder(m: &ModelConfig) -> Vec<(&'static str, SystemConfi
     pc_ooo_pm.page_mgmt = Some(PmConfig::default());
     let mut full = pc_ooo_pm.clone();
     full.buffer = Some(Default::default());
-    vec![
-        ("Baseline", pond),
-        ("PC", pc),
-        ("PC/OoO", pc_ooo),
-        ("PC/OoO/PM", pc_ooo_pm),
-        ("PC/OoO/PM/OSB", full),
-    ]
+    vec![pond, pc, pc_ooo, pc_ooo_pm, full]
 }
 
 /// Fig 12e: the feature-ablation ladder per model.
@@ -234,21 +226,13 @@ pub static FIG12E: GridScenario = GridScenario {
     params: || {
         vec![
             ParamSpec::models(),
-            ParamSpec::strs(
-                "stage",
-                ["Baseline", "PC", "PC/OoO", "PC/OoO/PM", "PC/OoO/PM/OSB"],
-            ),
+            ParamSpec::strs("stage", STAGES, |v| word(v, rung)),
         ]
     },
     points: None,
     run: |p| {
-        let m = p.model();
-        let stage = p.str("stage");
-        let cfg = ablation_ladder(&m)
-            .into_iter()
-            .find(|(label, _)| *label == stage)
-            .unwrap_or_else(|| panic!("param \"stage\": unknown ablation stage {stage:?}"))
-            .1;
+        let rung = rung(p.str("stage")).expect("checked at grid time");
+        let cfg = ablation_ladder(&p.model()).swap_remove(rung);
         json!({ "total_ns": run_std(cfg).total_ns })
     },
     summarize: |rows| {

@@ -30,9 +30,9 @@
 
 use dlrm::ModelConfig;
 use serde_json::Value;
-use tracegen::TraceSpec;
+use tracegen::{ArrivalProcess, TraceSpec};
 
-use crate::scenario::{workload_seed, ParamValue, Point, ResultRow};
+use crate::scenario::{word, workload_seed, ParamSpec, ParamValue, Point, ResultRow};
 use crate::STD_BATCH_SIZE;
 
 /// Batcher max-wait of every serving family, µs. Far below the engine
@@ -55,6 +55,35 @@ pub(crate) const SATURATION_FRAC: f64 = 0.90;
 /// only while queueing delay stays comparable to the batching delay —
 /// the pre-knee regime. The engine's default `serving.sla_us` matches.
 pub(crate) const P99_SLA_NS: f64 = 25_000.0;
+
+/// The fastest offered rate a serving axis takes, queries per second:
+/// one arrival per nanosecond, the resolution the arrival clock rounds
+/// to.
+pub(crate) const MAX_QPS: u64 = 1_000_000_000;
+
+/// The offered-rate axis over `values`: a rate the arrival parser
+/// accepts, up to [`MAX_QPS`].
+pub(crate) fn qps(values: impl IntoIterator<Item = u64>) -> ParamSpec {
+    ParamSpec::u64s("qps", values, |v| {
+        let spelled = v.to_string();
+        let qps: f64 = spelled
+            .parse()
+            .map_err(|_| format!("rate {spelled:?} is not a number"))?;
+        ArrivalProcess::parse("poisson", qps)?;
+        if qps > MAX_QPS as f64 {
+            return Err(format!("rate {v} is above {MAX_QPS}, one arrival per ns"));
+        }
+        Ok(())
+    })
+}
+
+/// The arrival-process axis over `specs`: spellings
+/// [`ArrivalProcess::parse`] accepts (the rate is the `qps` axis's).
+pub(crate) fn arrivals<'a>(specs: impl IntoIterator<Item = &'a str>) -> ParamSpec {
+    ParamSpec::strs("arrival", specs, |v| {
+        word(v, |s| ArrivalProcess::parse(s, 1.0))
+    })
+}
 
 /// A serving point's workload for `model` (the point's own model): the
 /// Meta-like trace recipe of `n_batches` batches of [`STD_BATCH_SIZE`]
@@ -190,19 +219,11 @@ pub fn stability_json(points: &[StabilityPoint]) -> (Value, Value) {
 pub fn serving_points(group: &[ResultRow]) -> Vec<StabilityPoint> {
     group
         .iter()
-        .map(|r| {
-            let f = |key: &str| {
-                r.data
-                    .get(key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| panic!("row carries {key}"))
-            };
-            StabilityPoint {
-                stable_qps: f("achieved_qps"),
-                offered_qps: f("offered_qps"),
-                p99_ns: f("p99_ns"),
-                saturated: r.data.get("saturated").and_then(Value::as_bool) == Some(true),
-            }
+        .map(|r| StabilityPoint {
+            stable_qps: r.get_f64("achieved_qps"),
+            offered_qps: r.get_f64("offered_qps"),
+            p99_ns: r.get_f64("p99_ns"),
+            saturated: r.is_saturated(),
         })
         .collect()
 }

@@ -28,7 +28,7 @@ fn grid() -> Vec<Point> {
     cartesian_points(&[
         ParamSpec::schemes(),
         ParamSpec::models(),
-        ParamSpec::strs("trace", ["Meta", "Uniform"]),
+        ParamSpec::traces(["Meta", "Uniform"]),
     ])
 }
 

@@ -3,7 +3,7 @@
 //! executes.
 
 use pifs_bench::runner::SweepRunner;
-use pifs_bench::scenario::{cartesian_points, find, registry, ParamSpec};
+use pifs_bench::scenario::{cartesian_points, find, knob, registry, ParamSpec};
 
 /// A 1-thread and an N-thread sweep of the same scenario must produce
 /// identical JSONL rows and an identical summary (the acceptance bar
@@ -38,7 +38,7 @@ fn sweep_grids_are_thread_count_independent() {
         pifs_bench::scenario::ParamValue::Str("Pond".into()),
         pifs_bench::scenario::ParamValue::Str("PIFS-Rec".into()),
     ];
-    specs.push(ParamSpec::u64s("n_devices", [4]));
+    specs.push(ParamSpec::u64s("n_devices", [4], |v| knob("n_devices", v)));
     let serial: Vec<String> = SweepRunner::new(1)
         .run_points(scenario, cartesian_points(&specs))
         .iter()

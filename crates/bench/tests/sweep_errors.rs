@@ -339,6 +339,72 @@ fn a_dim_past_the_exact_sum_bound_dies_before_any_worker_runs() {
 }
 
 #[test]
+fn values_on_a_scenarios_own_axis_run() {
+    // `policy` names a buffer policy in fig15 and a page-management
+    // policy in fig13d. A check keyed on the axis name alone read both
+    // as shard policies and refused these values of the scenarios' own
+    // grids.
+    for args in [
+        &[
+            "fig15",
+            "--param",
+            "model=RMC1",
+            "--param",
+            "capacity_kb=64",
+            "--param",
+            "policy=LRU",
+        ][..],
+        &["fig13d", "--param", "policy=TPP"],
+        &["fig13d", "--param", "policy=0.5"],
+    ] {
+        let out = repro(&[&["--threads", "1", "sweep"][..], args].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn scenario_specific_axes_die_naming_the_axis() {
+    // Each of these used to panic a worker (exit 101) or run and print
+    // a meaningless row (exit 0): `threshold=nan` printed `"threshold":
+    // null` beside a latency, and `phase=bogus` ran the `after` arm.
+    for (id, axis, bad, reason) in [
+        ("fig13a", "granularity", "bogus", "unknown value"),
+        ("fig5", "panel", "bogus", "unknown panel"),
+        ("fig5", "size", "0", "1..=1048576"),
+        ("fig12d", "dram", "bogus", "unknown capacity"),
+        ("fig12e", "stage", "bogus", "unknown ablation stage"),
+        (
+            "fig15",
+            "capacity_kb",
+            "18014398509481984",
+            "0..=18014398509481983",
+        ),
+        ("fig13a", "threshold", "nan", "[0, 1]"),
+        ("fig13a", "threshold", "-3", "[0, 1]"),
+        ("fig12d", "dram", "nan", "[0, 1]"),
+        ("fig12d", "dram", "-1", "[0, 1]"),
+        ("fig13b", "phase", "bogus", "unknown phase"),
+    ] {
+        assert_dies(
+            &[
+                "--threads",
+                "1",
+                "sweep",
+                id,
+                "--param",
+                &format!("{axis}={bad}"),
+            ],
+            &[&format!("--param {axis}:"), reason],
+        );
+    }
+}
+
+#[test]
 fn the_cli_still_answers_when_asked_politely() {
     let out = repro(&["list"]);
     assert_eq!(out.status.code(), Some(0), "repro list must succeed");

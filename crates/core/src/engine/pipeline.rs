@@ -91,10 +91,6 @@ pub(crate) struct BagScratch {
     n_groups: usize,
     sub_acc: Vec<f32>,
     merged: Vec<f32>,
-    /// The debug-build DataFetch codec round trip: the burst, its
-    /// encoded slab, and the decoded burst.
-    #[cfg(debug_assertions)]
-    codec: (Vec<M2sReq>, Vec<u128>, Vec<M2sReq>),
 }
 
 /// Mutable view over the system state a pipeline stage may touch.
@@ -521,27 +517,8 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         &mut bag.scratch.sent,
     );
     t += SimDuration::from_ns(ISSUE_NS * bag.scratch.cxl.len() as u64);
-    // Debug builds round-trip the whole DataFetch burst through the
-    // batched codec and check every instruction routes to the process
-    // core; the release path models only the stream's timing.
-    #[cfg(debug_assertions)]
-    {
-        let chunks = (row_bytes.div_ceil(16)).min(8) as u8;
-        let (stream, slab, decoded) = &mut bag.scratch.codec;
-        stream.clear();
-        stream.extend(bag.scratch.cxl.iter().map(|&(_, _, addr)| {
-            M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16)
-        }));
-        M2sReq::encode_batch(stream, slab);
-        M2sReq::decode_batch(slab, decoded).expect("DataFetch burst decodes");
-        assert_eq!(decoded, stream, "batched codec must round-trip the burst");
-        for req in decoded.iter() {
-            assert_eq!(
-                crate::instrflow::check_memopcode(req),
-                crate::InstrRoute::ProcessCore
-            );
-        }
-    }
+    // The stream's timing only: the DataFetch bits themselves are
+    // checked in this module's tests.
     // Arrival time of each DataFetch at its switch, indexed by the row's
     // position in the bag's `cxl` list (positional, so duplicate rows in one bag
     // keep their own serialized issue/arrival times).
@@ -619,9 +596,70 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
 
 #[cfg(test)]
 mod tests {
-    use super::bag_sum;
-    use dlrm::EmbeddingTable;
+    use super::{bag_sum, process_bag};
+    use crate::system::{RunMetrics, SlsSystem, SystemConfig};
+    use crate::{check_memopcode, InstrRoute};
+    use cxlsim::M2sReq;
+    use dlrm::{EmbeddingTable, ModelConfig};
     use proptest::prelude::*;
+    use simkit::SimTime;
+    use tracegen::TraceSpec;
+
+    /// The switch-compute stage models each bag's DataFetch burst by its
+    /// timing alone. Here every burst a sampled PIFS-Rec run issues over
+    /// two switches is rebuilt from the bag's CXL rows, round-trips the
+    /// batched codec, and routes to the process core.
+    #[test]
+    fn every_data_fetch_burst_round_trips_the_codec() {
+        let mut cfg = SystemConfig::pifs_rec(ModelConfig::rmc1().scaled_down(16));
+        cfg.n_switches = 2;
+        cfg.n_hosts = 2;
+        let trace = TraceSpec {
+            distribution: tracegen::Distribution::Uniform,
+            n_tables: cfg.model.n_tables,
+            rows_per_table: cfg.model.emb_num,
+            batch_size: 8,
+            n_batches: 4,
+            bag_size: cfg.model.bag_size,
+            seed: 7,
+        }
+        .generate();
+        let chunks = cfg.model.row_bytes().div_ceil(16).min(8) as u8;
+        let mut sys = SlsSystem::new(cfg);
+        let mut metrics = RunMetrics::default();
+        let (mut stream, mut slab, mut decoded) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut bursts, mut split_bursts) = (0, 0);
+        let mut issue = SimTime::ZERO;
+        for batch in 0..trace.batches.len() {
+            let host_idx = batch % 2;
+            for table in 0..trace.n_tables {
+                for sample in 0..trace.batch_size {
+                    let (mut ctx, scratch) = sys.engine_ctx(&mut metrics);
+                    let cluster = *ctx.next_cluster;
+                    let rows = trace.bag(batch, table, sample);
+                    let (_, free) = process_bag(&mut ctx, scratch, host_idx, issue, table, rows);
+                    issue = free;
+                    if scratch.cxl.is_empty() {
+                        continue;
+                    }
+                    stream.clear();
+                    stream.extend(scratch.cxl.iter().map(|&(_, _, addr)| {
+                        M2sReq::data_fetch(addr, (cluster & 0x1FF) as u16, chunks, host_idx as u16)
+                    }));
+                    M2sReq::encode_batch(&stream, &mut slab);
+                    M2sReq::decode_batch(&slab, &mut decoded).expect("DataFetch burst decodes");
+                    assert_eq!(decoded, stream, "batched codec must round-trip the burst");
+                    for req in &decoded {
+                        assert_eq!(check_memopcode(req), InstrRoute::ProcessCore);
+                    }
+                    bursts += 1;
+                    split_bursts += usize::from(scratch.n_groups > 1);
+                }
+            }
+        }
+        assert!(bursts > 0, "no bag reached pooled CXL");
+        assert!(split_bursts > 0, "no burst spanned both switches");
+    }
 
     /// Dims around the four-lane width and the Table I dims.
     const DIMS: [u32; 7] = [1, 3, 7, 8, 64, 100, 128];

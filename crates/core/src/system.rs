@@ -669,7 +669,7 @@ impl SlsSystem {
 
     /// A split-borrow view for the per-bag pipeline stages, charging
     /// `metrics`, plus the bag scratch the stages borrow.
-    fn engine_ctx<'a>(
+    pub(crate) fn engine_ctx<'a>(
         &'a mut self,
         metrics: &'a mut RunMetrics,
     ) -> (EngineCtx<'a>, &'a mut BagScratch) {
